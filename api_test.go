@@ -213,32 +213,6 @@ func TestErrorsRoundTripThroughRegistry(t *testing.T) {
 	}
 }
 
-func TestDeprecatedShimsStillWork(t *testing.T) {
-	// The pre-redesign facade delegates to the new API and behaves
-	// identically.
-	top, err := mctop.InferPlatform("Ivy", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := mctop.Place(top, "CON_HWC", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.NThreads() != 10 {
-		t.Fatalf("NThreads = %d", pl.NThreads())
-	}
-	alloc, err := mctop.NewAlloc(top, mctop.ConHWC, mctop.WithThreads(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, modern := pl.Contexts(), alloc.Contexts()
-	for i := range shim {
-		if shim[i] != modern[i] {
-			t.Fatalf("slot %d: shim %d, new API %d", i, shim[i], modern[i])
-		}
-	}
-}
-
 // TestWithSpoolDirWarmStart: the facade option wires the tiered store the
 // way mctopd's -spool-dir does — a second registry over the same dir
 // serves spooled entries with zero inferences, and the LRU tier honors
@@ -248,7 +222,7 @@ func TestWithSpoolDirWarmStart(t *testing.T) {
 	opt := mctop.NewOptions(fastOpts()...)
 
 	r1 := mctop.NewRegistry(64, mctop.WithSpoolDir(dir))
-	top1, err := r1.Topology("Ivy", 42, opt)
+	top1, err := r1.TopologyContext(context.Background(), "Ivy", 42, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +235,7 @@ func TestWithSpoolDirWarmStart(t *testing.T) {
 
 	r2 := mctop.NewRegistry(64, mctop.WithSpoolDir(dir))
 	defer r2.Close()
-	top2, err := r2.Topology("Ivy", 42, opt)
+	top2, err := r2.TopologyContext(context.Background(), "Ivy", 42, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package mctop
 // under `go test -bench` and expose the headline values as custom metrics.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -36,7 +37,7 @@ func benchTopo(b *testing.B, name string) *topo.Topology {
 	if t, ok := benchTopos[name]; ok {
 		return t
 	}
-	t, _, err := InferPlatformDetailed(name, 42, Options{Reps: 51})
+	t, err := Infer(context.Background(), name, 42, WithReps(51))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func benchTopo(b *testing.B, name string) *topo.Topology {
 // figures 1-3 pipeline (topology graphs are pure functions of the result).
 func benchInferTopology(b *testing.B, platform string) {
 	for i := 0; i < b.N; i++ {
-		top, _, err := InferPlatformDetailed(platform, uint64(i+1), Options{Reps: 21})
+		top, err := Infer(context.Background(), platform, uint64(i+1), WithReps(21))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func BenchmarkFig6_AlgSteps(b *testing.B) {
 	var res *InferResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, res, err = InferPlatformDetailed("Ivy", uint64(i+1), Options{Reps: 51})
+		_, res, err = InferDetailed(context.Background(), "Ivy", uint64(i+1), WithReps(51))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,11 +116,11 @@ func BenchmarkFig7_Placement(b *testing.B) {
 	top := benchTopo(b, "Ivy")
 	var pl *Placement
 	for i := 0; i < b.N; i++ {
-		var err error
-		pl, err = Place(top, "CON_HWC", 30)
+		alloc, err := NewAlloc(top, ConHWC, WithThreads(30))
 		if err != nil {
 			b.Fatal(err)
 		}
+		pl = alloc.Placement()
 	}
 	b.ReportMetric(float64(pl.NCores()), "cores")
 	b.ReportMetric(float64(pl.MaxLatency()), "max_latency_cycles")
@@ -270,7 +271,7 @@ func BenchmarkFig12_OpenMP(b *testing.B) {
 // fixed-width bucketing alternative on the Opteron's tricky level set
 // (197 vs 217 cycles), reporting how many levels each finds (truth: 4).
 func BenchmarkAblation_Clustering(b *testing.B) {
-	_, res, err := InferPlatformDetailed("Opteron", 9, Options{Reps: 51})
+	_, res, err := InferDetailed(context.Background(), "Opteron", 9, WithReps(51))
 	if err != nil {
 		b.Fatal(err)
 	}

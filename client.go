@@ -61,10 +61,10 @@ func UnregisterPolicy(name string) { place.Unregister(name) }
 // case-insensitive. Unknown names wrap ErrUnknownPolicy.
 func ResolvePolicy(name string) (Policy, error) { return place.Resolve(name) }
 
-// Infer simulates one of the paper's machines, runs MCTOP-ALG and enriches
-// the result — the context-aware successor of InferPlatform. The context
-// cancels the O(N²) measurement phase between pairs; a cancelled inference
-// returns ctx.Err(). Unknown platforms wrap ErrUnknownPlatform.
+// Infer simulates one of the paper's machines with the given noise seed,
+// runs MCTOP-ALG on it and enriches the result with all four plugins. The
+// context cancels the O(N²) measurement phase between pairs; a cancelled
+// inference returns ctx.Err(). Unknown platforms wrap ErrUnknownPlatform.
 func Infer(ctx context.Context, platform string, seed uint64, opts ...Option) (*Topology, error) {
 	t, _, err := InferDetailed(ctx, platform, seed, opts...)
 	return t, err
@@ -80,8 +80,8 @@ func InferDetailed(ctx context.Context, platform string, seed uint64, opts ...Op
 	return inferPlatform(ctx, platform, seed, o)
 }
 
-// inferPlatform is the shared simulate → infer → enrich pipeline behind
-// both the context-aware API and the deprecated InferPlatform* shims.
+// inferPlatform is the simulate → infer → enrich pipeline behind Infer and
+// the Registry's compute path; opt is used exactly as given.
 func inferPlatform(ctx context.Context, name string, seed uint64, opt Options) (*Topology, *InferResult, error) {
 	p, err := sim.ByName(name)
 	if err != nil {
@@ -120,12 +120,8 @@ func inferPlatform(ctx context.Context, name string, seed uint64, opt Options) (
 // since host probes are noisy, enrichment is best-effort too — on plugin
 // failure the raw topology is returned with Result.Enriched left false.
 func InferHostContext(ctx context.Context, opts ...Option) (*Topology, *InferResult, error) {
-	return inferHost(ctx, NewOptions(opts...))
-}
-
-func inferHost(ctx context.Context, opt Options) (*Topology, *InferResult, error) {
 	m := machine.NewHost()
-	res, err := mctopalg.InferContext(ctx, m, opt)
+	res, err := mctopalg.InferContext(ctx, m, NewOptions(opts...))
 	if err != nil {
 		return nil, nil, err
 	}

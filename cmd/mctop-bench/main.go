@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -46,7 +47,7 @@ func enriched(name string) *topo.Topology {
 	if t, ok := topoCache[name]; ok {
 		return t
 	}
-	t, err := mctop.InferPlatform(name, 42)
+	t, err := mctop.Infer(context.Background(), name, 42)
 	fail(err)
 	topoCache[name] = t
 	return t
@@ -126,7 +127,7 @@ func figs1to3() {
 // fig6: the four algorithm steps on Ivy.
 func fig6() {
 	header("Figure 6 — MCTOP-ALG steps on Ivy")
-	_, res, err := mctop.InferPlatformDetailed("Ivy", 42, mctop.Options{Reps: 201})
+	_, res, err := mctop.InferDetailed(context.Background(), "Ivy", 42, mctop.WithReps(201))
 	fail(err)
 	fmt.Printf("raw table: %dx%d, %d pairs measured, %d retries, rdtsc overhead %d cycles\n",
 		len(res.RawTable), len(res.RawTable), res.Pairs, res.Retries, res.RdtscOverhead)
@@ -171,10 +172,10 @@ func sec35() {
 func fig7() {
 	header("Figure 7 — MCTOP-PLACE output (Ivy, CON_HWC, 30 threads)")
 	t := enriched("Ivy")
-	pl, err := mctop.Place(t, "CON_HWC", 30)
+	alloc, err := mctop.NewAlloc(t, mctop.ConHWC, mctop.WithThreads(30))
 	fail(err)
 	fmt.Println("```")
-	fmt.Print(pl.String())
+	fmt.Print(alloc.Report())
 	fmt.Println("```")
 	fmt.Println("paper: 15 cores, 20/10 ctx per socket, BW 0.655/0.345, 66.7+43.4=110.1 W,")
 	fmt.Println("111.9+88.7=200.6 W with DRAM, max latency 308 cycles, min bandwidth 24.28 GB/s")

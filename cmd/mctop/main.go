@@ -38,6 +38,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -53,7 +54,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/spool"
-	"repro/internal/topo"
 )
 
 func main() {
@@ -90,15 +90,8 @@ func runExport(args []string) {
 	fs.Parse(args)
 	opt := mctop.NewOptions(mctop.WithReps(*reps))
 
-	var regOpts []mctop.RegistryOption
-	if *spoolDir != "" {
-		sp, err := spool.New(*spoolDir)
-		fail(err)
-		regOpts = append(regOpts, mctop.WithStore(
-			mctop.NewTieredStore(mctop.NewLRUStore(16, 1), sp)))
-	}
-	reg := mctop.NewRegistry(16, regOpts...)
-	top, hit, err := reg.LookupTopology(*platform, *seed, opt)
+	reg := spoolRegistry(*spoolDir)
+	top, hit, err := reg.LookupTopologyContext(context.Background(), *platform, *seed, opt)
 	fail(err)
 	fail(reg.Close())
 
@@ -111,17 +104,40 @@ func runExport(args []string) {
 	}
 	// The key header makes the file re-importable under the exact triple a
 	// serving registry looks up; topo.Decode skips it as a comment.
-	key := registry.TopoKey(*platform, *seed, opt)
-	_, err = fmt.Fprintf(w, "#key %s\n", key)
-	fail(err)
-	spec := top.Spec()
-	fail(topo.Encode(w, &spec))
+	fail(spool.EncodeTopology(w, registry.TopoKey(*platform, *seed, opt), top))
 	if *out != "-" {
 		src := "inferred"
 		if hit {
 			src = "served from cache/spool"
 		}
 		fmt.Printf("exported %s (seed %d, %s) to %s\n", *platform, *seed, src, *out)
+	}
+}
+
+// spoolRegistry is a small registry reading through (and writing back to)
+// the spool at dir; with no dir it is memory-only.
+func spoolRegistry(dir string) *mctop.Registry {
+	if dir == "" {
+		return mctop.NewRegistry(16)
+	}
+	sp, err := spool.New(dir)
+	fail(err)
+	return mctop.NewRegistry(16, mctop.WithStore(mctop.NewTieredStore(mctop.NewLRUStore(16, 1), sp)))
+}
+
+// install opens the spool at dir, lets put write into it, and exits
+// nonzero if a write did not land: the spool's cache-tier contract degrades
+// write failures to log lines, but an explicit install must fail loudly.
+// The error counter is compared around put because the opening scan may
+// already have counted skips for unrelated junk in the directory.
+func install(dir string, put func(sp *spool.Spool)) {
+	sp, err := spool.New(dir)
+	fail(err)
+	preErrors := sp.Stats()[0].Errors
+	put(sp)
+	fail(sp.Close())
+	if n := sp.Stats()[0].Errors - preErrors; n > 0 {
+		fail(fmt.Errorf("%d write(s) into spool %s failed to persist (see log above)", n, dir))
 	}
 }
 
@@ -172,14 +188,7 @@ func runFetch(args []string) {
 		fmt.Fprintf(os.Stderr, "fetched %s (seed %d) from %s to %s\n", *platform, *seed, *origin, *out)
 	}
 	if *spoolDir != "" {
-		sp, err := spool.New(*spoolDir)
-		fail(err)
-		preErrors := sp.Stats()[0].Errors
-		sp.Put(registry.KindTopology, key, top)
-		fail(sp.Close())
-		if sp.Stats()[0].Errors > preErrors {
-			fail(fmt.Errorf("installing into spool %s failed (see log above)", *spoolDir))
-		}
+		install(*spoolDir, func(sp *spool.Spool) { sp.Put(registry.KindTopology, key, top) })
 		fmt.Fprintf(os.Stderr, "installed into spool %s as %q\n", *spoolDir, key)
 	}
 }
@@ -198,31 +207,26 @@ func runImport(args []string) {
 		fmt.Fprintln(os.Stderr, "usage: mctop import -spool DIR [-platform P] [-seed N] [-reps R] file.mctop...")
 		os.Exit(2)
 	}
-	sp, err := spool.New(*spoolDir)
-	fail(err)
-	// The spool's cache-tier contract degrades write failures to log
-	// lines; an explicit install must fail loudly instead, so compare its
-	// error counter around the imports (the scan may already have counted
-	// skips for unrelated junk in the directory).
-	preErrors := sp.Stats()[0].Errors
-	for _, path := range fs.Args() {
-		key, top, err := spool.DecodeTopologyFile(path)
-		fail(err)
-		if key == "" {
-			name := *platform
-			if name == "" {
-				name = top.Name()
+	install(*spoolDir, func(sp *spool.Spool) {
+		for _, path := range fs.Args() {
+			f, err := os.Open(path)
+			fail(err)
+			key, top, err := spool.DecodeTopology(f)
+			f.Close()
+			if err != nil {
+				fail(fmt.Errorf("%s: %w", path, err))
 			}
-			key = registry.TopoKey(name, *seed, mctop.NewOptions(mctop.WithReps(*reps)))
+			if key == "" {
+				name := *platform
+				if name == "" {
+					name = top.Name()
+				}
+				key = registry.TopoKey(name, *seed, mctop.NewOptions(mctop.WithReps(*reps)))
+			}
+			sp.Put(registry.KindTopology, key, top)
+			fmt.Printf("imported %s as %q\n", path, key)
 		}
-		sp.Put(registry.KindTopology, key, top)
-		fmt.Printf("imported %s as %q\n", path, key)
-	}
-	fail(sp.Close())
-	if n := sp.Stats()[0].Errors - preErrors; n > 0 {
-		fmt.Fprintf(os.Stderr, "mctop: %d import(s) failed to persist (see log above)\n", n)
-		os.Exit(1)
-	}
+	})
 }
 
 func runInfer() {
@@ -253,7 +257,7 @@ func runInfer() {
 		fmt.Printf("loaded %s\n", *load)
 	case *host:
 		fmt.Println("inferring host topology (best effort; the Go runtime is noisy)...")
-		t, res, err := mctop.InferHost(mctop.Options{Reps: *reps})
+		t, res, err := mctop.InferHostContext(context.Background(), mctop.WithReps(*reps))
 		fail(err)
 		top = t
 		inferRes = res

@@ -12,6 +12,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -23,7 +24,6 @@ import (
 
 	mctop "repro"
 	"repro/internal/graph"
-	"repro/internal/spool"
 )
 
 func runMap(args []string) {
@@ -68,17 +68,10 @@ func runMap(args []string) {
 		return
 	}
 
-	var regOpts []mctop.RegistryOption
-	if *spoolDir != "" {
-		sp, err := spool.New(*spoolDir)
-		fail(err)
-		regOpts = append(regOpts, mctop.WithStore(
-			mctop.NewTieredStore(mctop.NewLRUStore(16, 1), sp)))
-	}
-	reg := mctop.NewRegistry(16, regOpts...)
+	reg := spoolRegistry(*spoolDir)
 	opt := mctop.NewOptions(mctop.WithReps(*reps))
 	for _, d := range dags {
-		m, err := reg.MapDAG(*platform, *seed, opt, d, *refine)
+		m, err := reg.MapDAGContext(context.Background(), *platform, *seed, opt, d, *refine)
 		fail(err)
 		printMapping(d.Name, *platform, *seed, m.Algo(), m.Cost(), m.Assignment(), len(d.Edges))
 	}

@@ -93,12 +93,12 @@ func TestChaosMapperDegradesAndHeals(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	warm := mapBody(t, mapRequest{Platform: "Ivy", DAG: mapTestDAG()})
+	warm := mapBody(t, mapRequest{topoParams: topoParams{Platform: "Ivy"}, DAG: mapTestDAG()})
 	cold := func(name string) string {
 		d := mapTestDAG()
 		d.Name = name
 		d.Nodes[0].Work += int64(len(name)) // distinct hash → cache miss
-		return mapBody(t, mapRequest{Platform: "Ivy", DAG: d})
+		return mapBody(t, mapRequest{topoParams: topoParams{Platform: "Ivy"}, DAG: d})
 	}
 
 	// Healthy: warm one mapping, readiness green.

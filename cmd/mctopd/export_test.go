@@ -10,9 +10,13 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	mctop "repro"
+	"repro/internal/graph"
 	"repro/internal/registry"
 	"repro/internal/spool"
 )
@@ -102,5 +106,54 @@ func TestExportRejectsBadKeys(t *testing.T) {
 		if resp.StatusCode != c.status {
 			t.Errorf("%s: status %d (%s), want %d", c.name, resp.StatusCode, body, c.status)
 		}
+	}
+}
+
+// TestExportServesParentFixtureBytes: /v1/export answers every cached kind
+// with exactly the bytes the spool fixtures hold (internal/spool/testdata,
+// written by the commit before the Store/kind-table refactor) — the fleet
+// wire format is pinned from outside, not just against today's encoder.
+func TestExportServesParentFixtureBytes(t *testing.T) {
+	ts := httptest.NewServer(testServer().routes())
+	defer ts.Close()
+
+	// The fixture mapping is of the gen-7 DAG at refine 100; mappings are
+	// exported warm-only, so compute it first.
+	body := mapBody(t, mapRequest{
+		topoParams: topoParams{Platform: "Ivy"}, // seed 42 and the test server's reps 51 are the defaults
+		Refine:     100,
+		DAG:        graph.GenTaskDAG(graph.DAGParams{}, 7),
+	})
+	if resp, raw := postMap(t, ts, body); resp.StatusCode != 200 {
+		t.Fatalf("map: %d %s", resp.StatusCode, raw)
+	}
+
+	dir := filepath.Join("..", "..", "internal", "spool", "testdata")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]bool{}
+	for _, f := range files {
+		want, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, _, _ := bytes.Cut(want, []byte("\n"))
+		key, ok := strings.CutPrefix(string(header), "#key ")
+		if !ok {
+			t.Fatalf("%s has no #key header", f.Name())
+		}
+		resp, got := get(t, ts, exportPath(key))
+		if resp.StatusCode != 200 {
+			t.Fatalf("export %s: %d %s", f.Name(), resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("export of %q differs from fixture %s:\n%s\nwant:\n%s", key, f.Name(), got, want)
+		}
+		kinds[filepath.Ext(f.Name())] = true
+	}
+	if len(kinds) != int(registry.NumKinds) {
+		t.Fatalf("fixtures cover extensions %v, want one per kind (%d)", kinds, registry.NumKinds)
 	}
 }

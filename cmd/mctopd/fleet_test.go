@@ -166,7 +166,7 @@ func TestFleetEdgeServesMappingFromOrigin(t *testing.T) {
 	defer origin.Close()
 
 	d := mapTestDAG()
-	body := mapBody(t, mapRequest{Platform: "Haswell", Refine: 200, DAG: d})
+	body := mapBody(t, mapRequest{topoParams: topoParams{Platform: "Haswell"}, Refine: 200, DAG: d})
 	resp, raw := postMap(t, origin, body)
 	if resp.StatusCode != 200 {
 		t.Fatalf("origin map: %d %s", resp.StatusCode, raw)

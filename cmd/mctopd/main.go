@@ -233,58 +233,43 @@ func run(ctx context.Context, cfg daemonConfig, onReady func(addr string)) error
 
 	// Tier chain, fastest first: LRU → spool (optional) → remote
 	// (optional) — any daemon is an origin to its downstreams and, with
-	// -upstream, an edge to its origin at the same time. With neither
-	// extra tier, NewRegistry builds its plain LRU itself.
+	// -upstream, an edge to its origin at the same time.
 	var (
-		regOpts []mctop.RegistryOption
-		s       *server // assigned below; the remote observer closes over it
-		rs      *remote.Remote
-		sp      *spool.Spool
+		s  *server // assigned below; the remote observer closes over it
+		rs *remote.Remote
+		sp *spool.Spool
 	)
-	if cfg.spoolDir != "" || cfg.upstream != "" {
-		tiers := []mctop.Store{mctop.NewLRUStore(cfg.cache, 0)}
-		if cfg.spoolDir != "" {
-			var spOpts []spool.Option
-			if cfg.spoolMaxBytes > 0 {
-				spOpts = append(spOpts, spool.WithMaxBytes(cfg.spoolMaxBytes))
-			}
-			if cfg.spoolMaxAge > 0 {
-				spOpts = append(spOpts, spool.WithMaxAge(cfg.spoolMaxAge))
-			}
-			if faults != nil {
-				spOpts = append(spOpts, spool.WithFaults(faults))
-			}
-			if tracer.Enabled() {
-				// The spool's write-behind goroutine runs outside any
-				// request; the tracer lets it open its own root spans for
-				// persists and quarantines.
-				spOpts = append(spOpts, spool.WithTracer(tracer))
-			}
-			var err error
-			if sp, err = spool.New(cfg.spoolDir, spOpts...); err != nil {
-				return fmt.Errorf("mctopd: %w", err)
-			}
-			tiers = append(tiers, sp)
-			log.Printf("mctopd: spooling to %s (%d entries on disk)", cfg.spoolDir, sp.Len())
+	tiers := []mctop.Store{mctop.NewLRUStore(cfg.cache, 0)}
+	if cfg.spoolDir != "" {
+		// Zero bounds, a nil fault set and a disabled tracer are each the
+		// option's "off". The tracer is for the write-behind goroutine,
+		// which runs outside any request and opens its own root spans.
+		var err error
+		sp, err = spool.New(cfg.spoolDir, spool.WithMaxBytes(cfg.spoolMaxBytes),
+			spool.WithMaxAge(cfg.spoolMaxAge), spool.WithFaults(faults), spool.WithTracer(tracer))
+		if err != nil {
+			return fmt.Errorf("mctopd: %w", err)
 		}
-		if cfg.upstream != "" {
-			// Built directly (not through the facade) so the daemon keeps a
-			// handle for the backoff gauges; the observer reads s.metrics,
-			// which is assigned before the first request can fetch.
-			rOpts := []remote.Option{remote.WithObserver(func(d time.Duration, outcome string) {
-				s.metrics.fetchObserver(cfg.upstream)(d, outcome)
-			})}
-			if faults != nil {
-				rOpts = append(rOpts, remote.WithHTTPClient(&http.Client{
-					Transport: faultinject.Transport(faults, faultinject.RemoteFetch, http.DefaultTransport),
-				}))
-			}
-			rs = remote.New(cfg.upstream, rOpts...)
-			tiers = append(tiers, rs)
-			log.Printf("mctopd: edge mode, pulling misses from %s", cfg.upstream)
-		}
-		regOpts = append(regOpts, mctop.WithStore(mctop.NewTieredStore(tiers...)))
+		tiers = append(tiers, sp)
+		log.Printf("mctopd: spooling to %s (%d entries on disk)", cfg.spoolDir, sp.Len())
 	}
+	if cfg.upstream != "" {
+		// Built directly (not through the facade) so the daemon keeps a
+		// handle for the backoff gauges; the observer reads s.metrics,
+		// which is assigned before the first request can fetch.
+		rOpts := []remote.Option{remote.WithObserver(func(d time.Duration, outcome string) {
+			s.metrics.observeFetch(cfg.upstream, d, outcome)
+		})}
+		if faults != nil {
+			rOpts = append(rOpts, remote.WithHTTPClient(&http.Client{
+				Transport: faultinject.Transport(faults, faultinject.RemoteFetch, http.DefaultTransport),
+			}))
+		}
+		rs = remote.New(cfg.upstream, rOpts...)
+		tiers = append(tiers, rs)
+		log.Printf("mctopd: edge mode, pulling misses from %s", cfg.upstream)
+	}
+	regOpts := []mctop.RegistryOption{mctop.WithStore(mctop.NewTieredStore(tiers...))}
 	var mapperFailed atomic.Bool
 	if faults != nil {
 		// The registry.infer point: a fired rule delays and/or fails the
@@ -474,59 +459,96 @@ func newServerWith(reg *mctop.Registry, defaultReps, maxInflight int) *server {
 	return s
 }
 
-func (s *server) routes() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/v1/platforms", s.handlePlatforms)
-	mux.HandleFunc("/v1/policies", s.handlePolicies)
-	mux.HandleFunc("/v1/topology", s.handleTopology)
-	mux.HandleFunc("/v1/place", s.handlePlace)
-	mux.HandleFunc("/v1/place/batch", s.handlePlaceBatch)
-	mux.HandleFunc("/v1/map", s.handleMap)
-	mux.HandleFunc("/v1/export", s.handleExport)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/debug/traces", s.handleTraces)
-	mux.Handle("/metrics", s.metrics.reg.Handler())
+// route is one row of the daemon's route table: the one place a path's
+// handler, its metrics/log/span label (the pattern itself) and its three
+// middleware policies are declared.
+type route struct {
+	// pattern is the ServeMux pattern; a trailing slash matches the subtree.
+	pattern string
+	handler http.HandlerFunc
+	// shed: the request counts against -max-inflight. Observability routes
+	// must answer even when the daemon sheds serving load — an orchestrator
+	// must see a saturated daemon as alive, and a saturated daemon is
+	// exactly when an operator needs its metrics and profiles.
+	shed bool
+	// traced: the request opens a root span. Probe and scrape traffic would
+	// otherwise occupy ring slots and skew sampling toward the
+	// orchestrator's polling cadence, and reading the trace dump must not
+	// create traces.
+	traced bool
+	// deadline: the request is bounded by -request-timeout, so a wedged tier
+	// becomes an honest 504 instead of a hung connection.
+	deadline bool
+}
+
+type routeTable []route
+
+// otherRoute is the row of every path the table does not name: the label
+// stays bounded whatever clients probe for, and the 404 is served under
+// every serving-route policy.
+var otherRoute = route{pattern: "other", shed: true, traced: true, deadline: true}
+
+// of returns the row serving path.
+func (t routeTable) of(path string) *route {
+	for i := range t {
+		p := t[i].pattern
+		if p == path || strings.HasSuffix(p, "/") && strings.HasPrefix(path, p) {
+			return &t[i]
+		}
+	}
+	return &otherRoute
+}
+
+func (s *server) routeTable() routeTable {
+	// The pprof subtree keeps its row (label, exemptions) without -pprof;
+	// only its handlers are then absent.
+	pprofTree := http.NotFound
 	if s.pprof {
+		mux := http.NewServeMux()
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		pprofTree = mux.ServeHTTP
 	}
-	return s.instrument(s.withBackpressure(s.withDeadlines(mux)))
+	return routeTable{
+		// pattern, handler, shed, traced, deadline
+		{"/healthz", s.handleHealthz, false, false, false},
+		{"/readyz", s.handleReadyz, false, false, false},
+		{"/metrics", s.metrics.reg.Handler().ServeHTTP, false, false, false},
+		{"/v1/debug/traces", s.handleTraces, false, false, false},
+		{"/debug/pprof/", pprofTree, false, false, false},
+		{"/v1/platforms", s.handlePlatforms, true, true, true},
+		{"/v1/policies", s.handlePolicies, true, true, true},
+		{"/v1/topology", s.handleTopology, true, true, true},
+		{"/v1/place", s.handlePlace, true, true, true},
+		{"/v1/place/batch", s.handlePlaceBatch, true, true, true}, // ?stream=1 opts out of the deadline per request
+		{"/v1/map", s.handleMap, true, true, true},
+		{"/v1/export", s.handleExport, true, true, true},
+		{"/v1/stats", s.handleStats, true, true, true},
+	}
 }
 
-// exemptFromBackpressure lists the observability endpoints that must answer
-// even when the daemon sheds serving load: an orchestrator must see a
-// saturated daemon as alive, and a saturated daemon is exactly when an
-// operator needs its metrics and profiles.
-func exemptFromBackpressure(path string) bool {
-	return path == "/healthz" || path == "/readyz" || path == "/metrics" ||
-		path == "/v1/debug/traces" || strings.HasPrefix(path, "/debug/pprof/")
+func (s *server) routes() http.Handler {
+	table := s.routeTable()
+	mux := http.NewServeMux()
+	for _, rt := range table {
+		mux.Handle(rt.pattern, rt.handler)
+	}
+	return s.instrument(table, s.withBackpressure(table, s.withDeadlines(table, mux)))
 }
 
-// exemptFromTracing lists the routes that never open spans: probe and
-// scrape traffic would otherwise occupy ring slots and skew sampling
-// toward the orchestrator's polling cadence, and reading the trace dump
-// must not create traces. Today the set coincides with the backpressure
-// exemptions; the separate name keeps the two contracts independent.
-func exemptFromTracing(path string) bool {
-	return exemptFromBackpressure(path)
-}
-
-// withDeadlines bounds every buffered route with a server-side request
-// deadline (s.reqTimeout), so a wedged tier becomes an honest 504 instead
-// of a connection that hangs until the client gives up. Streaming
-// responses are exempt — a long NDJSON stream is progress, not a hang —
-// as are the observability routes.
-func (s *server) withDeadlines(next http.Handler) http.Handler {
+// withDeadlines bounds every route that asks for it with a server-side
+// request deadline (s.reqTimeout). A streaming batch response is exempt
+// per request — a long NDJSON stream is progress, not a hang.
+func (s *server) withDeadlines(table routeTable, next http.Handler) http.Handler {
 	if s.reqTimeout <= 0 {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if exemptFromDeadline(r) {
+		rt := table.of(r.URL.Path)
+		if !rt.deadline || rt.pattern == "/v1/place/batch" && r.URL.Query().Get("stream") == "1" {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -536,23 +558,16 @@ func (s *server) withDeadlines(next http.Handler) http.Handler {
 	})
 }
 
-func exemptFromDeadline(r *http.Request) bool {
-	if exemptFromBackpressure(r.URL.Path) {
-		return true
-	}
-	return r.URL.Path == "/v1/place/batch" && r.URL.Query().Get("stream") == "1"
-}
-
 // withBackpressure sheds requests beyond the in-flight bound with 503 +
 // Retry-After instead of queueing them behind a saturated CPU: an
 // inference-heavy burst would otherwise pile onto the registry's compute
 // semaphore until every response deadline is blown.
-func (s *server) withBackpressure(next http.Handler) http.Handler {
+func (s *server) withBackpressure(table routeTable, next http.Handler) http.Handler {
 	if s.inflight == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if exemptFromBackpressure(r.URL.Path) {
+		if !table.of(r.URL.Path).shed {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -584,6 +599,8 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 // errors to HTTP statuses; handlers never pick a status by hand.
 func statusOf(err error) int {
 	switch {
+	case errors.As(err, new(noEntryError)):
+		return http.StatusNotFound // 404
 	case errors.Is(err, mctoperr.ErrSaturated):
 		return http.StatusServiceUnavailable // 503
 	case errors.Is(err, mctoperr.ErrTooLarge):
@@ -703,41 +720,92 @@ func validateReps(reps int) error {
 	return nil
 }
 
-// query pulls the common platform/seed/options parameters. seed defaults to
-// 42, reps to the daemon default; every failure wraps a sentinel error
-// (ErrUnknownPlatform, ErrInvalidRequest) for statusOf.
-func (s *server) query(r *http.Request) (platform string, seed uint64, opt mctop.Options, err error) {
-	q := r.URL.Query()
-	platform = q.Get("platform")
-	if err := s.validatePlatform(platform); err != nil {
+// topoParams are the request parameters that select a topology, as the
+// client sent them: the fields every JSON body embeds, and what query fills
+// from a GET's query string. Absent fields (nil, 0) take the daemon's
+// defaults in resolve.
+type topoParams struct {
+	Platform string  `json:"platform"`
+	Seed     *uint64 `json:"seed"`
+	Reps     int     `json:"reps,omitempty"`
+	Sampling *bool   `json:"sampling,omitempty"`
+}
+
+// resolve is the one place request parameters become a registry lookup:
+// it validates the platform and reps and applies the defaults — seed 42,
+// the daemon's -reps and -sampling. Every failure wraps a sentinel error
+// (ErrUnknownPlatform, ErrInvalidRequest, ErrTooLarge) for statusOf.
+func (s *server) resolve(p topoParams) (platform string, seed uint64, opt mctop.Options, err error) {
+	if err := s.validatePlatform(p.Platform); err != nil {
 		return "", 0, opt, err
 	}
-	seed = 42
-	if v := q.Get("seed"); v != "" {
-		if seed, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return "", 0, opt, fmt.Errorf("%w: bad seed %q: %v", mctoperr.ErrInvalidRequest, v, err)
-		}
-	}
 	opt.Reps = s.defaultReps
-	if v := q.Get("reps"); v != "" {
-		reps, perr := strconv.Atoi(v)
-		if perr != nil {
-			return "", 0, opt, fmt.Errorf("%w: bad reps %q: %v", mctoperr.ErrInvalidRequest, v, perr)
-		}
-		if err := validateReps(reps); err != nil {
+	if p.Reps != 0 {
+		if err := validateReps(p.Reps); err != nil {
 			return "", 0, opt, err
 		}
-		opt.Reps = reps
+		opt.Reps = p.Reps
 	}
 	opt.Sampling.Enabled = s.defaultSampling
+	if p.Sampling != nil {
+		opt.Sampling.Enabled = *p.Sampling
+	}
+	seed = 42
+	if p.Seed != nil {
+		seed = *p.Seed
+	}
+	return p.Platform, seed, opt, nil
+}
+
+// query is resolve for the GET endpoints: it reads the parameters from the
+// query string first.
+func (s *server) query(r *http.Request) (platform string, seed uint64, opt mctop.Options, err error) {
+	q := r.URL.Query()
+	p := topoParams{Platform: q.Get("platform")}
+	bad := func(name, v string, err error) (string, uint64, mctop.Options, error) {
+		return "", 0, opt, fmt.Errorf("%w: bad %s %q: %v", mctoperr.ErrInvalidRequest, name, v, err)
+	}
+	if v := q.Get("seed"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return bad("seed", v, err)
+		}
+		p.Seed = &n
+	}
+	if v := q.Get("reps"); v != "" {
+		if p.Reps, err = strconv.Atoi(v); err != nil {
+			return bad("reps", v, err)
+		}
+		if p.Reps == 0 {
+			// In a JSON body 0 means absent; spelled out in a query it is
+			// a value, and out of range.
+			return "", 0, opt, validateReps(0)
+		}
+	}
 	if v := q.Get("sampling"); v != "" {
-		b, perr := strconv.ParseBool(v)
-		if perr != nil {
+		b, err := strconv.ParseBool(v)
+		if err != nil {
 			return "", 0, opt, fmt.Errorf("%w: bad sampling %q (want 0 or 1)", mctoperr.ErrInvalidRequest, v)
 		}
-		opt.Sampling.Enabled = b
+		p.Sampling = &b
 	}
-	return platform, seed, opt, nil
+	return s.resolve(p)
+}
+
+// decodeBody reads a JSON request body of at most 1 MiB strictly (unknown
+// fields are errors) into req; what names the body in error messages.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, req any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return fmt.Errorf("%w: %s body over %d bytes", mctoperr.ErrTooLarge, what, tooBig.Limit)
+	case err != nil:
+		return fmt.Errorf("%w: bad %s body: %v", mctoperr.ErrInvalidRequest, what, err)
+	}
+	return nil
 }
 
 // topologyResponse is the JSON view of a topology: the full spec (the same
@@ -876,13 +944,9 @@ func (s *server) handlePlace(w http.ResponseWriter, r *http.Request) {
 // response deadline.
 const maxBatchRequests = 1024
 
-// batchRequest is the POST /v1/place/batch body. Seed is a pointer so an
-// absent field gets the same default (42) the GET endpoints use.
+// batchRequest is the POST /v1/place/batch body.
 type batchRequest struct {
-	Platform string  `json:"platform"`
-	Seed     *uint64 `json:"seed"`
-	Reps     int     `json:"reps,omitempty"`
-	Sampling *bool   `json:"sampling,omitempty"`
+	topoParams
 	Requests []struct {
 		Policy  string `json:"policy"`
 		Threads int    `json:"threads"`
@@ -934,18 +998,12 @@ func (s *server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErrStatus(w, fmt.Errorf("%w: batch body over %d bytes", mctoperr.ErrTooLarge, tooBig.Limit))
-			return
-		}
-		writeErrStatus(w, fmt.Errorf("%w: bad batch body: %v", mctoperr.ErrInvalidRequest, err))
+	if err := decodeBody(w, r, "batch", &req); err != nil {
+		writeErrStatus(w, err)
 		return
 	}
-	if err := s.validatePlatform(req.Platform); err != nil {
+	platform, seed, opt, err := s.resolve(req.topoParams)
+	if err != nil {
 		writeErrStatus(w, err)
 		return
 	}
@@ -957,46 +1015,28 @@ func (s *server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 		writeErrStatus(w, fmt.Errorf("%w: batch of %d requests exceeds the limit of %d", mctoperr.ErrTooLarge, len(req.Requests), maxBatchRequests))
 		return
 	}
-	var opt mctop.Options
-	opt.Reps = s.defaultReps
-	if req.Reps != 0 {
-		if err := validateReps(req.Reps); err != nil {
-			writeErrStatus(w, err)
-			return
-		}
-		opt.Reps = req.Reps
-	}
-	opt.Sampling.Enabled = s.defaultSampling
-	if req.Sampling != nil {
-		opt.Sampling.Enabled = *req.Sampling
-	}
 	for i := range req.Requests {
 		if req.Requests[i].Threads < 0 {
 			writeErrStatus(w, fmt.Errorf("%w: request %d: bad threads %d", mctoperr.ErrInvalidRequest, i, req.Requests[i].Threads))
 			return
 		}
 	}
-
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
 	reqs := make([]mctop.PlaceRequest, len(req.Requests))
 	for i, item := range req.Requests {
 		reqs[i] = mctop.PlaceRequest{Policy: item.Policy, NThreads: item.Threads}
 	}
 	if r.URL.Query().Get("stream") == "1" {
-		s.streamPlaceBatch(w, r, req.Platform, seed, opt, reqs)
+		s.streamPlaceBatch(w, r, platform, seed, opt, reqs)
 		return
 	}
 	start := time.Now()
-	results, err := s.reg.PlaceBatchContext(r.Context(), req.Platform, seed, opt, reqs)
+	results, err := s.reg.PlaceBatchContext(r.Context(), platform, seed, opt, reqs)
 	if err != nil {
 		writeErrStatus(w, err)
 		return
 	}
 	resp := batchResponse{
-		Platform: req.Platform,
+		Platform: platform,
 		Seed:     seed,
 		Results:  make([]batchItemResponse, len(results)),
 	}
@@ -1042,104 +1082,95 @@ func (s *server) streamPlaceBatch(w http.ResponseWriter, r *http.Request, platfo
 
 // handleExport is the fleet endpoint: GET /v1/export?key=<registry key>
 // serves the entry as its interchange file — a `#key`-headed .mctop
-// description file for topology keys, a .place sidecar for placement keys
-// — exactly the bytes the spool tier persists, which is what the remote
-// store tier on an edge daemon consumes. The key is parsed back into the
-// request it encodes and resolved through the registry, so an origin
-// serves from its cache/spool when warm and infers (singleflight, compute
-// semaphore and all) when cold: one origin can feed a fleet of edges that
-// never infer. Keys that do not round-trip through the registry's own key
-// builder are 404s — they cannot name a cache entry this daemon could
-// ever produce.
+// description file for topology keys, a .place or .map sidecar for
+// placement and mapping keys — exactly the bytes the spool tier persists
+// (spool.Encode), which is what the remote store tier on an edge daemon
+// consumes. The key is parsed back into the request it encodes and
+// resolved through the registry, so an origin serves from its cache/spool
+// when warm and infers (singleflight, compute semaphore and all) when
+// cold: one origin can feed a fleet of edges that never infer. Keys that
+// do not round-trip through the registry's own key builder are 404s — they
+// cannot name a cache entry this daemon could ever produce.
 func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
 		writeErrStatus(w, fmt.Errorf("%w: missing ?key= (a registry topology or placement key)", mctoperr.ErrInvalidRequest))
 		return
 	}
+	kind, ok := registry.KindOfKey(key)
+	if !ok {
+		writeErrStatus(w, noEntryError{fmt.Errorf("%w: key %q is not a topology, placement or mapping key", mctoperr.ErrInvalidRequest, key)})
+		return
+	}
+	val, err := s.exportValue(r.Context(), kind, key)
+	if err != nil {
+		writeErrStatus(w, err)
+		return
+	}
 	var buf bytes.Buffer
-	switch {
-	case strings.HasPrefix(key, "topo|"):
-		platform, seed, opt, err := registry.ParseTopoKey(key)
-		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		if err := s.validateExport(platform, opt); err != nil {
-			writeErrStatus(w, err)
-			return
-		}
-		top, _, err := s.reg.LookupTopologyContext(r.Context(), platform, seed, opt)
-		if err != nil {
-			writeErrStatus(w, err)
-			return
-		}
-		if err := spool.EncodeTopology(&buf, key, top); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-	case strings.HasPrefix(key, "place|"):
-		topoKey, policy, threads, err := registry.ParsePlaceKey(key)
-		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		platform, seed, opt, err := registry.ParseTopoKey(topoKey)
-		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		if err := s.validateExport(platform, opt); err != nil {
-			writeErrStatus(w, err)
-			return
-		}
-		pl, err := s.reg.PlaceContext(r.Context(), platform, seed, opt, policy, threads)
-		if err != nil {
-			writeErrStatus(w, err)
-			return
-		}
-		if err := spool.EncodeSidecar(&buf, key, topoKey, pl); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-	case strings.HasPrefix(key, "map|"):
-		// Mapping keys identify the DAG by hash alone — the key cannot
-		// reconstruct the DAG, so an origin serves mappings warm-only: a
-		// mapping somebody POSTed to /v1/map is exportable; one nobody
-		// computed is an honest 404 (the edge then computes locally). A
-		// key that could never name an entry is a 400, per ParseMapKey's
-		// ErrInvalidRequest contract.
-		topoKey, _, _, _, _, err := registry.ParseMapKey(key)
-		if err != nil {
-			writeErrStatus(w, err)
-			return
-		}
-		v, ok := s.reg.Store().Get(registry.KindMapping, key)
-		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("mapping %q is not cached on this daemon", key))
-			return
-		}
-		if err := spool.EncodeMapSidecar(&buf, key, topoKey, v.(*mctop.Mapping)); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-	default:
-		writeErr(w, http.StatusNotFound,
-			fmt.Errorf("%w: key %q is not a topology, placement or mapping key", mctoperr.ErrInvalidRequest, key))
+	if err := spool.Encode(&buf, kind, key, val); err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write(buf.Bytes())
 }
 
-// validateExport applies the same request bounds to a parsed key that the
-// query endpoints apply to their parameters: an edge's key must not demand
-// work a direct request could not.
-func (s *server) validateExport(platform string, opt mctop.Options) error {
-	if err := s.validatePlatform(platform); err != nil {
-		return err
+// noEntryError marks an export failure as "this key names nothing on this
+// daemon": a 404 whatever the cause wraps.
+type noEntryError struct{ error }
+
+func (e noEntryError) Unwrap() error { return e.error }
+
+// exportValue resolves an export key to the value it names.
+func (s *server) exportValue(ctx context.Context, kind registry.Kind, key string) (any, error) {
+	switch kind {
+	case registry.KindTopology:
+		platform, seed, opt, err := s.exportTopoKey(key)
+		if err != nil {
+			return nil, err
+		}
+		t, _, err := s.reg.LookupTopologyContext(ctx, platform, seed, opt)
+		return t, err
+	case registry.KindPlacement:
+		topoKey, policy, threads, err := registry.ParsePlaceKey(key)
+		if err != nil {
+			return nil, noEntryError{err}
+		}
+		platform, seed, opt, err := s.exportTopoKey(topoKey)
+		if err != nil {
+			return nil, err
+		}
+		return s.reg.PlaceContext(ctx, platform, seed, opt, policy, threads)
+	default:
+		// Mapping keys identify the DAG by hash alone — the key cannot
+		// reconstruct the DAG, so an origin serves mappings warm-only: a
+		// mapping somebody POSTed to /v1/map is exportable; one nobody
+		// computed is an honest 404 (the edge then computes locally). A
+		// key that could never name an entry is a 400, per ParseMapKey's
+		// ErrInvalidRequest contract.
+		if _, _, _, _, _, err := registry.ParseMapKey(key); err != nil {
+			return nil, err
+		}
+		val, ok := s.reg.Store().Get(kind, key)
+		if !ok {
+			return nil, noEntryError{fmt.Errorf("mapping %q is not cached on this daemon", key)}
+		}
+		return val, nil
 	}
-	return validateReps(opt.Normalized().Reps)
+}
+
+// exportTopoKey parses the topology key an export names and applies the
+// same request bounds the query endpoints apply to their parameters: an
+// edge's key must not demand work a direct request could not.
+func (s *server) exportTopoKey(key string) (platform string, seed uint64, opt mctop.Options, err error) {
+	if platform, seed, opt, err = registry.ParseTopoKey(key); err != nil {
+		return "", 0, opt, noEntryError{err}
+	}
+	if err = s.validatePlatform(platform); err == nil {
+		err = validateReps(opt.Normalized().Reps)
+	}
+	return platform, seed, opt, err
 }
 
 // statsResponse is registry.Stats plus the daemon's readiness view —

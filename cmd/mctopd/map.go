@@ -8,8 +8,6 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -33,15 +31,12 @@ const (
 )
 
 // mapRequest is the POST /v1/map body. Exactly one of DAG (single) or
-// DAGs (batch) must be set. Seed is a pointer so an absent field gets the
-// same default (42) the GET endpoints use.
+// DAGs (batch) must be set.
 type mapRequest struct {
-	Platform string           `json:"platform"`
-	Seed     *uint64          `json:"seed"`
-	Reps     int              `json:"reps,omitempty"`
-	Refine   int              `json:"refine,omitempty"`
-	DAG      *mctop.TaskDAG   `json:"dag,omitempty"`
-	DAGs     []*mctop.TaskDAG `json:"dags,omitempty"`
+	topoParams
+	Refine int              `json:"refine,omitempty"`
+	DAG    *mctop.TaskDAG   `json:"dag,omitempty"`
+	DAGs   []*mctop.TaskDAG `json:"dags,omitempty"`
 }
 
 // mapItemResponse is one mapping answer: the assignment and its cost, or
@@ -107,29 +102,14 @@ func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req mapRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErrStatus(w, fmt.Errorf("%w: map body over %d bytes", mctoperr.ErrTooLarge, tooBig.Limit))
-			return
-		}
-		writeErrStatus(w, fmt.Errorf("%w: bad map body: %v", mctoperr.ErrInvalidRequest, err))
-		return
-	}
-	if err := s.validatePlatform(req.Platform); err != nil {
+	if err := decodeBody(w, r, "map", &req); err != nil {
 		writeErrStatus(w, err)
 		return
 	}
-	var opt mctop.Options
-	opt.Reps = s.defaultReps
-	if req.Reps != 0 {
-		if err := validateReps(req.Reps); err != nil {
-			writeErrStatus(w, err)
-			return
-		}
-		opt.Reps = req.Reps
+	platform, seed, opt, err := s.resolve(req.topoParams)
+	if err != nil {
+		writeErrStatus(w, err)
+		return
 	}
 	if req.Refine < 0 || req.Refine > maxMapRefine {
 		writeErrStatus(w, fmt.Errorf("%w: bad refine %d (want 0..%d)", mctoperr.ErrInvalidRequest, req.Refine, maxMapRefine))
@@ -143,20 +123,16 @@ func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeErrStatus(w, fmt.Errorf("%w: batch of %d DAGs exceeds the limit of %d", mctoperr.ErrTooLarge, len(req.DAGs), maxMapDAGs))
 		return
 	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
 
 	start := time.Now()
-	resp := mapResponse{Platform: req.Platform, Seed: seed, Refine: req.Refine}
+	resp := mapResponse{Platform: platform, Seed: seed, Refine: req.Refine}
 	if req.DAG != nil {
 		// Single: failures carry a status, like /v1/place.
 		if err := validateMapDAG(req.DAG); err != nil {
 			writeErrStatus(w, err)
 			return
 		}
-		m, err := s.reg.MapDAGContext(r.Context(), req.Platform, seed, opt, req.DAG, req.Refine)
+		m, err := s.reg.MapDAGContext(r.Context(), platform, seed, opt, req.DAG, req.Refine)
 		if err != nil {
 			writeErrStatus(w, err)
 			return
@@ -174,7 +150,7 @@ func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 			err := validateMapDAG(d)
 			var m *mctop.Mapping
 			if err == nil {
-				m, err = s.reg.MapDAGContext(r.Context(), req.Platform, seed, opt, d, req.Refine)
+				m, err = s.reg.MapDAGContext(r.Context(), platform, seed, opt, d, req.Refine)
 			}
 			resp.Results[i] = mapItem(d, m, err)
 		}

@@ -77,7 +77,7 @@ func TestMapSingleAndWarmCache(t *testing.T) {
 	defer ts.Close()
 
 	d := mapTestDAG()
-	body := mapBody(t, mapRequest{Platform: "Ivy", Refine: 200, DAG: d})
+	body := mapBody(t, mapRequest{topoParams: topoParams{Platform: "Ivy"}, Refine: 200, DAG: d})
 	resp, raw := postMap(t, ts, body)
 	if resp.StatusCode != 200 {
 		t.Fatalf("map: %d %s", resp.StatusCode, raw)
@@ -108,7 +108,7 @@ func TestMapSingleAndWarmCache(t *testing.T) {
 	// carries the canonical hash, not the name.
 	renamed := mapTestDAG()
 	renamed.Name = "diamond-again"
-	resp2, raw2 := postMap(t, ts, mapBody(t, mapRequest{Platform: "Ivy", Refine: 200, DAG: renamed}))
+	resp2, raw2 := postMap(t, ts, mapBody(t, mapRequest{topoParams: topoParams{Platform: "Ivy"}, Refine: 200, DAG: renamed}))
 	if resp2.StatusCode != 200 {
 		t.Fatalf("second map: %d %s", resp2.StatusCode, raw2)
 	}
@@ -139,7 +139,7 @@ func TestMapBatchInlineErrors(t *testing.T) {
 		Nodes: []graph.TaskNode{{ID: 0, Work: 100}},
 		Edges: []graph.TaskEdge{{From: 0, To: 7, Volume: 64}},
 	}
-	resp, raw := postMap(t, ts, mapBody(t, mapRequest{Platform: "Ivy", DAGs: []*mctop.TaskDAG{good, bad}}))
+	resp, raw := postMap(t, ts, mapBody(t, mapRequest{topoParams: topoParams{Platform: "Ivy"}, DAGs: []*mctop.TaskDAG{good, bad}}))
 	if resp.StatusCode != 200 {
 		t.Fatalf("batch: %d %s", resp.StatusCode, raw)
 	}
@@ -227,7 +227,7 @@ func TestExportMappingSidecar(t *testing.T) {
 	}
 
 	// Warm the cache through the public endpoint, then export.
-	if r, raw := postMap(t, ts, mapBody(t, mapRequest{Platform: "Ivy", Refine: 200, DAG: d})); r.StatusCode != 200 {
+	if r, raw := postMap(t, ts, mapBody(t, mapRequest{topoParams: topoParams{Platform: "Ivy"}, Refine: 200, DAG: d})); r.StatusCode != 200 {
 		t.Fatalf("map: %d %s", r.StatusCode, raw)
 	}
 	resp, body := get(t, ts, exportPath(key))
@@ -243,5 +243,47 @@ func TestExportMappingSidecar(t *testing.T) {
 	}
 	if len(side.Assign) != 4 || side.Cost <= 0 {
 		t.Fatalf("sidecar = %+v", side)
+	}
+}
+
+// TestMapHonorsSamplingDefault: on a -sampling daemon, /v1/map keys its
+// topology the way /v1/topology does, so a mapping on a platform large
+// enough for sampled mode reuses the sampled topology instead of running a
+// second, exhaustive inference beside it — and a body's "sampling": false
+// overrides the daemon default like ?sampling=0 does.
+func TestMapHonorsSamplingDefault(t *testing.T) {
+	s := testServer()
+	s.defaultSampling = true
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	const platform = "gen:mesh:s4:c8:t2" // 64 contexts: the sampled mode's floor
+	if resp, body := get(t, ts, "/v1/topology?platform="+platform); resp.StatusCode != 200 {
+		t.Fatalf("topology: %d %s", resp.StatusCode, body)
+	}
+	inferences := func() int64 {
+		t.Helper()
+		_, body := get(t, ts, "/v1/stats")
+		var st struct{ Inferences int64 }
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Inferences
+	}
+	req := mapRequest{topoParams: topoParams{Platform: platform}, DAG: mapTestDAG()}
+	if resp, raw := postMap(t, ts, mapBody(t, req)); resp.StatusCode != 200 {
+		t.Fatalf("map: %d %s", resp.StatusCode, raw)
+	}
+	if n := inferences(); n != 1 {
+		t.Fatalf("%d inferences after /v1/topology + /v1/map on a -sampling daemon, want 1", n)
+	}
+
+	off := false
+	req.Sampling = &off
+	if resp, raw := postMap(t, ts, mapBody(t, req)); resp.StatusCode != 200 {
+		t.Fatalf(`map with "sampling": false: %d %s`, resp.StatusCode, raw)
+	}
+	if n := inferences(); n != 2 {
+		t.Fatalf(`%d inferences after a "sampling": false map, want 2 (its own exhaustive topology)`, n)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/metrics"
@@ -26,10 +25,8 @@ type daemonMetrics struct {
 	httpRequests *metrics.CounterVec   // route, method, code
 	httpDuration *metrics.HistogramVec // route
 	shed         *metrics.Counter
-	servedByTier *metrics.CounterVec // tier ("lru", "spool", "remote", "computed", "coalesced")
-	inferDur     *metrics.Histogram
-	placeDur     *metrics.Histogram
-	mapDur       *metrics.Histogram
+	servedByTier *metrics.CounterVec                   // tier ("lru", "spool", "remote", "computed", "coalesced")
+	computeDur   [registry.NumKinds]*metrics.Histogram // executed computes, by kind
 
 	// Mirrored from registry.Stats() at scrape time (BeforeScrape).
 	regHits        *metrics.Counter
@@ -73,15 +70,17 @@ func newDaemonMetrics() *daemonMetrics {
 		servedByTier: r.NewCounterVec("mctopd_requests_served_by_tier_total",
 			"Registry lookups attributed to the tier that answered: a store tier name, \"computed\" (this request ran the computation) or \"coalesced\" (joined another request's computation).",
 			"tier"),
-		inferDur: r.NewHistogram("mctopd_inference_duration_seconds",
-			"Wall time of executed topology inferences (cache hits not included).",
-			metrics.DefDurationBuckets),
-		placeDur: r.NewHistogram("mctopd_placement_duration_seconds",
-			"Wall time of computed placements (cache hits not included).",
-			metrics.DefDurationBuckets),
-		mapDur: r.NewHistogram("mctopd_mapping_duration_seconds",
-			"Wall time of computed task-graph mappings (cache hits not included).",
-			metrics.DefDurationBuckets),
+		computeDur: [registry.NumKinds]*metrics.Histogram{
+			registry.KindTopology: r.NewHistogram("mctopd_inference_duration_seconds",
+				"Wall time of executed topology inferences (cache hits not included).",
+				metrics.DefDurationBuckets),
+			registry.KindPlacement: r.NewHistogram("mctopd_placement_duration_seconds",
+				"Wall time of computed placements (cache hits not included).",
+				metrics.DefDurationBuckets),
+			registry.KindMapping: r.NewHistogram("mctopd_mapping_duration_seconds",
+				"Wall time of computed task-graph mappings (cache hits not included).",
+				metrics.DefDurationBuckets),
+		},
 		regHits: r.NewCounter("mctopd_registry_hits_total",
 			"Registry lookups answered from the store (any tier)."),
 		regMisses: r.NewCounter("mctopd_registry_misses_total",
@@ -143,25 +142,13 @@ func newDaemonMetrics() *daemonMetrics {
 func (d *daemonMetrics) observeServer(s *server) {
 	d.reg.NewGaugeFunc("mctopd_http_inflight_requests",
 		"Requests currently holding an in-flight slot.",
-		func() float64 {
-			if s.inflight == nil {
-				return 0
-			}
-			return float64(len(s.inflight))
-		})
+		func() float64 { return float64(len(s.inflight)) }) // a nil channel (no bound) has len and cap 0
 	d.reg.NewGaugeFunc("mctopd_http_inflight_limit",
 		"The in-flight bound beyond which requests are shed (0 = unbounded).",
-		func() float64 {
-			if s.inflight == nil {
-				return 0
-			}
-			return float64(cap(s.inflight))
-		})
-	s.reg.Instrument(&registry.Observer{
-		OnInference: func(dur time.Duration, err error) { d.inferDur.Observe(dur.Seconds()) },
-		OnPlacement: func(dur time.Duration, err error) { d.placeDur.Observe(dur.Seconds()) },
-		OnMapping:   func(dur time.Duration, err error) { d.mapDur.Observe(dur.Seconds()) },
-	})
+		func() float64 { return float64(cap(s.inflight)) })
+	s.reg.Instrument(&registry.Observer{OnCompute: func(kind registry.Kind, dur time.Duration, err error) {
+		d.computeDur[kind].Observe(dur.Seconds())
+	}})
 	d.reg.BeforeScrape(func() {
 		st := s.reg.Stats()
 		d.regHits.Set(st.Hits)
@@ -213,28 +200,10 @@ func (d *daemonMetrics) observeRemote(origin string, rs *remote.Remote) {
 	})
 }
 
-// fetchObserver is the remote.WithObserver callback feeding the per-origin
-// fetch-latency histogram.
-func (d *daemonMetrics) fetchObserver(origin string) func(time.Duration, string) {
-	return func(dur time.Duration, outcome string) {
-		d.remoteFetchDur.With(origin, outcome).Observe(dur.Seconds())
-	}
-}
-
-// routeLabel folds request paths onto the daemon's fixed route set so the
-// route label stays bounded whatever clients probe for.
-func routeLabel(path string) string {
-	switch path {
-	case "/healthz", "/readyz", "/metrics",
-		"/v1/platforms", "/v1/policies", "/v1/topology", "/v1/place",
-		"/v1/place/batch", "/v1/map", "/v1/export", "/v1/stats",
-		"/v1/debug/traces":
-		return path
-	}
-	if strings.HasPrefix(path, "/debug/pprof/") {
-		return "/debug/pprof/"
-	}
-	return "other"
+// observeFetch feeds the per-origin fetch-latency histogram from the
+// remote.WithObserver callback.
+func (d *daemonMetrics) observeFetch(origin string, dur time.Duration, outcome string) {
+	d.remoteFetchDur.With(origin, outcome).Observe(dur.Seconds())
 }
 
 // statusRecorder captures the response status for the request counter and
@@ -268,9 +237,10 @@ func (sr *statusRecorder) Flush() {
 // response) with the per-route counter and duration histogram, the
 // served-by-tier attribution, the request's root span and ID, and one
 // structured log line per request.
-func (s *server) instrument(next http.Handler) http.Handler {
+func (s *server) instrument(table routeTable, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := routeLabel(r.URL.Path)
+		rt := table.of(r.URL.Path)
+		route := rt.pattern
 		ctx, served := registry.ContextWithServed(r.Context())
 
 		// Request ID: honor the caller's X-Request-ID, mint one otherwise
@@ -288,7 +258,7 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		// and scrape routes never open spans — a Prometheus poll must not
 		// occupy ring slots or skew sampling.
 		var sp *trace.Span
-		if !exemptFromTracing(r.URL.Path) {
+		if rt.traced {
 			ctx, sp = s.tracer.StartRoot(ctx, "http "+route, r.Header.Get("traceparent"))
 			sp.SetAttr("route", route)
 			sp.SetAttr("method", r.Method)

@@ -211,15 +211,23 @@ func TestMiddlewareParallelRequests(t *testing.T) {
 	}
 	wg.Wait()
 
-	m := scrapeMetrics(t, ts) // still parses after the storm
+	// All 320 storm requests land in the counter (plus this test's own
+	// scrapes, so the bound is a floor). The middleware counts a request
+	// after its response is written, so the last few may still be landing
+	// when their clients have already returned: poll briefly.
 	var total float64
-	for key, v := range m {
-		if strings.HasPrefix(key, "mctopd_http_requests_total{") {
-			total += v
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		m := scrapeMetrics(t, ts) // still parses after the storm
+		total = 0
+		for key, v := range m {
+			if strings.HasPrefix(key, "mctopd_http_requests_total{") {
+				total += v
+			}
+		}
+		if total >= 8*40 || time.Now().After(deadline) {
+			break
 		}
 	}
-	// All 320 storm requests land in the counter (plus this test's own
-	// scrapes, so the bound is a floor).
 	if total < 8*40 {
 		t.Errorf("http_requests_total sums to %g, want >= %d", total, 8*40)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync"
@@ -16,7 +17,7 @@ import (
 )
 
 func main() {
-	top, err := mctop.InferPlatform("Opteron", 42)
+	top, err := mctop.Infer(context.Background(), "Opteron", 42)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,7 +15,7 @@ import (
 )
 
 func main() {
-	top, err := mctop.InferPlatform("Ivy", 42)
+	top, err := mctop.Infer(context.Background(), "Ivy", 42)
 	if err != nil {
 		log.Fatal(err)
 	}

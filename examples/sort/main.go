@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -13,7 +14,7 @@ import (
 )
 
 func main() {
-	top, err := mctop.InferPlatform("Ivy", 42)
+	top, err := mctop.Infer(context.Background(), "Ivy", 42)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@ package mctop
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -27,7 +28,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden topolog
 
 const goldenSeed = 42
 
-func goldenOptions() Options { return Options{Reps: 51} }
+func goldenOptions() []Option { return []Option{WithReps(51)} }
 
 func goldenPath(platform string) string {
 	return filepath.Join("internal", "topo", "testdata", strings.ToLower(platform)+".mctop")
@@ -48,7 +49,7 @@ func TestGoldenFixtures(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			top, _, err := InferPlatformDetailed(name, goldenSeed, goldenOptions())
+			top, err := Infer(context.Background(), name, goldenSeed, goldenOptions()...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,20 +116,19 @@ func TestGoldenRoundTrip(t *testing.T) {
 // parallelism settings: fixtures are only meaningful if inference is a pure
 // function of (platform, seed, options).
 func TestGoldenStability(t *testing.T) {
-	a, _, err := InferPlatformDetailed("Ivy", goldenSeed, goldenOptions())
+	a, err := Infer(context.Background(), "Ivy", goldenSeed, goldenOptions()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := InferPlatformDetailed("Ivy", goldenSeed, goldenOptions())
+	b, err := Infer(context.Background(), "Ivy", goldenSeed, goldenOptions()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encodeSpec(t, a), encodeSpec(t, b)) {
 		t.Fatal("two inferences of the same (platform, seed, options) differ")
 	}
-	seq := goldenOptions()
-	seq.Parallelism = 1
-	c, _, err := InferPlatformDetailed("Ivy", goldenSeed, seq)
+	seq := append(goldenOptions(), WithParallelism(1))
+	c, err := Infer(context.Background(), "Ivy", goldenSeed, seq...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package mctop
 // a downstream user would.
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"sync/atomic"
@@ -28,7 +29,7 @@ func TestIntegrationAllPlatforms(t *testing.T) {
 	for _, name := range Platforms() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			top, res, err := InferPlatformDetailed(name, 1, Options{Reps: 31})
+			top, res, err := InferDetailed(context.Background(), name, 1, WithReps(31))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,11 +7,11 @@ import (
 )
 
 // BenchmarkColdInfer is the price of one uncached inference — what every
-// caller of InferPlatform paid before the registry existed.
+// caller paid before the registry existed.
 func BenchmarkColdInfer(b *testing.B) {
 	opt := mctopalg.Options{Reps: 51}
 	for i := 0; i < b.N; i++ {
-		if _, err := realInfer("Ivy", 42, opt); err != nil {
+		if _, err := realInfer(bg, "Ivy", 42, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -21,14 +21,14 @@ func BenchmarkColdInfer(b *testing.B) {
 // BenchmarkColdInfer for the memoization win (>= 100x by acceptance, ~10^5x
 // in practice).
 func BenchmarkTopologyHit(b *testing.B) {
-	r := New(Options{Infer: realInfer})
+	r := New(Options{InferCtx: realInfer})
 	opt := mctopalg.Options{Reps: 51}
-	if _, err := r.Topology("Ivy", 42, opt); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 42, opt); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Topology("Ivy", 42, opt); err != nil {
+		if _, err := r.TopologyContext(bg, "Ivy", 42, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,15 +37,15 @@ func BenchmarkTopologyHit(b *testing.B) {
 // BenchmarkTopologyHitParallel hammers one cached key from all procs — the
 // hot path of a serving daemon.
 func BenchmarkTopologyHitParallel(b *testing.B) {
-	r := New(Options{Infer: realInfer})
+	r := New(Options{InferCtx: realInfer})
 	opt := mctopalg.Options{Reps: 51}
-	if _, err := r.Topology("Ivy", 42, opt); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 42, opt); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := r.Topology("Ivy", 42, opt); err != nil {
+			if _, err := r.TopologyContext(bg, "Ivy", 42, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -54,14 +54,14 @@ func BenchmarkTopologyHitParallel(b *testing.B) {
 
 // BenchmarkPlaceHit is a warm placement lookup.
 func BenchmarkPlaceHit(b *testing.B) {
-	r := New(Options{Infer: realInfer})
+	r := New(Options{InferCtx: realInfer})
 	opt := mctopalg.Options{Reps: 51}
-	if _, err := r.Place("Ivy", 42, opt, "CON_HWC", 30); err != nil {
+	if _, err := r.PlaceContext(bg, "Ivy", 42, opt, "CON_HWC", 30); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Place("Ivy", 42, opt, "CON_HWC", 30); err != nil {
+		if _, err := r.PlaceContext(bg, "Ivy", 42, opt, "CON_HWC", 30); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
 package registry
 
-// Key parsing — the inverse of topoKey/placeKey, for the fleet tier.
+// Key parsing — the inverse of TopoKey/placeKey, for the fleet tier.
 //
 // An edge daemon's remote store tier only holds a registry key when it
 // misses; the origin it fetches from must turn that key back into the
@@ -26,7 +26,7 @@ func ParseTopoKey(key string) (platform string, seed uint64, opt mctopalg.Option
 	fail := func(format string, args ...any) (string, uint64, mctopalg.Options, error) {
 		return "", 0, mctopalg.Options{}, fmt.Errorf("registry: bad topology key %q: %s", key, fmt.Sprintf(format, args...))
 	}
-	rest, ok := strings.CutPrefix(key, "topo|")
+	rest, ok := strings.CutPrefix(key, topoPrefix)
 	if !ok {
 		return fail("missing topo| prefix")
 	}
@@ -52,7 +52,7 @@ func ParseTopoKey(key string) (platform string, seed uint64, opt mctopalg.Option
 	}
 
 	// The option block is a fixed-order, prefix-tagged field list (see
-	// topoKey). Parse positionally.
+	// TopoKey). Parse positionally.
 	fields := strings.Split(optBlock, ",")
 	if len(fields) != 14 {
 		return fail("%d option fields, want 14", len(fields))
@@ -93,7 +93,7 @@ func ParseTopoKey(key string) (platform string, seed uint64, opt mctopalg.Option
 	// Strictness: only keys this registry version would itself emit
 	// resolve. Anything else — trailing junk, non-canonical float
 	// rendering, an un-normalized option — must not alias a cache entry.
-	if topoKey(platform, seed, opt) != key {
+	if TopoKey(platform, seed, opt) != key {
 		return fail("does not round-trip")
 	}
 	return platform, seed, opt, nil
@@ -108,7 +108,7 @@ func ParsePlaceKey(key string) (topoK string, policy string, nThreads int, err e
 	fail := func(format string, args ...any) (string, string, int, error) {
 		return "", "", 0, fmt.Errorf("registry: bad placement key %q: %s", key, fmt.Sprintf(format, args...))
 	}
-	rest, ok := strings.CutPrefix(key, "place|")
+	rest, ok := strings.CutPrefix(key, placePrefix)
 	if !ok {
 		return fail("missing place| prefix")
 	}
@@ -135,8 +135,42 @@ func ParsePlaceKey(key string) (topoK string, policy string, nThreads int, err e
 	// re-serialize to the exact input, so a non-canonical rendering (a
 	// zero-padded or signed thread count) cannot alias the canonical
 	// entry's key.
-	if "place|"+topoK+"|"+policy+"|"+strconv.Itoa(nThreads) != key {
+	if placePrefix+topoK+"|"+policy+"|"+strconv.Itoa(nThreads) != key {
 		return fail("does not round-trip")
 	}
 	return topoK, policy, nThreads, nil
+}
+
+// topoKeyOfPlaceKey is the placement kind's parent-key function: it
+// extracts the embedded topology key from "place|<topo key>|<policy>|
+// <threads>" by trimming the prefix and the last two fields, without the
+// validation ParsePlaceKey pays for — this runs on every spool write of a
+// placement. A custom policy whose name contains '|' would mis-split here;
+// the extracted key then misses in the spool and that placement degrades
+// to a recompute on warm start — never a wrong result.
+func topoKeyOfPlaceKey(placeKey string) (string, bool) {
+	rest, ok := strings.CutPrefix(placeKey, placePrefix)
+	if !ok {
+		return "", false
+	}
+	i := strings.LastIndexByte(rest, '|') // before <threads>
+	if i < 0 {
+		return "", false
+	}
+	j := strings.LastIndexByte(rest[:i], '|') // before <policy>
+	if j < 0 {
+		return "", false
+	}
+	return rest[:j], true
+}
+
+// topoKeyOfMapKey is the mapping kind's parent-key function. Mapping keys
+// are strictly parseable (ParseMapKey), so unlike placement keys there is
+// no ambiguity to tolerate: an unparsable key is simply not a mapping key.
+func topoKeyOfMapKey(mapKey string) (string, bool) {
+	tk, _, _, _, _, err := ParseMapKey(mapKey)
+	if err != nil {
+		return "", false
+	}
+	return tk, true
 }

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"container/list"
+	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -14,15 +15,9 @@ import (
 type LRU struct {
 	shards []*lruShard
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	puts      atomic.Int64
-	evictions atomic.Int64
-	kinds     kindCounters
+	puts  atomic.Int64
+	kinds KindCounters
 }
-
-// TierName implements TierNamer.
-func (l *LRU) TierName() string { return "lru" }
 
 type lruShard struct {
 	mu      sync.Mutex
@@ -68,36 +63,38 @@ func NewLRU(maxEntries, nShards int) *LRU {
 	return l
 }
 
-// shardOf picks a shard by an inlined FNV-1a over the key: this runs on
-// every lookup, and the hash/fnv Hasher would cost two heap allocations per
-// call on the serving hot path.
-func (l *LRU) shardOf(key string) *lruShard {
+// fnv1a is FNV-1a over the key, written out: shard and singleflight-stripe
+// selection run on every lookup, and the hash/fnv Hasher would cost two
+// heap allocations per call on the serving hot path.
+func fnv1a(key string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return l.shards[h%uint32(len(l.shards))]
+	return h
 }
 
-// Get implements Store. Kinds share one namespace: keys are already
+func (l *LRU) shardOf(key string) *lruShard {
+	return l.shards[fnv1a(key)%uint32(len(l.shards))]
+}
+
+// Lookup implements Store. Kinds share one namespace: keys are already
 // kind-prefixed by the registry.
-func (l *LRU) Get(kind Kind, key string) (any, bool) {
+func (l *LRU) Lookup(_ context.Context, kind Kind, key string) (any, string, bool) {
 	s := l.shardOf(key)
 	s.mu.Lock()
 	el, ok := s.entries[key]
 	if !ok {
 		s.mu.Unlock()
-		l.misses.Add(1)
-		l.kinds.miss(kind)
-		return nil, false
+		l.kinds.Miss(kind)
+		return nil, "", false
 	}
 	s.order.MoveToFront(el)
 	v := el.Value.(*lruEntry).val
 	s.mu.Unlock()
-	l.hits.Add(1)
-	l.kinds.hit(kind)
-	return v, true
+	l.kinds.Hit(kind)
+	return v, "lru", true
 }
 
 // Put implements Store: insert or replace, evicting beyond the shard cap.
@@ -115,26 +112,15 @@ func (l *LRU) Put(kind Kind, key string, val any) {
 	}
 	el := s.order.PushFront(&lruEntry{key: key, kind: kind, val: val})
 	s.entries[key] = el
-	evicted := int64(0)
-	var evictedKinds [numKinds]int64
 	for s.order.Len() > s.cap {
 		oldest := s.order.Back()
 		s.order.Remove(oldest)
 		e := oldest.Value.(*lruEntry)
 		delete(s.entries, e.key)
-		evictedKinds[kindIndex(e.kind)]++
-		evicted++
+		l.kinds.Evict(e.kind)
 	}
 	s.mu.Unlock()
 	l.puts.Add(1)
-	if evicted > 0 {
-		l.evictions.Add(evicted)
-		for i, n := range evictedKinds {
-			if n > 0 {
-				l.kinds.evictions[i].Add(n)
-			}
-		}
-	}
 }
 
 // Len implements Store.
@@ -161,28 +147,21 @@ func (l *LRU) Purge() {
 // Stats implements Store. The per-kind breakdown walks the shards — Stats
 // is an observability call, not a hot path.
 func (l *LRU) Stats() []StoreStats {
-	st := StoreStats{
-		Tier:      "lru",
-		Hits:      l.hits.Load(),
-		Misses:    l.misses.Load(),
-		Puts:      l.puts.Load(),
-		Evictions: l.evictions.Load(),
-	}
+	st := StoreStats{Tier: "lru", Puts: l.puts.Load()}
+	var resident [NumKinds]int
 	for _, s := range l.shards {
 		s.mu.Lock()
 		for el := s.order.Front(); el != nil; el = el.Next() {
-			switch el.Value.(*lruEntry).kind {
-			case KindTopology:
-				st.Topologies++
-			case KindPlacement:
-				st.Placements++
-			case KindMapping:
-				st.Mappings++
-			}
-			st.Entries++
+			resident[kindIndex(el.Value.(*lruEntry).kind)]++
 		}
 		s.mu.Unlock()
 	}
-	st.Kinds = l.kinds.snapshot(st.Topologies, st.Placements, st.Mappings)
+	l.kinds.Snapshot(&st, resident)
 	return []StoreStats{st}
 }
+
+// Flush implements Store: memory has nothing to make durable.
+func (l *LRU) Flush() error { return nil }
+
+// Close implements Store: memory holds no resources.
+func (l *LRU) Close() error { return nil }

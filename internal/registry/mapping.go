@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/mctopalg"
@@ -31,11 +30,11 @@ import (
 type MapFunc func(ctx context.Context, t *topo.Topology, d *graph.TaskDAG, opt taskmap.Options) (*taskmap.Mapping, error)
 
 // mapKey extends a topology key with the DAG identity (canonical hash,
-// node and edge counts) and the refine budget. Append-built like topoKey:
+// node and edge counts) and the refine budget. Append-built like TopoKey:
 // one is assembled per mapping request on the serving hot path.
 func mapKey(tk string, hash uint64, nodes, edges, refine int) string {
 	b := make([]byte, 0, len(tk)+48)
-	b = append(b, "map|"...)
+	b = append(b, mapPrefix...)
 	b = append(b, tk...)
 	b = append(b, '|')
 	b = appendHash16(b, hash)
@@ -62,7 +61,7 @@ func appendHash16(b []byte, h uint64) []byte {
 // for tools that install or look up mapping sidecars in a spool under the
 // exact key a serving registry uses.
 func MapKey(platform string, seed uint64, opt mctopalg.Options, d *graph.TaskDAG, refineBudget int) string {
-	return mapKey(topoKey(platform, seed, opt), d.Hash(), len(d.Nodes), len(d.Edges), refineBudget)
+	return mapKey(TopoKey(platform, seed, opt), d.Hash(), len(d.Nodes), len(d.Edges), refineBudget)
 }
 
 // ParseMapKey inverts MapKey: it recovers the embedded topology key, the
@@ -77,7 +76,7 @@ func ParseMapKey(key string) (topoK string, hash uint64, nodes, edges, refine in
 		return "", 0, 0, 0, 0, fmt.Errorf("%w: bad mapping key %q: %s",
 			mctoperr.ErrInvalidRequest, key, fmt.Sprintf(format, args...))
 	}
-	rest, ok := strings.CutPrefix(key, "map|")
+	rest, ok := strings.CutPrefix(key, mapPrefix)
 	if !ok {
 		return fail("missing map| prefix")
 	}
@@ -132,15 +131,11 @@ func ParseMapKey(key string) (topoK string, hash uint64, nodes, edges, refine in
 	return topoK, hash, nodes, edges, refine, nil
 }
 
-// MapDAG returns the memoized mapping of the DAG onto the memoized
-// topology for (platform, seed, opt) with the given refine budget.
-func (r *Registry) MapDAG(platform string, seed uint64, opt mctopalg.Options, d *graph.TaskDAG, refineBudget int) (*taskmap.Mapping, error) {
-	return r.MapDAGContext(context.Background(), platform, seed, opt, d, refineBudget)
-}
-
-// MapDAGContext is MapDAG with cancellation (see TopologyContext). The
-// DAG is validated before the cache is consulted, so an invalid DAG can
-// never occupy a singleflight slot or alias an entry by hash.
+// MapDAGContext returns the memoized mapping of the DAG onto the memoized
+// topology for (platform, seed, opt) with the given refine budget, with
+// TopologyContext's cancellation semantics. The DAG is validated before
+// the cache is consulted, so an invalid DAG can never occupy a singleflight
+// slot or alias an entry by hash.
 func (r *Registry) MapDAGContext(ctx context.Context, platform string, seed uint64, opt mctopalg.Options, d *graph.TaskDAG, refineBudget int) (*taskmap.Mapping, error) {
 	if d == nil {
 		return nil, fmt.Errorf("%w: nil task DAG", mctoperr.ErrInvalidRequest)
@@ -151,7 +146,7 @@ func (r *Registry) MapDAGContext(ctx context.Context, platform string, seed uint
 	if refineBudget < 0 {
 		return nil, fmt.Errorf("%w: negative refine budget %d", mctoperr.ErrInvalidRequest, refineBudget)
 	}
-	key := mapKey(topoKey(platform, seed, opt), d.Hash(), len(d.Nodes), len(d.Edges), refineBudget)
+	key := MapKey(platform, seed, opt, d, refineBudget)
 	v, _, err := r.get(ctx, KindMapping, key, func(ctx context.Context) (any, error) {
 		ctx, msp := trace.Start(ctx, "registry.map")
 		msp.SetInt("nodes", int64(len(d.Nodes)))
@@ -162,10 +157,9 @@ func (r *Registry) MapDAGContext(ctx context.Context, platform string, seed uint
 			msp.SetError(err)
 			return nil, err
 		}
-		r.mappings.Add(1)
-		start := time.Now()
+		start := r.begin(KindMapping)
 		m, err := r.mapFn(ctx, t, d, taskmap.Options{RefineBudget: refineBudget})
-		r.observeMapping(start, err)
+		r.observe(KindMapping, start, err)
 		msp.SetError(err)
 		return m, err
 	})

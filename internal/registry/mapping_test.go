@@ -81,7 +81,7 @@ func TestParseMapKeyRejectsMalformed(t *testing.T) {
 func mapTestRegistry(t *testing.T, computes *atomic.Int64) *Registry {
 	t.Helper()
 	return New(Options{
-		Infer: func(platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
+		InferCtx: func(_ context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
 			return fakeTopo(), nil
 		},
 		MapFn: func(ctx context.Context, tp *topo.Topology, d *graph.TaskDAG, opt taskmap.Options) (*taskmap.Mapping, error) {
@@ -96,11 +96,11 @@ func TestMapDAGCachedAndSingleflight(t *testing.T) {
 	r := mapTestRegistry(t, &computes)
 	d := graph.GenTaskDAG(graph.DAGParams{}, 3)
 
-	m1, err := r.MapDAG("Ivy", 42, mctopalg.Options{}, d, 100)
+	m1, err := r.MapDAGContext(bg, "Ivy", 42, mctopalg.Options{}, d, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := r.MapDAG("Ivy", 42, mctopalg.Options{}, d, 100)
+	m2, err := r.MapDAGContext(bg, "Ivy", 42, mctopalg.Options{}, d, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestMapDAGCachedAndSingleflight(t *testing.T) {
 	}
 	// A renamed but structurally identical DAG shares the entry.
 	renamed := &graph.TaskDAG{Name: "other", Nodes: d.Nodes, Edges: d.Edges}
-	if _, err := r.MapDAG("Ivy", 42, mctopalg.Options{}, renamed, 100); err != nil {
+	if _, err := r.MapDAGContext(bg, "Ivy", 42, mctopalg.Options{}, renamed, 100); err != nil {
 		t.Fatal(err)
 	}
 	if computes.Load() != 1 {
 		t.Fatal("renamed identical DAG missed the cache")
 	}
 	// A different refine budget is a different entry.
-	if _, err := r.MapDAG("Ivy", 42, mctopalg.Options{}, d, 200); err != nil {
+	if _, err := r.MapDAGContext(bg, "Ivy", 42, mctopalg.Options{}, d, 200); err != nil {
 		t.Fatal(err)
 	}
 	if computes.Load() != 2 {
@@ -153,7 +153,7 @@ func TestMapDAGRejectsInvalid(t *testing.T) {
 		{"negative refine", graph.GenTaskDAG(graph.DAGParams{}, 1), -1},
 	}
 	for _, c := range cases {
-		_, err := r.MapDAG("Ivy", 42, mctopalg.Options{}, c.d, c.ref)
+		_, err := r.MapDAGContext(bg, "Ivy", 42, mctopalg.Options{}, c.d, c.ref)
 		if err == nil {
 			t.Fatalf("%s: accepted", c.name)
 		}
@@ -170,28 +170,31 @@ func TestMapDAGObserverAndErrors(t *testing.T) {
 	var observed atomic.Int64
 	mapErr := errors.New("mapper exploded")
 	r := New(Options{
-		Infer: func(string, uint64, mctopalg.Options) (*topo.Topology, error) {
+		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 			return fakeTopo(), nil
 		},
 		MapFn: func(context.Context, *topo.Topology, *graph.TaskDAG, taskmap.Options) (*taskmap.Mapping, error) {
 			return nil, mapErr
 		},
 	})
-	r.Instrument(&Observer{OnMapping: func(d time.Duration, err error) {
+	r.Instrument(&Observer{OnCompute: func(kind Kind, d time.Duration, err error) {
+		if kind != KindMapping {
+			return // the mapping's topology inference
+		}
 		observed.Add(1)
 		if !errors.Is(err, mapErr) {
 			t.Errorf("observer saw err %v, want mapErr", err)
 		}
 	}})
 	d := graph.GenTaskDAG(graph.DAGParams{}, 5)
-	if _, err := r.MapDAG("Ivy", 42, mctopalg.Options{}, d, 0); !errors.Is(err, mapErr) {
+	if _, err := r.MapDAGContext(bg, "Ivy", 42, mctopalg.Options{}, d, 0); !errors.Is(err, mapErr) {
 		t.Fatalf("err = %v, want mapErr", err)
 	}
 	if observed.Load() != 1 {
 		t.Fatalf("observer invoked %d times, want 1", observed.Load())
 	}
 	// Errors are not cached: a second call computes (and fails) again.
-	if _, err := r.MapDAG("Ivy", 42, mctopalg.Options{}, d, 0); !errors.Is(err, mapErr) {
+	if _, err := r.MapDAGContext(bg, "Ivy", 42, mctopalg.Options{}, d, 0); !errors.Is(err, mapErr) {
 		t.Fatalf("err = %v, want mapErr", err)
 	}
 	if observed.Load() != 2 {

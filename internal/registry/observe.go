@@ -30,27 +30,13 @@ func ContextWithServed(ctx context.Context) (context.Context, *Served) {
 	return context.WithValue(ctx, servedCtxKey{}, sv), sv
 }
 
-// servedFrom returns the context's Served record, if any.
-func servedFrom(ctx context.Context) *Served {
-	sv, _ := ctx.Value(servedCtxKey{}).(*Served)
-	return sv
-}
-
-func setServed(ctx context.Context, tier string) {
-	if sv := servedFrom(ctx); sv != nil {
-		sv.Tier = tier
-	}
-}
-
-// Observer receives compute-duration callbacks: OnInference after every
-// executed topology inference, OnPlacement after every computed placement,
-// OnMapping after every computed task-graph mapping (cache hits invoke
-// none). Callbacks run on the computing goroutine and must be cheap and
-// concurrency-safe — a histogram observation, not a syscall.
+// Observer receives a compute-duration callback after every executed
+// topology inference, computed placement and computed task-graph mapping,
+// labelled by the kind computed (cache hits invoke nothing). The callback
+// runs on the computing goroutine and must be cheap and concurrency-safe —
+// a histogram observation, not a syscall.
 type Observer struct {
-	OnInference func(d time.Duration, err error)
-	OnPlacement func(d time.Duration, err error)
-	OnMapping   func(d time.Duration, err error)
+	OnCompute func(kind Kind, d time.Duration, err error)
 }
 
 // Instrument installs (or replaces) the registry's observer. Safe to call
@@ -59,20 +45,15 @@ func (r *Registry) Instrument(o *Observer) {
 	r.observer.Store(o)
 }
 
-func (r *Registry) observeInference(start time.Time, err error) {
-	if o := r.observer.Load(); o != nil && o.OnInference != nil {
-		o.OnInference(time.Since(start), err)
-	}
+// begin counts one executed compute of kind and starts its clock.
+func (r *Registry) begin(kind Kind) time.Time {
+	r.computed[kind].Add(1)
+	return time.Now()
 }
 
-func (r *Registry) observePlacement(start time.Time, err error) {
-	if o := r.observer.Load(); o != nil && o.OnPlacement != nil {
-		o.OnPlacement(time.Since(start), err)
-	}
-}
-
-func (r *Registry) observeMapping(start time.Time, err error) {
-	if o := r.observer.Load(); o != nil && o.OnMapping != nil {
-		o.OnMapping(time.Since(start), err)
+// observe reports a finished compute to the observer, if one is attached.
+func (r *Registry) observe(kind Kind, start time.Time, err error) {
+	if o := r.observer.Load(); o != nil && o.OnCompute != nil {
+		o.OnCompute(kind, time.Since(start), err)
 	}
 }

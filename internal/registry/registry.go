@@ -28,7 +28,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/mctopalg"
 	"repro/internal/place"
@@ -37,24 +36,16 @@ import (
 	"repro/internal/trace"
 )
 
-// InferFunc produces a topology for a platform/seed/options triple. The
-// facade wires InferPlatformDetailed (simulate + infer + enrich) here; tests
-// substitute cheap or counting implementations.
-type InferFunc func(platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error)
-
-// InferCtxFunc is InferFunc with cancellation: the context is the one the
+// InferCtxFunc produces a topology for a platform/seed/options triple. The
+// facade wires its simulate + infer + enrich pipeline here; tests
+// substitute cheap or counting implementations. The context is the one the
 // winning caller of a singleflight wave passed in, and a conforming
 // implementation returns ctx.Err() promptly once it fires.
 type InferCtxFunc func(ctx context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error)
 
 // Options configures a Registry. The zero value of every field has a sane
-// default except the inference function: exactly one of Infer or InferCtx
-// is required (InferCtx wins when both are set).
+// default except the inference function, which is required.
 type Options struct {
-	// Infer computes a topology on a cache miss, ignoring cancellation.
-	// Kept for callers predating the context-aware API; new code should
-	// set InferCtx.
-	Infer InferFunc
 	// InferCtx computes a topology on a cache miss, honoring the context
 	// of the caller that executes the computation.
 	InferCtx InferCtxFunc
@@ -102,15 +93,13 @@ type Stats struct {
 type Registry struct {
 	infer    InferCtxFunc
 	mapFn    MapFunc
-	store    Store
+	store    *Tiered
 	flights  []*flightShard
 	computes chan struct{} // semaphore over concurrent inferences; nil = unlimited
 
-	hits       atomic.Int64
-	misses     atomic.Int64
-	inferences atomic.Int64
-	placements atomic.Int64
-	mappings   atomic.Int64
+	hits     atomic.Int64
+	misses   atomic.Int64
+	computed [NumKinds]atomic.Int64 // computations actually executed, per kind
 
 	// observer receives compute-duration callbacks (observe.go); nil when
 	// nothing is attached.
@@ -132,17 +121,11 @@ type call struct {
 	err  error
 }
 
-// New creates a registry. It panics if both opt.Infer and opt.InferCtx are
-// nil: a registry without an inference function cannot answer anything.
+// New creates a registry. It panics if opt.InferCtx is nil: a registry
+// without an inference function cannot answer anything.
 func New(opt Options) *Registry {
-	if opt.InferCtx == nil && opt.Infer == nil {
-		panic("registry: Options.Infer or Options.InferCtx is required")
-	}
 	if opt.InferCtx == nil {
-		infer := opt.Infer
-		opt.InferCtx = func(_ context.Context, platform string, seed uint64, o mctopalg.Options) (*topo.Topology, error) {
-			return infer(platform, seed, o)
-		}
+		panic("registry: Options.InferCtx is required")
 	}
 	if opt.Shards <= 0 {
 		opt.Shards = 8
@@ -150,13 +133,18 @@ func New(opt Options) *Registry {
 	if opt.Store == nil {
 		opt.Store = NewLRU(opt.MaxEntries, opt.Shards)
 	}
+	// The registry always holds a chain: a bare store is a chain of one.
+	store, ok := opt.Store.(*Tiered)
+	if !ok {
+		store = NewTiered(opt.Store)
+	}
 	if opt.MapFn == nil {
 		opt.MapFn = taskmap.Map
 	}
 	r := &Registry{
 		infer:   opt.InferCtx,
 		mapFn:   opt.MapFn,
-		store:   opt.Store,
+		store:   store,
 		flights: make([]*flightShard, opt.Shards),
 	}
 	for i := range r.flights {
@@ -171,15 +159,9 @@ func New(opt Options) *Registry {
 	return r
 }
 
-// flightOf picks a singleflight stripe by an inlined FNV-1a over the key
-// (same rationale as LRU.shardOf: no allocations on the lookup path).
+// flightOf picks a singleflight stripe by key hash.
 func (r *Registry) flightOf(key string) *flightShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return r.flights[h%uint32(len(r.flights))]
+	return r.flights[fnv1a(key)%uint32(len(r.flights))]
 }
 
 // get returns the cached value for key, or computes it via fn exactly once
@@ -207,38 +189,11 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 		lsp.SetError(err)
 		lsp.End()
 	}()
-	// getStore resolves through the store, attributing the serving tier
-	// when the store can name it (Tiered and the builtin tiers can) — the
-	// record behind request logs' tier field and the served-by-tier
-	// counters.
-	getStore := func() (any, bool) {
-		if tg, ok := r.store.(CtxTierGetter); ok {
-			v, tier, ok := tg.GetWithTierContext(ctx, kind, key)
-			if ok {
-				setServed(ctx, tier)
-				lsp.SetAttr("tier", tier)
-			}
-			return v, ok
-		}
-		if tg, ok := r.store.(TierGetter); ok {
-			v, tier, ok := tg.GetWithTier(kind, key)
-			if ok {
-				setServed(ctx, tier)
-				lsp.SetAttr("tier", tier)
-			}
-			return v, ok
-		}
-		v, ok := tierGet(ctx, r.store, kind, key)
-		if ok {
-			setServed(ctx, tierNameOf(r.store))
-			lsp.SetAttr("tier", tierNameOf(r.store))
-		}
-		return v, ok
-	}
 	// Fast path: a store hit never touches the singleflight locks. On a
 	// tiered store this may decode from a persistent tier — still orders
 	// of magnitude cheaper than computing.
-	if v, ok := getStore(); ok {
+	if v, tier, ok := r.store.Lookup(ctx, kind, key); ok {
+		attribute(ctx, lsp, tier)
 		r.hits.Add(1)
 		return v, true, nil
 	}
@@ -251,8 +206,9 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 		// Re-check the store under the flight lock: an owner publishes its
 		// result to the store before clearing the in-flight slot, so a miss
 		// observed before the lock may have landed by now.
-		if v, ok := getStore(); ok {
+		if v, tier, ok := r.store.Lookup(ctx, kind, key); ok {
 			f.mu.Unlock()
+			attribute(ctx, lsp, tier)
 			// This caller registered a miss; the entry appearing now does
 			// not make the call a hit.
 			return v, false, nil
@@ -268,8 +224,7 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 					continue
 				}
 				if w.err == nil {
-					setServed(ctx, "coalesced")
-					lsp.SetAttr("tier", "coalesced")
+					attribute(ctx, lsp, "coalesced")
 				}
 				return w.val, false, w.err
 			case <-ctx.Done():
@@ -309,25 +264,35 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 		// Overrides any tier a nested lookup attributed (a placement
 		// compute hits the store for its topology): the request's answer
 		// was computed here.
-		setServed(ctx, "computed")
-		lsp.SetAttr("tier", "computed")
+		attribute(ctx, lsp, "computed")
 	}
 	return c.val, false, c.err
 }
 
-// topoKey serializes the platform, seed and every inference option that can
-// change the result, field by field, so distinct configurations never
-// collide and the key stays stable across runs — the same key the spool
-// tier persists in description files, so a restarted daemon rebuilds the
-// exact mapping. Options are normalized first, so the zero value and an
+// attribute records who answered a lookup — a store tier's name,
+// "computed" or "coalesced" — on the request's Served record (request
+// logs, the served-by-tier counters) and on the lookup span.
+func attribute(ctx context.Context, lsp *trace.Span, tier string) {
+	if sv, _ := ctx.Value(servedCtxKey{}).(*Served); sv != nil {
+		sv.Tier = tier
+	}
+	lsp.SetAttr("tier", tier)
+}
+
+// TopoKey is the registry's cache key for a topology. It serializes the
+// platform, seed and every inference option that can change the result,
+// field by field, so distinct configurations never collide and the key
+// stays stable across runs — the same key the spool tier persists in
+// description files, so a restarted daemon rebuilds the exact mapping, and
+// the key tools (mctop import/export) install or extract files under. Options are normalized first, so the zero value and an
 // explicit DefaultOptions() share one entry. Parallelism is deliberately
 // excluded: by construction it does not affect the inferred topology. Keys
 // are built with strconv appends — this runs on every lookup of the serving
 // hot path, where fmt.Sprintf's reflection would be the dominant allocation.
-func topoKey(platform string, seed uint64, opt mctopalg.Options) string {
+func TopoKey(platform string, seed uint64, opt mctopalg.Options) string {
 	o := opt.Normalized()
 	b := make([]byte, 0, 96)
-	b = append(b, "topo|"...)
+	b = append(b, topoPrefix...)
 	b = append(b, platform...)
 	b = append(b, '|')
 	b = strconv.AppendUint(b, seed, 10)
@@ -362,39 +327,21 @@ func topoKey(platform string, seed uint64, opt mctopalg.Options) string {
 	return string(b)
 }
 
-// TopoKey is the registry's cache key for a topology — exported for tools
-// (mctop import/export) that install or extract description files in a
-// spool under the exact key a serving registry will look up.
-func TopoKey(platform string, seed uint64, opt mctopalg.Options) string {
-	return topoKey(platform, seed, opt)
-}
-
-// Topology returns the memoized topology for (platform, seed, opt),
-// inferring it on first use.
-func (r *Registry) Topology(platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
-	t, _, err := r.LookupTopologyContext(context.Background(), platform, seed, opt)
-	return t, err
-}
-
-// TopologyContext is Topology with cancellation: a waiter stops waiting
-// and returns ctx.Err() when its context fires, and the caller that owns
-// the inference aborts it (the inference function returns ctx.Err()).
+// TopologyContext returns the memoized topology for (platform, seed, opt),
+// inferring it on first use. A waiter stops waiting and returns ctx.Err()
+// when its context fires, and the caller that owns the inference aborts it
+// (the inference function returns ctx.Err()).
 func (r *Registry) TopologyContext(ctx context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
 	t, _, err := r.LookupTopologyContext(ctx, platform, seed, opt)
 	return t, err
 }
 
-// LookupTopology is Topology plus a per-call cache indicator: hit is true
-// only when this call was answered from the store without running or
-// waiting on an inference (servers report it per request; the global Stats
-// counters cannot distinguish concurrent callers).
-func (r *Registry) LookupTopology(platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, bool, error) {
-	return r.LookupTopologyContext(context.Background(), platform, seed, opt)
-}
-
-// LookupTopologyContext is LookupTopology with cancellation.
+// LookupTopologyContext is TopologyContext plus a per-call cache indicator:
+// hit is true only when this call was answered from the store without
+// running or waiting on an inference (servers report it per request; the
+// global Stats counters cannot distinguish concurrent callers).
 func (r *Registry) LookupTopologyContext(ctx context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, bool, error) {
-	v, hit, err := r.get(ctx, KindTopology, topoKey(platform, seed, opt), func(ctx context.Context) (any, error) {
+	v, hit, err := r.get(ctx, KindTopology, TopoKey(platform, seed, opt), func(ctx context.Context) (any, error) {
 		ctx, isp := trace.Start(ctx, "registry.infer")
 		isp.SetAttr("platform", platform)
 		defer isp.End()
@@ -414,10 +361,9 @@ func (r *Registry) LookupTopologyContext(ctx context.Context, platform string, s
 				return nil, ctx.Err()
 			}
 		}
-		r.inferences.Add(1)
-		start := time.Now()
+		start := r.begin(KindTopology)
 		t, err := r.infer(ctx, platform, seed, opt)
-		r.observeInference(start, err)
+		r.observe(KindTopology, start, err)
 		isp.SetError(err)
 		return t, err
 	})
@@ -428,7 +374,7 @@ func (r *Registry) LookupTopologyContext(ctx context.Context, platform string, s
 }
 
 // placeKey extends a topology key with the placement parameters. Built with
-// appends for the same reason topoKey is: one of these is assembled per
+// appends for the same reason TopoKey is: one of these is assembled per
 // placement request on the serving hot path. The policy is identified by
 // its Name — builtins keep the MCTOP_PLACE_* names they always had, so
 // existing cache keys are unchanged; composed and registered policies key
@@ -436,7 +382,7 @@ func (r *Registry) LookupTopologyContext(ctx context.Context, platform string, s
 // identifies the ordering).
 func placeKey(tk string, pol place.Orderer, nThreads int) string {
 	b := make([]byte, 0, len(tk)+32)
-	b = append(b, "place|"...)
+	b = append(b, placePrefix...)
 	b = append(b, tk...)
 	b = append(b, '|')
 	b = append(b, pol.Name()...)
@@ -445,16 +391,12 @@ func placeKey(tk string, pol place.Orderer, nThreads int) string {
 	return string(b)
 }
 
-// Place returns the memoized placement of nThreads threads under the named
-// policy (builtin or registered, as accepted by place.Resolve) on the
-// memoized topology for (platform, seed, opt). The placement is shared
-// between callers: treat it as read-only (Contexts, String, the Figure 7
-// accessors) — the PinNext cursor is global to all users of the registry.
-func (r *Registry) Place(platform string, seed uint64, opt mctopalg.Options, policy string, nThreads int) (*place.Placement, error) {
-	return r.PlaceContext(context.Background(), platform, seed, opt, policy, nThreads)
-}
-
-// PlaceContext is Place with cancellation (see TopologyContext).
+// PlaceContext returns the memoized placement of nThreads threads under
+// the named policy (builtin or registered, as accepted by place.Resolve) on
+// the memoized topology for (platform, seed, opt), with TopologyContext's
+// cancellation semantics. The placement is shared between callers: treat it
+// as read-only (Contexts, String, the Figure 7 accessors) — the PinNext
+// cursor is global to all users of the registry.
 func (r *Registry) PlaceContext(ctx context.Context, platform string, seed uint64, opt mctopalg.Options, policy string, nThreads int) (*place.Placement, error) {
 	pol, err := place.Resolve(policy)
 	if err != nil {
@@ -476,7 +418,7 @@ func (r *Registry) PlaceWithContext(ctx context.Context, platform string, seed u
 		// anonymous policy share one cache slot and serve wrong mappings.
 		return nil, fmt.Errorf("%w: policy has empty name", place.ErrInvalid)
 	}
-	key := placeKey(topoKey(platform, seed, opt), pol, nThreads)
+	key := placeKey(TopoKey(platform, seed, opt), pol, nThreads)
 	v, _, err := r.get(ctx, KindPlacement, key, func(ctx context.Context) (any, error) {
 		ctx, psp := trace.Start(ctx, "registry.place")
 		psp.SetAttr("policy", pol.Name())
@@ -486,10 +428,9 @@ func (r *Registry) PlaceWithContext(ctx context.Context, platform string, seed u
 			psp.SetError(err)
 			return nil, err
 		}
-		r.placements.Add(1)
-		start := time.Now()
+		start := r.begin(KindPlacement)
 		pl, err := place.NewFrom(t, pol, place.Options{NThreads: nThreads})
-		r.observePlacement(start, err)
+		r.observe(KindPlacement, start, err)
 		psp.SetError(err)
 		return pl, err
 	})
@@ -499,39 +440,34 @@ func (r *Registry) PlaceWithContext(ctx context.Context, platform string, seed u
 	return v.(*place.Placement), nil
 }
 
-// PlaceRequest is one (policy, threads) pair of a PlaceBatch call.
+// PlaceRequest is one (policy, threads) pair of a PlaceBatchContext call.
 type PlaceRequest struct {
 	Policy   string
 	NThreads int
 }
 
-// BatchResult is one PlaceBatch answer: a placement, or the per-request
+// BatchResult is one PlaceBatchContext answer: a placement, or the per-request
 // error that produced none (unknown policy, POWER without power data, …).
 type BatchResult struct {
 	Placement *place.Placement
 	Err       error
 }
 
-// PlaceBatch answers many placement requests against one topology in a
-// single call: the (platform, seed, opt) lookup — and, on a cold start, the
-// O(N²) inference — happens once, and every request is served from the same
-// topology's precomputed query index. Results are cached under the same
-// keys Place uses, so batch and single-request traffic share entries.
-// Per-request failures land in the matching BatchResult; the returned error
-// is reserved for the topology itself being unavailable.
-func (r *Registry) PlaceBatch(platform string, seed uint64, opt mctopalg.Options, reqs []PlaceRequest) ([]BatchResult, error) {
-	return r.PlaceBatchContext(context.Background(), platform, seed, opt, reqs)
-}
-
-// PlaceBatchContext is PlaceBatch with cancellation: the context covers the
-// topology lookup and every per-request placement, so a request deadline
-// bounds the whole batch.
+// PlaceBatchContext answers many placement requests against one topology
+// in a single call: the (platform, seed, opt) lookup — and, on a cold
+// start, the O(N²) inference — happens once, and every request is served
+// from the same topology's precomputed query index. Results are cached
+// under the same keys PlaceContext uses, so batch and single-request
+// traffic share entries. Per-request failures land in the matching
+// BatchResult; the returned error is reserved for the topology itself being
+// unavailable. The context covers the topology lookup and every per-request
+// placement, so a request deadline bounds the whole batch.
 func (r *Registry) PlaceBatchContext(ctx context.Context, platform string, seed uint64, opt mctopalg.Options, reqs []PlaceRequest) ([]BatchResult, error) {
 	t, _, err := r.LookupTopologyContext(ctx, platform, seed, opt)
 	if err != nil {
 		return nil, err
 	}
-	tk := topoKey(platform, seed, opt)
+	tk := TopoKey(platform, seed, opt)
 	out := make([]BatchResult, len(reqs))
 	for i, req := range reqs {
 		if err := ctx.Err(); err != nil {
@@ -544,10 +480,9 @@ func (r *Registry) PlaceBatchContext(ctx context.Context, platform string, seed 
 		}
 		nThreads := req.NThreads
 		v, _, err := r.get(ctx, KindPlacement, placeKey(tk, pol, nThreads), func(context.Context) (any, error) {
-			r.placements.Add(1)
-			start := time.Now()
+			start := r.begin(KindPlacement)
 			pl, err := place.NewFrom(t, pol, place.Options{NThreads: nThreads})
-			r.observePlacement(start, err)
+			r.observe(KindPlacement, start, err)
 			return pl, err
 		})
 		if err != nil {
@@ -568,9 +503,9 @@ func (r *Registry) PlaceBatchContext(ctx context.Context, platform string, seed 
 func (r *Registry) Stats() Stats {
 	hits := r.hits.Load()
 	misses := r.misses.Load()
-	inferences := r.inferences.Load()
-	placements := r.placements.Load()
-	mappings := r.mappings.Load()
+	inferences := r.computed[KindTopology].Load()
+	placements := r.computed[KindPlacement].Load()
+	mappings := r.computed[KindMapping].Load()
 	tiers := r.store.Stats()
 	var evictions int64
 	for _, t := range tiers {
@@ -593,9 +528,9 @@ func (r *Registry) Len() int {
 	return r.store.Len()
 }
 
-// Store returns the registry's cache store (to reach tier-specific APIs —
-// a spool tier's directory, say).
-func (r *Registry) Store() Store { return r.store }
+// Store returns the registry's tier chain, for tools that read or seed
+// entries outside any request (Tiered.Get, Put).
+func (r *Registry) Store() *Tiered { return r.store }
 
 // Purge drops every cached entry from every tier — a persistent tier's
 // files included (in-flight computations are unaffected and will
@@ -607,19 +542,9 @@ func (r *Registry) Purge() {
 // Flush blocks until every tier with buffered writes has persisted them —
 // what a daemon calls on SIGTERM so a restart warm-starts from a complete
 // spool. A registry over the default in-memory store flushes trivially.
-func (r *Registry) Flush() error {
-	if f, ok := r.store.(Flusher); ok {
-		return f.Flush()
-	}
-	return nil
-}
+func (r *Registry) Flush() error { return r.store.Flush() }
 
 // Close flushes and releases tier resources (background writers). The
 // registry itself remains usable for in-memory lookups, but persistent
 // tiers stop accepting writes.
-func (r *Registry) Close() error {
-	if c, ok := r.store.(Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
+func (r *Registry) Close() error { return r.store.Close() }

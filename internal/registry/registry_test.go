@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -16,10 +17,13 @@ import (
 	"repro/internal/topo"
 )
 
+// bg is the context of every lookup that exercises no cancellation.
+var bg = context.Background()
+
 // realInfer is the full pipeline (simulate + infer + enrich) the facade
 // installs; registry tests that need genuine topologies use it directly to
 // avoid an import cycle with the root package.
-func realInfer(platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
+func realInfer(_ context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
 	p, err := sim.ByName(platform)
 	if err != nil {
 		return nil, err
@@ -36,9 +40,9 @@ func realInfer(platform string, seed uint64, opt mctopalg.Options) (*topo.Topolo
 }
 
 // fakeTopo builds a tiny real topology once; tests that only exercise cache
-// mechanics share it through a stub InferFunc.
+// mechanics share it through a stub InferCtxFunc.
 var fakeTopo = sync.OnceValue(func() *topo.Topology {
-	t, err := realInfer("Ivy", 1, mctopalg.Options{Reps: 51})
+	t, err := realInfer(bg, "Ivy", 1, mctopalg.Options{Reps: 51})
 	if err != nil {
 		panic(err)
 	}
@@ -47,7 +51,7 @@ var fakeTopo = sync.OnceValue(func() *topo.Topology {
 
 func TestSingleflightCollapsesConcurrentInferences(t *testing.T) {
 	var calls atomic.Int64
-	r := New(Options{Infer: func(string, uint64, mctopalg.Options) (*topo.Topology, error) {
+	r := New(Options{InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 		calls.Add(1)
 		time.Sleep(50 * time.Millisecond) // widen the window for the herd
 		return fakeTopo(), nil
@@ -61,7 +65,7 @@ func TestSingleflightCollapsesConcurrentInferences(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			top, err := r.Topology("Ivy", 42, mctopalg.Options{Reps: 51})
+			top, err := r.TopologyContext(bg, "Ivy", 42, mctopalg.Options{Reps: 51})
 			if err != nil {
 				t.Error(err)
 				return
@@ -89,7 +93,7 @@ func TestConcurrentMixedReadersWriters(t *testing.T) {
 	// Mixed workload across many keys under -race: topology hits, topology
 	// misses, placements, stats reads and purges, all concurrent.
 	r := New(Options{MaxEntries: 32, Shards: 4,
-		Infer: func(string, uint64, mctopalg.Options) (*topo.Topology, error) {
+		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 			return fakeTopo(), nil
 		}})
 	opt := mctopalg.Options{Reps: 51}
@@ -104,11 +108,11 @@ func TestConcurrentMixedReadersWriters(t *testing.T) {
 				seed := uint64((g + i) % 8)
 				switch i % 4 {
 				case 0:
-					if _, err := r.Topology("Ivy", seed, opt); err != nil {
+					if _, err := r.TopologyContext(bg, "Ivy", seed, opt); err != nil {
 						t.Error(err)
 					}
 				case 1:
-					if _, err := r.Place("Ivy", seed, opt, "RR_CORE", 8); err != nil {
+					if _, err := r.PlaceContext(bg, "Ivy", seed, opt, "RR_CORE", 8); err != nil {
 						t.Error(err)
 					}
 				case 2:
@@ -116,7 +120,7 @@ func TestConcurrentMixedReadersWriters(t *testing.T) {
 				case 3:
 					if i%20 == 3 {
 						r.Purge()
-					} else if _, err := r.Topology("Ivy", seed, opt); err != nil {
+					} else if _, err := r.TopologyContext(bg, "Ivy", seed, opt); err != nil {
 						t.Error(err)
 					}
 				}
@@ -129,7 +133,7 @@ func TestConcurrentMixedReadersWriters(t *testing.T) {
 func TestComputeConcurrencyBound(t *testing.T) {
 	var cur, max atomic.Int64
 	r := New(Options{MaxConcurrentComputes: 2,
-		Infer: func(string, uint64, mctopalg.Options) (*topo.Topology, error) {
+		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 			c := cur.Add(1)
 			for {
 				m := max.Load()
@@ -149,7 +153,7 @@ func TestComputeConcurrencyBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.Topology("Ivy", seed, opt); err != nil {
+			if _, err := r.TopologyContext(bg, "Ivy", seed, opt); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -163,7 +167,7 @@ func TestComputeConcurrencyBound(t *testing.T) {
 	// deadlock on the semaphore.
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Place("Ivy", 100, opt, "RR_CORE", 4)
+		_, err := r.PlaceContext(bg, "Ivy", 100, opt, "RR_CORE", 4)
 		done <- err
 	}()
 	select {
@@ -179,14 +183,14 @@ func TestComputeConcurrencyBound(t *testing.T) {
 func TestLRUBoundAndEviction(t *testing.T) {
 	var calls atomic.Int64
 	r := New(Options{MaxEntries: 4, Shards: 1,
-		Infer: func(string, uint64, mctopalg.Options) (*topo.Topology, error) {
+		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 			calls.Add(1)
 			return fakeTopo(), nil
 		}})
 	opt := mctopalg.Options{Reps: 51}
 
 	for seed := uint64(0); seed < 8; seed++ {
-		if _, err := r.Topology("Ivy", seed, opt); err != nil {
+		if _, err := r.TopologyContext(bg, "Ivy", seed, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,22 +204,22 @@ func TestLRUBoundAndEviction(t *testing.T) {
 	// Seeds 4..7 are resident; 4 is now least recently used. Touch it, then
 	// insert one more: seed 5 must be the victim.
 	calls.Store(0)
-	if _, err := r.Topology("Ivy", 4, opt); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 4, opt); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 0 {
 		t.Fatal("seed 4 should have been a cache hit")
 	}
-	if _, err := r.Topology("Ivy", 8, opt); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 8, opt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Topology("Ivy", 4, opt); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 4, opt); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("after touch+insert, re-reading seed 4 cost %d inferences, want 0 (LRU should have evicted 5)", calls.Load()-1+1)
 	}
-	if _, err := r.Topology("Ivy", 5, opt); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 5, opt); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
@@ -226,17 +230,17 @@ func TestLRUBoundAndEviction(t *testing.T) {
 func TestErrorsAreNotCached(t *testing.T) {
 	var calls atomic.Int64
 	boom := errors.New("boom")
-	r := New(Options{Infer: func(string, uint64, mctopalg.Options) (*topo.Topology, error) {
+	r := New(Options{InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 		if calls.Add(1) == 1 {
 			return nil, boom
 		}
 		return fakeTopo(), nil
 	}})
 	opt := mctopalg.Options{Reps: 51}
-	if _, err := r.Topology("Ivy", 1, opt); !errors.Is(err, boom) {
+	if _, err := r.TopologyContext(bg, "Ivy", 1, opt); !errors.Is(err, boom) {
 		t.Fatalf("first call err = %v, want boom", err)
 	}
-	if _, err := r.Topology("Ivy", 1, opt); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 1, opt); err != nil {
 		t.Fatalf("second call should retry and succeed, got %v", err)
 	}
 	if calls.Load() != 2 {
@@ -246,7 +250,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 
 func TestPanickingInferDoesNotWedgeTheKey(t *testing.T) {
 	var calls atomic.Int64
-	r := New(Options{Infer: func(string, uint64, mctopalg.Options) (*topo.Topology, error) {
+	r := New(Options{InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 		if calls.Add(1) == 1 {
 			time.Sleep(100 * time.Millisecond) // hold the key so the waiter joins in-flight
 			panic("inference exploded")
@@ -266,10 +270,10 @@ func TestPanickingInferDoesNotWedgeTheKey(t *testing.T) {
 		}()
 		go func() {
 			time.Sleep(10 * time.Millisecond) // join while the leader holds the key
-			_, err := r.Topology("Ivy", 1, opt)
+			_, err := r.TopologyContext(bg, "Ivy", 1, opt)
 			waited <- err
 		}()
-		r.Topology("Ivy", 1, opt)
+		r.TopologyContext(bg, "Ivy", 1, opt)
 	}()
 	select {
 	case err := <-waited:
@@ -281,21 +285,21 @@ func TestPanickingInferDoesNotWedgeTheKey(t *testing.T) {
 	}
 
 	// The key must be retryable afterwards.
-	if _, err := r.Topology("Ivy", 1, opt); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 1, opt); err != nil {
 		t.Fatalf("lookup after panic failed: %v", err)
 	}
 }
 
 func TestOptionsKeyDistinguishesConfigurations(t *testing.T) {
 	var calls atomic.Int64
-	r := New(Options{Infer: func(string, uint64, mctopalg.Options) (*topo.Topology, error) {
+	r := New(Options{InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 		calls.Add(1)
 		return fakeTopo(), nil
 	}})
-	if _, err := r.Topology("Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Topology("Ivy", 1, mctopalg.Options{Reps: 101}); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 1, mctopalg.Options{Reps: 101}); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
@@ -303,7 +307,7 @@ func TestOptionsKeyDistinguishesConfigurations(t *testing.T) {
 	}
 	// Parallelism must NOT split the cache: the result is identical by
 	// construction.
-	if _, err := r.Topology("Ivy", 1, mctopalg.Options{Reps: 51, Parallelism: 4}); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 1, mctopalg.Options{Reps: 51, Parallelism: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
@@ -311,10 +315,10 @@ func TestOptionsKeyDistinguishesConfigurations(t *testing.T) {
 	}
 	// Zero-value options and explicit defaults are the same inference and
 	// must share one entry (keys are normalized before hashing).
-	if _, err := r.Topology("Ivy", 2, mctopalg.Options{}); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 2, mctopalg.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Topology("Ivy", 2, mctopalg.DefaultOptions()); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 2, mctopalg.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 3 {
@@ -323,7 +327,7 @@ func TestOptionsKeyDistinguishesConfigurations(t *testing.T) {
 	// MaxClusters changes clustering and must split the cache.
 	capped := mctopalg.DefaultOptions()
 	capped.Cluster.MaxClusters = 2
-	if _, err := r.Topology("Ivy", 2, capped); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 2, capped); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 4 {
@@ -333,17 +337,17 @@ func TestOptionsKeyDistinguishesConfigurations(t *testing.T) {
 
 func TestPlaceCachedAndDerivedFromCachedTopology(t *testing.T) {
 	var calls atomic.Int64
-	r := New(Options{Infer: func(platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
+	r := New(Options{InferCtx: func(_ context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
 		calls.Add(1)
-		return realInfer(platform, seed, opt)
+		return realInfer(bg, platform, seed, opt)
 	}})
 	opt := mctopalg.Options{Reps: 51}
 
-	p1, err := r.Place("Ivy", 42, opt, "CON_HWC", 30)
+	p1, err := r.PlaceContext(bg, "Ivy", 42, opt, "CON_HWC", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := r.Place("Ivy", 42, opt, "CON_HWC", 30)
+	p2, err := r.PlaceContext(bg, "Ivy", 42, opt, "CON_HWC", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,27 +358,27 @@ func TestPlaceCachedAndDerivedFromCachedTopology(t *testing.T) {
 		t.Fatalf("placement wrong: %d threads, policy %v", p1.NThreads(), p1.Policy())
 	}
 	// A different policy on the same platform reuses the cached topology.
-	if _, err := r.Place("Ivy", 42, opt, "RR_CORE", 8); err != nil {
+	if _, err := r.PlaceContext(bg, "Ivy", 42, opt, "RR_CORE", 8); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("inferences = %d, want 1 (placements must share the topology)", calls.Load())
 	}
-	if _, err := r.Place("Ivy", 42, opt, "NO_SUCH_POLICY", 8); err == nil {
+	if _, err := r.PlaceContext(bg, "Ivy", 42, opt, "NO_SUCH_POLICY", 8); err == nil {
 		t.Fatal("unknown policy should fail")
 	}
 }
 
 // TestCachedLookupSpeedup is the acceptance check of the service layer: a
 // cached Topology lookup must be at least 100x faster than a cold
-// InferPlatform. The margin in practice is ~10^4-10^5, so the assertion is
+// inference. The margin in practice is ~10^4-10^5, so the assertion is
 // far from flaky.
 func TestCachedLookupSpeedup(t *testing.T) {
-	r := New(Options{Infer: realInfer})
+	r := New(Options{InferCtx: realInfer})
 	opt := mctopalg.Options{Reps: 51}
 
 	coldStart := time.Now()
-	if _, err := r.Topology("Ivy", 42, opt); err != nil {
+	if _, err := r.TopologyContext(bg, "Ivy", 42, opt); err != nil {
 		t.Fatal(err)
 	}
 	cold := time.Since(coldStart)
@@ -382,7 +386,7 @@ func TestCachedLookupSpeedup(t *testing.T) {
 	const hits = 1000
 	hitStart := time.Now()
 	for i := 0; i < hits; i++ {
-		if _, err := r.Topology("Ivy", 42, opt); err != nil {
+		if _, err := r.TopologyContext(bg, "Ivy", 42, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -407,7 +411,7 @@ func TestShardingSpreadsKeys(t *testing.T) {
 		t.Fatalf("64 keys landed on %d shard(s); hashing is broken", len(used))
 	}
 	r := New(Options{Shards: 8,
-		Infer: func(string, uint64, mctopalg.Options) (*topo.Topology, error) {
+		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 			return fakeTopo(), nil
 		}})
 	flights := map[*flightShard]bool{}
@@ -424,9 +428,9 @@ func TestShardingSpreadsKeys(t *testing.T) {
 // per-request errors without failing the whole batch.
 func TestPlaceBatchSharesTopologyAndCache(t *testing.T) {
 	var calls atomic.Int64
-	r := New(Options{Infer: func(platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
+	r := New(Options{InferCtx: func(_ context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
 		calls.Add(1)
-		return realInfer(platform, seed, opt)
+		return realInfer(bg, platform, seed, opt)
 	}})
 	opt := mctopalg.Options{Reps: 51}
 
@@ -436,7 +440,7 @@ func TestPlaceBatchSharesTopologyAndCache(t *testing.T) {
 		{Policy: "NO_SUCH_POLICY", NThreads: 4},
 		{Policy: "SEQUENTIAL", NThreads: 0},
 	}
-	results, err := r.PlaceBatch("Ivy", 42, opt, reqs)
+	results, err := r.PlaceBatchContext(bg, "Ivy", 42, opt, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,14 +468,14 @@ func TestPlaceBatchSharesTopologyAndCache(t *testing.T) {
 
 	// Batch entries and single-request entries share the cache: the same
 	// placement pointer comes back both ways, with no new inference.
-	single, err := r.Place("Ivy", 42, opt, "CON_HWC", 30)
+	single, err := r.PlaceContext(bg, "Ivy", 42, opt, "CON_HWC", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if single != results[0].Placement {
 		t.Error("single Place after PlaceBatch returned a distinct placement")
 	}
-	again, err := r.PlaceBatch("Ivy", 42, opt, reqs[:2])
+	again, err := r.PlaceBatchContext(bg, "Ivy", 42, opt, reqs[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,11 +487,11 @@ func TestPlaceBatchSharesTopologyAndCache(t *testing.T) {
 	}
 
 	// Topology-level failures fail the whole batch.
-	if _, err := r.PlaceBatch("NoSuchPlatform", 42, opt, reqs); err == nil {
+	if _, err := r.PlaceBatchContext(bg, "NoSuchPlatform", 42, opt, reqs); err == nil {
 		t.Fatal("PlaceBatch on an unknown platform should fail")
 	}
 	// An empty batch is answered (it still resolves the topology).
-	empty, err := r.PlaceBatch("Ivy", 42, opt, nil)
+	empty, err := r.PlaceBatchContext(bg, "Ivy", 42, opt, nil)
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty batch: (%v, %v)", empty, err)
 	}
@@ -497,9 +501,9 @@ func TestPlaceBatchSharesTopologyAndCache(t *testing.T) {
 // with -race); every caller must see the same shared placements.
 func TestPlaceBatchConcurrent(t *testing.T) {
 	var calls atomic.Int64
-	r := New(Options{Infer: func(platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
+	r := New(Options{InferCtx: func(_ context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
 		calls.Add(1)
-		return realInfer(platform, seed, opt)
+		return realInfer(bg, platform, seed, opt)
 	}})
 	opt := mctopalg.Options{Reps: 51}
 	reqs := []PlaceRequest{
@@ -515,7 +519,7 @@ func TestPlaceBatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := r.PlaceBatch("Ivy", 7, opt, reqs)
+			res, err := r.PlaceBatchContext(bg, "Ivy", 7, opt, reqs)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", g, err)
 				return

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 )
 
@@ -10,8 +11,8 @@ import (
 // in-memory sharded LRU (lru.go); a daemon that must survive restarts
 // chains it over internal/spool's description-file tier (NewTiered), the
 // paper's "created once, then used to load the topology" artifact turned
-// into a cache level. The registry itself only sees Get/Put — singleflight,
-// counters and the compute semaphore stay above the store.
+// into a cache level. The registry itself only sees Lookup/Put —
+// singleflight, counters and the compute semaphore stay above the store.
 
 // Kind tags what a cache entry holds, so persistent tiers can pick a
 // serialization per entry kind (topologies become .mctop description
@@ -26,31 +27,94 @@ const (
 	// KindMapping entries hold a *taskmap.Mapping.
 	KindMapping
 
-	// numKinds sizes per-kind counter arrays.
-	numKinds
+	// NumKinds sizes per-kind arrays (counters, residency).
+	NumKinds
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindTopology:
-		return "topology"
-	case KindPlacement:
-		return "placement"
-	case KindMapping:
-		return "mapping"
+// The key prefixes are constants of their own because the key builders
+// (TopoKey, placeKey, mapKey) use them too, and the parent-key functions in
+// kindTable parse those keys.
+const (
+	topoPrefix  = "topo|"
+	placePrefix = "place|"
+	mapPrefix   = "map|"
+)
+
+// kindRow is everything the tier chain needs to know about one cached
+// kind. Adding a kind is one row here plus its arm in the interchange
+// codec (internal/spool/codec.go).
+type kindRow struct {
+	name   string // what /v1/stats and /metrics label the kind with
+	prefix string // leads every registry key of the kind
+	ext    string // spool file extension
+	// parent extracts the key of the topology a derived entry was computed
+	// on; nil for kinds that depend on nothing.
+	parent func(key string) (string, bool)
+}
+
+var kindTable = [NumKinds]kindRow{
+	KindTopology:  {name: "topology", prefix: topoPrefix, ext: ".mctop"},
+	KindPlacement: {name: "placement", prefix: placePrefix, ext: ".place", parent: topoKeyOfPlaceKey},
+	KindMapping:   {name: "mapping", prefix: mapPrefix, ext: ".map", parent: topoKeyOfMapKey},
+}
+
+var unknownKind = kindRow{name: "unknown"}
+
+func (k Kind) row() *kindRow {
+	if k >= 0 && k < NumKinds {
+		return &kindTable[k]
 	}
-	return "unknown"
+	return &unknownKind
+}
+
+func (k Kind) String() string { return k.row().name }
+
+// Ext is the spool file extension of this kind (".mctop", …).
+func (k Kind) Ext() string { return k.row().ext }
+
+// ParentKey extracts the key of the topology the entry under key was
+// computed on. ok is false for kinds that have no parent (topologies) and
+// for keys that are not of this kind.
+func (k Kind) ParentKey(key string) (parent string, ok bool) {
+	if fn := k.row().parent; fn != nil {
+		return fn(key)
+	}
+	return "", false
+}
+
+// KindOfKey is the kind whose prefix leads key.
+func KindOfKey(key string) (Kind, bool) {
+	for k := Kind(0); k < NumKinds; k++ {
+		if strings.HasPrefix(key, kindTable[k].prefix) {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// KindOfExt is the kind spooled under the file extension ext.
+func KindOfExt(ext string) (Kind, bool) {
+	for k := Kind(0); k < NumKinds; k++ {
+		if kindTable[k].ext == ext {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // Store is one cache tier of the registry. Implementations must be safe
-// for concurrent use; Get and Put run on the serving hot path. A Store
-// never computes — a miss is just (nil, false) — and never fails: a
+// for concurrent use; Lookup and Put run on the serving hot path. A Store
+// never computes — a miss is just ok == false — and never fails: a
 // persistent tier that cannot read or write an entry treats it as a miss
 // (logging the reason) so a broken disk degrades to re-inference, never to
 // serving errors.
 type Store interface {
-	// Get returns the cached value for key, if present.
-	Get(kind Kind, key string) (any, bool)
+	// Lookup returns the cached value for key and the name of the tier
+	// that held it ("lru", "spool", "remote") — what served-by-tier request
+	// logs and metrics label their samples with. The context carries
+	// tracing (spool decodes and remote fetches become spans of the
+	// request), never cancellation a tier must act on.
+	Lookup(ctx context.Context, kind Kind, key string) (val any, tier string, ok bool)
 	// Put inserts or replaces the value for key.
 	Put(kind Kind, key string, val any)
 	// Len returns the number of entries resident in this store.
@@ -59,13 +123,20 @@ type Store interface {
 	Purge()
 	// Stats snapshots the store's counters, one element per tier.
 	Stats() []StoreStats
+	// Flush blocks until every accepted Put is durable; tiers without
+	// buffered writes return nil.
+	Flush() error
+	// Close flushes and releases the tier's resources (background writers,
+	// directory handles). Lookups keep working; later Puts may be dropped.
+	// Close is idempotent.
+	Close() error
 }
 
 // StoreStats is one tier's counter snapshot.
 type StoreStats struct {
 	// Tier names the store implementation ("lru", "spool").
 	Tier string `json:"tier"`
-	// Hits / Misses count Get outcomes on this tier.
+	// Hits / Misses count Lookup outcomes on this tier.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Puts counts write-throughs (including tier promotions).
@@ -85,7 +156,7 @@ type StoreStats struct {
 	Topologies int `json:"topologies"`
 	Placements int `json:"placements"`
 	Mappings   int `json:"mappings"`
-	// Kinds breaks the Get/eviction counters down per entry kind
+	// Kinds breaks the Lookup/eviction counters down per entry kind
 	// ("topology", "placement", "mapping") — what per-kind hit-ratio
 	// dashboards consume via mctopd's /metrics.
 	Kinds map[string]KindStats `json:"kinds,omitempty"`
@@ -99,95 +170,57 @@ type KindStats struct {
 	Entries   int   `json:"entries"`
 }
 
-// kindCounters is the shared per-kind atomic counter block store tiers
-// embed: one slot per Kind, observed on the Get path with a single atomic
-// add each.
-type kindCounters struct {
-	hits      [numKinds]atomic.Int64
-	misses    [numKinds]atomic.Int64
-	evictions [numKinds]atomic.Int64
+// KindCounters is the per-kind atomic counter block every tier embeds: one
+// slot per Kind, a single atomic add per Lookup outcome or eviction. A
+// tier's hit/miss/eviction totals are the sums over kinds, so nothing is
+// counted twice.
+type KindCounters struct {
+	hits      [NumKinds]atomic.Int64
+	misses    [NumKinds]atomic.Int64
+	evictions [NumKinds]atomic.Int64
 }
 
+// kindIndex folds out-of-range kinds onto slot 0 so a counter add can
+// never index out of bounds.
 func kindIndex(k Kind) int {
-	if k >= 0 && k < numKinds {
+	if k >= 0 && k < NumKinds {
 		return int(k)
 	}
 	return 0
 }
 
-func (c *kindCounters) hit(k Kind)   { c.hits[kindIndex(k)].Add(1) }
-func (c *kindCounters) miss(k Kind)  { c.misses[kindIndex(k)].Add(1) }
-func (c *kindCounters) evict(k Kind) { c.evictions[kindIndex(k)].Add(1) }
+func (c *KindCounters) Hit(k Kind)   { c.hits[kindIndex(k)].Add(1) }
+func (c *KindCounters) Miss(k Kind)  { c.misses[kindIndex(k)].Add(1) }
+func (c *KindCounters) Evict(k Kind) { c.evictions[kindIndex(k)].Add(1) }
 
-// snapshot fills StoreStats.Kinds (entries counts are the caller's, since
-// only the store knows its residency).
-func (c *kindCounters) snapshot(topoEntries, placeEntries, mapEntries int) map[string]KindStats {
-	entries := [numKinds]int{topoEntries, placeEntries, mapEntries}
-	out := make(map[string]KindStats, numKinds)
-	for k := Kind(0); k < numKinds; k++ {
-		out[k.String()] = KindStats{
+// Snapshot fills st's hit/miss/eviction totals, its residency fields and
+// its per-kind breakdown. resident is the tier's current entry count per
+// kind — only the tier knows its residency.
+func (c *KindCounters) Snapshot(st *StoreStats, resident [NumKinds]int) {
+	st.Kinds = make(map[string]KindStats, NumKinds)
+	for k := Kind(0); k < NumKinds; k++ {
+		ks := KindStats{
 			Hits:      c.hits[k].Load(),
 			Misses:    c.misses[k].Load(),
 			Evictions: c.evictions[k].Load(),
-			Entries:   entries[k],
+			Entries:   resident[k],
 		}
+		st.Kinds[k.String()] = ks
+		st.Hits += ks.Hits
+		st.Misses += ks.Misses
+		st.Evictions += ks.Evictions
+		st.Entries += ks.Entries
 	}
-	return out
+	st.Topologies = resident[KindTopology]
+	st.Placements = resident[KindPlacement]
+	st.Mappings = resident[KindMapping]
 }
 
-// TierNamer is the optional Store extension naming the tier ("lru",
-// "spool", "remote") — what served-by-tier request logs and metrics label
-// their samples with.
-type TierNamer interface {
-	TierName() string
-}
-
-// tierNameOf falls back to "store" for tiers that do not name themselves.
-func tierNameOf(s Store) string {
-	if n, ok := s.(TierNamer); ok {
-		return n.TierName()
-	}
-	return "store"
-}
-
-// TierGetter is the optional Store extension reporting which tier served a
-// hit. Tiered implements it; the registry prefers it when present so each
-// request can be attributed (request logs, served-by-tier counters).
-type TierGetter interface {
-	GetWithTier(kind Kind, key string) (val any, tier string, ok bool)
-}
-
-// CtxGetter is the optional Store extension for tiers that thread the
-// request context through their reads — today that means tracing spans
-// (spool decodes, remote fetches); the context never carries cancellation
-// semantics a plain Get would lack.
-type CtxGetter interface {
-	GetContext(ctx context.Context, kind Kind, key string) (any, bool)
-}
-
-// CtxTierGetter is TierGetter with the request context threaded through.
-// The registry prefers it over TierGetter when present.
-type CtxTierGetter interface {
-	GetWithTierContext(ctx context.Context, kind Kind, key string) (val any, tier string, ok bool)
-}
-
-// Flusher is the optional Store extension for tiers with buffered writes:
-// Flush blocks until every accepted Put is durable. Registry.Flush and the
-// daemon's graceful shutdown call it through the chain.
-type Flusher interface {
-	Flush() error
-}
-
-// Closer is the optional Store extension for tiers holding resources
-// (background writers, directory handles). Close implies Flush.
-type Closer interface {
-	Close() error
-}
-
-// Tiered chains stores into one read-through/write-through Store: Get
+// Tiered chains stores into one read-through/write-through Store: Lookup
 // consults tiers in order and promotes a lower-tier hit into every tier
 // above it (a cold LRU miss that hits the disk spool decodes once and is
-// then served from memory); Put writes through to every tier.
+// then served from memory); Put writes through to every tier. The registry
+// always holds one — a bare store is a chain of one.
 type Tiered struct {
 	tiers []Store
 }
@@ -207,41 +240,27 @@ func NewTiered(tiers ...Store) *Tiered {
 	return t
 }
 
-// Get implements Store: read-through with promotion.
-func (t *Tiered) Get(kind Kind, key string) (any, bool) {
-	v, _, ok := t.GetWithTier(kind, key)
-	return v, ok
-}
-
-// GetWithTier implements TierGetter: Get plus the name of the tier that
-// served the hit.
-func (t *Tiered) GetWithTier(kind Kind, key string) (any, string, bool) {
-	return t.GetWithTierContext(context.Background(), kind, key)
-}
-
-// GetWithTierContext implements CtxTierGetter: the read-through walk with
-// the request context handed to tiers that accept one, so a traced request
-// attributes its time to the tier that actually did the work.
-func (t *Tiered) GetWithTierContext(ctx context.Context, kind Kind, key string) (any, string, bool) {
+// Lookup implements Store: read-through with promotion, reporting the tier
+// that actually held the entry so a traced request attributes its time to
+// the tier that did the work.
+func (t *Tiered) Lookup(ctx context.Context, kind Kind, key string) (any, string, bool) {
 	for i, s := range t.tiers {
-		v, ok := tierGet(ctx, s, kind, key)
-		if ok {
+		if v, tier, ok := s.Lookup(ctx, kind, key); ok {
 			for j := 0; j < i; j++ {
 				t.tiers[j].Put(kind, key, v)
 			}
-			return v, tierNameOf(s), true
+			return v, tier, true
 		}
 	}
 	return nil, "", false
 }
 
-// tierGet reads one tier, through its context-aware extension when it has
-// one.
-func tierGet(ctx context.Context, s Store, kind Kind, key string) (any, bool) {
-	if cg, ok := s.(CtxGetter); ok {
-		return cg.GetContext(ctx, kind, key)
-	}
-	return s.Get(kind, key)
+// Get is Lookup without a request: the context-free read for tools that
+// reach into a registry's store (Registry.Store) outside any request —
+// untraced, unattributed.
+func (t *Tiered) Get(kind Kind, key string) (any, bool) {
+	v, _, ok := t.Lookup(context.Background(), kind, key)
+	return v, ok
 }
 
 // Put implements Store: write-through to every tier.
@@ -274,27 +293,19 @@ func (t *Tiered) Stats() []StoreStats {
 	return out
 }
 
-// Flush implements Flusher across the chain.
-func (t *Tiered) Flush() error {
-	var first error
-	for _, s := range t.tiers {
-		if f, ok := s.(Flusher); ok {
-			if err := f.Flush(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
+// Flush implements Store across the chain.
+func (t *Tiered) Flush() error { return t.each(Store.Flush) }
 
-// Close implements Closer across the chain.
-func (t *Tiered) Close() error {
+// Close implements Store across the chain.
+func (t *Tiered) Close() error { return t.each(Store.Close) }
+
+// each runs fn on every tier — a failing tier does not stop the rest — and
+// reports the first failure.
+func (t *Tiered) each(fn func(Store) error) error {
 	var first error
 	for _, s := range t.tiers {
-		if c, ok := s.(Closer); ok {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := fn(s); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first

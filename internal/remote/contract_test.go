@@ -1,0 +1,158 @@
+package remote
+
+// The registry.Store contract, checked the same way against every tier
+// that implements it — the in-memory LRU, the spool over a temp directory,
+// this package's remote tier over an httptest origin — and against a
+// three-tier chain of them. It lives here because this package already
+// imports the other two.
+
+import (
+	"bytes"
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"repro/internal/registry"
+	"repro/internal/spool"
+	"repro/internal/topo"
+)
+
+// contractOrigin serves testTopo under testKey and 404s everything else.
+func contractOrigin(t *testing.T) *httptest.Server {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("key") != testKey {
+			http.Error(w, "no such entry", http.StatusNotFound)
+			return
+		}
+		w.Write(encodeBody(t, testKey))
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+func contractSpool(t *testing.T) *spool.Spool {
+	sp, err := spool.New(t.TempDir(), spool.WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+func TestStoreContract(t *testing.T) {
+	tiers := []struct {
+		name    string
+		hitTier string // who serves testKey after it was Put and flushed
+		build   func(t *testing.T) registry.Store
+	}{
+		{"lru", "lru", func(*testing.T) registry.Store { return registry.NewLRU(8, 2) }},
+		{"spool", "spool", func(t *testing.T) registry.Store { return contractSpool(t) }},
+		// Put is a no-op on the pull-only fleet tier; the origin already
+		// holds the entry, so the same script applies.
+		{"remote", "remote", func(t *testing.T) registry.Store { return newRemote(t, contractOrigin(t).URL) }},
+		{"tiered", "lru", func(t *testing.T) registry.Store {
+			return registry.NewTiered(registry.NewLRU(8, 2), contractSpool(t), newRemote(t, contractOrigin(t).URL))
+		}},
+	}
+	ctx := context.Background()
+	const missing = "topo|Nowhere|1|r51"
+	for _, tc := range tiers {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.build(t)
+
+			// A miss is (nil, "", false), never an error or a tier name.
+			if v, tier, ok := s.Lookup(ctx, registry.KindTopology, missing); v != nil || tier != "" || ok {
+				t.Fatalf("miss = (%v, %q, %v), want (nil, \"\", false)", v, tier, ok)
+			}
+
+			s.Put(registry.KindTopology, testKey, testTopo())
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			v, tier, ok := s.Lookup(ctx, registry.KindTopology, testKey)
+			if !ok || tier != tc.hitTier {
+				t.Fatalf("hit = (ok %v, tier %q), want tier %q", ok, tier, tc.hitTier)
+			}
+			var got, want bytes.Buffer
+			if err := spool.EncodeTopology(&got, testKey, v.(*topo.Topology)); err != nil {
+				t.Fatal(err)
+			}
+			if err := spool.EncodeTopology(&want, testKey, testTopo()); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatal("the value looked up does not encode like the value put")
+			}
+
+			// One shared counter block per tier: every tier reports all
+			// kinds, totals are the sums over kinds, and across the chain
+			// the script above is exactly one topology hit.
+			var hits int64
+			for _, st := range s.Stats() {
+				if len(st.Kinds) != int(registry.NumKinds) {
+					t.Errorf("%s: %d kinds in the breakdown, want %d", st.Tier, len(st.Kinds), registry.NumKinds)
+				}
+				var h, m, e int64
+				for _, ks := range st.Kinds {
+					h, m, e = h+ks.Hits, m+ks.Misses, e+ks.Evictions
+				}
+				if st.Hits != h || st.Misses != m || st.Evictions != e {
+					t.Errorf("%s: totals %d/%d/%d are not the per-kind sums %d/%d/%d",
+						st.Tier, st.Hits, st.Misses, st.Evictions, h, m, e)
+				}
+				if st.Misses == 0 {
+					t.Errorf("%s: no miss counted", st.Tier)
+				}
+				hits += st.Kinds["topology"].Hits
+			}
+			if hits != 1 {
+				t.Errorf("%d topology hits across the chain, want 1", hits)
+			}
+
+			// Flush and Close are idempotent, and a late Put is dropped or
+			// absorbed — never a panic.
+			for i := 0; i < 2; i++ {
+				if err := s.Flush(); err != nil {
+					t.Fatalf("Flush #%d: %v", i+1, err)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				if err := s.Close(); err != nil {
+					t.Fatalf("Close #%d: %v", i+1, err)
+				}
+			}
+			s.Put(registry.KindTopology, testKey, testTopo())
+			if err := s.Flush(); err != nil {
+				t.Fatalf("Flush after Close: %v", err)
+			}
+			if _, _, ok := s.Lookup(ctx, registry.KindTopology, testKey); !ok {
+				t.Fatal("a closed tier stopped serving reads")
+			}
+		})
+	}
+}
+
+// TestTieredPromotesIntoUpperTiers: an entry only the origin holds is
+// attributed to the remote tier once, lands in the LRU and the spool on the
+// way up, and is then served from memory.
+func TestTieredPromotesIntoUpperTiers(t *testing.T) {
+	sp := contractSpool(t)
+	chain := registry.NewTiered(registry.NewLRU(8, 2), sp, newRemote(t, contractOrigin(t).URL))
+	defer chain.Close()
+	ctx := context.Background()
+	if _, tier, ok := chain.Lookup(ctx, registry.KindTopology, testKey); !ok || tier != "remote" {
+		t.Fatalf("first lookup: ok %v, tier %q; want the remote tier", ok, tier)
+	}
+	if _, tier, ok := chain.Lookup(ctx, registry.KindTopology, testKey); !ok || tier != "lru" {
+		t.Fatalf("second lookup: ok %v, tier %q; want the lru tier", ok, tier)
+	}
+	if err := chain.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, tier, ok := sp.Lookup(ctx, registry.KindTopology, testKey); !ok || tier != "spool" {
+		t.Fatalf("spool after promotion: ok %v, tier %q", ok, tier)
+	}
+	if v, ok := chain.Get(registry.KindTopology, testKey); !ok || v == nil {
+		t.Fatal("the context-free Get misses what Lookup serves")
+	}
+}

@@ -23,7 +23,7 @@
 //   - 4xx responses and undecodable bodies degrade to a miss and a
 //     per-key negative-cache entry, so a key the origin cannot serve is
 //     not re-requested on every lookup;
-//   - concurrent Gets for one key collapse into a single upstream fetch
+//   - concurrent Lookups for one key collapse into one upstream fetch
 //     (singleflight) — a thundering herd on a cold edge costs the origin
 //     one request.
 //
@@ -43,17 +43,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/place"
 	"repro/internal/registry"
 	"repro/internal/spool"
-	"repro/internal/taskmap"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
 const (
 	// DefaultTimeout bounds one upstream fetch (the Store interface is
-	// synchronous, so this is also how long a cold Get can block a
+	// synchronous, so this is also how long a cold Lookup can block a
 	// serving request). A warm origin answers in milliseconds; an origin
 	// that has to infer first may exceed this, in which case the edge
 	// infers locally too and the origin's entry lands on the next miss.
@@ -107,21 +105,15 @@ type Remote struct {
 	down     time.Time            // origin-level: no fetch at all before this
 	fails    int                  // consecutive origin-level failures
 
-	// lastMu/lastKey/lastTopo memoize the most recently fetched topology:
-	// a placement sidecar references its topology by key, and a burst of
-	// placement fetches against one topology must not re-fetch (or
-	// re-decode) it per sidecar.
-	lastMu   sync.Mutex
-	lastKey  string
-	lastTopo *topo.Topology
+	// last memoizes the most recently fetched topology: a placement
+	// sidecar references its topology by key, and a burst of placement
+	// fetches against one topology must not re-fetch (or re-decode) it per
+	// sidecar.
+	last spool.TopoMemo
 
-	hits    atomic.Int64
-	misses  atomic.Int64
+	kinds   registry.KindCounters
 	errors  atomic.Int64
 	fetches atomic.Int64 // upstream requests actually issued
-
-	kindHits   [3]atomic.Int64
-	kindMisses [3]atomic.Int64
 
 	// observe, when set, receives one callback per upstream fetch attempt
 	// with its wall duration and outcome ("ok", "origin_fault",
@@ -130,20 +122,7 @@ type Remote struct {
 	observe func(d time.Duration, outcome string)
 }
 
-// TierName implements registry's TierNamer extension.
-func (r *Remote) TierName() string { return "remote" }
-
-func kindIndex(k registry.Kind) int {
-	switch k {
-	case registry.KindPlacement:
-		return 1
-	case registry.KindMapping:
-		return 2
-	}
-	return 0
-}
-
-// call is one in-flight upstream fetch; concurrent Gets for the key wait
+// call is one in-flight upstream fetch; concurrent Lookups for the key wait
 // on done and share the outcome.
 type call struct {
 	done chan struct{}
@@ -240,23 +219,23 @@ func New(base string, opts ...Option) *Remote {
 	return r
 }
 
-// Base returns the upstream base URL.
-func (r *Remote) Base() string { return r.base }
-
-// Get implements registry.Store: fetch the entry's description file from
-// the origin, degrading every failure to a miss.
-func (r *Remote) Get(kind registry.Kind, key string) (any, bool) {
-	return r.GetContext(context.Background(), kind, key)
+// Lookup implements registry.Store: fetch the entry's description file
+// from the origin, degrading every failure to a miss. The context carries
+// tracing only — each upstream attempt becomes a span, and the traceparent
+// header it emits stitches the origin's spans into this trace. It
+// deliberately does NOT carry cancellation: the fetch keeps its own
+// timeout-from-Background context, so a fetch shared by singleflight
+// waiters survives the first caller hanging up (see fetch).
+func (r *Remote) Lookup(ctx context.Context, kind registry.Kind, key string) (any, string, bool) {
+	if v, ok := r.lookup(ctx, kind, key); ok {
+		r.kinds.Hit(kind)
+		return v, "remote", true
+	}
+	r.kinds.Miss(kind)
+	return nil, "", false
 }
 
-// GetContext implements registry's CtxGetter extension: Get with the
-// request context threaded through. The context carries tracing only —
-// each upstream attempt becomes a span, and the traceparent header it
-// emits stitches the origin's spans into this trace. It deliberately does
-// NOT carry cancellation: the fetch keeps its own timeout-from-Background
-// context, so a fetch shared by singleflight waiters survives the first
-// caller hanging up (see fetch).
-func (r *Remote) GetContext(ctx context.Context, kind registry.Kind, key string) (any, bool) {
+func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) (any, bool) {
 	now := r.now()
 	r.mu.Lock()
 	if until, ok := r.neg[key]; ok && !now.Before(until) {
@@ -268,22 +247,13 @@ func (r *Remote) GetContext(ctx context.Context, kind registry.Kind, key string)
 		// lookup span instead — the trace of a request served by local
 		// re-inference should say why the origin was not consulted.
 		trace.SpanFromContext(ctx).AddEvent("remote.backoff_skip")
-		r.misses.Add(1)
-		r.kindMisses[kindIndex(kind)].Add(1)
 		return nil, false
 	}
 	if c, ok := r.inflight[key]; ok {
 		r.mu.Unlock()
 		trace.SpanFromContext(ctx).AddEvent("remote.coalesced_wait")
 		<-c.done
-		if c.ok {
-			r.hits.Add(1)
-			r.kindHits[kindIndex(kind)].Add(1)
-			return c.val, true
-		}
-		r.misses.Add(1)
-		r.kindMisses[kindIndex(kind)].Add(1)
-		return nil, false
+		return c.val, c.ok
 	}
 	c := &call{done: make(chan struct{})}
 	r.inflight[key] = c
@@ -344,12 +314,8 @@ func (r *Remote) GetContext(ctx context.Context, kind registry.Kind, key string)
 	if err != nil {
 		r.logf("fetching %q: %v (degrading to a miss)", key, err)
 		r.errors.Add(1)
-		r.misses.Add(1)
-		r.kindMisses[kindIndex(kind)].Add(1)
 		return nil, false
 	}
-	r.hits.Add(1)
-	r.kindHits[kindIndex(kind)].Add(1)
 	return v, true
 }
 
@@ -433,79 +399,24 @@ func (r *Remote) fetch(ctx context.Context, kind registry.Kind, key string, atte
 		io.CopyN(io.Discard, body, 4096)
 		return nil, fmt.Errorf("origin returned %s", resp.Status), resp.StatusCode >= 500
 	}
-	switch kind {
-	case registry.KindTopology:
-		t, err := r.decodeTopology(key, body)
-		return t, err, false
-	case registry.KindPlacement:
-		p, err := r.decodePlacement(ctx, key, body)
-		return p, err, false
-	case registry.KindMapping:
-		m, err := r.decodeMapping(ctx, key, body)
-		return m, err, false
-	default:
-		return nil, fmt.Errorf("unknown entry kind %v", kind), false
+	val, err = spool.Decode(body, kind, key, func(topoKey string) (*topo.Topology, error) {
+		return r.topologyFor(ctx, topoKey)
+	})
+	if t, ok := val.(*topo.Topology); ok {
+		r.last.Set(key, t)
 	}
-}
-
-func (r *Remote) decodeTopology(key string, body io.Reader) (*topo.Topology, error) {
-	gotKey, t, err := spool.DecodeTopology(body)
-	if err != nil {
-		return nil, err
-	}
-	if gotKey != "" && gotKey != key {
-		// A mislabeled body must never land in the cache under this key.
-		return nil, fmt.Errorf("key header names %q", gotKey)
-	}
-	r.lastMu.Lock()
-	r.lastKey, r.lastTopo = key, t
-	r.lastMu.Unlock()
-	return t, nil
-}
-
-func (r *Remote) decodePlacement(ctx context.Context, key string, body io.Reader) (*place.Placement, error) {
-	side, err := spool.DecodeSidecar(body)
-	if err != nil {
-		return nil, err
-	}
-	if side.Key != "" && side.Key != key {
-		return nil, fmt.Errorf("key header names %q", side.Key)
-	}
-	t, err := r.topologyFor(ctx, side.TopoKey)
-	if err != nil {
-		return nil, fmt.Errorf("topology %q: %w", side.TopoKey, err)
-	}
-	return place.Reconstruct(t, side.Policy, side.Ctxs)
-}
-
-func (r *Remote) decodeMapping(ctx context.Context, key string, body io.Reader) (*taskmap.Mapping, error) {
-	side, err := spool.DecodeMapSidecar(body)
-	if err != nil {
-		return nil, err
-	}
-	if side.Key != "" && side.Key != key {
-		return nil, fmt.Errorf("key header names %q", side.Key)
-	}
-	t, err := r.topologyFor(ctx, side.TopoKey)
-	if err != nil {
-		return nil, fmt.Errorf("topology %q: %w", side.TopoKey, err)
-	}
-	return taskmap.Reconstruct(t, side.DAGName, side.DAGHash, side.Nodes, side.Edges, side.Algo, side.Cost, side.Assign)
+	return val, err, false
 }
 
 // topologyFor resolves the topology a sidecar references: the memo first,
-// then a recursive Get — which rides the tier's own singleflight and
+// then a recursive lookup — which rides the tier's own singleflight and
 // negative cache, so many sidecars of one topology fetch it once. The
 // context parents the nested fetch's span under the sidecar attempt.
 func (r *Remote) topologyFor(ctx context.Context, topoKey string) (*topo.Topology, error) {
-	r.lastMu.Lock()
-	if r.lastKey == topoKey && r.lastTopo != nil {
-		t := r.lastTopo
-		r.lastMu.Unlock()
+	if t := r.last.Get(topoKey); t != nil {
 		return t, nil
 	}
-	r.lastMu.Unlock()
-	v, ok := r.GetContext(ctx, registry.KindTopology, topoKey)
+	v, _, ok := r.Lookup(ctx, registry.KindTopology, topoKey)
 	if !ok {
 		return nil, fmt.Errorf("not fetchable")
 	}
@@ -521,41 +432,28 @@ func (r *Remote) Put(kind registry.Kind, key string, val any) {}
 func (r *Remote) Len() int { return 0 }
 
 // Purge implements registry.Store: drop the negative caches and the
-// origin backoff, so the next Get probes the origin again.
+// origin backoff, so the next Lookup probes the origin again.
 func (r *Remote) Purge() {
 	r.mu.Lock()
 	r.neg = make(map[string]time.Time)
 	r.down = time.Time{}
 	r.fails = 0
 	r.mu.Unlock()
-	r.lastMu.Lock()
-	r.lastKey, r.lastTopo = "", nil
-	r.lastMu.Unlock()
+	r.last.Forget("")
 }
 
 // Stats implements registry.Store.
 func (r *Remote) Stats() []registry.StoreStats {
-	return []registry.StoreStats{{
-		Tier:   "remote",
-		Hits:   r.hits.Load(),
-		Misses: r.misses.Load(),
-		Errors: r.errors.Load(),
-		Kinds: map[string]registry.KindStats{
-			registry.KindTopology.String(): {
-				Hits:   r.kindHits[0].Load(),
-				Misses: r.kindMisses[0].Load(),
-			},
-			registry.KindPlacement.String(): {
-				Hits:   r.kindHits[1].Load(),
-				Misses: r.kindMisses[1].Load(),
-			},
-			registry.KindMapping.String(): {
-				Hits:   r.kindHits[2].Load(),
-				Misses: r.kindMisses[2].Load(),
-			},
-		},
-	}}
+	st := registry.StoreStats{Tier: "remote", Errors: r.errors.Load()}
+	r.kinds.Snapshot(&st, [registry.NumKinds]int{})
+	return []registry.StoreStats{st}
 }
+
+// Flush implements registry.Store: Put is a no-op, so nothing is pending.
+func (r *Remote) Flush() error { return nil }
+
+// Close implements registry.Store: the tier holds no resources.
+func (r *Remote) Close() error { return nil }
 
 // BackoffState is a point-in-time snapshot of the tier's failure-handling
 // machinery, exposed for /metrics gauges.

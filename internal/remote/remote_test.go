@@ -75,6 +75,12 @@ func newRemote(t *testing.T, base string, opts ...Option) *Remote {
 	return rm
 }
 
+// get is Lookup outside any request.
+func get(rm *Remote, kind registry.Kind, key string) (any, bool) {
+	v, _, ok := rm.Lookup(context.Background(), kind, key)
+	return v, ok
+}
+
 // edgeRegistry wraps a store chain in a registry whose local inference
 // serves testTopo and counts how often it ran — the "degrade to local
 // re-inference" assertion of every failure-mode test.
@@ -102,7 +108,7 @@ func TestFetchTopologyHit(t *testing.T) {
 	defer ts.Close()
 
 	rm := newRemote(t, ts.URL)
-	v, ok := rm.Get(registry.KindTopology, testKey)
+	v, ok := get(rm, registry.KindTopology, testKey)
 	if !ok {
 		t.Fatal("expected a hit from a healthy origin")
 	}
@@ -131,7 +137,7 @@ func TestOriginDownDegradesToLocalInference(t *testing.T) {
 
 	rm := newRemote(t, ts.URL)
 	reg, inferences := edgeRegistry(registry.NewTiered(registry.NewLRU(16, 1), rm))
-	top, err := reg.Topology("Ivy", 1, mctopalg.Options{Reps: 51})
+	top, err := reg.TopologyContext(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51})
 	if err != nil {
 		t.Fatalf("a down origin must not fail a lookup: %v", err)
 	}
@@ -149,7 +155,7 @@ func TestOriginDownBackoffSkipsDials(t *testing.T) {
 	ts.Close()
 
 	rm := newRemote(t, ts.URL, WithNegTTL(time.Minute))
-	if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); ok {
 		t.Fatal("down origin produced a hit")
 	}
 	dials := rm.Fetches()
@@ -158,10 +164,10 @@ func TestOriginDownBackoffSkipsDials(t *testing.T) {
 	}
 	// Inside the backoff window, further Gets — any key — must not dial.
 	for i := 0; i < 10; i++ {
-		if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+		if _, ok := get(rm, registry.KindTopology, testKey); ok {
 			t.Fatal("hit during backoff")
 		}
-		if _, ok := rm.Get(registry.KindTopology, "topo|Westmere|1|r51"); ok {
+		if _, ok := get(rm, registry.KindTopology, "topo|Westmere|1|r51"); ok {
 			t.Fatal("hit during backoff")
 		}
 	}
@@ -187,16 +193,16 @@ func TestBackoffExpiresAndOriginRecovers(t *testing.T) {
 	rm := newRemote(t, ts.URL, WithNegTTL(time.Second),
 		WithClock(func() time.Time { return *clock.Load() }))
 
-	if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); ok {
 		t.Fatal("5xx produced a hit")
 	}
 	healthy.Store(true)
-	if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); ok {
 		t.Fatal("expected the backoff window to mask the recovery")
 	}
 	later := now.Add(5 * time.Second)
 	clock.Store(&later)
-	if _, ok := rm.Get(registry.KindTopology, testKey); !ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); !ok {
 		t.Fatal("expected a hit once the backoff expired")
 	}
 }
@@ -215,7 +221,7 @@ func TestOriginSlowTimesOutAndDegrades(t *testing.T) {
 	rm := newRemote(t, ts.URL, WithTimeout(50*time.Millisecond))
 	reg, inferences := edgeRegistry(registry.NewTiered(registry.NewLRU(16, 1), rm))
 	start := time.Now()
-	if _, err := reg.Topology("Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
+	if _, err := reg.TopologyContext(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
 		t.Fatalf("a slow origin must not fail a lookup: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -242,7 +248,7 @@ func TestCorruptBodyNegativeCachesKeyOnly(t *testing.T) {
 
 	rm := newRemote(t, ts.URL, WithNegTTL(time.Minute))
 	reg, inferences := edgeRegistry(registry.NewTiered(registry.NewLRU(16, 1), rm))
-	if _, err := reg.Topology("Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
+	if _, err := reg.TopologyContext(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
 		t.Fatalf("a corrupt body must not fail a lookup: %v", err)
 	}
 	if inferences.Load() != 1 {
@@ -250,11 +256,11 @@ func TestCorruptBodyNegativeCachesKeyOnly(t *testing.T) {
 	}
 	// The corrupt key is negative-cached: no refetch within the TTL.
 	after := requests.Load()
-	if _, ok := rm.Get(registry.KindTopology, corruptKey); ok || requests.Load() != after {
+	if _, ok := get(rm, registry.KindTopology, corruptKey); ok || requests.Load() != after {
 		t.Fatal("negative-cached key was re-fetched or served")
 	}
 	// ...but the origin is not marked down: other keys still fetch.
-	if _, ok := rm.Get(registry.KindTopology, "topo|Other|1|r51"); !ok {
+	if _, ok := get(rm, registry.KindTopology, "topo|Other|1|r51"); !ok {
 		t.Fatal("healthy key missed after an unrelated corrupt body")
 	}
 }
@@ -266,7 +272,7 @@ func TestTornBodyDegrades(t *testing.T) {
 	}))
 	defer ts.Close()
 	rm := newRemote(t, ts.URL)
-	if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); ok {
 		t.Fatal("torn body served as a hit")
 	}
 	if st := rm.Stats()[0]; st.Errors != 1 {
@@ -280,7 +286,7 @@ func TestMislabeledBodyRejected(t *testing.T) {
 	}))
 	defer ts.Close()
 	rm := newRemote(t, ts.URL)
-	if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); ok {
 		t.Fatal("a body labeled with another key must not land under this key")
 	}
 }
@@ -293,10 +299,10 @@ func Test404NegativeCachesKey(t *testing.T) {
 	}))
 	defer ts.Close()
 	rm := newRemote(t, ts.URL, WithNegTTL(time.Minute))
-	if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); ok {
 		t.Fatal("404 served as a hit")
 	}
-	if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); ok {
 		t.Fatal("404 served as a hit")
 	}
 	if requests.Load() != 1 {
@@ -325,7 +331,7 @@ func TestConcurrentFetchesCollapse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, ok := rm.Get(registry.KindTopology, testKey)
+			v, ok := get(rm, registry.KindTopology, testKey)
 			if !ok {
 				t.Errorf("waiter %d missed", i)
 				return
@@ -381,7 +387,7 @@ func TestPlacementFetchReconstructsViaTopology(t *testing.T) {
 	defer ts.Close()
 
 	rm := newRemote(t, ts.URL)
-	v, ok := rm.Get(registry.KindPlacement, placeKey)
+	v, ok := get(rm, registry.KindPlacement, placeKey)
 	if !ok {
 		t.Fatal("placement fetch missed")
 	}
@@ -407,7 +413,7 @@ func TestPlacementFetchReconstructsViaTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	sidecars.Store(placeKey16, pl16)
-	if _, ok := rm.Get(registry.KindPlacement, placeKey16); !ok {
+	if _, ok := get(rm, registry.KindPlacement, placeKey16); !ok {
 		t.Fatal("second placement fetch missed")
 	}
 	if requests.Load() != 3 {
@@ -433,7 +439,7 @@ func TestRetryRidesOutOriginBlip(t *testing.T) {
 	rm := newRemote(t, ts.URL, WithRetries(1, 10*time.Millisecond))
 	rm.sleep = func(d time.Duration) { slept = append(slept, d) }
 
-	if _, ok := rm.Get(registry.KindTopology, testKey); !ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); !ok {
 		t.Fatal("retry did not ride out a single 5xx")
 	}
 	if requests.Load() != 2 {
@@ -458,7 +464,7 @@ func TestRetriesBoundedThenBackoff(t *testing.T) {
 
 	rm := newRemote(t, ts.URL, WithNegTTL(time.Minute), WithRetries(2, time.Millisecond))
 	rm.sleep = func(time.Duration) {}
-	if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); ok {
 		t.Fatal("down origin produced a hit")
 	}
 	if got := rm.Fetches(); got != 3 {
@@ -468,7 +474,7 @@ func TestRetriesBoundedThenBackoff(t *testing.T) {
 		t.Fatalf("exhausted retries did not open the backoff window: %+v", bs)
 	}
 	// Inside the window nothing dials — retries included.
-	if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); ok {
 		t.Fatal("hit during backoff")
 	}
 	if got := rm.Fetches(); got != 3 {
@@ -488,7 +494,7 @@ func TestKeyFaultsAreNotRetried(t *testing.T) {
 
 	rm := newRemote(t, ts.URL, WithRetries(3, time.Millisecond))
 	rm.sleep = func(time.Duration) {}
-	if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); ok {
 		t.Fatal("404 produced a hit")
 	}
 	if requests.Load() != 1 {
@@ -515,11 +521,11 @@ func TestInjectedClockDrivesWindowsWithoutSleeping(t *testing.T) {
 	rm := newRemote(t, ts.URL, WithNegTTL(time.Hour),
 		WithClock(func() time.Time { return *clock.Load() }))
 
-	if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); ok {
 		t.Fatal("404 produced a hit")
 	}
 	serve.Store(true)
-	if _, ok := rm.Get(registry.KindTopology, testKey); ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); ok {
 		t.Fatal("negative cache did not mask the recovery")
 	}
 	if dials := rm.Fetches(); dials != 1 {
@@ -527,7 +533,7 @@ func TestInjectedClockDrivesWindowsWithoutSleeping(t *testing.T) {
 	}
 	later := now.Add(2 * time.Hour)
 	clock.Store(&later)
-	if _, ok := rm.Get(registry.KindTopology, testKey); !ok {
+	if _, ok := get(rm, registry.KindTopology, testKey); !ok {
 		t.Fatal("expired negative-cache entry did not refetch")
 	}
 }

@@ -1,6 +1,7 @@
 package spool
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,7 +15,7 @@ import (
 	"repro/internal/topo"
 )
 
-func realInfer(platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
+func realInfer(_ context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
 	p, err := sim.ByName(platform)
 	if err != nil {
 		return nil, err
@@ -59,8 +60,8 @@ func benchSpoolRegistry(b *testing.B, dir string) (*registry.Registry, *registry
 	b.Cleanup(func() { sp.Close() })
 	lru := registry.NewLRU(64, 0)
 	return registry.New(registry.Options{
-		Infer: realInfer,
-		Store: registry.NewTiered(lru, sp),
+		InferCtx: realInfer,
+		Store:    registry.NewTiered(lru, sp),
 	}), lru
 }
 
@@ -72,7 +73,7 @@ func benchSpoolRegistry(b *testing.B, dir string) (*registry.Registry, *registry
 func BenchmarkWarmStartTopologyLookup(b *testing.B) {
 	opt := mctopalg.Options{Reps: 51}
 	r, lru := benchSpoolRegistry(b, benchSpoolDir(b))
-	if _, err := r.Topology("Ivy", 42, opt); err != nil {
+	if _, err := r.TopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
 		b.Fatal(err)
 	}
 	if err := r.Flush(); err != nil {
@@ -81,7 +82,7 @@ func BenchmarkWarmStartTopologyLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lru.Purge() // every iteration is a cold-memory, warm-disk lookup
-		if _, err := r.Topology("Ivy", 42, opt); err != nil {
+		if _, err := r.TopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +93,7 @@ func BenchmarkWarmStartTopologyLookup(b *testing.B) {
 func BenchmarkWarmStartPlacementLookup(b *testing.B) {
 	opt := mctopalg.Options{Reps: 51}
 	r, lru := benchSpoolRegistry(b, benchSpoolDir(b))
-	if _, err := r.Place("Ivy", 42, opt, "RR_CORE", 8); err != nil {
+	if _, err := r.PlaceContext(context.Background(), "Ivy", 42, opt, "RR_CORE", 8); err != nil {
 		b.Fatal(err)
 	}
 	if err := r.Flush(); err != nil {
@@ -101,7 +102,7 @@ func BenchmarkWarmStartPlacementLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lru.Purge()
-		if _, err := r.Place("Ivy", 42, opt, "RR_CORE", 8); err != nil {
+		if _, err := r.PlaceContext(context.Background(), "Ivy", 42, opt, "RR_CORE", 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,12 +123,12 @@ func TestWarmStartSpeedup(t *testing.T) {
 	defer sp.Close()
 	lru := registry.NewLRU(64, 0)
 	r := registry.New(registry.Options{
-		Infer: realInfer,
-		Store: registry.NewTiered(lru, sp),
+		InferCtx: realInfer,
+		Store:    registry.NewTiered(lru, sp),
 	})
 
 	coldStart := time.Now()
-	if _, err := r.Topology("Ivy", 42, opt); err != nil {
+	if _, err := r.TopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
 		t.Fatal(err)
 	}
 	cold := time.Since(coldStart)
@@ -139,7 +140,7 @@ func TestWarmStartSpeedup(t *testing.T) {
 	warmStart := time.Now()
 	for i := 0; i < lookups; i++ {
 		lru.Purge()
-		if _, err := r.Topology("Ivy", 42, opt); err != nil {
+		if _, err := r.TopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,22 +5,146 @@ package spool
 // export/import/fetch`, mctopd's /v1/export endpoint and the remote store
 // tier that consumes it — encodes and decodes the exact same bytes. A
 // topology travels as a `#key`-headed description file; a placement as the
-// compact sidecar documented on EncodeSidecar. Everything here works on
-// io.Reader/io.Writer: the spool wraps files around it, the fleet tier
-// wraps HTTP bodies.
+// compact sidecar documented on EncodeSidecar; a mapping as the one on
+// EncodeMapSidecar. Everything here works on io.Reader/io.Writer: the
+// spool wraps files around it, the fleet tier wraps HTTP bodies.
+//
+// Encode and Decode are the one per-kind dispatch every carrier goes
+// through: a new cached kind is a row in registry's kind table plus one
+// arm in each of them.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/place"
+	"repro/internal/registry"
 	"repro/internal/taskmap"
 	"repro/internal/topo"
 )
+
+// Encode writes the interchange form of one cache entry: the file the
+// spool persists under key and the body /v1/export serves for it. A value
+// that is not of the kind, or a sidecar key its topology key cannot be read
+// from, is an error and nothing is written.
+func Encode(w io.Writer, kind registry.Kind, key string, val any) error {
+	parent, derived := kind.ParentKey(key)
+	switch v := val.(type) {
+	case *topo.Topology:
+		if kind == registry.KindTopology {
+			return EncodeTopology(w, key, v)
+		}
+	case *place.Placement:
+		if kind == registry.KindPlacement && derived {
+			return EncodeSidecar(w, key, parent, v)
+		}
+	case *taskmap.Mapping:
+		if kind == registry.KindMapping && derived {
+			return EncodeMapSidecar(w, key, parent, v)
+		}
+	}
+	return fmt.Errorf("cannot encode %T as a %v under key %q", val, kind, key)
+}
+
+// Decode reads the interchange form of the entry under key back into its
+// value. Sidecars reference their topology by key; topologyFor resolves it
+// (the spool decodes the referenced file, the remote tier fetches it). A
+// body whose `#key` header names a different key is rejected: a mislabeled
+// entry must never land in a cache under this key.
+func Decode(r io.Reader, kind registry.Kind, key string, topologyFor func(topoKey string) (*topo.Topology, error)) (any, error) {
+	// resolve checks a decoded sidecar's header and fetches its topology.
+	resolve := func(gotKey, topoKey string) (*topo.Topology, error) {
+		if err := checkKeyHeader(gotKey, key); err != nil {
+			return nil, err
+		}
+		t, err := topologyFor(topoKey)
+		if err != nil {
+			return nil, fmt.Errorf("topology %q: %w", topoKey, err)
+		}
+		return t, nil
+	}
+	switch kind {
+	case registry.KindTopology:
+		gotKey, t, err := DecodeTopology(r)
+		if err == nil {
+			err = checkKeyHeader(gotKey, key)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
+	case registry.KindPlacement:
+		side, err := DecodeSidecar(r)
+		if err != nil {
+			return nil, err
+		}
+		t, err := resolve(side.Key, side.TopoKey)
+		if err != nil {
+			return nil, err
+		}
+		return place.Reconstruct(t, side.Policy, side.Ctxs)
+	case registry.KindMapping:
+		side, err := DecodeMapSidecar(r)
+		if err != nil {
+			return nil, err
+		}
+		t, err := resolve(side.Key, side.TopoKey)
+		if err != nil {
+			return nil, err
+		}
+		return taskmap.Reconstruct(t, side.DAGName, side.DAGHash, side.Nodes, side.Edges, side.Algo, side.Cost, side.Assign)
+	}
+	return nil, fmt.Errorf("unknown entry kind %v", kind)
+}
+
+// TopoMemo is a one-entry cache of the last decoded topology, what a tier
+// puts in front of Decode's topologyFor: sidecars arrive in bursts against
+// one topology (a warm start, a batch fetch), and without the memo each
+// would re-decode or re-fetch the same description file.
+type TopoMemo struct {
+	mu  sync.Mutex
+	key string
+	t   *topo.Topology
+}
+
+// Get returns the memoized topology if it is the one under key, else nil.
+func (m *TopoMemo) Get(key string) *topo.Topology {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.key == key {
+		return m.t
+	}
+	return nil
+}
+
+// Set memoizes t under key.
+func (m *TopoMemo) Set(key string, t *topo.Topology) {
+	m.mu.Lock()
+	m.key, m.t = key, t
+	m.mu.Unlock()
+}
+
+// Forget drops the memo if it holds key ("" drops whatever it holds).
+func (m *TopoMemo) Forget(key string) {
+	m.mu.Lock()
+	if key == "" || m.key == key {
+		m.key, m.t = "", nil
+	}
+	m.mu.Unlock()
+}
+
+// checkKeyHeader accepts a body with no `#key` header (a bare file) or one
+// naming exactly the key it was read under.
+func checkKeyHeader(gotKey, key string) error {
+	if gotKey != "" && gotKey != key {
+		return fmt.Errorf("key header names %q", gotKey)
+	}
+	return nil
+}
 
 // EncodeTopology writes a topology as a `#key`-headed MCTOP description
 // file: the interchange format of the spool, `mctop export` and mctopd's
@@ -70,21 +194,6 @@ func DecodeTopology(r io.Reader) (key string, t *topo.Topology, err error) {
 	t, err = topo.FromSpec(*spec)
 	if err != nil {
 		return "", nil, err
-	}
-	return key, t, nil
-}
-
-// DecodeTopologyFile is DecodeTopology over a file — the interchange entry
-// point behind `mctop import`.
-func DecodeTopologyFile(path string) (key string, t *topo.Topology, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", nil, err
-	}
-	defer f.Close()
-	key, t, err = DecodeTopology(f)
-	if err != nil {
-		return "", nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return key, t, nil
 }
@@ -189,90 +298,112 @@ func EncodeMapSidecar(w io.Writer, key, topoKey string, m *taskmap.Mapping) erro
 	return bw.Flush()
 }
 
-// DecodeMapSidecar parses a .map sidecar.
-func DecodeMapSidecar(r io.Reader) (*MapSidecar, error) {
+// scanSidecar walks the line framing .place and .map sidecars share —
+// comments (a `#key` header among them), the magic line, directives, the
+// `end` marker — handing each directive to visit, and returns the header's
+// key. Nothing after `end` is read.
+func scanSidecar(r io.Reader, magic string, visit func(directive, rest string) error) (key string, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	side := &MapSidecar{Nodes: -1, Cost: -1}
-	sawMagic, sawEnd, sawAlgo := false, false, false
-	for sc.Scan() {
+	sawMagic, sawEnd := false, false
+	for !sawEnd && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "#"):
 			if strings.HasPrefix(line, keyHeader) {
-				side.Key = strings.TrimSpace(strings.TrimPrefix(line, keyHeader))
+				key = strings.TrimSpace(strings.TrimPrefix(line, keyHeader))
 			}
-			continue
-		}
-		if !sawMagic {
-			if line != mapMagic {
-				return nil, fmt.Errorf("bad magic %q", line)
+		case !sawMagic:
+			if line != magic {
+				return "", fmt.Errorf("bad magic %q", line)
 			}
 			sawMagic = true
-			continue
-		}
-		if line == "end" {
+		case line == "end":
 			sawEnd = true
-			break
-		}
-		directive, rest, _ := strings.Cut(line, " ")
-		switch directive {
-		case "topokey":
-			side.TopoKey = strings.TrimSpace(rest)
-		case "dagname":
-			side.DAGName = strings.TrimSpace(rest)
-		case "dag":
-			flds := strings.Fields(rest)
-			if len(flds) != 3 {
-				return nil, fmt.Errorf("bad dag directive %q", rest)
-			}
-			if len(flds[0]) != 16 || strings.ToLower(flds[0]) != flds[0] {
-				return nil, fmt.Errorf("bad DAG hash %q", flds[0])
-			}
-			h, err := strconv.ParseUint(flds[0], 16, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad DAG hash %q", flds[0])
-			}
-			n, err := strconv.Atoi(flds[1])
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("bad node count %q", flds[1])
-			}
-			e, err := strconv.Atoi(flds[2])
-			if err != nil || e < 0 {
-				return nil, fmt.Errorf("bad edge count %q", flds[2])
-			}
-			side.DAGHash, side.Nodes, side.Edges = h, n, e
-		case "algo":
-			side.Algo = strings.TrimSpace(rest)
-			sawAlgo = true
-		case "cost":
-			c, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-			if err != nil || c < 0 {
-				return nil, fmt.Errorf("bad cost %q", rest)
-			}
-			side.Cost = c
-		case "assign":
-			for _, fld := range strings.Fields(rest) {
-				v, err := strconv.Atoi(fld)
-				if err != nil {
-					return nil, fmt.Errorf("bad assign ctx %q", fld)
-				}
-				side.Assign = append(side.Assign, v)
-			}
 		default:
-			return nil, fmt.Errorf("unknown directive %q", directive)
+			directive, rest, _ := strings.Cut(line, " ")
+			if err := visit(directive, strings.TrimSpace(rest)); err != nil {
+				return "", err
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return "", err
 	}
 	switch {
 	case !sawMagic:
-		return nil, fmt.Errorf("empty sidecar")
+		return "", fmt.Errorf("empty sidecar")
 	case !sawEnd:
-		return nil, fmt.Errorf("missing end marker")
+		return "", fmt.Errorf("missing end marker")
+	}
+	return key, nil
+}
+
+// appendInts appends a directive's space-separated integers to dst.
+func appendInts(dst []int, rest, what string) ([]int, error) {
+	for _, fld := range strings.Fields(rest) {
+		v, err := strconv.Atoi(fld)
+		if err != nil {
+			return nil, fmt.Errorf("bad %s %q", what, fld)
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
+}
+
+// DecodeMapSidecar parses a .map sidecar.
+func DecodeMapSidecar(r io.Reader) (*MapSidecar, error) {
+	side := &MapSidecar{Nodes: -1, Cost: -1}
+	sawAlgo := false
+	key, err := scanSidecar(r, mapMagic, func(directive, rest string) (err error) {
+		switch directive {
+		case "topokey":
+			side.TopoKey = rest
+		case "dagname":
+			side.DAGName = rest
+		case "dag":
+			flds := strings.Fields(rest)
+			if len(flds) != 3 {
+				return fmt.Errorf("bad dag directive %q", rest)
+			}
+			if len(flds[0]) != 16 || strings.ToLower(flds[0]) != flds[0] {
+				return fmt.Errorf("bad DAG hash %q", flds[0])
+			}
+			h, err := strconv.ParseUint(flds[0], 16, 64)
+			if err != nil {
+				return fmt.Errorf("bad DAG hash %q", flds[0])
+			}
+			n, err := strconv.Atoi(flds[1])
+			if err != nil || n < 1 {
+				return fmt.Errorf("bad node count %q", flds[1])
+			}
+			e, err := strconv.Atoi(flds[2])
+			if err != nil || e < 0 {
+				return fmt.Errorf("bad edge count %q", flds[2])
+			}
+			side.DAGHash, side.Nodes, side.Edges = h, n, e
+		case "algo":
+			side.Algo = rest
+			sawAlgo = true
+		case "cost":
+			c, err := strconv.ParseInt(rest, 10, 64)
+			if err != nil || c < 0 {
+				return fmt.Errorf("bad cost %q", rest)
+			}
+			side.Cost = c
+		case "assign":
+			side.Assign, err = appendInts(side.Assign, rest, "assign ctx")
+		default:
+			err = fmt.Errorf("unknown directive %q", directive)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	side.Key = key
+	switch {
 	case side.TopoKey == "":
 		return nil, fmt.Errorf("missing topokey")
 	case side.Nodes < 0:
@@ -289,65 +420,32 @@ func DecodeMapSidecar(r io.Reader) (*MapSidecar, error) {
 
 // DecodeSidecar parses a .place sidecar.
 func DecodeSidecar(r io.Reader) (*Sidecar, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	side := &Sidecar{}
-	sawMagic, sawEnd := false, false
 	nThreads := -1
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if strings.HasPrefix(line, keyHeader) {
-				side.Key = strings.TrimSpace(strings.TrimPrefix(line, keyHeader))
-			}
-			continue
-		}
-		if !sawMagic {
-			if line != placeMagic {
-				return nil, fmt.Errorf("bad magic %q", line)
-			}
-			sawMagic = true
-			continue
-		}
-		if line == "end" {
-			sawEnd = true
-			break
-		}
-		directive, rest, _ := strings.Cut(line, " ")
+	key, err := scanSidecar(r, placeMagic, func(directive, rest string) (err error) {
 		switch directive {
 		case "topokey":
-			side.TopoKey = strings.TrimSpace(rest)
+			side.TopoKey = rest
 		case "policy":
-			side.Policy = strings.TrimSpace(rest)
+			side.Policy = rest
 		case "nthreads":
-			n, err := strconv.Atoi(strings.TrimSpace(rest))
+			n, err := strconv.Atoi(rest)
 			if err != nil || n < 0 {
-				return nil, fmt.Errorf("bad nthreads %q", rest)
+				return fmt.Errorf("bad nthreads %q", rest)
 			}
 			nThreads = n
 		case "ctxs":
-			for _, fld := range strings.Fields(rest) {
-				v, err := strconv.Atoi(fld)
-				if err != nil {
-					return nil, fmt.Errorf("bad ctx %q", fld)
-				}
-				side.Ctxs = append(side.Ctxs, v)
-			}
+			side.Ctxs, err = appendInts(side.Ctxs, rest, "ctx")
 		default:
-			return nil, fmt.Errorf("unknown directive %q", directive)
+			err = fmt.Errorf("unknown directive %q", directive)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
+	side.Key = key
 	switch {
-	case !sawMagic:
-		return nil, fmt.Errorf("empty sidecar")
-	case !sawEnd:
-		return nil, fmt.Errorf("missing end marker")
 	case side.TopoKey == "":
 		return nil, fmt.Errorf("missing topokey")
 	case side.Policy == "":

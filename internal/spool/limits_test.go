@@ -21,7 +21,7 @@ func putTopo(t *testing.T, s *Spool, key string) string {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return filepath.Join(s.dir, fileName(key, topoExt))
+	return filepath.Join(s.dir, fileName(key, registry.KindTopology))
 }
 
 // backdate sets a spool file's mtime age seconds into the past.
@@ -99,7 +99,7 @@ func TestMaxAgeEvictsAfterFlush(t *testing.T) {
 	}
 	// The evicted entry must also be gone from the index: a Get degrades
 	// to a miss, not an error.
-	if _, ok := s.Get(registry.KindTopology, "topo|old|1|r51"); ok {
+	if _, ok := get(s, registry.KindTopology, "topo|old|1|r51"); ok {
 		t.Fatal("evicted entry still served")
 	}
 	if st := s.Stats()[0]; st.Evictions != 1 {
@@ -134,7 +134,7 @@ func TestEvictionCascadesToDependentSidecars(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d after cascading eviction, want 0", s.Len())
 	}
-	if _, err := os.Stat(filepath.Join(dir, fileName(placeKey, placeExt))); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, fileName(placeKey, registry.KindPlacement))); !os.IsNotExist(err) {
 		t.Fatalf("orphaned sidecar survived its topology's eviction: %v", err)
 	}
 	if st := s.Stats()[0]; st.Evictions != 2 {
@@ -162,7 +162,7 @@ func TestPlacementPutPersistsItsTopology(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{fileName(topoKey, topoExt), fileName(placeKey, placeExt)} {
+	for _, f := range []string{fileName(topoKey, registry.KindTopology), fileName(placeKey, registry.KindPlacement)} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Fatalf("missing %s after a lone placement Put: %v", f, err)
 		}
@@ -173,7 +173,7 @@ func TestPlacementPutPersistsItsTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, ok := s2.Get(registry.KindPlacement, placeKey); !ok {
+	if _, ok := get(s2, registry.KindPlacement, placeKey); !ok {
 		t.Fatal("restarted spool cannot serve the lone-Put placement")
 	}
 }

@@ -37,9 +37,9 @@ func encodeMapping(t *testing.T, key, topoKey string, m *taskmap.Mapping) []byte
 
 func TestMapSidecarCodecRoundTrip(t *testing.T) {
 	m, key := testMapping(t)
-	topoKey, ok := topoKeyOfMapKey(key)
+	topoKey, ok := registry.KindMapping.ParentKey(key)
 	if !ok {
-		t.Fatalf("topoKeyOfMapKey(%q) failed", key)
+		t.Fatalf("KindMapping.ParentKey(%q) failed", key)
 	}
 	raw := encodeMapping(t, key, topoKey, m)
 	side, err := DecodeMapSidecar(bytes.NewReader(raw))
@@ -63,7 +63,7 @@ func TestMapSidecarCodecRoundTrip(t *testing.T) {
 
 func TestDecodeMapSidecarRejectsMalformed(t *testing.T) {
 	m, key := testMapping(t)
-	topoKey, _ := topoKeyOfMapKey(key)
+	topoKey, _ := registry.KindMapping.ParentKey(key)
 	good := string(encodeMapping(t, key, topoKey, m))
 	cases := []struct {
 		name string
@@ -118,7 +118,7 @@ func regexSwapLine(s, prefix, repl string) string {
 
 func TestMappingRoundTripThroughSpool(t *testing.T) {
 	m, key := testMapping(t)
-	topoKey, _ := topoKeyOfMapKey(key)
+	topoKey, _ := registry.KindMapping.ParentKey(key)
 
 	s := newTestSpool(t)
 	// Put only the mapping: the durable-topology invariant must persist
@@ -130,11 +130,11 @@ func TestMappingRoundTripThroughSpool(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d after one mapping put, want 2 (mapping + topology)", s.Len())
 	}
-	if _, err := os.Stat(filepath.Join(s.Dir(), fileName(topoKey, topoExt))); err != nil {
+	if _, err := os.Stat(filepath.Join(s.Dir(), fileName(topoKey, registry.KindTopology))); err != nil {
 		t.Fatalf("referenced topology not persisted: %v", err)
 	}
 
-	v, ok := s.Get(registry.KindMapping, key)
+	v, ok := get(s, registry.KindMapping, key)
 	if !ok {
 		t.Fatal("spooled mapping missed")
 	}
@@ -151,7 +151,7 @@ func TestMappingRoundTripThroughSpool(t *testing.T) {
 	if s2.Len() != 2 {
 		t.Fatalf("fresh spool scanned %d entries, want 2", s2.Len())
 	}
-	v2, ok := s2.Get(registry.KindMapping, key)
+	v2, ok := get(s2, registry.KindMapping, key)
 	if !ok {
 		t.Fatal("fresh spool missed the scanned mapping")
 	}
@@ -179,7 +179,7 @@ func TestCorruptMapSidecarQuarantined(t *testing.T) {
 	}
 	// Corrupt the sidecar body (keep the key header so scan still indexes
 	// it) and reopen: the Get must degrade to a miss and quarantine.
-	path := filepath.Join(s.Dir(), fileName(key, mapExt))
+	path := filepath.Join(s.Dir(), fileName(key, registry.KindMapping))
 	if err := os.WriteFile(path, []byte(keyHeader+key+"\ngarbage\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +190,14 @@ func TestCorruptMapSidecarQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, ok := s2.Get(registry.KindMapping, key); ok {
+	if _, ok := get(s2, registry.KindMapping, key); ok {
 		t.Fatal("corrupt mapping sidecar served")
 	}
-	if _, err := os.Stat(filepath.Join(s.Dir(), quarantineDir, fileName(key, mapExt))); err != nil {
+	if _, err := os.Stat(filepath.Join(s.Dir(), quarantineDir, fileName(key, registry.KindMapping))); err != nil {
 		t.Fatalf("corrupt sidecar not quarantined: %v", err)
 	}
 	// A second Get is a clean miss, not another decode attempt.
-	if _, ok := s2.Get(registry.KindMapping, key); ok {
+	if _, ok := get(s2, registry.KindMapping, key); ok {
 		t.Fatal("quarantined mapping served")
 	}
 }

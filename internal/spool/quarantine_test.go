@@ -24,7 +24,7 @@ func TestScanQuarantinesUndecodableFilesOnce(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "foreign-0000000000000000.mctop"), []byte("mctop 1\nend\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lying := fileName("topo|Ivy|1|r51", topoExt)
+	lying := fileName("topo|Ivy|1|r51", registry.KindTopology)
 	if err := os.WriteFile(filepath.Join(dir, lying), []byte("#key topo|Other|9|r11\nmctop 1\nend\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestGetQuarantinesCorruptEntry(t *testing.T) {
 	}
 	// Corrupt the body but keep the key header, so the restart scan
 	// indexes the entry and only Get discovers the damage.
-	name := fileName(key, topoExt)
+	name := fileName(key, registry.KindTopology)
 	corrupt := fmt.Sprintf("#key %s\nmctop 1\nname Ivy\n", key)
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(corrupt), 0o644); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestGetQuarantinesCorruptEntry(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("scan indexed %d entries, want 1", s.Len())
 	}
-	if _, ok := s.Get(registry.KindTopology, key); ok {
+	if _, ok := get(s, registry.KindTopology, key); ok {
 		t.Fatal("corrupt entry served")
 	}
 	st := s.Stats()[0]
@@ -113,7 +113,7 @@ func TestGetQuarantinesCorruptEntry(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(registry.KindTopology, key); !ok {
+	if _, ok := get(s, registry.KindTopology, key); !ok {
 		t.Fatal("re-Put after quarantine did not serve")
 	}
 }
@@ -136,7 +136,7 @@ func TestInjectedWriteFaultDegradesAndHeals(t *testing.T) {
 	if deg, reason := s.Degraded(); !deg || reason == "" {
 		t.Fatal("spool not degraded after an injected ENOSPC write")
 	}
-	if _, ok := s.Get(registry.KindTopology, key); ok {
+	if _, ok := get(s, registry.KindTopology, key); ok {
 		t.Fatal("failed write still served")
 	}
 	// The fault's count is spent: the next write lands and heals.
@@ -147,7 +147,7 @@ func TestInjectedWriteFaultDegradesAndHeals(t *testing.T) {
 	if deg, _ := s.Degraded(); deg {
 		t.Fatal("spool still degraded after a successful write")
 	}
-	if _, ok := s.Get(registry.KindTopology, key); !ok {
+	if _, ok := get(s, registry.KindTopology, key); !ok {
 		t.Fatal("healed spool does not serve")
 	}
 	if fs.Fires(faultinject.SpoolWrite) != 1 {
@@ -173,7 +173,7 @@ func TestInjectedTornWriteIsQuarantinedOnRead(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("torn write not indexed (Len = %d)", s.Len())
 	}
-	if _, ok := s.Get(registry.KindTopology, key); ok {
+	if _, ok := get(s, registry.KindTopology, key); ok {
 		t.Fatal("torn file served a topology")
 	}
 	if st := s.Stats()[0]; st.Quarantined != 1 {
@@ -184,7 +184,7 @@ func TestInjectedTornWriteIsQuarantinedOnRead(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(registry.KindTopology, key); !ok {
+	if _, ok := get(s, registry.KindTopology, key); !ok {
 		t.Fatal("spool did not recover after the torn write was quarantined")
 	}
 }
@@ -201,7 +201,7 @@ func TestInjectedReadFaultQuarantines(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(registry.KindTopology, key); ok {
+	if _, ok := get(s, registry.KindTopology, key); ok {
 		t.Fatal("injected read fault did not miss")
 	}
 	if st := s.Stats()[0]; st.Quarantined != 1 {

@@ -49,17 +49,12 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/place"
 	"repro/internal/registry"
-	"repro/internal/taskmap"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
 const (
-	topoExt      = ".mctop"
-	placeExt     = ".place"
-	mapExt       = ".map"
 	keyHeader    = "#key "
 	placeMagic   = "mctop-place 1"
 	mapMagic     = "mctop-map 1"
@@ -92,21 +87,15 @@ type Spool struct {
 	pending chan writeOp
 	done    chan struct{} // writer goroutine exited
 
-	// lastMu/lastKey/lastTopo memoize the most recently decoded topology:
-	// a warm-start burst loads many .place sidecars referencing one
-	// topology, and without the memo each would re-decode the same
-	// description file.
-	lastMu   sync.Mutex
-	lastKey  string
-	lastTopo *topo.Topology
+	// last memoizes the most recently decoded topology: a warm-start burst
+	// loads many .place sidecars referencing one topology, and without the
+	// memo each would re-decode the same description file.
+	last TopoMemo
 
-	hits        atomic.Int64
-	misses      atomic.Int64
 	puts        atomic.Int64
 	errors      atomic.Int64
-	evictions   atomic.Int64
 	quarantined atomic.Int64
-	kinds       kindCounters
+	kinds       registry.KindCounters
 
 	// writeFailed flips on a failed file write and clears on the next
 	// success: while set, the spool is effectively read-only (new entries
@@ -119,30 +108,9 @@ type Spool struct {
 
 	// tracer, when set, opens root spans for the write-behind path — the
 	// background writer has no request context to parent onto. Read-path
-	// spans ride the request context instead (GetContext) and need no
-	// tracer here. nil means untraced.
+	// spans ride the request context instead (Lookup) and need no tracer
+	// here. nil means untraced.
 	tracer *trace.Tracer
-}
-
-// TierName implements registry's TierNamer extension.
-func (s *Spool) TierName() string { return "spool" }
-
-// kindCounters mirrors the per-kind breakdown the in-memory tier keeps, so
-// /metrics can chart hit ratios per entry kind for the disk tier too.
-type kindCounters struct {
-	hits      [3]atomic.Int64
-	misses    [3]atomic.Int64
-	evictions [3]atomic.Int64
-}
-
-func kindIndex(k registry.Kind) int {
-	switch k {
-	case registry.KindPlacement:
-		return 1
-	case registry.KindMapping:
-		return 2
-	}
-	return 0
 }
 
 // writeOp is one queued write, or a flush barrier (flush != nil).
@@ -226,7 +194,7 @@ func (s *Spool) Dir() string { return s.dir }
 
 // scan indexes the directory by each file's key header. Only the header is
 // read here — full decoding (and its skip-and-log handling) happens on
-// Get, so startup stays O(files), not O(bytes).
+// Lookup, so startup stays O(files), not O(bytes).
 func (s *Spool) scan() error {
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -237,15 +205,8 @@ func (s *Spool) scan() error {
 			continue
 		}
 		name := de.Name()
-		var kind registry.Kind
-		switch filepath.Ext(name) {
-		case topoExt:
-			kind = registry.KindTopology
-		case placeExt:
-			kind = registry.KindPlacement
-		case mapExt:
-			kind = registry.KindMapping
-		default:
+		kind, ok := registry.KindOfExt(filepath.Ext(name))
+		if !ok {
 			// Leftover temp files from a crashed writer are dead weight:
 			// renames are atomic, so nothing references them.
 			if strings.HasSuffix(name, ".tmp") {
@@ -263,7 +224,7 @@ func (s *Spool) scan() error {
 			s.quarantine(name, err)
 			continue
 		}
-		if fileName(key, extOf(kind)) != name {
+		if fileName(key, kind) != name {
 			s.quarantine(name, fmt.Errorf("key header names %q", key))
 			continue
 		}
@@ -274,7 +235,7 @@ func (s *Spool) scan() error {
 
 // quarantine moves one undecodable spool file under quarantine/, counting
 // it in both the error and quarantine counters. The move is what keeps a
-// corrupt file from being re-skipped on every restart (and, on the Get
+// corrupt file from being re-skipped on every restart (and, on the Lookup
 // path, from being re-decoded on every miss) while preserving its bytes
 // for inspection. If the move itself fails the file stays put — the old
 // skip-and-log behavior, just slower.
@@ -301,20 +262,11 @@ func (s *Spool) quarantine(name string, reason error) {
 	s.logf("quarantined %s: %v", name, reason)
 }
 
-func extOf(kind registry.Kind) string {
-	switch kind {
-	case registry.KindPlacement:
-		return placeExt
-	case registry.KindMapping:
-		return mapExt
-	}
-	return topoExt
-}
-
 // fileName maps a registry key to its spool file: a sanitized, truncated
 // prefix for humans listing the directory, plus the full FNV-64a of the
-// key so sanitization can never make two keys collide.
-func fileName(key, ext string) string {
+// key so sanitization can never make two keys collide, under the kind's
+// extension.
+func fileName(key string, kind registry.Kind) string {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -333,7 +285,7 @@ func fileName(key, ext string) string {
 			break
 		}
 	}
-	return fmt.Sprintf("%s-%016x%s", b.String(), h, ext)
+	return fmt.Sprintf("%s-%016x%s", b.String(), h, kind.Ext())
 }
 
 // readKeyHeader returns the `#key ` header of a spool file.
@@ -368,25 +320,17 @@ func readKeyHeader(path string) (string, error) {
 	return "", fmt.Errorf("no key header")
 }
 
-// Get implements registry.Store: decode the entry's file, degrading every
-// failure to a logged miss.
-func (s *Spool) Get(kind registry.Kind, key string) (any, bool) {
-	return s.GetContext(context.Background(), kind, key)
-}
-
-// GetContext implements registry's CtxGetter extension: Get with the
-// request context threaded through so a traced request sees the decode as
-// a span — including the decode failures that degrade to misses, which
-// keep the span (and its quarantine event) even when the trace is
-// unsampled.
-func (s *Spool) GetContext(ctx context.Context, kind registry.Kind, key string) (any, bool) {
+// Lookup implements registry.Store: decode the entry's file, degrading
+// every failure to a logged miss. A traced request sees the decode as a
+// span — including the decode failures that degrade to misses, which keep
+// the span (and its quarantine event) even when the trace is unsampled.
+func (s *Spool) Lookup(ctx context.Context, kind registry.Kind, key string) (any, string, bool) {
 	s.mu.Lock()
 	k, ok := s.entries[key]
 	s.mu.Unlock()
 	if !ok || k != kind {
-		s.misses.Add(1)
-		s.kinds.misses[kindIndex(kind)].Add(1)
-		return nil, false
+		s.kinds.Miss(kind)
+		return nil, "", false
 	}
 	_, sp := trace.Start(ctx, "spool.read")
 	sp.SetAttr("kind", kind.String())
@@ -398,110 +342,56 @@ func (s *Spool) GetContext(ctx context.Context, kind registry.Kind, key string) 
 	if o, fired := s.faults.Eval(faultinject.SpoolRead); fired {
 		err = o.Err(faultinject.SpoolRead)
 	} else {
-		switch kind {
-		case registry.KindTopology:
-			v, err = s.loadTopology(key)
-		case registry.KindPlacement:
-			v, err = s.loadPlacement(key)
-		case registry.KindMapping:
-			v, err = s.loadMapping(key)
-		default:
-			err = fmt.Errorf("unknown entry kind %v", kind)
-		}
+		v, err = s.load(kind, key)
 	}
 	if err != nil {
 		// An entry that indexed at scan but fails to decode is corrupt
 		// (or, for a sidecar, references a corrupt topology): quarantine
-		// the requested entry's file so the next Get is a clean miss
+		// the requested entry's file so the next Lookup is a clean miss
 		// instead of another decode of the same broken bytes. The caller
 		// re-infers/fetches and re-Puts, restoring a good file.
 		sp.SetError(err)
 		sp.AddEvent("quarantine")
-		s.dropEntry(key)
-		s.quarantine(fileName(key, extOf(kind)), err)
-		s.misses.Add(1)
-		s.kinds.misses[kindIndex(kind)].Add(1)
-		return nil, false
+		s.mu.Lock()
+		delete(s.entries, key)
+		s.mu.Unlock()
+		s.last.Forget(key)
+		s.quarantine(fileName(key, kind), err)
+		s.kinds.Miss(kind)
+		return nil, "", false
 	}
-	s.hits.Add(1)
-	s.kinds.hits[kindIndex(kind)].Add(1)
-	return v, true
+	s.kinds.Hit(kind)
+	return v, "spool", true
 }
 
-// dropEntry removes one key from the index and the decode memo.
-func (s *Spool) dropEntry(key string) {
-	s.mu.Lock()
-	delete(s.entries, key)
-	s.mu.Unlock()
-	s.lastMu.Lock()
-	if s.lastKey == key {
-		s.lastKey, s.lastTopo = "", nil
+// load decodes one entry's file through the interchange codec; a sidecar
+// resolves the topology it references through load again (and the memo).
+func (s *Spool) load(kind registry.Kind, key string) (any, error) {
+	if kind == registry.KindTopology {
+		if t := s.last.Get(key); t != nil {
+			return t, nil
+		}
 	}
-	s.lastMu.Unlock()
-}
-
-func (s *Spool) loadTopology(key string) (*topo.Topology, error) {
-	s.lastMu.Lock()
-	if s.lastKey == key && s.lastTopo != nil {
-		t := s.lastTopo
-		s.lastMu.Unlock()
-		return t, nil
-	}
-	s.lastMu.Unlock()
-	path := filepath.Join(s.dir, fileName(key, topoExt))
-	gotKey, t, err := DecodeTopologyFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if gotKey != "" && gotKey != key {
-		return nil, fmt.Errorf("key header names %q", gotKey)
-	}
-	s.lastMu.Lock()
-	s.lastKey, s.lastTopo = key, t
-	s.lastMu.Unlock()
-	return t, nil
-}
-
-func (s *Spool) loadPlacement(key string) (*place.Placement, error) {
-	path := filepath.Join(s.dir, fileName(key, placeExt))
+	path := filepath.Join(s.dir, fileName(key, kind))
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	side, err := DecodeSidecar(f)
-	f.Close()
+	defer f.Close()
+	v, err := Decode(f, kind, key, func(topoKey string) (*topo.Topology, error) {
+		t, err := s.load(registry.KindTopology, topoKey)
+		if err != nil {
+			return nil, err
+		}
+		return t.(*topo.Topology), nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if side.Key != "" && side.Key != key {
-		return nil, fmt.Errorf("key header names %q", side.Key)
+	if t, ok := v.(*topo.Topology); ok {
+		s.last.Set(key, t)
 	}
-	t, err := s.loadTopology(side.TopoKey)
-	if err != nil {
-		return nil, fmt.Errorf("topology %q: %w", side.TopoKey, err)
-	}
-	return place.Reconstruct(t, side.Policy, side.Ctxs)
-}
-
-func (s *Spool) loadMapping(key string) (*taskmap.Mapping, error) {
-	path := filepath.Join(s.dir, fileName(key, mapExt))
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	side, err := DecodeMapSidecar(f)
-	f.Close()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if side.Key != "" && side.Key != key {
-		return nil, fmt.Errorf("key header names %q", side.Key)
-	}
-	t, err := s.loadTopology(side.TopoKey)
-	if err != nil {
-		return nil, fmt.Errorf("topology %q: %w", side.TopoKey, err)
-	}
-	return taskmap.Reconstruct(t, side.DAGName, side.DAGHash, side.Nodes, side.Edges, side.Algo, side.Cost, side.Assign)
+	return v, nil
 }
 
 // Put implements registry.Store: enqueue a write-behind, falling back to a
@@ -554,86 +444,43 @@ func (s *Spool) writeTraced(op writeOp) {
 	sp.End()
 }
 
-// write persists one entry: encode to a temp file in the spool directory,
-// then rename over the final name — the atomicity that guarantees a crash
-// can never leave a torn file where a reader looks. The returned error
-// reports the failure for tracing; counters and logs are already handled
-// here, so callers need not act on it.
+// write persists one entry: encode through the interchange codec, then
+// land the bytes via a temp file renamed over the final name — the
+// atomicity that guarantees a crash can never leave a torn file where a
+// reader looks. The returned error reports the failure for tracing;
+// counters and logs are already handled here, so callers need not act on
+// it.
 func (s *Spool) write(op writeOp) error {
-	var encode func(w io.Writer) error
-	switch v := op.val.(type) {
-	case *topo.Topology:
-		if op.kind != registry.KindTopology {
-			s.logf("dropping write of %q: topology under kind %v", op.key, op.kind)
-			s.errors.Add(1)
-			return fmt.Errorf("topology under kind %v", op.kind)
-		}
-		encode = func(w io.Writer) error {
-			return EncodeTopology(w, op.key, v)
-		}
-	case *place.Placement:
-		if op.kind != registry.KindPlacement {
-			s.logf("dropping write of %q: placement under kind %v", op.key, op.kind)
-			s.errors.Add(1)
-			return fmt.Errorf("placement under kind %v", op.kind)
-		}
-		topoKey, ok := topoKeyOfPlaceKey(op.key)
-		if !ok {
-			s.logf("dropping write of %q: not a placement key", op.key)
-			s.errors.Add(1)
-			return fmt.Errorf("not a placement key")
-		}
-		// Invariant: a durable sidecar implies a durable topology —
-		// loading the sidecar needs the referenced .mctop file. The
-		// normal daemon flow Puts the topology first, but a placement
-		// promoted from a remote tier arrives alone; persist its
-		// topology alongside or the sidecar is dead weight on restart.
-		s.mu.Lock()
-		_, haveTopo := s.entries[topoKey]
-		s.mu.Unlock()
-		if !haveTopo {
-			if t := v.Topology(); t != nil {
-				s.write(writeOp{kind: registry.KindTopology, key: topoKey, val: t})
-			}
-		}
-		encode = func(w io.Writer) error {
-			return EncodeSidecar(w, op.key, topoKey, v)
-		}
-	case *taskmap.Mapping:
-		if op.kind != registry.KindMapping {
-			s.logf("dropping write of %q: mapping under kind %v", op.key, op.kind)
-			s.errors.Add(1)
-			return fmt.Errorf("mapping under kind %v", op.kind)
-		}
-		topoKey, ok := topoKeyOfMapKey(op.key)
-		if !ok {
-			s.logf("dropping write of %q: not a mapping key", op.key)
-			s.errors.Add(1)
-			return fmt.Errorf("not a mapping key")
-		}
-		// Same durable-topology invariant as placements: a .map sidecar is
-		// only loadable if the .mctop file it references is on disk too.
-		s.mu.Lock()
-		_, haveTopo := s.entries[topoKey]
-		s.mu.Unlock()
-		if !haveTopo {
-			if t := v.Topology(); t != nil {
-				s.write(writeOp{kind: registry.KindTopology, key: topoKey, val: t})
-			}
-		}
-		encode = func(w io.Writer) error {
-			return EncodeMapSidecar(w, op.key, topoKey, v)
-		}
-	default:
-		s.logf("dropping write of %q: unsupported value %T", op.key, op.val)
+	var buf bytes.Buffer
+	if err := Encode(&buf, op.kind, op.key, op.val); err != nil {
+		s.logf("dropping write of %q: %v", op.key, err)
 		s.errors.Add(1)
-		return fmt.Errorf("unsupported value %T", op.val)
+		return err
 	}
-	path := filepath.Join(s.dir, fileName(op.key, extOf(op.kind)))
+	// Invariant: a durable sidecar implies a durable topology — loading
+	// the sidecar needs the referenced .mctop file. The normal daemon flow
+	// Puts the topology first, but an entry promoted from a remote tier
+	// arrives alone; persist its topology alongside or the sidecar is dead
+	// weight on restart.
+	if parent, ok := op.kind.ParentKey(op.key); ok {
+		s.mu.Lock()
+		_, haveTopo := s.entries[parent]
+		s.mu.Unlock()
+		if dep, ok := op.val.(interface{ Topology() *topo.Topology }); ok && !haveTopo {
+			if t := dep.Topology(); t != nil {
+				s.write(writeOp{kind: registry.KindTopology, key: parent, val: t})
+			}
+		}
+	}
+	path := filepath.Join(s.dir, fileName(op.key, op.kind))
 	if o, fired := s.faults.Eval(faultinject.SpoolWrite); fired {
-		return s.failWrite(op, path, encode, o)
+		return s.failWrite(op, path, buf.Bytes(), o)
 	}
-	if err := topo.WriteFileAtomic(path, encode); err != nil {
+	err := topo.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(buf.Bytes())
+		return err
+	})
+	if err != nil {
 		s.logf("writing %q: %v", op.key, err)
 		s.errors.Add(1)
 		s.writeFailed.Store(true)
@@ -652,35 +499,25 @@ func (s *Spool) write(op writeOp) error {
 // permission-lost shape, flipping the spool degraded. Mode "torn" lands a
 // half-written file directly under the final spool name and indexes it:
 // the shape of a crash mid-write on a filesystem without atomic rename,
-// which the quarantine path must absorb on the next Get or restart scan.
-func (s *Spool) failWrite(op writeOp, path string, encode func(io.Writer) error, o faultinject.Outcome) error {
+// which the quarantine path must absorb on the next Lookup or restart scan.
+func (s *Spool) failWrite(op writeOp, path string, encoded []byte, o faultinject.Outcome) error {
 	switch o.Mode {
 	case "torn", "short":
-		var buf bytes.Buffer
-		if err := encode(&buf); err != nil {
-			s.logf("writing %q: %v", op.key, err)
-			s.errors.Add(1)
-			return err
-		}
-		torn := buf.Bytes()[:buf.Len()/2]
+		torn := encoded[:len(encoded)/2]
 		if err := os.WriteFile(path, torn, 0o644); err != nil {
 			s.logf("writing %q: %v", op.key, err)
 			s.errors.Add(1)
 			s.writeFailed.Store(true)
 			return err
 		}
-		s.logf("writing %q: torn write injected (%d of %d bytes)", op.key, len(torn), buf.Len())
+		s.logf("writing %q: torn write injected (%d of %d bytes)", op.key, len(torn), len(encoded))
 		s.errors.Add(1)
 		// Index the torn file like a completed write would: serving it is
 		// exactly the corruption the read path's quarantine must catch.
 		s.mu.Lock()
 		s.entries[op.key] = op.kind
 		s.mu.Unlock()
-		s.lastMu.Lock()
-		if s.lastKey == op.key {
-			s.lastKey, s.lastTopo = "", nil
-		}
-		s.lastMu.Unlock()
+		s.last.Forget(op.key)
 		return fmt.Errorf("torn write injected")
 	default: // "enospc", "eperm", "fail", ...
 		err := o.Err(faultinject.SpoolWrite)
@@ -717,85 +554,51 @@ func (s *Spool) Purge() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for key, kind := range s.entries {
-		if err := os.Remove(filepath.Join(s.dir, fileName(key, extOf(kind)))); err != nil {
+		if err := os.Remove(filepath.Join(s.dir, fileName(key, kind))); err != nil {
 			s.logf("purging %q: %v", key, err)
 			s.errors.Add(1)
 		}
 	}
 	s.entries = make(map[string]registry.Kind)
-	s.lastMu.Lock()
-	s.lastKey, s.lastTopo = "", nil
-	s.lastMu.Unlock()
+	s.last.Forget("")
 }
 
 // Stats implements registry.Store.
 func (s *Spool) Stats() []registry.StoreStats {
 	st := registry.StoreStats{
 		Tier:        "spool",
-		Hits:        s.hits.Load(),
-		Misses:      s.misses.Load(),
 		Puts:        s.puts.Load(),
 		Errors:      s.errors.Load(),
-		Evictions:   s.evictions.Load(),
 		Quarantined: s.quarantined.Load(),
 	}
+	var resident [registry.NumKinds]int
 	s.mu.Lock()
 	for _, kind := range s.entries {
-		switch kind {
-		case registry.KindTopology:
-			st.Topologies++
-		case registry.KindPlacement:
-			st.Placements++
-		case registry.KindMapping:
-			st.Mappings++
-		}
-		st.Entries++
+		resident[kind]++
 	}
 	s.mu.Unlock()
-	st.Kinds = map[string]registry.KindStats{
-		registry.KindTopology.String(): {
-			Hits:      s.kinds.hits[0].Load(),
-			Misses:    s.kinds.misses[0].Load(),
-			Evictions: s.kinds.evictions[0].Load(),
-			Entries:   st.Topologies,
-		},
-		registry.KindPlacement.String(): {
-			Hits:      s.kinds.hits[1].Load(),
-			Misses:    s.kinds.misses[1].Load(),
-			Evictions: s.kinds.evictions[1].Load(),
-			Entries:   st.Placements,
-		},
-		registry.KindMapping.String(): {
-			Hits:      s.kinds.hits[2].Load(),
-			Misses:    s.kinds.misses[2].Load(),
-			Evictions: s.kinds.evictions[2].Load(),
-			Entries:   st.Mappings,
-		},
-	}
+	s.kinds.Snapshot(&st, resident)
 	return []registry.StoreStats{st}
 }
 
-// Flush implements registry.Flusher: block until every Put accepted so far
+// Flush implements registry.Store: block until every Put accepted so far
 // is durable on disk, then enforce the size/age bounds — the one point
 // where every accepted write has landed and the directory's true size is
 // knowable.
 func (s *Spool) Flush() error {
+	drained := s.done // once closed, the writer drains the queue before exiting
 	s.sendMu.RLock()
-	if s.closed {
-		s.sendMu.RUnlock()
-		<-s.done // writer drains the queue before exiting
-		s.enforceLimits()
-		return nil
+	if !s.closed {
+		drained = make(chan struct{})
+		s.pending <- writeOp{flush: drained}
 	}
-	barrier := make(chan struct{})
-	s.pending <- writeOp{flush: barrier}
 	s.sendMu.RUnlock()
-	<-barrier
+	<-drained
 	s.enforceLimits()
 	return nil
 }
 
-// Close implements registry.Closer: flush and stop the writer. Gets keep
+// Close implements registry.Store: flush and stop the writer. Lookups keep
 // working; later Puts are dropped with a log line.
 func (s *Spool) Close() error {
 	s.sendMu.Lock()
@@ -833,7 +636,7 @@ func (s *Spool) enforceLimits() {
 	ents := make([]entry, 0, len(s.entries))
 	var total int64
 	for key, kind := range s.entries {
-		fi, err := os.Stat(filepath.Join(s.dir, fileName(key, extOf(kind))))
+		fi, err := os.Stat(filepath.Join(s.dir, fileName(key, kind)))
 		if err != nil {
 			continue
 		}
@@ -860,23 +663,13 @@ func (s *Spool) enforceLimits() {
 		return
 	}
 	// Cascade: a sidecar whose topology was just evicted can never load
-	// again (every Get would fail to a logged miss) yet would keep its
+	// again (every Lookup would fail to a logged miss) yet would keep its
 	// index slot and its share of the byte budget. Drop them now.
 	for _, e := range ents {
-		if s.entries[e.key] != e.kind {
+		if k, live := s.entries[e.key]; !live || k != e.kind {
 			continue
 		}
-		var tk string
-		var ok bool
-		switch e.kind {
-		case registry.KindPlacement:
-			tk, ok = topoKeyOfPlaceKey(e.key)
-		case registry.KindMapping:
-			tk, ok = topoKeyOfMapKey(e.key)
-		default:
-			continue
-		}
-		if ok && evictedTopos[tk] {
+		if parent, ok := e.kind.ParentKey(e.key); ok && evictedTopos[parent] {
 			s.evictLocked(e.key, e.kind, e.size, e.mtime)
 		}
 	}
@@ -884,53 +677,15 @@ func (s *Spool) enforceLimits() {
 
 // evictLocked removes one entry's file and index slot (s.mu held).
 func (s *Spool) evictLocked(key string, kind registry.Kind, size int64, mtime time.Time) bool {
-	name := fileName(key, extOf(kind))
+	name := fileName(key, kind)
 	if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
 		s.logf("evicting %s: %v", name, err)
 		s.errors.Add(1)
 		return false
 	}
 	delete(s.entries, key)
-	s.evictions.Add(1)
-	s.kinds.evictions[kindIndex(kind)].Add(1)
+	s.kinds.Evict(kind)
 	s.logf("evicted %s (%d bytes, mtime %s)", name, size, mtime.Format(time.RFC3339))
-	s.lastMu.Lock()
-	if s.lastKey == key {
-		s.lastKey, s.lastTopo = "", nil
-	}
-	s.lastMu.Unlock()
+	s.last.Forget(key)
 	return true
-}
-
-// topoKeyOfPlaceKey extracts the embedded topology key from a registry
-// placement key: "place|<topo key>|<policy>|<threads>" — trim the prefix
-// and the last two fields. A custom policy whose name contains '|' would
-// mis-split here; the extracted key then misses in the spool and that
-// placement degrades to a recompute on warm start — never a wrong result.
-func topoKeyOfPlaceKey(placeKey string) (string, bool) {
-	rest, ok := strings.CutPrefix(placeKey, "place|")
-	if !ok {
-		return "", false
-	}
-	i := strings.LastIndexByte(rest, '|') // before <threads>
-	if i < 0 {
-		return "", false
-	}
-	j := strings.LastIndexByte(rest[:i], '|') // before <policy>
-	if j < 0 {
-		return "", false
-	}
-	return rest[:j], true
-}
-
-// topoKeyOfMapKey extracts the embedded topology key from a registry
-// mapping key. Mapping keys are strictly parseable (registry.ParseMapKey),
-// so unlike placement keys there is no ambiguity to tolerate: an
-// unparsable key is simply not a mapping key.
-func topoKeyOfMapKey(mapKey string) (string, bool) {
-	tk, _, _, _, _, err := registry.ParseMapKey(mapKey)
-	if err != nil {
-		return "", false
-	}
-	return tk, true
 }

@@ -2,6 +2,7 @@ package spool
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,6 +51,12 @@ func encodeTopo(t *testing.T, top *topo.Topology) []byte {
 	return buf.Bytes()
 }
 
+// get is Lookup outside any request.
+func get(s *Spool, kind registry.Kind, key string) (any, bool) {
+	v, _, ok := s.Lookup(context.Background(), kind, key)
+	return v, ok
+}
+
 func newTestSpool(t *testing.T) *Spool {
 	t.Helper()
 	s, err := New(t.TempDir(), WithLogf(t.Logf))
@@ -75,7 +82,7 @@ func TestTopologyRoundTripThroughSpool(t *testing.T) {
 	}
 
 	// Same process: Get decodes the file back.
-	v, ok := s.Get(registry.KindTopology, key)
+	v, ok := get(s, registry.KindTopology, key)
 	if !ok {
 		t.Fatal("spooled topology missed")
 	}
@@ -92,7 +99,7 @@ func TestTopologyRoundTripThroughSpool(t *testing.T) {
 	if s2.Len() != 1 {
 		t.Fatalf("fresh spool scanned %d entries, want 1", s2.Len())
 	}
-	v2, ok := s2.Get(registry.KindTopology, key)
+	v2, ok := get(s2, registry.KindTopology, key)
 	if !ok {
 		t.Fatal("fresh spool missed the scanned topology")
 	}
@@ -101,10 +108,10 @@ func TestTopologyRoundTripThroughSpool(t *testing.T) {
 	}
 
 	// Wrong kind and unknown keys miss.
-	if _, ok := s2.Get(registry.KindPlacement, key); ok {
+	if _, ok := get(s2, registry.KindPlacement, key); ok {
 		t.Fatal("topology key served as a placement")
 	}
-	if _, ok := s2.Get(registry.KindTopology, key+"x"); ok {
+	if _, ok := get(s2, registry.KindTopology, key+"x"); ok {
 		t.Fatal("unknown key hit")
 	}
 }
@@ -133,7 +140,7 @@ func TestPlacementSidecarRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	v, ok := s2.Get(registry.KindPlacement, pk)
+	v, ok := get(s2, registry.KindPlacement, pk)
 	if !ok {
 		t.Fatal("spooled placement missed")
 	}
@@ -172,7 +179,7 @@ func TestScanSkipsUndecodableFiles(t *testing.T) {
 	// A torn description file (valid header, truncated body).
 	tornKey := registry.TopoKey("Ivy", 2, opt)
 	torn := fmt.Sprintf("#key %s\nmctop 1\nname Ivy\ncontexts 16\n", tornKey)
-	if err := os.WriteFile(filepath.Join(dir, fileName(tornKey, topoExt)), []byte(torn), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, fileName(tornKey, registry.KindTopology)), []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// A file with no key header.
@@ -204,12 +211,12 @@ func TestScanSkipsUndecodableFiles(t *testing.T) {
 		t.Fatal("stale temp file survived the scan")
 	}
 	// The good entry still serves.
-	if _, ok := s.Get(registry.KindTopology, good); !ok {
+	if _, ok := get(s, registry.KindTopology, good); !ok {
 		t.Fatal("good entry lost among the junk")
 	}
 	// The torn entry scanned (its header is fine) but degrades to a miss
 	// at read time, with an error counted.
-	if _, ok := s.Get(registry.KindTopology, tornKey); ok {
+	if _, ok := get(s, registry.KindTopology, tornKey); ok {
 		t.Fatal("torn description file served a topology")
 	}
 	st := s.Stats()[0]
@@ -225,7 +232,7 @@ func TestTieredWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	opt := mctopalg.Options{Reps: 51}
 	var inferences atomic.Int64
-	infer := func(platform string, seed uint64, o mctopalg.Options) (*topo.Topology, error) {
+	infer := func(_ context.Context, platform string, seed uint64, o mctopalg.Options) (*topo.Topology, error) {
 		inferences.Add(1)
 		p, err := sim.ByName(platform)
 		if err != nil {
@@ -249,18 +256,18 @@ func TestTieredWarmStart(t *testing.T) {
 		}
 		t.Cleanup(func() { sp.Close() })
 		return registry.New(registry.Options{
-			Infer: infer,
-			Store: registry.NewTiered(registry.NewLRU(64, 0), sp),
+			InferCtx: infer,
+			Store:    registry.NewTiered(registry.NewLRU(64, 0), sp),
 		})
 	}
 
 	// Process 1: infer, place, flush.
 	r1 := newReg()
-	top1, err := r1.Topology("Ivy", 42, opt)
+	top1, err := r1.TopologyContext(context.Background(), "Ivy", 42, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl1, err := r1.Place("Ivy", 42, opt, "CON_HWC", 30)
+	pl1, err := r1.PlaceContext(context.Background(), "Ivy", 42, opt, "CON_HWC", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +280,11 @@ func TestTieredWarmStart(t *testing.T) {
 
 	// Process 2: fresh LRU, same spool dir — zero inferences.
 	r2 := newReg()
-	pl2, err := r2.Place("Ivy", 42, opt, "CON_HWC", 30)
+	pl2, err := r2.PlaceContext(context.Background(), "Ivy", 42, opt, "CON_HWC", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top2, err := r2.Topology("Ivy", 42, opt)
+	top2, err := r2.TopologyContext(context.Background(), "Ivy", 42, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +303,7 @@ func TestTieredWarmStart(t *testing.T) {
 
 	// The warm topology was promoted into the LRU tier: a re-read is a
 	// pure memory hit returning the same instance.
-	again, err := r2.Topology("Ivy", 42, opt)
+	again, err := r2.TopologyContext(context.Background(), "Ivy", 42, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +336,7 @@ func TestSpoolConcurrent(t *testing.T) {
 				case 0:
 					s.Put(registry.KindTopology, key, top)
 				case 1:
-					s.Get(registry.KindTopology, key)
+					get(s, registry.KindTopology, key)
 				case 2:
 					s.Flush()
 				}
@@ -366,7 +373,7 @@ func TestPurgeRemovesFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, de := range des {
-		if strings.HasSuffix(de.Name(), topoExt) || strings.HasSuffix(de.Name(), placeExt) {
+		if strings.HasSuffix(de.Name(), registry.KindTopology.Ext()) || strings.HasSuffix(de.Name(), registry.KindPlacement.Ext()) {
 			t.Fatalf("purge left %s behind", de.Name())
 		}
 	}

@@ -52,10 +52,6 @@
 //	top, err := reg.TopologyContext(ctx, "Ivy", 42, opt)
 //	pl, err := reg.PlaceContext(ctx, "Ivy", 42, opt, "RR_CORE", 8)
 //
-// The pre-redesign facade (InferPlatform, Place, string-keyed policies,
-// the raw Options struct) is kept below as thin deprecated shims over the
-// new API; see README.md for the migration table.
-//
 // The heavy lifting lives in the internal packages:
 //
 //   - internal/sim       — deterministic simulators of the paper's five
@@ -131,52 +127,12 @@ type Options = mctopalg.Options
 // WithSamplingParams.
 type SamplingOptions = mctopalg.SamplingOptions
 
-// InferPlatform simulates one of the paper's machines with the given noise
-// seed, runs MCTOP-ALG on it, enriches the result with all four plugins,
-// and returns the topology.
-//
-// Deprecated: use Infer, which takes a context and functional options.
-func InferPlatform(name string, seed uint64) (*Topology, error) {
-	t, _, err := InferPlatformDetailed(name, seed, Options{Reps: 201})
-	return t, err
-}
-
-// InferPlatformDetailed is InferPlatform with explicit options and access
-// to the intermediate artifacts (the latency table, clusters, normalized
-// table — everything Figure 6 shows).
-//
-// Deprecated: use InferDetailed, which takes a context and functional
-// options.
-func InferPlatformDetailed(name string, seed uint64, opt Options) (*Topology, *InferResult, error) {
-	return inferPlatform(context.Background(), name, seed, opt)
-}
-
-// InferHost runs MCTOP-ALG on the real host, best effort (see
-// InferHostContext, which this delegates to with a background context).
-func InferHost(opt Options) (*Topology, *InferResult, error) {
-	return inferHost(context.Background(), opt)
-}
-
 // Load reads a topology from an MCTOP description file.
 func Load(path string) (*Topology, error) { return topo.LoadFile(path) }
 
 // Save writes a topology's description file ("created once, then used to
 // load the topology", Section 2).
 func Save(path string, t *Topology) error { return topo.SaveFile(path, t) }
-
-// Place builds a thread placement using one of the 12 policies of Table 2,
-// named as in the paper (e.g. "CON_HWC", "RR_CORE", "POWER"); nThreads = 0
-// uses every context the policy allows.
-//
-// Deprecated: use NewAlloc with a typed Policy (ResolvePolicy turns a name
-// into one), which also supports combinators and custom policies.
-func Place(t *Topology, policy string, nThreads int) (*Placement, error) {
-	pol, err := place.Resolve(policy)
-	if err != nil {
-		return nil, err
-	}
-	return place.NewFrom(t, pol, place.Options{NThreads: nThreads})
-}
 
 // PolicyNames lists the 12 builtin placement policies.
 func PolicyNames() []string {
@@ -217,18 +173,19 @@ type Registry = registry.Registry
 // RegistryStats is a snapshot of a Registry's hit/miss/eviction counters.
 type RegistryStats = registry.Stats
 
-// PlaceRequest is one (policy, threads) pair of a Registry.PlaceBatch call:
+// PlaceRequest is one (policy, threads) pair of a Registry.PlaceBatchContext call:
 // many placement requests answered against a single topology lookup (what
 // mctopd's POST /v1/place/batch endpoint builds on).
 type PlaceRequest = registry.PlaceRequest
 
-// BatchResult is one Registry.PlaceBatch answer: a placement or the
+// BatchResult is one Registry.PlaceBatchContext answer: a placement or the
 // per-request error that produced none.
 type BatchResult = registry.BatchResult
 
 // Store is one cache tier of a Registry (see internal/registry): the
 // in-memory LRU every registry has, the description-file spool
-// (OpenSpool), or any custom tier. Tiers compose via WithSpoolDir /
+// (OpenSpool), the fleet tier (NewRemoteStore) or any custom tier — one
+// contract every tier implements in full. Tiers compose via WithSpoolDir /
 // WithStore into a read-through/write-through chain.
 type Store = registry.Store
 
@@ -383,18 +340,7 @@ func OpenSpool(dir string) (Store, error) {
 // OpenSpoolWithLimits is OpenSpool with the WithSpoolLimits bounds
 // (<= 0 = unlimited for either).
 func OpenSpoolWithLimits(dir string, maxBytes int64, maxAge time.Duration) (Store, error) {
-	return spool.New(dir, spoolLimitOptions(maxBytes, maxAge)...)
-}
-
-func spoolLimitOptions(maxBytes int64, maxAge time.Duration) []spool.Option {
-	var opts []spool.Option
-	if maxBytes > 0 {
-		opts = append(opts, spool.WithMaxBytes(maxBytes))
-	}
-	if maxAge > 0 {
-		opts = append(opts, spool.WithMaxAge(maxAge))
-	}
-	return opts
+	return spool.New(dir, spool.WithMaxBytes(maxBytes), spool.WithMaxAge(maxAge))
 }
 
 // NewRemoteStore creates the fleet tier: a read-only Store fetching
@@ -436,11 +382,8 @@ func NewRegistry(maxEntries int, opts ...RegistryOption) *Registry {
 	if c.store == nil && (c.spoolDir != "" || c.upstream != "") {
 		tiers := []Store{registry.NewLRU(maxEntries, 0)}
 		if c.spoolDir != "" {
-			sopts := spoolLimitOptions(c.spoolMaxBytes, c.spoolMaxAge)
-			if c.tracer.Enabled() {
-				sopts = append(sopts, spool.WithTracer(c.tracer))
-			}
-			sp, err := spool.New(c.spoolDir, sopts...)
+			sp, err := spool.New(c.spoolDir, spool.WithMaxBytes(c.spoolMaxBytes),
+				spool.WithMaxAge(c.spoolMaxAge), spool.WithTracer(c.tracer))
 			if err != nil {
 				panic(fmt.Sprintf("mctop: opening spool: %v", err))
 			}
@@ -470,10 +413,10 @@ func NewRegistry(maxEntries int, opts ...RegistryOption) *Registry {
 	})
 }
 
-// MustInfer is InferPlatform for examples and tests that cannot proceed
-// without a topology.
+// MustInfer is Infer for examples and tests that cannot proceed without a
+// topology.
 func MustInfer(name string, seed uint64) *Topology {
-	t, err := InferPlatform(name, seed)
+	t, err := Infer(context.Background(), name, seed)
 	if err != nil {
 		panic(fmt.Sprintf("mctop: inferring %s: %v", name, err))
 	}

@@ -1,6 +1,7 @@
 package mctop
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func TestPlatformsList(t *testing.T) {
 }
 
 func TestEndToEndIvy(t *testing.T) {
-	top, res, err := InferPlatformDetailed("Ivy", 5, Options{Reps: 51})
+	top, res, err := InferDetailed(context.Background(), "Ivy", 5, WithReps(51))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +43,14 @@ func TestEndToEndIvy(t *testing.T) {
 		t.Errorf("socket 0 cores = %d", len(cores))
 	}
 	// Placement facade.
-	pl, err := Place(top, "CON_HWC", 30)
+	alloc, err := NewAlloc(top, ConHWC, WithThreads(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.NCores() != 15 {
-		t.Errorf("Figure 7 cores = %d, want 15", pl.NCores())
+	if alloc.NumCores() != 15 {
+		t.Errorf("Figure 7 cores = %d, want 15", alloc.NumCores())
 	}
-	report := pl.String()
+	report := alloc.Report()
 	if !strings.Contains(report, "MCTOP_PLACE_CON_HWC") {
 		t.Error("placement report missing policy name")
 	}
@@ -75,8 +76,7 @@ func TestEndToEndIvy(t *testing.T) {
 }
 
 func TestPlaceErrors(t *testing.T) {
-	top := MustInfer("Ivy", 6)
-	if _, err := Place(top, "NO_SUCH_POLICY", 4); err == nil {
+	if _, err := ResolvePolicy("NO_SUCH_POLICY"); err == nil {
 		t.Error("unknown policy should fail")
 	}
 	if len(PolicyNames()) != 12 {
@@ -85,7 +85,7 @@ func TestPlaceErrors(t *testing.T) {
 }
 
 func TestInferUnknownPlatform(t *testing.T) {
-	if _, err := InferPlatform("VAX", 1); err == nil {
+	if _, err := Infer(context.Background(), "VAX", 1); err == nil {
 		t.Error("unknown platform should fail")
 	}
 }
