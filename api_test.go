@@ -177,12 +177,12 @@ func TestFunctionalOptionsHashStably(t *testing.T) {
 	if got := reg.Stats().Inferences; got != 1 {
 		t.Fatalf("inferences = %d, want 1 (parallelism must not change the key)", got)
 	}
-	// ForkedEnrich changes results and therefore the key.
-	if _, err := reg.TopologyContext(ctx, "Ivy", 42, mctop.NewOptions(mctop.WithReps(51), mctop.WithForkedEnrich())); err != nil {
+	// SkipMemoryProbe changes results and therefore the key.
+	if _, err := reg.TopologyContext(ctx, "Ivy", 42, mctop.NewOptions(mctop.WithReps(51), mctop.WithSkipMemoryProbe())); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Stats().Inferences; got != 2 {
-		t.Fatalf("inferences = %d, want 2 (forked enrich is part of the key)", got)
+		t.Fatalf("inferences = %d, want 2 (skip-memory-probe is part of the key)", got)
 	}
 }
 

@@ -1,10 +1,10 @@
 package mctop
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (see DESIGN.md for the experiment index and EXPERIMENTS.md for
-// recorded paper-vs-measured values). The full paper-style tables are
-// printed by cmd/mctop-bench; these benchmarks regenerate the same numbers
-// under `go test -bench` and expose the headline values as custom metrics.
+// evaluation. The full paper-style tables are printed by cmd/mctop-bench;
+// these benchmarks regenerate the same numbers under `go test -bench` and
+// expose the headline values as custom metrics. Committed performance
+// numbers come from bench/ (BENCHMARK.json), not from here.
 
 import (
 	"context"
@@ -265,7 +265,7 @@ func BenchmarkFig12_OpenMP(b *testing.B) {
 	b.ReportMetric(avg, "rel_time_avg")
 }
 
-// --- Ablation benchmarks (design choices called out in DESIGN.md) ---
+// --- Ablation benchmarks (design choices) ---
 
 // BenchmarkAblation_Clustering compares the gap-based clusterer against a
 // fixed-width bucketing alternative on the Opteron's tricky level set

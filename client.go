@@ -95,15 +95,7 @@ func inferPlatform(ctx context.Context, name string, seed uint64, opt Options) (
 	if err != nil {
 		return nil, nil, err
 	}
-	var enriched *Topology
-	if opt.ForkedEnrich {
-		// Fork-per-probe enrichment: deterministic for the seed and
-		// byte-identical for every Parallelism, like the measurement
-		// phase (see mctopalg.Options.ForkedEnrich for why it is opt-in).
-		enriched, err = plugins.EnrichForked(m, res.Topology, nil, opt.Parallelism)
-	} else {
-		enriched, err = plugins.Enrich(m, res.Topology, nil)
-	}
+	enriched, err := plugins.Enrich(m, res.Topology, nil)
 	if err != nil {
 		return nil, nil, err
 	}

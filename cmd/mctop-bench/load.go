@@ -37,7 +37,6 @@ func loadMain(args []string) int {
 		batch     = fs.Int("batch", 8, "items per batch/stream request")
 		threads   = fs.Int("max-threads", 16, "random per-request thread count upper bound")
 		seed      = fs.Int64("seed", 1, "RNG seed for a reproducible request sequence")
-		jsonOut   = fs.String("json", "", "also write the report as bench2json-shaped JSON to this file (for benchdelta)")
 		chaos     = fs.Bool("chaos", false,
 			"verify every 200 body against first-seen goldens and bound each request's duration: corrupt bytes or hangs fail the run (pair with a daemon started with -faults)")
 		chaosTO = fs.Duration("chaos-timeout", 15*time.Second, "per-request hang budget in -chaos mode")
@@ -94,19 +93,6 @@ func loadMain(args []string) int {
 		return 2
 	}
 	fmt.Print(rep.String())
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err == nil {
-			err = rep.WriteBenchJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mctop-bench load: writing %s: %v\n", *jsonOut, err)
-			return 2
-		}
-	}
 	if !rep.OK() {
 		return 1
 	}

@@ -3,11 +3,11 @@
 //   - `mctop-bench figures` (also the default with no subcommand, for
 //     compatibility) regenerates every table and figure of the MCTOP
 //     paper's evaluation (Section 7) on the simulated platforms and
-//     prints them as markdown — the source of EXPERIMENTS.md.
+//     prints them as markdown.
 //   - `mctop-bench load` is a closed-loop load generator against a live
 //     mctopd: N workers, a configurable route mix and warm/cold ratio,
-//     per-route p50/p95/p99 and SLO pass/fail, with -json emitting the
-//     bench2json document shape so cmd/benchdelta can diff runs.
+//     per-route p50/p95/p99 and SLO pass/fail (exit status 1 on a failed
+//     SLO).
 //
 // Usage:
 //
@@ -16,7 +16,7 @@
 //	                                       # sec35, fig7..fig12, ablations
 //	mctop-bench load -target http://127.0.0.1:8077 -workers 8 -duration 30s \
 //	    -mix topology=2,place=2,batch=1,stream=1 -cold 0.01 \
-//	    -slo-p99 /v1/place=50ms -json load.json
+//	    -slo-p99 /v1/place=50ms
 package main
 
 import (
@@ -334,7 +334,8 @@ func fig12() {
 		float64(fixed), float64(adaptive), 100*(1-float64(adaptive)/float64(fixed)))
 }
 
-// ablations: the design-choice benchmarks of DESIGN.md.
+// ablations: the design-choice benchmarks (BenchmarkAblation* in
+// bench_test.go).
 func ablations() {
 	header("Ablations")
 	// Merge tree.

@@ -87,6 +87,7 @@ func TestExportRejectsBadKeys(t *testing.T) {
 
 	opt := mctop.NewOptions(mctop.WithReps(51))
 	good := registry.TopoKey("Ivy", 42, opt)
+	forked := func(key string) string { return strings.Replace(key, ",fefalse,", ",fetrue,", 1) }
 	cases := []struct {
 		name   string
 		path   string
@@ -100,6 +101,12 @@ func TestExportRejectsBadKeys(t *testing.T) {
 		{"oversized reps", exportPath(registry.TopoKey("Ivy", 42, mctop.NewOptions(mctop.WithReps(99999)))), 400},
 		{"bad embedded topo key", exportPath("place|topo|junk|MCTOP_PLACE_RR_CORE|8"), 404},
 		{"unknown policy", exportPath("place|" + good + "|NO_SUCH_POLICY|8"), 404},
+		// The removed forked-enrichment bit: a fetrue key fails every
+		// parser with ErrInvalidRequest, which each kind maps as it maps
+		// any other key this daemon could never have emitted.
+		{"fetrue topology key", exportPath(forked(good)), 404},
+		{"fetrue placement key", exportPath("place|" + forked(good) + "|MCTOP_PLACE_RR_CORE|8"), 404},
+		{"fetrue mapping key", exportPath(forked(registry.MapKey("Ivy", 42, opt, graph.GenTaskDAG(graph.DAGParams{}, 7), 100))), 400},
 	}
 	for _, c := range cases {
 		resp, body := get(t, ts, c.path)

@@ -34,6 +34,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Canonical fault-point names. Points are plain strings — hosts may define
@@ -104,7 +106,7 @@ type rule struct {
 // injection is off.
 type Set struct {
 	mu       sync.Mutex
-	rng      uint64 // splitmix64 state
+	rngState uint64 // internal/rng stream state
 	rules    map[string][]*rule
 	disabled bool
 	// sleep implements Outcome.Delay; tests substitute an instant one.
@@ -115,9 +117,9 @@ type Set struct {
 // from seed.
 func New(seed uint64, faults ...Fault) *Set {
 	s := &Set{
-		rng:   seed*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15, // never zero
-		rules: make(map[string][]*rule),
-		sleep: sleepCtx,
+		rngState: seed*rng.Increment + rng.Increment, // never zero
+		rules:    make(map[string][]*rule),
+		sleep:    sleepCtx,
 	}
 	for _, f := range faults {
 		s.Add(f)
@@ -288,14 +290,10 @@ func (s *Set) Points() []string {
 	return out
 }
 
-// rand01 draws the next [0, 1) value from the seeded stream (splitmix64;
-// s.mu held).
+// rand01 draws the next [0, 1) value from the seeded stream (s.mu held).
 func (s *Set) rand01() float64 {
-	s.rng += 0x9E3779B97F4A7C15
-	z := s.rng
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
+	z := rng.Mix(s.rngState)
+	s.rngState += rng.Increment
 	return float64(z>>11) / (1 << 53)
 }
 

@@ -15,6 +15,8 @@ import (
 	"io"
 	"sort"
 	"strconv"
+
+	"repro/internal/rng"
 )
 
 // TaskNode is one task: ID is its position (IDs are dense, 0..N-1) and
@@ -248,7 +250,7 @@ func GenTaskDAG(p DAGParams, seed uint64) *TaskDAG {
 	ctr := seed
 	next := func() uint64 {
 		ctr++
-		return splitmix(ctr * 0x9E3779B97F4A7C15)
+		return rng.Mix(ctr * rng.Increment)
 	}
 	draw := func(lo, hi int64) int64 { // uniform in [lo, hi]
 		if hi <= lo {

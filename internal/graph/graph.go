@@ -10,6 +10,8 @@ package graph
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/rng"
 )
 
 // Graph is a compact CSR (compressed sparse row) directed graph; for the
@@ -54,16 +56,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-func splitmix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // GenPowerLaw builds a deterministic scale-free-ish graph with n nodes and
 // roughly avgDeg edges per node: half the endpoints are drawn uniformly,
 // half preferentially toward low node ids (a Zipf-like skew), mimicking the
@@ -79,7 +71,7 @@ func GenPowerLaw(n, avgDeg int, seed uint64) *Graph {
 	ctr := seed
 	next := func() uint64 {
 		ctr++
-		return splitmix(ctr * 0x9E3779B97F4A7C15)
+		return rng.Mix(ctr * rng.Increment)
 	}
 	for v := 0; v < n; v++ {
 		deg := avgDeg
@@ -323,7 +315,7 @@ func RandDegreeSampling(g *Graph, samples int, seed uint64, workers int) []int32
 	}
 	parallelNodes(samples, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			r := splitmix(seed + uint64(i)*0x9E3779B97F4A7C15)
+			r := rng.Mix(seed + uint64(i)*rng.Increment)
 			// Picking a uniform edge endpoint == degree-proportional node.
 			out[i] = g.Adj[r%uint64(len(g.Adj))]
 		}

@@ -1,9 +1,7 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -111,9 +109,9 @@ func TestRunCountsErrors(t *testing.T) {
 	}
 }
 
-// TestWriteBenchJSON asserts the emitted document decodes with the exact
-// struct shapes cmd/bench2json writes and cmd/benchdelta reads.
-func TestWriteBenchJSON(t *testing.T) {
+// TestReportString: the human report names every route and ends with the
+// SLO verdict.
+func TestReportString(t *testing.T) {
 	rep := &Report{
 		Target:     "http://x",
 		Workers:    2,
@@ -128,40 +126,15 @@ func TestWriteBenchJSON(t *testing.T) {
 				P50: time.Millisecond, P95: time.Millisecond, P99: time.Millisecond},
 		},
 	}
-	var buf bytes.Buffer
-	if err := rep.WriteBenchJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// The decoder below is cmd/benchdelta's document shape, verbatim.
-	var doc struct {
-		Results []struct {
-			Pkg     string  `json:"pkg"`
-			Name    string  `json:"name"`
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("benchdelta-shaped decode failed: %v", err)
-	}
-	if len(doc.Results) != 3 { // two routes + overall
-		t.Fatalf("got %d results, want 3", len(doc.Results))
-	}
-	byName := map[string]float64{}
-	for _, r := range doc.Results {
-		if r.Pkg != "cmd/mctop-bench" {
-			t.Errorf("result %q has pkg %q", r.Name, r.Pkg)
+	out := rep.String()
+	for _, want := range []string{RouteTopology, RoutePlace, "100 requests", "SLO: pass"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("human report missing %q:\n%s", want, out)
 		}
-		byName[r.Name] = r.NsPerOp
 	}
-	if byName["Load"+RouteTopology] != 2e6 {
-		t.Errorf("Load%s ns_per_op = %g, want 2e6", RouteTopology, byName["Load"+RouteTopology])
-	}
-	// Overall mean is request-weighted: (2ms*60 + 1ms*40) / 100 = 1.6ms.
-	if byName["LoadOverall"] != 1.6e6 {
-		t.Errorf("LoadOverall ns_per_op = %g, want 1.6e6", byName["LoadOverall"])
-	}
-	if !strings.Contains(rep.String(), "SLO: pass") {
-		t.Errorf("human report missing SLO line:\n%s", rep.String())
+	rep.SLOFailures = []string{"error rate 0.01 > 0"}
+	if out := rep.String(); !strings.Contains(out, "SLO FAIL: error rate 0.01 > 0") {
+		t.Errorf("human report missing the SLO failure:\n%s", out)
 	}
 }
 

@@ -1,14 +1,9 @@
 package loadgen
 
-// Report rendering: a human table for terminals, and the bench2json
-// document shape for machines — `mctop-bench load -json` output feeds the
-// same cmd/benchdelta comparisons as the microbenchmark JSON, so a load
-// regression gates CI exactly like an ns/op regression.
+// Report rendering: the human table `mctop-bench load` prints.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 )
@@ -55,77 +50,4 @@ func round(d time.Duration) time.Duration {
 	default:
 		return d.Round(100 * time.Nanosecond)
 	}
-}
-
-// benchResult mirrors cmd/bench2json's Result so benchdelta can diff a
-// load run against a previous one by (pkg, name) on ns_per_op.
-type benchResult struct {
-	Pkg     string             `json:"pkg,omitempty"`
-	Name    string             `json:"name"`
-	Iters   int64              `json:"iterations"`
-	NsPerOp float64            `json:"ns_per_op,omitempty"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-type benchDocument struct {
-	Results []benchResult `json:"results"`
-}
-
-// WriteBenchJSON emits the run in the bench2json document shape: one
-// result per route named "Load<route>", ns_per_op = mean latency, with
-// the tail and error data as custom metrics.
-func (r *Report) WriteBenchJSON(w io.Writer) error {
-	doc := benchDocument{}
-	for _, rs := range r.Routes {
-		doc.Results = append(doc.Results, benchResult{
-			Pkg:     "cmd/mctop-bench",
-			Name:    "Load" + rs.Route,
-			Iters:   rs.Requests,
-			NsPerOp: float64(rs.Mean.Nanoseconds()),
-			Metrics: map[string]float64{
-				"p50_ms":  ms(rs.P50),
-				"p95_ms":  ms(rs.P95),
-				"p99_ms":  ms(rs.P99),
-				"errors":  float64(rs.Errors),
-				"rps_est": perSec(rs.Requests, r.Elapsed),
-			},
-		})
-	}
-	doc.Results = append(doc.Results, benchResult{
-		Pkg:     "cmd/mctop-bench",
-		Name:    "LoadOverall",
-		Iters:   r.Requests,
-		NsPerOp: weightedMeanNs(r),
-		Metrics: map[string]float64{
-			"rps":     r.Throughput,
-			"errors":  float64(r.Errors),
-			"corrupt": float64(r.Corrupt),
-			"hangs":   float64(r.Hangs),
-		},
-	})
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-func perSec(n int64, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(n) / elapsed.Seconds()
-}
-
-func weightedMeanNs(r *Report) float64 {
-	var sum float64
-	var n int64
-	for _, rs := range r.Routes {
-		sum += float64(rs.Mean.Nanoseconds()) * float64(rs.Requests)
-		n += rs.Requests
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

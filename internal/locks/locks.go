@@ -15,6 +15,7 @@
 package locks
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/topo"
@@ -62,8 +63,16 @@ func pause(n int64) {
 	}
 }
 
-// wait applies the backoff for the given queue position (1 = next in line).
-func (b Backoff) wait(position int64) {
+// yieldEvery is the number of consecutive failed probes after which a
+// waiter yields its P. A goroutine spinlock cannot assume the holder is
+// running: with more goroutines than Ps the holder (or, for a ticket lock,
+// the next in line) may be sitting in the run queue behind the spinners,
+// and without a yield every such hand-off waits for async preemption.
+const yieldEvery = 32
+
+// wait applies the backoff for the given queue position (1 = next in line)
+// after the failed-th consecutive failed probe (counted from 1).
+func (b Backoff) wait(position int64, failed int) {
 	q := b.Quantum
 	if q <= 0 {
 		q = 35 // baseline: one pause-instruction-sized breath
@@ -72,6 +81,9 @@ func (b Backoff) wait(position int64) {
 		q *= position
 	}
 	pause(q)
+	if failed%yieldEvery == 0 {
+		runtime.Gosched()
+	}
 }
 
 // TAS is a test-and-set spinlock: every probe is an atomic exchange.
@@ -84,8 +96,8 @@ var _ Lock = (*TAS)(nil)
 
 // Lock acquires the lock, backing off after every failed probe.
 func (l *TAS) Lock() {
-	for !atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-		l.Backoff.wait(1)
+	for failed := 1; !atomic.CompareAndSwapInt32(&l.state, 0, 1); failed++ {
+		l.Backoff.wait(1, failed)
 	}
 }
 
@@ -105,12 +117,12 @@ var _ Lock = (*TTAS)(nil)
 
 // Lock acquires the lock.
 func (l *TTAS) Lock() {
-	for {
+	for failed := 1; ; failed++ {
 		if atomic.LoadInt32(&l.state) == 0 &&
 			atomic.CompareAndSwapInt32(&l.state, 0, 1) {
 			return
 		}
-		l.Backoff.wait(1)
+		l.Backoff.wait(1, failed)
 	}
 }
 
@@ -135,12 +147,12 @@ var _ Lock = (*Ticket)(nil)
 // Lock acquires the lock in FIFO order.
 func (l *Ticket) Lock() {
 	my := atomic.AddInt64(&l.next, 1) - 1
-	for {
+	for failed := 1; ; failed++ {
 		cur := atomic.LoadInt64(&l.grant)
 		if cur == my {
 			return
 		}
-		l.Backoff.wait(my - cur)
+		l.Backoff.wait(my-cur, failed)
 	}
 }
 

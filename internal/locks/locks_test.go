@@ -1,6 +1,8 @@
 package locks
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -36,6 +38,22 @@ func TestMutualExclusionAllAlgorithms(t *testing.T) {
 			l := New(alg, Backoff{Quantum: quantum})
 			t.Run(alg.String(), func(t *testing.T) {
 				mutualExclusion(t, l, 8, 2000)
+			})
+		}
+	}
+}
+
+// TestOversubscribedHandOff: with four goroutines per P the holder — or the
+// next ticket in line — is usually not running, so every hand-off depends
+// on the spinners yielding. Without the yield in Backoff.wait this takes
+// minutes under -race (one async preemption per hand-off); with it,
+// seconds.
+func TestOversubscribedHandOff(t *testing.T) {
+	workers := 4 * runtime.GOMAXPROCS(0)
+	for _, alg := range Algorithms() {
+		for _, quantum := range []int64{0, 300} {
+			t.Run(fmt.Sprintf("%s/q%d", alg, quantum), func(t *testing.T) {
+				mutualExclusion(t, New(alg, Backoff{Quantum: quantum}), workers, 500)
 			})
 		}
 	}

@@ -245,7 +245,7 @@ func TestFig10Shape(t *testing.T) {
 	// Paper: 17% average improvement (rel time ~0.83). Our model is more
 	// conservative — stock Metis' sequential all-context pinning is close
 	// to optimal for several workload/platform pairs — so accept any
-	// clearly-positive average gain (see EXPERIMENTS.md for the numbers).
+	// clearly-positive average gain.
 	if avg > 0.97 || avg < 0.55 {
 		t.Errorf("average rel time = %.3f, want < 0.97 (paper: 0.83)", avg)
 	}

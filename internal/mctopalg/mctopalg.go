@@ -61,20 +61,10 @@ type Options struct {
 	// parent's single noise stream.
 	Parallelism int
 	// Sampling configures the sub-O(N²) sampled measurement mode for large
-	// Forker machines (see sampled.go). Like ForkedEnrich — and unlike
-	// Parallelism — it can in principle select different (fallback) work,
-	// so it is part of the registry's cache key.
+	// Forker machines (see sampled.go). Unlike Parallelism it can in
+	// principle select different (fallback) work, so it is part of the
+	// registry's cache key.
 	Sampling SamplingOptions
-	// ForkedEnrich selects the fork-per-probe plugin enrichment phase
-	// (plugins.EnrichForked) at the facade level — Infer itself never
-	// reads it. Deterministic for a fixed seed and independent of
-	// Parallelism, but its probes observe per-probe noise streams, so the
-	// enriched values differ from the sequential default by the noise
-	// amplitude — which is why it is opt-in: description files and golden
-	// fixtures are generated with sequential enrichment. Unlike
-	// Parallelism, this option changes results and is therefore part of
-	// the registry's cache key.
-	ForkedEnrich bool
 }
 
 // DefaultOptions returns the paper's default parameters.

@@ -62,9 +62,8 @@ func TestMeasurePairSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkMeasurePair is the per-pair cost of step 1's inner loop; its
-// allocs/op riding BENCH_ci.json keeps the zero-allocation property under
-// the CI benchmark gate as well.
+// BenchmarkMeasurePair is the per-pair cost of step 1's inner loop (the
+// zero-allocation property itself is pinned by the test above).
 func BenchmarkMeasurePair(b *testing.B) {
 	fm, x, y, opt, sc := forkedPairFixture(b)
 	overhead := sc.rdtscOverhead(x)

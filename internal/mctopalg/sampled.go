@@ -341,7 +341,7 @@ func probeIndices(bp []ctxPair, v int) []int {
 	idx := []int{0, len(bp) - 1}
 	h := uint64(bp[0].x)<<32 | uint64(bp[0].y)
 	for len(idx) < v+1 && len(idx) < len(bp) {
-		h = splitmix64(h)
+		h = probeMix(h)
 		cand := int(h % uint64(len(bp)))
 		if !slices.Contains(idx, cand) {
 			idx = append(idx, cand)
@@ -351,9 +351,11 @@ func probeIndices(bp []ctxPair, v int) []int {
 	return idx
 }
 
-// splitmix64 is the SplitMix64 mixing function (public domain; same stream
-// derivation the simulator uses for per-pair noise seeds).
-func splitmix64(x uint64) uint64 {
+// probeMix has SplitMix64's shape but not its last multiplier, so it is not
+// internal/rng's Mix and cannot be replaced by it: its outputs choose the
+// interior verification probes, i.e. which pairs are measured, and the
+// exact ledger rows (pairs_measured, sim_cycles) are pinned to that choice.
+func probeMix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	z := x
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -201,8 +201,8 @@ func TestSampledGroundTruthGenerated(t *testing.T) {
 
 // TestSampledSpeedupBar pins the headline claim at the 1024-context scale:
 // the sampled mode must measure at most a tenth of the N(N-1)/2 pairs the
-// exhaustive mode would. (The wall-clock counterpart lives in
-// BenchmarkInferSampled1024 and is gated in CI by benchdelta.)
+// exhaustive mode would. (The wall-clock counterpart is
+// BenchmarkInferSampled1024, and bench/'s cold_sampled_ms.)
 func TestSampledSpeedupBar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-context inference in -short mode")
@@ -275,8 +275,7 @@ func benchmarkInfer(b *testing.B, name string, sampled bool) {
 
 // The size sweep behind the >=10x cold-inference speedup claim. The 256-
 // context pair shows the crossover region; at 1024 contexts sampled must
-// win by an order of magnitude (compare the two 1024 results in
-// BENCH_ci.json).
+// win by an order of magnitude (compare the two 1024 results).
 func BenchmarkInferExhaustive256(b *testing.B)  { benchmarkInfer(b, "gen:circulant:s16:c8:t1", false) }
 func BenchmarkInferSampled256(b *testing.B)     { benchmarkInfer(b, "gen:circulant:s16:c8:t1", true) }
 func BenchmarkInferExhaustive1024(b *testing.B) { benchmarkInfer(b, "gen:circulant:s64:c8:t2", false) }

@@ -11,10 +11,7 @@ package plugins
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/stats"
@@ -46,25 +43,19 @@ func All() []Plugin {
 	return []Plugin{MemLatency{}, MemBandwidth{}, Cache{}, Power{}}
 }
 
-// The three measurement-heavy plugins run fork-per-probe under
-// EnrichForked; Power stays sequential (its probes are closed-form model
-// reads, not timed measurements).
-var (
-	_ ForkedPlugin = MemLatency{}
-	_ ForkedPlugin = MemBandwidth{}
-	_ ForkedPlugin = Cache{}
-)
-
-// enrich runs each plugin (All() if ps is nil) through run, skipping
-// unsupported ones, and rebuilds the topology from the enriched spec — the
-// loop both Enrich and EnrichForked share.
-func enrich(t *topo.Topology, ps []Plugin, run func(Plugin, *topo.Spec) error) (*topo.Topology, error) {
+// Enrich runs the given plugins (All() if nil) over a topology and returns
+// the enriched, rebuilt topology. Unsupported plugins are skipped. Probes
+// run sequentially through the machine's single noise stream — the
+// behavior every description file, spool entry and golden fixture was
+// generated with. There is deliberately no parallel variant: the whole
+// phase is a millisecond or two, well under 1 % of a cold inference.
+func Enrich(m machine.Machine, t *topo.Topology, ps []Plugin) (*topo.Topology, error) {
 	if ps == nil {
 		ps = All()
 	}
 	spec := t.Spec()
 	for _, p := range ps {
-		err := run(p, &spec)
+		err := p.Run(m, t, &spec)
 		if err == nil {
 			continue
 		}
@@ -74,110 +65,6 @@ func enrich(t *topo.Topology, ps []Plugin, run func(Plugin, *topo.Spec) error) (
 		return nil, fmt.Errorf("plugins: %s: %w", p.Name(), err)
 	}
 	return topo.FromSpec(spec)
-}
-
-// Enrich runs the given plugins (All() if nil) over a topology and returns
-// the enriched, rebuilt topology. Unsupported plugins are skipped. Probes
-// run sequentially through the parent machine's single noise stream — the
-// behavior description files were generated with.
-func Enrich(m machine.Machine, t *topo.Topology, ps []Plugin) (*topo.Topology, error) {
-	return enrich(t, ps, func(p Plugin, spec *topo.Spec) error {
-		return p.Run(m, t, spec)
-	})
-}
-
-// ForkedPlugin is the optional extension implemented by plugins whose
-// probes can run on independent machine forks (the same pattern as
-// MCTOP-ALG's parallel measurement phase: workers only decide when a probe
-// runs, never what it observes).
-type ForkedPlugin interface {
-	Plugin
-	// RunForked is Run with every probe measured on its own fork, fanned
-	// out over the given worker count (<= 0 means GOMAXPROCS).
-	RunForked(fk machine.Forker, m machine.Machine, t *topo.Topology, spec *topo.Spec, workers int) error
-}
-
-// Probe-stream tags: each forked probe observes the noise stream derived
-// from (seed, tag+plugin, probe index). The base is far above any real
-// context id, so probe streams never collide with MCTOP-ALG's per-pair
-// measurement streams (which use ForkPair(x, y) with context ids).
-const (
-	probeTagMemLat = 1<<20 + iota
-	probeTagMemBW
-	probeTagCache
-)
-
-// EnrichForked is Enrich with the probes of fork-capable plugins measured
-// on independent forks over a bounded worker pool. For a fixed machine seed
-// the result is deterministic and byte-identical for every worker count —
-// each probe's noise stream is a pure function of (seed, plugin, probe) and
-// results merge in canonical probe order — but it differs from Enrich's
-// (equally valid) measurements by the noise amplitude, because Enrich's
-// probes share the parent machine's one sequential stream. Description
-// files and golden fixtures are generated with Enrich; opt in to
-// EnrichForked where enrichment latency matters more than byte-stability
-// against those fixtures. Machines without machine.Forker fall back to
-// Enrich, as do plugins without RunForked.
-func EnrichForked(m machine.Machine, t *topo.Topology, ps []Plugin, workers int) (*topo.Topology, error) {
-	fk, ok := m.(machine.Forker)
-	if !ok {
-		return Enrich(m, t, ps)
-	}
-	return enrich(t, ps, func(p Plugin, spec *topo.Spec) error {
-		if fp, ok := p.(ForkedPlugin); ok {
-			return fp.RunForked(fk, m, t, spec, workers)
-		}
-		return p.Run(m, t, spec)
-	})
-}
-
-// forkProbes runs n independent probes over a bounded worker pool, probe i
-// on the fork ForkPair(tag, i), and returns the results in probe order. Any
-// probe error fails the whole run (and stops scheduling further probes).
-func forkProbes[T any](fk machine.Forker, tag, n, workers int, probe func(m machine.Machine, i int) (T, error)) ([]T, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	out := make([]T, n)
-	errs := make([]error, n)
-	var next int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				fm, err := fk.ForkPair(tag, i)
-				if err == nil {
-					out[i], err = probe(fm, i)
-				}
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }
 
 // repCtx returns a representative hardware context of each socket (its
@@ -255,43 +142,6 @@ func (p MemLatency) Run(m machine.Machine, t *topo.Topology, spec *topo.Spec) er
 				return prober.MemRandomAccess(th, n, chunk)
 			}, probes)
 		}
-	}
-	spec.MemLat = lat
-	return nil
-}
-
-// RunForked implements ForkedPlugin: one fork per (socket, node) probe.
-func (p MemLatency) RunForked(fk machine.Forker, m machine.Machine, t *topo.Topology, spec *topo.Spec, workers int) error {
-	if _, ok := m.(machine.MemoryProber); !ok {
-		return ErrUnsupported{p.Name()}
-	}
-	probes := p.Probes
-	if probes <= 0 {
-		probes = 512
-	}
-	reps := repCtx(t)
-	nN := t.NumNodes()
-	vals, err := forkProbes(fk, probeTagMemLat, len(reps)*nN, workers, func(fm machine.Machine, i int) (int64, error) {
-		prober, ok := fm.(machine.MemoryProber)
-		if !ok {
-			return 0, fmt.Errorf("fork of %s does not support memory probes", m.Name())
-		}
-		s, n := i/nN, i%nN
-		th, err := fm.NewThread(reps[s])
-		if err != nil {
-			return 0, err
-		}
-		dvfsWait(fm, th)
-		return medianOfChunks(16, func(chunk int) int64 {
-			return prober.MemRandomAccess(th, n, chunk)
-		}, probes), nil
-	})
-	if err != nil {
-		return err
-	}
-	lat := make([][]int64, len(reps))
-	for s := range lat {
-		lat[s] = vals[s*nN : (s+1)*nN]
 	}
 	spec.MemLat = lat
 	return nil
@@ -387,50 +237,6 @@ func (p MemBandwidth) Run(m machine.Machine, t *topo.Topology, spec *topo.Spec) 
 	return nil
 }
 
-// RunForked implements ForkedPlugin: one fork per (socket, node) sweep. The
-// simulator's streaming model is noise-free, so forked and sequential
-// bandwidth measurements agree exactly; forking still buys the wall-clock
-// fan-out on large machines (Westmere: 8 sockets × 8 nodes).
-func (p MemBandwidth) RunForked(fk machine.Forker, m machine.Machine, t *topo.Topology, spec *topo.Spec, workers int) error {
-	if _, ok := m.(machine.MemoryProber); !ok {
-		return ErrUnsupported{p.Name()}
-	}
-	nN := t.NumNodes()
-	sockets := t.Sockets()
-	local0 := sockets[0].Local.ID
-	type bwProbe struct {
-		best float64
-		core float64 // single-core streaming BW, only from the (0, local0) probe
-	}
-	vals, err := forkProbes(fk, probeTagMemBW, len(sockets)*nN, workers, func(fm machine.Machine, i int) (bwProbe, error) {
-		prober, ok := fm.(machine.MemoryProber)
-		if !ok {
-			return bwProbe{}, fmt.Errorf("fork of %s does not support memory probes", m.Name())
-		}
-		s, n := i/nN, i%nN
-		ctxs := streamCtxs(t, sockets[s])
-		out := bwProbe{best: saturatedBW(prober, ctxs, n)}
-		if s == 0 && n == local0 && len(ctxs) > 0 {
-			out.core = prober.StreamBandwidth(ctxs[:1], local0)
-		}
-		return out, nil
-	})
-	if err != nil {
-		return err
-	}
-	bw := make([][]float64, len(sockets))
-	for s := range bw {
-		bw[s] = make([]float64, nN)
-		for n := 0; n < nN; n++ {
-			bw[s][n] = vals[s*nN+n].best
-		}
-	}
-	spec.StreamCoreBW = vals[local0].core
-	spec.MemBW = bw
-	fillSocketBW(t, bw, spec)
-	return nil
-}
-
 // Cache estimates the latency and size of the cache hierarchy by timing
 // dependent loads over growing working sets and detecting the latency
 // steps; it also "loads and includes the cache sizes from the operating
@@ -508,40 +314,6 @@ func (p Cache) Run(m machine.Machine, t *topo.Topology, spec *topo.Spec) error {
 			return prober.CacheWorkingSetLoads(th, ws, chunk)
 		}, loads)
 	}
-	spec.Cache = cacheInfoFromSweep(sizes, lats, prober)
-	return nil
-}
-
-// RunForked implements ForkedPlugin: one fork per working-set size.
-func (p Cache) RunForked(fk machine.Forker, m machine.Machine, t *topo.Topology, spec *topo.Spec, workers int) error {
-	prober, ok := m.(machine.MemoryProber)
-	if !ok {
-		return ErrUnsupported{p.Name()}
-	}
-	loads := p.Loads
-	if loads <= 0 {
-		loads = 256
-	}
-	sizes := cacheSweepSizes()
-	lats, err := forkProbes(fk, probeTagCache, len(sizes), workers, func(fm machine.Machine, i int) (int64, error) {
-		fprober, ok := fm.(machine.MemoryProber)
-		if !ok {
-			return 0, fmt.Errorf("fork of %s does not support memory probes", m.Name())
-		}
-		th, err := fm.NewThread(0)
-		if err != nil {
-			return 0, err
-		}
-		dvfsWait(fm, th)
-		return medianOfChunks(16, func(chunk int) int64 {
-			return fprober.CacheWorkingSetLoads(th, sizes[i], chunk)
-		}, loads), nil
-	})
-	if err != nil {
-		return err
-	}
-	// Step detection runs on the merged sweep; the OS-reported sizes come
-	// from the parent prober (they are static data, not a measurement).
 	spec.Cache = cacheInfoFromSweep(sizes, lats, prober)
 	return nil
 }

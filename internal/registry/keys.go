@@ -8,14 +8,17 @@ package registry
 // registry can answer. Both parsers are strict: a key that does not
 // re-serialize to the exact input is rejected, so a malformed or
 // differently-normalized key can never alias another configuration's
-// cache entry.
+// cache entry. Every failure wraps mctoperr.ErrInvalidRequest, like
+// ParseMapKey's.
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"repro/internal/mctopalg"
+	"repro/internal/mctoperr"
 )
 
 // ParseTopoKey inverts TopoKey: it recovers the platform, seed and
@@ -24,7 +27,8 @@ import (
 // any other key is an error.
 func ParseTopoKey(key string) (platform string, seed uint64, opt mctopalg.Options, err error) {
 	fail := func(format string, args ...any) (string, uint64, mctopalg.Options, error) {
-		return "", 0, mctopalg.Options{}, fmt.Errorf("registry: bad topology key %q: %s", key, fmt.Sprintf(format, args...))
+		return "", 0, mctopalg.Options{}, fmt.Errorf("%w: bad topology key %q: %s",
+			mctoperr.ErrInvalidRequest, key, fmt.Sprintf(format, args...))
 	}
 	rest, ok := strings.CutPrefix(key, topoPrefix)
 	if !ok {
@@ -75,7 +79,14 @@ func ParseTopoKey(key string) (platform string, seed uint64, opt mctopalg.Option
 		{6, "cm", func(v string) error { n, e := strconv.Atoi(v); opt.Cluster.MaxClusters = n; return e }},
 		{7, "su", func(v string) error { n, e := strconv.ParseInt(v, 10, 64); opt.SpinUnit = n; return e }},
 		{8, "smp", func(v string) error { b, e := strconv.ParseBool(v); opt.SkipMemoryProbe = b; return e }},
-		{9, "fe", func(v string) error { b, e := strconv.ParseBool(v); opt.ForkedEnrich = b; return e }},
+		{9, "fe", func(v string) error {
+			// The forked-enrichment mode this bit selected was removed;
+			// TopoKey emits the constant, and only the constant resolves.
+			if v != "false" {
+				return errors.New("forked enrichment was removed, only fefalse resolves")
+			}
+			return nil
+		}},
 		{10, "se", func(v string) error { b, e := strconv.ParseBool(v); opt.Sampling.Enabled = b; return e }},
 		{11, "sp", func(v string) error { n, e := strconv.Atoi(v); opt.Sampling.Pilots = n; return e }},
 		{12, "smc", func(v string) error { n, e := strconv.Atoi(v); opt.Sampling.MinContexts = n; return e }},
@@ -106,7 +117,8 @@ func ParseTopoKey(key string) (platform string, seed uint64, opt mctopalg.Option
 // rejected by that check.
 func ParsePlaceKey(key string) (topoK string, policy string, nThreads int, err error) {
 	fail := func(format string, args ...any) (string, string, int, error) {
-		return "", "", 0, fmt.Errorf("registry: bad placement key %q: %s", key, fmt.Sprintf(format, args...))
+		return "", "", 0, fmt.Errorf("%w: bad placement key %q: %s",
+			mctoperr.ErrInvalidRequest, key, fmt.Sprintf(format, args...))
 	}
 	rest, ok := strings.CutPrefix(key, placePrefix)
 	if !ok {

@@ -1,12 +1,19 @@
 package registry
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/mctopalg"
+	"repro/internal/mctoperr"
 	"repro/internal/place"
 )
+
+// fetrue rewrites a key to claim the removed forked-enrichment bit
+// (position 9 of the option block): TopoKey only ever emits fefalse there,
+// and nothing else resolves.
+func fetrue(key string) string { return strings.Replace(key, ",fefalse,", ",fetrue,", 1) }
 
 func TestParseTopoKeyRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -18,7 +25,6 @@ func TestParseTopoKeyRoundTrip(t *testing.T) {
 		{"Ivy", 42, mctopalg.DefaultOptions()},
 		{"SPARC", 0, mctopalg.Options{Reps: 201}},
 		{"Westmere", 18446744073709551615, mctopalg.Options{Reps: 51, SkipMemoryProbe: true}},
-		{"Haswell", 7, mctopalg.Options{Reps: 201, ForkedEnrich: true}},
 		{"a|weird|name", 1, mctopalg.Options{Reps: 11}}, // '|' in the platform survives
 		{"gen:circulant:s64:c8:t2", 3, mctopalg.Options{Sampling: mctopalg.SamplingOptions{Enabled: true}}},
 		{"gen:mesh:s25:c2:t2:v7", 5, mctopalg.Options{
@@ -59,10 +65,15 @@ func TestParseTopoKeyRejectsMalformed(t *testing.T) {
 		strings.Replace(good, "r", "R", 1), // wrong tag
 		good[:strings.Index(good, ",se")],  // pre-sampling 10-field key must not resolve
 		"topo||42|" + good[strings.LastIndexByte(good, '|')+1:], // empty platform
+		fetrue(good),
 	}
 	for _, key := range bad {
-		if _, _, _, err := ParseTopoKey(key); err == nil {
+		_, _, _, err := ParseTopoKey(key)
+		if err == nil {
 			t.Fatalf("ParseTopoKey(%q) accepted a malformed key", key)
+		}
+		if !errors.Is(err, mctoperr.ErrInvalidRequest) {
+			t.Fatalf("ParseTopoKey(%q) error %v does not wrap ErrInvalidRequest", key, err)
 		}
 	}
 }
@@ -97,10 +108,15 @@ func TestParsePlaceKeyRejectsMalformed(t *testing.T) {
 		"place|" + tk + "||8",          // empty policy
 		"place|" + tk + "|RR_CORE|007", // non-canonical threads must not alias |7
 		"place|" + tk + "|RR_CORE|+8",
+		"place|" + fetrue(tk) + "|RR_CORE|8",
 	}
 	for _, key := range bad {
-		if _, _, _, err := ParsePlaceKey(key); err == nil {
+		_, _, _, err := ParsePlaceKey(key)
+		if err == nil {
 			t.Fatalf("ParsePlaceKey(%q) accepted a malformed key", key)
+		}
+		if !errors.Is(err, mctoperr.ErrInvalidRequest) {
+			t.Fatalf("ParsePlaceKey(%q) error %v does not wrap ErrInvalidRequest", key, err)
 		}
 	}
 }

@@ -62,6 +62,7 @@ func TestParseMapKeyRejectsMalformed(t *testing.T) {
 		good + "|x",
 		good + "x", // junk in the refine field
 		strings.Replace(good, "|n", "|N", 1),
+		fetrue(good),
 	}
 	for _, key := range bad {
 		_, _, _, _, _, err := ParseMapKey(key)

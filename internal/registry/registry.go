@@ -314,8 +314,10 @@ func TopoKey(platform string, seed uint64, opt mctopalg.Options) string {
 	b = strconv.AppendInt(b, o.SpinUnit, 10)
 	b = append(b, ",smp"...)
 	b = strconv.AppendBool(b, o.SkipMemoryProbe)
-	b = append(b, ",fe"...)
-	b = strconv.AppendBool(b, o.ForkedEnrich)
+	// Position 9 was the forked-enrichment bit. That mode is gone, but the
+	// key format is a fixed point (spool file names, #key headers, export
+	// addresses), so the field stays as a constant.
+	b = append(b, ",fefalse"...)
 	b = append(b, ",se"...)
 	b = strconv.AppendBool(b, o.Sampling.Enabled)
 	b = append(b, ",sp"...)

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/registry"
+	"repro/internal/rng"
 	"repro/internal/spool"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -123,7 +124,12 @@ type Remote struct {
 }
 
 // call is one in-flight upstream fetch; concurrent Lookups for the key wait
-// on done and share the outcome.
+// on done and share the outcome. This is deliberately not the registry's
+// singleflight shared through a common package: here the in-flight check,
+// the negative cache and the origin-down window are one decision under one
+// lock (r.mu in lookup), and waiters are uncancellable, while the registry's
+// waiters leave on ctx.Done and re-promote — a shared type would have to
+// branch on its caller.
 type call struct {
 	done chan struct{}
 	val  any
@@ -209,7 +215,7 @@ func New(base string, opts ...Option) *Remote {
 		retries:     defaultRetries,
 		retryBase:   defaultRetryBase,
 		sleep:       time.Sleep,
-		jitterState: 0x9E3779B97F4A7C15,
+		jitterState: rng.Increment,
 		inflight:    make(map[string]*call),
 		neg:         make(map[string]time.Time),
 	}
@@ -342,17 +348,15 @@ func (r *Remote) fetchObserved(ctx context.Context, kind registry.Kind, key stri
 
 // jitteredDelay is the pause before retry attempt n: retryBase * 2^n,
 // scaled by a deterministic jitter in [0.5, 1.5) drawn from a seeded
-// stream (splitmix64) — never from the wall clock, so two runs with the
+// stream (internal/rng) — never from the wall clock, so two runs with the
 // same fetch sequence delay identically.
 func (r *Remote) jitteredDelay(attempt int) time.Duration {
 	base := r.retryBase << attempt
 	r.mu.Lock()
-	r.jitterState += 0x9E3779B97F4A7C15
-	z := r.jitterState
+	state := r.jitterState
+	r.jitterState += rng.Increment
 	r.mu.Unlock()
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
+	z := rng.Mix(state)
 	frac := float64(z>>11) / (1 << 53) // [0, 1)
 	return time.Duration(float64(base) * (0.5 + frac))
 }

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"repro/internal/mctoperr"
+	"repro/internal/rng"
 )
 
 // GenPrefix starts the name of every generated platform.
@@ -217,7 +218,7 @@ func Generate(spec GenSpec) (*Platform, error) {
 	for d := 1; d <= diameter; d++ {
 		latOf[d] = genCrossBaseLat + genHopLat*int64(d-1)
 		if spec.Seed != 0 {
-			latOf[d] += int64(splitmix64(spec.Seed+uint64(d)) % 24)
+			latOf[d] += int64(rng.Mix(spec.Seed+uint64(d)) % 24)
 		}
 	}
 

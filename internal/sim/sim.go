@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/mesi"
+	"repro/internal/rng"
 )
 
 // Sim simulates one machine. It owns a MESI coherence engine, per-core DVFS
@@ -113,7 +114,7 @@ func (s *Sim) Seed() uint64 { return s.seed }
 // threads — the property that lets the parallel MCTOP-ALG measurement phase
 // stay byte-identical to the sequential one.
 func PairSeed(seed uint64, x, y int) uint64 {
-	return splitmix64(splitmix64(seed^(uint64(x)<<32)) ^ uint64(y))
+	return rng.Mix(rng.Mix(seed^(uint64(x)<<32)) ^ uint64(y))
 }
 
 // Coherence exposes the underlying MESI engine (used by the lock-contention
@@ -136,22 +137,9 @@ func (s *Sim) homeOf(line uint64) int {
 	return int(line % uint64(s.p.NumNodes()))
 }
 
-// splitmix64 is the SplitMix64 mixing function — a tiny, high-quality,
-// counter-based PRNG that keeps the simulator deterministic without any
-// global state.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 func (s *Sim) rand() uint64 {
 	s.opCtr++
-	return splitmix64(s.seed ^ (s.opCtr * 0x9E3779B97F4A7C15))
+	return rng.Mix(s.seed ^ (s.opCtr * rng.Increment))
 }
 
 // noise returns the measurement jitter for one operation: small symmetric
@@ -165,7 +153,7 @@ func (s *Sim) noise() int64 {
 		n = int64(r%uint64(2*amp+1)) - amp
 	}
 	if s.p.SpuriousRate > 0 {
-		if float64(splitmix64(r)%1_000_000)/1_000_000 < s.p.SpuriousRate {
+		if float64(rng.Mix(r)%1_000_000)/1_000_000 < s.p.SpuriousRate {
 			n += s.p.SpuriousAmp
 		}
 	}

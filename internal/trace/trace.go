@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // TraceID is the 16-byte W3C trace ID shared by every span of one trace,
@@ -156,15 +158,10 @@ func (t *Tracer) Enabled() bool { return t != nil && t.rate > 0 }
 
 // next64 advances the seeded splitmix64 stream — the same generator the
 // measurement noise and remote jitter use, so IDs are deterministic and
-// cheap (one atomic add).
+// cheap (one atomic add). Add returns the advanced state; Mix takes the one
+// before it.
 func (t *Tracer) next64() uint64 {
-	x := t.idState.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return rng.Mix(t.idState.Add(rng.Increment) - rng.Increment)
 }
 
 func (t *Tracer) newTraceID() TraceID {

@@ -13,7 +13,7 @@
 //
 //   - Infer / InferDetailed — context-aware inference of one of the five
 //     simulated platforms, tuned by functional options (WithReps,
-//     WithParallelism, WithForkedEnrich); cancelling the context aborts
+//     WithParallelism, WithSampling); cancelling the context aborts
 //     the O(N²) measurement phase.
 //   - Policy — the composable placement-policy interface. The 12 builtin
 //     policies of Table 2 (ConHWC, RRCore, …) implement it; combinators

@@ -22,14 +22,6 @@ func WithParallelism(n int) Option {
 	return func(o *Options) { o.Parallelism = n }
 }
 
-// WithForkedEnrich selects the fork-per-probe enrichment phase
-// (plugins.EnrichForked): deterministic for a fixed seed and independent
-// of parallelism, but its measurements differ from the sequential default
-// by the noise amplitude, so it is part of the cache key.
-func WithForkedEnrich() Option {
-	return func(o *Options) { o.ForkedEnrich = true }
-}
-
 // WithSkipMemoryProbe disables the local-node assignment probe (sockets
 // then map to memory nodes by index).
 func WithSkipMemoryProbe() Option {
