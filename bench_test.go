@@ -1,25 +1,22 @@
 package mctop
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation. The full paper-style tables are printed by cmd/mctop-bench;
-// these benchmarks regenerate the same numbers under `go test -bench` and
-// expose the headline values as custom metrics. Committed performance
-// numbers come from bench/ (BENCHMARK.json), not from here.
+// Benchmarks of the paper pipeline's real work: inference (Figs. 1-3, 6,
+// Section 3.5), placement construction (Fig. 7, Table 2), the real sort and
+// merge kernels (Fig. 9), clustering and description-file I/O. Every
+// model-derived paper number (Figs. 8-12, the merge-tree and backoff
+// ablations) comes from `mctop-bench figures` and is pinned by its golden
+// (cmd/mctop-bench/testdata/figures.golden.md); committed performance
+// numbers come from bench/ (BENCHMARK.json). Neither lives here.
 
 import (
 	"context"
 	"sync"
 	"testing"
 
-	"repro/internal/contend"
-	"repro/internal/locks"
 	"repro/internal/machine"
-	"repro/internal/mapreduce"
 	"repro/internal/mctopalg"
 	"repro/internal/msort"
-	"repro/internal/omp"
 	"repro/internal/place"
-	"repro/internal/reduce"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -129,61 +126,6 @@ func BenchmarkFig7_Placement(b *testing.B) {
 	b.ReportMetric(total, "max_power_w")
 }
 
-// BenchmarkFig8_Locks runs the educated-backoff lock sweep on Ivy and
-// reports the average educated/baseline throughput ratio per algorithm
-// (paper: TAS +12%, TTAS +11%, TICKET +39% across all platforms).
-func BenchmarkFig8_Locks(b *testing.B) {
-	top := benchTopo(b, "Ivy")
-	p := sim.Ivy()
-	quantum := top.MaxLatency()
-	ratios := map[locks.Algorithm]float64{}
-	for i := 0; i < b.N; i++ {
-		for _, alg := range locks.Algorithms() {
-			var sum float64
-			var count int
-			for n := 2; n <= p.NumContexts(); n *= 2 {
-				threads := make([]int, n)
-				for t := range threads {
-					threads[t] = t
-				}
-				cfg := contend.Config{
-					Platform: p, Threads: threads, Alg: alg,
-					CSWork: 1000, PauseWork: 100, Horizon: 2_000_000,
-				}
-				_, _, ratio, err := contend.RelativeThroughput(cfg, quantum)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sum += ratio
-				count++
-			}
-			ratios[alg] = sum / float64(count)
-		}
-	}
-	b.ReportMetric(ratios[locks.AlgTAS], "tas_ratio")
-	b.ReportMetric(ratios[locks.AlgTTAS], "ttas_ratio")
-	b.ReportMetric(ratios[locks.AlgTicket], "ticket_ratio")
-}
-
-// BenchmarkFig9_Sort evaluates the Figure 9 model (1 GB sort, full machine)
-// on Ivy and reports gnu vs mctop vs mctop_sse totals.
-func BenchmarkFig9_Sort(b *testing.B) {
-	top := benchTopo(b, "Ivy")
-	var gnu, mct, sse msort.Fig9Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		gnu, err = msort.ModelFig9(top, msort.VariantGNU, top.NumHWContexts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		mct, _ = msort.ModelFig9(top, msort.VariantMCTOP, top.NumHWContexts())
-		sse, _ = msort.ModelFig9(top, msort.VariantMCTOPSSE, top.NumHWContexts())
-	}
-	b.ReportMetric(gnu.TotalSec(), "gnu_sec")
-	b.ReportMetric(mct.TotalSec(), "mctop_sec")
-	b.ReportMetric(sse.TotalSec(), "mctop_sse_sec")
-}
-
 // BenchmarkFig9_RealSort sorts real data with the actual mctop_sort
 // implementation (correctness-bearing counterpart of the model).
 func BenchmarkFig9_RealSort(b *testing.B) {
@@ -207,62 +149,6 @@ func BenchmarkFig9_RealSort(b *testing.B) {
 	if !msort.SortedInt32(data) {
 		b.Fatal("not sorted")
 	}
-}
-
-// BenchmarkFig10_Metis evaluates the Figure 10 model on Ivy and reports
-// the mean relative time of the four workloads.
-func BenchmarkFig10_Metis(b *testing.B) {
-	top := benchTopo(b, "Ivy")
-	var avg float64
-	for i := 0; i < b.N; i++ {
-		rows, err := mapreduce.ModelFig10(top)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		for _, r := range rows {
-			sum += r.RelTime
-		}
-		avg = sum / float64(len(rows))
-	}
-	b.ReportMetric(avg, "rel_time_avg")
-}
-
-// BenchmarkFig11_EnergyPlacement evaluates the POWER-policy trade on Ivy.
-func BenchmarkFig11_EnergyPlacement(b *testing.B) {
-	top := benchTopo(b, "Ivy")
-	var rows []mapreduce.Fig11Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = mapreduce.ModelFig11(top)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(rows) == 2 {
-		b.ReportMetric(rows[0].RelTime, "kmeans_rel_time")
-		b.ReportMetric(rows[0].RelEnergy, "kmeans_rel_energy")
-		b.ReportMetric(rows[0].EnergyEfficiency, "kmeans_efficiency")
-	}
-}
-
-// BenchmarkFig12_OpenMP evaluates the MCTOP MP model on Ivy and reports
-// the average relative time over the six graph workloads.
-func BenchmarkFig12_OpenMP(b *testing.B) {
-	top := benchTopo(b, "Ivy")
-	var avg float64
-	for i := 0; i < b.N; i++ {
-		rows, err := omp.ModelFig12(top)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		for _, r := range rows {
-			sum += r.RelTime
-		}
-		avg = sum / float64(len(rows))
-	}
-	b.ReportMetric(avg, "rel_time_avg")
 }
 
 // --- Ablation benchmarks (design choices) ---
@@ -309,66 +195,6 @@ func BenchmarkAblation_Repetitions(b *testing.B) {
 			_, _ = mctopalg.Infer(m, o) // low reps may legitimately fail
 		}
 	}
-}
-
-// BenchmarkAblation_BackoffQuantum sweeps the ticket-lock backoff quantum
-// around the educated value (paper policy: the max latency between
-// participants) and reports throughput at 0.5x/1x/4x on Ivy, 40 threads.
-func BenchmarkAblation_BackoffQuantum(b *testing.B) {
-	top := benchTopo(b, "Ivy")
-	p := sim.Ivy()
-	threads := make([]int, 40)
-	for t := range threads {
-		threads[t] = t
-	}
-	educated := top.MaxLatency()
-	results := map[string]float64{}
-	for i := 0; i < b.N; i++ {
-		for name, q := range map[string]int64{
-			"half": educated / 2, "educated": educated, "quad": educated * 4,
-		} {
-			res, err := contend.Run(contend.Config{
-				Platform: p, Threads: threads, Alg: locks.AlgTicket,
-				Quantum: q, CSWork: 1000, PauseWork: 100, Horizon: 2_000_000,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			results[name] = res.Throughput
-		}
-	}
-	b.ReportMetric(results["half"], "half_thpt")
-	b.ReportMetric(results["educated"], "educated_thpt")
-	b.ReportMetric(results["quad"], "quad_thpt")
-}
-
-// BenchmarkAblation_MergeTree compares the paper's greedy reduction tree,
-// the exhaustive optimal tree, and naive adjacent pairing on the Opteron's
-// asymmetric interconnect (cost in cycles for 128 MB per socket).
-func BenchmarkAblation_MergeTree(b *testing.B) {
-	top := benchTopo(b, "Opteron")
-	sockets := []int{0, 3, 5, 6, 1, 2, 7, 4}
-	var cGreedy, cOpt, cNaive int64
-	for i := 0; i < b.N; i++ {
-		greedy, err := reduce.Tree(top, sockets, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opt, err := reduce.OptimalTree(top, sockets, 0, 1<<27)
-		if err != nil {
-			b.Fatal(err)
-		}
-		naive, err := reduce.NaiveTree(top, sockets, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cGreedy = reduce.Cost(top, greedy, 1<<27)
-		cOpt = reduce.Cost(top, opt, 1<<27)
-		cNaive = reduce.Cost(top, naive, 1<<27)
-	}
-	b.ReportMetric(float64(cGreedy), "greedy_cycles")
-	b.ReportMetric(float64(cOpt), "optimal_cycles")
-	b.ReportMetric(float64(cNaive), "naive_cycles")
 }
 
 // BenchmarkAblation_MergeKernel measures the real scalar vs bitonic 8-wide

@@ -1,9 +1,12 @@
-// Command mctop-bench is the repo's benchmark driver, with two modes:
+// Command mctop-bench is the repo's paper-figure and load driver:
 //
-//   - `mctop-bench figures` (also the default with no subcommand, for
-//     compatibility) regenerates every table and figure of the MCTOP
-//     paper's evaluation (Section 7) on the simulated platforms and
-//     prints them as markdown.
+//   - `mctop-bench figures` regenerates every table and figure of the MCTOP
+//     paper's evaluation (Section 7) on the simulated platforms and prints
+//     them as markdown. It is the one driver of every model-derived paper
+//     number: its complete output is a pure function of the source tree,
+//     committed as testdata/figures.golden.md and compared byte for byte by
+//     TestFiguresGolden. Regenerate the golden by redirecting the command's
+//     output into that file.
 //   - `mctop-bench load` is a closed-loop load generator against a live
 //     mctopd: N workers, a configurable route mix and warm/cold ratio,
 //     per-route p50/p95/p99 and SLO pass/fail (exit status 1 on a failed
@@ -11,7 +14,7 @@
 //
 // Usage:
 //
-//	mctop-bench                            # all figures
+//	mctop-bench figures                    # all figures
 //	mctop-bench figures -only fig8         # one experiment: fig1to3, fig6,
 //	                                       # sec35, fig7..fig12, ablations
 //	mctop-bench load -target http://127.0.0.1:8077 -workers 8 -duration 30s \
@@ -23,6 +26,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -54,48 +58,67 @@ func enriched(name string) *topo.Topology {
 }
 
 func main() {
-	// Subcommand dispatch; a bare or flag-leading invocation stays the
-	// legacy figures mode so existing scripts keep working.
-	args := os.Args[1:]
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		switch args[0] {
-		case "figures":
-			args = args[1:]
-		case "load":
-			os.Exit(loadMain(args[1:]))
-		default:
-			fmt.Fprintf(os.Stderr, "mctop-bench: unknown subcommand %q (figures, load)\n", args[0])
-			os.Exit(2)
-		}
+	if len(os.Args) < 2 {
+		usage()
 	}
-	fs := flag.NewFlagSet("figures", flag.ExitOnError)
-	only := fs.String("only", "", "run a single experiment")
-	fs.Parse(args)
-	run := func(name string, f func()) {
-		if *only == "" || *only == name {
-			f()
-		}
+	switch os.Args[1] {
+	case "figures":
+		fs := flag.NewFlagSet("figures", flag.ExitOnError)
+		only := fs.String("only", "", "run a single experiment")
+		fs.Parse(os.Args[2:])
+		fail(figures(os.Stdout, *only))
+	case "load":
+		os.Exit(loadMain(os.Args[2:]))
+	default:
+		usage()
 	}
-	run("fig1to3", figs1to3)
-	run("fig6", fig6)
-	run("sec35", sec35)
-	run("fig7", fig7)
-	run("fig8", fig8)
-	run("fig9", fig9)
-	run("fig10", fig10)
-	run("fig11", fig11)
-	run("fig12", fig12)
-	run("ablations", ablations)
 }
 
-func header(s string) { fmt.Printf("\n## %s\n\n", s) }
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: mctop-bench figures [-only <experiment>] | mctop-bench load [flags]")
+	os.Exit(2)
+}
+
+// experiments lists the figure functions in output order.
+var experiments = []struct {
+	name string
+	run  func(io.Writer)
+}{
+	{"fig1to3", figs1to3},
+	{"fig6", fig6},
+	{"sec35", sec35},
+	{"fig7", fig7},
+	{"fig8", fig8},
+	{"fig9", fig9},
+	{"fig10", fig10},
+	{"fig11", fig11},
+	{"fig12", fig12},
+	{"ablations", ablations},
+}
+
+// figures writes every experiment (or the one named by only) to w.
+func figures(w io.Writer, only string) error {
+	ran := false
+	for _, e := range experiments {
+		if only == "" || only == e.name {
+			e.run(w)
+			ran = true
+		}
+	}
+	if !ran {
+		return fmt.Errorf("unknown experiment %q", only)
+	}
+	return nil
+}
+
+func header(w io.Writer, s string) { fmt.Fprintf(w, "\n## %s\n\n", s) }
 
 // figs1to3: inferred topologies of the five platforms (Figures 1-3 show
 // three of them as graphs).
-func figs1to3() {
-	header("Figures 1-3 — inferred topologies (all five platforms)")
-	fmt.Println("| platform | ctx | cores | sockets | SMT | levels (median cycles) | local node of socket 0 | OS agrees? |")
-	fmt.Println("|---|---|---|---|---|---|---|---|")
+func figs1to3(w io.Writer) {
+	header(w, "Figures 1-3 — inferred topologies (all five platforms)")
+	fmt.Fprintln(w, "| platform | ctx | cores | sockets | SMT | levels (median cycles) | local node of socket 0 | OS agrees? |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|")
 	for _, name := range mctop.Platforms() {
 		p, err := sim.ByName(name)
 		fail(err)
@@ -118,42 +141,42 @@ func figs1to3() {
 		if len(diffs) > 0 {
 			agrees = "NO: " + diffs[0]
 		}
-		fmt.Printf("| %s | %d | %d | %d | %d | %s | %d | %s |\n",
+		fmt.Fprintf(w, "| %s | %d | %d | %d | %d | %s | %d | %s |\n",
 			name, t.NumHWContexts(), t.NumCores(), t.NumSockets(), t.SMTWays(),
 			strings.Join(levels, " / "), t.Socket(0).Local.ID, agrees)
 	}
 }
 
 // fig6: the four algorithm steps on Ivy.
-func fig6() {
-	header("Figure 6 — MCTOP-ALG steps on Ivy")
+func fig6(w io.Writer) {
+	header(w, "Figure 6 — MCTOP-ALG steps on Ivy")
 	_, res, err := mctop.InferDetailed(context.Background(), "Ivy", 42, mctop.WithReps(201))
 	fail(err)
-	fmt.Printf("raw table: %dx%d, %d pairs measured, %d retries, rdtsc overhead %d cycles\n",
+	fmt.Fprintf(w, "raw table: %dx%d, %d pairs measured, %d retries, rdtsc overhead %d cycles\n",
 		len(res.RawTable), len(res.RawTable), res.Pairs, res.Retries, res.RdtscOverhead)
-	fmt.Printf("sample raw latencies: [0][20]=%d (SMT), [0][1]=%d (intra), [0][10]=%d (cross)\n",
+	fmt.Fprintf(w, "sample raw latencies: [0][20]=%d (SMT), [0][1]=%d (intra), [0][10]=%d (cross)\n",
 		res.RawTable[0][20], res.RawTable[0][1], res.RawTable[0][10])
-	fmt.Println("\n| cluster | min | median | max | paper |")
-	fmt.Println("|---|---|---|---|---|")
+	fmt.Fprintln(w, "\n| cluster | min | median | max | paper |")
+	fmt.Fprintln(w, "|---|---|---|---|---|")
 	paper := []string{"28 (SMT)", "~112 (intra-socket)", "~308 (cross-socket)"}
 	for i, c := range res.Clusters {
 		p := ""
 		if i < len(paper) {
 			p = paper[i]
 		}
-		fmt.Printf("| %d | %d | %d | %d | %s |\n", i+1, c.Min, c.Median, c.Max, p)
+		fmt.Fprintf(w, "| %d | %d | %d | %d | %s |\n", i+1, c.Min, c.Median, c.Max, p)
 	}
-	fmt.Printf("\nSMT detected: %v (ways=%d); grouping levels: %d cores of %d, %d sockets of %d contexts\n",
+	fmt.Fprintf(w, "\nSMT detected: %v (ways=%d); grouping levels: %d cores of %d, %d sockets of %d contexts\n",
 		res.SMT, res.SMTWays,
 		len(res.LevelGroups[0]), len(res.LevelGroups[0][0]),
 		len(res.LevelGroups[1]), len(res.LevelGroups[1][0]))
 }
 
 // sec35: inference cost with the paper's full n=2000.
-func sec35() {
-	header("Section 3.5 — inference cost (n=2000 repetitions)")
-	fmt.Println("| platform | simulated seconds | paper |")
-	fmt.Println("|---|---|---|")
+func sec35(w io.Writer) {
+	header(w, "Section 3.5 — inference cost (n=2000 repetitions)")
+	fmt.Fprintln(w, "| platform | simulated seconds | paper |")
+	fmt.Fprintln(w, "|---|---|---|")
 	for _, row := range []struct{ name, paper string }{
 		{"Ivy", "~3 s"},
 		{"Westmere", "96 s"},
@@ -164,28 +187,28 @@ func sec35() {
 		fail(err)
 		res, err := mctopalg.Infer(m, mctopalg.DefaultOptions())
 		fail(err)
-		fmt.Printf("| %s | %.1f | %s |\n", row.name, m.S.SimulatedSeconds(res.Cycles), row.paper)
+		fmt.Fprintf(w, "| %s | %.1f | %s |\n", row.name, m.S.SimulatedSeconds(res.Cycles), row.paper)
 	}
 }
 
 // fig7: the placement report.
-func fig7() {
-	header("Figure 7 — MCTOP-PLACE output (Ivy, CON_HWC, 30 threads)")
+func fig7(w io.Writer) {
+	header(w, "Figure 7 — MCTOP-PLACE output (Ivy, CON_HWC, 30 threads)")
 	t := enriched("Ivy")
 	alloc, err := mctop.NewAlloc(t, mctop.ConHWC, mctop.WithThreads(30))
 	fail(err)
-	fmt.Println("```")
-	fmt.Print(alloc.Report())
-	fmt.Println("```")
-	fmt.Println("paper: 15 cores, 20/10 ctx per socket, BW 0.655/0.345, 66.7+43.4=110.1 W,")
-	fmt.Println("111.9+88.7=200.6 W with DRAM, max latency 308 cycles, min bandwidth 24.28 GB/s")
+	fmt.Fprintln(w, "```")
+	fmt.Fprint(w, alloc.Report())
+	fmt.Fprintln(w, "```")
+	fmt.Fprintln(w, "paper: 15 cores, 20/10 ctx per socket, BW 0.655/0.345, 66.7+43.4=110.1 W,")
+	fmt.Fprintln(w, "111.9+88.7=200.6 W with DRAM, max latency 308 cycles, min bandwidth 24.28 GB/s")
 }
 
 // fig8: lock throughput with educated backoffs.
-func fig8() {
-	header("Figure 8 — educated lock backoffs (relative throughput, educated/baseline)")
-	fmt.Println("| platform | algorithm | per-thread-count ratios | average |")
-	fmt.Println("|---|---|---|---|")
+func fig8(w io.Writer) {
+	header(w, "Figure 8 — educated lock backoffs (relative throughput, educated/baseline)")
+	fmt.Fprintln(w, "| platform | algorithm | per-thread-count ratios | average |")
+	fmt.Fprintln(w, "|---|---|---|---|")
 	type agg struct {
 		sum float64
 		n   int
@@ -219,22 +242,22 @@ func fig8() {
 			avg := sum / float64(count)
 			algAgg[alg].sum += avg
 			algAgg[alg].n++
-			fmt.Printf("| %s | %s | %s | %.3f |\n", name, alg, strings.Join(cells, " "), avg)
+			fmt.Fprintf(w, "| %s | %s | %s | %.3f |\n", name, alg, strings.Join(cells, " "), avg)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, alg := range locks.Algorithms() {
 		a := algAgg[alg]
-		fmt.Printf("overall %s average: %.3f (paper: TAS +12%%, TTAS +11%%, TICKET +39%%)\n",
+		fmt.Fprintf(w, "overall %s average: %.3f (paper: TAS +12%%, TTAS +11%%, TICKET +39%%)\n",
 			alg, a.sum/float64(a.n))
 	}
 }
 
 // fig9: the sort breakdown.
-func fig9() {
-	header("Figure 9 — sorting 1 GB of integers (modeled seconds, seq + merge)")
-	fmt.Println("| platform | threads | gnu | mctop | mctop_sse | mctop vs gnu |")
-	fmt.Println("|---|---|---|---|---|---|")
+func fig9(w io.Writer) {
+	header(w, "Figure 9 — sorting 1 GB of integers (modeled seconds, seq + merge)")
+	fmt.Fprintln(w, "| platform | threads | gnu | mctop | mctop_sse | mctop vs gnu |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|")
 	var relSum float64
 	var relN int
 	for _, name := range mctop.Platforms() {
@@ -249,21 +272,21 @@ func fig9() {
 			rel := rows[msort.VariantMCTOP].TotalSec() / rows[msort.VariantGNU].TotalSec()
 			relSum += rel
 			relN++
-			fmt.Printf("| %s | %d | %.2f (%.2f+%.2f) | %.2f (%.2f+%.2f) | %.2f | %.2f |\n",
+			fmt.Fprintf(w, "| %s | %d | %.2f (%.2f+%.2f) | %.2f (%.2f+%.2f) | %.2f | %.2f |\n",
 				name, threads,
 				rows[msort.VariantGNU].TotalSec(), rows[msort.VariantGNU].SeqSec, rows[msort.VariantGNU].MergeSec,
 				rows[msort.VariantMCTOP].TotalSec(), rows[msort.VariantMCTOP].SeqSec, rows[msort.VariantMCTOP].MergeSec,
 				rows[msort.VariantMCTOPSSE].TotalSec(), rel)
 		}
 	}
-	fmt.Printf("\naverage mctop/gnu = %.3f (paper: mctop_sort 17%% faster on average)\n", relSum/float64(relN))
+	fmt.Fprintf(w, "\naverage mctop/gnu = %.3f (paper: mctop_sort 17%% faster on average)\n", relSum/float64(relN))
 }
 
 // fig10: Metis with MCTOP-PLACE.
-func fig10() {
-	header("Figure 10 — Metis with MCTOP placement (relative time/energy vs stock Metis)")
-	fmt.Println("| workload | platform | policy | threads (vs default) | rel time | rel energy |")
-	fmt.Println("|---|---|---|---|---|---|")
+func fig10(w io.Writer) {
+	header(w, "Figure 10 — Metis with MCTOP placement (relative time/energy vs stock Metis)")
+	fmt.Fprintln(w, "| workload | platform | policy | threads (vs default) | rel time | rel energy |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|")
 	var sum float64
 	var n int
 	var eSum float64
@@ -279,39 +302,39 @@ func fig10() {
 				eSum += r.RelEnergy
 				eN++
 			}
-			fmt.Printf("| %s | %s | %v | %d (%d) | %.3f | %s |\n",
+			fmt.Fprintf(w, "| %s | %s | %v | %d (%d) | %.3f | %s |\n",
 				r.Workload, r.Platform, r.Policy, r.Threads, r.DefaultThreads, r.RelTime, energy)
 			sum += r.RelTime
 			n++
 		}
 	}
-	fmt.Printf("\naverage rel time = %.3f (paper: 0.83); average rel energy on Intel = %.3f (paper: 0.86)\n",
+	fmt.Fprintf(w, "\naverage rel time = %.3f (paper: 0.83); average rel energy on Intel = %.3f (paper: 0.86)\n",
 		sum/float64(n), eSum/float64(eN))
 }
 
 // fig11: energy-oriented placement.
-func fig11() {
-	header("Figure 11 — energy-oriented placement on Ivy (POWER vs performance)")
+func fig11(w io.Writer) {
+	header(w, "Figure 11 — energy-oriented placement on Ivy (POWER vs performance)")
 	t := enriched("Ivy")
 	rows, err := mapreduce.ModelFig11(t)
 	fail(err)
-	fmt.Println("| workload | rel time | rel energy | energy efficiency | paper (time/energy/eff) |")
-	fmt.Println("|---|---|---|---|---|")
+	fmt.Fprintln(w, "| workload | rel time | rel energy | energy efficiency | paper (time/energy/eff) |")
+	fmt.Fprintln(w, "|---|---|---|---|---|")
 	paper := map[mapreduce.WorkloadName]string{
 		mapreduce.WLKMeans: "1.186 / 0.774 / 1.089",
 		mapreduce.WLMean:   "1.045 / 0.915 / 1.046",
 	}
 	for _, r := range rows {
-		fmt.Printf("| %s | %.3f | %.3f | %.3f | %s |\n",
+		fmt.Fprintf(w, "| %s | %.3f | %.3f | %.3f | %s |\n",
 			r.Workload, r.RelTime, r.RelEnergy, r.EnergyEfficiency, paper[r.Workload])
 	}
 }
 
 // fig12: MCTOP MP vs OpenMP.
-func fig12() {
-	header("Figure 12 — MCTOP MP vs default OpenMP (graph workloads, x86 platforms)")
-	fmt.Println("| workload | platform | chosen policy | threads | rel time |")
-	fmt.Println("|---|---|---|---|---|")
+func fig12(w io.Writer) {
+	header(w, "Figure 12 — MCTOP MP vs default OpenMP (graph workloads, x86 platforms)")
+	fmt.Fprintln(w, "| workload | platform | chosen policy | threads | rel time |")
+	fmt.Fprintln(w, "|---|---|---|---|---|")
 	var sum float64
 	var n int
 	for _, name := range []string{"Ivy", "Opteron", "Haswell", "Westmere"} {
@@ -319,25 +342,25 @@ func fig12() {
 		rows, err := omp.ModelFig12(t)
 		fail(err)
 		for _, r := range rows {
-			fmt.Printf("| %s | %s | %v | %d | %.3f |\n", r.Kernel, r.Platform, r.Chosen, r.Threads, r.RelTime)
+			fmt.Fprintf(w, "| %s | %s | %v | %d | %.3f |\n", r.Kernel, r.Platform, r.Chosen, r.Threads, r.RelTime)
 			sum += r.RelTime
 			n++
 		}
 	}
-	fmt.Printf("\naverage rel time = %.3f (paper: ~0.78, i.e. 22%% faster)\n", sum/float64(n))
+	fmt.Fprintf(w, "\naverage rel time = %.3f (paper: ~0.78, i.e. 22%% faster)\n", sum/float64(n))
 	ivy := enriched("Ivy")
 	fixed, err := omp.BestFixed(ivy)
 	fail(err)
 	adaptive, err := omp.AdaptiveCombination(ivy)
 	fail(err)
-	fmt.Printf("Combination on Ivy: best fixed placement %.3g cycles vs adaptive re-binding %.3g (%.1f%% better)\n",
+	fmt.Fprintf(w, "Combination on Ivy: best fixed placement %.3g cycles vs adaptive re-binding %.3g (%.1f%% better)\n",
 		float64(fixed), float64(adaptive), 100*(1-float64(adaptive)/float64(fixed)))
 }
 
-// ablations: the design-choice benchmarks (BenchmarkAblation* in
-// bench_test.go).
-func ablations() {
-	header("Ablations")
+// ablations: the design choices (merge tree, backoff quantum, placement
+// policies).
+func ablations(w io.Writer) {
+	header(w, "Ablations")
 	// Merge tree.
 	t := enriched("Opteron")
 	sockets := []int{0, 3, 5, 6, 1, 2, 7, 4}
@@ -347,7 +370,7 @@ func ablations() {
 	fail(err)
 	naive, err := reduce.NaiveTree(t, sockets, 0)
 	fail(err)
-	fmt.Printf("merge tree on Opteron (128 MB/socket): naive %.3g cycles, greedy (paper) %.3g, optimal %.3g\n",
+	fmt.Fprintf(w, "merge tree on Opteron (128 MB/socket): naive %.3g cycles, greedy (paper) %.3g, optimal %.3g\n",
 		float64(reduce.Cost(t, naive, 1<<27)), float64(reduce.Cost(t, greedy, 1<<27)),
 		float64(reduce.Cost(t, opt, 1<<27)))
 
@@ -360,7 +383,7 @@ func ablations() {
 		threads[i] = i
 	}
 	educated := ivy.MaxLatency()
-	fmt.Printf("ticket backoff quantum sweep (Ivy, 40 threads, acquisitions/Mcycle):")
+	fmt.Fprintf(w, "ticket backoff quantum sweep (Ivy, 40 threads, acquisitions/Mcycle):")
 	for _, mul := range []struct {
 		label string
 		q     int64
@@ -368,20 +391,20 @@ func ablations() {
 		res, err := contend.Run(contend.Config{Platform: p, Threads: threads,
 			Alg: locks.AlgTicket, Quantum: mul.q, CSWork: 1000, PauseWork: 100, Horizon: 3_000_000})
 		fail(err)
-		fmt.Printf("  %s=%.1f", mul.label, res.Throughput)
+		fmt.Fprintf(w, "  %s=%.1f", mul.label, res.Throughput)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// Placement policies overview on one big machine.
 	wes := enriched("Westmere")
-	fmt.Println("\nplacement policies on Westmere (64 threads): cores used / sockets used / max latency")
+	fmt.Fprintln(w, "\nplacement policies on Westmere (64 threads): cores used / sockets used / max latency")
 	for _, pol := range place.Policies() {
 		pl, err := place.New(wes, pol, place.Options{NThreads: 64})
 		if err != nil {
-			fmt.Printf("  %-32v unavailable (%v)\n", pol, err)
+			fmt.Fprintf(w, "  %-32v unavailable (%v)\n", pol, err)
 			continue
 		}
-		fmt.Printf("  %-32v %3d cores, %d sockets, %4d cycles\n",
+		fmt.Fprintf(w, "  %-32v %3d cores, %d sockets, %4d cycles\n",
 			pol, pl.NCores(), len(pl.SocketsUsed()), pl.MaxLatency())
 	}
 }

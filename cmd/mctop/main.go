@@ -122,7 +122,7 @@ func spoolRegistry(dir string) *mctop.Registry {
 	}
 	sp, err := spool.New(dir)
 	fail(err)
-	return mctop.NewRegistry(16, mctop.WithStore(mctop.NewTieredStore(mctop.NewLRUStore(16, 1), sp)))
+	return mctop.NewRegistry(16, mctop.WithStore(mctop.NewTieredStore(mctop.NewLRUStore(16), sp)))
 }
 
 // install opens the spool at dir, lets put write into it, and exits

@@ -32,7 +32,7 @@ func edgeServer(t *testing.T, originURL string) (*server, *mctop.Registry) {
 		remote.WithNegTTL(10*time.Millisecond),
 		remote.WithLogf(t.Logf))
 	reg := mctop.NewRegistry(0, mctop.WithStore(
-		mctop.NewTieredStore(mctop.NewLRUStore(256, 0), rm)))
+		mctop.NewTieredStore(mctop.NewLRUStore(256), rm)))
 	return newServerWith(reg, 51, 4*runtime.GOMAXPROCS(0)), reg
 }
 
@@ -222,7 +222,7 @@ func TestFleetEdgeWithSpoolPersistsFetchedEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := mctop.NewRegistry(0, mctop.WithStore(mctop.NewTieredStore(
-			mctop.NewLRUStore(256, 0), sp,
+			mctop.NewLRUStore(256), sp,
 			remote.New(originURL, remote.WithLogf(t.Logf)))))
 		return newServerWith(reg, 51, 4*runtime.GOMAXPROCS(0)), reg
 	}

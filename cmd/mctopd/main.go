@@ -239,7 +239,7 @@ func run(ctx context.Context, cfg daemonConfig, onReady func(addr string)) error
 		rs *remote.Remote
 		sp *spool.Spool
 	)
-	tiers := []mctop.Store{mctop.NewLRUStore(cfg.cache, 0)}
+	tiers := []mctop.Store{mctop.NewLRUStore(cfg.cache)}
 	if cfg.spoolDir != "" {
 		// Zero bounds, a nil fault set and a disabled tracer are each the
 		// option's "off". The tracer is for the write-behind goroutine,
@@ -438,10 +438,6 @@ type readyProbe struct {
 	check func() (degraded bool, reason string)
 }
 
-func newServer(cacheEntries, defaultReps int) *server {
-	return newServerWith(mctop.NewRegistry(cacheEntries), defaultReps, 4*runtime.GOMAXPROCS(0))
-}
-
 // newServerWith injects the registry and the in-flight bound, so tests can
 // substitute blocking inference functions and tiny bounds.
 func newServerWith(reg *mctop.Registry, defaultReps, maxInflight int) *server {
@@ -460,7 +456,7 @@ func newServerWith(reg *mctop.Registry, defaultReps, maxInflight int) *server {
 }
 
 // route is one row of the daemon's route table: the one place a path's
-// handler, its metrics/log/span label (the pattern itself) and its three
+// handler, its metrics/log/span label (the pattern itself) and its four
 // middleware policies are declared.
 type route struct {
 	// pattern is the ServeMux pattern; a trailing slash matches the subtree.
@@ -479,6 +475,10 @@ type route struct {
 	// deadline: the request is bounded by -request-timeout, so a wedged tier
 	// becomes an honest 504 instead of a hung connection.
 	deadline bool
+	// logged: the request writes one structured log line. Orchestrator
+	// probes and Prometheus scrapes arrive every few seconds forever and
+	// would drown the lines operators read.
+	logged bool
 }
 
 type routeTable []route
@@ -486,7 +486,7 @@ type routeTable []route
 // otherRoute is the row of every path the table does not name: the label
 // stays bounded whatever clients probe for, and the 404 is served under
 // every serving-route policy.
-var otherRoute = route{pattern: "other", shed: true, traced: true, deadline: true}
+var otherRoute = route{pattern: "other", shed: true, traced: true, deadline: true, logged: true}
 
 // of returns the row serving path.
 func (t routeTable) of(path string) *route {
@@ -513,20 +513,20 @@ func (s *server) routeTable() routeTable {
 		pprofTree = mux.ServeHTTP
 	}
 	return routeTable{
-		// pattern, handler, shed, traced, deadline
-		{"/healthz", s.handleHealthz, false, false, false},
-		{"/readyz", s.handleReadyz, false, false, false},
-		{"/metrics", s.metrics.reg.Handler().ServeHTTP, false, false, false},
-		{"/v1/debug/traces", s.handleTraces, false, false, false},
-		{"/debug/pprof/", pprofTree, false, false, false},
-		{"/v1/platforms", s.handlePlatforms, true, true, true},
-		{"/v1/policies", s.handlePolicies, true, true, true},
-		{"/v1/topology", s.handleTopology, true, true, true},
-		{"/v1/place", s.handlePlace, true, true, true},
-		{"/v1/place/batch", s.handlePlaceBatch, true, true, true}, // ?stream=1 opts out of the deadline per request
-		{"/v1/map", s.handleMap, true, true, true},
-		{"/v1/export", s.handleExport, true, true, true},
-		{"/v1/stats", s.handleStats, true, true, true},
+		// pattern, handler, shed, traced, deadline, logged
+		{"/healthz", s.handleHealthz, false, false, false, false},
+		{"/readyz", s.handleReadyz, false, false, false, false},
+		{"/metrics", s.metrics.reg.Handler().ServeHTTP, false, false, false, false},
+		{"/v1/debug/traces", s.handleTraces, false, false, false, true},
+		{"/debug/pprof/", pprofTree, false, false, false, true},
+		{"/v1/platforms", s.handlePlatforms, true, true, true, true},
+		{"/v1/policies", s.handlePolicies, true, true, true, true},
+		{"/v1/topology", s.handleTopology, true, true, true, true},
+		{"/v1/place", s.handlePlace, true, true, true, true},
+		{"/v1/place/batch", s.handlePlaceBatch, true, true, true, true}, // ?stream=1 opts out of the deadline per request
+		{"/v1/map", s.handleMap, true, true, true, true},
+		{"/v1/export", s.handleExport, true, true, true, true},
+		{"/v1/stats", s.handleStats, true, true, true, true},
 	}
 }
 

@@ -5,15 +5,19 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
+	mctop "repro"
 	"repro/internal/topo"
 )
 
 // testServer uses few repetitions so the first (cold) request stays fast;
 // every later request is a registry hit regardless.
-func testServer() *server { return newServer(64, 51) }
+func testServer() *server {
+	return newServerWith(mctop.NewRegistry(64), 51, 4*runtime.GOMAXPROCS(0))
+}
 
 func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte) {
 	t.Helper()

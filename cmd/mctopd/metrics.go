@@ -290,7 +290,7 @@ func (s *server) instrument(table routeTable, next http.Handler) http.Handler {
 		if served.Tier != "" {
 			s.metrics.servedByTier.With(served.Tier).Inc()
 		}
-		if route != "/healthz" && route != "/readyz" && route != "/metrics" {
+		if rt.logged {
 			attrs := []any{
 				"route", route,
 				"method", r.Method,

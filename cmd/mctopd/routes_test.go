@@ -24,26 +24,27 @@ func TestRouteTable(t *testing.T) {
 	cases := []struct {
 		path, label string
 		policy      bool // shed, traced and deadline: today all three agree per route
+		logged      bool // only the polled probe and scrape routes stay out of the request log
 	}{
-		{"/healthz", "/healthz", observing},
-		{"/readyz", "/readyz", observing},
-		{"/metrics", "/metrics", observing},
-		{"/v1/debug/traces", "/v1/debug/traces", observing},
-		{"/debug/pprof/", "/debug/pprof/", observing},
-		{"/debug/pprof/heap", "/debug/pprof/", observing},
-		{"/debug/pprof/profile", "/debug/pprof/", observing},
-		{"/v1/platforms", "/v1/platforms", serving},
-		{"/v1/policies", "/v1/policies", serving},
-		{"/v1/topology", "/v1/topology", serving},
-		{"/v1/place", "/v1/place", serving},
-		{"/v1/place/batch", "/v1/place/batch", serving},
-		{"/v1/map", "/v1/map", serving},
-		{"/v1/export", "/v1/export", serving},
-		{"/v1/stats", "/v1/stats", serving},
-		{"/v1/nope", "other", serving},
-		{"/v1/place/", "other", serving},
-		{"/debug/pprof", "other", serving},
-		{"/", "other", serving},
+		{"/healthz", "/healthz", observing, false},
+		{"/readyz", "/readyz", observing, false},
+		{"/metrics", "/metrics", observing, false},
+		{"/v1/debug/traces", "/v1/debug/traces", observing, true},
+		{"/debug/pprof/", "/debug/pprof/", observing, true},
+		{"/debug/pprof/heap", "/debug/pprof/", observing, true},
+		{"/debug/pprof/profile", "/debug/pprof/", observing, true},
+		{"/v1/platforms", "/v1/platforms", serving, true},
+		{"/v1/policies", "/v1/policies", serving, true},
+		{"/v1/topology", "/v1/topology", serving, true},
+		{"/v1/place", "/v1/place", serving, true},
+		{"/v1/place/batch", "/v1/place/batch", serving, true},
+		{"/v1/map", "/v1/map", serving, true},
+		{"/v1/export", "/v1/export", serving, true},
+		{"/v1/stats", "/v1/stats", serving, true},
+		{"/v1/nope", "other", serving, true},
+		{"/v1/place/", "other", serving, true},
+		{"/debug/pprof", "other", serving, true},
+		{"/", "other", serving, true},
 	}
 	for _, pprofOn := range []bool{false, true} {
 		s := testServer()
@@ -57,6 +58,9 @@ func TestRouteTable(t *testing.T) {
 			if rt.shed != c.policy || rt.traced != c.policy || rt.deadline != c.policy {
 				t.Errorf("pprof=%v %s: shed=%v traced=%v deadline=%v, want all %v",
 					pprofOn, c.path, rt.shed, rt.traced, rt.deadline, c.policy)
+			}
+			if rt.logged != c.logged {
+				t.Errorf("pprof=%v %s: logged=%v, want %v", pprofOn, c.path, rt.logged, c.logged)
 			}
 		}
 		// Every row is reachable under its own pattern: no row shadows another.

@@ -139,7 +139,7 @@ func TestFleetTraceStitching(t *testing.T) {
 
 	rm := remote.New(origin.URL, remote.WithLogf(t.Logf))
 	reg := mctop.NewRegistry(0, mctop.WithStore(
-		mctop.NewTieredStore(mctop.NewLRUStore(64, 0), rm)))
+		mctop.NewTieredStore(mctop.NewLRUStore(64), rm)))
 	edgeSrv := tracedServer(reg, 3)
 	edge := httptest.NewServer(edgeSrv.routes())
 	defer edge.Close()
@@ -245,7 +245,7 @@ func TestChaosSpanBalance(t *testing.T) {
 		remote.WithRetries(1, 2*time.Millisecond),
 		remote.WithLogf(t.Logf))
 	reg := mctop.NewRegistry(0, mctop.WithStore(
-		mctop.NewTieredStore(mctop.NewLRUStore(64, 0), sp, rm)))
+		mctop.NewTieredStore(mctop.NewLRUStore(64), sp, rm)))
 	defer reg.Close()
 	s := newServerWith(reg, 51, 32)
 	s.tracer = tracer

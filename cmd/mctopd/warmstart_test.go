@@ -26,7 +26,7 @@ func spoolServer(t *testing.T, dir string) (*server, *mctop.Registry) {
 		t.Fatal(err)
 	}
 	reg := mctop.NewRegistry(0, mctop.WithStore(
-		mctop.NewTieredStore(mctop.NewLRUStore(256, 0), sp)))
+		mctop.NewTieredStore(mctop.NewLRUStore(256), sp)))
 	t.Cleanup(func() { reg.Close() })
 	return newServerWith(reg, 51, 4*runtime.GOMAXPROCS(0)), reg
 }

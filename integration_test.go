@@ -9,20 +9,16 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/contend"
-	"repro/internal/exec"
 	"repro/internal/locks"
 	"repro/internal/mapreduce"
 	"repro/internal/msort"
 	"repro/internal/omp"
 	"repro/internal/place"
 	"repro/internal/reduce"
-	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/worksteal"
 )
 
 func TestIntegrationAllPlatforms(t *testing.T) {
@@ -127,38 +123,6 @@ func TestIntegrationAllPlatforms(t *testing.T) {
 			counts, err := mapreduce.WordCount([]string{"x y x"}, 0, pl)
 			if err != nil || counts["x"] != 2 {
 				t.Fatalf("wordcount: %v %v", counts, err)
-			}
-
-			// Work stealing.
-			wsPl, _ := place.New(loaded, place.ConHWC, place.Options{NThreads: 4})
-			pool, err := worksteal.New(loaded, wsPl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var done int64
-			var tasks []worksteal.Task
-			for i := 0; i < 64; i++ {
-				tasks = append(tasks, func() { atomic.AddInt64(&done, 1) })
-			}
-			if err := pool.Run(pool.Distribute(tasks)); err != nil {
-				t.Fatal(err)
-			}
-			if atomic.LoadInt64(&done) != 64 {
-				t.Errorf("work-stealing ran %d/64 tasks", done)
-			}
-
-			// Scheduler admits and removes on the enriched topology.
-			sc, err := sched.New(loaded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sc.Admit(sched.App{Name: "a", Threads: 2, Workload: exec.Workload{
-				Name: "a", Phases: []exec.Phase{{WorkCycles: 1e6}},
-			}}); err != nil {
-				t.Fatal(err)
-			}
-			if err := sc.Remove("a"); err != nil {
-				t.Fatal(err)
 			}
 
 			// The OpenMP runtime re-binds between regions.

@@ -274,25 +274,3 @@ func energy(t *topo.Topology, ctxs []int, rep Report) float64 {
 	dram := pw.DRAM * float64(len(sockets)) * memIntensity
 	return (pkg + dram) * rep.Seconds
 }
-
-// Best evaluates a workload under several candidate placements and returns
-// the index of the fastest (the auto policy-selection primitive of
-// Section 7.4).
-func Best(t *topo.Topology, candidates [][]int, wl Workload) (int, []Report, error) {
-	if len(candidates) == 0 {
-		return -1, nil, fmt.Errorf("exec: no candidates")
-	}
-	best := -1
-	var reports []Report
-	for i, ctxs := range candidates {
-		r, err := Estimate(t, ctxs, wl)
-		if err != nil {
-			return -1, nil, err
-		}
-		reports = append(reports, r)
-		if best == -1 || r.Cycles < reports[best].Cycles {
-			best = i
-		}
-	}
-	return best, reports, nil
-}

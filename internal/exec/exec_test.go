@@ -196,23 +196,6 @@ func TestPowerPolicyTradesTimeForEnergy(t *testing.T) {
 	}
 }
 
-func TestBestSelectsFastest(t *testing.T) {
-	tp := enriched(t, sim.Ivy())
-	wl := computeWL(1e9, 0.2)
-	cands := [][]int{
-		placed(t, tp, place.ConHWC, 20),     // 10 cores
-		placed(t, tp, place.ConCore, 20),    // 20 unique cores
-		placed(t, tp, place.ConCoreHWC, 20), // 10 cores + 10 siblings
-	}
-	best, reports, err := Best(tp, cands, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != 1 {
-		t.Errorf("best = %d (%v), want 1 (unique cores)", best, reports)
-	}
-}
-
 func TestEstimateValidation(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
 	if _, err := Estimate(tp, nil, computeWL(1, 0)); err == nil {

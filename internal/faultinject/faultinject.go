@@ -157,16 +157,6 @@ func (s *Set) Add(faults ...Fault) {
 	}
 }
 
-// Clear removes every rule at the point (counters included).
-func (s *Set) Clear(point string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.rules, point)
-}
-
 // Reset removes every rule at every point, leaving the set armed but
 // empty — the between-phases reset of a scripted chaos run.
 func (s *Set) Reset() {

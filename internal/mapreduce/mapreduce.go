@@ -12,7 +12,6 @@ package mapreduce
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 
 	"repro/internal/place"
@@ -156,14 +155,4 @@ func Run[In any, K comparable, V any, R any](job Job[In, K, V, R]) (Result[K, R]
 		}
 	}
 	return res, nil
-}
-
-// SortedKeys returns a result's keys in sorted string order (test helper).
-func SortedKeys[K comparable, R any](m map[K]R) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, fmt.Sprintf("%v", k))
-	}
-	sort.Strings(out)
-	return out
 }

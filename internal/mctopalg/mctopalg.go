@@ -249,9 +249,6 @@ func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Res
 	}
 
 	if fk, ok := m.(machine.Forker); ok {
-		if opt.Sampling.Enabled && n >= opt.Sampling.MinContexts {
-			return collectTableSampled(ctx, fk, m, opt, res)
-		}
 		return collectTableForked(ctx, fk, m, opt, res)
 	}
 
@@ -286,10 +283,7 @@ func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Res
 			dvfsWait(m, opt, y)
 			var med int64
 			if fast != nil {
-				vals := fast.MeasurePair(xi, yi, opt.Reps)
-				med = acceptOrRetryRaw(vals, opt, &res.Retries, func() []int64 {
-					return fast.MeasurePair(xi, yi, opt.Reps)
-				})
+				med = measurePairFast(fast, opt, xi, yi, &res.Retries)
 			} else {
 				med = measurePair(m, opt, x, y, res.RdtscOverhead, &res.Retries, sc)
 			}
@@ -326,12 +320,14 @@ func allPairs(n int) []ctxPair {
 	return pairs
 }
 
-// collectTableForked measures every context pair on its own forked machine.
-// The workers only decide *when* a pair is measured, never *what* it
-// observes: each fork's noise stream is a pure function of (seed, x, y), and
-// the merge walks pairs in the same (x, y) order the sequential loop uses,
-// so the resulting table — and hence the inferred topology — is
-// byte-identical for every Parallelism, including 1.
+// collectTableForked measures context pairs each on its own forked
+// machine, one wave of pairs at a time: exhaustive inference is the single
+// wave allPairs(n), sampled inference is the pilots → verify → fill plan of
+// sampled.go over the same measure. The workers only decide *when* a pair
+// is measured, never *what* it observes: each fork's noise stream is a pure
+// function of (seed, x, y), and every wave is recorded in the (x, y) order
+// the sequential loop uses, so the resulting table — and hence the
+// inferred topology — is byte-identical for every Parallelism, including 1.
 func collectTableForked(ctx context.Context, fk machine.Forker, m machine.Machine, opt *Options, res *Result) error {
 	// The reported rdtsc overhead comes from the parent machine, like the
 	// sequential path's; the forks estimate and deduct their own.
@@ -342,11 +338,30 @@ func collectTableForked(ctx context.Context, fk machine.Forker, m machine.Machin
 	dvfsWait(m, opt, t0)
 	res.RdtscOverhead = estimateRdtscOverhead(t0, newScratch(opt))
 
-	pairs := allPairs(m.NumHWContexts())
-	outcomes, err := runPairsForked(ctx, fk, opt, pairs)
+	c := forkedCollector{ctx, fk, opt, res}
+	n := m.NumHWContexts()
+	if opt.Sampling.Enabled && n >= opt.Sampling.MinContexts {
+		return c.measureSampled(n)
+	}
+	return c.measure(allPairs(n))
+}
+
+// forkedCollector is the state one forked collection shares across waves.
+type forkedCollector struct {
+	ctx context.Context
+	fk  machine.Forker
+	opt *Options
+	res *Result
+}
+
+// measure runs one wave of pairs over the worker pool and records the
+// outcomes into the table and counters in the wave's own order.
+func (c *forkedCollector) measure(pairs []ctxPair) error {
+	outcomes, err := runPairsForked(c.ctx, c.fk, c.opt, pairs)
 	if err != nil {
 		return err
 	}
+	res := c.res
 	for i, p := range pairs {
 		o := outcomes[i]
 		res.RawTable[p.x][p.y] = o.med
@@ -516,8 +531,8 @@ func estimateRdtscOverhead(t machine.Thread, sc *scratch) int64 {
 // measurePair runs the lock-step loop of Figure 5 through the generic
 // thread interface and returns the accepted median, deducting the given
 // timestamp-read overhead and counting re-measurements into retries. The
-// acceptance rule is acceptOrRetryRaw's, inlined over the scratch buffer so
-// the loop is allocation-free (asserted by TestMeasurePairSteadyStateAllocs).
+// loop works over the scratch buffer and is allocation-free (asserted by
+// TestMeasurePairSteadyStateAllocs).
 func measurePair(m machine.Machine, opt *Options, x, y machine.Thread, rdtscOverhead int64, retries *int, sc *scratch) int64 {
 	const line = 0x6c0c6 // arbitrary shared-line id
 	threshold := opt.StdevThreshold
@@ -538,42 +553,49 @@ func measurePair(m machine.Machine, opt *Options, x, y machine.Thread, rdtscOver
 			vals = append(vals, v)
 		}
 		sc.vals = vals[:0]
-		sd := stats.Stdev(vals)
-		med := stats.MedianInPlace(vals)
-		if med <= 0 {
-			med = 1
-		}
-		if sd <= threshold*float64(med) || retry >= opt.MaxRetries {
+		med, ok := acceptMedian(vals, threshold, retry, opt)
+		if ok {
 			return med
 		}
 		*retries++
-		threshold += (opt.StdevThresholdMax - opt.StdevThreshold) / float64(opt.MaxRetries)
-		if threshold > opt.StdevThresholdMax {
-			threshold = opt.StdevThresholdMax
-		}
+		threshold = widen(threshold, opt)
 	}
 }
 
-// acceptOrRetryRaw applies the stability rule of Section 3.5: accept the
-// median if the standard deviation is below the threshold; otherwise
-// re-measure with a widened threshold (7% -> 14% by default).
-func acceptOrRetryRaw(vals []int64, opt *Options, retries *int, again func() []int64) int64 {
+// measurePairFast is measurePair for machines that run the whole lock-step
+// loop themselves (machine.PairMeasurer — the host backend).
+func measurePairFast(fast machine.PairMeasurer, opt *Options, xi, yi int, retries *int) int64 {
 	threshold := opt.StdevThreshold
 	for retry := 0; ; retry++ {
-		med := stats.Median(vals)
-		if med <= 0 {
-			med = 1
-		}
-		if stats.Stdev(vals) <= threshold*float64(med) || retry >= opt.MaxRetries {
+		med, ok := acceptMedian(fast.MeasurePair(xi, yi, opt.Reps), threshold, retry, opt)
+		if ok {
 			return med
 		}
 		*retries++
-		threshold += (opt.StdevThresholdMax - opt.StdevThreshold) / float64(opt.MaxRetries)
-		if threshold > opt.StdevThresholdMax {
-			threshold = opt.StdevThresholdMax
-		}
-		vals = again()
+		threshold = widen(threshold, opt)
 	}
+}
+
+// acceptMedian is the stability rule of Section 3.5: one round's median
+// (at least 1) is accepted when the round's standard deviation is within
+// threshold of it, or when the retry budget is spent. It sorts vals.
+func acceptMedian(vals []int64, threshold float64, retry int, opt *Options) (med int64, ok bool) {
+	sd := stats.Stdev(vals) // before the sort: the float sum follows sample order
+	med = stats.MedianInPlace(vals)
+	if med <= 0 {
+		med = 1
+	}
+	return med, sd <= threshold*float64(med) || retry >= opt.MaxRetries
+}
+
+// widen is the rule's other half: each re-measurement raises the threshold
+// one MaxRetries-th of the way to StdevThresholdMax (7% -> 14% by default).
+func widen(threshold float64, opt *Options) float64 {
+	threshold += (opt.StdevThresholdMax - opt.StdevThreshold) / float64(opt.MaxRetries)
+	if threshold > opt.StdevThresholdMax {
+		threshold = opt.StdevThresholdMax
+	}
+	return threshold
 }
 
 // buildComponents implements step 3: starting from singleton components,

@@ -33,14 +33,12 @@
 package mctopalg
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -106,38 +104,13 @@ func (s SamplingOptions) pilotCount(n int) int {
 // falls back to exhaustive measurement.
 const noiseGapMin = 8
 
-// collectTableSampled fills res.RawTable measuring only a subset of pairs
-// (see the package comment above). An unmeasured entry is 0 until filled;
-// measured medians are always >= 1.
-func collectTableSampled(ctx context.Context, fk machine.Forker, m machine.Machine, opt *Options, res *Result) error {
-	n := m.NumHWContexts()
+// measureSampled is the sampled plan of collectTableForked: it fills
+// res.RawTable measuring only a subset of pairs (see the package comment
+// above), every measured wave through c.measure. An unmeasured entry is 0
+// until filled; measured medians are always >= 1.
+func (c *forkedCollector) measureSampled(n int) error {
+	ctx, opt, res := c.ctx, c.opt, c.res
 	res.Sampled = true
-
-	t0, err := m.NewThread(0)
-	if err != nil {
-		return err
-	}
-	dvfsWait(m, opt, t0)
-	res.RdtscOverhead = estimateRdtscOverhead(t0, newScratch(opt))
-
-	record := func(pairs []ctxPair, outs []pairOutcome) {
-		for i, p := range pairs {
-			o := outs[i]
-			res.RawTable[p.x][p.y] = o.med
-			res.RawTable[p.y][p.x] = o.med
-			res.Pairs++
-			res.Retries += o.retries
-			res.Cycles += o.cycles
-		}
-	}
-	measure := func(pairs []ctxPair) error {
-		outs, err := runPairsForked(ctx, fk, opt, pairs)
-		if err != nil {
-			return err
-		}
-		record(pairs, outs)
-		return nil
-	}
 
 	// Phase 1: pilots. Evenly spaced pilot contexts, every pair touching
 	// one of them, in canonical (x, y) order. Each phase below is one span
@@ -168,7 +141,7 @@ func collectTableSampled(ctx context.Context, fk machine.Forker, m machine.Machi
 	}
 	pilotSpan.SetInt("pilots", int64(k))
 	pilotSpan.SetInt("pairs", int64(len(wave1)))
-	if err := measure(wave1); err != nil {
+	if err := c.measure(wave1); err != nil {
 		pilotSpan.SetError(err)
 		pilotSpan.End()
 		return err
@@ -276,7 +249,7 @@ func collectTableSampled(ctx context.Context, fk machine.Forker, m machine.Machi
 	}
 	verifySpan.SetInt("pairs", int64(len(wave2)))
 	verifySpan.SetInt("blocks", int64(len(blocks)))
-	if err := measure(wave2); err != nil {
+	if err := c.measure(wave2); err != nil {
 		verifySpan.SetError(err)
 		verifySpan.End()
 		return err
@@ -314,7 +287,7 @@ func collectTableSampled(ctx context.Context, fk machine.Forker, m machine.Machi
 	}
 	fillSpan.SetInt("filled", int64(res.FilledPairs))
 	fillSpan.SetInt("fallback_blocks", int64(res.FallbackBlocks))
-	if err := measure(wave3); err != nil {
+	if err := c.measure(wave3); err != nil {
 		fillSpan.SetError(err)
 		fillSpan.End()
 		return err

@@ -3,6 +3,7 @@ package msort
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/place"
 	"repro/internal/reduce"
@@ -138,19 +139,24 @@ func ModelFig9(t *topo.Topology, v Variant, threads int) (Fig9Row, error) {
 		mergeSec = rounds * perRoundSec
 	} else {
 		// Socket-local rounds: each socket merges its chunks locally.
-		perSocket := socketShares(t, ctxs)
+		// perSocket is indexed by socket id and walked in ascending order:
+		// the socket list's order reaches reduce.Tree's tie-breaking, so it
+		// must not depend on map iteration.
+		perSocket := ctxsBySocket(t, ctxs)
+		var sockets []int
 		var localSec float64
-		for s, share := range perSocket {
-			if share == 0 {
+		for s, on := range perSocket {
+			if len(on) == 0 {
 				continue
 			}
-			chunks := float64(share)
+			sockets = append(sockets, s)
+			chunks := float64(len(on))
 			rounds := math.Ceil(math.Log2(chunks))
 			if rounds < 1 {
 				rounds = 1
 			}
 			b := bytes * chunks / float64(len(ctxs))
-			comp := b / 4 * kMerge / (effectiveCores(t, ctxsOn(t, ctxs, s), smtMerge) * 1)
+			comp := b / 4 * kMerge / effectiveCores(t, on, smtMerge)
 			mem := 2 * b / 1e9 / localBW(t, s)
 			sec := rounds * math.Max(comp/(freq*1e9), mem)
 			if sec > localSec {
@@ -158,15 +164,9 @@ func ModelFig9(t *topo.Topology, v Variant, threads int) (Fig9Row, error) {
 			}
 		}
 		// Cross-socket reduction tree rooted at socket 0.
-		var sockets []int
-		for s, share := range perSocket {
-			if share > 0 {
-				sockets = append(sockets, s)
-			}
-		}
 		dest := 0
-		if !contains(sockets, 0) {
-			sockets = append(sockets, 0)
+		if !slices.Contains(sockets, dest) {
+			sockets = append(sockets, dest)
 		}
 		treeSec := 0.0
 		if len(sockets) > 1 {
@@ -193,16 +193,26 @@ func firstN(n int) []int {
 	return out
 }
 
+// effectiveCores sums each used core's SMT-discounted throughput, walking
+// the cores in id order so the float sum is the same on every run.
 func effectiveCores(t *topo.Topology, ctxs []int, smtFriendly float64) float64 {
-	perCore := map[*topo.HWCGroup]int{}
+	used := make([]bool, t.NumHWContexts())
 	for _, c := range ctxs {
-		if hc := t.Context(c); hc != nil {
-			perCore[hc.Core]++
+		if t.Context(c) != nil {
+			used[c] = true
 		}
 	}
 	var eff float64
-	for _, n := range perCore {
-		eff += 1 + smtFriendly*float64(n-1)
+	for _, core := range t.Cores() {
+		n := 0
+		for _, hc := range core.Contexts {
+			if used[hc.ID] {
+				n++
+			}
+		}
+		if n > 0 {
+			eff += 1 + smtFriendly*float64(n-1)
+		}
 	}
 	if eff == 0 {
 		eff = 1
@@ -210,21 +220,12 @@ func effectiveCores(t *topo.Topology, ctxs []int, smtFriendly float64) float64 {
 	return eff
 }
 
-func socketShares(t *topo.Topology, ctxs []int) map[int]int {
-	out := map[int]int{}
+// ctxsBySocket splits ctxs by the socket they sit on, indexed by socket id.
+func ctxsBySocket(t *topo.Topology, ctxs []int) [][]int {
+	out := make([][]int, t.NumSockets())
 	for _, c := range ctxs {
 		if hc := t.Context(c); hc != nil {
-			out[hc.Socket.ID]++
-		}
-	}
-	return out
-}
-
-func ctxsOn(t *topo.Topology, ctxs []int, socket int) []int {
-	var out []int
-	for _, c := range ctxs {
-		if hc := t.Context(c); hc != nil && hc.Socket.ID == socket {
-			out = append(out, c)
+			out[hc.Socket.ID] = append(out[hc.Socket.ID], c)
 		}
 	}
 	return out
@@ -248,13 +249,4 @@ func aggregateLocalBW(t *topo.Topology) float64 {
 		}
 	}
 	return sum
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

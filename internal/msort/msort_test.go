@@ -2,6 +2,7 @@ package msort
 
 import (
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -278,5 +279,36 @@ func TestModelValidation(t *testing.T) {
 	}
 	if _, err := ModelFig9(tp, VariantGNU, 10_000); err == nil {
 		t.Error("too many threads should fail")
+	}
+}
+
+// TestModelFig9Deterministic: every Figure 9 bar is a pure function of the
+// topology. The socket list handed to reduce.Tree and the per-core float
+// sum used to follow map iteration order, so Westmere, Haswell and Opteron
+// rows moved in the second decimal between calls.
+func TestModelFig9Deterministic(t *testing.T) {
+	fixtures, err := filepath.Glob("../topo/testdata/*.mctop")
+	if err != nil || len(fixtures) != 5 {
+		t.Fatalf("golden topologies: %v, %v", fixtures, err)
+	}
+	for _, path := range fixtures {
+		tp, err := topo.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := tp.Name()
+		for _, v := range []Variant{VariantGNU, VariantMCTOP, VariantMCTOPSSE} {
+			for _, threads := range []int{16, tp.NumHWContexts()} {
+				want, err := ModelFig9(tp, v, threads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 1; i < 50; i++ {
+					if got, _ := ModelFig9(tp, v, threads); got != want {
+						t.Fatalf("%s/%v/%d: call %d = %+v, first call = %+v", name, v, threads, i, got, want)
+					}
+				}
+			}
+		}
 	}
 }

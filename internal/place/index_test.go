@@ -131,3 +131,39 @@ func TestParsePolicyReverseMap(t *testing.T) {
 		}
 	}
 }
+
+// powerOrderScan is the pre-index powerOrder: a full PowerEstimate per
+// remaining candidate per step. Kept as the reference powerOrder is
+// property-tested (and benchmarked) against.
+func powerOrderScan(t *topo.Topology, nSockets, nThreads int) []int {
+	allowed := map[int]bool{}
+	for _, s := range socketOrder(t, false, nSockets) {
+		allowed[s.ID] = true
+	}
+	n := nThreads
+	if n == 0 {
+		n = t.NumHWContexts()
+	}
+	var chosen []int
+	inUse := map[int]bool{}
+	for len(chosen) < n {
+		_, cur := t.PowerEstimate(chosen, false)
+		best, bestDelta := -1, 0.0
+		for _, c := range t.Contexts() {
+			if inUse[c.ID] || !allowed[c.Socket.ID] {
+				continue
+			}
+			_, with := t.PowerEstimate(append(chosen, c.ID), false)
+			delta := with - cur
+			if best == -1 || delta < bestDelta {
+				best, bestDelta = c.ID, delta
+			}
+		}
+		if best == -1 {
+			break
+		}
+		chosen = append(chosen, best)
+		inUse[best] = true
+	}
+	return chosen
+}

@@ -369,7 +369,7 @@ func roundRobin(perSocket [][]int, limit int) []int {
 // estimated package power the least — SMT siblings of already active cores
 // first, then new cores on active sockets, then new sockets.
 //
-// The pre-index implementation (powerOrderScan below) ran a full
+// The pre-index implementation (powerOrderScan, in index_test.go) ran a full
 // PowerEstimate for every remaining context at every step: O(n²) estimates,
 // each O(ctxs). But a candidate's power delta depends only on its class —
 // SMT sibling of an active core, first context of an inactive core on an
@@ -445,42 +445,6 @@ func powerOrder(t *topo.Topology, nSockets, nThreads int) []int {
 		inUse[best] = true
 		coreCt[c.Core]++
 		sockActive[c.Socket.ID] = true
-	}
-	return chosen
-}
-
-// powerOrderScan is the pre-index powerOrder: a full PowerEstimate per
-// remaining candidate per step. Kept as the reference powerOrder is
-// property-tested (and benchmarked) against.
-func powerOrderScan(t *topo.Topology, nSockets, nThreads int) []int {
-	allowed := map[int]bool{}
-	for _, s := range socketOrder(t, false, nSockets) {
-		allowed[s.ID] = true
-	}
-	n := nThreads
-	if n == 0 {
-		n = t.NumHWContexts()
-	}
-	var chosen []int
-	inUse := map[int]bool{}
-	for len(chosen) < n {
-		_, cur := t.PowerEstimate(chosen, false)
-		best, bestDelta := -1, 0.0
-		for _, c := range t.Contexts() {
-			if inUse[c.ID] || !allowed[c.Socket.ID] {
-				continue
-			}
-			_, with := t.PowerEstimate(append(chosen, c.ID), false)
-			delta := with - cur
-			if best == -1 || delta < bestDelta {
-				best, bestDelta = c.ID, delta
-			}
-		}
-		if best == -1 {
-			break
-		}
-		chosen = append(chosen, best)
-		inUse[best] = true
 	}
 	return chosen
 }

@@ -67,9 +67,6 @@ func (p Policy) Order(t *topo.Topology, opt Options) ([]int, error) {
 // left to right: OnSockets(RRCore, 0).Limit(8).
 type Chain struct{ Orderer }
 
-// Compose wraps any Orderer in a Chain.
-func Compose(o Orderer) Chain { return Chain{o} }
-
 // Limit chains a Limit combinator onto the receiver.
 func (c Chain) Limit(n int) Chain { return Limit(c.Orderer, n) }
 

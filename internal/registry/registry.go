@@ -12,7 +12,7 @@
 //   - singleflight: concurrent misses on the same key collapse into one
 //     inference — the first caller computes, the rest wait for its result;
 //   - tiered: the cache behind the singleflight is a pluggable Store
-//     (store.go). The default is the sharded, LRU-bounded in-memory tier
+//     (store.go). The default is the LRU-bounded in-memory tier
 //     (lru.go), so a long-running daemon's memory stays flat; chaining it
 //     over internal/spool's description-file tier (NewTiered) makes the
 //     cache survive restarts — a cold miss that hits the spool decodes a
@@ -51,18 +51,13 @@ type Options struct {
 	InferCtx InferCtxFunc
 	// Store is the cache behind the singleflight — a single tier or a
 	// NewTiered chain. Nil builds the default in-memory LRU from
-	// MaxEntries and Shards; when Store is set, MaxEntries and Shards are
-	// ignored (bound the LRU tier you pass in instead).
+	// MaxEntries; when Store is set, MaxEntries is ignored (bound the LRU
+	// tier you pass in instead).
 	Store Store
-	// MaxEntries bounds the cached values of the default LRU store
-	// (topologies and placements each count as one entry); the bound is
-	// split evenly across shards, so a shard receiving a skewed share of
-	// hot keys may evict before the store as a whole is full.
-	// Default 256.
+	// MaxEntries is the exact bound on the cached values of the default
+	// LRU store (topologies, placements and mappings each count as one
+	// entry). Default 256.
 	MaxEntries int
-	// Shards is the number of independently locked shards of the default
-	// LRU store (and of the singleflight table). Default 8.
-	Shards int
 	// MaxConcurrentComputes bounds how many cache misses may compute at
 	// once across the whole registry; further misses queue. One inference
 	// already fans out over GOMAXPROCS workers, so running many
@@ -94,7 +89,7 @@ type Registry struct {
 	infer    InferCtxFunc
 	mapFn    MapFunc
 	store    *Tiered
-	flights  []*flightShard
+	flights  [flightStripes]flightShard
 	computes chan struct{} // semaphore over concurrent inferences; nil = unlimited
 
 	hits     atomic.Int64
@@ -127,11 +122,8 @@ func New(opt Options) *Registry {
 	if opt.InferCtx == nil {
 		panic("registry: Options.InferCtx is required")
 	}
-	if opt.Shards <= 0 {
-		opt.Shards = 8
-	}
 	if opt.Store == nil {
-		opt.Store = NewLRU(opt.MaxEntries, opt.Shards)
+		opt.Store = NewLRU(opt.MaxEntries)
 	}
 	// The registry always holds a chain: a bare store is a chain of one.
 	store, ok := opt.Store.(*Tiered)
@@ -142,13 +134,12 @@ func New(opt Options) *Registry {
 		opt.MapFn = taskmap.Map
 	}
 	r := &Registry{
-		infer:   opt.InferCtx,
-		mapFn:   opt.MapFn,
-		store:   store,
-		flights: make([]*flightShard, opt.Shards),
+		infer: opt.InferCtx,
+		mapFn: opt.MapFn,
+		store: store,
 	}
 	for i := range r.flights {
-		r.flights[i] = &flightShard{inflight: make(map[string]*call)}
+		r.flights[i].inflight = make(map[string]*call)
 	}
 	if opt.MaxConcurrentComputes == 0 {
 		opt.MaxConcurrentComputes = 2
@@ -159,9 +150,26 @@ func New(opt Options) *Registry {
 	return r
 }
 
+// flightStripes is the number of lock stripes of the singleflight table. A
+// stripe's lock is held across the chain re-check, which can reach the
+// remote tier, so unrelated keys must not share one lock.
+const flightStripes = 8
+
 // flightOf picks a singleflight stripe by key hash.
 func (r *Registry) flightOf(key string) *flightShard {
-	return r.flights[fnv1a(key)%uint32(len(r.flights))]
+	return &r.flights[fnv1a(key)%flightStripes]
+}
+
+// fnv1a is FNV-1a over the key, written out: stripe selection runs on
+// every miss, and the hash/fnv Hasher would cost two heap allocations per
+// call.
+func fnv1a(key string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return h
 }
 
 // get returns the cached value for key, or computes it via fn exactly once

@@ -92,7 +92,7 @@ func TestSingleflightCollapsesConcurrentInferences(t *testing.T) {
 func TestConcurrentMixedReadersWriters(t *testing.T) {
 	// Mixed workload across many keys under -race: topology hits, topology
 	// misses, placements, stats reads and purges, all concurrent.
-	r := New(Options{MaxEntries: 32, Shards: 4,
+	r := New(Options{MaxEntries: 32,
 		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 			return fakeTopo(), nil
 		}})
@@ -182,7 +182,7 @@ func TestComputeConcurrencyBound(t *testing.T) {
 
 func TestLRUBoundAndEviction(t *testing.T) {
 	var calls atomic.Int64
-	r := New(Options{MaxEntries: 4, Shards: 1,
+	r := New(Options{MaxEntries: 4,
 		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 			calls.Add(1)
 			return fakeTopo(), nil
@@ -401,16 +401,37 @@ func TestCachedLookupSpeedup(t *testing.T) {
 	}
 }
 
-func TestShardingSpreadsKeys(t *testing.T) {
-	l := NewLRU(1024, 8)
-	used := map[*lruShard]bool{}
-	for i := 0; i < 64; i++ {
-		used[l.shardOf(fmt.Sprintf("topo|Ivy|%d|", i))] = true
+// TestLRUHoldsExactlyItsBound: N distinct keys fit in NewLRU(N) with no
+// eviction, and the next key evicts exactly the least recently used one.
+func TestLRUHoldsExactlyItsBound(t *testing.T) {
+	const n = 256
+	l := NewLRU(n)
+	key := func(i int) string {
+		return placeKey(TopoKey("Ivy", uint64(i), mctopalg.Options{Reps: 51}), place.ConHWC, 8)
 	}
-	if len(used) < 2 {
-		t.Fatalf("64 keys landed on %d shard(s); hashing is broken", len(used))
+	for i := 0; i < n; i++ {
+		l.Put(KindPlacement, key(i), i)
 	}
-	r := New(Options{Shards: 8,
+	if st := l.Stats()[0]; l.Len() != n || st.Evictions != 0 {
+		t.Fatalf("%d keys into NewLRU(%d): %d resident, %d evictions", n, n, l.Len(), st.Evictions)
+	}
+	// Touch key 0, so key 1 is now the least recently used.
+	if _, _, ok := l.Lookup(bg, KindPlacement, key(0)); !ok {
+		t.Fatal("key 0 missing")
+	}
+	l.Put(KindPlacement, key(n), n)
+	if st := l.Stats()[0]; l.Len() != n || st.Evictions != 1 {
+		t.Fatalf("after key %d: %d resident, %d evictions, want %d and 1", n, l.Len(), st.Evictions, n)
+	}
+	for i := 0; i <= n; i++ {
+		if _, _, ok := l.Lookup(bg, KindPlacement, key(i)); ok == (i == 1) {
+			t.Fatalf("key %d resident = %v; only key 1 (the least recently used) may be evicted", i, ok)
+		}
+	}
+}
+
+func TestFlightStripesSpreadKeys(t *testing.T) {
+	r := New(Options{
 		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 			return fakeTopo(), nil
 		}})

@@ -8,8 +8,8 @@ import (
 
 // The tiered topology store. The registry's cache sits behind the Store
 // interface so deployments can compose storage tiers: the default is the
-// in-memory sharded LRU (lru.go); a daemon that must survive restarts
-// chains it over internal/spool's description-file tier (NewTiered), the
+// in-memory LRU (lru.go); a daemon that must survive restarts chains it
+// over internal/spool's description-file tier (NewTiered), the
 // paper's "created once, then used to load the topology" artifact turned
 // into a cache level. The registry itself only sees Lookup/Put —
 // singleflight, counters and the compute semaphore stay above the store.

@@ -45,13 +45,13 @@ func TestStoreContract(t *testing.T) {
 		hitTier string // who serves testKey after it was Put and flushed
 		build   func(t *testing.T) registry.Store
 	}{
-		{"lru", "lru", func(*testing.T) registry.Store { return registry.NewLRU(8, 2) }},
+		{"lru", "lru", func(*testing.T) registry.Store { return registry.NewLRU(8) }},
 		{"spool", "spool", func(t *testing.T) registry.Store { return contractSpool(t) }},
 		// Put is a no-op on the pull-only fleet tier; the origin already
 		// holds the entry, so the same script applies.
 		{"remote", "remote", func(t *testing.T) registry.Store { return newRemote(t, contractOrigin(t).URL) }},
 		{"tiered", "lru", func(t *testing.T) registry.Store {
-			return registry.NewTiered(registry.NewLRU(8, 2), contractSpool(t), newRemote(t, contractOrigin(t).URL))
+			return registry.NewTiered(registry.NewLRU(8), contractSpool(t), newRemote(t, contractOrigin(t).URL))
 		}},
 	}
 	ctx := context.Background()
@@ -137,7 +137,7 @@ func TestStoreContract(t *testing.T) {
 // way up, and is then served from memory.
 func TestTieredPromotesIntoUpperTiers(t *testing.T) {
 	sp := contractSpool(t)
-	chain := registry.NewTiered(registry.NewLRU(8, 2), sp, newRemote(t, contractOrigin(t).URL))
+	chain := registry.NewTiered(registry.NewLRU(8), sp, newRemote(t, contractOrigin(t).URL))
 	defer chain.Close()
 	ctx := context.Background()
 	if _, tier, ok := chain.Lookup(ctx, registry.KindTopology, testKey); !ok || tier != "remote" {

@@ -58,7 +58,7 @@ func benchSpoolRegistry(b *testing.B, dir string) (*registry.Registry, *registry
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { sp.Close() })
-	lru := registry.NewLRU(64, 0)
+	lru := registry.NewLRU(64)
 	return registry.New(registry.Options{
 		InferCtx: realInfer,
 		Store:    registry.NewTiered(lru, sp),
@@ -121,7 +121,7 @@ func TestWarmStartSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	lru := registry.NewLRU(64, 0)
+	lru := registry.NewLRU(64)
 	r := registry.New(registry.Options{
 		InferCtx: realInfer,
 		Store:    registry.NewTiered(lru, sp),

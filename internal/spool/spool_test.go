@@ -257,7 +257,7 @@ func TestTieredWarmStart(t *testing.T) {
 		t.Cleanup(func() { sp.Close() })
 		return registry.New(registry.Options{
 			InferCtx: infer,
-			Store:    registry.NewTiered(registry.NewLRU(64, 0), sp),
+			Store:    registry.NewTiered(registry.NewLRU(64), sp),
 		})
 	}
 

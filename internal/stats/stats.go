@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by MCTOP-ALG:
-// medians, standard deviations, empirical CDFs, and the one-dimensional
-// latency clustering of Section 3.2 of the MCTOP paper (EuroSys '17).
+// medians, standard deviations, and the one-dimensional latency clustering
+// of Section 3.2 of the MCTOP paper (EuroSys '17).
 //
 // All functions are deterministic and allocate at most O(n).
 package stats
@@ -69,73 +69,6 @@ func Stdev(xs []int64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// MinMax returns the minimum and maximum of xs.
-func MinMax(xs []int64) (min, max int64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// nearest-rank on a sorted copy.
-func Percentile(xs []int64, p float64) int64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(s))))
-	if rank < 1 {
-		rank = 1
-	}
-	return s[rank-1]
-}
-
-// CDFPoint is a single point of an empirical cumulative distribution
-// function: the fraction of samples with Value <= Value.
-type CDFPoint struct {
-	Value int64
-	Frac  float64
-}
-
-// CDF computes the empirical CDF of xs as a sequence of (value, fraction)
-// points in increasing value order, one point per distinct value. This is
-// the curve plotted in Figure 6 (2a) of the paper.
-func CDF(xs []int64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	var pts []CDFPoint
-	n := float64(len(s))
-	for i := 0; i < len(s); {
-		j := i
-		for j < len(s) && s[j] == s[i] {
-			j++
-		}
-		pts = append(pts, CDFPoint{Value: s[i], Frac: float64(j) / n})
-		i = j
-	}
-	return pts
 }
 
 // Triplet summarizes a latency cluster with its minimum, median and maximum

@@ -57,67 +57,6 @@ func TestMeanStdev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]int64{3, -1, 7, 0})
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = (%d,%d), want (-1,7)", min, max)
-	}
-	min, max = MinMax(nil)
-	if min != 0 || max != 0 {
-		t.Errorf("MinMax(nil) = (%d,%d), want (0,0)", min, max)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(xs, 50); got != 5 {
-		t.Errorf("P50 = %d, want 5", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("P0 = %d, want 1", got)
-	}
-	if got := Percentile(xs, 100); got != 10 {
-		t.Errorf("P100 = %d, want 10", got)
-	}
-	if got := Percentile(xs, 90); got != 9 {
-		t.Errorf("P90 = %d, want 9", got)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	pts := CDF([]int64{1, 1, 2, 4})
-	want := []CDFPoint{{1, 0.5}, {2, 0.75}, {4, 1.0}}
-	if !reflect.DeepEqual(pts, want) {
-		t.Errorf("CDF = %v, want %v", pts, want)
-	}
-	if CDF(nil) != nil {
-		t.Error("CDF(nil) should be nil")
-	}
-}
-
-func TestCDFMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]int64, 500)
-	for i := range xs {
-		xs[i] = rng.Int63n(1000)
-	}
-	pts := CDF(xs)
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Value <= pts[i-1].Value {
-			t.Fatalf("CDF values not increasing at %d", i)
-		}
-		if pts[i].Frac <= pts[i-1].Frac {
-			t.Fatalf("CDF fractions not increasing at %d", i)
-		}
-	}
-	if last := pts[len(pts)-1].Frac; last != 1.0 {
-		t.Errorf("final CDF fraction = %v, want 1.0", last)
-	}
-}
-
-// TestClusterIvyLevels feeds the latency populations of the paper's Ivy
-// example (28-cycle SMT, ~112-cycle intra-socket, ~308-cycle cross-socket)
-// and expects exactly three clusters with the right medians.
 func TestClusterIvyLevels(t *testing.T) {
 	var xs []int64
 	rng := rand.New(rand.NewSource(7))

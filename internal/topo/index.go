@@ -4,8 +4,8 @@ import "sort"
 
 // queryIndex is the immutable, precomputed query layer of a Topology. The
 // paper's pitch is that MCTOP queries are cheap enough to sit inside runtime
-// policies (lock backoff quanta, placement builds, work-stealing victim
-// orders); re-deriving answers from the group tree on every call is not.
+// policies (lock backoff quanta, placement builds); re-deriving answers
+// from the group tree on every call is not.
 // The index is built once per topology — lazily, on the first query that
 // needs it — and turns the hot paths into array lookups:
 //
@@ -121,20 +121,6 @@ func (t *Topology) getLatencyWalk(x, y int) int64 {
 	return cx.Socket.Latency
 }
 
-// maxLatencyBetweenWalk is the pre-index MaxLatencyBetween: O(k²) group-tree
-// walks. Reference implementation for the property tests.
-func (t *Topology) maxLatencyBetweenWalk(ctxs []int) int64 {
-	var max int64
-	for i := 0; i < len(ctxs); i++ {
-		for j := i + 1; j < len(ctxs); j++ {
-			if l := t.getLatencyWalk(ctxs[i], ctxs[j]); l > max {
-				max = l
-			}
-		}
-	}
-	return max
-}
-
 // maxLatencyScan is the pre-index MaxLatency: a scan over the socket matrix
 // and the intra-socket levels.
 func (t *Topology) maxLatencyScan() int64 {
@@ -200,38 +186,4 @@ func (t *Topology) socketsByLatencyFromSort(s int) []*Socket {
 		out[i] = e.sock
 	}
 	return out
-}
-
-// powerEstimateMap is the pre-index PowerEstimate: per-call maps over the
-// core pointers. Reference implementation for the property tests.
-func (t *Topology) powerEstimateMap(ctxs []int, withDRAM bool) (perSocket []float64, total float64) {
-	perSocket = make([]float64, len(t.sockets))
-	if !t.power.Available() {
-		return perSocket, 0
-	}
-	ctxPerCore := make(map[*HWCGroup]int)
-	active := make([]bool, len(t.sockets))
-	for _, id := range ctxs {
-		c := t.Context(id)
-		if c == nil {
-			continue
-		}
-		ctxPerCore[c.Core]++
-		active[c.Socket.ID] = true
-	}
-	for s := range t.sockets {
-		if active[s] {
-			perSocket[s] = t.power.PerSocketBase
-			if withDRAM {
-				perSocket[s] += t.power.DRAM
-			}
-		}
-	}
-	for core, n := range ctxPerCore {
-		perSocket[core.Socket.ID] += t.power.PerFirstCtx + float64(n-1)*t.power.PerExtraCtx
-	}
-	for _, p := range perSocket {
-		total += p
-	}
-	return perSocket, total
 }

@@ -75,15 +75,13 @@
 //     -upstream: an edge daemon pulls description files from an origin
 //     instead of inferring locally
 //   - internal/locks, internal/contend, internal/msort, internal/reduce,
-//     internal/mapreduce, internal/graph, internal/omp,
-//     internal/worksteal — the portable-optimization case studies
-//     (Sections 5 and 7)
+//     internal/mapreduce, internal/graph, internal/omp — the
+//     portable-optimization case studies (Sections 5 and 7)
 package mctop
 
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/mctopalg"
@@ -94,7 +92,6 @@ import (
 	"repro/internal/spool"
 	"repro/internal/taskmap"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // Topology is the MCTOP abstraction (see internal/topo for the full API).
@@ -123,8 +120,7 @@ func Platforms() []string {
 type Options = mctopalg.Options
 
 // SamplingOptions configures the sub-O(N²) sampled measurement mode (see
-// mctopalg.SamplingOptions); enable it with WithSampling or
-// WithSamplingParams.
+// mctopalg.SamplingOptions); enable it with WithSampling.
 type SamplingOptions = mctopalg.SamplingOptions
 
 // Load reads a topology from an MCTOP description file.
@@ -170,9 +166,6 @@ func Describe(t *Topology) string {
 // internal/registry for the full API and semantics.
 type Registry = registry.Registry
 
-// RegistryStats is a snapshot of a Registry's hit/miss/eviction counters.
-type RegistryStats = registry.Stats
-
 // PlaceRequest is one (policy, threads) pair of a Registry.PlaceBatchContext call:
 // many placement requests answered against a single topology lookup (what
 // mctopd's POST /v1/place/batch endpoint builds on).
@@ -184,13 +177,13 @@ type BatchResult = registry.BatchResult
 
 // Store is one cache tier of a Registry (see internal/registry): the
 // in-memory LRU every registry has, the description-file spool
-// (OpenSpool), the fleet tier (NewRemoteStore) or any custom tier — one
+// (OpenSpool), the fleet tier (WithUpstream) or any custom tier — one
 // contract every tier implements in full. Tiers compose via WithSpoolDir /
 // WithStore into a read-through/write-through chain.
 type Store = registry.Store
 
 // StoreStats is one store tier's counter snapshot, exposed per tier in
-// RegistryStats.Tiers.
+// Registry.Stats().Tiers.
 type StoreStats = registry.StoreStats
 
 // InferCtxFunc is the registry's compute path: the context-aware
@@ -218,14 +211,11 @@ type MapOptions = taskmap.Options
 type RegistryOption func(*registryConfig)
 
 type registryConfig struct {
-	store         Store
-	spoolDir      string
-	spoolMaxBytes int64
-	spoolMaxAge   time.Duration
-	upstream      string
-	inferWrap     func(InferCtxFunc) InferCtxFunc
-	mapWrap       func(MapFunc) MapFunc
-	tracer        *Tracer
+	store     Store
+	spoolDir  string
+	upstream  string
+	inferWrap func(InferCtxFunc) InferCtxFunc
+	mapWrap   func(MapFunc) MapFunc
 }
 
 // WithStore installs a custom cache store — typically a NewTieredStore
@@ -245,18 +235,6 @@ func WithStore(s Store) RegistryOption {
 // scanned; use OpenSpool plus WithStore to handle that error instead.
 func WithSpoolDir(dir string) RegistryOption {
 	return func(c *registryConfig) { c.spoolDir = dir }
-}
-
-// WithSpoolLimits bounds the spool WithSpoolDir opens: maxBytes caps the
-// directory's total size and maxAge evicts files older than it (<= 0 =
-// unlimited for either). Bounds are enforced at the startup scan and after
-// every Flush/Close, oldest-mtime files first — the hygiene story for
-// long-lived daemons whose spool would otherwise only grow. Evictions
-// surface in the spool tier's StoreStats. No-op without WithSpoolDir.
-func WithSpoolLimits(maxBytes int64, maxAge time.Duration) RegistryOption {
-	return func(c *registryConfig) {
-		c.spoolMaxBytes, c.spoolMaxAge = maxBytes, maxAge
-	}
 }
 
 // WithUpstream chains a remote tier under the registry's local tiers: a
@@ -296,65 +274,21 @@ func WithMapWrapper(wrap func(MapFunc) MapFunc) RegistryOption {
 	return func(c *registryConfig) { c.mapWrap = wrap }
 }
 
-// Tracer is the span plane of internal/trace: a sampling, bounded,
-// dependency-free request tracer. Registry and store instrumentation emit
-// spans into whatever tracer the request context carries; WithRegistryTracer
-// additionally hands the tracer to tiers that run work outside any request
-// (the spool's background writer).
-type Tracer = trace.Tracer
-
-// TracerOption configures NewTracer (see internal/trace's With* options).
-type TracerOption = trace.Option
-
-// NewTracer creates a Tracer; without options it is disabled (sample rate
-// 0) and every instrumentation call is a no-op.
-func NewTracer(opts ...TracerOption) *Tracer { return trace.New(opts...) }
-
-// WithTraceSampleRate sets the head-sampling probability in [0, 1].
-func WithTraceSampleRate(r float64) TracerOption { return trace.WithSampleRate(r) }
-
-// WithTraceSlowThreshold keeps every trace whose root span lasts at least
-// d, regardless of the sampling decision (0 disables slow-keeping).
-func WithTraceSlowThreshold(d time.Duration) TracerOption { return trace.WithSlowThreshold(d) }
-
-// WithRegistryTracer hands tr to the storage tiers NewRegistry builds that
-// do work outside any request context — today the spool, whose write-behind
-// goroutine opens its own root spans for background persists and
-// quarantines. Request-path spans need no option: they follow the context.
-// No-op when the tiers are supplied ready-made via WithStore.
-func WithRegistryTracer(tr *Tracer) RegistryOption {
-	return func(c *registryConfig) { c.tracer = tr }
-}
-
 // OpenSpool opens (creating if needed) a description-file spool directory
 // as a Store tier — the error-returning path behind WithSpoolDir. Wire it
 // in with WithStore:
 //
 //	sp, err := mctop.OpenSpool("/var/lib/mctop/spool")
 //	reg := mctop.NewRegistry(0, mctop.WithStore(
-//		mctop.NewTieredStore(mctop.NewLRUStore(256, 0), sp)))
+//		mctop.NewTieredStore(mctop.NewLRUStore(256), sp)))
 func OpenSpool(dir string) (Store, error) {
 	return spool.New(dir)
 }
 
-// OpenSpoolWithLimits is OpenSpool with the WithSpoolLimits bounds
-// (<= 0 = unlimited for either).
-func OpenSpoolWithLimits(dir string, maxBytes int64, maxAge time.Duration) (Store, error) {
-	return spool.New(dir, spool.WithMaxBytes(maxBytes), spool.WithMaxAge(maxAge))
-}
-
-// NewRemoteStore creates the fleet tier: a read-only Store fetching
-// `#key`-headed description files from the mctopd at originURL (its
-// /v1/export endpoint). See WithUpstream for the degradation semantics;
-// use it directly to compose custom chains with NewTieredStore.
-func NewRemoteStore(originURL string) Store {
-	return remote.New(originURL)
-}
-
-// NewLRUStore creates the in-memory sharded LRU tier (<= 0 arguments pick
-// the defaults: 256 entries, 8 shards).
-func NewLRUStore(maxEntries, shards int) Store {
-	return registry.NewLRU(maxEntries, shards)
+// NewLRUStore creates the in-memory LRU tier, holding exactly maxEntries
+// entries (<= 0 picks the default, 256).
+func NewLRUStore(maxEntries int) Store {
+	return registry.NewLRU(maxEntries)
 }
 
 // NewTieredStore chains stores, fastest first, into one read-through/
@@ -369,8 +303,8 @@ func NewTieredStore(tiers ...Store) Store {
 // under the caller's context. Options add storage tiers, composing the
 // chain LRU → spool → remote (each optional tier only if requested):
 // WithSpoolDir persists the cache as description files so a restart
-// warm-starts from disk (bounded via WithSpoolLimits); WithUpstream
-// fetches misses from an origin mctopd before inferring locally;
+// warm-starts from disk; WithUpstream fetches misses from an origin
+// mctopd before inferring locally;
 // WithStore installs any custom tier chain (and overrides the others).
 // Registries with a persistent tier should be Flush()ed (or Close()d)
 // before process exit.
@@ -380,10 +314,9 @@ func NewRegistry(maxEntries int, opts ...RegistryOption) *Registry {
 		o(&c)
 	}
 	if c.store == nil && (c.spoolDir != "" || c.upstream != "") {
-		tiers := []Store{registry.NewLRU(maxEntries, 0)}
+		tiers := []Store{registry.NewLRU(maxEntries)}
 		if c.spoolDir != "" {
-			sp, err := spool.New(c.spoolDir, spool.WithMaxBytes(c.spoolMaxBytes),
-				spool.WithMaxAge(c.spoolMaxAge), spool.WithTracer(c.tracer))
+			sp, err := spool.New(c.spoolDir)
 			if err != nil {
 				panic(fmt.Sprintf("mctop: opening spool: %v", err))
 			}

@@ -40,19 +40,6 @@ func WithSampling() Option {
 	return func(o *Options) { o.Sampling.Enabled = true }
 }
 
-// WithSamplingParams is WithSampling with explicit tuning: pilots is the
-// pilot-set size, minContexts the machine size floor below which inference
-// stays exhaustive, and verifyPerBlock the probe pairs measured per cluster
-// block (0 picks each parameter's default).
-func WithSamplingParams(pilots, minContexts, verifyPerBlock int) Option {
-	return func(o *Options) {
-		o.Sampling.Enabled = true
-		o.Sampling.Pilots = pilots
-		o.Sampling.MinContexts = minContexts
-		o.Sampling.VerifyPerBlock = verifyPerBlock
-	}
-}
-
 // NewOptions builds an inference Options value from functional options.
 // Unset fields keep their zero values, which the pipeline (and the
 // registry's key normalization) resolves to the paper defaults.
