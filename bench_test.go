@@ -197,29 +197,6 @@ func BenchmarkAblation_Repetitions(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_MergeKernel measures the real scalar vs bitonic 8-wide
-// merge kernels on in-memory data (the mctop_sort_sse design choice).
-func BenchmarkAblation_MergeKernel(b *testing.B) {
-	n := 1 << 16
-	a := make([]int32, n)
-	c := make([]int32, n)
-	for i := range a {
-		a[i] = int32(2 * i)
-		c[i] = int32(2*i + 1)
-	}
-	dst := make([]int32, 2*n)
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			msort.MergeScalarForBench(dst, a, c)
-		}
-	})
-	b.Run("bitonic8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			msort.MergeBitonicForBench(dst, a, c)
-		}
-	})
-}
-
 // BenchmarkPlacementPolicies measures placement construction across all 12
 // policies (Table 2).
 func BenchmarkPlacementPolicies(b *testing.B) {

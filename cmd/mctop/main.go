@@ -25,6 +25,13 @@
 //	mctop map -platform Ivy -refine 5000 wordcount.dag
 //	mctop map -origin http://origin:8077 wordcount.dag pipeline.dag
 //
+// The place subcommand computes an MCTOP-PLACE thread placement and prints
+// the report of the paper's Figure 7:
+//
+//	mctop place -platform Ivy -policy CON_HWC -threads 30
+//	mctop place -load ivy.mct -policy RR_CORE -on-sockets 0 -limit 8
+//	mctop place -platform Opteron -all
+//
 // export resolves the topology through a spool-backed registry — a spool
 // hit costs a file decode, a miss runs the inference and leaves the spool
 // populated — and writes a description file carrying its registry key as a
@@ -70,6 +77,9 @@ func main() {
 			return
 		case "map":
 			runMap(os.Args[2:])
+			return
+		case "place":
+			runPlace(os.Args[2:])
 			return
 		}
 	}
@@ -244,6 +254,31 @@ func runInfer() {
 		validate = flag.Bool("validate", false, "compare the inferred topology against the OS view")
 	)
 	flag.Parse()
+
+	// The OS view and the latency table exist only on the simulated-
+	// inference path (the table on -host too); asking for an output built
+	// from one that will not exist is a usage error, not a silent no-op.
+	source := ""
+	switch {
+	case *load != "":
+		source = "-load"
+	case *host:
+		source = "-host"
+	}
+	for _, f := range []struct {
+		set         bool
+		name, needs string
+	}{
+		{*validate && source != "", "-validate", "the simulated machine's OS view"},
+		{*heatmap && source == "-load", "-heatmap", "the measured latency table"},
+		{*csv && source == "-load", "-csv", "the measured latency table"},
+	} {
+		if f.set {
+			fmt.Fprintf(os.Stderr, "mctop: %s cannot be used with %s: it needs %s, which %s does not produce\n",
+				f.name, source, f.needs, source)
+			os.Exit(2)
+		}
+	}
 
 	var top *mctop.Topology
 	var osView *machine.OSView

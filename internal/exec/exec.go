@@ -14,10 +14,20 @@
 // locality, bandwidth saturation and SMT sharing, which is exactly what the
 // model captures. Absolute times were never reproducible off the authors'
 // hardware.
+//
+// Which cores and sockets a placement occupies is read from one
+// topo.Occupancy per Estimate, whose slices are ordered by core and socket
+// id: every float sum here is taken in that order, so Estimate is a function
+// — the same inputs give bit-identical Reports (TestEstimateDeterministic),
+// which the drivers' `Cycles <` and ±0.5 % tie rules rely on. The package
+// also holds the vocabulary the figure models share: the bandwidth and SMT
+// assumptions (MemBW, EffectiveCores), the thread sweep and the best-of
+// (policy x threads) loop (sweep.go).
 package exec
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/topo"
 )
@@ -105,31 +115,28 @@ func Estimate(t *topo.Topology, ctxs []int, wl Workload) (Report, error) {
 		iters = 1
 	}
 
+	o := t.Occupancy(resolved)
 	rep := Report{Workload: wl.Name}
-	maxLat := t.MaxLatencyBetween(resolved)
+	maxLat := o.MaxLatency()
 	for _, ph := range wl.Phases {
-		pr := estimatePhase(t, resolved, ph, maxLat)
+		pr := estimatePhase(t, o, ph, maxLat)
 		rep.PerPhase = append(rep.PerPhase, pr)
 		rep.Cycles += pr.TotalCycles * int64(iters)
 	}
-	freq := t.FreqGHz()
-	if freq <= 0 {
-		freq = 2.0
-	}
-	rep.Seconds = float64(rep.Cycles) / (freq * 1e9)
-	rep.EnergyJ = energy(t, resolved, rep)
+	rep.Seconds = float64(rep.Cycles) / (t.ModelFreqGHz() * 1e9)
+	rep.EnergyJ = energy(t, o, rep)
 	return rep, nil
 }
 
-// effectiveThreads computes the placement's aggregate compute throughput
-// in "full cores": SMT siblings share a core's pipeline.
-func effectiveThreads(t *topo.Topology, ctxs []int, smtFriendly float64) float64 {
-	perCore := map[*topo.HWCGroup]int{}
-	for _, c := range ctxs {
-		perCore[t.Context(c).Core]++
-	}
+// EffectiveCores is the aggregate compute throughput of the occupied cores
+// in "full cores": SMT siblings share a core's pipeline, each adding
+// smtFriendly of a core. Summed in core-id order.
+func EffectiveCores(o *topo.Occupancy, smtFriendly float64) float64 {
 	var eff float64
-	for _, n := range perCore {
+	for _, n := range o.CtxPerCore {
+		if n == 0 {
+			continue
+		}
 		c := 1 + smtFriendly*float64(n-1)
 		if c < 0.2 {
 			c = 0.2 // a core never drops below a floor, however thrashed
@@ -139,20 +146,19 @@ func effectiveThreads(t *topo.Topology, ctxs []int, smtFriendly float64) float64
 	return eff
 }
 
-func estimatePhase(t *topo.Topology, ctxs []int, ph Phase, maxLat int64) PhaseReport {
+func estimatePhase(t *topo.Topology, o *topo.Occupancy, ph Phase, maxLat int64) PhaseReport {
 	pr := PhaseReport{Name: ph.Name}
 
 	// Compute time: total work over aggregate core throughput.
 	if ph.WorkCycles > 0 {
-		eff := effectiveThreads(t, ctxs, ph.SMTFriendly)
-		pr.ComputeCycles = int64(float64(ph.WorkCycles) / eff)
+		pr.ComputeCycles = int64(float64(ph.WorkCycles) / EffectiveCores(o, ph.SMTFriendly))
 	}
 
 	// Memory time: per-socket traffic over per-socket achievable bandwidth,
 	// with destination-node contention; sockets stream in parallel, so the
 	// slowest socket bounds the phase.
 	if ph.Bytes > 0 {
-		pr.MemoryCycles = memoryCycles(t, ctxs, ph)
+		pr.MemoryCycles = memoryCycles(t, o, ph)
 	}
 
 	pr.SyncCycles = ph.SyncOps * maxLat
@@ -168,54 +174,42 @@ func estimatePhase(t *topo.Topology, ctxs []int, ph Phase, maxLat int64) PhaseRe
 	return pr
 }
 
-func memoryCycles(t *topo.Topology, ctxs []int, ph Phase) int64 {
-	freq := t.FreqGHz()
-	if freq <= 0 {
-		freq = 2.0
-	}
-	// Traffic per socket, proportional to its thread share.
-	perSocket := map[int]int{}
-	for _, c := range ctxs {
-		perSocket[t.Context(c).Socket.ID]++
-	}
-	total := len(ctxs)
+func memoryCycles(t *topo.Topology, o *topo.Occupancy, ph Phase) int64 {
+	// One stream per occupied socket, in socket-id order: its traffic is
+	// proportional to its thread share.
 	type stream struct {
-		socket int
+		socket *topo.Socket
 		bytes  float64
-		node   int // destination node; -1 for striped
+		node   int // destination node; negative for striped
 	}
 	var streams []stream
-	for s, n := range perSocket {
-		b := float64(ph.Bytes) * float64(n) / float64(total)
-		switch {
-		case ph.Data == DataLocal:
-			streams = append(streams, stream{s, b, t.Socket(s).Local.ID})
-		case ph.Data == DataStriped:
-			streams = append(streams, stream{s, b, -1})
-		default:
-			streams = append(streams, stream{s, b, ph.Data})
-		}
-	}
 	// Per-destination-node demand for contention sharing.
-	nodeDemand := map[int]float64{}
-	for _, st := range streams {
-		if st.node >= 0 {
+	nodeDemand := make([]float64, t.NumNodes())
+	for id, n := range o.CtxPerSocket {
+		if n == 0 {
+			continue
+		}
+		st := stream{t.Socket(id), float64(ph.Bytes) * float64(n) / float64(o.N), ph.Data}
+		if ph.Data == DataLocal {
+			st.node = st.socket.Local.ID
+		}
+		if st.node >= 0 && st.node < len(nodeDemand) {
 			nodeDemand[st.node] += st.bytes
 		}
+		streams = append(streams, st)
 	}
 	var worst float64
 	for _, st := range streams {
-		sock := t.Socket(st.socket)
 		var bw float64
 		if st.node < 0 {
 			// Striped: average path bandwidth over all nodes.
 			var sum float64
 			for n := 0; n < t.NumNodes(); n++ {
-				sum += sockBW(sock, n)
+				sum += MemBW(st.socket, n)
 			}
 			bw = sum / float64(t.NumNodes())
 		} else {
-			bw = sockBW(sock, st.node)
+			bw = MemBW(st.socket, st.node)
 			// The destination node's own bandwidth is shared by demand.
 			owner := t.Node(st.node)
 			if owner != nil && owner.BW > 0 && nodeDemand[st.node] > 0 {
@@ -229,7 +223,7 @@ func memoryCycles(t *topo.Topology, ctxs []int, ph Phase) int64 {
 			bw = 1
 		}
 		// bytes / (GB/s) seconds -> cycles: bytes * freqGHz / bw.
-		cycles := st.bytes * freq / bw
+		cycles := st.bytes * t.ModelFreqGHz() / bw
 		if cycles > worst {
 			worst = cycles
 		}
@@ -237,9 +231,12 @@ func memoryCycles(t *topo.Topology, ctxs []int, ph Phase) int64 {
 	return int64(worst)
 }
 
-func sockBW(s *topo.Socket, node int) float64 {
+// MemBW is the bandwidth (GB/s) the models assume from a socket to a memory
+// node: the measured one, or a conservative 8 when the bandwidth plugin did
+// not run.
+func MemBW(s *topo.Socket, node int) float64 {
 	if s.MemBW == nil || node >= len(s.MemBW) {
-		return 8 // conservative default when the bandwidth plugin didn't run
+		return 8
 	}
 	return s.MemBW[node]
 }
@@ -249,28 +246,26 @@ func sockBW(s *topo.Socket, node int) float64 {
 // power scaled by memory intensity. (The machine's idle wall power is
 // deliberately excluded — RAPL reports package and DRAM domains only.)
 // Returns 0 without power measurements.
-func energy(t *topo.Topology, ctxs []int, rep Report) float64 {
+func energy(t *topo.Topology, o *topo.Occupancy, rep Report) float64 {
 	pw := t.Power()
 	if !pw.Available() {
 		return 0
 	}
-	_, pkg := t.PowerEstimate(ctxs, false)
-	sockets := map[int]bool{}
-	for _, c := range ctxs {
-		sockets[t.Context(c).Socket.ID] = true
-	}
-	var memCycles, totalCycles int64
-	for _, ph := range rep.PerPhase {
-		memCycles += ph.MemoryCycles
-		totalCycles += ph.TotalCycles
-	}
-	memIntensity := 0.0
-	if totalCycles > 0 {
-		memIntensity = float64(memCycles) / float64(totalCycles)
-		if memIntensity > 1 {
-			memIntensity = 1
-		}
-	}
-	dram := pw.DRAM * float64(len(sockets)) * memIntensity
+	_, pkg := o.Power(false)
+	dram := pw.DRAM * float64(len(o.Sockets)) * rep.MemIntensity()
 	return (pkg + dram) * rep.Seconds
+}
+
+// MemIntensity is the share of the phases' cycles that were memory-bound,
+// in [0, 1].
+func (r Report) MemIntensity() float64 {
+	var mem, total int64
+	for _, ph := range r.PerPhase {
+		mem += ph.MemoryCycles
+		total += ph.TotalCycles
+	}
+	if total <= 0 {
+		return 0
+	}
+	return math.Min(1, float64(mem)/float64(total))
 }

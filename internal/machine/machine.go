@@ -76,9 +76,8 @@ type OSView struct {
 // machine per (x, y) context pair to parallelize its O(N²) measurement
 // phase with results byte-identical to a sequential run — pair values cannot
 // depend on scheduling order because every pair observes its own
-// deterministic stream. The enrichment plugins fork one machine per probe
-// the same way, using tag0 values ≥ 1<<20 (far above any real context id)
-// so probe streams never collide with measurement-pair streams.
+// deterministic stream. (The enrichment plugins run sequentially on the
+// parent machine and never fork.)
 //
 // Real hosts must NOT implement Forker: concurrent measurements perturb
 // each other through shared caches, interconnect and DVFS (Section 3.5:

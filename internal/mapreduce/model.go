@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/place"
@@ -129,23 +130,6 @@ type Fig10Row struct {
 	RelEnergy float64
 }
 
-// threadCandidates is the sweep both Metis versions could use; stock Metis'
-// default is all contexts.
-func threadCandidates(t *topo.Topology) []int {
-	c := t.NumCores()
-	n := t.NumHWContexts()
-	perSocket := c / t.NumSockets()
-	set := map[int]bool{}
-	var out []int
-	for _, v := range []int{perSocket, c / 2, c, c + c/2, n} {
-		if v >= 1 && v <= n && !set[v] {
-			set[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // ModelFig10 predicts the four Figure 10 bars for one platform.
 func ModelFig10(t *topo.Topology) ([]Fig10Row, error) {
 	var rows []Fig10Row
@@ -168,24 +152,15 @@ func modelWorkload(t *topo.Topology, wl WorkloadName) (Fig10Row, error) {
 	if err != nil {
 		return Fig10Row{}, err
 	}
-
 	// MCTOP Metis: the paper's policy, best thread count from the sweep.
-	var best exec.Report
-	bestThreads := 0
-	for _, n := range threadCandidates(t) {
-		r, err := estimateWith(t, policy, n, prof)
-		if err != nil {
-			return Fig10Row{}, err
-		}
-		if bestThreads == 0 || r.Cycles < best.Cycles {
-			best = r
-			bestThreads = n
-		}
+	best, err := bestThreads(t, policy, prof)
+	if err != nil {
+		return Fig10Row{}, err
 	}
 
 	row := Fig10Row{
 		Workload: wl, Platform: t.Name(), Policy: policy,
-		Threads: bestThreads, DefaultThreads: t.NumHWContexts(),
+		Threads: best.Threads, DefaultThreads: t.NumHWContexts(),
 		RelTime: float64(best.Cycles) / float64(base.Cycles),
 	}
 	if base.EnergyJ > 0 {
@@ -194,28 +169,21 @@ func modelWorkload(t *topo.Topology, wl WorkloadName) (Fig10Row, error) {
 	return row, nil
 }
 
+// sameCtxSet reports whether two context lists (sorted in place) hold the
+// same contexts.
 func sameCtxSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := map[int]bool{}
-	for _, c := range a {
-		set[c] = true
-	}
-	for _, c := range b {
-		if !set[c] {
-			return false
-		}
-	}
-	return true
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
 }
 
-func estimateWith(t *topo.Topology, policy place.Policy, threads int, wl exec.Workload) (exec.Report, error) {
-	pl, err := place.New(t, policy, place.Options{NThreads: threads})
-	if err != nil {
-		return exec.Report{}, err
-	}
-	return exec.Estimate(t, pl.Contexts(), wl)
+// bestThreads is the fastest thread count of the sweep under one policy.
+func bestThreads(t *topo.Topology, policy place.Policy, wl exec.Workload) (exec.Candidate, error) {
+	return exec.Best(t, []place.Policy{policy}, exec.ThreadCandidates(t), wl, nil)
+}
+
+func estimateWith(t *topo.Topology, policy place.Policy, threads int, wl exec.Workload) (exec.Candidate, error) {
+	return exec.Best(t, []place.Policy{policy}, []int{threads}, wl, nil)
 }
 
 // Fig11Row is one line of Figure 11: the energy-oriented POWER placement
@@ -242,45 +210,23 @@ func ModelFig11(t *topo.Topology) ([]Fig11Row, error) {
 		prof := Profile(wl, t)
 		policy := PaperPolicy(wl, t.Name())
 		// Performance-oriented: best thread count under the paper policy.
-		var perf exec.Report
-		perfThreads := 0
-		for _, n := range threadCandidates(t) {
-			r, err := estimateWith(t, policy, n, prof)
-			if err != nil {
-				return nil, err
-			}
-			if perfThreads == 0 || r.Cycles < perf.Cycles {
-				perf = r
-				perfThreads = n
-			}
+		perf, err := bestThreads(t, policy, prof)
+		if err != nil {
+			return nil, err
 		}
 		// Energy-oriented: the POWER policy at the performance thread
 		// count ("using fewer physical cores", Figure 11). When the two
 		// policies happen to produce the very same contexts, step the
 		// thread count down until the placements actually differ.
-		powerThreads := perfThreads
-		var power exec.Report
-		for {
-			perfPl, err := place.New(t, policy, place.Options{NThreads: perfThreads})
+		var power exec.Candidate
+		for n := perf.Threads; ; n = n * 3 / 4 {
+			power, err = estimateWith(t, place.PowerPolicy, n, prof)
 			if err != nil {
 				return nil, err
 			}
-			powerPl, err := place.New(t, place.PowerPolicy, place.Options{NThreads: powerThreads})
-			if err != nil {
-				return nil, err
+			if n == 1 || !sameCtxSet(perf.Placement.Contexts(), power.Placement.Contexts()) {
+				break
 			}
-			if powerThreads > 1 && sameCtxSet(perfPl.Contexts(), powerPl.Contexts()) {
-				powerThreads = powerThreads * 3 / 4
-				if powerThreads < 1 {
-					powerThreads = 1
-				}
-				continue
-			}
-			power, err = exec.Estimate(t, powerPl.Contexts(), prof)
-			if err != nil {
-				return nil, err
-			}
-			break
 		}
 		row := Fig11Row{
 			Workload: wl,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/exec"
 	"repro/internal/place"
 	"repro/internal/reduce"
 	"repro/internal/topo"
@@ -79,40 +80,33 @@ func ModelFig9(t *topo.Topology, v Variant, threads int) (Fig9Row, error) {
 	if threads < 1 || threads > t.NumHWContexts() {
 		return Fig9Row{}, fmt.Errorf("msort: %d threads out of range", threads)
 	}
-	freq := t.FreqGHz()
-	if freq <= 0 {
-		freq = 2.0
-	}
+	freq := t.ModelFreqGHz()
 	row := Fig9Row{Platform: t.Name(), Variant: v, Threads: threads}
 
 	// Placement: the MCTOP variants spread round-robin (RR policy, to use
 	// every socket's LLC and memory channels); the baseline is whatever the
 	// OS does — modeled as sequential numbering plus the unpinned penalty.
-	var ctxs []int
-	var err error
-	if v == VariantGNU {
-		ctxs = firstN(threads)
-	} else {
-		var pl *place.Placement
-		pl, err = place.New(t, place.RRCore, place.Options{NThreads: threads})
-		if err != nil {
-			return Fig9Row{}, err
-		}
-		ctxs = pl.Contexts()
-	}
+	policy := place.RRCore
 	compPenalty, memPenalty := 1.0, 1.0
 	if v == VariantGNU {
+		policy = place.Sequential
 		if threads <= 16 {
 			compPenalty, memPenalty = unpinnedComp16, unpinnedMem16
 		} else {
 			compPenalty, memPenalty = unpinnedComp, unpinnedMem
 		}
 	}
+	pl, err := place.New(t, policy, place.Options{NThreads: threads})
+	if err != nil {
+		return Fig9Row{}, err
+	}
+	o := pl.Occupancy()
+	nThreads := float64(o.N)
 
-	eff := effectiveCores(t, ctxs, smtSort) * compPenalty
+	eff := exec.EffectiveCores(o, smtSort) * compPenalty
 
 	// Sequential part: quicksort of per-thread chunks.
-	chunk := float64(modelElems) / float64(len(ctxs))
+	chunk := float64(modelElems) / nThreads
 	sortCycles := float64(modelElems) * kSort * math.Log2(chunk) / eff
 	row.SeqSec = sortCycles / (freq * 1e9)
 
@@ -121,43 +115,48 @@ func ModelFig9(t *topo.Topology, v Variant, threads int) (Fig9Row, error) {
 	if v == VariantMCTOPSSE {
 		kMerge = kMergeBitonic
 	}
-	effM := effectiveCores(t, ctxs, smtMerge) * compPenalty
+	effM := exec.EffectiveCores(o, smtMerge) * compPenalty
 	bytes := float64(modelElems) * 4
 
 	var mergeSec float64
 	if v == VariantGNU {
 		// log2(chunks) pairwise rounds, all data rooted at node 0, threads
 		// wherever the OS put them.
-		rounds := math.Ceil(math.Log2(float64(len(ctxs))))
+		rounds := math.Ceil(math.Log2(nThreads))
 		perRoundComp := float64(modelElems) * kMerge / effM
 		// Streaming: reads spread over the machine (penalized), writes
 		// contend on node 0.
-		agg := aggregateLocalBW(t) * memPenalty
-		node0 := localBW(t, 0)
+		var agg float64
+		for _, s := range t.Sockets() {
+			agg += exec.MemBW(s, s.Local.ID)
+		}
+		agg *= memPenalty
+		s0 := t.Socket(0)
+		node0 := exec.MemBW(s0, s0.Local.ID)
 		perRoundMemSec := bytes/1e9/agg + bytes/1e9/node0
 		perRoundSec := math.Max(perRoundComp/(freq*1e9), perRoundMemSec)
 		mergeSec = rounds * perRoundSec
 	} else {
-		// Socket-local rounds: each socket merges its chunks locally.
-		// perSocket is indexed by socket id and walked in ascending order:
-		// the socket list's order reaches reduce.Tree's tie-breaking, so it
-		// must not depend on map iteration.
-		perSocket := ctxsBySocket(t, ctxs)
+		// Socket-local rounds: each socket merges its chunks locally. The
+		// sockets are walked in id order: the list reaches reduce.Tree's
+		// tie-breaking, so it must not depend on first use or iteration
+		// order.
 		var sockets []int
 		var localSec float64
-		for s, on := range perSocket {
-			if len(on) == 0 {
+		for s, n := range o.CtxPerSocket {
+			if n == 0 {
 				continue
 			}
 			sockets = append(sockets, s)
-			chunks := float64(len(on))
+			sock := t.Socket(s)
+			chunks := float64(n)
 			rounds := math.Ceil(math.Log2(chunks))
 			if rounds < 1 {
 				rounds = 1
 			}
-			b := bytes * chunks / float64(len(ctxs))
-			comp := b / 4 * kMerge / effectiveCores(t, on, smtMerge)
-			mem := 2 * b / 1e9 / localBW(t, s)
+			b := bytes * chunks / nThreads
+			comp := b / 4 * kMerge / exec.EffectiveCores(t.Occupancy(o.On(s)), smtMerge)
+			mem := 2 * b / 1e9 / exec.MemBW(sock, sock.Local.ID)
 			sec := rounds * math.Max(comp/(freq*1e9), mem)
 			if sec > localSec {
 				localSec = sec // sockets merge in parallel
@@ -183,70 +182,4 @@ func ModelFig9(t *topo.Topology, v Variant, threads int) (Fig9Row, error) {
 	}
 	row.MergeSec = mergeSec
 	return row, nil
-}
-
-func firstN(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// effectiveCores sums each used core's SMT-discounted throughput, walking
-// the cores in id order so the float sum is the same on every run.
-func effectiveCores(t *topo.Topology, ctxs []int, smtFriendly float64) float64 {
-	used := make([]bool, t.NumHWContexts())
-	for _, c := range ctxs {
-		if t.Context(c) != nil {
-			used[c] = true
-		}
-	}
-	var eff float64
-	for _, core := range t.Cores() {
-		n := 0
-		for _, hc := range core.Contexts {
-			if used[hc.ID] {
-				n++
-			}
-		}
-		if n > 0 {
-			eff += 1 + smtFriendly*float64(n-1)
-		}
-	}
-	if eff == 0 {
-		eff = 1
-	}
-	return eff
-}
-
-// ctxsBySocket splits ctxs by the socket they sit on, indexed by socket id.
-func ctxsBySocket(t *topo.Topology, ctxs []int) [][]int {
-	out := make([][]int, t.NumSockets())
-	for _, c := range ctxs {
-		if hc := t.Context(c); hc != nil {
-			out[hc.Socket.ID] = append(out[hc.Socket.ID], c)
-		}
-	}
-	return out
-}
-
-func localBW(t *topo.Topology, socket int) float64 {
-	s := t.Socket(socket)
-	if s == nil || s.MemBW == nil {
-		return 8
-	}
-	return s.MemBW[s.Local.ID]
-}
-
-func aggregateLocalBW(t *topo.Topology) float64 {
-	var sum float64
-	for _, s := range t.Sockets() {
-		if s.MemBW != nil {
-			sum += s.MemBW[s.Local.ID]
-		} else {
-			sum += 8
-		}
-	}
-	return sum
 }

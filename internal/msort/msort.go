@@ -18,6 +18,7 @@
 package msort
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -286,25 +287,11 @@ func mctopSort(data []int32, t *topo.Topology, threads, destSocket int, sse bool
 	}
 	ctxs := pl.Contexts()
 
-	// Group thread slots by socket.
-	bySocket := map[int][]int{}
-	var socketOrder []int
-	for _, c := range ctxs {
-		s := t.Context(c).Socket.ID
-		if _, ok := bySocket[s]; !ok {
-			socketOrder = append(socketOrder, s)
-		}
-		bySocket[s] = append(bySocket[s], c)
-	}
-	hasDest := false
-	for _, s := range socketOrder {
-		if s == destSocket {
-			hasDest = true
-		}
-	}
-	if !hasDest {
-		socketOrder = append(socketOrder, destSocket)
-		bySocket[destSocket] = nil
+	// Thread slots grouped by socket, sockets in first-use order.
+	occ := pl.Occupancy()
+	socketOrder := occ.Sockets
+	if !slices.Contains(socketOrder, destSocket) {
+		socketOrder = append(slices.Clone(socketOrder), destSocket)
 	}
 
 	// Phase 1: per-thread chunks, quicksorted in parallel (each socket gets
@@ -313,7 +300,7 @@ func mctopSort(data []int32, t *topo.Topology, threads, destSocket int, sse bool
 	sortChunks(chunks)
 
 	// Assign chunks to sockets in placement order.
-	runsOf := map[int][][]int32{}
+	runsOf := make([][][]int32, t.NumSockets())
 	for i, c := range ctxs {
 		if i >= len(chunks) {
 			break
@@ -325,7 +312,7 @@ func mctopSort(data []int32, t *topo.Topology, threads, destSocket int, sse bool
 	// Phase 2: socket-local merges — all threads of the socket cooperate on
 	// each pairwise merge (parallelMerge partitions it).
 	scratch := make([]int32, len(data))
-	offsets := map[int]int{}
+	offsets := make([]int, t.NumSockets())
 	off := 0
 	for _, s := range socketOrder {
 		offsets[s] = off
@@ -333,19 +320,16 @@ func mctopSort(data []int32, t *topo.Topology, threads, destSocket int, sse bool
 			off += len(r)
 		}
 	}
+	// merged has one element per socket, and a socket is in at most one
+	// step of a round: goroutines never share an element.
 	var wg sync.WaitGroup
-	merged := make(map[int][]int32)
-	var mu sync.Mutex
+	merged := make([][]int32, t.NumSockets())
 	for _, s := range socketOrder {
-		runs := runsOf[s]
 		wg.Add(1)
-		go func(s int, runs [][]int32) {
+		go func(s int) {
 			defer wg.Done()
-			out := localMerge(scratch[offsets[s]:], runs, kernelsFor(t, bySocket[s], sse))
-			mu.Lock()
-			merged[s] = out
-			mu.Unlock()
-		}(s, runs)
+			merged[s] = localMerge(scratch[offsets[s]:], runsOf[s], kernelsFor(t, occ.On(s), sse))
+		}(s)
 	}
 	wg.Wait()
 
@@ -355,35 +339,26 @@ func mctopSort(data []int32, t *topo.Topology, threads, destSocket int, sse bool
 		return err
 	}
 	for _, round := range plan.Rounds {
-		var rwg sync.WaitGroup
 		for _, st := range round {
-			rwg.Add(1)
+			wg.Add(1)
 			go func(st reduce.Step) {
-				defer rwg.Done()
-				mu.Lock()
+				defer wg.Done()
 				a, b := merged[st.To], merged[st.From]
-				mu.Unlock()
 				if len(b) == 0 {
 					return
 				}
+				merged[st.From] = nil
 				if len(a) == 0 {
-					mu.Lock()
 					merged[st.To] = b
-					merged[st.From] = nil
-					mu.Unlock()
 					return
 				}
 				// The pair's threads cooperate on the merge.
-				workers := append(append([]int(nil), bySocket[st.To]...), bySocket[st.From]...)
-				out := make([]int32, len(a)+len(b))
-				parallelMerge(out, a, b, kernelsFor(t, workers, sse), weightsFor(t, workers, sse))
-				mu.Lock()
-				merged[st.To] = out
-				merged[st.From] = nil
-				mu.Unlock()
+				workers := append(slices.Clone(occ.On(st.To)), occ.On(st.From)...)
+				merged[st.To] = make([]int32, len(a)+len(b))
+				parallelMerge(merged[st.To], a, b, kernelsFor(t, workers, sse), weightsFor(t, workers, sse))
 			}(st)
 		}
-		rwg.Wait()
+		wg.Wait()
 	}
 	copy(data, merged[destSocket])
 	return nil

@@ -1,8 +1,6 @@
 package omp
 
 import (
-	"fmt"
-
 	"repro/internal/exec"
 	"repro/internal/place"
 	"repro/internal/topo"
@@ -31,14 +29,6 @@ const (
 // Kernels returns the six workloads.
 func Kernels() []Kernel {
 	return []Kernel{KCommunities, KHopDistance, KPageRank, KPotentialFr, KRandDegrSamp, KCombination}
-}
-
-// PaperPolicy is the policy Figure 12's captions report per workload.
-func PaperPolicy(k Kernel) place.Policy {
-	if k == KPageRank {
-		return place.BalanceCore
-	}
-	return place.ConCoreHWC
 }
 
 // KernelProfile models one kernel's execution on a 100M-node-class graph,
@@ -114,65 +104,24 @@ type Fig12Row struct {
 // (the paper observes up to 9% loss from it on some workloads).
 const preprocessOverhead = 0.05
 
-func threadCandidates(t *topo.Topology) []int {
-	c := t.NumCores()
-	n := t.NumHWContexts()
-	perSocket := c / t.NumSockets()
-	seen := map[int]bool{}
-	var out []int
-	for _, v := range []int{perSocket, c / 2, c, n} {
-		if v >= 1 && v <= n && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // selectPolicy runs the model-driven policy selection for one kernel.
 // Near-ties (several policies produce the same context set) are broken the
 // way the paper reasons about placements: bandwidth-dominated regions
 // prefer the placement with more aggregate local bandwidth, others the one
 // with the lowest communication latency.
-func selectPolicy(t *topo.Topology, wl exec.Workload) (place.Policy, int, exec.Report, error) {
-	var best exec.Report
-	var bestPol place.Policy
-	var bestPl *place.Placement
-	bestThreads := 0
-	for _, pol := range CandidatePolicies() {
-		for _, n := range threadCandidates(t) {
-			pl, err := place.New(t, pol, place.Options{NThreads: n})
-			if err != nil {
-				return place.None, 0, exec.Report{}, err
+func selectPolicy(t *topo.Topology, wl exec.Workload) (exec.Candidate, error) {
+	return exec.Best(t, CandidatePolicies(), exec.ThreadCandidates(t), wl,
+		func(c, best *exec.Candidate) bool {
+			switch {
+			case float64(c.Cycles) < 0.995*float64(best.Cycles):
+				return true
+			case float64(c.Cycles) > 1.005*float64(best.Cycles):
+				return false
+			case c.MemIntensity() >= 0.5:
+				return c.Placement.MinBandwidth() > best.Placement.MinBandwidth()
 			}
-			r, err := exec.Estimate(t, pl.Contexts(), wl)
-			if err != nil {
-				return place.None, 0, exec.Report{}, err
-			}
-			better := bestThreads == 0 || float64(r.Cycles) < 0.995*float64(best.Cycles)
-			if !better && bestThreads != 0 && float64(r.Cycles) <= 1.005*float64(best.Cycles) {
-				// Near-tie: apply the secondary criterion.
-				if memDominant(r) {
-					better = pl.MinBandwidth() > bestPl.MinBandwidth()
-				} else {
-					better = pl.MaxLatency() < bestPl.MaxLatency()
-				}
-			}
-			if better {
-				best, bestPol, bestPl, bestThreads = r, pol, pl, n
-			}
-		}
-	}
-	return bestPol, bestThreads, best, nil
-}
-
-func memDominant(r exec.Report) bool {
-	var mem, total int64
-	for _, p := range r.PerPhase {
-		mem += p.MemoryCycles
-		total += p.TotalCycles
-	}
-	return total > 0 && float64(mem) >= 0.5*float64(total)
+			return c.Placement.MaxLatency() < best.Placement.MaxLatency()
+		})
 }
 
 // unpinnedPenalty is the efficiency unpinned teams retain: libgomp does
@@ -184,14 +133,11 @@ const unpinnedPenalty = 0.85
 // defaultOpenMP models libgomp's default: one thread per context, no
 // pinning — a sequential fill degraded by the migration penalty.
 func defaultOpenMP(t *topo.Topology, wl exec.Workload) (exec.Report, error) {
-	pl, err := place.New(t, place.Sequential, place.Options{})
+	c, err := exec.Best(t, []place.Policy{place.Sequential}, []int{0}, wl, nil)
 	if err != nil {
 		return exec.Report{}, err
 	}
-	r, err := exec.Estimate(t, pl.Contexts(), wl)
-	if err != nil {
-		return exec.Report{}, err
-	}
+	r := c.Report
 	r.Cycles = int64(float64(r.Cycles) / unpinnedPenalty)
 	r.Seconds /= unpinnedPenalty
 	return r, nil
@@ -210,7 +156,7 @@ func ModelFig12(t *topo.Topology) ([]Fig12Row, error) {
 			continue
 		}
 		wl := KernelProfile(k, t)
-		pol, n, best, err := selectPolicy(t, wl)
+		best, err := selectPolicy(t, wl)
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +165,7 @@ func ModelFig12(t *topo.Topology) ([]Fig12Row, error) {
 			return nil, err
 		}
 		rows = append(rows, Fig12Row{
-			Kernel: k, Platform: t.Name(), Chosen: pol, Threads: n,
+			Kernel: k, Platform: t.Name(), Chosen: best.Policy, Threads: best.Threads,
 			RelTime: float64(best.Cycles) * (1 + preprocessOverhead) / float64(base.Cycles),
 		})
 	}
@@ -235,11 +181,7 @@ func modelCombination(t *topo.Topology) (Fig12Row, error) {
 	pf := KernelProfile(KPotentialFr, t)
 
 	// MCTOP MP: per-kernel selection, overhead applied to both.
-	_, _, bestPR, err := selectPolicy(t, pr)
-	if err != nil {
-		return Fig12Row{}, err
-	}
-	polPF, nPF, bestPF, err := selectPolicy(t, pf)
+	bestPR, bestPF, err := selectBoth(t)
 	if err != nil {
 		return Fig12Row{}, err
 	}
@@ -256,7 +198,7 @@ func modelCombination(t *topo.Topology) (Fig12Row, error) {
 	base := float64(basePR.Cycles + basePF.Cycles)
 
 	return Fig12Row{
-		Kernel: KCombination, Platform: t.Name(), Chosen: polPF, Threads: nPF,
+		Kernel: KCombination, Platform: t.Name(), Chosen: bestPF.Policy, Threads: bestPF.Threads,
 		RelTime: mctop / base,
 	}, nil
 }
@@ -266,46 +208,26 @@ func modelCombination(t *topo.Topology) (Fig12Row, error) {
 // could at most achieve. Used by tests to show that switching policies
 // between regions (MCTOP MP) beats any fixed choice.
 func BestFixed(t *topo.Topology) (int64, error) {
-	pr := KernelProfile(KPageRank, t)
-	pf := KernelProfile(KPotentialFr, t)
-	best := int64(-1)
-	for _, pol := range CandidatePolicies() {
-		for _, n := range threadCandidates(t) {
-			pl, err := place.New(t, pol, place.Options{NThreads: n})
-			if err != nil {
-				return 0, err
-			}
-			a, err := exec.Estimate(t, pl.Contexts(), pr)
-			if err != nil {
-				return 0, err
-			}
-			b, err := exec.Estimate(t, pl.Contexts(), pf)
-			if err != nil {
-				return 0, err
-			}
-			total := a.Cycles + b.Cycles
-			if best < 0 || total < best {
-				best = total
-			}
-		}
-	}
-	if best < 0 {
-		return 0, fmt.Errorf("omp: no fixed placement found")
-	}
-	return best, nil
+	// One placement for both kernels is one workload made of both kernels'
+	// phases (each runs a single iteration).
+	both := exec.Workload{Name: string(KCombination), Phases: append(
+		KernelProfile(KPageRank, t).Phases, KernelProfile(KPotentialFr, t).Phases...)}
+	best, err := exec.Best(t, CandidatePolicies(), exec.ThreadCandidates(t), both, nil)
+	return best.Cycles, err
 }
 
 // AdaptiveCombination returns MCTOP MP's total cycles for the Combination
 // workload without the sampling overhead (for the fixed-vs-adaptive
 // comparison).
 func AdaptiveCombination(t *topo.Topology) (int64, error) {
-	_, _, bestPR, err := selectPolicy(t, KernelProfile(KPageRank, t))
-	if err != nil {
-		return 0, err
+	pr, pf, err := selectBoth(t)
+	return pr.Cycles + pf.Cycles, err
+}
+
+// selectBoth runs the policy selection for each Combination kernel.
+func selectBoth(t *topo.Topology) (pr, pf exec.Candidate, err error) {
+	if pr, err = selectPolicy(t, KernelProfile(KPageRank, t)); err == nil {
+		pf, err = selectPolicy(t, KernelProfile(KPotentialFr, t))
 	}
-	_, _, bestPF, err := selectPolicy(t, KernelProfile(KPotentialFr, t))
-	if err != nil {
-		return 0, err
-	}
-	return bestPR.Cycles + bestPF.Cycles, nil
+	return pr, pf, err
 }

@@ -232,9 +232,6 @@ func TestCombinationSwitchBeatsFixed(t *testing.T) {
 }
 
 func TestModelValidation(t *testing.T) {
-	if PaperPolicy(KPageRank) == PaperPolicy(KCommunities) {
-		t.Error("PageRank and Communities should differ in paper policy")
-	}
 	tp := enriched(t, sim.Ivy())
 	wl := KernelProfile(KCombination, tp)
 	if wl.Name != "" {

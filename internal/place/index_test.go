@@ -4,14 +4,16 @@ package place
 // power greedy must produce byte-identical orders to the exhaustive scan it
 // replaced, roundRobin's limit must be a pure prefix, the PinNext free-slot
 // cursor must preserve the lowest-free-slot contract under pin/unpin
-// churn, and ParsePolicy's init-time reverse map must accept exactly what
-// the per-call loop accepted.
+// churn, ParsePolicy's init-time reverse map must accept exactly what
+// the per-call loop accepted, and the accessors over the memoized occupancy
+// must equal the per-call map passes they replaced.
 
 import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/topo"
@@ -166,4 +168,171 @@ func powerOrderScan(t *topo.Topology, nSockets, nThreads int) []int {
 		inUse[best] = true
 	}
 	return chosen
+}
+
+// TestOccupancyAccessorsMatchMaps checks the accessors that read the
+// memoized occupancy against the map-based passes they replaced, over the
+// 12 x 5 policy matrix (NONE included: all -1), combinator chains and
+// reconstructed placements.
+func TestOccupancyAccessorsMatchMaps(t *testing.T) {
+	for _, file := range goldenPlatformFiles {
+		top := loadGolden(t, file)
+		nCtx := top.NumHWContexts()
+		for _, pol := range Policies() {
+			for _, o := range []Orderer{
+				pol,
+				OnSockets(pol, 0).Limit(8).Reverse(),
+				Reverse(pol).OnSockets(top.NumSockets()-1, 0),
+			} {
+				for _, n := range []int{0, 1, 5, 9, nCtx / 2, nCtx} {
+					pl, err := NewFrom(top, o, Options{NThreads: n})
+					if err != nil {
+						continue // POWER without power data
+					}
+					re, err := Reconstruct(top, pl.PolicyName(), pl.Contexts())
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, p := range []*Placement{pl, re} {
+						var got, want []int
+						for _, s := range p.SocketsUsed() {
+							got = append(got, s.ID)
+						}
+						for _, s := range socketsUsedMap(p) {
+							want = append(want, s.ID)
+						}
+						if !reflect.DeepEqual(got, want) ||
+							p.NCores() != nCoresMap(p) ||
+							!reflect.DeepEqual(p.CtxPerSocket(), ctxPerSocketMap(p)) ||
+							!reflect.DeepEqual(p.CoresPerSocket(), coresPerSocketMap(p)) ||
+							p.MaxLatency() != top.MaxLatencyBetween(pinned(p)) {
+							t.Fatalf("%s %s x%d: accessors differ from the map passes:\n%s", file, o.Name(), n, p)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOccupancyIsLazy pins the allocation contract of the memo: building a
+// placement costs what it cost before the occupancy existed, and a warmed
+// placement answers the five accessors /v1/place calls with a handful of
+// result-slice allocations.
+func TestOccupancyIsLazy(t *testing.T) {
+	for _, c := range []struct {
+		file    string
+		threads int
+		build   float64 // NewFrom's allocations before the memo existed
+	}{{"ivy.mctop", 20, 25}, {"westmere.mctop", 64, 68}, {"sparc.mctop", 128, 45}} {
+		top := loadGolden(t, c.file)
+		top.GetLatency(0, 1) // build the topology's index outside the measurement
+		var pl *Placement
+		if got := testing.AllocsPerRun(20, func() {
+			pl, _ = NewFrom(top, RRCore, Options{NThreads: c.threads})
+		}); got != c.build {
+			t.Errorf("%s: NewFrom allocates %v, want %v", c.file, got, c.build)
+		}
+		pl.Occupancy()
+		if got := testing.AllocsPerRun(20, func() {
+			pl.Contexts()
+			pl.NCores()
+			pl.CtxPerSocket()
+			pl.MaxLatency()
+			pl.MinBandwidth()
+		}); got > 8 {
+			t.Errorf("%s: the /v1/place accessors allocate %v on a warmed placement, want <= 8", c.file, got)
+		}
+	}
+}
+
+// TestOccupancyConcurrentFirstUse exercises the lazy sync.Once build under
+// concurrency (run with -race).
+func TestOccupancyConcurrentFirstUse(t *testing.T) {
+	top := loadGolden(t, "westmere.mctop")
+	pl, err := New(top, RRCore, Options{NThreads: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := nCoresMap(pl)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := pl.NCores(); got != want {
+				t.Errorf("NCores() = %d, want %d", got, want)
+			}
+			pl.CtxPerSocket()
+			pl.MaxLatency()
+			_ = pl.String()
+		}()
+	}
+	wg.Wait()
+}
+
+// pinned and the four *Map functions below are the accessors as they were
+// before the memoized occupancy: one pass over the context list per call,
+// through maps. Kept as the reference the occupancy is property-tested
+// against.
+func pinned(p *Placement) []int {
+	var out []int
+	for _, c := range p.ctxs {
+		if c >= 0 {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func socketsUsedMap(p *Placement) []*topo.Socket {
+	seen := map[int]bool{}
+	var out []*topo.Socket
+	for _, c := range pinned(p) {
+		s := p.t.Context(c).Socket
+		if !seen[s.ID] {
+			seen[s.ID] = true
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func nCoresMap(p *Placement) int {
+	seen := map[*topo.HWCGroup]bool{}
+	for _, c := range pinned(p) {
+		seen[p.t.Context(c).Core] = true
+	}
+	return len(seen)
+}
+
+func ctxPerSocketMap(p *Placement) []int {
+	sockets := socketsUsedMap(p)
+	idx := map[int]int{}
+	for i, s := range sockets {
+		idx[s.ID] = i
+	}
+	counts := make([]int, len(sockets))
+	for _, c := range pinned(p) {
+		counts[idx[p.t.Context(c).Socket.ID]]++
+	}
+	return counts
+}
+
+func coresPerSocketMap(p *Placement) []int {
+	sockets := socketsUsedMap(p)
+	idx := map[int]int{}
+	for i, s := range sockets {
+		idx[s.ID] = i
+	}
+	seen := map[*topo.HWCGroup]bool{}
+	counts := make([]int, len(sockets))
+	for _, c := range pinned(p) {
+		core := p.t.Context(c).Core
+		if !seen[core] {
+			seen[core] = true
+			counts[idx[core.Socket.ID]]++
+		}
+	}
+	return counts
 }

@@ -12,7 +12,7 @@ package place
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -143,6 +143,11 @@ type Placement struct {
 	// taken, so PinNext starts scanning here instead of at 0 — O(1)
 	// amortized on the pin-heavy serving path. Unpin moves it back down.
 	free int
+
+	// occ memoizes the occupancy of ctxs, which never change: every Figure 7
+	// accessor reads it, and building a placement pays nothing for it.
+	occOnce sync.Once
+	occ     *topo.Occupancy
 }
 
 // Custom is the Policy() answer for placements built from a non-builtin
@@ -321,8 +326,8 @@ func buildOrder(t *topo.Topology, policy Policy, nSockets, nThreads int) ([]int,
 		for i, s := range sockets {
 			order := coreHWCOrder(t, s)
 			cap := len(order)
-			if spec.StreamCoreBW > 0 && s.MemBW != nil {
-				need := int(s.MemBW[s.Local.ID]/spec.StreamCoreBW + 0.999)
+			if bw := s.LocalBW(); spec.StreamCoreBW > 0 && bw > 0 {
+				need := int(bw/spec.StreamCoreBW + 0.999)
 				if need < 1 {
 					need = 1
 				}
@@ -508,92 +513,61 @@ func (p *Placement) Unpin(ctx int) {
 	}
 }
 
-// pinned returns the distinct pinned contexts (excludes -1 slots).
-func (p *Placement) pinnedCtxs() []int {
-	var out []int
-	for _, c := range p.ctxs {
-		if c >= 0 {
-			out = append(out, c)
-		}
-	}
-	return out
+// Occupancy returns the cores and sockets the pinned contexts occupy (-1
+// slots excluded), computed on first use and shared afterwards: read-only.
+func (p *Placement) Occupancy() *topo.Occupancy {
+	p.occOnce.Do(func() { p.occ = p.t.Occupancy(p.ctxs) })
+	return p.occ
 }
 
 // SocketsUsed returns the sockets the placement touches, in first-use
 // order.
 func (p *Placement) SocketsUsed() []*topo.Socket {
-	seen := map[int]bool{}
-	var out []*topo.Socket
-	for _, c := range p.pinnedCtxs() {
-		s := p.t.Context(c).Socket
-		if !seen[s.ID] {
-			seen[s.ID] = true
-			out = append(out, s)
-		}
+	ids := p.Occupancy().Sockets
+	out := make([]*topo.Socket, len(ids))
+	for i, id := range ids {
+		out[i] = p.t.Socket(id)
 	}
 	return out
 }
 
 // NCores returns the number of distinct physical cores used.
-func (p *Placement) NCores() int {
-	seen := map[*topo.HWCGroup]bool{}
-	for _, c := range p.pinnedCtxs() {
-		seen[p.t.Context(c).Core] = true
-	}
-	return len(seen)
-}
+func (p *Placement) NCores() int { return p.Occupancy().NCores }
 
 // CtxPerSocket returns, per used socket (in SocketsUsed order), how many
 // hardware contexts the placement occupies there.
 func (p *Placement) CtxPerSocket() []int {
-	sockets := p.SocketsUsed()
-	idx := map[int]int{}
-	for i, s := range sockets {
-		idx[s.ID] = i
-	}
-	counts := make([]int, len(sockets))
-	for _, c := range p.pinnedCtxs() {
-		counts[idx[p.t.Context(c).Socket.ID]]++
-	}
-	return counts
+	o := p.Occupancy()
+	return perUsedSocket(o, o.CtxPerSocket)
 }
 
 // CoresPerSocket returns distinct cores per used socket.
 func (p *Placement) CoresPerSocket() []int {
-	sockets := p.SocketsUsed()
-	idx := map[int]int{}
-	for i, s := range sockets {
-		idx[s.ID] = i
+	o := p.Occupancy()
+	return perUsedSocket(o, o.CoresPerSocket)
+}
+
+// perUsedSocket reorders a per-socket-id counter into SocketsUsed order.
+func perUsedSocket(o *topo.Occupancy, bySocketID []int32) []int {
+	out := make([]int, len(o.Sockets))
+	for i, id := range o.Sockets {
+		out[i] = int(bySocketID[id])
 	}
-	seen := map[*topo.HWCGroup]bool{}
-	counts := make([]int, len(sockets))
-	for _, c := range p.pinnedCtxs() {
-		core := p.t.Context(c).Core
-		if !seen[core] {
-			seen[core] = true
-			counts[idx[core.Socket.ID]]++
-		}
-	}
-	return counts
+	return out
 }
 
 // BWProportions returns each used socket's share of the placement's
 // aggregate local memory bandwidth (Figure 7's "BW proportions").
 func (p *Placement) BWProportions() []float64 {
-	sockets := p.SocketsUsed()
-	var sum float64
-	bws := make([]float64, len(sockets))
-	for i, s := range sockets {
-		if s.MemBW != nil {
-			bws[i] = s.MemBW[s.Local.ID]
+	ids := p.Occupancy().Sockets
+	bws := make([]float64, len(ids))
+	for i, id := range ids {
+		bws[i] = p.t.Socket(id).LocalBW()
+	}
+	if sum := p.MinBandwidth(); sum != 0 {
+		for i := range bws {
+			bws[i] /= sum
 		}
-		sum += bws[i]
-	}
-	if sum == 0 {
-		return bws
-	}
-	for i := range bws {
-		bws[i] /= sum
 	}
 	return bws
 }
@@ -603,10 +577,8 @@ func (p *Placement) BWProportions() []float64 {
 // (Figure 7's "Min bandwidth").
 func (p *Placement) MinBandwidth() float64 {
 	var sum float64
-	for _, s := range p.SocketsUsed() {
-		if s.MemBW != nil {
-			sum += s.MemBW[s.Local.ID]
-		}
+	for _, id := range p.Occupancy().Sockets {
+		sum += p.t.Socket(id).LocalBW()
 	}
 	return sum
 }
@@ -614,28 +586,27 @@ func (p *Placement) MinBandwidth() float64 {
 // MaxLatency returns the maximum communication latency between any two
 // placed threads (Figure 7's "Max latency"; also the educated-backoff
 // quantum of Section 5).
-func (p *Placement) MaxLatency() int64 {
-	return p.t.MaxLatencyBetween(p.pinnedCtxs())
-}
+func (p *Placement) MaxLatency() int64 { return p.Occupancy().MaxLatency() }
 
 // MaxPower estimates the placement's maximum power per used socket and in
 // total (Figure 7's "Max pow" lines). Zero when power data is unavailable.
 func (p *Placement) MaxPower(withDRAM bool) (perUsedSocket []float64, total float64) {
-	perAll, total := p.t.PowerEstimate(p.pinnedCtxs(), withDRAM)
-	for _, s := range p.SocketsUsed() {
-		perUsedSocket = append(perUsedSocket, perAll[s.ID])
+	o := p.Occupancy()
+	perAll, total := o.Power(withDRAM)
+	for _, id := range o.Sockets {
+		perUsedSocket = append(perUsedSocket, perAll[id])
 	}
 	return perUsedSocket, total
 }
 
 // String renders the placement report of Figure 7.
 func (p *Placement) String() string {
+	o := p.Occupancy()
 	var b strings.Builder
 	fmt.Fprintf(&b, "## MCTOP Placement    : %s\n", p.PolicyName())
-	fmt.Fprintf(&b, "#  # Cores            : %d\n", p.NCores())
-	ctxs := p.Contexts()
-	fmt.Fprintf(&b, "#  HW contexts (%d)   :", len(ctxs))
-	for i, c := range ctxs {
+	fmt.Fprintf(&b, "#  # Cores            : %d\n", o.NCores)
+	fmt.Fprintf(&b, "#  HW contexts (%d)   :", len(p.ctxs))
+	for i, c := range p.ctxs {
 		if i == 16 {
 			b.WriteString(" ...")
 			break
@@ -643,37 +614,37 @@ func (p *Placement) String() string {
 		fmt.Fprintf(&b, " %d", c)
 	}
 	b.WriteByte('\n')
-	sockets := p.SocketsUsed()
-	ids := make([]string, len(sockets))
-	for i, s := range sockets {
-		ids[i] = fmt.Sprintf("%d", s.ID)
-	}
-	fmt.Fprintf(&b, "#  Sockets (%d)        : %s\n", len(sockets), strings.Join(ids, " "))
+	fmt.Fprintf(&b, "#  Sockets (%d)        : %s\n", len(o.Sockets), joinInts(o.Sockets))
 	fmt.Fprintf(&b, "#  # HW ctx / socket  : %s\n", joinInts(p.CtxPerSocket()))
 	fmt.Fprintf(&b, "#  # Cores / socket   : %s\n", joinInts(p.CoresPerSocket()))
-	props := p.BWProportions()
-	parts := make([]string, len(props))
-	for i, f := range props {
-		parts[i] = fmt.Sprintf("%.3f", f)
+	b.WriteString("#  BW proportions     : ")
+	for i, f := range p.BWProportions() {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%.3f", f)
 	}
-	fmt.Fprintf(&b, "#  BW proportions     : %s\n", strings.Join(parts, " "))
+	b.WriteByte('\n')
 	if p.t.Power().Available() {
 		per, total := p.MaxPower(false)
 		fmt.Fprintf(&b, "#  Max pow no DRAM    : %s= %.1f Watt\n", joinWatts(per), total)
 		perD, totalD := p.MaxPower(true)
 		fmt.Fprintf(&b, "#  Max pow with DRAM  : %s= %.1f Watt\n", joinWatts(perD), totalD)
 	}
-	fmt.Fprintf(&b, "#  Max latency        : %d cycles\n", p.MaxLatency())
+	fmt.Fprintf(&b, "#  Max latency        : %d cycles\n", o.MaxLatency())
 	fmt.Fprintf(&b, "#  Min bandwidth      : %.2f GB/s\n", p.MinBandwidth())
 	return b.String()
 }
 
 func joinInts(xs []int) string {
-	parts := make([]string, len(xs))
+	var b strings.Builder
 	for i, x := range xs {
-		parts[i] = fmt.Sprintf("%d", x)
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(strconv.Itoa(x))
 	}
-	return strings.Join(parts, " ")
+	return b.String()
 }
 
 func joinWatts(xs []float64) string {
@@ -720,11 +691,4 @@ func (pl *Pool) Current() *Placement {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	return pl.cur
-}
-
-// Sorted verification helper: contexts in ascending order.
-func sortedCtxs(p *Placement) []int {
-	out := p.pinnedCtxs()
-	sort.Ints(out)
-	return out
 }

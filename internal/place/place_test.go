@@ -402,14 +402,3 @@ func TestParsePolicy(t *testing.T) {
 		t.Error("bogus policy should fail")
 	}
 }
-
-func TestSortedCtxsHelper(t *testing.T) {
-	tp := enriched(t, sim.Ivy())
-	pl, _ := New(tp, RRCore, Options{NThreads: 4})
-	s := sortedCtxs(pl)
-	for i := 1; i < len(s); i++ {
-		if s[i] <= s[i-1] {
-			t.Fatal("not sorted")
-		}
-	}
-}

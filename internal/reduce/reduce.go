@@ -151,10 +151,6 @@ func OptimalTree(t *topo.Topology, sockets []int, dest int, bytesPerSocket int64
 	if _, err := Tree(t, sockets, dest); err != nil {
 		return Plan{}, err // reuse input validation
 	}
-	freq := t.FreqGHz()
-	if freq <= 0 {
-		freq = 2.0
-	}
 	type node struct {
 		id    int
 		bytes int64
@@ -162,13 +158,6 @@ func OptimalTree(t *topo.Topology, sockets []int, dest int, bytesPerSocket int64
 	start := make([]node, len(sockets))
 	for i, s := range sockets {
 		start[i] = node{s, bytesPerSocket}
-	}
-	linkCost := func(from node, to node) int64 {
-		bw := t.SocketBW(from.id, to.id)
-		if bw <= 0 {
-			bw = 4
-		}
-		return int64(float64(from.bytes) * freq / bw)
 	}
 	var best struct {
 		cost  int64
@@ -216,7 +205,7 @@ func OptimalTree(t *topo.Topology, sockets []int, dest int, bytesPerSocket int64
 					if src.id == dest {
 						continue
 					}
-					c := linkCost(src, surv)
+					c := linkCycles(t, src.id, surv.id, src.bytes)
 					rc := roundCost
 					if c > rc {
 						rc = c
@@ -272,10 +261,6 @@ func NaiveTree(t *topo.Topology, sockets []int, dest int) (Plan, error) {
 // participant: rounds run serially, the pairs of a round in parallel, and
 // each merge streams its bytes over the pair's interconnect path.
 func Cost(t *topo.Topology, p Plan, bytesPerSocket int64) int64 {
-	freq := t.FreqGHz()
-	if freq <= 0 {
-		freq = 2.0
-	}
 	carried := map[int]int64{}
 	var total int64
 	for _, s := range t.Sockets() {
@@ -284,12 +269,7 @@ func Cost(t *topo.Topology, p Plan, bytesPerSocket int64) int64 {
 	for _, round := range p.Rounds {
 		var worst int64
 		for _, st := range round {
-			bytes := carried[st.From]
-			bw := t.SocketBW(st.From, st.To)
-			if bw <= 0 {
-				bw = 4
-			}
-			cycles := int64(float64(bytes) * freq / bw)
+			cycles := linkCycles(t, st.From, st.To, carried[st.From])
 			if cycles > worst {
 				worst = cycles
 			}
@@ -299,6 +279,16 @@ func Cost(t *topo.Topology, p Plan, bytesPerSocket int64) int64 {
 		total += worst
 	}
 	return total
+}
+
+// linkCycles is the time to stream bytes from one socket to another over
+// their interconnect (4 GB/s when its bandwidth was not measured).
+func linkCycles(t *topo.Topology, from, to int, bytes int64) int64 {
+	bw := t.SocketBW(from, to)
+	if bw <= 0 {
+		bw = 4
+	}
+	return int64(float64(bytes) * t.ModelFreqGHz() / bw)
 }
 
 // Validate checks that a plan reduces every participant exactly once per

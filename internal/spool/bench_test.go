@@ -2,8 +2,6 @@ package spool
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -31,23 +29,6 @@ func realInfer(_ context.Context, platform string, seed uint64, opt mctopalg.Opt
 	return plugins.Enrich(m, res.Topology, nil)
 }
 
-// benchSpoolDir returns the benchmarks' spool directory: MCTOP_SPOOL_DIR
-// when set (CI shares and caches it between the test and bench steps, so
-// a cached run never pays the priming inference), a temp dir otherwise.
-// Only benchmarks use it — correctness tests always start from an empty
-// spool so their cold measurements stay cold.
-func benchSpoolDir(b *testing.B) string {
-	b.Helper()
-	if d := os.Getenv("MCTOP_SPOOL_DIR"); d != "" {
-		sub := filepath.Join(d, "bench")
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			b.Fatal(err)
-		}
-		return sub
-	}
-	return b.TempDir()
-}
-
 // benchSpoolRegistry builds a spool-backed registry over dir and returns
 // it with its LRU tier (so benchmarks can evict memory and force the
 // disk path).
@@ -72,7 +53,7 @@ func benchSpoolRegistry(b *testing.B, dir string) (*registry.Registry, *registry
 // (in practice the decode is ~10^2-10^3x cheaper).
 func BenchmarkWarmStartTopologyLookup(b *testing.B) {
 	opt := mctopalg.Options{Reps: 51}
-	r, lru := benchSpoolRegistry(b, benchSpoolDir(b))
+	r, lru := benchSpoolRegistry(b, b.TempDir())
 	if _, err := r.TopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
 		b.Fatal(err)
 	}
@@ -92,7 +73,7 @@ func BenchmarkWarmStartTopologyLookup(b *testing.B) {
 // sidecar decode plus the topology decode it references.
 func BenchmarkWarmStartPlacementLookup(b *testing.B) {
 	opt := mctopalg.Options{Reps: 51}
-	r, lru := benchSpoolRegistry(b, benchSpoolDir(b))
+	r, lru := benchSpoolRegistry(b, b.TempDir())
 	if _, err := r.PlaceContext(context.Background(), "Ivy", 42, opt, "RR_CORE", 8); err != nil {
 		b.Fatal(err)
 	}

@@ -13,8 +13,11 @@ import "sort"
 //     machines, so the dense int64 matrix tops out at 512 KB; a level-id
 //     matrix + level table would shrink it 8x if a future platform needs
 //     it), making GetLatency O(1) and MaxLatencyBetween a pure array scan;
-//   - coreIdx/socketIdx flatten the context→core→socket pointer chases used
-//     by the power estimator into two int32 lookups;
+//   - coreIdx/socketIdx flatten the context→core→socket pointer chases into
+//     two int32 lookups. Occupancy (occupancy.go) is the one pass over them:
+//     the summary of the cores and sockets a context set uses, ordered by id
+//     and first use — never by map iteration — that the power estimate, the
+//     placement report and the cost models all read;
 //   - socketCores, byLocalBW and byLatencyFrom memoize the per-socket core
 //     slices and the socket orders every placement build re-derived.
 //
@@ -156,7 +159,7 @@ func (t *Topology) socketGetCoresScan(s *Socket) []*HWCGroup {
 func (t *Topology) socketsByLocalBWSort() []*Socket {
 	out := append([]*Socket(nil), t.sockets...)
 	sort.SliceStable(out, func(i, j int) bool {
-		return localBW(out[i]) > localBW(out[j])
+		return out[i].LocalBW() > out[j].LocalBW()
 	})
 	return out
 }

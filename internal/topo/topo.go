@@ -196,6 +196,15 @@ func (t *Topology) HasSMT() bool { return t.smtWays > 1 }
 // FreqGHz returns the maximum core frequency, when known.
 func (t *Topology) FreqGHz() float64 { return t.freqGHz }
 
+// ModelFreqGHz is FreqGHz, or 2.0 when the description records none: the
+// clock the cost models (exec, msort, reduce) convert cycles to seconds at.
+func (t *Topology) ModelFreqGHz() float64 {
+	if t.freqGHz <= 0 {
+		return 2.0
+	}
+	return t.freqGHz
+}
+
 // Levels returns the latency levels, ascending.
 func (t *Topology) Levels() []Level { return t.levels }
 
@@ -308,17 +317,12 @@ func (t *Topology) MaxLatency() int64 {
 
 // MaxLatencyBetween returns the maximum communication latency among the
 // given hardware contexts (Section 5: "the backoff quantum is the maximum
-// latency between any two threads involved in the execution"). Instead of
-// the pre-index O(k²) tree walks, participants are bucketed by socket: the
-// cross-socket latency of a pair depends only on its socket pair, so all
-// cross-socket pairs collapse to one socket-matrix lookup per occupied
-// socket pair, and only intra-socket pairs read the context matrix —
-// O(k + s² + Σ kₛ²) array reads, no tree walks. Unknown context ids never
-// contribute (their pairwise latency is -1).
+// latency between any two threads involved in the execution"). Unknown
+// context ids never contribute (their pairwise latency is -1).
 func (t *Topology) MaxLatencyBetween(ctxs []int) int64 {
 	idx := t.index()
 	// Small sets (the common lock-participant case): the pairwise matrix
-	// loop beats the bucketing below, and allocates nothing.
+	// loop beats bucketing by socket, and allocates nothing.
 	if len(ctxs) <= 8 {
 		var max int64
 		for i := 0; i < len(ctxs); i++ {
@@ -336,56 +340,15 @@ func (t *Topology) MaxLatencyBetween(ctxs []int) int64 {
 		}
 		return max
 	}
-	nS := len(t.sockets)
-	// Bucket the valid participants by socket: counts, then a flat
-	// offset-indexed scratch (no per-socket allocations).
-	counts := make([]int, nS)
-	valid := 0
+	// A full Occupancy also counts cores, which this query never reads and
+	// which measurably slows it; the per-socket counts are all bucket needs.
+	perSocket := make([]int32, len(t.sockets))
 	for _, x := range ctxs {
 		if x >= 0 && x < idx.n {
-			counts[idx.socketIdx[x]]++
-			valid++
+			perSocket[idx.socketIdx[x]]++
 		}
 	}
-	offs := make([]int, nS+1)
-	for s := 0; s < nS; s++ {
-		offs[s+1] = offs[s] + counts[s]
-	}
-	flat := make([]int, valid)
-	fill := append([]int(nil), offs[:nS]...)
-	for _, x := range ctxs {
-		if x >= 0 && x < idx.n {
-			s := idx.socketIdx[x]
-			flat[fill[s]] = x
-			fill[s]++
-		}
-	}
-	var max int64
-	for s1 := 0; s1 < nS; s1++ {
-		if counts[s1] == 0 {
-			continue
-		}
-		// Cross-socket: one lookup per occupied socket pair.
-		for s2 := s1 + 1; s2 < nS; s2++ {
-			if counts[s2] == 0 {
-				continue
-			}
-			if l := t.socketLat[s1][s2]; l > max {
-				max = l
-			}
-		}
-		// Intra-socket: pairwise matrix reads within the bucket.
-		bucket := flat[offs[s1]:offs[s1+1]]
-		for i := 0; i < len(bucket); i++ {
-			row := idx.lat[bucket[i]*idx.n : (bucket[i]+1)*idx.n]
-			for j := i + 1; j < len(bucket); j++ {
-				if l := row[bucket[j]]; l > max {
-					max = l
-				}
-			}
-		}
-	}
-	return max
+	return t.maxLatencyBucketed(idx.bucket(ctxs, perSocket))
 }
 
 // SocketsByLatencyFrom returns the other sockets ordered by communication
@@ -407,11 +370,13 @@ func (t *Topology) SocketsByLocalBW() []*Socket {
 	return append([]*Socket(nil), t.index().byLocalBW...)
 }
 
-func localBW(s *Socket) float64 {
-	if s.Local == nil {
+// LocalBW returns the measured bandwidth (GB/s) from the socket to its own
+// memory node, or 0 when the bandwidth plugin did not run.
+func (s *Socket) LocalBW() float64 {
+	if s.MemBW == nil {
 		return 0
 	}
-	return s.Local.BW
+	return s.MemBW[s.Local.ID]
 }
 
 // MinLatencyPair returns the pair of distinct sockets with the lowest
@@ -487,40 +452,11 @@ func (t *Topology) ContextsByLatencyFrom(ctx int) []int {
 }
 
 // PowerEstimate estimates package power for a set of active contexts using
-// the power plugin's model (0 when power data is unavailable). The index's
-// flat ctx→core and ctx→socket tables replace the per-call maps and pointer
-// chases of the pre-index implementation; core contributions accumulate in
-// ascending core order, so the result is deterministic.
+// the power plugin's model (0 when power data is unavailable).
 func (t *Topology) PowerEstimate(ctxs []int, withDRAM bool) (perSocket []float64, total float64) {
-	perSocket = make([]float64, len(t.sockets))
 	if !t.power.Available() {
-		return perSocket, 0
+		return make([]float64, len(t.sockets)), 0
 	}
-	idx := t.index()
-	ctxPerCore := make([]int32, len(t.cores))
-	active := make([]bool, len(t.sockets))
-	for _, id := range ctxs {
-		if id < 0 || id >= idx.n {
-			continue
-		}
-		ctxPerCore[idx.coreIdx[id]]++
-		active[idx.socketIdx[id]] = true
-	}
-	for s := range t.sockets {
-		if active[s] {
-			perSocket[s] = t.power.PerSocketBase
-			if withDRAM {
-				perSocket[s] += t.power.DRAM
-			}
-		}
-	}
-	for core, n := range ctxPerCore {
-		if n > 0 {
-			perSocket[t.cores[core].Socket.ID] += t.power.PerFirstCtx + float64(n-1)*t.power.PerExtraCtx
-		}
-	}
-	for _, p := range perSocket {
-		total += p
-	}
-	return perSocket, total
+	o := t.count(ctxs)
+	return o.Power(withDRAM)
 }
