@@ -19,6 +19,7 @@ var (
 	_ PowerProber  = (*SimMachine)(nil)
 	_ FrequencyGHz = (*SimMachine)(nil)
 	_ Forker       = (*SimMachine)(nil)
+	_ Thread       = (*sim.Thread)(nil)
 )
 
 // NewSim creates a simulator-backed machine for the given platform and
@@ -57,31 +58,22 @@ func (m *SimMachine) ForkPair(xCtx, yCtx int) (Machine, error) {
 	return &SimMachine{S: s}, nil
 }
 
-type simThread struct{ t *sim.Thread }
-
-func (t simThread) Ctx() int             { return t.t.Ctx() }
-func (t simThread) Pin(ctx int) error    { return t.t.Pin(ctx) }
-func (t simThread) Rdtsc() int64         { return t.t.Rdtsc() }
-func (t simThread) CAS(line uint64)      { t.t.CAS(line) }
-func (t simThread) Load(line uint64)     { t.t.Load(line) }
-func (t simThread) Store(line uint64)    { t.t.Store(line) }
-func (t simThread) SpinWork(units int64) { t.t.SpinWork(units) }
-
-// NewThread creates a simulated thread pinned to ctx.
+// NewThread creates a simulated thread pinned to ctx. A *sim.Thread has
+// exactly the Thread method set, so it is handed out as is.
 func (m *SimMachine) NewThread(ctx int) (Thread, error) {
 	t, err := m.S.NewThread(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return simThread{t}, nil
+	return t, nil
 }
 
 func (m *SimMachine) unwrap(t Thread) *sim.Thread {
-	st, ok := t.(simThread)
+	st, ok := t.(*sim.Thread)
 	if !ok {
 		panic(fmt.Sprintf("machine: thread %T does not belong to SimMachine", t))
 	}
-	return st.t
+	return st
 }
 
 // Barrier synchronizes simulated threads. The two-thread case — the

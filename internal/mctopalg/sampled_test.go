@@ -3,7 +3,6 @@ package mctopalg
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 
@@ -223,13 +222,10 @@ func TestSampledSpeedupBar(t *testing.T) {
 		res.Pairs, total, float64(total)/float64(res.Pairs), res.FilledPairs, res.FallbackBlocks)
 }
 
-// TestSampledLargeSmoke is the CI large-platform smoke: full sampled vs
-// exhaustive equality at 1024 contexts. The exhaustive side measures half a
-// million pairs, so the test only runs when MCTOP_LARGE_SMOKE is set.
+// TestSampledLargeSmoke is the large-platform smoke: full sampled vs
+// exhaustive equality at 1024 contexts, where the exhaustive side measures
+// half a million pairs (a couple of seconds; under -race, some tens).
 func TestSampledLargeSmoke(t *testing.T) {
-	if os.Getenv("MCTOP_LARGE_SMOKE") == "" {
-		t.Skip("set MCTOP_LARGE_SMOKE=1 to run the 1024-context equality smoke")
-	}
 	p, err := sim.ByName("gen:circulant:s64:c8:t2")
 	if err != nil {
 		t.Fatal(err)

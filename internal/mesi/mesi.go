@@ -73,15 +73,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// Topology tells the engine which core and socket every hardware context
-// belongs to. Private caches are per core (SMT contexts of a core share
-// them); LLCs are per socket.
-type Topology interface {
-	NumContexts() int
-	CoreOf(ctx int) int
-	SocketOf(ctx int) int
-}
-
 // CostModel supplies the deterministic cycle costs of coherence actions for
 // a specific platform. All methods must be pure functions of their
 // arguments. The transfer costs are end-to-end: they already include the
@@ -124,42 +115,57 @@ type lineState struct {
 
 // System is a MESI coherence engine over a fixed topology.
 type System struct {
-	topo  Topology
-	cost  CostModel
-	lines map[uint64]*lineState
+	coreOf, socketOf []int32 // context -> core / socket, equal lengths
+	cost             CostModel
+	lines            map[uint64]*lineState
+
+	// memo is the line of the last lookup, memoAddr its address. A
+	// measurement ping-pongs on one line for its whole life, so the memo
+	// answers every lookup after the first without hashing.
+	memo     *lineState
+	memoAddr uint64
 
 	// Statistics, useful for tests and the contention simulator.
 	Hits, Misses, Transfers, MemAccesses uint64
 }
 
-// New returns an empty coherence engine. All lines start Invalid.
-func New(topo Topology, cost CostModel) *System {
-	return &System{topo: topo, cost: cost, lines: make(map[uint64]*lineState)}
+// New returns an empty coherence engine over len(coreOf) hardware contexts.
+// coreOf and socketOf tell it which core and socket each context belongs
+// to: private caches are per core (SMT contexts of a core share them), LLCs
+// are per socket. The engine reads the tables and never writes them, so
+// many engines may share one pair. All lines start Invalid.
+func New(coreOf, socketOf []int32, cost CostModel) *System {
+	return &System{coreOf: coreOf, socketOf: socketOf, cost: cost, lines: make(map[uint64]*lineState)}
 }
 
 // Reset invalidates every line and clears statistics.
 func (s *System) Reset() {
 	s.lines = make(map[uint64]*lineState)
+	s.memo = nil
 	s.Hits, s.Misses, s.Transfers, s.MemAccesses = 0, 0, 0, 0
 }
 
 func (s *System) line(addr uint64) *lineState {
+	if s.memo != nil && s.memoAddr == addr {
+		return s.memo
+	}
 	l, ok := s.lines[addr]
 	if !ok {
 		l = &lineState{state: Invalid, ownerCtx: -1, ownerCore: -1, ownerSock: -1}
 		s.lines[addr] = l
 	}
+	s.memo, s.memoAddr = l, addr
 	return l
 }
 
 // Access performs op on line addr from hardware context ctx, updates the
 // coherence state, and returns the deterministic cycle cost of the access.
 func (s *System) Access(ctx int, addr uint64, op Op) int64 {
-	if ctx < 0 || ctx >= s.topo.NumContexts() {
-		panic(fmt.Sprintf("mesi: context %d out of range [0,%d)", ctx, s.topo.NumContexts()))
+	if ctx < 0 || ctx >= len(s.coreOf) {
+		panic(fmt.Sprintf("mesi: context %d out of range [0,%d)", ctx, len(s.coreOf)))
 	}
-	core := s.topo.CoreOf(ctx)
-	sock := s.topo.SocketOf(ctx)
+	core := int(s.coreOf[ctx])
+	sock := int(s.socketOf[ctx])
 	l := s.line(addr)
 
 	switch op {
@@ -334,6 +340,7 @@ func (s *System) StateOf(addr uint64) (state State, ownerCtx int, sharerCores []
 // Invalidate flushes a line from all caches (back to Invalid).
 func (s *System) Invalidate(addr uint64) {
 	delete(s.lines, addr)
+	s.memo = nil
 }
 
 // CheckInvariants validates the global MESI invariants:
@@ -352,7 +359,7 @@ func (s *System) CheckInvariants() error {
 			if len(l.sharerCores) != 0 {
 				return fmt.Errorf("mesi: line %#x in %v with %d sharers", addr, l.state, len(l.sharerCores))
 			}
-			if got := s.topo.CoreOf(l.ownerCtx); got != l.ownerCore {
+			if got := int(s.coreOf[l.ownerCtx]); got != l.ownerCore {
 				return fmt.Errorf("mesi: line %#x owner core mismatch: ctx %d is core %d, recorded %d",
 					addr, l.ownerCtx, got, l.ownerCore)
 			}

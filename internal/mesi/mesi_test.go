@@ -6,17 +6,12 @@ import (
 	"testing/quick"
 )
 
-// testTopo is a small machine: 2 sockets x 2 cores x 2 SMT = 8 contexts.
+// The test machine is small: 2 sockets x 2 cores x 2 SMT = 8 contexts.
 // Context numbering is Intel-style: ctx i and i+4 are siblings.
-type testTopo struct{}
-
-func (testTopo) NumContexts() int { return 8 }
-func (testTopo) CoreOf(ctx int) int {
-	return ctx % 4
-}
-func (testTopo) SocketOf(ctx int) int {
-	return (ctx % 4) / 2
-}
+var (
+	testCoreOf   = []int32{0, 1, 2, 3, 0, 1, 2, 3}
+	testSocketOf = []int32{0, 0, 1, 1, 0, 0, 1, 1}
+)
 
 // testCost charges fixed, easily recognizable costs.
 type testCost struct{}
@@ -38,7 +33,7 @@ func (testCost) UpgradeCost(_ Op, cross bool) int64 {
 	return 80
 }
 
-func newSys() *System { return New(testTopo{}, testCost{}) }
+func newSys() *System { return New(testCoreOf, testSocketOf, testCost{}) }
 
 func TestColdMiss(t *testing.T) {
 	s := newSys()
@@ -270,6 +265,28 @@ func TestResetAndStats(t *testing.T) {
 	}
 	if st, _, _ := s.StateOf(1); st != Invalid {
 		t.Error("Reset did not invalidate lines")
+	}
+	// The line just accessed is the memoized one: Reset must drop it too.
+	if c := s.Access(1, 1, Load); c != 250 {
+		t.Errorf("access after Reset cost %d, want a cold miss (250)", c)
+	}
+}
+
+// TestInvalidateForgetsLine: Invalidate must also drop the line from the
+// one-entry lookup memo, or the next access would hit a line the engine no
+// longer tracks.
+func TestInvalidateForgetsLine(t *testing.T) {
+	s := newSys()
+	s.Access(0, 7, CAS)
+	s.Invalidate(7)
+	if c := s.Access(0, 7, CAS); c != 250 {
+		t.Errorf("access after Invalidate cost %d, want a cold miss (250)", c)
+	}
+	if st, owner, _ := s.StateOf(7); st != Modified || owner != 0 {
+		t.Errorf("re-fetched line is %v owned by %d, want M owned by 0", st, owner)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -157,12 +157,10 @@ type Platform struct {
 	// simulators do not re-pay the O(Sockets^2) consistency scan. Top-level
 	// sims may be built concurrently from one shared Platform (the parallel
 	// measurement pool does), so the memo must be a real Once, not a flag.
+	// tab, the derived tables of tables.go, is part of the same memo.
 	validateOnce sync.Once
 	validateErr  error
-
-	// maxCrossLat memoizes the worst cross-socket latency (set by Validate)
-	// so MESI upgrade costs do not rescan Links per operation.
-	maxCrossLat int64
+	tab          tables
 }
 
 // NumContexts returns the total number of hardware contexts.
@@ -175,16 +173,18 @@ func (p *Platform) NumCores() int { return p.Sockets * p.Cores }
 // modeled machines).
 func (p *Platform) NumNodes() int { return p.Sockets }
 
-// CoreOf returns the global core id (0..NumCores-1) of a hardware context.
-func (p *Platform) CoreOf(ctx int) int {
-	switch p.Numbering {
-	case NumberingIntelHalves:
-		return ctx % p.NumCores()
-	case NumberingConsecutive:
-		return ctx / p.SMT
+// derived returns the platform's derived tables, validating it first if
+// nobody has yet. Geometry questions about a platform that fails Validate
+// have no answer, so asking one is a bug.
+func (p *Platform) derived() *tables {
+	if err := p.Validate(); err != nil {
+		panic(fmt.Sprintf("sim: geometry query on an invalid platform: %v", err))
 	}
-	panic("sim: unknown numbering")
+	return &p.tab
 }
+
+// CoreOf returns the global core id (0..NumCores-1) of a hardware context.
+func (p *Platform) CoreOf(ctx int) int { return int(p.derived().coreOf[ctx]) }
 
 // SMTIndexOf returns which SMT context of its core ctx is (0-based).
 func (p *Platform) SMTIndexOf(ctx int) int {
@@ -198,7 +198,7 @@ func (p *Platform) SMTIndexOf(ctx int) int {
 }
 
 // SocketOf returns the socket id of a hardware context.
-func (p *Platform) SocketOf(ctx int) int { return p.CoreOf(ctx) / p.Cores }
+func (p *Platform) SocketOf(ctx int) int { return int(p.derived().socketOf[ctx]) }
 
 // ContextOf is the inverse of (CoreOf, SMTIndexOf): it returns the hardware
 // context id for a global core and SMT index.
@@ -269,57 +269,10 @@ func (p *Platform) SocketDistance(s1, s2 int) int {
 // SocketLatency is the ground-truth context-to-context communication
 // latency between (cores of) two sockets, before per-pair spread.
 func (p *Platform) SocketLatency(s1, s2 int) int64 {
-	if s1 == s2 {
-		return p.IntraSocketLat
+	if s1 < 0 || s1 >= p.Sockets || s2 < 0 || s2 >= p.Sockets {
+		panic(fmt.Sprintf("sim: socket pair (%d, %d) out of range on %s (%d sockets)", s1, s2, p.Name, p.Sockets))
 	}
-	if p.SocketLatMatrix != nil {
-		return p.SocketLatMatrix[s1][s2]
-	}
-	switch p.SocketDistance(s1, s2) {
-	case 1:
-		l, _ := p.DirectLink(s1, s2)
-		return l.Lat
-	default:
-		return p.TwoHopLat
-	}
-}
-
-// intraOffset is the deterministic on-die distance component of the
-// intra-socket latency between two local core indices: cores far apart on
-// the ring/mesh communicate slightly slower, cores close together slightly
-// faster, spanning [-band, +band]. This reproduces the structured variation
-// visible inside the gray blocks of the paper's Figure 6 heatmap.
-func (p *Platform) intraOffset(c1, c2 int) int64 {
-	if c1 == c2 {
-		return 0
-	}
-	slots := p.Cores/2 - 1
-	if slots <= 0 || p.IntraSocketBand == 0 {
-		return 0
-	}
-	d := c1 - c2
-	if d < 0 {
-		d = -d
-	}
-	if rd := p.Cores - d; rd < d {
-		d = rd // ring distance
-	}
-	// d in [1, Cores/2] -> offset in [-band, +band].
-	return p.IntraSocketBand * int64(2*(d-1)-slots) / int64(slots)
-}
-
-// crossOffset is the deterministic spread of cross-socket latencies for a
-// pair of local core indices.
-func (p *Platform) crossOffset(c1, c2 int) int64 {
-	if p.CrossSocketBand == 0 {
-		return 0
-	}
-	span := 2 * p.CrossSocketBand
-	step := span / 4
-	if step == 0 {
-		step = 1
-	}
-	return int64((c1+c2)%5)*step - p.CrossSocketBand
+	return p.derived().socketLat[s1*p.Sockets+s2]
 }
 
 // PairLatency returns the ground-truth communication latency between two
@@ -329,25 +282,33 @@ func (p *Platform) PairLatency(x, y int) int64 {
 	if x == y {
 		return 0
 	}
-	cx, cy := p.CoreOf(x), p.CoreOf(y)
+	t := p.derived()
+	cx, cy := int(t.coreOf[x]), int(t.coreOf[y])
 	if cx == cy {
 		return p.SameCoreLat
 	}
-	sx, sy := p.SocketOf(x), p.SocketOf(y)
-	lcx, lcy := cx%p.Cores, cy%p.Cores
+	sx, sy := int(t.socketOf[x]), int(t.socketOf[y])
+	lcx, lcy := cx-sx*p.Cores, cy-sy*p.Cores
 	if sx == sy {
-		return p.IntraSocketLat + p.intraOffset(lcx, lcy)
+		return p.IntraSocketLat + t.intraOff[lcx*p.Cores+lcy]
 	}
-	return p.SocketLatency(sx, sy) + p.crossOffset(lcx, lcy)
+	return t.socketLat[sx*p.Sockets+sy] + t.crossOff[lcx+lcy]
 }
 
 // Validate checks the internal consistency of a platform definition. The
 // first run is memoized (verdict included): simulators are forked once per
 // measured pair (hundreds of thousands of times on large platforms), and
-// each fork shares the already-validated Platform of its parent. A mutated
-// Platform needs a fresh copy to be re-validated.
+// each fork shares the already-validated Platform of its parent. A clean
+// verdict also builds the derived tables the simulator and the geometry
+// accessors (CoreOf, SocketOf, SocketLatency, PairLatency) read, so they are
+// part of the memo: a mutated Platform needs a fresh value to be
+// re-validated and re-tabulated.
 func (p *Platform) Validate() error {
-	p.validateOnce.Do(func() { p.validateErr = p.validate() })
+	p.validateOnce.Do(func() {
+		if p.validateErr = p.validate(); p.validateErr == nil {
+			p.buildTables()
+		}
+	})
 	return p.validateErr
 }
 
@@ -405,9 +366,6 @@ func (p *Platform) validate() error {
 					return fmt.Errorf("sim: %s: cross latency %d between sockets %d and %d <= intra-socket %d",
 						p.Name, lat, a, b, p.IntraSocketLat)
 				}
-				if lat > p.maxCrossLat {
-					p.maxCrossLat = lat
-				}
 			}
 		}
 	} else {
@@ -423,14 +381,6 @@ func (p *Platform) validate() error {
 		}
 		if needTwoHop && p.TwoHopLat == 0 {
 			return fmt.Errorf("sim: %s: disconnected socket pairs but no TwoHopLat", p.Name)
-		}
-		for _, l := range p.Links {
-			if l.Lat > p.maxCrossLat {
-				p.maxCrossLat = l.Lat
-			}
-		}
-		if p.TwoHopLat > p.maxCrossLat {
-			p.maxCrossLat = p.TwoHopLat
 		}
 	}
 	if len(p.MemLat) != p.Sockets || len(p.MemBW) != p.Sockets {

@@ -34,14 +34,9 @@ type coreDVFS struct {
 	busy int64 // accumulated busy work toward the frequency ramp
 }
 
-// topoAdapter exposes the platform's ground truth as a mesi.Topology.
-type topoAdapter struct{ p *Platform }
-
-func (t topoAdapter) NumContexts() int     { return t.p.NumContexts() }
-func (t topoAdapter) CoreOf(ctx int) int   { return t.p.CoreOf(ctx) }
-func (t topoAdapter) SocketOf(ctx int) int { return t.p.SocketOf(ctx) }
-
-// costAdapter derives the MESI transition costs from the platform.
+// costAdapter derives the MESI transition costs from the platform. The
+// engine hands it global core ids together with the socket each belongs to;
+// the local core index is their difference.
 type costAdapter struct{ s *Sim }
 
 func (c costAdapter) HitCost(op mesi.Op) int64 {
@@ -53,21 +48,22 @@ func (c costAdapter) HitCost(op mesi.Op) int64 {
 
 func (c costAdapter) SameCoreTransfer(mesi.Op) int64 { return c.s.p.SameCoreLat }
 
-func (c costAdapter) SameSocketTransfer(_ mesi.Op, _, fromCore, toCore int) int64 {
+func (c costAdapter) SameSocketTransfer(_ mesi.Op, socket, fromCore, toCore int) int64 {
 	p := c.s.p
-	return p.IntraSocketLat + p.intraOffset(fromCore%p.Cores, toCore%p.Cores)
+	base := socket * p.Cores
+	return p.IntraSocketLat + p.tab.intraOff[(fromCore-base)*p.Cores+toCore-base]
 }
 
 func (c costAdapter) CrossSocketTransfer(_ mesi.Op, fromSocket, fromCore, toSocket, toCore int) int64 {
 	p := c.s.p
 	lc1, lc2 := 0, 0
 	if fromCore >= 0 {
-		lc1 = fromCore % p.Cores
+		lc1 = fromCore - fromSocket*p.Cores
 	}
 	if toCore >= 0 {
-		lc2 = toCore % p.Cores
+		lc2 = toCore - toSocket*p.Cores
 	}
-	return p.SocketLatency(fromSocket, toSocket) + p.crossOffset(lc1, lc2)
+	return p.tab.socketLat[fromSocket*p.Sockets+toSocket] + p.tab.crossOff[lc1+lc2]
 }
 
 func (c costAdapter) MemoryAccess(_ mesi.Op, socket int, line uint64) int64 {
@@ -79,10 +75,7 @@ func (c costAdapter) UpgradeCost(_ mesi.Op, crossSocket bool) int64 {
 	if !crossSocket {
 		return p.IntraSocketLat
 	}
-	// Worst cross-socket latency, memoized by Validate (which always runs
-	// before the first operation) so the hot coherence path never rescans
-	// the link list.
-	return p.maxCrossLat
+	return p.tab.maxCrossLat
 }
 
 // New creates a simulator for the platform with the given noise seed.
@@ -96,7 +89,7 @@ func New(p *Platform, seed uint64) (*Sim, error) {
 		seed:     seed,
 		lineHome: make(map[uint64]int),
 	}
-	s.coh = mesi.New(topoAdapter{p}, costAdapter{s})
+	s.coh = mesi.New(p.tab.coreOf, p.tab.socketOf, costAdapter{s})
 	return s, nil
 }
 
@@ -147,39 +140,29 @@ func (s *Sim) rand() uint64 {
 // of Section 3.5: OS background processes, interrupts).
 func (s *Sim) noise() int64 {
 	r := s.rand()
-	amp := s.p.NoiseAmp
+	t := &s.p.tab
 	var n int64
-	if amp > 0 {
-		n = int64(r%uint64(2*amp+1)) - amp
+	if t.noise.d != 0 {
+		n = int64(t.noise.mod(r)) - s.p.NoiseAmp
 	}
-	if s.p.SpuriousRate > 0 {
-		if float64(rng.Mix(r)%1_000_000)/1_000_000 < s.p.SpuriousRate {
-			n += s.p.SpuriousAmp
-		}
+	if t.spuriousBelow != 0 && rng.Mix(r)%spuriousDraws < t.spuriousBelow {
+		n += s.p.SpuriousAmp
 	}
 	return n
 }
 
 // freqFactor returns the core's current frequency as a fraction of maximum.
-// The core steps through discrete P-states as it accumulates busy cycles.
+// The core steps through discrete P-states as it accumulates busy cycles;
+// once it is through the last one — where a measurement spends nearly all
+// of its time — the answer takes no division.
 func (s *Sim) freqFactor(core int) float64 {
-	if !s.p.DVFS || s.p.RampCycles <= 0 {
+	t := &s.p.tab
+	busy := s.cores[core].busy
+	if t.dvfsDwell == 0 || busy >= t.dvfsRampEnd {
 		return 1.0
 	}
-	states := s.p.DVFSStates
-	if states <= 0 {
-		states = 16
-	}
-	dwell := s.p.RampCycles / int64(states)
-	if dwell <= 0 {
-		dwell = 1
-	}
-	state := s.cores[core].busy / dwell
-	if state >= int64(states) {
-		return 1.0
-	}
-	min := s.p.FreqMinGHz / s.p.FreqMaxGHz
-	return min + (1-min)*float64(state)/float64(states)
+	state := busy / t.dvfsDwell
+	return t.freqMin + (1-t.freqMin)*float64(state)/float64(t.dvfsStates)
 }
 
 // scale converts a cost expressed in max-frequency cycles into observed
@@ -199,9 +182,10 @@ func (s *Sim) burn(core int, units int64) {
 // Thread is a simulated software thread pinned to one hardware context. It
 // advances its own virtual clock with every operation.
 type Thread struct {
-	s   *Sim
-	ctx int
-	now int64
+	s    *Sim
+	ctx  int
+	core int // global core of ctx
+	now  int64
 }
 
 // NewThread creates a thread pinned to hardware context ctx.
@@ -233,8 +217,9 @@ func (t *Thread) Pin(ctx int) error {
 		return nil
 	}
 	t.ctx = ctx
+	t.core = int(t.s.p.tab.coreOf[ctx])
 	if t.s.p.DVFS {
-		t.s.cores[t.s.p.CoreOf(ctx)].busy = 0
+		t.s.cores[t.core].busy = 0
 	}
 	t.advance(200) // migration cost
 	return nil
@@ -250,21 +235,19 @@ func (t *Thread) advance(cycles int64) {
 // has a non-negligible latency which must be deducted").
 func (t *Thread) Rdtsc() int64 {
 	v := t.now
-	core := t.s.p.CoreOf(t.ctx)
-	t.advance(t.s.scale(t.s.p.RdtscOverhead, core))
-	t.s.burn(core, t.s.p.RdtscOverhead)
+	t.advance(t.s.scale(t.s.p.RdtscOverhead, t.core))
+	t.s.burn(t.core, t.s.p.RdtscOverhead)
 	return v
 }
 
 func (t *Thread) access(line uint64, op mesi.Op) {
-	core := t.s.p.CoreOf(t.ctx)
 	base := t.s.coh.Access(t.ctx, line, op)
-	cost := t.s.scale(base, core) + t.s.noise()
+	cost := t.s.scale(base, t.core) + t.s.noise()
 	if cost < 1 {
 		cost = 1
 	}
 	t.advance(cost)
-	t.s.burn(core, base)
+	t.s.burn(t.core, base)
 }
 
 // CAS performs an atomic compare-and-swap on a shared cache line, the probe
@@ -280,9 +263,8 @@ func (t *Thread) Store(line uint64) { t.access(line, mesi.Store) }
 // SpinWork busy-spins for the given number of work units (cycles at max
 // frequency). Under DVFS the observed duration shrinks as the core ramps.
 func (t *Thread) SpinWork(units int64) {
-	core := t.s.p.CoreOf(t.ctx)
-	t.advance(t.s.scale(units, core))
-	t.s.burn(core, units)
+	t.advance(t.s.scale(units, t.core))
+	t.s.burn(t.core, units)
 }
 
 // MemRandomAccess performs n dependent cache-missing loads (a random
@@ -292,8 +274,8 @@ func (t *Thread) MemRandomAccess(node, n int) int64 {
 	if node < 0 || node >= t.s.p.NumNodes() {
 		panic(fmt.Sprintf("sim: node %d out of range", node))
 	}
-	core := t.s.p.CoreOf(t.ctx)
-	sock := t.s.p.SocketOf(t.ctx)
+	core := t.core
+	sock := t.s.p.tab.socketOf[t.ctx]
 	var total int64
 	for i := 0; i < n; i++ {
 		c := t.s.scale(t.s.p.MemLat[sock][node], core) + t.s.noise()
@@ -315,16 +297,15 @@ func (t *Thread) MemSequentialSweep(node int, bytes int64) int64 {
 		panic(fmt.Sprintf("sim: node %d out of range", node))
 	}
 	p := t.s.p
-	sock := p.SocketOf(t.ctx)
+	sock := t.s.p.tab.socketOf[t.ctx]
 	bw := p.MemBW[sock][node]
 	if p.CoreStreamBW > 0 && p.CoreStreamBW < bw {
 		bw = p.CoreStreamBW // one core cannot saturate the node
 	}
 	cycles := int64(float64(bytes) * p.FreqMaxGHz / bw)
-	core := p.CoreOf(t.ctx)
-	cycles = t.s.scale(cycles, core)
+	cycles = t.s.scale(cycles, t.core)
 	t.advance(cycles)
-	t.s.burn(core, cycles)
+	t.s.burn(t.core, cycles)
 	return cycles
 }
 
@@ -343,9 +324,10 @@ func (t *Thread) CacheWorkingSetLoads(workingSet int64, n int) int64 {
 	case workingSet <= p.LLCSize:
 		lat = p.LLCLat
 	default:
-		lat = p.MemLat[p.SocketOf(t.ctx)][p.LocalNode(p.SocketOf(t.ctx))]
+		sock := int(t.s.p.tab.socketOf[t.ctx])
+		lat = p.MemLat[sock][p.LocalNode(sock)]
 	}
-	core := p.CoreOf(t.ctx)
+	core := t.core
 	var total int64
 	for i := 0; i < n; i++ {
 		c := t.s.scale(lat, core) + t.s.noise()/2
@@ -371,10 +353,9 @@ func (s *Sim) Barrier(ts ...*Thread) {
 		}
 	}
 	for _, t := range ts {
-		core := s.p.CoreOf(t.ctx)
 		wait := max - t.now
-		s.burn(core, wait+barrierCost)
-		t.advance(wait + s.scale(barrierCost, core))
+		s.burn(t.core, wait+barrierCost)
+		t.advance(wait + s.scale(barrierCost, t.core))
 	}
 }
 
@@ -388,10 +369,9 @@ func (s *Sim) Barrier2(t1, t2 *Thread) {
 		max = t2.now
 	}
 	for _, t := range [...]*Thread{t1, t2} {
-		core := s.p.CoreOf(t.ctx)
 		wait := max - t.now
-		s.burn(core, wait+barrierCost)
-		t.advance(wait + s.scale(barrierCost, core))
+		s.burn(t.core, wait+barrierCost)
+		t.advance(wait + s.scale(barrierCost, t.core))
 	}
 }
 
@@ -399,13 +379,12 @@ func (s *Sim) Barrier2(t1, t2 *Thread) {
 // observed duration in timestamp cycles — the building block of both the
 // DVFS wait and SMT detection (Section 3.5).
 func (s *Sim) SpinSolo(t *Thread, units int64) int64 {
-	core := s.p.CoreOf(t.ctx)
-	d := s.scale(units, core) + s.noise()/2
+	d := s.scale(units, t.core) + s.noise()/2
 	if d < 1 {
 		d = 1
 	}
 	t.advance(d)
-	s.burn(core, units)
+	s.burn(t.core, units)
 	return d
 }
 
@@ -414,9 +393,9 @@ func (s *Sim) SpinSolo(t *Thread, units int64) int64 {
 // a core, SMT resource sharing dilates both (the paper's SMT detector).
 func (s *Sim) SpinTogether(t1, t2 *Thread, units int64) (int64, int64) {
 	s.Barrier(t1, t2)
-	sameCore := s.p.CoreOf(t1.ctx) == s.p.CoreOf(t2.ctx) && t1.ctx != t2.ctx
+	sameCore := t1.core == t2.core && t1.ctx != t2.ctx
 	run := func(t *Thread) int64 {
-		core := s.p.CoreOf(t.ctx)
+		core := t.core
 		d := s.scale(units, core)
 		if sameCore {
 			d = int64(float64(d) * s.p.SMTSlowdown)
@@ -485,23 +464,27 @@ func (p *Platform) PowerEstimate(ctxs []int, withDRAM bool) (perSocket []float64
 	if !p.Power.Available() {
 		return perSocket, 0
 	}
-	ctxPerCore := make(map[int]int)
+	// Counted per core and added in core-id order: float addition is
+	// order-sensitive, and a map's iteration order would make the last ulp
+	// of a socket's sum vary from call to call.
+	t := p.derived()
+	ctxPerCore := make([]int, p.NumCores())
 	socketActive := make([]bool, p.Sockets)
 	for _, c := range ctxs {
-		ctxPerCore[p.CoreOf(c)]++
-		socketActive[p.SocketOf(c)] = true
+		ctxPerCore[t.coreOf[c]]++
+		socketActive[t.socketOf[c]] = true
 	}
 	for s := 0; s < p.Sockets; s++ {
-		if socketActive[s] {
-			perSocket[s] = p.Power.PkgBase
+		if !socketActive[s] {
+			continue
 		}
-	}
-	for core, n := range ctxPerCore {
-		sock := core / p.Cores
-		perSocket[sock] += p.Power.FirstCtxCore + float64(n-1)*p.Power.ExtraCtx
-	}
-	for s := 0; s < p.Sockets; s++ {
-		if withDRAM && socketActive[s] {
+		perSocket[s] = p.Power.PkgBase
+		for _, n := range ctxPerCore[s*p.Cores : (s+1)*p.Cores] {
+			if n > 0 {
+				perSocket[s] += p.Power.FirstCtxCore + float64(n-1)*p.Power.ExtraCtx
+			}
+		}
+		if withDRAM {
 			perSocket[s] += p.Power.DRAMMax
 		}
 		total += perSocket[s]

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -29,20 +28,87 @@ func Median(xs []int64) int64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// MedianInPlace returns the median of xs, sorting xs in place instead of
+// MedianInPlace returns the median of xs, reordering xs in place instead of
 // copying it. It exists for the measurement hot loop, which reuses one
 // buffer across hundreds of thousands of pairs and must not allocate per
 // pair; everywhere else prefer Median, which leaves its input untouched.
+// Nobody reads the order it leaves behind, so it selects instead of sorting.
 func MedianInPlace(xs []int64) int64 {
 	if len(xs) == 0 {
 		panic("stats: MedianInPlace of empty slice")
 	}
-	slices.Sort(xs)
 	n := len(xs)
+	upper := selectKth(xs, n/2)
 	if n%2 == 1 {
-		return xs[n/2]
+		return upper
 	}
-	return (xs[n/2-1] + xs[n/2]) / 2
+	// xs[:n/2] now holds the n/2 smallest values; the lower middle element
+	// of the sorted order is their maximum.
+	lower := xs[0]
+	for _, v := range xs[1 : n/2] {
+		if v > lower {
+			lower = v
+		}
+	}
+	return (lower + upper) / 2
+}
+
+// selectKth returns the k-th smallest value of xs (0-based) and leaves xs
+// partitioned around it: nothing before index k is larger, nothing after it
+// smaller. Quickselect with a median-of-three pivot and a three-way
+// partition: a round of latency samples is a handful of distinct values
+// repeated many times, and a run of values equal to the pivot is settled in
+// the pass that meets it.
+func selectKth(xs []int64, k int) int64 {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		if a > b {
+			a, b = b, a
+		}
+		if b > c {
+			b = c
+		}
+		if a > b {
+			b = a
+		}
+		pivot := b
+		// Two Lomuto passes, each swapping unconditionally and advancing its
+		// boundary by the comparison's result, so that no branch depends on
+		// the data (samples are noise: such a branch is a coin flip to the
+		// predictor). The first moves the values below the pivot to the
+		// front; the second, within the rest, the values equal to it. Then
+		// xs[lo:lt] < pivot, xs[lt:eq] == pivot, xs[eq:hi+1] > pivot.
+		lt := lo
+		for i := lo; i <= hi; i++ {
+			v := xs[i]
+			xs[i], xs[lt] = xs[lt], v
+			var below int
+			if v < pivot {
+				below = 1
+			}
+			lt += below
+		}
+		eq := lt
+		for i := lt; i <= hi; i++ {
+			v := xs[i]
+			xs[i], xs[eq] = xs[eq], v
+			var equal int
+			if v == pivot {
+				equal = 1
+			}
+			eq += equal
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k >= eq:
+			lo = eq
+		default:
+			return pivot
+		}
+	}
+	return xs[k]
 }
 
 // Mean returns the arithmetic mean of xs as a float64.

@@ -233,3 +233,53 @@ func TestClusterSortedInput(t *testing.T) {
 		t.Errorf("clusters not sorted: %v", cl)
 	}
 }
+
+// TestMedianInPlaceMatchesSort: the selection median is the sort-based
+// Median on every input shape the measurement loop produces and on the
+// shapes that break naive quickselects.
+func TestMedianInPlaceMatchesSort(t *testing.T) {
+	check := func(name string, xs []int64) {
+		t.Helper()
+		want := Median(xs)
+		got := MedianInPlace(append([]int64(nil), xs...))
+		if got != want {
+			t.Fatalf("%s (len %d): MedianInPlace = %d, Median = %d", name, len(xs), got, want)
+		}
+	}
+	check("one", []int64{7})
+	check("two", []int64{9, 2})
+	check("two equal", []int64{4, 4})
+	rng := rand.New(rand.NewSource(11))
+	for n := 1; n <= 260; n++ {
+		sorted := make([]int64, n)
+		reversed := make([]int64, n)
+		random := make([]int64, n)
+		dups := make([]int64, n)
+		spiky := make([]int64, n)
+		for i := range sorted {
+			sorted[i] = int64(3 * i)
+			reversed[i] = int64(3 * (n - i))
+			random[i] = rng.Int63n(1<<40) - 1<<39
+			dups[i] = 110 + rng.Int63n(5) // NoiseAmp 2: five distinct values
+			spiky[i] = dups[i]
+			if rng.Intn(50) == 0 {
+				spiky[i] += 1800 // a spurious sample
+			}
+		}
+		check("sorted", sorted)
+		check("reversed", reversed)
+		check("random", random)
+		check("duplicates", dups)
+		check("spiky", spiky)
+		check("constant", make([]int64, n))
+	}
+}
+
+func TestMedianInPlacePanicsOnEmpty(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("MedianInPlace of empty slice did not panic")
+		}
+	}()
+	MedianInPlace(nil)
+}
