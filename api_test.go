@@ -161,28 +161,28 @@ func TestFunctionalOptionsHashStably(t *testing.T) {
 	// options must share one registry cache entry.
 	reg := mctop.NewRegistry(16)
 	ctx := context.Background()
-	if _, err := reg.TopologyContext(ctx, "Ivy", 42, mctop.Options{Reps: 51}); err != nil {
+	if _, _, err := reg.LookupTopologyContext(ctx, "Ivy", 42, mctop.Options{Reps: 51}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.TopologyContext(ctx, "Ivy", 42, mctop.NewOptions(mctop.WithReps(51))); err != nil {
+	if _, _, err := reg.LookupTopologyContext(ctx, "Ivy", 42, mctop.NewOptions(mctop.WithReps(51))); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Stats().Inferences; got != 1 {
 		t.Fatalf("inferences = %d, want 1 (options must hash identically)", got)
 	}
 	// Parallelism is excluded from the key by design.
-	if _, err := reg.TopologyContext(ctx, "Ivy", 42, mctop.NewOptions(mctop.WithReps(51), mctop.WithParallelism(2))); err != nil {
+	if _, _, err := reg.LookupTopologyContext(ctx, "Ivy", 42, mctop.NewOptions(mctop.WithReps(51), mctop.WithParallelism(2))); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Stats().Inferences; got != 1 {
 		t.Fatalf("inferences = %d, want 1 (parallelism must not change the key)", got)
 	}
-	// SkipMemoryProbe changes results and therefore the key.
-	if _, err := reg.TopologyContext(ctx, "Ivy", 42, mctop.NewOptions(mctop.WithReps(51), mctop.WithSkipMemoryProbe())); err != nil {
+	// The sampled mode can select different work and is part of the key.
+	if _, _, err := reg.LookupTopologyContext(ctx, "Ivy", 42, mctop.NewOptions(mctop.WithReps(51), mctop.WithSampling())); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Stats().Inferences; got != 2 {
-		t.Fatalf("inferences = %d, want 2 (skip-memory-probe is part of the key)", got)
+		t.Fatalf("inferences = %d, want 2 (sampling is part of the key)", got)
 	}
 }
 
@@ -191,7 +191,7 @@ func TestFunctionalOptionsHashStably(t *testing.T) {
 func TestErrorsRoundTripThroughRegistry(t *testing.T) {
 	reg := mctop.NewRegistry(16)
 	ctx := context.Background()
-	if _, err := reg.TopologyContext(ctx, "Atari", 1, mctop.NewOptions(fastOpts()...)); !errors.Is(err, mctop.ErrUnknownPlatform) {
+	if _, _, err := reg.LookupTopologyContext(ctx, "Atari", 1, mctop.NewOptions(fastOpts()...)); !errors.Is(err, mctop.ErrUnknownPlatform) {
 		t.Errorf("topology err = %v, want ErrUnknownPlatform", err)
 	}
 	if _, err := reg.PlaceContext(ctx, "Ivy", 42, mctop.NewOptions(fastOpts()...), "NOT_A_POLICY", 4); !errors.Is(err, mctop.ErrUnknownPolicy) {
@@ -222,7 +222,7 @@ func TestWithSpoolDirWarmStart(t *testing.T) {
 	opt := mctop.NewOptions(fastOpts()...)
 
 	r1 := mctop.NewRegistry(64, mctop.WithSpoolDir(dir))
-	top1, err := r1.TopologyContext(context.Background(), "Ivy", 42, opt)
+	top1, _, err := r1.LookupTopologyContext(context.Background(), "Ivy", 42, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestWithSpoolDirWarmStart(t *testing.T) {
 
 	r2 := mctop.NewRegistry(64, mctop.WithSpoolDir(dir))
 	defer r2.Close()
-	top2, err := r2.TopologyContext(context.Background(), "Ivy", 42, opt)
+	top2, _, err := r2.LookupTopologyContext(context.Background(), "Ivy", 42, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func BenchmarkSec35_InferenceCost(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := mctopalg.Infer(m, mctopalg.DefaultOptions())
+		res, err := mctopalg.Infer(m, mctopalg.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,8 +190,7 @@ func BenchmarkAblation_Repetitions(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			o := mctopalg.DefaultOptions()
-			o.Reps = reps
+			o := mctopalg.Options{Reps: reps}
 			_, _ = mctopalg.Infer(m, o) // low reps may legitimately fail
 		}
 	}

@@ -124,9 +124,7 @@ func figs1to3(w io.Writer) {
 		fail(err)
 		m, err := machine.NewSim(p, 42)
 		fail(err)
-		o := mctopalg.DefaultOptions()
-		o.Reps = 201
-		res, err := mctopalg.Infer(m, o)
+		res, err := mctopalg.Infer(m, mctopalg.Options{Reps: 201})
 		fail(err)
 		t, err := plugins.Enrich(m, res.Topology, nil)
 		fail(err)
@@ -185,7 +183,7 @@ func sec35(w io.Writer) {
 		fail(err)
 		m, err := machine.NewSim(p, 42)
 		fail(err)
-		res, err := mctopalg.Infer(m, mctopalg.DefaultOptions())
+		res, err := mctopalg.Infer(m, mctopalg.Options{})
 		fail(err)
 		fmt.Fprintf(w, "| %s | %.1f | %s |\n", row.name, m.S.SimulatedSeconds(res.Cycles), row.paper)
 	}

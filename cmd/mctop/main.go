@@ -303,10 +303,7 @@ func runInfer() {
 		fail(err)
 		m, err := machine.NewSim(p, *seed)
 		fail(err)
-		o := mctopalg.DefaultOptions()
-		o.Reps = *reps
-		o.Sampling.Enabled = *sampling
-		res, err := mctopalg.Infer(m, o)
+		res, err := mctopalg.Infer(m, mctopalg.Options{Reps: *reps, Sampling: *sampling})
 		fail(err)
 		enriched, err := plugins.Enrich(m, res.Topology, nil)
 		fail(err)

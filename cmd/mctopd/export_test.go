@@ -107,6 +107,9 @@ func TestExportRejectsBadKeys(t *testing.T) {
 		{"fetrue topology key", exportPath(forked(good)), 404},
 		{"fetrue placement key", exportPath("place|" + forked(good) + "|MCTOP_PLACE_RR_CORE|8"), 404},
 		{"fetrue mapping key", exportPath(forked(registry.MapKey("Ivy", 42, opt, graph.GenTaskDAG(graph.DAGParams{}, 7), 100))), 400},
+		// The Section 3.5 parameters are constants: a key naming another
+		// retry budget names nothing.
+		{"mr1 topology key", exportPath(strings.Replace(good, ",mr3,", ",mr1,", 1)), 404},
 	}
 	for _, c := range cases {
 		resp, body := get(t, ts, c.path)

@@ -746,9 +746,9 @@ func (s *server) resolve(p topoParams) (platform string, seed uint64, opt mctop.
 		}
 		opt.Reps = p.Reps
 	}
-	opt.Sampling.Enabled = s.defaultSampling
+	opt.Sampling = s.defaultSampling
 	if p.Sampling != nil {
-		opt.Sampling.Enabled = *p.Sampling
+		opt.Sampling = *p.Sampling
 	}
 	seed = 42
 	if p.Seed != nil {

@@ -32,16 +32,6 @@ var (
 	_ PairMeasurer = (*HostMachine)(nil)
 )
 
-// PairMeasurer is an optional fast path: the machine runs the entire
-// Figure-5 lock-step loop natively and returns per-repetition latencies
-// with the clock-read overhead already deducted. The host backend needs
-// this because driving individual ops through an abstraction layer would
-// drown the signal; the simulator deliberately does not implement it, so
-// the generic protocol stays exercised.
-type PairMeasurer interface {
-	MeasurePair(xCtx, yCtx, reps int) []int64
-}
-
 // NewHost probes the current host.
 func NewHost() *HostMachine {
 	m := &HostMachine{
@@ -120,7 +110,6 @@ type paddedLine struct {
 // hostThread executes operations on a dedicated OS-locked goroutine.
 type hostThread struct {
 	m    *HostMachine
-	ctx  int
 	cmds chan func()
 	line map[uint64]*paddedLine
 }
@@ -130,7 +119,7 @@ func (m *HostMachine) NewThread(ctx int) (Thread, error) {
 	if ctx < 0 || ctx >= m.nctx {
 		return nil, fmt.Errorf("machine: context %d out of range [0,%d)", ctx, m.nctx)
 	}
-	t := &hostThread{m: m, ctx: ctx, cmds: make(chan func()), line: make(map[uint64]*paddedLine)}
+	t := &hostThread{m: m, cmds: make(chan func()), line: make(map[uint64]*paddedLine)}
 	ready := make(chan struct{})
 	go func() {
 		runtime.LockOSThread()
@@ -151,13 +140,10 @@ func (t *hostThread) run(f func()) {
 	<-done
 }
 
-func (t *hostThread) Ctx() int { return t.ctx }
-
 func (t *hostThread) Pin(ctx int) error {
 	if ctx < 0 || ctx >= t.m.nctx {
 		return fmt.Errorf("machine: context %d out of range [0,%d)", ctx, t.m.nctx)
 	}
-	t.ctx = ctx
 	t.run(func() { setAffinity(ctx) })
 	return nil
 }
@@ -187,18 +173,6 @@ func (t *hostThread) CAS(line uint64) {
 			}
 		}
 	})
-}
-
-func (t *hostThread) Load(line uint64) {
-	t.run(func() { _ = atomic.LoadInt64(&t.lineFor(line).v) })
-}
-
-func (t *hostThread) Store(line uint64) {
-	t.run(func() { atomic.StoreInt64(&t.lineFor(line).v, 1) })
-}
-
-func (t *hostThread) SpinWork(units int64) {
-	t.run(func() { spin(units) })
 }
 
 func spin(units int64) {

@@ -13,8 +13,6 @@ package machine
 // Thread is a software thread pinned to one hardware context. All
 // measurement primitives of Figure 5 are expressed through it.
 type Thread interface {
-	// Ctx returns the hardware context the thread is pinned to.
-	Ctx() int
 	// Pin migrates the thread to another hardware context.
 	Pin(ctx int) error
 	// Rdtsc reads the timestamp counter. Reading has non-negligible cost
@@ -23,12 +21,37 @@ type Thread interface {
 	// CAS performs an atomic compare-and-swap on the given shared cache
 	// line, bringing it into the Modified state.
 	CAS(line uint64)
-	// Load reads the given shared cache line.
-	Load(line uint64)
-	// Store writes the given shared cache line.
-	Store(line uint64)
-	// SpinWork busy-spins for approximately the given amount of work.
-	SpinWork(units int64)
+}
+
+// SpinUnit is the calibrated spin-loop length (cycles) of the DVFS wait and
+// of MCTOP-ALG's SMT probe.
+const SpinUnit = 1_000_000
+
+// DVFSWait spins t until consecutive calibrated loops take the same time,
+// i.e. its core reached its maximum frequency (Section 3.5: "libmctop
+// explicitly waits for the frequency of both cores to reach its maximum").
+// MCTOP-ALG and the enrichment plugins wait before measuring, for the same
+// reason.
+func DVFSWait(m Machine, t Thread) {
+	const maxIters = 64
+	prev := m.SpinSolo(t, SpinUnit)
+	stable := 0
+	for i := 0; i < maxIters; i++ {
+		cur := m.SpinSolo(t, SpinUnit)
+		diff := cur - prev
+		if diff < 0 {
+			diff = -diff
+		}
+		if diff*100 <= prev {
+			stable++
+			if stable >= 2 {
+				return
+			}
+		} else {
+			stable = 0
+		}
+		prev = cur
+	}
 }
 
 // Machine is what MCTOP-ALG requires from the platform it runs on.
@@ -68,14 +91,19 @@ type OSView struct {
 	NodeOfSocket []int // socket -> OS-claimed local memory node
 }
 
-// Forker is the optional extension implemented by machines whose
-// measurements can run concurrently. ForkPair returns an independent machine
-// dedicated to one measurement, named by a pair of integer tags: it shares
-// no mutable state with the parent or with other forks, and its noise stream
-// is a pure function of (parent seed, tag0, tag1). MCTOP-ALG forks one
-// machine per (x, y) context pair to parallelize its O(N²) measurement
-// phase with results byte-identical to a sequential run — pair values cannot
-// depend on scheduling order because every pair observes its own
+// A machine measures context pairs for MCTOP-ALG one of two ways, and
+// implements exactly one of the two interfaces below: the simulator is a
+// Forker, the host a PairMeasurer. A machine with neither cannot be
+// inferred.
+
+// Forker is implemented by machines whose measurements can run
+// concurrently. ForkPair returns an independent machine dedicated to one
+// measurement, named by a pair of integer tags: it shares no mutable state
+// with the parent or with other forks, and its noise stream is a pure
+// function of (parent seed, tag0, tag1). MCTOP-ALG forks one machine per
+// (x, y) context pair and runs the Figure 5 protocol on it through Thread,
+// in parallel, with results byte-identical to one worker — pair values
+// cannot depend on scheduling order because every pair observes its own
 // deterministic stream. (The enrichment plugins run sequentially on the
 // parent machine and never fork.)
 //
@@ -85,6 +113,17 @@ type OSView struct {
 // exactly one measurement at a time, can.
 type Forker interface {
 	ForkPair(xCtx, yCtx int) (Machine, error)
+}
+
+// PairMeasurer is implemented by machines that run the entire Figure 5
+// lock-step loop natively and return per-repetition latencies with the
+// clock-read overhead already deducted. MCTOP-ALG measures such a machine
+// one pair at a time on its own threads. The host backend needs this
+// because driving individual operations through an abstraction layer would
+// drown the signal; the simulator deliberately does not implement it, so
+// the generic protocol stays exercised.
+type PairMeasurer interface {
+	MeasurePair(xCtx, yCtx, reps int) []int64
 }
 
 // MemoryProber is the optional extension used by the memory latency,

@@ -121,9 +121,6 @@ func TestHostMachineBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	th.CAS(1)
-	th.Load(1)
-	th.Store(1)
-	th.SpinWork(1000)
 	if ts := th.Rdtsc(); ts <= 0 {
 		t.Error("host Rdtsc returned non-positive timestamp")
 	}

@@ -58,8 +58,8 @@ func (m *SimMachine) ForkPair(xCtx, yCtx int) (Machine, error) {
 	return &SimMachine{S: s}, nil
 }
 
-// NewThread creates a simulated thread pinned to ctx. A *sim.Thread has
-// exactly the Thread method set, so it is handed out as is.
+// NewThread creates a simulated thread pinned to ctx. A *sim.Thread
+// implements Thread, so it is handed out as is.
 func (m *SimMachine) NewThread(ctx int) (Thread, error) {
 	t, err := m.S.NewThread(ctx)
 	if err != nil {

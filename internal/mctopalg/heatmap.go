@@ -63,10 +63,3 @@ func (r *Result) CSV() string {
 	b.WriteByte('\n')
 	return b.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -13,8 +13,7 @@ func TestHeatmapAndCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := DefaultOptions()
-	o.Reps = 31
+	o := Options{Reps: 31}
 	res, err := Infer(m, o)
 	if err != nil {
 		t.Fatal(err)

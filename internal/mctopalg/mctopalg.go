@@ -17,6 +17,11 @@
 //  2. cluster the values (the CDF's plateaus) and normalize the table;
 //  3. recursively group contexts into components per latency level;
 //  4. assign roles (cores, sockets, cross-socket levels) to components.
+//
+// Section 3.5 fixes the algorithm's parameters, and so does this package:
+// the stability rule, the clustering gaps and the sampled mode's sizes are
+// constants. Options carries only what callers vary — the repetition
+// count, the worker pool and the sampled mode.
 package mctopalg
 
 import (
@@ -33,85 +38,62 @@ import (
 	"repro/internal/topo"
 )
 
-// Options tunes the inference. The defaults match the paper's Section 3.5.
+// The parameters of Section 3.5. Every topology key records them
+// (registry.TopoKey), so changing one would move every cache entry.
+const (
+	// defaultReps is the paper's n, the repetitions per context pair.
+	defaultReps = 2000
+	// A pair's median is accepted at a stdev of stdevAccept of it; each
+	// re-measurement widens that a maxRetries-th of the way to stdevMax,
+	// and the last one is accepted whatever its stdev.
+	stdevAccept = 0.07
+	stdevMax    = 0.14
+	maxRetries  = 3
+)
+
+// clusterGaps are step 2's cluster boundaries: a relative gap of 4 % and
+// an absolute gap of 10 cycles.
+var clusterGaps = stats.ClusterOptions{RelGap: 0.04, AbsGap: 10}
+
+// Options tunes the inference. The zero value runs the paper's
+// configuration.
 type Options struct {
-	// Reps is the number of repetitions per context pair (n = 2000).
+	// Reps is the number of repetitions per context pair (0 = the paper's
+	// n = 2000).
 	Reps int
-	// StdevThreshold is the acceptable stdev as a fraction of the median
-	// (0.07); on a retry it grows up to StdevThresholdMax (0.14).
-	StdevThreshold    float64
-	StdevThresholdMax float64
-	// MaxRetries bounds per-pair re-measurement.
-	MaxRetries int
-	// Cluster configures latency clustering (step 2).
-	Cluster stats.ClusterOptions
-	// SpinUnit is the calibrated spin-loop length (cycles) used by the
-	// DVFS wait and the SMT detector.
-	SpinUnit int64
-	// SkipMemoryProbe disables the local-node assignment probe even when
-	// the machine supports it (sockets then map to nodes by index).
-	SkipMemoryProbe bool
 	// Parallelism bounds the worker pool of the measurement phase on
 	// machines implementing machine.Forker (0 = GOMAXPROCS, 1 = one
 	// worker). The inferred topology is byte-identical for every value:
 	// each pair is measured on its own fork whose noise stream depends
-	// only on (seed, x, y), and results merge in canonical pair order —
-	// a Forker machine takes the forked path even at Parallelism 1.
-	// Machines without Forker always measure sequentially through the
-	// parent's single noise stream.
+	// only on (seed, x, y), and results merge in canonical pair order.
+	// A machine.PairMeasurer always measures with one worker.
 	Parallelism int
-	// Sampling configures the sub-O(N²) sampled measurement mode for large
-	// Forker machines (see sampled.go). Unlike Parallelism it can in
-	// principle select different (fallback) work, so it is part of the
-	// registry's cache key.
-	Sampling SamplingOptions
-}
+	// Sampling turns on the sub-O(N²) sampled measurement mode for Forker
+	// machines with at least 64 contexts (see sampled.go). Unlike
+	// Parallelism it can in principle select different (fallback) work, so
+	// it is part of the registry's cache key.
+	Sampling bool
 
-// DefaultOptions returns the paper's default parameters.
-func DefaultOptions() Options {
-	return Options{
-		Reps:              2000,
-		StdevThreshold:    0.07,
-		StdevThresholdMax: 0.14,
-		MaxRetries:        3,
-		Cluster:           stats.ClusterOptions{RelGap: 0.04, AbsGap: 10},
-		SpinUnit:          1_000_000,
-	}
+	// floor overrides the sampled mode's samplingFloor (0 = the
+	// constant): the seam through which this package's tests reach small
+	// platforms. Unexported, so no caller outside the package sets it and
+	// no cache key records it.
+	floor int
 }
 
 func (o *Options) fillDefaults() {
-	d := DefaultOptions()
 	if o.Reps <= 0 {
-		o.Reps = d.Reps
-	}
-	if o.StdevThreshold <= 0 {
-		o.StdevThreshold = d.StdevThreshold
-	}
-	if o.StdevThresholdMax < o.StdevThreshold {
-		o.StdevThresholdMax = 2 * o.StdevThreshold
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = d.MaxRetries
-	}
-	if o.Cluster.RelGap <= 0 {
-		o.Cluster.RelGap = d.Cluster.RelGap
-	}
-	if o.Cluster.AbsGap <= 0 {
-		o.Cluster.AbsGap = d.Cluster.AbsGap
-	}
-	if o.SpinUnit <= 0 {
-		o.SpinUnit = d.SpinUnit
+		o.Reps = defaultReps
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	o.Sampling.fillDefaults()
 }
 
 // Normalized returns the options with every zero field replaced by its
 // default — the exact configuration Infer will run with. Callers that key
 // caches by options must normalize first, so that e.g. the zero value and
-// an explicit DefaultOptions() share one entry.
+// an explicit Reps of 2000 share one entry.
 func (o Options) Normalized() Options {
 	o.fillDefaults()
 	return o
@@ -150,15 +132,18 @@ type Result struct {
 	Pairs   int
 	Retries int
 	// Sampled reports whether the sampled measurement mode ran (it needs a
-	// Forker machine and at least Options.Sampling.MinContexts contexts).
-	// FilledPairs counts table entries filled from a verified class
-	// representative instead of measured; FallbackBlocks counts class-pair
-	// blocks that failed verification and were measured exhaustively.
+	// Forker machine with at least 64 contexts). FilledPairs counts table
+	// entries filled from a verified class representative instead of
+	// measured; FallbackBlocks counts class-pair blocks that failed
+	// verification and were measured exhaustively.
 	Sampled        bool
 	FilledPairs    int
 	FallbackBlocks int
 	// Cycles is the total virtual/real cycles consumed by the measuring
-	// thread — the inference cost reported in Section 3.5.
+	// threads — the inference cost reported in Section 3.5. On every
+	// machine it is the sum of the per-pair measurements, warm-ups
+	// included; the initial DVFS wait and rdtsc-overhead estimate on the
+	// parent thread are not counted.
 	Cycles int64
 }
 
@@ -211,7 +196,7 @@ func InferContext(ctx context.Context, m machine.Machine, opt Options) (*Result,
 			offDiag = append(offDiag, res.RawTable[i][j])
 		}
 	}
-	res.Clusters = stats.Cluster(offDiag, opt.Cluster)
+	res.Clusters = stats.Cluster(offDiag, clusterGaps)
 	if len(res.Clusters) == 0 {
 		return nil, clusterErr("no latency clusters")
 	}
@@ -225,7 +210,7 @@ func InferContext(ctx context.Context, m machine.Machine, opt Options) (*Result,
 	res.LevelGroups = levels
 
 	// Step 4: role assignment.
-	spec, err := assignRoles(m, &opt, res, levels, sockGroups, sockTable, nodes)
+	spec, err := assignRoles(m, res, levels, sockGroups, sockTable, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -237,63 +222,56 @@ func InferContext(ctx context.Context, m machine.Machine, opt Options) (*Result,
 	return res, nil
 }
 
+// pairFunc measures one context pair with the Figure 5 protocol, using the
+// calling worker's scratch buffers.
+type pairFunc func(sc *scratch, x, y int) pairOutcome
+
 // collectTable fills res.RawTable using the lock-step protocol of Figure 5.
-// Machines implementing machine.Forker measure pairs on independent forks,
-// fanned out over Options.Parallelism workers; everything else measures
-// sequentially through the parent machine.
+// Every machine goes through one collector whose per-pair function is
+// chosen here, once: a machine.Forker measures each pair on its own fork
+// over Options.Parallelism workers, a machine.PairMeasurer measures pairs
+// one at a time on its own two threads.
 func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Result) error {
+	fk, forks := m.(machine.Forker)
+	pm, measures := m.(machine.PairMeasurer)
+	if !forks && !measures {
+		return fmt.Errorf("mctopalg: machine %s implements neither machine.Forker nor machine.PairMeasurer", m.Name())
+	}
 	n := m.NumHWContexts()
 	res.RawTable = make([][]int64, n)
 	for i := range res.RawTable {
 		res.RawTable[i] = make([]int64, n)
 	}
 
-	if fk, ok := m.(machine.Forker); ok {
-		return collectTableForked(ctx, fk, m, opt, res)
-	}
-
-	x, err := m.NewThread(0)
+	// The reported rdtsc overhead comes from the parent machine; forks
+	// estimate and deduct their own, a PairMeasurer deducts its own.
+	t0, err := m.NewThread(0)
 	if err != nil {
 		return err
 	}
-	y, err := m.NewThread(1)
-	if err != nil {
-		return err
-	}
-	start := x.Rdtsc()
+	machine.DVFSWait(m, t0)
+	res.RdtscOverhead = estimateRdtscOverhead(t0, newScratch(opt))
 
-	sc := newScratch(opt)
-	dvfsWait(m, opt, x)
-	res.RdtscOverhead = sc.rdtscOverhead(x)
-
-	fast, _ := m.(machine.PairMeasurer)
-
-	for xi := 0; xi < n-1; xi++ {
-		if err := x.Pin(xi); err != nil {
+	c := collector{ctx: ctx, opt: opt, res: res}
+	if forks {
+		c.workers = opt.Parallelism
+		c.pair = func(sc *scratch, x, y int) pairOutcome { return measurePairForked(fk, opt, x, y, sc) }
+		floor := opt.floor
+		if floor <= 0 {
+			floor = samplingFloor
+		}
+		if opt.Sampling && n >= floor {
+			return c.measureSampled(n)
+		}
+	} else {
+		y, err := m.NewThread(1)
+		if err != nil {
 			return err
 		}
-		dvfsWait(m, opt, x)
-		for yi := xi + 1; yi < n; yi++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := y.Pin(yi); err != nil {
-				return err
-			}
-			dvfsWait(m, opt, y)
-			var med int64
-			if fast != nil {
-				med = measurePairFast(fast, opt, xi, yi, &res.Retries)
-			} else {
-				med = measurePair(m, opt, x, y, res.RdtscOverhead, &res.Retries, sc)
-			}
-			res.RawTable[xi][yi] = med
-			res.RawTable[yi][xi] = med
-			res.Pairs++
-		}
+		c.workers = 1
+		c.pair = (&hostPairs{m: m, pm: pm, reps: opt.Reps, x: t0, y: y, row: -1}).measure
 	}
-	res.Cycles = x.Rdtsc() - start
-	return nil
+	return c.measure(allPairs(n))
 }
 
 // pairOutcome is one pair's contribution to the latency table, produced by a
@@ -308,8 +286,7 @@ type pairOutcome struct {
 // ctxPair is one (x, y) context pair, x < y.
 type ctxPair struct{ x, y int }
 
-// allPairs enumerates every context pair in the canonical (x, y) order the
-// sequential loop uses.
+// allPairs enumerates every context pair in canonical (x, y) order.
 func allPairs(n int) []ctxPair {
 	pairs := make([]ctxPair, 0, n*(n-1)/2)
 	for x := 0; x < n-1; x++ {
@@ -320,44 +297,26 @@ func allPairs(n int) []ctxPair {
 	return pairs
 }
 
-// collectTableForked measures context pairs each on its own forked
-// machine, one wave of pairs at a time: exhaustive inference is the single
-// wave allPairs(n), sampled inference is the pilots → verify → fill plan of
-// sampled.go over the same measure. The workers only decide *when* a pair
-// is measured, never *what* it observes: each fork's noise stream is a pure
-// function of (seed, x, y), and every wave is recorded in the (x, y) order
-// the sequential loop uses, so the resulting table — and hence the
-// inferred topology — is byte-identical for every Parallelism, including 1.
-func collectTableForked(ctx context.Context, fk machine.Forker, m machine.Machine, opt *Options, res *Result) error {
-	// The reported rdtsc overhead comes from the parent machine, like the
-	// sequential path's; the forks estimate and deduct their own.
-	t0, err := m.NewThread(0)
-	if err != nil {
-		return err
-	}
-	dvfsWait(m, opt, t0)
-	res.RdtscOverhead = estimateRdtscOverhead(t0, newScratch(opt))
-
-	c := forkedCollector{ctx, fk, opt, res}
-	n := m.NumHWContexts()
-	if opt.Sampling.Enabled && n >= opt.Sampling.MinContexts {
-		return c.measureSampled(n)
-	}
-	return c.measure(allPairs(n))
-}
-
-// forkedCollector is the state one forked collection shares across waves.
-type forkedCollector struct {
-	ctx context.Context
-	fk  machine.Forker
-	opt *Options
-	res *Result
+// collector is the state one table collection shares across its waves of
+// pairs: exhaustive inference is the single wave allPairs(n), sampled
+// inference is the pilots → verify → fill plan of sampled.go over the same
+// measure. The workers only decide *when* a pair is measured, never *what*
+// it observes: on a Forker each fork's noise stream is a pure function of
+// (seed, x, y), and every wave is recorded in its own (x, y) order, so the
+// resulting table — and hence the inferred topology — is byte-identical
+// for every Parallelism, including 1.
+type collector struct {
+	ctx     context.Context
+	opt     *Options
+	res     *Result
+	pair    pairFunc
+	workers int
 }
 
 // measure runs one wave of pairs over the worker pool and records the
 // outcomes into the table and counters in the wave's own order.
-func (c *forkedCollector) measure(pairs []ctxPair) error {
-	outcomes, err := runPairsForked(c.ctx, c.fk, c.opt, pairs)
+func (c *collector) measure(pairs []ctxPair) error {
+	outcomes, err := c.run(pairs)
 	if err != nil {
 		return err
 	}
@@ -373,21 +332,15 @@ func (c *forkedCollector) measure(pairs []ctxPair) error {
 	return nil
 }
 
-// runPairsForked measures a list of pairs over an Options.Parallelism worker
-// pool, each pair on its own fork, and returns the outcomes indexed like the
-// input. Each worker owns one scratch buffer set for its whole run — the
-// hot-loop allocations happen once per worker, not once per pair.
-func runPairsForked(ctx context.Context, fk machine.Forker, opt *Options, pairs []ctxPair) ([]pairOutcome, error) {
+// run measures a list of pairs over the collector's worker pool and returns
+// the outcomes indexed like the input. Each worker owns one scratch buffer
+// set for its whole run — the hot-loop allocations happen once per worker,
+// not once per pair.
+func (c *collector) run(pairs []ctxPair) ([]pairOutcome, error) {
 	if len(pairs) == 0 {
 		return nil, nil
 	}
-	workers := opt.Parallelism
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(c.workers, len(pairs))
 	outcomes := make([]pairOutcome, len(pairs))
 	var next int64
 	var failed atomic.Bool // fail fast: don't measure O(N²) pairs past a doomed run
@@ -396,13 +349,13 @@ func runPairsForked(ctx context.Context, fk machine.Forker, opt *Options, pairs 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newScratch(opt)
+			sc := newScratch(c.opt)
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(pairs) || failed.Load() || ctx.Err() != nil {
+				if i >= len(pairs) || failed.Load() || c.ctx.Err() != nil {
 					return
 				}
-				outcomes[i] = measurePairForked(fk, opt, pairs[i].x, pairs[i].y, sc)
+				outcomes[i] = c.pair(sc, pairs[i].x, pairs[i].y)
 				if outcomes[i].err != nil {
 					failed.Store(true)
 				}
@@ -413,7 +366,7 @@ func runPairsForked(ctx context.Context, fk machine.Forker, opt *Options, pairs 
 
 	// A cancelled run reports ctx.Err() even if a pair also failed: the
 	// caller asked to stop, and the partial table is unusable either way.
-	if err := ctx.Err(); err != nil {
+	if err := c.ctx.Err(); err != nil {
 		return nil, err
 	}
 	if failed.Load() {
@@ -442,8 +395,8 @@ func measurePairForked(fk machine.Forker, opt *Options, xi, yi int, sc *scratch)
 		return pairOutcome{err: err}
 	}
 	start := x.Rdtsc()
-	dvfsWait(fm, opt, x)
-	dvfsWait(fm, opt, y)
+	machine.DVFSWait(fm, x)
+	machine.DVFSWait(fm, y)
 	overhead := sc.rdtscOverhead(x)
 	var o pairOutcome
 	o.med = measurePair(fm, opt, x, y, overhead, &o.retries, sc)
@@ -451,29 +404,46 @@ func measurePairForked(fk machine.Forker, opt *Options, xi, yi int, sc *scratch)
 	return o
 }
 
-// dvfsWait spins until consecutive calibrated loops take the same time,
-// i.e. the core reached its maximum frequency (Section 3.5: "libmctop
-// explicitly waits for the frequency of both cores to reach its maximum").
-func dvfsWait(m machine.Machine, opt *Options, t machine.Thread) {
-	const maxIters = 64
-	prev := m.SpinSolo(t, opt.SpinUnit)
-	stable := 0
-	for i := 0; i < maxIters; i++ {
-		cur := m.SpinSolo(t, opt.SpinUnit)
-		diff := cur - prev
-		if diff < 0 {
-			diff = -diff
+// hostPairs measures pairs on a machine.PairMeasurer — the host, whose
+// measurements must not overlap — one at a time in canonical order on one
+// pair of threads. Context x is warmed up once per row, context y once per
+// pair.
+type hostPairs struct {
+	m    machine.Machine
+	pm   machine.PairMeasurer
+	reps int
+	x, y machine.Thread
+	row  int // the context x is pinned to and warm on; -1 before the first pair
+}
+
+// measure is hostPairs' pairFunc; the machine runs the lock-step loop
+// itself, so the scratch buffers go unused.
+func (h *hostPairs) measure(_ *scratch, xi, yi int) pairOutcome {
+	start := h.x.Rdtsc()
+	if xi != h.row {
+		if err := h.x.Pin(xi); err != nil {
+			return pairOutcome{err: err}
 		}
-		if diff*100 <= prev {
-			stable++
-			if stable >= 2 {
-				return
-			}
-		} else {
-			stable = 0
-		}
-		prev = cur
+		machine.DVFSWait(h.m, h.x)
+		h.row = xi
 	}
+	if err := h.y.Pin(yi); err != nil {
+		return pairOutcome{err: err}
+	}
+	machine.DVFSWait(h.m, h.y)
+	var o pairOutcome
+	threshold := stdevAccept
+	for retry := 0; ; retry++ {
+		med, ok := acceptMedian(h.pm.MeasurePair(xi, yi, h.reps), threshold, retry)
+		if ok {
+			o.med = med
+			break
+		}
+		o.retries++
+		threshold = widen(threshold)
+	}
+	o.cycles = h.x.Rdtsc() - start
+	return o
 }
 
 // overheadReps is the number of back-to-back timestamp reads used to
@@ -535,7 +505,7 @@ func estimateRdtscOverhead(t machine.Thread, sc *scratch) int64 {
 // TestMeasurePairSteadyStateAllocs).
 func measurePair(m machine.Machine, opt *Options, x, y machine.Thread, rdtscOverhead int64, retries *int, sc *scratch) int64 {
 	const line = 0x6c0c6 // arbitrary shared-line id
-	threshold := opt.StdevThreshold
+	threshold := stdevAccept
 	sc.barr[0], sc.barr[1] = x, y
 	for retry := 0; ; retry++ {
 		vals := sc.vals[:0]
@@ -553,47 +523,33 @@ func measurePair(m machine.Machine, opt *Options, x, y machine.Thread, rdtscOver
 			vals = append(vals, v)
 		}
 		sc.vals = vals[:0]
-		med, ok := acceptMedian(vals, threshold, retry, opt)
+		med, ok := acceptMedian(vals, threshold, retry)
 		if ok {
 			return med
 		}
 		*retries++
-		threshold = widen(threshold, opt)
-	}
-}
-
-// measurePairFast is measurePair for machines that run the whole lock-step
-// loop themselves (machine.PairMeasurer — the host backend).
-func measurePairFast(fast machine.PairMeasurer, opt *Options, xi, yi int, retries *int) int64 {
-	threshold := opt.StdevThreshold
-	for retry := 0; ; retry++ {
-		med, ok := acceptMedian(fast.MeasurePair(xi, yi, opt.Reps), threshold, retry, opt)
-		if ok {
-			return med
-		}
-		*retries++
-		threshold = widen(threshold, opt)
+		threshold = widen(threshold)
 	}
 }
 
 // acceptMedian is the stability rule of Section 3.5: one round's median
 // (at least 1) is accepted when the round's standard deviation is within
-// threshold of it, or when the retry budget is spent. It sorts vals.
-func acceptMedian(vals []int64, threshold float64, retry int, opt *Options) (med int64, ok bool) {
-	sd := stats.Stdev(vals) // before the sort: the float sum follows sample order
+// threshold of it, or when the retry budget is spent. It reorders vals.
+func acceptMedian(vals []int64, threshold float64, retry int) (med int64, ok bool) {
+	sd := stats.Stdev(vals) // before the selection: the float sum follows sample order
 	med = stats.MedianInPlace(vals)
 	if med <= 0 {
 		med = 1
 	}
-	return med, sd <= threshold*float64(med) || retry >= opt.MaxRetries
+	return med, sd <= threshold*float64(med) || retry >= maxRetries
 }
 
 // widen is the rule's other half: each re-measurement raises the threshold
-// one MaxRetries-th of the way to StdevThresholdMax (7% -> 14% by default).
-func widen(threshold float64, opt *Options) float64 {
-	threshold += (opt.StdevThresholdMax - opt.StdevThreshold) / float64(opt.MaxRetries)
-	if threshold > opt.StdevThresholdMax {
-		threshold = opt.StdevThresholdMax
+// one maxRetries-th of the way from stdevAccept to stdevMax.
+func widen(threshold float64) float64 {
+	threshold += (stdevMax - stdevAccept) / maxRetries
+	if threshold > stdevMax {
+		threshold = stdevMax
 	}
 	return threshold
 }
@@ -747,7 +703,7 @@ func groupAtLatency(components [][]int, table [][]int64, lat int64) ([][]int, []
 // assignRoles implements step 4: detect SMT (deciding whether the first
 // level's components are cores), classify the socket level, turn remaining
 // clusters into cross-socket levels, and assign memory nodes to sockets.
-func assignRoles(m machine.Machine, opt *Options, res *Result,
+func assignRoles(m machine.Machine, res *Result,
 	levels [][][]int, sockGroups [][]int, sockTable [][]int64, nodes int) (*topo.Spec, error) {
 
 	n := m.NumHWContexts()
@@ -766,10 +722,10 @@ func assignRoles(m machine.Machine, opt *Options, res *Result,
 		if err != nil {
 			return nil, err
 		}
-		dvfsWait(m, opt, ta)
-		dvfsWait(m, opt, tb)
-		solo := m.SpinSolo(ta, opt.SpinUnit)
-		d1, d2 := m.SpinTogether(ta, tb, opt.SpinUnit)
+		machine.DVFSWait(m, ta)
+		machine.DVFSWait(m, tb)
+		solo := m.SpinSolo(ta, machine.SpinUnit)
+		d1, d2 := m.SpinTogether(ta, tb, machine.SpinUnit)
 		together := d1
 		if d2 > together {
 			together = d2
@@ -864,7 +820,7 @@ func assignRoles(m machine.Machine, opt *Options, res *Result,
 	// (footnote 1). Fall back to identity without a memory prober.
 	nodeOf := make([]int, nS)
 	prober, hasProber := m.(machine.MemoryProber)
-	if hasProber && !opt.SkipMemoryProbe && nodes > 1 {
+	if hasProber && nodes > 1 {
 		th, err := m.NewThread(0)
 		if err != nil {
 			return nil, err
@@ -873,7 +829,7 @@ func assignRoles(m machine.Machine, opt *Options, res *Result,
 			if err := th.Pin(ordered[s][0]); err != nil {
 				return nil, err
 			}
-			dvfsWait(m, opt, th)
+			machine.DVFSWait(m, th)
 			best, bestLat := -1, int64(0)
 			for node := 0; node < nodes; node++ {
 				const probes = 64
@@ -915,25 +871,6 @@ func assignRoles(m machine.Machine, opt *Options, res *Result,
 		spec.FreqGHz = f.FreqMaxGHz()
 	}
 	return spec, nil
-}
-
-// CheckStale reports whether a previously inferred topology still matches
-// the machine it was inferred on. libmctop does not track dynamic changes
-// (Section 3.5: "if, after the execution of MCTOP-ALG, SMT is disabled
-// through BIOS, or a hardware context is disabled via the OS, MCTOP-ALG
-// must be re-executed"); this check is how callers find out a re-run is
-// needed. A nil error means the cheap invariants still hold — it is not
-// proof that latencies are unchanged.
-func CheckStale(m machine.Machine, t *topo.Topology) error {
-	if n := m.NumHWContexts(); n != t.NumHWContexts() {
-		return fmt.Errorf("mctopalg: machine now has %d hardware contexts, topology has %d — re-run MCTOP-ALG",
-			n, t.NumHWContexts())
-	}
-	if n := m.NumNodes(); n != t.NumNodes() {
-		return fmt.Errorf("mctopalg: machine now has %d memory nodes, topology has %d — re-run MCTOP-ALG",
-			n, t.NumNodes())
-	}
-	return nil
 }
 
 // minLatencyPair returns the context pair with the smallest non-zero raw

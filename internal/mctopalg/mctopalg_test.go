@@ -13,9 +13,7 @@ import (
 // paper's n=2000 so the whole platform matrix stays fast; the medians are
 // equally stable because the simulator's jitter is small and symmetric.
 func testOptions() Options {
-	o := DefaultOptions()
-	o.Reps = 51
-	return o
+	return Options{Reps: 51}
 }
 
 // checkAgainstGroundTruth verifies an inferred topology against the
@@ -324,7 +322,6 @@ func TestInferRejectsHeavyNoise(t *testing.T) {
 	m, _ := machine.NewSim(p, 3)
 	o := testOptions()
 	o.Reps = 7
-	o.MaxRetries = 1
 	_, err := Infer(m, o)
 	if err == nil {
 		t.Fatal("expected inference to fail under heavy noise")

@@ -55,7 +55,7 @@ func TestInferCountersPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt := testOptions()
-			opt.Sampling.Enabled = c.sampled
+			opt.Sampling = c.sampled
 			res := inferWith(t, p, 1, opt)
 			if res.Sampled != c.sampled {
 				t.Fatalf("Sampled = %v, want %v", res.Sampled, c.sampled)

@@ -42,58 +42,23 @@ import (
 	"repro/internal/trace"
 )
 
-// SamplingOptions configures the sampled measurement mode. The zero value
-// disables it; enabling it with zero parameters uses the defaults below.
-type SamplingOptions struct {
-	// Enabled turns the mode on for Forker machines with at least
-	// MinContexts contexts. Machines without Forker always measure
-	// sequentially and ignore this option.
-	Enabled bool
-	// Pilots is the pilot-set size (0 = auto: n/64 clamped to [8, 64]).
-	Pilots int
-	// MinContexts is the size below which inference stays exhaustive —
-	// under it the pilot phase would measure most pairs anyway (0 = 64).
-	MinContexts int
-	// VerifyPerBlock is the number of probe pairs measured per class-pair
-	// block on top of the representative (0 = 6). Higher values widen the
-	// net for irregular platforms at the cost of speedup.
-	VerifyPerBlock int
-}
+// The sampled mode's fixed parameters. Every sampled topology key records
+// them (registry.TopoKey); Options.floor lowers the floor inside this
+// package only.
+const (
+	// samplingFloor is the context count below which inference stays
+	// exhaustive: under it the pilot phase would measure most pairs anyway.
+	samplingFloor = 64
+	// verifyPerBlock is the number of probe pairs measured per class-pair
+	// block on top of the representative. Higher values widen the net for
+	// irregular platforms at the cost of speedup.
+	verifyPerBlock = 6
+)
 
-func (s *SamplingOptions) fillDefaults() {
-	if !s.Enabled {
-		// Normalize every disabled spelling to one zero value, so cache
-		// keys of non-sampled inferences agree.
-		*s = SamplingOptions{}
-		return
-	}
-	if s.Pilots < 0 {
-		s.Pilots = 0
-	}
-	if s.MinContexts <= 0 {
-		s.MinContexts = 64
-	}
-	if s.VerifyPerBlock <= 0 {
-		s.VerifyPerBlock = 6
-	}
-}
-
-// pilotCount resolves the pilot-set size for n contexts.
-func (s SamplingOptions) pilotCount(n int) int {
-	k := s.Pilots
-	if k <= 0 {
-		k = n / 64
-		if k < 8 {
-			k = 8
-		}
-		if k > 64 {
-			k = 64
-		}
-	}
-	if k > n {
-		k = n
-	}
-	return k
+// pilotCount is the pilot-set size for n contexts: n/64 clamped to [8, 64],
+// and never more than n.
+func pilotCount(n int) int {
+	return min(max(n/64, 8), 64, n)
 }
 
 // noiseGapMin is the plateau-separation rule of the noise gate: on a
@@ -104,12 +69,12 @@ func (s SamplingOptions) pilotCount(n int) int {
 // falls back to exhaustive measurement.
 const noiseGapMin = 8
 
-// measureSampled is the sampled plan of collectTableForked: it fills
+// measureSampled is collectTable's sampled plan: it fills
 // res.RawTable measuring only a subset of pairs (see the package comment
 // above), every measured wave through c.measure. An unmeasured entry is 0
 // until filled; measured medians are always >= 1.
-func (c *forkedCollector) measureSampled(n int) error {
-	ctx, opt, res := c.ctx, c.opt, c.res
+func (c *collector) measureSampled(n int) error {
+	ctx, res := c.ctx, c.res
 	res.Sampled = true
 
 	// Phase 1: pilots. Evenly spaced pilot contexts, every pair touching
@@ -117,7 +82,7 @@ func (c *forkedCollector) measureSampled(n int) error {
 	// on a traced request — never one per pair; the measurement hot loop
 	// stays allocation-free.
 	_, pilotSpan := trace.Start(ctx, "infer.pilots")
-	k := opt.Sampling.pilotCount(n)
+	k := pilotCount(n)
 	stride := n / k
 	pilots := make([]int, k)
 	isPilot := make([]bool, n)
@@ -199,7 +164,7 @@ func (c *forkedCollector) measureSampled(n int) error {
 	// Phase 2: per class-pair block, decide representative + probes, or
 	// exhaustive fallback.
 	_, verifySpan := trace.Start(ctx, "infer.verify")
-	V := opt.Sampling.VerifyPerBlock
+	const V = verifyPerBlock
 	type block struct {
 		pairs    []ctxPair // unmeasured pairs, canonical order
 		probeIdx []int     // indices into pairs measured for verification

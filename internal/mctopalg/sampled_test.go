@@ -2,7 +2,6 @@ package mctopalg
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,12 +10,12 @@ import (
 )
 
 // sampledOptions returns test options with the sampled mode switched on and
-// its size floor lowered so that the small platforms used in tests actually
-// take the sampled path.
+// its size floor lowered, through the in-package seam, so that the small
+// platforms used in tests actually take the sampled path.
 func sampledOptions() Options {
 	o := testOptions()
-	o.Sampling.Enabled = true
-	o.Sampling.MinContexts = 8
+	o.Sampling = true
+	o.floor = 8
 	return o
 }
 
@@ -167,7 +166,7 @@ func TestSampledParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestSampledBelowFloorStaysExhaustive checks the MinContexts floor: small
+// TestSampledBelowFloorStaysExhaustive checks the 64-context floor: small
 // machines ignore the sampling option entirely.
 func TestSampledBelowFloorStaysExhaustive(t *testing.T) {
 	p, err := sim.ByName("gen:ring:s4:c2:t2") // 16 contexts
@@ -175,11 +174,11 @@ func TestSampledBelowFloorStaysExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := testOptions()
-	opt.Sampling.Enabled = true // MinContexts defaults to 64 > 16
+	opt.Sampling = true // the floor is 64 > 16
 	res := inferWith(t, p, 1, opt)
 	if res.Sampled {
 		t.Fatalf("machine with %d contexts took the sampled path below the %d-context floor",
-			p.NumContexts(), 64)
+			p.NumContexts(), samplingFloor)
 	}
 }
 
@@ -247,12 +246,7 @@ func benchmarkInfer(b *testing.B, name string, sampled bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := DefaultOptions()
-	opt.Reps = 15
-	opt.SkipMemoryProbe = true
-	if sampled {
-		opt.Sampling.Enabled = true
-	}
+	opt := Options{Reps: 15, Sampling: sampled}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m, err := machine.NewSim(p, 3)
@@ -290,17 +284,4 @@ func BenchmarkGenerate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func ExampleSamplingOptions() {
-	p, _ := sim.ByName("gen:circulant:s32:c4:t2") // 256 contexts, noise-free
-	m, _ := machine.NewSim(p, 1)
-	opt := DefaultOptions()
-	opt.Reps = 15
-	opt.Sampling.Enabled = true
-	res, _ := Infer(m, opt)
-	n := p.NumContexts()
-	fmt.Printf("sampled=%v measured+filled=%d total=%d\n",
-		res.Sampled, res.Pairs+res.FilledPairs, n*(n-1)/2)
-	// Output: sampled=true measured+filled=32640 total=32640
 }

@@ -27,8 +27,7 @@ func ivy(t *testing.T) *topo.Topology {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := mctopalg.DefaultOptions()
-		o.Reps = 51
+		o := mctopalg.Options{Reps: 51}
 		res, err := mctopalg.Infer(m, o)
 		if err != nil {
 			t.Fatal(err)

@@ -77,32 +77,6 @@ func repCtx(t *topo.Topology) []int {
 	return reps
 }
 
-// dvfsWait spins until consecutive calibrated loops take the same time —
-// plugins need warm cores for exactly the same reason MCTOP-ALG does
-// (Section 3.5).
-func dvfsWait(m machine.Machine, t machine.Thread) {
-	const unit = 1_000_000
-	const maxIters = 64
-	prev := m.SpinSolo(t, unit)
-	stable := 0
-	for i := 0; i < maxIters; i++ {
-		cur := m.SpinSolo(t, unit)
-		diff := cur - prev
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff*100 <= prev {
-			stable++
-			if stable >= 2 {
-				return
-			}
-		} else {
-			stable = 0
-		}
-		prev = cur
-	}
-}
-
 // MemLatency measures the load latency from every socket to every node
 // using a randomly connected linked list of cache lines, "resulting in
 // cache misses for almost every iteration" (Section 4).
@@ -135,7 +109,7 @@ func (p MemLatency) Run(m machine.Machine, t *topo.Topology, spec *topo.Spec) er
 		if err := th.Pin(reps[s]); err != nil {
 			return err
 		}
-		dvfsWait(m, th)
+		machine.DVFSWait(m, th)
 		lat[s] = make([]int64, t.NumNodes())
 		for n := 0; n < t.NumNodes(); n++ {
 			lat[s][n] = medianOfChunks(16, func(chunk int) int64 {
@@ -305,7 +279,7 @@ func (p Cache) Run(m machine.Machine, t *topo.Topology, spec *topo.Spec) error {
 	if err != nil {
 		return err
 	}
-	dvfsWait(m, th)
+	machine.DVFSWait(m, th)
 	sizes := cacheSweepSizes()
 	lats := make([]int64, len(sizes))
 	for i, ws := range sizes {

@@ -16,8 +16,7 @@ func inferred(t *testing.T, p *sim.Platform, seed uint64) (*machine.SimMachine, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := mctopalg.DefaultOptions()
-	o.Reps = 51
+	o := mctopalg.Options{Reps: 51}
 	res, err := mctopalg.Infer(m, o)
 	if err != nil {
 		t.Fatal(err)

@@ -23,12 +23,12 @@ func BenchmarkColdInfer(b *testing.B) {
 func BenchmarkTopologyHit(b *testing.B) {
 	r := New(Options{InferCtx: realInfer})
 	opt := mctopalg.Options{Reps: 51}
-	if _, err := r.TopologyContext(bg, "Ivy", 42, opt); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 42, opt); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.TopologyContext(bg, "Ivy", 42, opt); err != nil {
+		if _, _, err := r.LookupTopologyContext(bg, "Ivy", 42, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,13 +39,13 @@ func BenchmarkTopologyHit(b *testing.B) {
 func BenchmarkTopologyHitParallel(b *testing.B) {
 	r := New(Options{InferCtx: realInfer})
 	opt := mctopalg.Options{Reps: 51}
-	if _, err := r.TopologyContext(bg, "Ivy", 42, opt); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 42, opt); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := r.TopologyContext(bg, "Ivy", 42, opt); err != nil {
+			if _, _, err := r.LookupTopologyContext(bg, "Ivy", 42, opt); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -45,7 +45,7 @@ func TestCancelMidInference(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := r.TopologyContext(ctx, "P", 1, mctopalg.Options{})
+		_, _, err := r.LookupTopologyContext(ctx, "P", 1, mctopalg.Options{})
 		errc <- err
 	}()
 	<-started // the inference is running
@@ -58,7 +58,7 @@ func TestCancelMidInference(t *testing.T) {
 	// see a second started signal) and completes once released.
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.TopologyContext(context.Background(), "P", 1, mctopalg.Options{})
+		_, _, err := r.LookupTopologyContext(context.Background(), "P", 1, mctopalg.Options{})
 		done <- err
 	}()
 	select {
@@ -84,7 +84,7 @@ func TestWaiterCancelLeavesOwnerRunning(t *testing.T) {
 
 	ownerErr := make(chan error, 1)
 	go func() {
-		_, err := r.TopologyContext(context.Background(), "P", 1, mctopalg.Options{})
+		_, _, err := r.LookupTopologyContext(context.Background(), "P", 1, mctopalg.Options{})
 		ownerErr <- err
 	}()
 	<-started
@@ -92,7 +92,7 @@ func TestWaiterCancelLeavesOwnerRunning(t *testing.T) {
 	waiterCtx, waiterCancel := context.WithCancel(context.Background())
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err := r.TopologyContext(waiterCtx, "P", 1, mctopalg.Options{})
+		_, _, err := r.LookupTopologyContext(waiterCtx, "P", 1, mctopalg.Options{})
 		waiterErr <- err
 	}()
 	// Give the waiter a moment to join the in-flight call, then abandon it.
@@ -125,14 +125,14 @@ func TestWaiterSurvivesOwnerCancel(t *testing.T) {
 	ownerCtx, ownerCancel := context.WithCancel(context.Background())
 	ownerErr := make(chan error, 1)
 	go func() {
-		_, err := r.TopologyContext(ownerCtx, "P", 1, mctopalg.Options{})
+		_, _, err := r.LookupTopologyContext(ownerCtx, "P", 1, mctopalg.Options{})
 		ownerErr <- err
 	}()
 	<-started // owner's inference is running
 
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err := r.TopologyContext(context.Background(), "P", 1, mctopalg.Options{})
+		_, _, err := r.LookupTopologyContext(context.Background(), "P", 1, mctopalg.Options{})
 		waiterErr <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the waiter join the wave
@@ -173,7 +173,7 @@ func TestCancelRace(t *testing.T) {
 					cancel()
 				}()
 			}
-			_, err := r.TopologyContext(ctx, "P", 1, mctopalg.Options{})
+			_, _, err := r.LookupTopologyContext(ctx, "P", 1, mctopalg.Options{})
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.Errorf("unexpected error: %v", err)
 			}
@@ -203,14 +203,14 @@ func TestSemaphoreAcquireHonorsCancel(t *testing.T) {
 		},
 	})
 	// Occupy the only compute slot with key A.
-	go r.TopologyContext(context.Background(), "A", 1, mctopalg.Options{})
+	go r.LookupTopologyContext(context.Background(), "A", 1, mctopalg.Options{})
 	<-started
 
 	// A second key must queue on the semaphore; cancel it there.
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := r.TopologyContext(ctx, "B", 1, mctopalg.Options{})
+		_, _, err := r.LookupTopologyContext(ctx, "B", 1, mctopalg.Options{})
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let it reach the acquire

@@ -12,7 +12,6 @@ package registry
 // ParseMapKey's.
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -21,10 +20,10 @@ import (
 	"repro/internal/mctoperr"
 )
 
-// ParseTopoKey inverts TopoKey: it recovers the platform, seed and
-// normalized inference options a topology key encodes. The returned
-// options always re-serialize to the exact input key (round-trip checked);
-// any other key is an error.
+// ParseTopoKey inverts TopoKey: it recovers the platform, seed, reps and
+// sampling mode a topology key encodes. The returned options always
+// re-serialize to the exact input key (round-trip checked); any other key is
+// an error.
 func ParseTopoKey(key string) (platform string, seed uint64, opt mctopalg.Options, err error) {
 	fail := func(format string, args ...any) (string, uint64, mctopalg.Options, error) {
 		return "", 0, mctopalg.Options{}, fmt.Errorf("%w: bad topology key %q: %s",
@@ -55,55 +54,27 @@ func ParseTopoKey(key string) (platform string, seed uint64, opt mctopalg.Option
 		return fail("bad seed %q", rest[j+1:i])
 	}
 
-	// The option block is a fixed-order, prefix-tagged field list (see
-	// TopoKey). Parse positionally.
-	fields := strings.Split(optBlock, ",")
-	if len(fields) != 14 {
-		return fail("%d option fields, want 14", len(fields))
+	// The option block is r<reps> followed by one of the two constant
+	// field lists (see TopoKey); the constants name the fixed parameters,
+	// and no other values for them resolve.
+	repsField, fields, _ := strings.Cut(optBlock, ",")
+	reps, ok := strings.CutPrefix(repsField, "r")
+	if !ok {
+		return fail("option block does not start with r<reps>")
 	}
-	take := func(idx int, tag string) (string, bool) {
-		v, ok := strings.CutPrefix(fields[idx], tag)
-		return v, ok && v != ""
+	if opt.Reps, perr = strconv.Atoi(reps); perr != nil {
+		return fail("bad reps %q", reps)
 	}
-	parse := []struct {
-		idx  int
-		tag  string
-		into func(string) error
-	}{
-		{0, "r", func(v string) error { n, e := strconv.Atoi(v); opt.Reps = n; return e }},
-		{1, "s", func(v string) error { f, e := strconv.ParseFloat(v, 64); opt.StdevThreshold = f; return e }},
-		{2, "sm", func(v string) error { f, e := strconv.ParseFloat(v, 64); opt.StdevThresholdMax = f; return e }},
-		{3, "mr", func(v string) error { n, e := strconv.Atoi(v); opt.MaxRetries = n; return e }},
-		{4, "cg", func(v string) error { f, e := strconv.ParseFloat(v, 64); opt.Cluster.RelGap = f; return e }},
-		{5, "ca", func(v string) error { n, e := strconv.ParseInt(v, 10, 64); opt.Cluster.AbsGap = n; return e }},
-		{6, "cm", func(v string) error { n, e := strconv.Atoi(v); opt.Cluster.MaxClusters = n; return e }},
-		{7, "su", func(v string) error { n, e := strconv.ParseInt(v, 10, 64); opt.SpinUnit = n; return e }},
-		{8, "smp", func(v string) error { b, e := strconv.ParseBool(v); opt.SkipMemoryProbe = b; return e }},
-		{9, "fe", func(v string) error {
-			// The forked-enrichment mode this bit selected was removed;
-			// TopoKey emits the constant, and only the constant resolves.
-			if v != "false" {
-				return errors.New("forked enrichment was removed, only fefalse resolves")
-			}
-			return nil
-		}},
-		{10, "se", func(v string) error { b, e := strconv.ParseBool(v); opt.Sampling.Enabled = b; return e }},
-		{11, "sp", func(v string) error { n, e := strconv.Atoi(v); opt.Sampling.Pilots = n; return e }},
-		{12, "smc", func(v string) error { n, e := strconv.Atoi(v); opt.Sampling.MinContexts = n; return e }},
-		{13, "sv", func(v string) error { n, e := strconv.Atoi(v); opt.Sampling.VerifyPerBlock = n; return e }},
-	}
-	for _, p := range parse {
-		v, ok := take(p.idx, p.tag)
-		if !ok {
-			return fail("option field %d is not %s-tagged", p.idx, p.tag)
-		}
-		if err := p.into(v); err != nil {
-			return fail("option field %s%s: %v", p.tag, v, err)
-		}
+	switch "," + fields {
+	case topoKeyExhaustive:
+	case topoKeySampled:
+		opt.Sampling = true
+	default:
+		return fail("option fields %q are not the fixed parameters", fields)
 	}
 	// Strictness: only keys this registry version would itself emit
-	// resolve. Anything else — trailing junk, non-canonical float
-	// rendering, an un-normalized option — must not alias a cache entry.
+	// resolve. Anything else — trailing junk, a non-canonical or
+	// un-normalized reps — must not alias a cache entry.
 	if TopoKey(platform, seed, opt) != key {
 		return fail("does not round-trip")
 	}

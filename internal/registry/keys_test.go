@@ -22,14 +22,12 @@ func TestParseTopoKeyRoundTrip(t *testing.T) {
 		opt      mctopalg.Options
 	}{
 		{"Ivy", 42, mctopalg.Options{}},
-		{"Ivy", 42, mctopalg.DefaultOptions()},
+		{"Ivy", 42, mctopalg.Options{Reps: 2000}},
 		{"SPARC", 0, mctopalg.Options{Reps: 201}},
-		{"Westmere", 18446744073709551615, mctopalg.Options{Reps: 51, SkipMemoryProbe: true}},
+		{"Westmere", 18446744073709551615, mctopalg.Options{Reps: 51, Parallelism: 3}},
 		{"a|weird|name", 1, mctopalg.Options{Reps: 11}}, // '|' in the platform survives
-		{"gen:circulant:s64:c8:t2", 3, mctopalg.Options{Sampling: mctopalg.SamplingOptions{Enabled: true}}},
-		{"gen:mesh:s25:c2:t2:v7", 5, mctopalg.Options{
-			Sampling: mctopalg.SamplingOptions{Enabled: true, Pilots: 16, MinContexts: 32, VerifyPerBlock: 9},
-		}},
+		{"gen:circulant:s64:c8:t2", 3, mctopalg.Options{Sampling: true}},
+		{"gen:mesh:s25:c2:t2:v7", 5, mctopalg.Options{Reps: 15, Sampling: true}},
 	}
 	for _, c := range cases {
 		key := TopoKey(c.platform, c.seed, c.opt)
@@ -48,6 +46,65 @@ func TestParseTopoKeyRoundTrip(t *testing.T) {
 		want.Parallelism = 0 // excluded from keys by design, so not recoverable
 		if opt != want {
 			t.Fatalf("recovered options %+v, want normalized %+v", opt, want)
+		}
+	}
+}
+
+// TestTopoKeyBytesPinned pins TopoKey to the bytes recorded before the
+// Section 3.5 parameters became constants: spool file names, #key headers
+// and export addresses are fixed points, so no option may move them.
+func TestTopoKeyBytesPinned(t *testing.T) {
+	const (
+		exhaustive = ",s0.07,sm0.14,mr3,cg0.04,ca10,cm0,su1000000,smpfalse,fefalse,sefalse,sp0,smc0,sv0"
+		sampled    = ",s0.07,sm0.14,mr3,cg0.04,ca10,cm0,su1000000,smpfalse,fefalse,setrue,sp0,smc64,sv6"
+	)
+	for _, c := range []struct {
+		opt  mctopalg.Options
+		want string
+	}{
+		{mctopalg.Options{}, "topo|Ivy|42|r2000" + exhaustive},
+		{mctopalg.Options{Reps: 51}, "topo|Ivy|42|r51" + exhaustive},
+		{mctopalg.Options{Sampling: true}, "topo|Ivy|42|r2000" + sampled},
+		{mctopalg.Options{Reps: 201, Sampling: true}, "topo|Ivy|42|r201" + sampled},
+	} {
+		if got := TopoKey("Ivy", 42, c.opt); got != c.want {
+			t.Errorf("TopoKey(%+v) = %q, want %q", c.opt, got, c.want)
+		}
+	}
+}
+
+// TestParseTopoKeyRejectsFormerParameters: the option fields after r<reps>
+// name the fixed parameters, so a key carrying any other value for one —
+// which a registry that let callers set them could have emitted — resolves
+// to nothing.
+func TestParseTopoKeyRejectsFormerParameters(t *testing.T) {
+	for _, good := range []string{
+		TopoKey("Ivy", 42, mctopalg.Options{Reps: 201}),
+		TopoKey("Ivy", 42, mctopalg.Options{Reps: 201, Sampling: true}),
+	} {
+		for _, field := range [][2]string{
+			{",s0.07,", ",s0.05,"},
+			{",sm0.14,", ",sm0.2,"},
+			{",mr3,", ",mr1,"},
+			{",cg0.04,", ",cg0.1,"},
+			{",ca10,", ",ca5,"},
+			{",cm0,", ",cm2,"},
+			{",su1000000,", ",su10,"},
+			{",smpfalse,", ",smptrue,"},
+			{",sp0,", ",sp16,"},
+			{",smc0,", ",smc32,"},
+			{",smc64,", ",smc32,"},
+			{",sv0", ",sv9"},
+			{",sv6", ",sv9"},
+		} {
+			if !strings.Contains(good, field[0]) {
+				continue
+			}
+			key := strings.Replace(good, field[0], field[1], 1)
+			_, _, _, err := ParseTopoKey(key)
+			if !errors.Is(err, mctoperr.ErrInvalidRequest) {
+				t.Errorf("ParseTopoKey(%q) = %v, want ErrInvalidRequest", key, err)
+			}
 		}
 	}
 }

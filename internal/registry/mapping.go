@@ -133,7 +133,7 @@ func ParseMapKey(key string) (topoK string, hash uint64, nodes, edges, refine in
 
 // MapDAGContext returns the memoized mapping of the DAG onto the memoized
 // topology for (platform, seed, opt) with the given refine budget, with
-// TopologyContext's cancellation semantics. The DAG is validated before
+// LookupTopologyContext's cancellation semantics. The DAG is validated before
 // the cache is consulted, so an invalid DAG can never occupy a singleflight
 // slot or alias an entry by hash.
 func (r *Registry) MapDAGContext(ctx context.Context, platform string, seed uint64, opt mctopalg.Options, d *graph.TaskDAG, refineBudget int) (*taskmap.Mapping, error) {
@@ -152,7 +152,7 @@ func (r *Registry) MapDAGContext(ctx context.Context, platform string, seed uint
 		msp.SetInt("nodes", int64(len(d.Nodes)))
 		msp.SetInt("edges", int64(len(d.Edges)))
 		defer msp.End()
-		t, err := r.TopologyContext(ctx, platform, seed, opt)
+		t, _, err := r.LookupTopologyContext(ctx, platform, seed, opt)
 		if err != nil {
 			msp.SetError(err)
 			return nil, err

@@ -16,7 +16,7 @@ import (
 )
 
 func TestParseMapKeyRoundTrip(t *testing.T) {
-	opts := []mctopalg.Options{{}, mctopalg.DefaultOptions(), {Reps: 201, SkipMemoryProbe: true}}
+	opts := []mctopalg.Options{{}, {Reps: 2000}, {Reps: 201, Sampling: true}}
 	dags := []*graph.TaskDAG{
 		graph.GenTaskDAG(graph.DAGParams{}, 1),
 		graph.GenTaskDAG(graph.DAGParams{Layers: 5, Width: 4}, 77),

@@ -287,16 +287,27 @@ func attribute(ctx context.Context, lsp *trace.Span, tier string) {
 	lsp.SetAttr("tier", tier)
 }
 
-// TopoKey is the registry's cache key for a topology. It serializes the
-// platform, seed and every inference option that can change the result,
-// field by field, so distinct configurations never collide and the key
+// The option block of a topology key after r<reps>, one constant per
+// sampling mode. Its fields name parameters that are constants
+// (mctopalg's Section 3.5 values, the sampled mode's floor and probe count)
+// and, at position 9, the removed forked-enrichment bit. The key format is
+// a fixed point — spool file names, #key headers, export addresses — so
+// the fields stay, with the values every key ever emitted carries.
+const (
+	topoKeyExhaustive = ",s0.07,sm0.14,mr3,cg0.04,ca10,cm0,su1000000,smpfalse,fefalse,sefalse,sp0,smc0,sv0"
+	topoKeySampled    = ",s0.07,sm0.14,mr3,cg0.04,ca10,cm0,su1000000,smpfalse,fefalse,setrue,sp0,smc64,sv6"
+)
+
+// TopoKey is the registry's cache key for a topology:
+// topo|<platform>|<seed>|r<reps> plus the option block's constant fields
+// for the sampling mode. Distinct configurations never collide and the key
 // stays stable across runs — the same key the spool tier persists in
 // description files, so a restarted daemon rebuilds the exact mapping, and
-// the key tools (mctop import/export) install or extract files under. Options are normalized first, so the zero value and an
-// explicit DefaultOptions() share one entry. Parallelism is deliberately
-// excluded: by construction it does not affect the inferred topology. Keys
-// are built with strconv appends — this runs on every lookup of the serving
-// hot path, where fmt.Sprintf's reflection would be the dominant allocation.
+// the key tools (mctop import/export) install or extract files under.
+// Options are normalized first, so the zero value and an explicit Reps of
+// 2000 share one entry. Parallelism is deliberately excluded: by
+// construction it does not affect the inferred topology. Keys are built
+// with strconv appends — this runs on every lookup of the serving hot path.
 func TopoKey(platform string, seed uint64, opt mctopalg.Options) string {
 	o := opt.Normalized()
 	b := make([]byte, 0, 96)
@@ -306,50 +317,21 @@ func TopoKey(platform string, seed uint64, opt mctopalg.Options) string {
 	b = strconv.AppendUint(b, seed, 10)
 	b = append(b, "|r"...)
 	b = strconv.AppendInt(b, int64(o.Reps), 10)
-	b = append(b, ",s"...)
-	b = strconv.AppendFloat(b, o.StdevThreshold, 'g', -1, 64)
-	b = append(b, ",sm"...)
-	b = strconv.AppendFloat(b, o.StdevThresholdMax, 'g', -1, 64)
-	b = append(b, ",mr"...)
-	b = strconv.AppendInt(b, int64(o.MaxRetries), 10)
-	b = append(b, ",cg"...)
-	b = strconv.AppendFloat(b, o.Cluster.RelGap, 'g', -1, 64)
-	b = append(b, ",ca"...)
-	b = strconv.AppendInt(b, o.Cluster.AbsGap, 10)
-	b = append(b, ",cm"...)
-	b = strconv.AppendInt(b, int64(o.Cluster.MaxClusters), 10)
-	b = append(b, ",su"...)
-	b = strconv.AppendInt(b, o.SpinUnit, 10)
-	b = append(b, ",smp"...)
-	b = strconv.AppendBool(b, o.SkipMemoryProbe)
-	// Position 9 was the forked-enrichment bit. That mode is gone, but the
-	// key format is a fixed point (spool file names, #key headers, export
-	// addresses), so the field stays as a constant.
-	b = append(b, ",fefalse"...)
-	b = append(b, ",se"...)
-	b = strconv.AppendBool(b, o.Sampling.Enabled)
-	b = append(b, ",sp"...)
-	b = strconv.AppendInt(b, int64(o.Sampling.Pilots), 10)
-	b = append(b, ",smc"...)
-	b = strconv.AppendInt(b, int64(o.Sampling.MinContexts), 10)
-	b = append(b, ",sv"...)
-	b = strconv.AppendInt(b, int64(o.Sampling.VerifyPerBlock), 10)
+	if o.Sampling {
+		b = append(b, topoKeySampled...)
+	} else {
+		b = append(b, topoKeyExhaustive...)
+	}
 	return string(b)
 }
 
-// TopologyContext returns the memoized topology for (platform, seed, opt),
-// inferring it on first use. A waiter stops waiting and returns ctx.Err()
-// when its context fires, and the caller that owns the inference aborts it
-// (the inference function returns ctx.Err()).
-func (r *Registry) TopologyContext(ctx context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
-	t, _, err := r.LookupTopologyContext(ctx, platform, seed, opt)
-	return t, err
-}
-
-// LookupTopologyContext is TopologyContext plus a per-call cache indicator:
-// hit is true only when this call was answered from the store without
-// running or waiting on an inference (servers report it per request; the
-// global Stats counters cannot distinguish concurrent callers).
+// LookupTopologyContext returns the memoized topology for (platform, seed,
+// opt), inferring it on first use, plus a per-call cache indicator: hit is
+// true only when this call was answered from the store without running or
+// waiting on an inference (servers report it per request; the global Stats
+// counters cannot distinguish concurrent callers). A waiter stops waiting
+// and returns ctx.Err() when its context fires, and the caller that owns
+// the inference aborts it (the inference function returns ctx.Err()).
 func (r *Registry) LookupTopologyContext(ctx context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, bool, error) {
 	v, hit, err := r.get(ctx, KindTopology, TopoKey(platform, seed, opt), func(ctx context.Context) (any, error) {
 		ctx, isp := trace.Start(ctx, "registry.infer")
@@ -403,10 +385,10 @@ func placeKey(tk string, pol place.Orderer, nThreads int) string {
 
 // PlaceContext returns the memoized placement of nThreads threads under
 // the named policy (builtin or registered, as accepted by place.Resolve) on
-// the memoized topology for (platform, seed, opt), with TopologyContext's
-// cancellation semantics. The placement is shared between callers: treat it
-// as read-only (Contexts, String, the Figure 7 accessors) — the PinNext
-// cursor is global to all users of the registry.
+// the memoized topology for (platform, seed, opt), with
+// LookupTopologyContext's cancellation semantics. The placement is shared
+// between callers: treat it as read-only (Contexts, String, the Figure 7
+// accessors) — the PinNext cursor is global to all users of the registry.
 func (r *Registry) PlaceContext(ctx context.Context, platform string, seed uint64, opt mctopalg.Options, policy string, nThreads int) (*place.Placement, error) {
 	pol, err := place.Resolve(policy)
 	if err != nil {
@@ -433,7 +415,7 @@ func (r *Registry) PlaceWithContext(ctx context.Context, platform string, seed u
 		ctx, psp := trace.Start(ctx, "registry.place")
 		psp.SetAttr("policy", pol.Name())
 		defer psp.End()
-		t, err := r.TopologyContext(ctx, platform, seed, opt)
+		t, _, err := r.LookupTopologyContext(ctx, platform, seed, opt)
 		if err != nil {
 			psp.SetError(err)
 			return nil, err

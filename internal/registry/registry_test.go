@@ -65,7 +65,7 @@ func TestSingleflightCollapsesConcurrentInferences(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			top, err := r.TopologyContext(bg, "Ivy", 42, mctopalg.Options{Reps: 51})
+			top, _, err := r.LookupTopologyContext(bg, "Ivy", 42, mctopalg.Options{Reps: 51})
 			if err != nil {
 				t.Error(err)
 				return
@@ -108,7 +108,7 @@ func TestConcurrentMixedReadersWriters(t *testing.T) {
 				seed := uint64((g + i) % 8)
 				switch i % 4 {
 				case 0:
-					if _, err := r.TopologyContext(bg, "Ivy", seed, opt); err != nil {
+					if _, _, err := r.LookupTopologyContext(bg, "Ivy", seed, opt); err != nil {
 						t.Error(err)
 					}
 				case 1:
@@ -120,7 +120,7 @@ func TestConcurrentMixedReadersWriters(t *testing.T) {
 				case 3:
 					if i%20 == 3 {
 						r.Purge()
-					} else if _, err := r.TopologyContext(bg, "Ivy", seed, opt); err != nil {
+					} else if _, _, err := r.LookupTopologyContext(bg, "Ivy", seed, opt); err != nil {
 						t.Error(err)
 					}
 				}
@@ -153,7 +153,7 @@ func TestComputeConcurrencyBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.TopologyContext(bg, "Ivy", seed, opt); err != nil {
+			if _, _, err := r.LookupTopologyContext(bg, "Ivy", seed, opt); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -190,7 +190,7 @@ func TestLRUBoundAndEviction(t *testing.T) {
 	opt := mctopalg.Options{Reps: 51}
 
 	for seed := uint64(0); seed < 8; seed++ {
-		if _, err := r.TopologyContext(bg, "Ivy", seed, opt); err != nil {
+		if _, _, err := r.LookupTopologyContext(bg, "Ivy", seed, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,22 +204,22 @@ func TestLRUBoundAndEviction(t *testing.T) {
 	// Seeds 4..7 are resident; 4 is now least recently used. Touch it, then
 	// insert one more: seed 5 must be the victim.
 	calls.Store(0)
-	if _, err := r.TopologyContext(bg, "Ivy", 4, opt); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 4, opt); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 0 {
 		t.Fatal("seed 4 should have been a cache hit")
 	}
-	if _, err := r.TopologyContext(bg, "Ivy", 8, opt); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 8, opt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.TopologyContext(bg, "Ivy", 4, opt); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 4, opt); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("after touch+insert, re-reading seed 4 cost %d inferences, want 0 (LRU should have evicted 5)", calls.Load()-1+1)
 	}
-	if _, err := r.TopologyContext(bg, "Ivy", 5, opt); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 5, opt); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
@@ -237,10 +237,10 @@ func TestErrorsAreNotCached(t *testing.T) {
 		return fakeTopo(), nil
 	}})
 	opt := mctopalg.Options{Reps: 51}
-	if _, err := r.TopologyContext(bg, "Ivy", 1, opt); !errors.Is(err, boom) {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 1, opt); !errors.Is(err, boom) {
 		t.Fatalf("first call err = %v, want boom", err)
 	}
-	if _, err := r.TopologyContext(bg, "Ivy", 1, opt); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 1, opt); err != nil {
 		t.Fatalf("second call should retry and succeed, got %v", err)
 	}
 	if calls.Load() != 2 {
@@ -270,10 +270,10 @@ func TestPanickingInferDoesNotWedgeTheKey(t *testing.T) {
 		}()
 		go func() {
 			time.Sleep(10 * time.Millisecond) // join while the leader holds the key
-			_, err := r.TopologyContext(bg, "Ivy", 1, opt)
+			_, _, err := r.LookupTopologyContext(bg, "Ivy", 1, opt)
 			waited <- err
 		}()
-		r.TopologyContext(bg, "Ivy", 1, opt)
+		r.LookupTopologyContext(bg, "Ivy", 1, opt)
 	}()
 	select {
 	case err := <-waited:
@@ -285,7 +285,7 @@ func TestPanickingInferDoesNotWedgeTheKey(t *testing.T) {
 	}
 
 	// The key must be retryable afterwards.
-	if _, err := r.TopologyContext(bg, "Ivy", 1, opt); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 1, opt); err != nil {
 		t.Fatalf("lookup after panic failed: %v", err)
 	}
 }
@@ -296,10 +296,10 @@ func TestOptionsKeyDistinguishesConfigurations(t *testing.T) {
 		calls.Add(1)
 		return fakeTopo(), nil
 	}})
-	if _, err := r.TopologyContext(bg, "Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.TopologyContext(bg, "Ivy", 1, mctopalg.Options{Reps: 101}); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 1, mctopalg.Options{Reps: 101}); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
@@ -307,7 +307,7 @@ func TestOptionsKeyDistinguishesConfigurations(t *testing.T) {
 	}
 	// Parallelism must NOT split the cache: the result is identical by
 	// construction.
-	if _, err := r.TopologyContext(bg, "Ivy", 1, mctopalg.Options{Reps: 51, Parallelism: 4}); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 1, mctopalg.Options{Reps: 51, Parallelism: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
@@ -315,23 +315,21 @@ func TestOptionsKeyDistinguishesConfigurations(t *testing.T) {
 	}
 	// Zero-value options and explicit defaults are the same inference and
 	// must share one entry (keys are normalized before hashing).
-	if _, err := r.TopologyContext(bg, "Ivy", 2, mctopalg.Options{}); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 2, mctopalg.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.TopologyContext(bg, "Ivy", 2, mctopalg.DefaultOptions()); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 2, mctopalg.Options{Reps: 2000}); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 3 {
-		t.Fatalf("zero-value and DefaultOptions() split into %d entries, want 1", calls.Load()-2)
+		t.Fatalf("zero-value and explicit default reps split into %d entries, want 1", calls.Load()-2)
 	}
-	// MaxClusters changes clustering and must split the cache.
-	capped := mctopalg.DefaultOptions()
-	capped.Cluster.MaxClusters = 2
-	if _, err := r.TopologyContext(bg, "Ivy", 2, capped); err != nil {
+	// The sampled mode can select different work and must split the cache.
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 2, mctopalg.Options{Sampling: true}); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 4 {
-		t.Fatal("Cluster.MaxClusters missing from the cache key")
+		t.Fatal("Sampling missing from the cache key")
 	}
 }
 
@@ -378,7 +376,7 @@ func TestCachedLookupSpeedup(t *testing.T) {
 	opt := mctopalg.Options{Reps: 51}
 
 	coldStart := time.Now()
-	if _, err := r.TopologyContext(bg, "Ivy", 42, opt); err != nil {
+	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 42, opt); err != nil {
 		t.Fatal(err)
 	}
 	cold := time.Since(coldStart)
@@ -386,7 +384,7 @@ func TestCachedLookupSpeedup(t *testing.T) {
 	const hits = 1000
 	hitStart := time.Now()
 	for i := 0; i < hits; i++ {
-		if _, err := r.TopologyContext(bg, "Ivy", 42, opt); err != nil {
+		if _, _, err := r.LookupTopologyContext(bg, "Ivy", 42, opt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -137,7 +137,7 @@ func TestOriginDownDegradesToLocalInference(t *testing.T) {
 
 	rm := newRemote(t, ts.URL)
 	reg, inferences := edgeRegistry(registry.NewTiered(registry.NewLRU(16), rm))
-	top, err := reg.TopologyContext(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51})
+	top, _, err := reg.LookupTopologyContext(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51})
 	if err != nil {
 		t.Fatalf("a down origin must not fail a lookup: %v", err)
 	}
@@ -221,7 +221,7 @@ func TestOriginSlowTimesOutAndDegrades(t *testing.T) {
 	rm := newRemote(t, ts.URL, WithTimeout(50*time.Millisecond))
 	reg, inferences := edgeRegistry(registry.NewTiered(registry.NewLRU(16), rm))
 	start := time.Now()
-	if _, err := reg.TopologyContext(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
+	if _, _, err := reg.LookupTopologyContext(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
 		t.Fatalf("a slow origin must not fail a lookup: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -248,7 +248,7 @@ func TestCorruptBodyNegativeCachesKeyOnly(t *testing.T) {
 
 	rm := newRemote(t, ts.URL, WithNegTTL(time.Minute))
 	reg, inferences := edgeRegistry(registry.NewTiered(registry.NewLRU(16), rm))
-	if _, err := reg.TopologyContext(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
+	if _, _, err := reg.LookupTopologyContext(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
 		t.Fatalf("a corrupt body must not fail a lookup: %v", err)
 	}
 	if inferences.Load() != 1 {

@@ -197,9 +197,6 @@ func (s *Sim) NewThread(ctx int) (*Thread, error) {
 	return t, nil
 }
 
-// Ctx returns the context the thread is currently pinned to.
-func (t *Thread) Ctx() int { return t.ctx }
-
 // Now returns the thread's virtual clock in cycles. Harness-only; the
 // inference algorithm must use Rdtsc like real code would.
 func (t *Thread) Now() int64 { return t.now }
@@ -253,19 +250,6 @@ func (t *Thread) access(line uint64, op mesi.Op) {
 // CAS performs an atomic compare-and-swap on a shared cache line, the probe
 // operation of Figure 5 (full fence, brings the line to Modified).
 func (t *Thread) CAS(line uint64) { t.access(line, mesi.CAS) }
-
-// Load performs a plain read of a shared cache line.
-func (t *Thread) Load(line uint64) { t.access(line, mesi.Load) }
-
-// Store performs a plain write of a shared cache line.
-func (t *Thread) Store(line uint64) { t.access(line, mesi.Store) }
-
-// SpinWork busy-spins for the given number of work units (cycles at max
-// frequency). Under DVFS the observed duration shrinks as the core ramps.
-func (t *Thread) SpinWork(units int64) {
-	t.advance(t.s.scale(units, t.core))
-	t.s.burn(t.core, units)
-}
 
 // MemRandomAccess performs n dependent cache-missing loads (a random
 // linked-list traversal, as the memory-latency plugin allocates) against

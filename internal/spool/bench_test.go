@@ -54,7 +54,7 @@ func benchSpoolRegistry(b *testing.B, dir string) (*registry.Registry, *registry
 func BenchmarkWarmStartTopologyLookup(b *testing.B) {
 	opt := mctopalg.Options{Reps: 51}
 	r, lru := benchSpoolRegistry(b, b.TempDir())
-	if _, err := r.TopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
+	if _, _, err := r.LookupTopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
 		b.Fatal(err)
 	}
 	if err := r.Flush(); err != nil {
@@ -63,7 +63,7 @@ func BenchmarkWarmStartTopologyLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lru.Purge() // every iteration is a cold-memory, warm-disk lookup
-		if _, err := r.TopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
+		if _, _, err := r.LookupTopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,7 +109,7 @@ func TestWarmStartSpeedup(t *testing.T) {
 	})
 
 	coldStart := time.Now()
-	if _, err := r.TopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
+	if _, _, err := r.LookupTopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
 		t.Fatal(err)
 	}
 	cold := time.Since(coldStart)
@@ -121,7 +121,7 @@ func TestWarmStartSpeedup(t *testing.T) {
 	warmStart := time.Now()
 	for i := 0; i < lookups; i++ {
 		lru.Purge()
-		if _, err := r.TopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
+		if _, _, err := r.LookupTopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -263,7 +263,7 @@ func TestTieredWarmStart(t *testing.T) {
 
 	// Process 1: infer, place, flush.
 	r1 := newReg()
-	top1, err := r1.TopologyContext(context.Background(), "Ivy", 42, opt)
+	top1, _, err := r1.LookupTopologyContext(context.Background(), "Ivy", 42, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestTieredWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top2, err := r2.TopologyContext(context.Background(), "Ivy", 42, opt)
+	top2, _, err := r2.LookupTopologyContext(context.Background(), "Ivy", 42, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestTieredWarmStart(t *testing.T) {
 
 	// The warm topology was promoted into the LRU tier: a re-read is a
 	// pure memory hit returning the same instance.
-	again, err := r2.TopologyContext(context.Background(), "Ivy", 42, opt)
+	again, _, err := r2.LookupTopologyContext(context.Background(), "Ivy", 42, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,25 +150,18 @@ func (t Triplet) String() string {
 // Contains reports whether v falls in the closed interval [Min, Max].
 func (t Triplet) Contains(v int64) bool { return v >= t.Min && v <= t.Max }
 
-// ClusterOptions tunes the 1-D clustering of latency values.
+// ClusterOptions tunes the 1-D clustering of latency values. Both gaps are
+// required: MCTOP-ALG passes RelGap 0.04 and AbsGap 10.
 type ClusterOptions struct {
 	// RelGap is the minimum relative gap between consecutive sorted values
 	// for a cluster boundary: a boundary is placed between a and b (a < b)
-	// when (b-a) > RelGap*a and (b-a) > AbsGap. The defaults mirror the
-	// separations visible on real machines (SMT vs core vs socket levels
-	// differ by 3-4x, intra-cluster jitter by a few percent).
+	// when (b-a) > RelGap*a and (b-a) > AbsGap. Real machines separate
+	// their levels by 3-4x (SMT vs core vs socket) and jitter within a
+	// level by a few percent.
 	RelGap float64
 	// AbsGap is the minimum absolute gap (cycles) for a boundary, protecting
 	// tiny values (e.g. the 0 diagonal) from spurious splits.
 	AbsGap int64
-	// MaxClusters, when > 0, caps the number of clusters; the smallest gaps
-	// are merged first if the cap is exceeded.
-	MaxClusters int
-}
-
-// DefaultClusterOptions returns the options used by libmctop.
-func DefaultClusterOptions() ClusterOptions {
-	return ClusterOptions{RelGap: 0.25, AbsGap: 10, MaxClusters: 0}
 }
 
 // Cluster partitions xs into latency clusters and returns one Triplet per
@@ -179,12 +172,6 @@ func DefaultClusterOptions() ClusterOptions {
 func Cluster(xs []int64, opt ClusterOptions) []Triplet {
 	if len(xs) == 0 {
 		return nil
-	}
-	if opt.RelGap <= 0 {
-		opt.RelGap = DefaultClusterOptions().RelGap
-	}
-	if opt.AbsGap <= 0 {
-		opt.AbsGap = DefaultClusterOptions().AbsGap
 	}
 	s := append([]int64(nil), xs...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
@@ -200,25 +187,6 @@ func Cluster(xs []int64, opt ClusterOptions) []Triplet {
 		}
 	}
 	groups = append(groups, s[start:])
-
-	// Optionally merge smallest inter-group gaps until under the cap.
-	for opt.MaxClusters > 0 && len(groups) > opt.MaxClusters {
-		best := 1
-		bestGap := int64(math.MaxInt64)
-		for i := 1; i < len(groups); i++ {
-			gap := groups[i][0] - groups[i-1][len(groups[i-1])-1]
-			if gap < bestGap {
-				bestGap = gap
-				best = i
-			}
-		}
-		merged := append(append([]int64(nil), groups[best-1]...), groups[best]...)
-		ng := make([][]int64, 0, len(groups)-1)
-		ng = append(ng, groups[:best-1]...)
-		ng = append(ng, merged)
-		ng = append(ng, groups[best+1:]...)
-		groups = ng
-	}
 
 	out := make([]Triplet, len(groups))
 	for i, g := range groups {

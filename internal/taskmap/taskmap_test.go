@@ -32,8 +32,7 @@ func enriched(t *testing.T, p *sim.Platform) *topo.Topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := mctopalg.DefaultOptions()
-	o.Reps = 51
+	o := mctopalg.Options{Reps: 51}
 	res, err := mctopalg.Infer(m, o)
 	if err != nil {
 		t.Fatal(err)
@@ -315,8 +314,7 @@ func benchTopo(b *testing.B) *topo.Topology {
 	if err != nil {
 		b.Fatal(err)
 	}
-	o := mctopalg.DefaultOptions()
-	o.Reps = 51
+	o := mctopalg.Options{Reps: 51}
 	res, err := mctopalg.Infer(m, o)
 	if err != nil {
 		b.Fatal(err)

@@ -24,7 +24,7 @@
 //     applications hold, offering Pin/Unpin per thread id and the
 //     Figure 7 report.
 //   - Registry — the concurrency-safe, LRU-bounded topology service layer
-//     with context-aware lookups (TopologyContext, PlaceContext,
+//     with context-aware lookups (LookupTopologyContext, PlaceContext,
 //     PlaceBatchContext), the backend of cmd/mctopd. Its cache is a
 //     tiered Store: WithSpoolDir chains the in-memory LRU over a
 //     description-file spool, so a restarted process warm-starts from
@@ -49,7 +49,7 @@
 //
 //	reg := mctop.NewRegistry(256)                           // LRU bound
 //	opt := mctop.NewOptions(mctop.WithReps(201))
-//	top, err := reg.TopologyContext(ctx, "Ivy", 42, opt)
+//	top, _, err := reg.LookupTopologyContext(ctx, "Ivy", 42, opt)
 //	pl, err := reg.PlaceContext(ctx, "Ivy", 42, opt, "RR_CORE", 8)
 //
 // The heavy lifting lives in the internal packages:
@@ -114,14 +114,12 @@ func Platforms() []string {
 	return out
 }
 
-// Options tunes inference; see mctopalg.Options. The zero value uses the
-// paper's defaults (n = 2000 repetitions, 7%-14% stdev thresholds).
+// Options tunes inference; see mctopalg.Options. It carries the
+// repetitions per pair, the measurement worker pool and the sampled mode;
+// the zero value runs the paper's n = 2000 repetitions, and the rest of
+// Section 3.5 (the 7%-14% stdev thresholds, the clustering gaps) is fixed.
 // Prefer building it with NewOptions and the With* functional options.
 type Options = mctopalg.Options
-
-// SamplingOptions configures the sub-O(N²) sampled measurement mode (see
-// mctopalg.SamplingOptions); enable it with WithSampling.
-type SamplingOptions = mctopalg.SamplingOptions
 
 // Load reads a topology from an MCTOP description file.
 func Load(path string) (*Topology, error) { return topo.LoadFile(path) }

@@ -22,12 +22,6 @@ func WithParallelism(n int) Option {
 	return func(o *Options) { o.Parallelism = n }
 }
 
-// WithSkipMemoryProbe disables the local-node assignment probe (sockets
-// then map to memory nodes by index).
-func WithSkipMemoryProbe() Option {
-	return func(o *Options) { o.SkipMemoryProbe = true }
-}
-
 // WithSampling enables the sub-O(N²) sampled measurement phase on
 // fork-capable machines with at least 64 hardware contexts: latency
 // signatures against a small pilot set cluster the contexts, one verified
@@ -35,9 +29,10 @@ func WithSkipMemoryProbe() Option {
 // block is filled with its value — falling back to exhaustive measurement
 // per block (or wholesale, on noisy platforms) whenever verification
 // disagrees. The mode is part of the cache key; on platforms below the
-// context floor it changes nothing.
+// context floor it changes nothing. Its parameters are fixed: n/64 pilots
+// clamped to [8, 64], a floor of 64 contexts, 6 probes per block.
 func WithSampling() Option {
-	return func(o *Options) { o.Sampling.Enabled = true }
+	return func(o *Options) { o.Sampling = true }
 }
 
 // NewOptions builds an inference Options value from functional options.
