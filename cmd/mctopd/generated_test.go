@@ -114,3 +114,37 @@ func TestMaxContextsRefusal(t *testing.T) {
 		t.Fatalf("golden platform under bound: %d %s, want 200", resp.StatusCode, body)
 	}
 }
+
+// TestDefaultMaxContextsRefusesHugePlatform: with no -max-contexts flag the
+// daemon is still bounded. A 2²⁰-context gen: platform would ask step 1
+// for two dense 2²⁰×2²⁰ int64 tables; the default refuses it from the
+// parsed dimensions — before the platform is even generated — with a 413
+// and no Retry-After, the daemon stays healthy, and a 1024-context
+// platform is still served.
+func TestDefaultMaxContextsRefusesHugePlatform(t *testing.T) {
+	ts := httptest.NewServer(testServer().routes())
+	defer ts.Close()
+
+	resp, body := get(t, ts, "/v1/topology?platform=gen:mesh:s1024:c1024:t1")
+	if resp.StatusCode != 413 {
+		t.Fatalf("2²⁰-context topology: %d %s, want 413", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "" {
+		t.Fatalf("413 carried Retry-After %q", got)
+	}
+	if !strings.Contains(string(body), "1048576") || !strings.Contains(string(body), "2048") {
+		t.Fatalf("413 body %s does not name the sizes", body)
+	}
+	// A spec whose dimensions overflow int must not wrap under the bound.
+	resp, body = get(t, ts, "/v1/topology?platform=gen:mesh:s2147483648:c2147483648:t4")
+	if resp.StatusCode != 413 {
+		t.Fatalf("overflowing spec: %d %s, want 413", resp.StatusCode, body)
+	}
+	if resp, body = get(t, ts, "/healthz"); resp.StatusCode != 200 {
+		t.Fatalf("healthz after the refusals: %d %s", resp.StatusCode, body)
+	}
+	resp, body = get(t, ts, "/v1/topology?platform=gen:circulant:s64:c8:t2&reps=5&sampling=1") // 1024 contexts
+	if resp.StatusCode != 200 {
+		t.Fatalf("1024-context topology under the default bound: %d %s, want 200", resp.StatusCode, body)
+	}
+}

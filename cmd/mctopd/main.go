@@ -131,6 +131,13 @@ import (
 	"repro/internal/trace"
 )
 
+// defaultMaxContexts is -max-contexts' default. Step 1 of inference and
+// the topology's query index are dense n×n tables today: at 2048 contexts
+// they take about 100 MB, and an unbounded request naming a 2²⁰-context
+// gen: platform would ask for terabytes — an out-of-memory failure no
+// handler can turn into a 413.
+const defaultMaxContexts = 2048
+
 // daemonConfig is everything the flags decide, decoupled from the flag
 // package so tests can run a complete daemon in-process (run is the whole
 // lifecycle: listen, serve, drain, flush).
@@ -169,8 +176,8 @@ func main() {
 		"origin mctopd base URL (e.g. http://origin:8077): misses are fetched from its /v1/export before inferring locally, making this daemon a fleet edge")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 4*runtime.GOMAXPROCS(0),
 		"maximum concurrent in-flight requests before shedding with 503 (<= 0 disables)")
-	flag.IntVar(&cfg.maxContexts, "max-contexts", 0,
-		"refuse platforms with more hardware contexts than this with 413 — the size bound for generated gen: platforms, whose inference cost grows with the square of the context count (<= 0 disables)")
+	flag.IntVar(&cfg.maxContexts, "max-contexts", defaultMaxContexts,
+		"refuse platforms with more hardware contexts than this with 413 — the size bound for generated gen: platforms, whose inference cost and memory grow with the square of the context count (<= 0 disables)")
 	flag.BoolVar(&cfg.sampling, "sampling", false,
 		"default requests to the sampled sub-O(N²) measurement mode on large platforms; per-request ?sampling=0/1 overrides")
 	flag.BoolVar(&cfg.pprof, "pprof", false,
@@ -399,7 +406,8 @@ type server struct {
 	reg         *mctop.Registry
 	defaultReps int
 	// maxContexts refuses platforms larger than this with 413 (0 = no
-	// bound); defaultSampling turns the sampled measurement mode on for
+	// bound; defaultMaxContexts unless -max-contexts says otherwise);
+	// defaultSampling turns the sampled measurement mode on for
 	// requests that do not say ?sampling= themselves.
 	maxContexts     int
 	defaultSampling bool
@@ -447,6 +455,7 @@ func newServerWith(reg *mctop.Registry, defaultReps, maxInflight int) *server {
 		metrics:     newDaemonMetrics(),
 		logger:      slog.New(slog.NewTextHandler(io.Discard, nil)),
 		tracer:      trace.New(),
+		maxContexts: defaultMaxContexts,
 	}
 	if maxInflight > 0 {
 		s.inflight = make(chan struct{}, maxInflight)
@@ -699,11 +708,29 @@ func (s *server) validatePlatform(platform string) error {
 	if platform == "" {
 		return fmt.Errorf("%w: missing platform (one of: %s; or a gen: spec)", mctoperr.ErrInvalidRequest, strings.Join(mctop.Platforms(), ", "))
 	}
+	// A gen: spec is sized from its parsed dimensions before Generate
+	// runs: generating (let alone inferring) an over-bound platform is the
+	// very allocation the bound exists to refuse.
+	if strings.HasPrefix(platform, sim.GenPrefix) {
+		spec, err := sim.ParseGenName(platform)
+		if err != nil {
+			return err
+		}
+		if err := s.checkContexts(platform, spec.NumContexts()); err != nil {
+			return err
+		}
+	}
 	p, err := sim.ByName(platform)
 	if err != nil {
 		return err
 	}
-	if n := p.NumContexts(); s.maxContexts > 0 && n > s.maxContexts {
+	return s.checkContexts(platform, p.NumContexts())
+}
+
+// checkContexts refuses a platform of n hardware contexts over the
+// -max-contexts bound with ErrTooLarge.
+func (s *server) checkContexts(platform string, n int) error {
+	if s.maxContexts > 0 && n > s.maxContexts {
 		return fmt.Errorf("%w: platform %q has %d hardware contexts, over this daemon's limit of %d",
 			mctoperr.ErrTooLarge, platform, n, s.maxContexts)
 	}

@@ -106,11 +106,11 @@ type Remote struct {
 	down     time.Time            // origin-level: no fetch at all before this
 	fails    int                  // consecutive origin-level failures
 
-	// last memoizes the most recently fetched topology: a placement
-	// sidecar references its topology by key, and a burst of placement
-	// fetches against one topology must not re-fetch (or re-decode) it per
-	// sidecar.
-	last spool.TopoMemo
+	// topos memoizes every fetched topology still alive: a sidecar
+	// references its topology by key, and resolves it here instead of
+	// re-fetching (and re-decoding) it while anything still uses it. It
+	// never keeps a topology alive.
+	topos spool.TopoMemo
 
 	kinds   registry.KindCounters
 	errors  atomic.Int64
@@ -407,7 +407,7 @@ func (r *Remote) fetch(ctx context.Context, kind registry.Kind, key string, atte
 		return r.topologyFor(ctx, topoKey)
 	})
 	if t, ok := val.(*topo.Topology); ok {
-		r.last.Set(key, t)
+		r.topos.Set(key, t)
 	}
 	return val, err, false
 }
@@ -417,7 +417,7 @@ func (r *Remote) fetch(ctx context.Context, kind registry.Kind, key string, atte
 // negative cache, so many sidecars of one topology fetch it once. The
 // context parents the nested fetch's span under the sidecar attempt.
 func (r *Remote) topologyFor(ctx context.Context, topoKey string) (*topo.Topology, error) {
-	if t := r.last.Get(topoKey); t != nil {
+	if t := r.topos.Get(topoKey); t != nil {
 		return t, nil
 	}
 	v, _, ok := r.Lookup(ctx, registry.KindTopology, topoKey)
@@ -443,7 +443,7 @@ func (r *Remote) Purge() {
 	r.down = time.Time{}
 	r.fails = 0
 	r.mu.Unlock()
-	r.last.Forget("")
+	r.topos.Forget("")
 }
 
 // Stats implements registry.Store.

@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -114,6 +115,24 @@ func (g GenSpec) Name() string {
 	return b.String()
 }
 
+// NumContexts is the spec's hardware context count, Sockets × Cores × SMT,
+// read before anything is generated. The product saturates at
+// math.MaxInt instead of overflowing, so a huge spec can never wrap to a
+// count that passes a bound; a non-positive dimension gives 0.
+func (g GenSpec) NumContexts() int {
+	n := 1
+	for _, d := range [...]int{g.Sockets, g.Cores, g.SMT} {
+		if d < 1 {
+			return 0
+		}
+		if n > math.MaxInt/d {
+			return math.MaxInt
+		}
+		n *= d
+	}
+	return n
+}
+
 // ParseGenName parses a canonical generated-platform name, e.g.
 // "gen:ring:s16:c8:t2", "gen:circulant:s64:c8:t2:g1-9:v7:n1". Malformed
 // specs wrap mctoperr.ErrInvalidRequest (a client error, not an unknown
@@ -198,7 +217,7 @@ func Generate(spec GenSpec) (*Platform, error) {
 	if spec.Sockets < 1 || spec.Cores < 1 || spec.SMT < 1 {
 		return bad("non-positive dimensions %dx%dx%d", spec.Sockets, spec.Cores, spec.SMT)
 	}
-	if n := spec.Sockets * spec.Cores * spec.SMT; n > genMaxContexts {
+	if n := spec.NumContexts(); n > genMaxContexts {
 		return bad("%d contexts exceeds the generator cap %d", n, genMaxContexts)
 	}
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -192,5 +193,30 @@ func TestByNameGenerated(t *testing.T) {
 	}
 	if !strings.HasPrefix(name, GenPrefix) {
 		t.Fatal("GenPrefix mismatch")
+	}
+}
+
+// TestGenSpecNumContextsSaturates: the context count of a spec is read
+// before anything is generated, and a product past math.MaxInt saturates
+// instead of wrapping — 2³¹ × 2³¹ × 4 wraps to 0 in plain int arithmetic,
+// which would pass every size bound and then allocate 2³¹ sockets.
+func TestGenSpecNumContextsSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		spec GenSpec
+		want int
+	}{
+		{GenSpec{Kind: GenMesh, Sockets: 1024, Cores: 1024, SMT: 1}, 1 << 20},
+		{GenSpec{Kind: GenCirculant, Sockets: 64, Cores: 8, SMT: 2}, 1024},
+		{GenSpec{Kind: GenMesh, Sockets: 1 << 31, Cores: 1 << 31, SMT: 4}, math.MaxInt},
+		{GenSpec{Kind: GenMesh, Sockets: math.MaxInt, Cores: 2, SMT: 1}, math.MaxInt},
+		{GenSpec{Kind: GenRing, Sockets: -1, Cores: 4, SMT: 1}, 0},
+	} {
+		if got := tc.spec.NumContexts(); got != tc.want {
+			t.Errorf("%s: NumContexts = %d, want %d", tc.spec.Name(), got, tc.want)
+		}
+	}
+	wrap := GenSpec{Kind: GenMesh, Sockets: 1 << 31, Cores: 1 << 31, SMT: 4}
+	if _, err := Generate(wrap); !errors.Is(err, mctoperr.ErrInvalidRequest) {
+		t.Fatalf("Generate(%s): err %v, want the generator cap's ErrInvalidRequest", wrap.Name(), err)
 	}
 }

@@ -17,9 +17,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"weak"
 
 	"repro/internal/place"
 	"repro/internal/registry"
@@ -101,38 +103,57 @@ func Decode(r io.Reader, kind registry.Kind, key string, topologyFor func(topoKe
 	return nil, fmt.Errorf("unknown entry kind %v", kind)
 }
 
-// TopoMemo is a one-entry cache of the last decoded topology, what a tier
-// puts in front of Decode's topologyFor: sidecars arrive in bursts against
-// one topology (a warm start, a batch fetch), and without the memo each
-// would re-decode or re-fetch the same description file.
+// TopoMemo remembers every topology its tier decoded that is still alive,
+// by key: what a tier puts in front of Decode's topologyFor. A sidecar
+// shares its tier's live decoded topology — and the query index already
+// built on it — instead of re-reading, re-decoding or re-fetching the
+// description file. The memo never retains a topology: it holds weak
+// pointers only, and a cleanup drops a key's entry once its topology is
+// collected, so what it remembers is bounded by what the caches, in-flight
+// requests and write-behind queue already keep alive. The zero value is
+// ready to use.
 type TopoMemo struct {
-	mu  sync.Mutex
-	key string
-	t   *topo.Topology
+	mu sync.Mutex
+	m  map[string]weak.Pointer[topo.Topology]
 }
 
-// Get returns the memoized topology if it is the one under key, else nil.
+// Get returns the live topology memoized under key, else nil.
 func (m *TopoMemo) Get(key string) *topo.Topology {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.key == key {
-		return m.t
-	}
-	return nil
+	return m.m[key].Value()
 }
 
-// Set memoizes t under key.
+// Set memoizes t under key without keeping it alive.
 func (m *TopoMemo) Set(key string, t *topo.Topology) {
 	m.mu.Lock()
-	m.key, m.t = key, t
+	if m.m == nil {
+		m.m = make(map[string]weak.Pointer[topo.Topology])
+	}
+	m.m[key] = weak.Make(t)
+	m.mu.Unlock()
+	// The cleanup's argument is the key, never t: an argument reachable
+	// from t would keep it alive forever.
+	runtime.AddCleanup(t, m.drop, key)
+}
+
+// drop removes key's entry if its topology has been collected; a key
+// re-memoized with a live topology since keeps its entry.
+func (m *TopoMemo) drop(key string) {
+	m.mu.Lock()
+	if wp, ok := m.m[key]; ok && wp.Value() == nil {
+		delete(m.m, key)
+	}
 	m.mu.Unlock()
 }
 
-// Forget drops the memo if it holds key ("" drops whatever it holds).
+// Forget drops key's entry ("" drops every entry).
 func (m *TopoMemo) Forget(key string) {
 	m.mu.Lock()
-	if key == "" || m.key == key {
-		m.key, m.t = "", nil
+	if key == "" {
+		clear(m.m)
+	} else {
+		delete(m.m, key)
 	}
 	m.mu.Unlock()
 }

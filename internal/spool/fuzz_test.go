@@ -1,0 +1,79 @@
+package spool
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/registry"
+	"repro/internal/topo"
+)
+
+// FuzzDecode drives the interchange codec over all three kinds with
+// arbitrary bytes. Decode must never panic, and any value it returns must
+// re-encode to bytes that decode and re-encode identically: what a tier
+// accepts, it can persist and serve again unchanged. Each input decodes
+// under its kind's fixture key, and every sidecar resolves to the fixture
+// topology. The seed corpus (testdata/fuzz/FuzzDecode) is the three
+// committed spool fixtures plus truncations of them, so `go test` runs it
+// as plain tests; `go test -fuzz FuzzDecode ./internal/spool` explores.
+func FuzzDecode(f *testing.F) {
+	var keys [registry.NumKinds]string
+	var fixtureTopo *topo.Topology
+	des, err := os.ReadDir("testdata")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, de := range des {
+		kind, ok := registry.KindOfExt(filepath.Ext(de.Name()))
+		if !ok {
+			continue
+		}
+		path := filepath.Join("testdata", de.Name())
+		key, err := readKeyHeader(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		keys[kind] = key
+		if kind == registry.KindTopology {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if _, fixtureTopo, err = DecodeTopology(bytes.NewReader(b)); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	for kind, key := range keys {
+		if key == "" {
+			f.Fatalf("no fixture for kind %v", registry.Kind(kind))
+		}
+	}
+	topologyFor := func(string) (*topo.Topology, error) { return fixtureTopo, nil }
+
+	f.Fuzz(func(t *testing.T, k uint8, data []byte) {
+		kind := registry.Kind(int(k) % int(registry.NumKinds))
+		key := keys[kind]
+		v, err := Decode(bytes.NewReader(data), kind, key, topologyFor)
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := Encode(&first, kind, key, v); err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", v, err)
+		}
+		v2, err := Decode(bytes.NewReader(first.Bytes()), kind, key, topologyFor)
+		if err != nil {
+			t.Fatalf("re-encoded %v does not decode: %v\n%s", kind, err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := Encode(&second, kind, key, v2); err != nil {
+			t.Fatalf("second decode of %v does not re-encode: %v", kind, err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("%v does not re-encode identically:\n%s\nthen\n%s", kind, first.Bytes(), second.Bytes())
+		}
+	})
+}

@@ -20,6 +20,13 @@
 //     assignment plus the topology key, rebuilt via taskmap.Reconstruct
 //     without re-running the mapper.
 //
+// A sidecar shares its tier's live decoded topology: while anything (a
+// cache, an in-flight request, the write-behind queue) still holds the
+// topology a sidecar names, loading the sidecar reuses that value and its
+// query index instead of decoding the description file again. The memo
+// behind this (TopoMemo, shared with the remote tier) never retains a
+// topology itself.
+//
 // Writes are write-behind: Put enqueues to a background writer (falling
 // back to a synchronous write when the queue is full, so nothing is ever
 // dropped), every file lands via write-temp-then-rename so a crash can
@@ -87,10 +94,10 @@ type Spool struct {
 	pending chan writeOp
 	done    chan struct{} // writer goroutine exited
 
-	// last memoizes the most recently decoded topology: a warm-start burst
-	// loads many .place sidecars referencing one topology, and without the
-	// memo each would re-decode the same description file.
-	last TopoMemo
+	// topos memoizes every decoded topology still alive: a sidecar loads
+	// against it instead of re-decoding its description file (and
+	// rebuilding its query index). It never keeps a topology alive.
+	topos TopoMemo
 
 	puts        atomic.Int64
 	errors      atomic.Int64
@@ -355,7 +362,7 @@ func (s *Spool) Lookup(ctx context.Context, kind registry.Kind, key string) (any
 		s.mu.Lock()
 		delete(s.entries, key)
 		s.mu.Unlock()
-		s.last.Forget(key)
+		s.topos.Forget(key)
 		s.quarantine(fileName(key, kind), err)
 		s.kinds.Miss(kind)
 		return nil, "", false
@@ -368,7 +375,7 @@ func (s *Spool) Lookup(ctx context.Context, kind registry.Kind, key string) (any
 // resolves the topology it references through load again (and the memo).
 func (s *Spool) load(kind registry.Kind, key string) (any, error) {
 	if kind == registry.KindTopology {
-		if t := s.last.Get(key); t != nil {
+		if t := s.topos.Get(key); t != nil {
 			return t, nil
 		}
 	}
@@ -389,7 +396,7 @@ func (s *Spool) load(kind registry.Kind, key string) (any, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if t, ok := v.(*topo.Topology); ok {
-		s.last.Set(key, t)
+		s.topos.Set(key, t)
 	}
 	return v, nil
 }
@@ -517,7 +524,7 @@ func (s *Spool) failWrite(op writeOp, path string, encoded []byte, o faultinject
 		s.mu.Lock()
 		s.entries[op.key] = op.kind
 		s.mu.Unlock()
-		s.last.Forget(op.key)
+		s.topos.Forget(op.key)
 		return fmt.Errorf("torn write injected")
 	default: // "enospc", "eperm", "fail", ...
 		err := o.Err(faultinject.SpoolWrite)
@@ -560,7 +567,7 @@ func (s *Spool) Purge() {
 		}
 	}
 	s.entries = make(map[string]registry.Kind)
-	s.last.Forget("")
+	s.topos.Forget("")
 }
 
 // Stats implements registry.Store.
@@ -686,6 +693,6 @@ func (s *Spool) evictLocked(key string, kind registry.Kind, size int64, mtime ti
 	delete(s.entries, key)
 	s.kinds.Evict(kind)
 	s.logf("evicted %s (%d bytes, mtime %s)", name, size, mtime.Format(time.RFC3339))
-	s.last.Forget(key)
+	s.topos.Forget(key)
 	return true
 }

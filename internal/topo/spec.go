@@ -120,10 +120,13 @@ func (s *Spec) Validate() error {
 	if len(s.SocketLat) != nSockets {
 		return fmt.Errorf("topo: %s: SocketLat is %dx? for %d sockets", s.Name, len(s.SocketLat), nSockets)
 	}
+	// Every row's length first: the symmetry check below reads across rows.
 	for i, row := range s.SocketLat {
 		if len(row) != nSockets {
 			return fmt.Errorf("topo: %s: SocketLat row %d has %d entries", s.Name, i, len(row))
 		}
+	}
+	for i, row := range s.SocketLat {
 		for j, v := range row {
 			if v <= 0 {
 				return fmt.Errorf("topo: %s: SocketLat[%d][%d] = %d", s.Name, i, j, v)
@@ -143,8 +146,25 @@ func (s *Spec) Validate() error {
 			}
 		}
 	}
-	if s.MemBW != nil && len(s.MemBW) != nSockets {
-		return fmt.Errorf("topo: %s: MemBW has %d rows", s.Name, len(s.MemBW))
+	if s.MemBW != nil {
+		if len(s.MemBW) != nSockets {
+			return fmt.Errorf("topo: %s: MemBW has %d rows", s.Name, len(s.MemBW))
+		}
+		for i, row := range s.MemBW {
+			if len(row) != s.Nodes {
+				return fmt.Errorf("topo: %s: MemBW row %d has %d entries", s.Name, i, len(row))
+			}
+		}
+	}
+	if s.SocketBW != nil {
+		if len(s.SocketBW) != nSockets {
+			return fmt.Errorf("topo: %s: SocketBW has %d rows", s.Name, len(s.SocketBW))
+		}
+		for i, row := range s.SocketBW {
+			if len(row) != nSockets {
+				return fmt.Errorf("topo: %s: SocketBW row %d has %d entries", s.Name, i, len(row))
+			}
+		}
 	}
 	return nil
 }
