@@ -1,25 +1,17 @@
-// Command mctop-bench is the repo's paper-figure and load driver:
-//
-//   - `mctop-bench figures` regenerates every table and figure of the MCTOP
-//     paper's evaluation (Section 7) on the simulated platforms and prints
-//     them as markdown. It is the one driver of every model-derived paper
-//     number: its complete output is a pure function of the source tree,
-//     committed as testdata/figures.golden.md and compared byte for byte by
-//     TestFiguresGolden. Regenerate the golden by redirecting the command's
-//     output into that file.
-//   - `mctop-bench load` is a closed-loop load generator against a live
-//     mctopd: N workers, a configurable route mix and warm/cold ratio,
-//     per-route p50/p95/p99 and SLO pass/fail (exit status 1 on a failed
-//     SLO).
+// Command mctop-bench is the repo's paper-figure driver: `mctop-bench
+// figures` regenerates every table and figure of the MCTOP paper's
+// evaluation (Section 7) on the simulated platforms and prints them as
+// markdown. It is the one driver of every model-derived paper number: its
+// complete output is a pure function of the source tree, committed as
+// testdata/figures.golden.md and compared byte for byte by
+// TestFiguresGolden. Regenerate the golden by redirecting the command's
+// output into that file.
 //
 // Usage:
 //
 //	mctop-bench figures                    # all figures
 //	mctop-bench figures -only fig8         # one experiment: fig1to3, fig6,
 //	                                       # sec35, fig7..fig12, ablations
-//	mctop-bench load -target http://127.0.0.1:8077 -workers 8 -duration 30s \
-//	    -mix topology=2,place=2,batch=1,stream=1 -cold 0.01 \
-//	    -slo-p99 /v1/place=50ms
 package main
 
 import (
@@ -67,15 +59,13 @@ func main() {
 		only := fs.String("only", "", "run a single experiment")
 		fs.Parse(os.Args[2:])
 		fail(figures(os.Stdout, *only))
-	case "load":
-		os.Exit(loadMain(os.Args[2:]))
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mctop-bench figures [-only <experiment>] | mctop-bench load [flags]")
+	fmt.Fprintln(os.Stderr, "usage: mctop-bench figures [-only <experiment>]")
 	os.Exit(2)
 }
 

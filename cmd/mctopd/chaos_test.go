@@ -1,15 +1,18 @@
 package main
 
-// The chaos acceptance test: a two-daemon fleet (origin + spool-and-remote
-// edge) under the closed-loop load harness while fault injection flaps the
-// origin, truncates fetched bodies, tears spool writes and poisons spool
-// reads. The serving contract is absolute — every 200 carries bytes
-// identical to the healthy-phase goldens, failures are honest error
-// statuses, nothing hangs — and the daemon must report its own damage:
-// /readyz flips to 503 while tiers are degraded and back to 200 as they
-// heal, and the spool's quarantine counter surfaces on /v1/stats.
+// The chaos acceptance tests: a two-daemon fleet (origin + spool-and-remote
+// edge) under driveLoad while fault injection flaps the origin, truncates
+// fetched bodies, tears spool writes and poisons spool reads. The serving
+// contract is absolute — every 200 carries bytes identical to the
+// healthy-phase goldens, failures are honest error statuses, nothing hangs
+// — and the daemon must report its own damage: /readyz flips to 503 while
+// tiers are degraded and back to 200 as they heal, and the spool's
+// quarantine counter surfaces on /v1/stats. TestChaosFleetThroughRun holds
+// the same contract at the daemon's real seams: both daemons are run(),
+// the edge is armed by a -faults spec string, and the origin dies mid-run.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,22 +20,23 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	mctop "repro"
 	"repro/internal/faultinject"
-	"repro/internal/loadgen"
 	"repro/internal/mctoperr"
 	"repro/internal/remote"
 	"repro/internal/spool"
 )
 
-// chaosStats decodes the readiness and quarantine view of /v1/stats.
-func chaosStats(t *testing.T, ts *httptest.Server) (ready bool, degraded []string, quarantined int64) {
+// chaosStats decodes the readiness and quarantine view of /v1/stats on the
+// daemon at base.
+func chaosStats(t *testing.T, base string) (ready bool, degraded []string, quarantined int64) {
 	t.Helper()
-	resp, body := get(t, ts, "/v1/stats")
+	resp, body := getURL(t, base+"/v1/stats")
 	if resp.StatusCode != 200 {
 		t.Fatalf("stats: %d", resp.StatusCode)
 	}
@@ -55,6 +59,19 @@ func chaosStats(t *testing.T, ts *httptest.Server) (ready bool, degraded []strin
 		quarantined += tier.Quarantined
 	}
 	return st.Ready, degraded, quarantined
+}
+
+// garbageSpool returns a spool directory pre-seeded with on-disk
+// corruption: the startup scan must quarantine the file, not choke on it
+// or rescan it forever.
+func garbageSpool(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "deadbeef.mctop"),
+		[]byte("garbage, not a description file\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 // TestChaosMapperDegradesAndHeals drives the registry.map injection point
@@ -126,7 +143,7 @@ func TestChaosMapperDegradesAndHeals(t *testing.T) {
 	if resp, _ := get(t, ts, "/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz = %d with failed mapper, want 503", resp.StatusCode)
 	}
-	if ready, degraded, _ := chaosStats(t, ts); ready || len(degraded) != 1 || degraded[0] != "mapper" {
+	if ready, degraded, _ := chaosStats(t, ts.URL); ready || len(degraded) != 1 || degraded[0] != "mapper" {
 		t.Fatalf("stats hide the mapper degradation: ready=%v degraded=%v", ready, degraded)
 	}
 
@@ -151,15 +168,7 @@ func TestChaosFleetServesOnlyGoldenBytes(t *testing.T) {
 	// added and cleared per phase.
 	fs := faultinject.New(7)
 
-	// Pre-seeded on-disk corruption: the startup scan must quarantine this
-	// file, not choke on it or rescan it forever.
-	edgeDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(edgeDir, "deadbeef.mctop"),
-		[]byte("garbage, not a description file\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	sp, err := spool.New(edgeDir, spool.WithFaults(fs), spool.WithLogf(t.Logf))
+	sp, err := spool.New(garbageSpool(t), spool.WithFaults(fs), spool.WithLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +198,7 @@ func TestChaosFleetServesOnlyGoldenBytes(t *testing.T) {
 	edge := httptest.NewServer(s.routes())
 	defer edge.Close()
 
-	ready, _, quarantined := chaosStats(t, edge)
+	ready, _, quarantined := chaosStats(t, edge.URL)
 	if quarantined < 1 {
 		t.Fatalf("startup scan quarantined %d files, want >= 1", quarantined)
 	}
@@ -197,37 +206,11 @@ func TestChaosFleetServesOnlyGoldenBytes(t *testing.T) {
 		t.Fatal("daemon not ready before any fault")
 	}
 
-	state := loadgen.NewChaosState()
-	runLoad := func(n int64) *loadgen.Report {
-		t.Helper()
-		rep, err := loadgen.Run(context.Background(), loadgen.Config{
-			Target:       edge.URL,
-			Workers:      3,
-			Duration:     2 * time.Minute, // the request bound fires first
-			MaxRequests:  n,
-			Mix:          loadgen.Mix{Topology: 2, Place: 2, MapDAG: 1, Batch: 1, Stream: 1},
-			Platforms:    []string{"Ivy"},
-			Reps:         51,
-			WarmSeeds:    2,
-			Policies:     []string{"RR_CORE", "RR_HWC"},
-			BatchSize:    4,
-			MaxThreads:   8,
-			Seed:         1,
-			Chaos:        true,
-			ChaosTimeout: 30 * time.Second,
-			ChaosState:   state,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
+	goldens, ivy := new(sync.Map), []string{"Ivy"}
 
 	// Phase 1 — healthy: seed the goldens the later phases are held to.
-	rep := runLoad(40)
-	if rep.Corrupt != 0 || rep.Hangs != 0 || !rep.OK() {
-		t.Fatalf("healthy phase violated the contract: corrupt=%d hangs=%d fails=%v",
-			rep.Corrupt, rep.Hangs, rep.SLOFailures)
+	if res := driveLoad(edge.URL, 40, ivy, goldens); res.errors != 0 {
+		t.Fatalf("healthy phase: %+v", res)
 	}
 
 	// Phase 2 — chaos: the edge must keep serving golden bytes (local
@@ -240,12 +223,8 @@ func TestChaosFleetServesOnlyGoldenBytes(t *testing.T) {
 		faultinject.Fault{Point: faultinject.SpoolWrite, Mode: "torn", Prob: 0.3},
 		faultinject.Fault{Point: faultinject.SpoolRead, Mode: "fail", Prob: 0.3},
 	)
-	rep = runLoad(80)
-	if rep.Corrupt != 0 {
-		t.Fatalf("chaos phase served %d corrupt responses", rep.Corrupt)
-	}
-	if rep.Hangs != 0 {
-		t.Fatalf("chaos phase hung %d requests", rep.Hangs)
+	if res := driveLoad(edge.URL, 80, ivy, goldens); res.corrupt != 0 || res.hangs != 0 {
+		t.Fatalf("chaos phase violated the contract: %+v", res)
 	}
 
 	// Deterministic degradation: exactly one failed spool write flips the
@@ -265,7 +244,7 @@ func TestChaosFleetServesOnlyGoldenBytes(t *testing.T) {
 	if resp, _ := get(t, edge, "/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz = %d with degraded tiers, want 503", resp.StatusCode)
 	}
-	if ready, degraded, _ := chaosStats(t, edge); ready || len(degraded) == 0 {
+	if ready, degraded, _ := chaosStats(t, edge.URL); ready || len(degraded) == 0 {
 		t.Fatalf("stats hide the degradation: ready=%v degraded=%v", ready, degraded)
 	}
 
@@ -288,10 +267,111 @@ func TestChaosFleetServesOnlyGoldenBytes(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// Phase 4 — recovered: the same goldens, a clean SLO pass.
-	rep = runLoad(40)
-	if rep.Corrupt != 0 || rep.Hangs != 0 || !rep.OK() {
-		t.Fatalf("recovery phase violated the contract: corrupt=%d hangs=%d fails=%v",
-			rep.Corrupt, rep.Hangs, rep.SLOFailures)
+	// Phase 4 — recovered: the same goldens, every request answered.
+	if res := driveLoad(edge.URL, 40, ivy, goldens); res.errors != 0 {
+		t.Fatalf("recovery phase: %+v", res)
+	}
+}
+
+// startDaemon runs the daemon's whole lifecycle, run(), on 127.0.0.1:0 and
+// returns its base URL plus stop, which cancels it and returns what run
+// returned. Cleanup stops a daemon the test left running.
+func startDaemon(t *testing.T, cfg daemonConfig) (base string, stop func() error) {
+	t.Helper()
+	cfg.addr = "127.0.0.1:0"
+	ctx, cancel := context.WithCancel(context.Background())
+	addr, errc := make(chan string, 1), make(chan error, 1)
+	go func() { errc <- run(ctx, cfg, func(a string) { addr <- a }) }()
+	stop = sync.OnceValue(func() error { cancel(); return <-errc })
+	t.Cleanup(func() { stop() })
+	select {
+	case a := <-addr:
+		return "http://" + a, stop
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never became ready")
+		return "", nil
+	}
+}
+
+// TestChaosFleetThroughRun is the chaos run at the daemon's real seams:
+// origin and edge are each a whole run() lifecycle, the edge configured as
+// `mctopd -upstream <origin> -spool-dir <dir holding garbage>
+// -request-timeout 60s -faults <spec>` would be, so the spec string itself
+// flaps its upstream fetches and tears its spool writes. A healthy pass
+// against the origin pins the goldens the edge is then held to; the origin
+// is killed while the edge is under load, and the edge must degrade to
+// local inference — golden bytes or honest errors, never corruption or a
+// hang — and still shut down cleanly.
+func TestChaosFleetThroughRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two daemon lifecycles under load")
+	}
+	origin, stopOrigin := startDaemon(t, daemonConfig{cache: 256, reps: 51})
+	edge, stopEdge := startDaemon(t, daemonConfig{
+		cache:          256,
+		reps:           51,
+		upstream:       origin,
+		spoolDir:       garbageSpool(t),
+		requestTimeout: 60 * time.Second,
+		faults:         "remote.fetch:mode=truncate,prob=0.3;remote.fetch:mode=refused,prob=0.3;spool.write:mode=torn,prob=0.2",
+		faultsSeed:     1,
+	})
+	held := func(phase string, res loadResult) {
+		t.Helper()
+		t.Logf("%s: %+v", phase, res)
+		if res.corrupt != 0 || res.hangs != 0 {
+			t.Errorf("%s violated the contract: %+v", phase, res)
+		}
+	}
+
+	// Healthy: the origin pins the goldens for the keys the edge is asked
+	// for, and for one topology the edge first sees after the origin is gone.
+	goldens, ivy, both := new(sync.Map), []string{"Ivy"}, []string{"Ivy", "Haswell"}
+	if res := driveLoad(origin, 40, both, goldens); res.errors != 0 {
+		t.Fatalf("healthy pass against the origin: %+v", res)
+	}
+	const cold = "/v1/topology?platform=Ivy&seed=9001&reps=51&format=mctop"
+	resp, coldGolden := getURL(t, origin+cold)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("origin %s: %d", cold, resp.StatusCode)
+	}
+
+	// Faulted, origin up. While the origin serves, only an injected
+	// refusal yields an origin_fault fetch: the spec reached the remote tier.
+	held("faulted pass", driveLoad(edge, 120, ivy, goldens))
+	if _, m := getURL(t, edge+"/metrics"); !bytes.Contains(m, []byte(`outcome="origin_fault"`)) {
+		t.Error("no origin_fault fetch on the edge: the -faults spec never reached its remote tier")
+	}
+
+	// Faulted, origin killed while the load runs: Haswell keys the edge has
+	// not fetched yet must come from its own inference.
+	pass := make(chan loadResult, 1)
+	go func() { pass <- driveLoad(edge, 120, both, goldens) }()
+	if err := stopOrigin(); err != nil {
+		t.Errorf("origin run returned %v, want nil", err)
+	}
+	held("origin killed mid-pass", <-pass)
+
+	// With the origin gone, a topology the edge has never seen is inferred
+	// locally — and is byte for byte the origin's answer.
+	inferences := func() int64 {
+		_, body := getURL(t, edge+"/v1/stats")
+		return decodeStats(t, body).Inferences
+	}
+	before := inferences()
+	resp, body := getURL(t, edge+cold)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, coldGolden) {
+		t.Fatalf("edge without its origin: %s = %d, golden bytes: %v",
+			cold, resp.StatusCode, bytes.Equal(body, coldGolden))
+	}
+	if after := inferences(); after <= before {
+		t.Errorf("edge answered a never-seen topology without its origin in %d → %d inferences, want a local inference",
+			before, after)
+	}
+	if _, _, quarantined := chaosStats(t, edge); quarantined < 1 {
+		t.Errorf("startup scan quarantined %d files, want >= 1", quarantined)
+	}
+	if err := stopEdge(); err != nil {
+		t.Errorf("edge run returned %v, want nil", err)
 	}
 }

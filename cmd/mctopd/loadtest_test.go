@@ -1,22 +1,259 @@
 package main
 
-// The load harness as the integration test rig: an in-process origin+edge
-// fleet under internal/loadgen's closed loop at a mixed workload. The bar:
-// zero errors, SLO pass, every edge answer served without a local
-// inference, and the /metrics mirror agreeing exactly with /v1/stats once
-// the load quiesces — the same loop `mctop-bench load` runs against a real
-// deployment.
+// The fleet tests' load rig and its first user. driveLoad is the closed
+// loop the load, chaos and run()-level tests drive a daemon with;
+// TestLoadHarnessDrivesFleet points it at an in-process origin+edge fleet
+// at a mixed workload. The bar: zero errors, every edge answer served
+// without a local inference or placement, and the /metrics mirror agreeing
+// exactly with /v1/stats once the load quiesces.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/loadgen"
+	"repro/internal/graph"
 	"repro/internal/registry"
 )
+
+// hangBudget bounds every driveLoad request: one still unanswered when it
+// expires is a hang, the contract violation the budget exists to catch.
+var hangBudget = 30 * time.Second
+
+// loadResult counts one driveLoad pass. errors is every request that did
+// not end in a verified 200 — transport failures, other statuses, corrupt
+// answers and hangs; corrupt and hangs are the contract violations among
+// them.
+type loadResult struct{ requests, errors, corrupt, hangs int }
+
+// placed is one placement answer as the single, batch and stream routes
+// all render it.
+type placed struct {
+	Policy   string `json:"policy"`
+	Error    string `json:"error"`
+	NThreads int    `json:"n_threads"`
+	Contexts []int  `json:"contexts"`
+}
+
+// driveLoad sends n requests to target from four closed-loop workers, each
+// with one request in flight. The request list is deterministic: a
+// 2:2:1:1:1 mix of topology (format=mctop), place, map, batch and stream
+// requests over platforms, seeds 1 and 2, RR_CORE/RR_HWC and 1–8 threads,
+// at reps 51. goldens maps each answer's key to the first value seen for
+// it — share one map across passes to pin the answers before faults fire —
+// and every 200 must match: topologies byte for byte, placements by their
+// contexts keyed by (platform, seed, policy, threads) so the single, batch
+// and stream routes agree, mappings by assignment and cost. An undecodable
+// 200 is corruption; honest error statuses and inline per-item errors are
+// not. driveLoad reports only through its result, so it may run on any
+// goroutine.
+func driveLoad(target string, n int, platforms []string, goldens *sync.Map) loadResult {
+	type request struct {
+		route, platform string
+		seed            uint64
+		body            []byte // the POST body; nil for a GET
+	}
+	rng := rand.New(rand.NewSource(1))
+	policy := func() string { return []string{"RR_CORE", "RR_HWC"}[rng.Intn(2)] }
+	work := make(chan request, n)
+	for i := 0; i < n; i++ {
+		r := request{platform: platforms[rng.Intn(len(platforms))], seed: uint64(1 + rng.Intn(2))}
+		q := fmt.Sprintf("platform=%s&seed=%d&reps=51", url.QueryEscape(r.platform), r.seed)
+		switch k := rng.Intn(7); {
+		case k < 2:
+			r.route = "/v1/topology?" + q + "&format=mctop"
+		case k < 4:
+			r.route = fmt.Sprintf("/v1/place?%s&policy=%s&threads=%d", q, policy(), 1+rng.Intn(8))
+		case k == 4:
+			r.route = "/v1/map"
+			r.body, _ = json.Marshal(mapRequest{
+				topoParams: topoParams{Platform: r.platform, Seed: &r.seed, Reps: 51},
+				Refine:     200,
+				DAG:        graph.GenTaskDAG(graph.DAGParams{}, r.seed),
+			})
+		default:
+			r.route = "/v1/place/batch"
+			if k == 6 {
+				r.route += "?stream=1"
+			}
+			items := make([]string, 4)
+			for j := range items {
+				items[j] = fmt.Sprintf(`{"policy":%q,"threads":%d}`, policy(), 1+rng.Intn(8))
+			}
+			r.body = fmt.Appendf(nil, `{"platform":%q,"seed":%d,"reps":51,"requests":[%s]}`,
+				r.platform, r.seed, strings.Join(items, ","))
+		}
+		work <- r
+	}
+	close(work)
+
+	match := func(k, v string) bool {
+		first, seen := goldens.LoadOrStore(k, v)
+		return !seen || first.(string) == v
+	}
+	verify := func(r request, body []byte) bool {
+		key := fmt.Sprintf("%s|%d", r.platform, r.seed)
+		var items []placed
+		switch {
+		case strings.HasPrefix(r.route, "/v1/topology"):
+			return match("topo|"+key, string(body))
+		case r.route == "/v1/map":
+			var resp struct {
+				Result *mapItemResponse `json:"result"`
+			}
+			if json.Unmarshal(body, &resp) != nil || resp.Result == nil {
+				return false
+			}
+			m := resp.Result
+			return m.Error != "" || match("map|"+key, fmt.Sprintf("%v@%d", m.Assignment, m.CostCycles))
+		case strings.HasPrefix(r.route, "/v1/place?"):
+			items = make([]placed, 1)
+			if json.Unmarshal(body, &items[0]) != nil {
+				return false
+			}
+		case r.route == "/v1/place/batch":
+			var resp struct {
+				Results []placed `json:"results"`
+			}
+			if json.Unmarshal(body, &resp) != nil {
+				return false
+			}
+			items = resp.Results
+		default: // the NDJSON stream, one placement per line
+			for dec := json.NewDecoder(bytes.NewReader(body)); dec.More(); {
+				var p placed
+				if dec.Decode(&p) != nil {
+					return false
+				}
+				items = append(items, p)
+			}
+		}
+		for _, p := range items {
+			k := fmt.Sprintf("place|%s|%s|%d", key, p.Policy, p.NThreads)
+			if p.Error == "" && !match(k, fmt.Sprint(p.Contexts)) {
+				return false
+			}
+		}
+		return true
+	}
+	issue := func(r request) (failed, corrupt, hang bool) {
+		ctx, cancel := context.WithTimeout(context.Background(), hangBudget)
+		defer cancel()
+		method := http.MethodGet
+		if r.body != nil {
+			method = http.MethodPost
+		}
+		req, err := http.NewRequestWithContext(ctx, method, target+r.route, bytes.NewReader(r.body))
+		if err != nil {
+			return true, false, false
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		var body []byte
+		if err == nil {
+			body, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		switch {
+		case err != nil:
+			return true, false, ctx.Err() != nil
+		case resp.StatusCode != http.StatusOK:
+			return true, false, false
+		case !verify(r, body):
+			return true, true, false
+		}
+		return false, false, false
+	}
+
+	var (
+		mu  sync.Mutex
+		res loadResult
+		wg  sync.WaitGroup
+	)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range work {
+				failed, corrupt, hang := issue(r)
+				mu.Lock()
+				res.requests++
+				if failed {
+					res.errors++
+				}
+				if corrupt {
+					res.corrupt++
+				}
+				if hang {
+					res.hangs++
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	return res
+}
+
+// TestDriveLoadVerdicts holds the rig to its own contract against a target
+// that misbehaves on purpose. Every answer differs from the one before, so
+// only the first answer per golden key verifies and every later topology
+// or placement is corruption; an undecodable 200 is corruption too; honest
+// 503s are failures and nothing more; and requests the handler never
+// answers are hangs once hangBudget expires.
+func TestDriveLoadVerdicts(t *testing.T) {
+	defer func(b time.Duration) { hangBudget = b }(hangBudget)
+	hangBudget = 50 * time.Millisecond
+	var answers atomic.Int64
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := answers.Add(1)
+		switch {
+		case r.URL.Path == "/v1/topology":
+			fmt.Fprintf(w, "topology %d", n)
+		case r.URL.Path == "/v1/place":
+			fmt.Fprintf(w, `{"policy":"RR_CORE","n_threads":1,"contexts":[%d]}`, n)
+		case r.URL.Path == "/v1/map":
+			http.Error(w, "busy", http.StatusServiceUnavailable)
+		case r.URL.Query().Get("stream") == "1":
+			<-release // answers only once the test is over
+		default: // the batch route: a 200 that does not decode
+			io.WriteString(w, `{"results":[`)
+		}
+	}))
+	defer ts.Close()
+	defer close(release)
+
+	res := driveLoad(ts.URL, 35, []string{"Ivy"}, new(sync.Map))
+	t.Logf("%+v", res)
+	if res.requests != 35 {
+		t.Fatalf("issued %d requests, want 35", res.requests)
+	}
+	// At most one topology and one placement golden per seed (1, 2).
+	if ok := res.requests - res.errors; ok < 1 || ok > 4 {
+		t.Errorf("%d of %d answers verified, want one per first-seen golden key", ok, res.requests)
+	}
+	if res.corrupt == 0 {
+		t.Error("answers that differ from their goldens counted no corruption")
+	}
+	if res.hangs == 0 {
+		t.Error("requests the target never answered counted no hangs")
+	}
+	if res.corrupt+res.hangs >= res.errors {
+		t.Errorf("honest 503s were counted as contract violations: %+v", res)
+	}
+}
 
 func decodeStats(t *testing.T, body []byte) registry.Stats {
 	t.Helper()
@@ -36,45 +273,20 @@ func TestLoadHarnessDrivesFleet(t *testing.T) {
 	origin := httptest.NewServer(originSrv.routes())
 	defer origin.Close()
 
-	// Edge: LRU over a remote tier against the origin — the harness's
-	// target, as `mctopd -upstream` would wire it.
+	// Edge: LRU over a remote tier against the origin — the load's target,
+	// as `mctopd -upstream` would wire it.
 	edgeSrv, edgeReg := edgeServer(t, origin.URL)
 	edge := httptest.NewServer(edgeSrv.routes())
 	defer edge.Close()
 
-	rep, err := loadgen.Run(context.Background(), loadgen.Config{
-		Target:      edge.URL,
-		Workers:     4,
-		Duration:    2 * time.Minute, // the request bound fires first
-		MaxRequests: 160,
-		Mix:         loadgen.Mix{Topology: 2, Place: 2, MapDAG: 1, Batch: 1, Stream: 1},
-		Platforms:   []string{"Ivy", "Haswell"},
-		Reps:        51, // keeps the origin's cold inferences fast
-		WarmSeeds:   2,
-		Policies:    []string{"RR_CORE", "RR_HWC"},
-		BatchSize:   4,
-		MaxThreads:  8,
-		Seed:        7,
-		SLO: loadgen.SLO{
-			MaxErrorRate: 1e-9, // zero errors allowed
-			P99: map[string]time.Duration{
-				loadgen.RouteTopology: time.Minute,
-				loadgen.RoutePlace:    time.Minute,
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	res := driveLoad(edge.URL, 160, []string{"Ivy", "Haswell"}, new(sync.Map))
+	t.Logf("%+v", res)
+	if res.errors != 0 {
+		t.Fatalf("load saw %d errors of %d requests (%d corrupt, %d hangs)",
+			res.errors, res.requests, res.corrupt, res.hangs)
 	}
-	t.Logf("\n%s", rep)
-	if rep.Errors != 0 {
-		t.Fatalf("harness saw %d errors of %d requests", rep.Errors, rep.Requests)
-	}
-	if !rep.OK() {
-		t.Fatalf("SLO failures: %v", rep.SLOFailures)
-	}
-	if rep.Requests != 160 {
-		t.Fatalf("harness issued %d requests, want 160", rep.Requests)
+	if res.requests != 160 {
+		t.Fatalf("load issued %d requests, want 160", res.requests)
 	}
 
 	// Fleet invariant under load: the edge never inferred or computed —
@@ -88,7 +300,7 @@ func TestLoadHarnessDrivesFleet(t *testing.T) {
 			edgeStats.Inferences, edgeStats.Placements)
 	}
 	if edgeStats.Mappings == 0 {
-		t.Fatal("mapdag mix drove no mapping computes on the edge")
+		t.Fatal("the map requests drove no mapping computes on the edge")
 	}
 	if originReg.Stats().Inferences == 0 {
 		t.Fatal("origin ran no inferences — the load never reached it")

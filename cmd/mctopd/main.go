@@ -1210,8 +1210,8 @@ type statsResponse struct {
 
 // handleTraces dumps the tracer's bounded ring of finished, kept traces —
 // oldest first, the local root leading each trace. JSON by default;
-// ?format=ndjson emits one trace per line (what mctop-bench load and the
-// CI stitching smoke scrape). The route is exempt from tracing itself, so
+// ?format=ndjson emits one trace per line, for line-oriented tools (grep,
+// jq). The route is exempt from tracing itself, so
 // reading traces never creates them. With -trace-sample 0 the ring is
 // simply empty, not an error.
 func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {

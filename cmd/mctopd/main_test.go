@@ -21,7 +21,14 @@ func testServer() *server {
 
 func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + path)
+	return getURL(t, ts.URL+path)
+}
+
+// getURL is get for a daemon known only by its URL, such as one run()
+// serves.
+func getURL(t *testing.T, u string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(u)
 	if err != nil {
 		t.Fatal(err)
 	}

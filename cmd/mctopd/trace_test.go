@@ -224,7 +224,7 @@ func TestInferencePhaseSpans(t *testing.T) {
 // spool writes, a flapping origin and injected inference faults, every
 // started span ends exactly once, errored spans carry a status, the ring
 // never exceeds its bound, and every exposed trace still passes the strict
-// parser.
+// parser in both the JSON and the NDJSON form.
 func TestChaosSpanBalance(t *testing.T) {
 	originSrv, _ := spoolServer(t, t.TempDir())
 	origin := httptest.NewServer(originSrv.routes())
@@ -311,5 +311,27 @@ func TestChaosSpanBalance(t *testing.T) {
 	}
 	if errored == 0 {
 		t.Fatal("fault injection produced no errored spans — the error-keep rule went unexercised")
+	}
+
+	// The NDJSON form is the same ring, one trace per line: it must pass
+	// its own strict parser and name the same traces in the same order.
+	resp, body = get(t, ts, "/v1/debug/traces?format=ndjson")
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != 200 || ct != "application/x-ndjson" {
+		t.Fatalf("/v1/debug/traces?format=ndjson = %d, Content-Type %q", resp.StatusCode, ct)
+	}
+	lines, err := trace.ParseNDJSON(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("NDJSON traces fail the strict parser: %v", err)
+	}
+	if len(lines) != len(traces) {
+		t.Fatalf("NDJSON form holds %d traces, JSON form %d", len(lines), len(traces))
+	}
+	for i := range traces {
+		if lines[i].TraceID != traces[i].TraceID {
+			t.Fatalf("trace %d: NDJSON names %s, JSON %s", i, lines[i].TraceID, traces[i].TraceID)
+		}
+	}
+	if resp, _ := get(t, ts, "/v1/debug/traces?format=xml"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/v1/debug/traces?format=xml = %d, want 400", resp.StatusCode)
 	}
 }

@@ -13,8 +13,8 @@
 //
 //	spool.write:mode=torn,prob=0.3;remote.fetch:mode=truncate,count=5
 //
-// and the chaos harness (`mctop-bench load -chaos` driving a daemon
-// started with -faults) asserts the serving contract holds while the
+// and cmd/mctopd's chaos tests (TestChaosFleetThroughRun arms a daemon
+// with such a -faults spec) assert the serving contract holds while the
 // faults fire: correct bytes or honest 5xx, never corruption or hangs.
 //
 // Determinism: two Sets built with the same seed and spec make identical

@@ -5,7 +5,7 @@ package graph
 // node weights are compute cycles, edge weights are communication volumes
 // in bytes — the input AMTHA-style mappers pair with a hardware topology.
 // The package also carries the deterministic layered random-DAG generator
-// the property tests and the loadgen `mapdag` mix share, and the NDJSON
+// the property tests and cmd/mctopd's fleet load tests share, and the NDJSON
 // file codec `mctop map` reads.
 
 import (
