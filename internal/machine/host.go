@@ -207,17 +207,14 @@ func (h *hostLineTable) get(line uint64) *paddedLine {
 	return l
 }
 
-// Barrier rendezvouses host threads. Channel-based: precise spin barriers
-// only matter inside MeasurePair, which bypasses this path.
-func (m *HostMachine) Barrier(ts ...Thread) {
-	done := make(chan struct{}, len(ts))
-	for _, t := range ts {
-		ht := t.(*hostThread)
-		ht.cmds <- func() { done <- struct{}{} }
-	}
-	for range ts {
-		<-done
-	}
+// Barrier rendezvouses two host threads. Channel-based: precise spin
+// barriers only matter inside MeasurePair, which bypasses this path.
+func (m *HostMachine) Barrier(x, y Thread) {
+	done := make(chan struct{}, 2)
+	x.(*hostThread).cmds <- func() { done <- struct{}{} }
+	y.(*hostThread).cmds <- func() { done <- struct{}{} }
+	<-done
+	<-done
 }
 
 // SpinSolo measures a calibrated spin loop on one thread.

@@ -64,9 +64,9 @@ type Machine interface {
 	NumNodes() int
 	// NewThread creates a thread pinned to the given context.
 	NewThread(ctx int) (Thread, error)
-	// Barrier synchronizes the given threads at a spin rendezvous (the
+	// Barrier synchronizes two threads at a spin rendezvous (the
 	// thread_barrier() of Figure 5).
-	Barrier(ts ...Thread)
+	Barrier(x, y Thread)
 	// SpinSolo runs a calibrated spin loop on t alone and returns the
 	// duration observed through the timestamp counter.
 	SpinSolo(t Thread, units int64) int64

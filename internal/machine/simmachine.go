@@ -48,7 +48,7 @@ func (m *SimMachine) FreqMaxGHz() float64 { return m.S.Platform().FreqMaxGHz }
 // platform whose noise seed is derived from (base seed, x, y), so the pair's
 // measurement is independent of every other pair and of execution order. The
 // platform description is shared (it is immutable after construction); all
-// mutable simulator state — coherence engine, DVFS ramps, noise counter — is
+// mutable simulator state — line holders, DVFS ramps, noise counter — is
 // private to the fork.
 func (m *SimMachine) ForkPair(xCtx, yCtx int) (Machine, error) {
 	s, err := sim.New(m.S.Platform(), sim.PairSeed(m.S.Seed(), xCtx, yCtx))
@@ -76,18 +76,9 @@ func (m *SimMachine) unwrap(t Thread) *sim.Thread {
 	return st
 }
 
-// Barrier synchronizes simulated threads. The two-thread case — the
-// measurement hot loop, twice per repetition — avoids the argument slice.
-func (m *SimMachine) Barrier(ts ...Thread) {
-	if len(ts) == 2 {
-		m.S.Barrier2(m.unwrap(ts[0]), m.unwrap(ts[1]))
-		return
-	}
-	raw := make([]*sim.Thread, len(ts))
-	for i, t := range ts {
-		raw[i] = m.unwrap(t)
-	}
-	m.S.Barrier(raw...)
+// Barrier synchronizes two simulated threads.
+func (m *SimMachine) Barrier(x, y Thread) {
+	m.S.Barrier(m.unwrap(x), m.unwrap(y))
 }
 
 // SpinSolo runs a calibrated spin loop on one simulated thread.

@@ -453,12 +453,11 @@ const overheadReps = 101
 // scratch is the per-worker buffer set of the measurement hot loop. The
 // loop runs once per pair — hundreds of thousands of times on large
 // platforms — and with a scratch it allocates nothing per pair: the sample
-// buffers are reused across pairs, the barrier argument slice is built
-// once, and the rdtsc-overhead estimate is memoized per thread.
+// buffers are reused across pairs and the rdtsc-overhead estimate is
+// memoized per thread.
 type scratch struct {
 	vals []int64 // measurement samples, capacity Options.Reps
 	ovh  []int64 // overhead samples, capacity overheadReps
-	barr []machine.Thread
 
 	// Per-thread overhead memo. Each fork estimates on a fresh thread (a
 	// miss, preserving its noise stream); repeat estimates on one thread
@@ -471,7 +470,6 @@ func newScratch(opt *Options) *scratch {
 	return &scratch{
 		vals: make([]int64, 0, opt.Reps),
 		ovh:  make([]int64, 0, overheadReps),
-		barr: make([]machine.Thread, 2),
 	}
 }
 
@@ -506,13 +504,12 @@ func estimateRdtscOverhead(t machine.Thread, sc *scratch) int64 {
 func measurePair(m machine.Machine, opt *Options, x, y machine.Thread, rdtscOverhead int64, retries *int, sc *scratch) int64 {
 	const line = 0x6c0c6 // arbitrary shared-line id
 	threshold := stdevAccept
-	sc.barr[0], sc.barr[1] = x, y
 	for retry := 0; ; retry++ {
 		vals := sc.vals[:0]
 		for i := 0; i < opt.Reps; i++ {
-			m.Barrier(sc.barr...)
+			m.Barrier(x, y)
 			y.CAS(line)
-			m.Barrier(sc.barr...)
+			m.Barrier(x, y)
 			s := x.Rdtsc()
 			x.CAS(line)
 			e := x.Rdtsc()

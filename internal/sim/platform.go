@@ -8,7 +8,7 @@
 // latencies, per-node memory latencies and bandwidths, DVFS behaviour and a
 // power model — and simulates the primitives MCTOP-ALG needs: pinned
 // threads with virtual cycle clocks, rdtsc, CAS on shared cache lines
-// (backed by the MESI engine of internal/mesi), spin loops, and barriers.
+// (charged by which context held the line last), spin loops, and barriers.
 //
 // The simulator is the paper-mandated substitution for hardware we do not
 // have: all randomness is seeded, so every experiment in this repository is
@@ -277,12 +277,20 @@ func (p *Platform) SocketLatency(s1, s2 int) int64 {
 
 // PairLatency returns the ground-truth communication latency between two
 // hardware contexts — the value an ideal, noise-free measurement converges
-// to. It is the reference used by tests to validate MCTOP-ALG.
+// to, because it is what the simulator charges x's CAS on a line y holds.
+// It is the reference used by tests to validate MCTOP-ALG.
 func (p *Platform) PairLatency(x, y int) int64 {
+	p.derived()
+	return p.pairLatency(x, y)
+}
+
+// pairLatency is PairLatency on a platform known to be validated, such as a
+// simulator's: the CAS path reads it without the memo check.
+func (p *Platform) pairLatency(x, y int) int64 {
 	if x == y {
 		return 0
 	}
-	t := p.derived()
+	t := &p.tab
 	cx, cy := int(t.coreOf[x]), int(t.coreOf[y])
 	if cx == cy {
 		return p.SameCoreLat
@@ -616,17 +624,21 @@ func Platforms() []*Platform {
 	return []*Platform{Ivy(), Westmere(), Haswell(), Opteron(), SPARC()}
 }
 
+// goldenByName maps each golden platform's name to its constructor, so a
+// lookup builds only the platform it returns.
+var goldenByName = map[string]func() *Platform{
+	"Ivy": Ivy, "Westmere": Westmere, "Haswell": Haswell, "Opteron": Opteron, "SPARC": SPARC,
+}
+
 // ByName returns the named platform: one of the case-sensitive short names
 // used throughout the paper (Ivy, Westmere, Haswell, Opteron, SPARC), or a
 // "gen:" spec naming a synthetic generated platform (see ParseGenName) —
 // e.g. "gen:ring:s16:c8:t2". Generated platforms are built on the fly, so
 // any component that resolves platforms by name (registry keys, the daemon,
-// the CLIs, the load harness) works on them unchanged.
+// the CLIs) works on them unchanged.
 func ByName(name string) (*Platform, error) {
-	for _, p := range Platforms() {
-		if p.Name == name {
-			return p, nil
-		}
+	if build, ok := goldenByName[name]; ok {
+		return build(), nil
 	}
 	if strings.HasPrefix(name, GenPrefix) {
 		spec, err := ParseGenName(name)

@@ -4,78 +4,37 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/mesi"
 	"repro/internal/rng"
 )
 
-// Sim simulates one machine. It owns a MESI coherence engine, per-core DVFS
-// state, a seeded noise source and a virtual clock per thread. All methods
-// are deterministic for a fixed (platform, seed, call sequence).
+// Sim simulates one machine: which context last took each CASed cache line,
+// per-core DVFS state, a seeded noise source and a virtual clock per thread.
+// All methods are deterministic for a fixed (platform, seed, call sequence).
 //
 // Sim is not safe for concurrent use: MCTOP-ALG is single-threaded by
 // design ("using more threads increases variability", Section 3.5), and the
 // lock-step protocol is expressed through explicit barriers rather than
 // real goroutines.
 type Sim struct {
-	p   *Platform
-	coh *mesi.System
+	p *Platform
 
-	cores    []coreDVFS
-	seed     uint64
-	opCtr    uint64
-	lineHome map[uint64]int
+	// holders records, per cache line ever CASed, the context holding it.
+	// A measurement ping-pongs on one line for its whole life, so a linear
+	// scan finds it at once, without hashing.
+	holders []lineHolder
 
-	// TotalThreadCycles accumulates the virtual cycles consumed by all
-	// threads; used to report simulated inference runtimes (Section 3.5).
-	TotalThreadCycles int64
+	cores []coreDVFS
+	seed  uint64
+	opCtr uint64
+}
+
+type lineHolder struct {
+	line uint64
+	ctx  int
 }
 
 type coreDVFS struct {
 	busy int64 // accumulated busy work toward the frequency ramp
-}
-
-// costAdapter derives the MESI transition costs from the platform. The
-// engine hands it global core ids together with the socket each belongs to;
-// the local core index is their difference.
-type costAdapter struct{ s *Sim }
-
-func (c costAdapter) HitCost(op mesi.Op) int64 {
-	if op == mesi.Load {
-		return c.s.p.L1Lat
-	}
-	return c.s.p.HitCASLat
-}
-
-func (c costAdapter) SameCoreTransfer(mesi.Op) int64 { return c.s.p.SameCoreLat }
-
-func (c costAdapter) SameSocketTransfer(_ mesi.Op, socket, fromCore, toCore int) int64 {
-	p := c.s.p
-	base := socket * p.Cores
-	return p.IntraSocketLat + p.tab.intraOff[(fromCore-base)*p.Cores+toCore-base]
-}
-
-func (c costAdapter) CrossSocketTransfer(_ mesi.Op, fromSocket, fromCore, toSocket, toCore int) int64 {
-	p := c.s.p
-	lc1, lc2 := 0, 0
-	if fromCore >= 0 {
-		lc1 = fromCore - fromSocket*p.Cores
-	}
-	if toCore >= 0 {
-		lc2 = toCore - toSocket*p.Cores
-	}
-	return p.tab.socketLat[fromSocket*p.Sockets+toSocket] + p.tab.crossOff[lc1+lc2]
-}
-
-func (c costAdapter) MemoryAccess(_ mesi.Op, socket int, line uint64) int64 {
-	return c.s.p.MemLat[socket][c.s.homeOf(line)]
-}
-
-func (c costAdapter) UpgradeCost(_ mesi.Op, crossSocket bool) int64 {
-	p := c.s.p
-	if !crossSocket {
-		return p.IntraSocketLat
-	}
-	return p.tab.maxCrossLat
 }
 
 // New creates a simulator for the platform with the given noise seed.
@@ -83,14 +42,7 @@ func New(p *Platform, seed uint64) (*Sim, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{
-		p:        p,
-		cores:    make([]coreDVFS, p.NumCores()),
-		seed:     seed,
-		lineHome: make(map[uint64]int),
-	}
-	s.coh = mesi.New(p.tab.coreOf, p.tab.socketOf, costAdapter{s})
-	return s, nil
+	return &Sim{p: p, cores: make([]coreDVFS, p.NumCores()), seed: seed}, nil
 }
 
 // Platform returns the simulated machine's ground-truth description.
@@ -108,26 +60,6 @@ func (s *Sim) Seed() uint64 { return s.seed }
 // stay byte-identical to the sequential one.
 func PairSeed(seed uint64, x, y int) uint64 {
 	return rng.Mix(rng.Mix(seed^(uint64(x)<<32)) ^ uint64(y))
-}
-
-// Coherence exposes the underlying MESI engine (used by the lock-contention
-// simulator, which shares the machine's coherence state).
-func (s *Sim) Coherence() *mesi.System { return s.coh }
-
-// SetLineHome places a cache line's backing memory on a node, the way
-// first-touch or explicit NUMA allocation would.
-func (s *Sim) SetLineHome(line uint64, node int) {
-	if node < 0 || node >= s.p.NumNodes() {
-		panic(fmt.Sprintf("sim: node %d out of range", node))
-	}
-	s.lineHome[line] = node
-}
-
-func (s *Sim) homeOf(line uint64) int {
-	if n, ok := s.lineHome[line]; ok {
-		return n
-	}
-	return int(line % uint64(s.p.NumNodes()))
 }
 
 func (s *Sim) rand() uint64 {
@@ -218,13 +150,8 @@ func (t *Thread) Pin(ctx int) error {
 	if t.s.p.DVFS {
 		t.s.cores[t.core].busy = 0
 	}
-	t.advance(200) // migration cost
+	t.now += 200 // migration cost
 	return nil
-}
-
-func (t *Thread) advance(cycles int64) {
-	t.now += cycles
-	t.s.TotalThreadCycles += cycles
 }
 
 // Rdtsc returns the thread's timestamp counter and pays the read overhead,
@@ -232,24 +159,49 @@ func (t *Thread) advance(cycles int64) {
 // has a non-negligible latency which must be deducted").
 func (t *Thread) Rdtsc() int64 {
 	v := t.now
-	t.advance(t.s.scale(t.s.p.RdtscOverhead, t.core))
+	t.now += t.s.scale(t.s.p.RdtscOverhead, t.core)
 	t.s.burn(t.core, t.s.p.RdtscOverhead)
 	return v
 }
 
-func (t *Thread) access(line uint64, op mesi.Op) {
-	base := t.s.coh.Access(t.ctx, line, op)
-	cost := t.s.scale(base, t.core) + t.s.noise()
+// CAS performs an atomic compare-and-swap on a shared cache line, the probe
+// operation of Figure 5, and takes the line. Uncontended coherence is
+// deterministic (Section 3, Observation 1), so the cost depends only on who
+// held the line: nobody (a miss to the line's home node, line % nodes), this
+// very context (a hit), or another context (the pair's transfer latency,
+// SMT sibling, same socket or across the interconnect).
+func (t *Thread) CAS(line uint64) {
+	s, p := t.s, t.s.p
+	h := s.holder(line)
+	var base int64
+	switch {
+	case *h < 0:
+		base = p.MemLat[p.tab.socketOf[t.ctx]][line%uint64(p.NumNodes())]
+	case *h == t.ctx:
+		base = p.HitCASLat
+	default:
+		base = p.pairLatency(t.ctx, *h)
+	}
+	*h = t.ctx
+	cost := s.scale(base, t.core) + s.noise()
 	if cost < 1 {
 		cost = 1
 	}
-	t.advance(cost)
-	t.s.burn(t.core, base)
+	t.now += cost
+	s.burn(t.core, base)
 }
 
-// CAS performs an atomic compare-and-swap on a shared cache line, the probe
-// operation of Figure 5 (full fence, brings the line to Modified).
-func (t *Thread) CAS(line uint64) { t.access(line, mesi.CAS) }
+// holder returns the slot naming the context that holds line, -1 for a
+// line nobody has taken yet.
+func (s *Sim) holder(line uint64) *int {
+	for i := range s.holders {
+		if s.holders[i].line == line {
+			return &s.holders[i].ctx
+		}
+	}
+	s.holders = append(s.holders, lineHolder{line: line, ctx: -1})
+	return &s.holders[len(s.holders)-1].ctx
+}
 
 // MemRandomAccess performs n dependent cache-missing loads (a random
 // linked-list traversal, as the memory-latency plugin allocates) against
@@ -268,7 +220,7 @@ func (t *Thread) MemRandomAccess(node, n int) int64 {
 		}
 		total += c
 	}
-	t.advance(total)
+	t.now += total
 	t.s.burn(core, total)
 	return total
 }
@@ -288,7 +240,7 @@ func (t *Thread) MemSequentialSweep(node int, bytes int64) int64 {
 	}
 	cycles := int64(float64(bytes) * p.FreqMaxGHz / bw)
 	cycles = t.s.scale(cycles, t.core)
-	t.advance(cycles)
+	t.now += cycles
 	t.s.burn(t.core, cycles)
 	return cycles
 }
@@ -320,42 +272,22 @@ func (t *Thread) CacheWorkingSetLoads(workingSet int64, n int) int64 {
 		}
 		total += c
 	}
-	t.advance(total)
+	t.now += total
 	t.s.burn(core, total)
 	return total
 }
 
-// Barrier synchronizes threads at a spin-based rendezvous: every clock
-// advances to the maximum plus a small constant. Waiting threads keep their
-// cores busy (libmctop uses spin barriers precisely to keep DVFS ramping).
-func (s *Sim) Barrier(ts ...*Thread) {
+// Barrier synchronizes two threads at a spin-based rendezvous: both clocks
+// advance to the later one plus a small constant. The waiting thread keeps
+// its core busy (libmctop uses spin barriers precisely to keep DVFS
+// ramping).
+func (s *Sim) Barrier(t1, t2 *Thread) {
 	const barrierCost = 60
-	var max int64
-	for _, t := range ts {
-		if t.now > max {
-			max = t.now
-		}
-	}
-	for _, t := range ts {
-		wait := max - t.now
-		s.burn(t.core, wait+barrierCost)
-		t.advance(wait + s.scale(barrierCost, t.core))
-	}
-}
-
-// Barrier2 is Barrier for exactly two threads without the variadic slice —
-// the measurement loop calls it twice per repetition, and the allocation
-// was the dominant garbage source of large-platform inference.
-func (s *Sim) Barrier2(t1, t2 *Thread) {
-	const barrierCost = 60
-	max := t1.now
-	if t2.now > max {
-		max = t2.now
-	}
+	end := max(t1.now, t2.now)
 	for _, t := range [...]*Thread{t1, t2} {
-		wait := max - t.now
+		wait := end - t.now
 		s.burn(t.core, wait+barrierCost)
-		t.advance(wait + s.scale(barrierCost, t.core))
+		t.now += wait + s.scale(barrierCost, t.core)
 	}
 }
 
@@ -367,7 +299,7 @@ func (s *Sim) SpinSolo(t *Thread, units int64) int64 {
 	if d < 1 {
 		d = 1
 	}
-	t.advance(d)
+	t.now += d
 	s.burn(t.core, units)
 	return d
 }
@@ -388,7 +320,7 @@ func (s *Sim) SpinTogether(t1, t2 *Thread, units int64) (int64, int64) {
 		if d < 1 {
 			d = 1
 		}
-		t.advance(d)
+		t.now += d
 		s.burn(core, units)
 		return d
 	}

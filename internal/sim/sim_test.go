@@ -47,6 +47,31 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+// TestByNameBuildsOnlyItsPlatform: a golden lookup costs what constructing
+// that one platform costs, not all five.
+func TestByNameBuildsOnlyItsPlatform(t *testing.T) {
+	byName := testing.AllocsPerRun(20, func() {
+		if _, err := ByName("SPARC"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	direct := testing.AllocsPerRun(20, func() { SPARC() })
+	if byName != direct {
+		t.Errorf("ByName(\"SPARC\") allocates %.0f objects, SPARC() %.0f", byName, direct)
+	}
+}
+
+func TestGoldenByNameNames(t *testing.T) {
+	if len(goldenByName) != len(Platforms()) {
+		t.Errorf("goldenByName has %d entries, Platforms() %d", len(goldenByName), len(Platforms()))
+	}
+	for name, build := range goldenByName {
+		if got := build().Name; got != name {
+			t.Errorf("goldenByName[%q] builds platform %q", name, got)
+		}
+	}
+}
+
 // TestIvyNumbering checks the Intel-halves numbering of Figure 6: contexts
 // 0 and 20 are SMT siblings on the 40-context Ivy; 0..9 are socket 0.
 func TestIvyNumbering(t *testing.T) {
@@ -272,6 +297,58 @@ func TestLockStepMeasurement(t *testing.T) {
 		want := p.PairLatency(c.x, c.y)
 		if d := got - want; d < -4 || d > 4 {
 			t.Errorf("measured (%d,%d) = %d, ground truth %d", c.x, c.y, got, want)
+		}
+	}
+}
+
+// TestCASCosts pins what one CAS costs on a noise-free, DVFS-off machine,
+// whose clock therefore advances by exactly the charged cost: a cold line
+// comes from its home node (line % nodes), the holder re-CASing hits, and
+// any other context pays the pair's transfer latency to the holder. Each
+// line keeps its own holder.
+func TestCASCosts(t *testing.T) {
+	p, err := ByName("gen:ring:s4:c2:t2:v7") // 1-hop and 2-hop sockets differ
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thread := func(core, smt int) *Thread {
+		th, err := s.NewThread(p.ContextOf(core, smt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return th
+	}
+	a, sib := thread(0, 0), thread(0, 1)          // SMT siblings on socket 0
+	near := thread(1, 0)                          // socket 0, another core
+	oneHop, twoHops := thread(2, 0), thread(4, 0) // sockets 1 and 2
+	if p.PairLatency(twoHops.ctx, near.ctx) == p.PairLatency(oneHop.ctx, twoHops.ctx) {
+		t.Fatal("the test platform's one- and two-hop latencies coincide")
+	}
+	steps := []struct {
+		what string
+		th   *Thread
+		line uint64
+		want int64
+	}{
+		{"cold CAS homed on node 1", a, 1, p.MemLat[0][1]},
+		{"cold CAS homed on node 2", a, 2, p.MemLat[0][2]},
+		{"re-CAS by the holder", a, 1, p.HitCASLat},
+		{"SMT sibling takes the line", sib, 1, p.SameCoreLat},
+		{"and hands it back", a, 1, p.SameCoreLat},
+		{"same-socket transfer", near, 1, p.PairLatency(near.ctx, a.ctx)},
+		{"two-hop transfer", twoHops, 1, p.PairLatency(twoHops.ctx, near.ctx)},
+		{"one-hop transfer", oneHop, 1, p.PairLatency(oneHop.ctx, twoHops.ctx)},
+		{"line 2 is still held where it was", a, 2, p.HitCASLat},
+	}
+	for _, st := range steps {
+		before := st.th.Now()
+		st.th.CAS(st.line)
+		if got := st.th.Now() - before; got != st.want {
+			t.Errorf("%s: CAS cost %d cycles, want %d", st.what, got, st.want)
 		}
 	}
 }

@@ -20,9 +20,6 @@ type tables struct {
 	// socketLat is the Sockets x Sockets latency between (cores of) two
 	// sockets, row-major, with IntraSocketLat on the diagonal.
 	socketLat []int64
-	// maxCrossLat is the worst cross-socket latency: what invalidating a
-	// remote sharer costs a MESI upgrade.
-	maxCrossLat int64
 	// intraOff is the deterministic on-die distance component of the
 	// intra-socket latency between two local core indices, Cores x Cores,
 	// row-major, spanning [-band, +band]. This reproduces the structured
@@ -85,16 +82,6 @@ func (p *Platform) buildTables() {
 			l := p.Links[i]
 			t.socketLat[l.A*S+l.B] = l.Lat
 			t.socketLat[l.B*S+l.A] = l.Lat
-			t.maxCrossLat = max(t.maxCrossLat, l.Lat)
-		}
-		t.maxCrossLat = max(t.maxCrossLat, p.TwoHopLat)
-	} else {
-		for a, row := range p.SocketLatMatrix {
-			for b, lat := range row {
-				if a != b {
-					t.maxCrossLat = max(t.maxCrossLat, lat)
-				}
-			}
 		}
 	}
 

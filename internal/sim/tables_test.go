@@ -87,31 +87,6 @@ func pairLatencyFormula(p *Platform, x, y int) int64 {
 	return socketLatencyFormula(p, sx, sy) + crossOffsetFormula(p, lcx, lcy)
 }
 
-// maxCrossLatFormula is the worst cross-socket latency as Validate used to
-// accumulate it: over the explicit matrix, or over the links and TwoHopLat.
-func maxCrossLatFormula(p *Platform) int64 {
-	var worst int64
-	if p.SocketLatMatrix != nil {
-		for a := range p.SocketLatMatrix {
-			for b, lat := range p.SocketLatMatrix[a] {
-				if a != b && lat > worst {
-					worst = lat
-				}
-			}
-		}
-		return worst
-	}
-	for _, l := range p.Links {
-		if l.Lat > worst {
-			worst = l.Lat
-		}
-	}
-	if p.TwoHopLat > worst {
-		worst = p.TwoHopLat
-	}
-	return worst
-}
-
 // tablePlatforms is the five goldens, one generated platform per
 // interconnect kind, and Custom in both numberings.
 func tablePlatforms(t *testing.T) []*Platform {
@@ -153,9 +128,6 @@ func TestPlatformTablesMatchFormulas(t *testing.T) {
 			}
 		}
 		tab := p.derived()
-		if got, want := tab.maxCrossLat, maxCrossLatFormula(p); got != want {
-			t.Fatalf("%s: maxCrossLat = %d, formula %d", p.Name, got, want)
-		}
 		for c1 := 0; c1 < p.Cores; c1++ {
 			for c2 := 0; c2 < p.Cores; c2++ {
 				if got, want := tab.intraOff[c1*p.Cores+c2], intraOffsetFormula(p, c1, c2); got != want {

@@ -56,7 +56,6 @@
 //
 //   - internal/sim       — deterministic simulators of the paper's five
 //     machines (Ivy, Westmere, Haswell, Opteron, SPARC T4-4)
-//   - internal/mesi      — the MESI coherence engine beneath the simulator
 //   - internal/machine   — the OS-facing measurement interface (simulator
 //     and best-effort Linux host backends)
 //   - internal/mctopalg  — the inference algorithm (Section 3)
