@@ -47,9 +47,16 @@ type TaskDAG struct {
 
 // Validate checks structural invariants: dense IDs in order, non-negative
 // weights, edge endpoints in range, no self-edges or duplicate edges, and
-// acyclicity (TopoOrder). Mappers call it once up front so the scheduling
-// inner loops can trust the shape.
+// acyclicity. Mappers call TopoOrder instead, which runs the same checks
+// and keeps the order it computes, so the scheduling inner loops can trust
+// the shape after one Kahn pass.
 func (d *TaskDAG) Validate() error {
+	_, err := d.TopoOrder()
+	return err
+}
+
+// checkShape is every Validate check but acyclicity.
+func (d *TaskDAG) checkShape() error {
 	if len(d.Nodes) == 0 {
 		return fmt.Errorf("taskdag: no nodes")
 	}
@@ -77,9 +84,6 @@ func (d *TaskDAG) Validate() error {
 			return fmt.Errorf("taskdag: duplicate edge %d->%d", e.From, e.To)
 		}
 		seen[k] = true
-	}
-	if _, err := d.TopoOrder(); err != nil {
-		return err
 	}
 	return nil
 }
@@ -139,11 +143,14 @@ func (d *TaskDAG) Hash() uint64 {
 	return h
 }
 
-// TopoOrder returns a deterministic topological order (Kahn's algorithm,
-// smallest ready ID first) or an error naming a cycle. The order is what
-// the taskmap cost model simulates in, so determinism here is part of the
-// byte-stability contract.
+// TopoOrder validates the DAG (the error is Validate's) and returns a
+// deterministic topological order: Kahn's algorithm, smallest ready ID
+// first. The order is what the taskmap cost model simulates in, so
+// determinism here is part of the byte-stability contract.
 func (d *TaskDAG) TopoOrder() ([]int, error) {
+	if err := d.checkShape(); err != nil {
+		return nil, err
+	}
 	n := len(d.Nodes)
 	indeg := make([]int, n)
 	succ := make([][]int, n)
@@ -151,8 +158,9 @@ func (d *TaskDAG) TopoOrder() ([]int, error) {
 		indeg[e.To]++
 		succ[e.From] = append(succ[e.From], e.To)
 	}
-	// Small graphs (the service bounds them): a sorted ready slice beats a
-	// heap for clarity, and re-sorting on insert keeps min-ID-first exact.
+	// Small graphs (the service bounds them): a linear scan for the
+	// smallest ready ID beats a heap for clarity and keeps min-ID-first
+	// exact.
 	var ready []int
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
@@ -161,9 +169,15 @@ func (d *TaskDAG) TopoOrder() ([]int, error) {
 	}
 	order := make([]int, 0, n)
 	for len(ready) > 0 {
-		sort.Ints(ready)
-		v := ready[0]
-		ready = ready[1:]
+		m := 0
+		for i, v := range ready {
+			if v < ready[m] {
+				m = i
+			}
+		}
+		v := ready[m]
+		ready[m] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
 		order = append(order, v)
 		for _, w := range succ[v] {
 			if indeg[w]--; indeg[w] == 0 {
@@ -175,16 +189,6 @@ func (d *TaskDAG) TopoOrder() ([]int, error) {
 		return nil, fmt.Errorf("taskdag: cycle detected (%d of %d nodes ordered)", len(order), n)
 	}
 	return order, nil
-}
-
-// Preds returns, per node, the incoming edges (as indexes into Edges) —
-// the adjacency view the cost model walks.
-func (d *TaskDAG) Preds() [][]int {
-	preds := make([][]int, len(d.Nodes))
-	for i, e := range d.Edges {
-		preds[e.To] = append(preds[e.To], i)
-	}
-	return preds
 }
 
 // TotalWork sums the node weights.

@@ -114,6 +114,55 @@ func TestTaskDAGTopoOrderDeterministic(t *testing.T) {
 	}
 }
 
+// TestTopoOrderSmallestReadyFirst checks TopoOrder against the rule's
+// definition — at every step, the smallest id whose parents are all placed —
+// on generated DAGs with their ids scrambled, so the order is not the id
+// order.
+func TestTopoOrderSmallestReadyFirst(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		g := GenTaskDAG(DAGParams{Layers: 6, Width: 6}, seed)
+		n := len(g.Nodes)
+		id := make([]int, n) // a fixed scramble: i -> (7i + seed) mod n
+		for i := range id {
+			id[i] = (7*i + int(seed)) % n
+		}
+		seen := map[int]bool{}
+		for _, v := range id {
+			seen[v] = true
+		}
+		if len(seen) != n {
+			continue // 7 divides n: not a permutation
+		}
+		d := &TaskDAG{Nodes: g.Nodes}
+		for _, e := range g.Edges {
+			d.Edges = append(d.Edges, TaskEdge{From: id[e.From], To: id[e.To], Volume: e.Volume})
+		}
+		order, err := d.TopoOrder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		placed := make([]bool, n)
+		for step, got := range order {
+			want := -1
+			for v := 0; v < n && want < 0; v++ {
+				ok := !placed[v]
+				for _, e := range d.Edges {
+					if e.To == v && !placed[e.From] {
+						ok = false
+					}
+				}
+				if ok {
+					want = v
+				}
+			}
+			if got != want {
+				t.Fatalf("seed %d step %d: TopoOrder placed %d, want %d", seed, step, got, want)
+			}
+			placed[got] = true
+		}
+	}
+}
+
 func TestTaskDAGNDJSONRoundTrip(t *testing.T) {
 	d := GenTaskDAG(DAGParams{Layers: 3, Width: 3}, 42)
 	d.Name = "roundtrip"

@@ -2,11 +2,11 @@ package place
 
 // BenchmarkQueryIndex_PowerPlacement measures the POWER-policy placement
 // build — the incremental-delta greedy (three class representatives per
-// step) against the pre-index exhaustive scan (a full PowerEstimate per
-// remaining context per step). Haswell: 96 contexts, 4 sockets, the paper's
-// largest machine with power measurements. Note the scan benchmark already
-// benefits from the indexed PowerEstimate, so the true pre-index cost was
-// higher still.
+// step, priced from running per-socket sums) against the pre-index
+// exhaustive scan (a full PowerEstimate per remaining context per step).
+// Haswell: 96 contexts, 4 sockets, the paper's largest machine with power
+// measurements. Note the scan benchmark already benefits from the indexed
+// PowerEstimate, so the true pre-index cost was higher still.
 
 import (
 	"path/filepath"

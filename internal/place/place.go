@@ -379,11 +379,17 @@ func roundRobin(perSocket [][]int, limit int) []int {
 // each O(ctxs). But a candidate's power delta depends only on its class —
 // SMT sibling of an active core, first context of an inactive core on an
 // active socket, or first context of an inactive socket — so each step only
-// needs to evaluate the lowest-id representative of each class: at most
-// three estimates per step, and the same winner the exhaustive scan finds
-// (its ID-ascending strict-< scan picks the lowest-id context of the
-// cheapest class). The equivalence is property-tested against the scan on
-// all five golden platforms.
+// needs to evaluate the lowest-id representative of each class, and the
+// exhaustive scan finds the same winner (its ID-ascending strict-< scan
+// picks the lowest-id context of the cheapest class).
+//
+// Nor does a step re-estimate the chosen set: it keeps running per-core
+// context counts and each active socket's power. A candidate changes only
+// its own socket's term, which is recomputed over that socket's cores in
+// core-id order and then summed with the other active sockets in socket-id
+// order — the float operations Occupancy.Power performs, so every delta
+// and every tie is bit-identical to PowerEstimate's. The equivalence is
+// property-tested against the scan on all five golden platforms.
 func powerOrder(t *topo.Topology, nSockets, nThreads int) []int {
 	allowed := make([]bool, t.NumSockets())
 	for _, s := range socketOrder(t, false, nSockets) {
@@ -397,12 +403,47 @@ func powerOrder(t *topo.Topology, nSockets, nThreads int) []int {
 		// a huge thread count (mctopd validates only threads >= 0).
 		n = t.NumHWContexts()
 	}
+	// The power model; all zero without power data, like PowerEstimate.
+	var pw topo.PowerInfo
+	if p := t.Power(); p.Available() {
+		pw = *p
+	}
 	contexts := t.Contexts()
+	sockCores := make([][]*topo.HWCGroup, t.NumSockets())
+	for _, s := range t.Sockets() {
+		sockCores[s.ID] = t.SocketGetCores(s)
+	}
 	inUse := make([]bool, len(contexts))
-	coreCt := make(map[*topo.HWCGroup]int, t.NumCores())
+	perCore := make([]int32, t.NumCores()) // contexts chosen, by core id
 	sockActive := make([]bool, t.NumSockets())
+	sockPower := make([]float64, t.NumSockets()) // per active socket
+	// socketPower is socket s's entry of Occupancy.Power: the base, then
+	// each occupied core's share in core-id order.
+	socketPower := func(s int) float64 {
+		p := pw.PerSocketBase
+		for _, core := range sockCores[s] {
+			if k := perCore[core.ID]; k > 0 {
+				p += pw.PerFirstCtx + float64(k-1)*pw.PerExtraCtx
+			}
+		}
+		return p
+	}
+	// total is Occupancy.Power's total with socket s active at power p: the
+	// active sockets' power in socket-id order (an idle socket's zero adds
+	// nothing).
+	total := func(s int, p float64) float64 {
+		var tot float64
+		for i, active := range sockActive {
+			if i == s {
+				tot += p
+			} else if active {
+				tot += sockPower[i]
+			}
+		}
+		return tot
+	}
 	chosen := make([]int, 0, n)
-	scratch := make([]int, 0, n+1)
+	cur := 0.0 // PowerEstimate(chosen)'s total
 	for len(chosen) < n {
 		// Lowest-id representative of each delta class.
 		repSib, repCore, repSock := -1, -1, -1
@@ -411,7 +452,7 @@ func powerOrder(t *topo.Topology, nSockets, nThreads int) []int {
 				continue
 			}
 			switch {
-			case coreCt[c.Core] > 0:
+			case perCore[c.Core.ID] > 0:
 				if repSib == -1 {
 					repSib = c.ID
 				}
@@ -428,18 +469,19 @@ func powerOrder(t *topo.Topology, nSockets, nThreads int) []int {
 				break
 			}
 		}
-		_, cur := t.PowerEstimate(chosen, false)
-		best, bestDelta := -1, 0.0
+		best, bestDelta, bestPower, bestTotal := -1, 0.0, 0.0, 0.0
 		for _, cand := range [3]int{repSib, repCore, repSock} {
 			if cand == -1 {
 				continue
 			}
-			scratch = append(scratch[:0], chosen...)
-			scratch = append(scratch, cand)
-			_, with := t.PowerEstimate(scratch, false)
+			c := contexts[cand]
+			perCore[c.Core.ID]++
+			p := socketPower(c.Socket.ID)
+			perCore[c.Core.ID]--
+			with := total(c.Socket.ID, p)
 			delta := with - cur
 			if best == -1 || delta < bestDelta || (delta == bestDelta && cand < best) {
-				best, bestDelta = cand, delta
+				best, bestDelta, bestPower, bestTotal = cand, delta, p, with
 			}
 		}
 		if best == -1 {
@@ -448,8 +490,10 @@ func powerOrder(t *topo.Topology, nSockets, nThreads int) []int {
 		c := contexts[best]
 		chosen = append(chosen, best)
 		inUse[best] = true
-		coreCt[c.Core]++
+		perCore[c.Core.ID]++
 		sockActive[c.Socket.ID] = true
+		sockPower[c.Socket.ID] = bestPower
+		cur = bestTotal
 	}
 	return chosen
 }

@@ -3,6 +3,7 @@ package taskmap
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/topo"
@@ -49,7 +50,7 @@ func BruteForce(ctx context.Context, t *topo.Topology, d *graph.TaskDAG, opt Opt
 		assign[v] = ctxs[0]
 	}
 	best := append([]int(nil), assign...)
-	bestCost := s.cost(assign)
+	bestCost := s.cost(assign, math.MaxInt64)
 	for i := 1; i < total; i++ {
 		if i%4096 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -67,7 +68,8 @@ func BruteForce(ctx context.Context, t *topo.Topology, d *graph.TaskDAG, opt Opt
 			idx[p] = 0
 			assign[p] = ctxs[0]
 		}
-		if c := s.cost(assign); c < bestCost {
+		// Only a strict improvement counts, so the incumbent is the bound.
+		if c := s.cost(assign, bestCost); c < bestCost {
 			bestCost = c
 			copy(best, assign)
 		}

@@ -7,6 +7,14 @@ import "context"
 // strict improvements immediately. budget bounds the total number of
 // candidate assignments priced; the climb also stops at a local optimum
 // (a full round with no improvement). Fully deterministic.
+//
+// Every candidate is priced against the incumbent cost as its bound, since
+// only a strict improvement is accepted. A move of task v changes nothing
+// before v's position in the order, so the prefix is priced once per task
+// (snapshot) and each candidate context resumes from there; the prefix does
+// not contain v, so accepting a move keeps the snapshot valid. The budget
+// counts every candidate priced, cut off or not, so the climb visits the
+// same sequence as pricing each candidate in full.
 func refine(ctx context.Context, s *pricer, ctxs []int, assign []int, cost int64, budget int) ([]int, int64, error) {
 	cur := append([]int(nil), assign...)
 	n := len(cur)
@@ -19,6 +27,8 @@ func refine(ctx context.Context, s *pricer, ctxs []int, assign []int, cost int64
 		// Single-task moves.
 	moves:
 		for v := 0; v < n; v++ {
+			p := s.pos[v]
+			mk := s.snapshot(cur, p)
 			for _, c := range ctxs {
 				if c == cur[v] {
 					continue
@@ -29,7 +39,8 @@ func refine(ctx context.Context, s *pricer, ctxs []int, assign []int, cost int64
 				budget--
 				old := cur[v]
 				cur[v] = c
-				if nc := s.cost(cur); nc < cost {
+				s.restore()
+				if nc := s.resume(cur, p, mk, cost); nc < cost {
 					cost = nc
 					improved = true
 				} else {
@@ -50,7 +61,7 @@ func refine(ctx context.Context, s *pricer, ctxs []int, assign []int, cost int64
 				}
 				budget--
 				cur[a], cur[b] = cur[b], cur[a]
-				if nc := s.cost(cur); nc < cost {
+				if nc := s.cost(cur, cost); nc < cost {
 					cost = nc
 					improved = true
 				} else {

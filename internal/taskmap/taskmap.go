@@ -24,6 +24,7 @@ package taskmap
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -86,72 +87,146 @@ func (m *Mapping) Assignment() []int {
 	return append([]int(nil), m.assign...)
 }
 
-// pricer prices assignments for one (topology, DAG) pair. Building it once
-// amortizes the Kahn order and predecessor index across the thousands of
-// Estimate calls a refinement pass or brute-force sweep makes.
+// pricer prices assignments for one (topology, DAG) pair, the one pricer
+// greedy, refine and BruteForce share. Building it once — one Kahn pass —
+// lays the DAG out as the flat per-node arrays the inner loops read, and
+// amortizes that across the thousands of candidates a refinement pass or
+// brute-force sweep prices.
+//
+// Pricing is incremental: the state after a prefix order[:p] of the
+// canonical order — each context's free time and each prefix node's finish
+// time — does not depend on how the nodes from p on are assigned, so a
+// candidate that changes only those nodes resumes from the prefix state
+// instead of re-running it (resume, snapshot, restore).
 type pricer struct {
-	t      *topo.Topology
-	d      *graph.TaskDAG
-	order  []int   // canonical topological order
-	preds  [][]int // per node: incoming edge indexes
-	lines  []int64 // per edge: ceil(volume/CacheLine)
-	finish []int64 // scratch, indexed by node
-	free   []int64 // scratch, indexed by context
+	t       *topo.Topology
+	order   []int    // canonical topological order
+	pos     []int    // per node: its index in order
+	work    []int64  // per node: compute cycles
+	inOff   []int    // node v's in-edges are in[inOff[v]:inOff[v+1]]
+	in      []inEdge // in-edges grouped by head, in edge order
+	succOff []int    // node v's successors are succ[succOff[v]:succOff[v+1]]
+	succ    []int
+	finish  []int64 // scratch, indexed by node
+	free    []int64 // scratch, indexed by context: when it next idles
+	snap    []int64 // free as snapshot left it, for restore
+}
+
+// inEdge is one in-edge of a node: its tail and its cost in cache lines,
+// ceil(volume/CacheLine).
+type inEdge struct {
+	from  int
+	lines int64
 }
 
 func newSim(t *topo.Topology, d *graph.TaskDAG) (*pricer, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
 	order, err := d.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	lines := make([]int64, len(d.Edges))
-	for i, e := range d.Edges {
-		lines[i] = (e.Volume + CacheLine - 1) / CacheLine
+	n, nCtx := len(d.Nodes), t.NumHWContexts()
+	s := &pricer{
+		t:       t,
+		order:   order,
+		pos:     make([]int, n),
+		work:    make([]int64, n),
+		inOff:   make([]int, n+1),
+		in:      make([]inEdge, len(d.Edges)),
+		succOff: make([]int, n+1),
+		succ:    make([]int, len(d.Edges)),
+		finish:  make([]int64, n),
+		free:    make([]int64, nCtx),
+		snap:    make([]int64, nCtx),
 	}
-	return &pricer{
-		t:      t,
-		d:      d,
-		order:  order,
-		preds:  d.Preds(),
-		lines:  lines,
-		finish: make([]int64, len(d.Nodes)),
-		free:   make([]int64, t.NumHWContexts()),
-	}, nil
+	for i, v := range order {
+		s.pos[v] = i
+	}
+	for v, node := range d.Nodes {
+		s.work[v] = node.Work
+	}
+	// Counting sort by head (in) and tail (succ): count into off[v], turn
+	// the counts into bucket ends, then place the edges back to front, so
+	// each bucket keeps edge order and off[v] ends at the bucket's start.
+	for _, e := range d.Edges {
+		s.inOff[e.To]++
+		s.succOff[e.From]++
+	}
+	for v := 1; v <= n; v++ {
+		s.inOff[v] += s.inOff[v-1]
+		s.succOff[v] += s.succOff[v-1]
+	}
+	for i := len(d.Edges) - 1; i >= 0; i-- {
+		e := d.Edges[i]
+		s.inOff[e.To]--
+		s.in[s.inOff[e.To]] = inEdge{from: e.From, lines: (e.Volume + CacheLine - 1) / CacheLine}
+		s.succOff[e.From]--
+		s.succ[s.succOff[e.From]] = e.To
+	}
+	return s, nil
 }
+
+// inEdges returns node v's in-edges.
+func (s *pricer) inEdges(v int) []inEdge { return s.in[s.inOff[v]:s.inOff[v+1]] }
 
 // cost prices an assignment: tasks run in canonical topological order,
 // each starting at max(its context's free time, latest predecessor data
 // arrival) where data from a different context arrives comm-cost cycles
-// after the predecessor finishes. Returns the makespan.
-func (s *pricer) cost(assign []int) int64 {
-	for i := range s.free {
-		s.free[i] = 0
-	}
-	var makespan int64
-	for _, v := range s.order {
+// after the predecessor finishes. Returns the makespan — or, once the
+// makespan reaches bound, a partial makespan that is at least bound, which
+// a caller accepting only costs below bound rejects all the same
+// (math.MaxInt64 prices in full).
+func (s *pricer) cost(assign []int, bound int64) int64 {
+	clear(s.free)
+	return s.resume(assign, 0, 0, bound)
+}
+
+// resume prices order[p:] on top of the state after order[:p], whose
+// makespan is mk: the caller guarantees that free holds that state for
+// every context order[p:] runs on, and finish for every node before p. The
+// bound cut-off is cost's.
+func (s *pricer) resume(assign []int, p int, mk, bound int64) int64 {
+	return s.run(assign, s.order[p:], mk, bound)
+}
+
+// snapshot prices order[:p] from an empty machine, saves the resulting
+// free times for restore and returns the prefix makespan. The saved state
+// stays valid while no node of order[:p] changes context.
+func (s *pricer) snapshot(assign []int, p int) int64 {
+	clear(s.free)
+	mk := s.run(assign, s.order[:p], 0, math.MaxInt64)
+	copy(s.snap, s.free)
+	return mk
+}
+
+// restore resets free to the last snapshot, ready for the next resume.
+func (s *pricer) restore() { copy(s.free, s.snap) }
+
+// run is the list-scheduling loop of cost, resume and snapshot over nodes,
+// a slice of the order.
+func (s *pricer) run(assign, nodes []int, mk, bound int64) int64 {
+	free, finish := s.free, s.finish
+	for _, v := range nodes {
 		c := assign[v]
-		start := s.free[c]
-		for _, ei := range s.preds[v] {
-			e := s.d.Edges[ei]
-			arrive := s.finish[e.From]
-			if cu := assign[e.From]; cu != c {
-				arrive += s.lines[ei] * s.t.GetLatency(cu, c)
+		start := free[c]
+		for _, e := range s.inEdges(v) {
+			arrive := finish[e.from]
+			if cu := assign[e.from]; cu != c {
+				arrive += e.lines * s.t.GetLatency(cu, c)
 			}
 			if arrive > start {
 				start = arrive
 			}
 		}
-		fin := start + s.d.Nodes[v].Work
-		s.finish[v] = fin
-		s.free[c] = fin
-		if fin > makespan {
-			makespan = fin
+		fin := start + s.work[v]
+		finish[v] = fin
+		free[c] = fin
+		if fin > mk {
+			if mk = fin; mk >= bound {
+				return mk
+			}
 		}
 	}
-	return makespan
+	return mk
 }
 
 // Estimate prices an assignment for the given topology and DAG under the
@@ -165,7 +240,7 @@ func Estimate(t *topo.Topology, d *graph.TaskDAG, assign []int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.cost(assign), nil
+	return s.cost(assign, math.MaxInt64), nil
 }
 
 func checkAssign(t *topo.Topology, d *graph.TaskDAG, assign []int) error {
@@ -207,46 +282,44 @@ func candidates(t *topo.Topology, opt Options) ([]int, error) {
 // priorities computes the AMTHA-style list-scheduling priority per task:
 // its compute weight plus the communication it still owes its successors
 // (in cache-line·max-latency cycles, so compute and comm are commensurate).
-func priorities(t *topo.Topology, d *graph.TaskDAG) []int64 {
-	maxLat := t.MaxLatency()
+func priorities(s *pricer) []int64 {
+	maxLat := s.t.MaxLatency()
 	if maxLat <= 0 {
 		maxLat = 1
 	}
-	pri := make([]int64, len(d.Nodes))
-	for i, n := range d.Nodes {
-		pri[i] = n.Work
-	}
-	for _, e := range d.Edges {
-		pri[e.From] += (e.Volume + CacheLine - 1) / CacheLine * maxLat
+	pri := append([]int64(nil), s.work...)
+	for _, e := range s.in {
+		pri[e.from] += e.lines * maxLat
 	}
 	return pri
 }
 
 // greedy runs the list scheduler over the candidate contexts and returns
-// the assignment. Decisions replay the same simulation Estimate uses, but
-// in priority order; the returned assignment is finally priced with the
-// canonical Estimate so greedy, refined and brute-force costs are always
-// comparable.
-func greedy(t *topo.Topology, d *graph.TaskDAG, ctxs []int) []int {
-	n := len(d.Nodes)
-	pri := priorities(t, d)
+// the assignment. Decisions replay the simulation that cost runs, but in
+// priority order and on the pricer's scratch; the returned assignment is
+// finally priced with the canonical cost so greedy, refined and
+// brute-force costs are always comparable.
+//
+// A task's earliest start is computed for all candidates at once: each
+// in-edge contributes one batch latency query from its tail's context
+// (0 on the diagonal, so a co-located tail adds no transfer), folded into
+// the start times column by column.
+func greedy(s *pricer, ctxs []int) []int {
+	n := len(s.work)
+	pri := priorities(s)
 	indeg := make([]int, n)
-	for _, e := range d.Edges {
-		indeg[e.To]++
-	}
-	preds := d.Preds()
 	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = -1
-	}
-	finish := make([]int64, n)
-	free := make([]int64, t.NumHWContexts())
 	ready := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
+	for v := range assign {
+		assign[v] = -1
+		if indeg[v] = s.inOff[v+1] - s.inOff[v]; indeg[v] == 0 {
 			ready = append(ready, v)
 		}
 	}
+	finish, free := s.finish, s.free
+	clear(free)
+	start := make([]int64, len(ctxs))
+	lat := make([]int64, len(ctxs))
 	for len(ready) > 0 {
 		// Highest priority first, ties to the lowest task ID.
 		best := 0
@@ -259,34 +332,34 @@ func greedy(t *topo.Topology, d *graph.TaskDAG, ctxs []int) []int {
 		v := ready[best]
 		ready = append(ready[:best], ready[best+1:]...)
 
-		// Earliest-finish context, ties to the lowest context ID.
-		bestCtx, bestFin := -1, int64(0)
-		for _, c := range ctxs {
-			start := free[c]
-			for _, ei := range preds[v] {
-				e := d.Edges[ei]
-				arrive := finish[e.From]
-				if cu := assign[e.From]; cu != c {
-					arrive += (e.Volume + CacheLine - 1) / CacheLine * t.GetLatency(cu, c)
+		for i, c := range ctxs {
+			start[i] = free[c]
+		}
+		for _, e := range s.inEdges(v) {
+			f := finish[e.from]
+			lat = s.t.LatenciesFrom(assign[e.from], ctxs, lat)
+			for i, l := range lat {
+				if arrive := f + e.lines*l; arrive > start[i] {
+					start[i] = arrive
 				}
-				if arrive > start {
-					start = arrive
-				}
-			}
-			fin := start + d.Nodes[v].Work
-			if bestCtx < 0 || fin < bestFin {
-				bestCtx, bestFin = c, fin
 			}
 		}
-		assign[v] = bestCtx
+		// Earliest finish, ties to the lowest context ID (ctxs ascends).
+		w := s.work[v]
+		bestCtx, bestFin := 0, start[0]+w
+		for i := 1; i < len(start); i++ {
+			if fin := start[i] + w; fin < bestFin {
+				bestCtx, bestFin = i, fin
+			}
+		}
+		c := ctxs[bestCtx]
+		assign[v] = c
 		finish[v] = bestFin
-		free[bestCtx] = bestFin
+		free[c] = bestFin
 
-		for _, e := range d.Edges {
-			if e.From == v {
-				if indeg[e.To]--; indeg[e.To] == 0 {
-					ready = append(ready, e.To)
-				}
+		for _, u := range s.succ[s.succOff[v]:s.succOff[v+1]] {
+			if indeg[u]--; indeg[u] == 0 {
+				ready = append(ready, u)
 			}
 		}
 	}
@@ -309,8 +382,8 @@ func Map(ctx context.Context, t *topo.Topology, d *graph.TaskDAG, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	assign := greedy(t, d, ctxs)
-	cost := s.cost(assign)
+	assign := greedy(s, ctxs)
+	cost := s.cost(assign, math.MaxInt64)
 	// Earliest-finish list scheduling is myopic about downstream
 	// communication: on comm-dominant DAGs it spreads tasks whose children
 	// then pay cross-context transfers. Serial execution on one context
@@ -321,7 +394,7 @@ func Map(ctx context.Context, t *topo.Topology, d *graph.TaskDAG, opt Options) (
 	for i := range serial {
 		serial[i] = ctxs[0]
 	}
-	if sc := s.cost(serial); sc < cost {
+	if sc := s.cost(serial, cost); sc < cost {
 		assign, cost = serial, sc
 	}
 	algo := "greedy"

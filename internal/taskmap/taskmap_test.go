@@ -3,6 +3,7 @@ package taskmap
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -299,7 +300,7 @@ func BenchmarkMapDAG_Estimate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.cost(assign)
+		s.cost(assign, math.MaxInt64)
 	}
 }
 

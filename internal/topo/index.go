@@ -38,13 +38,19 @@ type queryIndex struct {
 }
 
 // index returns the topology's query index, building it on first use. The
-// sync.Once makes concurrent first queries race-free — one goroutine
-// builds, the rest wait — and the steady state is a single inlinable
-// atomic load.
+// steady state is a single inlinable atomic load; the first query takes
+// the out-of-line buildIndexOnce, so the sync.Once closure does not push
+// index over the inlining budget.
 func (t *Topology) index() *queryIndex {
 	if idx := t.idx.Load(); idx != nil {
 		return idx
 	}
+	return t.buildIndexOnce()
+}
+
+// buildIndexOnce builds the index under the sync.Once, which makes
+// concurrent first queries race-free: one goroutine builds, the rest wait.
+func (t *Topology) buildIndexOnce() *queryIndex {
 	t.idxOnce.Do(func() { t.idx.Store(buildIndex(t)) })
 	return t.idx.Load()
 }

@@ -62,6 +62,52 @@ func TestIndexGetLatencyMatchesWalk(t *testing.T) {
 	}
 }
 
+// TestLatenciesFromMatchesGetLatency: the batch query equals GetLatency
+// element by element for every source id, out-of-range ones included, over
+// the full context list and over candidate lists with out-of-range and
+// repeated ids; dst's capacity is reused and its old contents never leak.
+func TestLatenciesFromMatchesGetLatency(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, file := range goldenPlatformFiles {
+		top := loadGolden(t, file)
+		n := top.NumHWContexts()
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		lists := [][]int{nil, all, {-1, 0, n, n - 1, -7, n + 2, 0, n - 1, -1}}
+		for trial := 0; trial < 20; trial++ {
+			l := randomSubset(rng, n+6, 1+rng.Intn(2*n))
+			for i := range l {
+				l[i] -= 3 // ids in [-3, n+3)
+			}
+			lists = append(lists, l)
+		}
+		dst := make([]int64, 0, n/2)
+		for x := -2; x < n+2; x++ {
+			for _, ctxs := range lists {
+				for i := range dst[:cap(dst)] {
+					dst[:cap(dst)][i] = 12345 // stale contents must be overwritten
+				}
+				dst = top.LatenciesFrom(x, ctxs, dst)
+				if len(dst) != len(ctxs) {
+					t.Fatalf("%s: LatenciesFrom(%d) returned %d entries for %d ids", file, x, len(dst), len(ctxs))
+				}
+				for i, c := range ctxs {
+					if got, want := dst[i], top.GetLatency(x, c); got != want {
+						t.Fatalf("%s: LatenciesFrom(%d)[%d] (ctx %d) = %d, GetLatency = %d", file, x, i, c, got, want)
+					}
+				}
+			}
+		}
+		// x out of range and equal to an out-of-range candidate: the
+		// diagonal is 0, as for GetLatency.
+		if got := top.LatenciesFrom(n+3, []int{n + 3, 0}, nil); got[0] != 0 || got[1] != -1 {
+			t.Errorf("%s: LatenciesFrom(n+3, {n+3, 0}) = %v, want [0 -1]", file, got)
+		}
+	}
+}
+
 func TestIndexMaxLatencyBetweenMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, file := range goldenPlatformFiles {

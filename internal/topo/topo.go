@@ -290,6 +290,36 @@ func (t *Topology) GetLatency(x, y int) int64 {
 	return idx.lat[x*idx.n+y]
 }
 
+// LatenciesFrom is the batch form of GetLatency for the cost models' inner
+// loops: it sets dst[i] = GetLatency(x, ctxs[i]) — 0 on the diagonal, -1
+// for unknown ids — and returns dst resized to len(ctxs), reusing its
+// capacity.
+func (t *Topology) LatenciesFrom(x int, ctxs []int, dst []int64) []int64 {
+	if cap(dst) < len(ctxs) {
+		dst = make([]int64, len(ctxs))
+	}
+	dst = dst[:len(ctxs)]
+	idx := t.index()
+	if uint(x) >= uint(idx.n) {
+		for i, c := range ctxs {
+			dst[i] = -1
+			if c == x {
+				dst[i] = 0
+			}
+		}
+		return dst
+	}
+	row := idx.lat[x*idx.n : (x+1)*idx.n]
+	for i, c := range ctxs {
+		if uint(c) < uint(len(row)) {
+			dst[i] = row[c]
+		} else {
+			dst[i] = -1
+		}
+	}
+	return dst
+}
+
 // SocketLatency returns the communication latency between two sockets
 // (intra-socket latency when s1 == s2).
 func (t *Topology) SocketLatency(s1, s2 int) int64 {
