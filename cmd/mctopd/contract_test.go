@@ -24,6 +24,8 @@ func TestErrorContract(t *testing.T) {
 	ts := httptest.NewServer(testServer().routes())
 	defer ts.Close()
 
+	okBatch := `{"platform": "Ivy", "reps": 51, "requests": [{"policy": "RR_CORE"}]}`
+	okMap := `{"platform": "Ivy", "reps": 51, "dag": ` + dagJSON(`"d"`) + "}\n"
 	bigBatch := `{"platform": "Ivy", "requests": [` +
 		strings.Repeat(`{"policy": "RR_CORE"},`, 1024) + `{"policy": "RR_CORE"}]}`
 
@@ -44,6 +46,11 @@ func TestErrorContract(t *testing.T) {
 		{"power without power data", "GET", "/v1/place?platform=SPARC&reps=51&policy=POWER", "", 400},
 		{"malformed batch body", "POST", "/v1/place/batch", `{not json`, 400},
 		{"empty batch", "POST", "/v1/place/batch", `{"platform": "Ivy", "requests": []}`, 400},
+		// A strict body is one JSON value and nothing but whitespace after it.
+		{"batch body with trailing garbage", "POST", "/v1/place/batch", okBatch + `garbage`, 400},
+		{"batch body with a second value", "POST", "/v1/place/batch", okBatch + `{"x":1}`, 400},
+		{"map body with trailing garbage", "POST", "/v1/map", okMap + `garbage`, 400},
+		{"map body with a second value", "POST", "/v1/map", okMap + `{"x":1}`, 400},
 		// ErrUnknownPlatform / ErrUnknownPolicy → 404
 		{"unknown platform", "GET", "/v1/topology?platform=Atari&reps=51", "", 404},
 		{"unknown policy", "GET", "/v1/place?platform=Ivy&reps=51&policy=NOPE", "", 404},

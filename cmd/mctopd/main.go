@@ -435,6 +435,9 @@ type server struct {
 	// default is a disabled tracer (sample rate 0) that still mints
 	// request IDs; -trace-sample arms it in main.
 	tracer *trace.Tracer
+	// render memoizes the response bytes of every cached value served
+	// (render.go).
+	render *renderMemo
 }
 
 // readyProbe is one tier's degradation check: degraded=true with a
@@ -456,6 +459,7 @@ func newServerWith(reg *mctop.Registry, defaultReps, maxInflight int) *server {
 		logger:      slog.New(slog.NewTextHandler(io.Discard, nil)),
 		tracer:      trace.New(),
 		maxContexts: defaultMaxContexts,
+		render:      newRenderMemo(),
 	}
 	if maxInflight > 0 {
 		s.inflight = make(chan struct{}, maxInflight)
@@ -592,12 +596,18 @@ func (s *server) withBackpressure(table routeTable, next http.Handler) http.Hand
 	})
 }
 
+// writeJSON renders v into a buffer before any status is written, so a
+// value that cannot be encoded is an honest 500 with an error body, never a
+// 200 with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := encodeJSON(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = encodeJSON(map[string]string{"error": fmt.Sprintf("encoding the response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(b)
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -819,18 +829,47 @@ func (s *server) query(r *http.Request) (platform string, seed uint64, opt mctop
 	return s.resolve(p)
 }
 
-// decodeBody reads a JSON request body of at most 1 MiB strictly (unknown
-// fields are errors) into req; what names the body in error messages.
+// maxBodyBytes bounds a JSON request body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads a JSON request body strictly (readBody, decodeStrict)
+// into req; what names the body in error messages.
 func decodeBody(w http.ResponseWriter, r *http.Request, what string, req any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(req)
+	body, err := readBody(w, r, what)
+	if err != nil {
+		return err
+	}
+	return decodeStrict(body, what, req)
+}
+
+// readBody reads a request body of at most maxBodyBytes.
+func readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom's EOF probe must not regrow
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
-		return fmt.Errorf("%w: %s body over %d bytes", mctoperr.ErrTooLarge, what, tooBig.Limit)
+		return nil, fmt.Errorf("%w: %s body over %d bytes", mctoperr.ErrTooLarge, what, tooBig.Limit)
 	case err != nil:
+		return nil, fmt.Errorf("%w: reading %s body: %v", mctoperr.ErrInvalidRequest, what, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeStrict decodes body as exactly one JSON value into req: unknown
+// fields are errors, and so is anything but whitespace after the value —
+// one body names exactly one request.
+func decodeStrict(body []byte, what string, req any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
 		return fmt.Errorf("%w: bad %s body: %v", mctoperr.ErrInvalidRequest, what, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%w: bad %s body: data after the JSON value", mctoperr.ErrInvalidRequest, what)
 	}
 	return nil
 }
@@ -876,32 +915,26 @@ func (s *server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	}
 	switch format {
 	case "mctop":
-		// Encode to a buffer first: writing straight to w would commit a
-		// 200 before an encoding failure could surface.
-		var buf bytes.Buffer
-		spec := top.Spec()
-		if err := topo.Encode(&buf, &spec); err != nil {
+		// The description file is the interchange file minus its #key
+		// line (a key never holds a newline).
+		key := registry.TopoKey(platform, seed, opt)
+		b, err := s.render.export(registry.KindTopology, key, top)
+		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(buf.Bytes())
+		writeBody(w, "text/plain; charset=utf-8", b[bytes.IndexByte(b, '\n')+1:])
 	case "dot":
 		w.Header().Set("Content-Type", "text/vnd.graphviz")
 		fmt.Fprint(w, top.DotCrossSocket())
 	default: // json
-		writeJSON(w, http.StatusOK, topologyResponse{
-			Platform: platform,
-			Seed:     seed,
-			Contexts: top.NumHWContexts(),
-			Cores:    top.NumCores(),
-			Sockets:  top.NumSockets(),
-			Nodes:    top.NumNodes(),
-			SMTWays:  top.SMTWays(),
-			Spec:     top.Spec(),
-			Cached:   cached,
-			ServedIn: time.Since(start).String(),
-		})
+		b, err := s.render.topologyJSON(top, registry.TopoKey(platform, seed, opt), platform, seed)
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		tail := appendCached(make([]byte, 0, 64), cached)
+		writeBody(w, "application/json", b, appendServedIn(tail, time.Since(start).String()))
 	}
 }
 
@@ -950,19 +983,21 @@ func (s *server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeErrStatus(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, placeResponse{
-		Platform:     platform,
-		Seed:         seed,
-		Policy:       pl.PolicyName(),
-		NThreads:     pl.NThreads(),
-		Contexts:     pl.Contexts(),
-		NCores:       pl.NCores(),
-		CtxPerSocket: pl.CtxPerSocket(),
-		MaxLatency:   pl.MaxLatency(),
-		MinBandwidth: pl.MinBandwidth(),
-		Report:       pl.String(),
-		ServedIn:     time.Since(start).String(),
-	})
+	key := placeKeyOf(registry.TopoKey(platform, seed, opt), pl.PolicyName(), threads)
+	b, err := s.render.placeJSON(pl, key, platform, seed)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBody(w, "application/json", b, appendServedIn(make([]byte, 0, 48), time.Since(start).String()))
+}
+
+// placeKeyOf is the registry key of the placement of threads threads under
+// the policy named policy (its canonical name, Placement.PolicyName) on the
+// topology under topoKey: registry's placement key, which
+// TestPlaceKeyOfMatchesRegistry pins this to.
+func placeKeyOf(topoKey, policy string, threads int) string {
+	return "place|" + topoKey + "|" + policy + "|" + strconv.Itoa(threads)
 }
 
 // maxBatchRequests bounds the placements one POST can demand, the
@@ -1062,16 +1097,34 @@ func (s *server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 		writeErrStatus(w, err)
 		return
 	}
-	resp := batchResponse{
-		Platform: platform,
-		Seed:     seed,
-		Results:  make([]batchItemResponse, len(results)),
-	}
+	// The body is batchResponse as the encoder writes it: the header, each
+	// item at depth 2 (placements from the memo, inline errors rendered
+	// here), then served_in.
+	b := make([]byte, 0, 512*len(results))
+	b = append(b, "{\n  \"platform\": "...)
+	b = appendJSONString(b, platform)
+	b = append(b, ",\n  \"seed\": "...)
+	b = strconv.AppendUint(b, seed, 10)
+	b = append(b, ",\n  \"results\": [\n"...)
+	tk := registry.TopoKey(platform, seed, opt)
 	for i, res := range results {
-		resp.Results[i] = batchItem(req.Requests[i].Policy, res.Placement, res.Err)
+		var item []byte
+		if res.Err != nil {
+			item, err = renderItem(batchItem(req.Requests[i].Policy, nil, res.Err))
+		} else {
+			item, err = s.render.placeItem(res.Placement, placeKeyOf(tk, res.Placement.PolicyName(), reqs[i].NThreads))
+		}
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		if i > 0 {
+			b = append(b, ",\n"...)
+		}
+		b = append(b, item...)
 	}
-	resp.ServedIn = time.Since(start).String()
-	writeJSON(w, http.StatusOK, resp)
+	b = append(b, "\n  ],\n"...)
+	writeBody(w, "application/json", appendServedIn(b, time.Since(start).String()))
 }
 
 // streamPlaceBatch is the NDJSON variant of the batch endpoint
@@ -1134,13 +1187,12 @@ func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 		writeErrStatus(w, err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := spool.Encode(&buf, kind, key, val); err != nil {
+	b, err := s.render.export(kind, key, val)
+	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(buf.Bytes())
+	writeBody(w, "text/plain; charset=utf-8", b)
 }
 
 // noEntryError marks an export failure as "this key names nothing on this
@@ -1175,11 +1227,12 @@ func (s *server) exportValue(ctx context.Context, kind registry.Kind, key string
 		// mapping somebody POSTed to /v1/map is exportable; one nobody
 		// computed is an honest 404 (the edge then computes locally). A
 		// key that could never name an entry is a 400, per ParseMapKey's
-		// ErrInvalidRequest contract.
+		// ErrInvalidRequest contract. The warm-only lookup attributes and
+		// counts the serve like any other registry hit.
 		if _, _, _, _, _, err := registry.ParseMapKey(key); err != nil {
 			return nil, err
 		}
-		val, ok := s.reg.Store().Get(kind, key)
+		val, ok := s.reg.Cached(ctx, kind, key)
 		if !ok {
 			return nil, noEntryError{fmt.Errorf("mapping %q is not cached on this daemon", key)}
 		}

@@ -200,9 +200,7 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 	// Fast path: a store hit never touches the singleflight locks. On a
 	// tiered store this may decode from a persistent tier — still orders
 	// of magnitude cheaper than computing.
-	if v, tier, ok := r.store.Lookup(ctx, kind, key); ok {
-		attribute(ctx, lsp, tier)
-		r.hits.Add(1)
+	if v, ok := r.storeHit(ctx, lsp, kind, key); ok {
 		return v, true, nil
 	}
 	r.misses.Add(1) // this call is at most one hit or one miss, even across retries
@@ -275,6 +273,35 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 		attribute(ctx, lsp, "computed")
 	}
 	return c.val, false, c.err
+}
+
+// Cached is get's store fast path alone: the warm-only lookup of the value
+// under key. It walks the tier chain, attributes the answering tier on the
+// request's Served record, counts a hit and records the registry.lookup
+// span exactly as get does, but never computes or joins a computation — a
+// value no tier holds is ok == false, and nothing is counted as a miss
+// (Stats.Misses counts lookups that computed). Callers are the serving
+// paths that know a key without the request that would compute it: a
+// mapping export, and a repeated /v1/map body.
+func (r *Registry) Cached(ctx context.Context, kind Kind, key string) (val any, ok bool) {
+	ctx, lsp := trace.Start(ctx, "registry.lookup")
+	lsp.SetAttr("kind", kind.String())
+	defer func() {
+		lsp.SetBool("hit", ok)
+		lsp.End()
+	}()
+	return r.storeHit(ctx, lsp, kind, key)
+}
+
+// storeHit is the store fast path get and Cached share: a value any tier
+// holds is attributed to that tier and counted as a hit.
+func (r *Registry) storeHit(ctx context.Context, lsp *trace.Span, kind Kind, key string) (any, bool) {
+	v, tier, ok := r.store.Lookup(ctx, kind, key)
+	if ok {
+		attribute(ctx, lsp, tier)
+		r.hits.Add(1)
+	}
+	return v, ok
 }
 
 // attribute records who answered a lookup — a store tier's name,

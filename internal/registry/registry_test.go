@@ -561,3 +561,44 @@ func TestPlaceBatchConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedIsTheWarmFastPath: Cached answers from the store exactly as a
+// hit through get would — same value, attributed tier, one counted hit —
+// and on a cold key answers nothing, computing nothing and counting no
+// miss.
+func TestCachedIsTheWarmFastPath(t *testing.T) {
+	var calls atomic.Int64
+	r := New(Options{InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
+		calls.Add(1)
+		return fakeTopo(), nil
+	}})
+	opt := mctopalg.Options{Reps: 51}
+	key := TopoKey("Ivy", 1, opt)
+
+	ctx, sv := ContextWithServed(bg)
+	if v, ok := r.Cached(ctx, KindTopology, key); ok || v != nil {
+		t.Fatalf("cold Cached = %v, %v; want nothing", v, ok)
+	}
+	if st := r.Stats(); st.Hits != 0 || st.Misses != 0 || calls.Load() != 0 || sv.Tier != "" {
+		t.Fatalf("cold Cached moved counters: %+v, %d inferences, tier %q", st, calls.Load(), sv.Tier)
+	}
+
+	top, _, err := r.LookupTopologyContext(bg, "Ivy", 1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.Stats()
+	ctx, sv = ContextWithServed(bg)
+	v, ok := r.Cached(ctx, KindTopology, key)
+	if !ok || v != any(top) {
+		t.Fatalf("warm Cached = %v, %v; want the cached topology", v, ok)
+	}
+	after := r.Stats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses || calls.Load() != 1 {
+		t.Fatalf("warm Cached: hits %d -> %d, misses %d -> %d, %d inferences; want one hit, no miss, no inference",
+			before.Hits, after.Hits, before.Misses, after.Misses, calls.Load())
+	}
+	if sv.Tier != "lru" {
+		t.Fatalf("warm Cached attributed tier %q, want lru", sv.Tier)
+	}
+}

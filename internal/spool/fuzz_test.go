@@ -2,6 +2,7 @@ package spool
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,9 +16,11 @@ import (
 // re-encode to bytes that decode and re-encode identically: what a tier
 // accepts, it can persist and serve again unchanged. Each input decodes
 // under its kind's fixture key, and every sidecar resolves to the fixture
-// topology. The seed corpus (testdata/fuzz/FuzzDecode) is the three
-// committed spool fixtures plus truncations of them, so `go test` runs it
-// as plain tests; `go test -fuzz FuzzDecode ./internal/spool` explores.
+// topology, and every decoded topology must marshal as JSON (what
+// /v1/topology serves). The seed corpus (testdata/fuzz/FuzzDecode) is the
+// three committed spool fixtures plus truncations of them and named
+// regressions (a NaN and an Inf bandwidth), so `go test` runs it as plain
+// tests; `go test -fuzz FuzzDecode ./internal/spool` explores.
 func FuzzDecode(f *testing.F) {
 	var keys [registry.NumKinds]string
 	var fixtureTopo *topo.Topology
@@ -59,6 +62,14 @@ func FuzzDecode(f *testing.F) {
 		v, err := Decode(bytes.NewReader(data), kind, key, topologyFor)
 		if err != nil {
 			return
+		}
+		// A topology a tier accepts must be servable as JSON too: a
+		// non-finite float would decode here yet fail /v1/topology's
+		// encoder (the nan-stream-core-bw and inf-mem-bw seeds).
+		if top, ok := v.(*topo.Topology); ok {
+			if _, err := json.Marshal(top.Spec()); err != nil {
+				t.Fatalf("decoded topology does not marshal as JSON: %v", err)
+			}
 		}
 		var first bytes.Buffer
 		if err := Encode(&first, kind, key, v); err != nil {

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -163,6 +164,43 @@ func (s *Spec) Validate() error {
 		for i, row := range s.SocketBW {
 			if len(row) != nSockets {
 				return fmt.Errorf("topo: %s: SocketBW row %d has %d entries", s.Name, i, len(row))
+			}
+		}
+	}
+	return s.validateFinite()
+}
+
+// validateFinite refuses NaN and ±Inf in every float field. A description
+// file can spell them (strconv.ParseFloat accepts "NaN" and "Inf"), but no
+// measurement yields one, and the spec's JSON view cannot carry them: a
+// topology holding one could be loaded yet never served.
+func (s *Spec) validateFinite() error {
+	bad := func(field string, v float64) error {
+		return fmt.Errorf("topo: %s: %s is %v, want a finite number", s.Name, field, v)
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	if !finite(s.FreqGHz) {
+		return bad("freq_ghz", s.FreqGHz)
+	}
+	if !finite(s.StreamCoreBW) {
+		return bad("stream_core_bw", s.StreamCoreBW)
+	}
+	for _, m := range []struct {
+		field string
+		rows  [][]float64
+	}{{"socket_bw", s.SocketBW}, {"mem_bw", s.MemBW}} {
+		for i, row := range m.rows {
+			for j, v := range row {
+				if !finite(v) {
+					return bad(fmt.Sprintf("%s[%d][%d]", m.field, i, j), v)
+				}
+			}
+		}
+	}
+	if p := s.Power; p != nil {
+		for i, v := range [...]float64{p.Idle, p.Full, p.FirstCtx, p.SecondCtx, p.PerSocketBase, p.PerFirstCtx, p.PerExtraCtx, p.DRAM} {
+			if !finite(v) {
+				return bad(fmt.Sprintf("power[%d]", i), v)
 			}
 		}
 	}

@@ -2,8 +2,11 @@ package topo
 
 import (
 	"bytes"
+	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -416,6 +419,55 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		s.Levels[0].Groups = s.Levels[0].Groups[:19]
 	}); err == nil {
 		t.Error("missing context should fail")
+	}
+}
+
+// TestValidateRejectsNonFiniteFloats: a description file may spell NaN or
+// Inf, and strconv.ParseFloat accepts both; the spec refuses them, naming
+// the field, so no loaded topology is one its JSON view cannot carry.
+func TestValidateRejectsNonFiniteFloats(t *testing.T) {
+	golden, err := os.ReadFile("testdata/ivy.mctop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := Decode(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromSpec(*spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Spec)
+	}{
+		{"freq_ghz", func(s *Spec) { s.FreqGHz = math.NaN() }},
+		{"stream_core_bw", func(s *Spec) { s.StreamCoreBW = math.NaN() }},
+		{"mem_bw[1][0]", func(s *Spec) { s.MemBW[1][0] = math.Inf(1) }},
+		{"socket_bw[0][1]", func(s *Spec) { s.SocketBW[0][1] = math.Inf(-1) }},
+		{"power[7]", func(s *Spec) { s.Power.DRAM = math.NaN() }},
+	} {
+		s, err := Decode(bytes.NewReader(golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(s)
+		if _, err := FromSpec(*s); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: FromSpec error %v, want one naming the field", tc.field, err)
+		}
+	}
+	// The same through the file format: a spelled-out NaN decodes but
+	// does not build.
+	nan := regexp.MustCompile(`(?m)^stream_core_bw .*$`).ReplaceAll(golden, []byte("stream_core_bw NaN"))
+	if bytes.Equal(nan, golden) {
+		t.Fatal("golden has no stream_core_bw line")
+	}
+	s, err := Decode(bytes.NewReader(nan))
+	if err != nil {
+		t.Fatalf("a NaN field should decode (FromSpec refuses it): %v", err)
+	}
+	if _, err := FromSpec(*s); err == nil {
+		t.Error("a description file with stream_core_bw NaN built a topology")
 	}
 }
 
