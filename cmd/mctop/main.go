@@ -198,7 +198,9 @@ func runFetch(args []string) {
 		fmt.Fprintf(os.Stderr, "fetched %s (seed %d) from %s to %s\n", *platform, *seed, *origin, *out)
 	}
 	if *spoolDir != "" {
-		install(*spoolDir, func(sp *spool.Spool) { sp.Put(registry.KindTopology, key, top) })
+		install(*spoolDir, func(sp *spool.Spool) {
+			sp.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top))
+		})
 		fmt.Fprintf(os.Stderr, "installed into spool %s as %q\n", *spoolDir, key)
 	}
 }
@@ -233,7 +235,7 @@ func runImport(args []string) {
 				}
 				key = registry.TopoKey(name, *seed, mctop.NewOptions(mctop.WithReps(*reps)))
 			}
-			sp.Put(registry.KindTopology, key, top)
+			sp.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top))
 			fmt.Printf("imported %s as %q\n", path, key)
 		}
 	})

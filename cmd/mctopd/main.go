@@ -435,9 +435,8 @@ type server struct {
 	// default is a disabled tracer (sample rate 0) that still mints
 	// request IDs; -trace-sample arms it in main.
 	tracer *trace.Tracer
-	// render memoizes the response bytes of every cached value served
-	// (render.go).
-	render *renderMemo
+	// maps is the /v1/map body digest index (render.go).
+	maps mapAliases
 }
 
 // readyProbe is one tier's degradation check: degraded=true with a
@@ -459,7 +458,6 @@ func newServerWith(reg *mctop.Registry, defaultReps, maxInflight int) *server {
 		logger:      slog.New(slog.NewTextHandler(io.Discard, nil)),
 		tracer:      trace.New(),
 		maxContexts: defaultMaxContexts,
-		render:      newRenderMemo(),
 	}
 	if maxInflight > 0 {
 		s.inflight = make(chan struct{}, maxInflight)
@@ -908,7 +906,8 @@ func (s *server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	// The request context bounds the inference: a client that disconnects
 	// (or whose deadline fires) cancels a cold O(N²) measurement run
 	// instead of leaving it to burn CPU for nobody.
-	top, cached, err := s.reg.LookupTopologyContext(r.Context(), platform, seed, opt)
+	ctx, sv := registry.ContextWithServed(r.Context())
+	top, cached, err := s.reg.LookupTopologyContext(ctx, platform, seed, opt)
 	if err != nil {
 		writeErrStatus(w, err)
 		return
@@ -917,8 +916,7 @@ func (s *server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	case "mctop":
 		// The description file is the interchange file minus its #key
 		// line (a key never holds a newline).
-		key := registry.TopoKey(platform, seed, opt)
-		b, err := s.render.export(registry.KindTopology, key, top)
+		b, err := spool.Encoded(sv.Entry)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
@@ -928,7 +926,7 @@ func (s *server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/vnd.graphviz")
 		fmt.Fprint(w, top.DotCrossSocket())
 	default: // json
-		b, err := s.render.topologyJSON(top, registry.TopoKey(platform, seed, opt), platform, seed)
+		b, err := topologyJSON(sv.Entry, platform, seed)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
@@ -975,29 +973,20 @@ func (s *server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	start := time.Now()
-	pl, err := s.reg.PlaceContext(r.Context(), platform, seed, opt, policy, threads)
-	if err != nil {
+	ctx, sv := registry.ContextWithServed(r.Context())
+	if _, err := s.reg.PlaceContext(ctx, platform, seed, opt, policy, threads); err != nil {
 		// statusOf sorts the client's faults (unknown policy → 404, power
 		// policy without power measurements or unsatisfiable options →
 		// 400) from the server's (500).
 		writeErrStatus(w, err)
 		return
 	}
-	key := placeKeyOf(registry.TopoKey(platform, seed, opt), pl.PolicyName(), threads)
-	b, err := s.render.placeJSON(pl, key, platform, seed)
+	b, err := placeJSON(sv.Entry, platform, seed)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeBody(w, "application/json", b, appendServedIn(make([]byte, 0, 48), time.Since(start).String()))
-}
-
-// placeKeyOf is the registry key of the placement of threads threads under
-// the policy named policy (its canonical name, Placement.PolicyName) on the
-// topology under topoKey: registry's placement key, which
-// TestPlaceKeyOfMatchesRegistry pins this to.
-func placeKeyOf(topoKey, policy string, threads int) string {
-	return "place|" + topoKey + "|" + policy + "|" + strconv.Itoa(threads)
 }
 
 // maxBatchRequests bounds the placements one POST can demand, the
@@ -1098,21 +1087,20 @@ func (s *server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The body is batchResponse as the encoder writes it: the header, each
-	// item at depth 2 (placements from the memo, inline errors rendered
-	// here), then served_in.
+	// item at depth 2 (placements from their entries, inline errors
+	// rendered here), then served_in.
 	b := make([]byte, 0, 512*len(results))
 	b = append(b, "{\n  \"platform\": "...)
 	b = appendJSONString(b, platform)
 	b = append(b, ",\n  \"seed\": "...)
 	b = strconv.AppendUint(b, seed, 10)
 	b = append(b, ",\n  \"results\": [\n"...)
-	tk := registry.TopoKey(platform, seed, opt)
 	for i, res := range results {
 		var item []byte
 		if res.Err != nil {
 			item, err = renderItem(batchItem(req.Requests[i].Policy, nil, res.Err))
 		} else {
-			item, err = s.render.placeItem(res.Placement, placeKeyOf(tk, res.Placement.PolicyName(), reqs[i].NThreads))
+			item, err = placeItem(res.Entry)
 		}
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
@@ -1182,12 +1170,12 @@ func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 		writeErrStatus(w, noEntryError{fmt.Errorf("%w: key %q is not a topology, placement or mapping key", mctoperr.ErrInvalidRequest, key)})
 		return
 	}
-	val, err := s.exportValue(r.Context(), kind, key)
+	e, err := s.exportEntry(r.Context(), kind, key)
 	if err != nil {
 		writeErrStatus(w, err)
 		return
 	}
-	b, err := s.render.export(kind, key, val)
+	b, err := spool.Encoded(e)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -1201,16 +1189,17 @@ type noEntryError struct{ error }
 
 func (e noEntryError) Unwrap() error { return e.error }
 
-// exportValue resolves an export key to the value it names.
-func (s *server) exportValue(ctx context.Context, kind registry.Kind, key string) (any, error) {
+// exportEntry resolves an export key to the entry it names.
+func (s *server) exportEntry(ctx context.Context, kind registry.Kind, key string) (*registry.Entry, error) {
+	ctx, sv := registry.ContextWithServed(ctx)
 	switch kind {
 	case registry.KindTopology:
 		platform, seed, opt, err := s.exportTopoKey(key)
 		if err != nil {
 			return nil, err
 		}
-		t, _, err := s.reg.LookupTopologyContext(ctx, platform, seed, opt)
-		return t, err
+		_, _, err = s.reg.LookupTopologyContext(ctx, platform, seed, opt)
+		return sv.Entry, err
 	case registry.KindPlacement:
 		topoKey, policy, threads, err := registry.ParsePlaceKey(key)
 		if err != nil {
@@ -1220,7 +1209,8 @@ func (s *server) exportValue(ctx context.Context, kind registry.Kind, key string
 		if err != nil {
 			return nil, err
 		}
-		return s.reg.PlaceContext(ctx, platform, seed, opt, policy, threads)
+		_, err = s.reg.PlaceContext(ctx, platform, seed, opt, policy, threads)
+		return sv.Entry, err
 	default:
 		// Mapping keys identify the DAG by hash alone — the key cannot
 		// reconstruct the DAG, so an origin serves mappings warm-only: a
@@ -1232,11 +1222,11 @@ func (s *server) exportValue(ctx context.Context, kind registry.Kind, key string
 		if _, _, _, _, _, err := registry.ParseMapKey(key); err != nil {
 			return nil, err
 		}
-		val, ok := s.reg.Cached(ctx, kind, key)
+		e, ok := s.reg.Cached(ctx, kind, key)
 		if !ok {
 			return nil, noEntryError{fmt.Errorf("mapping %q is not cached on this daemon", key)}
 		}
-		return val, nil
+		return e, nil
 	}
 }
 

@@ -111,10 +111,13 @@ func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// A single-DAG body answered before is answered again from its
 	// rendered bytes: one warm registry lookup, no decode, DAG validation
 	// or DAG hash. The daemon's defaults are fixed for its lifetime, so the
-	// full path below would answer exactly these bytes.
+	// full path below would answer exactly these bytes. An entry found
+	// without them (a tier decoded it afresh) is still this body's mapping,
+	// so the full path renders it instead of looking it up again.
 	digest := sha256.Sum256(body)
 	start := time.Now()
-	if b, ok := s.render.mapBody(r.Context(), s.reg, digest); ok {
+	e, b := s.maps.body(r.Context(), s.reg, digest)
+	if b != nil {
 		writeBody(w, "application/json", b, appendServedIn(make([]byte, 0, 48), time.Since(start).String()))
 		return
 	}
@@ -149,12 +152,15 @@ func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 			writeErrStatus(w, err)
 			return
 		}
-		m, err := s.reg.MapDAGContext(r.Context(), platform, seed, opt, req.DAG, req.Refine)
-		if err != nil {
-			writeErrStatus(w, err)
-			return
+		if e == nil {
+			ctx, sv := registry.ContextWithServed(r.Context())
+			if _, err := s.reg.MapDAGContext(ctx, platform, seed, opt, req.DAG, req.Refine); err != nil {
+				writeErrStatus(w, err)
+				return
+			}
+			e = sv.Entry
 		}
-		item := mapItem(req.DAG, m, nil)
+		item := mapItem(req.DAG, e.Val.(*mctop.Mapping), nil)
 		resp.Result = &item
 		b, err := jsonPrefix(resp, servedInTail)
 		if err != nil {
@@ -162,7 +168,7 @@ func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeBody(w, "application/json", b, appendServedIn(make([]byte, 0, 48), time.Since(start).String()))
-		s.render.setMapAlias(digest, registry.MapKey(platform, seed, opt, req.DAG, req.Refine), m, b)
+		s.maps.set(digest, e, b)
 		return
 	}
 	// Batch: per-DAG failures are inline, the batch itself succeeds. Each

@@ -1,10 +1,11 @@
 package main
 
-// Tests for the render memo (render.go): memoized bodies are byte-identical
-// to the pre-memo renderers (render_reference_test.go), the memo never
-// serves bytes rendered under another key, it forgets what the registry
-// forgets, and a repeated /v1/map body falls back to the full path once its
-// mapping is gone.
+// Tests for the bodies rendered from cached entries (render.go): they are
+// byte-identical to the renderers that predate them
+// (render_reference_test.go) whichever tier the entry came from, bytes
+// rendered under one key are never served under another, nothing outlives
+// the entries the registry forgets, and a repeated /v1/map body falls back
+// to the full path once its mapping is gone.
 
 import (
 	"bytes"
@@ -23,6 +24,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	mctop "repro"
 	"repro/internal/graph"
@@ -73,16 +75,21 @@ func dagJSON(name string) string {
 		` "edges": [{"from": 0, "to": 1, "volume": 65536}, {"from": 0, "to": 2, "volume": 65536}, {"from": 1, "to": 3, "volume": 65536}, {"from": 2, "to": 3, "volume": 65536}]}`
 }
 
-// TestBodiesMatchReference: every route the memo serves answers exactly
-// what the pre-memo renderers answer, modulo the served_in value — cold
-// (cached: false) and repeated, on the five goldens and one generated
+// TestBodiesMatchReference: every route rendered from entries answers
+// exactly what the reference renderers answer, modulo the served_in value —
+// cold (cached: false) and repeated, on the five goldens and one generated
 // platform, for every builtin policy at three thread counts, batches with
 // inline errors, DAG names that exercise omitempty and escaping, the
-// description-file formats and /v1/export of all three kinds.
+// description-file formats and /v1/export of all three kinds. It runs over
+// three registries, so the entries come from every tier: the first computes
+// (and spools) every answer; a restart over that spool with an LRU of one
+// reads every entry from the spool; and an edge over the first daemon
+// fetches every entry from it.
 func TestBodiesMatchReference(t *testing.T) {
-	memo := newServerWith(goldenRegistry(512), 51, 0)
+	dir := t.TempDir()
+	origin := newServerWith(goldenRegistry(512, mctop.WithSpoolDir(dir)), 51, 0)
+	defer origin.reg.Close()
 	ref := newServerWith(goldenRegistry(512), 51, 0)
-	memoH := memo.routes()
 	refH := http.NewServeMux()
 	refH.HandleFunc("/v1/topology", ref.refTopology)
 	refH.HandleFunc("/v1/place", ref.refPlace)
@@ -91,67 +98,94 @@ func TestBodiesMatchReference(t *testing.T) {
 	refH.HandleFunc("/v1/export", ref.refExport)
 
 	compared := 0
-	check := func(method, target, body string) {
-		t.Helper()
-		for pass := 0; pass < 2; pass++ { // cold, then repeated
-			got := serve(memoH, method, target, body)
-			want := serve(refH, method, target, body)
-			if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
-				t.Fatalf("%s %s %s (pass %d): status %d %q, reference %d %q\n%s\nreference:\n%s", method, target, body, pass,
-					got.Code, got.Header().Get("Content-Type"), want.Code, want.Header().Get("Content-Type"), got.Body, want.Body)
+	sweep := func(name string, h http.Handler) {
+		check := func(method, target, body string) {
+			t.Helper()
+			for pass := 0; pass < 2; pass++ { // first, then repeated
+				got := serve(h, method, target, body)
+				want := serve(refH, method, target, body)
+				if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+					t.Fatalf("%s: %s %s %s (pass %d): status %d %q, reference %d %q\n%s\nreference:\n%s", name, method, target, body, pass,
+						got.Code, got.Header().Get("Content-Type"), want.Code, want.Header().Get("Content-Type"), got.Body, want.Body)
+				}
+				if g, w := withoutServedIn(got.Body.Bytes()), withoutServedIn(want.Body.Bytes()); !bytes.Equal(g, w) {
+					t.Fatalf("%s: %s %s %s (pass %d): body differs from the reference\ngot:\n%s\nreference:\n%s", name, method, target, body, pass, g, w)
+				}
+				compared++
 			}
-			if g, w := withoutServedIn(got.Body.Bytes()), withoutServedIn(want.Body.Bytes()); !bytes.Equal(g, w) {
-				t.Fatalf("%s %s %s (pass %d): body differs from the reference\ngot:\n%s\nreference:\n%s", method, target, body, pass, g, w)
+		}
+
+		opt := mctop.NewOptions(mctop.WithReps(51))
+		policies := mctop.PolicyNames()
+		for _, platform := range append(mctop.Platforms(), "gen:ring:s6:c2:t2") {
+			q := "platform=" + url.QueryEscape(platform) + "&seed=42&reps=51"
+			check("GET", "/v1/topology?"+q, "")
+			check("GET", "/v1/topology?"+q+"&format=mctop", "")
+			check("GET", "/v1/topology?"+q+"&format=dot", "")
+			for _, pol := range policies {
+				for _, n := range []int{1, 7, 0} {
+					check("GET", fmt.Sprintf("/v1/place?%s&policy=%s&threads=%d", q, pol, n), "")
+				}
 			}
-			compared++
+
+			// A batch of every policy plus inline errors: an unknown policy
+			// whose name needs HTML escaping, and POWER off-Intel.
+			var items []string
+			for _, pol := range policies {
+				items = append(items, fmt.Sprintf(`{"policy": %q, "threads": 3}`, pol))
+			}
+			items = append(items, `{"policy": "<a&b>", "threads": 2}`, `{"policy": "POWER"}`)
+			pj, _ := json.Marshal(platform)
+			batch := `{"platform": ` + string(pj) + `, "seed": 42, "reps": 51, "requests": [` + strings.Join(items, ", ") + `]}`
+			check("POST", "/v1/place/batch", batch)
+
+			// Single DAGs: an empty name (omitempty), one needing HTML
+			// escaping, a non-ASCII one and invalid UTF-8; refine 0 and 50.
+			for _, name := range []string{`""`, `"<a&b>"`, `"名前 ☃"`, "\"bad\xff\xfe\""} {
+				for _, refine := range []int{0, 50} {
+					body := fmt.Sprintf(`{"platform": %s, "seed": 42, "reps": 51, "refine": %d, "dag": %s}`, pj, refine, dagJSON(name))
+					check("POST", "/v1/map", body)
+				}
+			}
+			// A DAG batch with an inline error (a cycle).
+			cyclic := `{"name": "loop", "nodes": [{"id": 0, "work": 1}, {"id": 1, "work": 1}], "edges": [{"from": 0, "to": 1, "volume": 1}, {"from": 1, "to": 0, "volume": 1}]}`
+			check("POST", "/v1/map", fmt.Sprintf(`{"platform": %s, "seed": 42, "reps": 51, "dags": [%s, %s]}`, pj, dagJSON(`"x"`), cyclic))
+
+			tk := registry.TopoKey(platform, 42, opt)
+			var dag graph.TaskDAG
+			if err := json.Unmarshal([]byte(dagJSON(`""`)), &dag); err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range []string{tk, "place|" + tk + "|MCTOP_PLACE_RR_CORE|7", registry.MapKey(platform, 42, opt, &dag, 50)} {
+				check("GET", exportPath(key), "")
+			}
+		}
+	}
+	// noneComputed fails if a registry answered anything by inferring or
+	// mapping itself rather than from its lower tier. (Placements are
+	// not checked: a refused placement, POWER off-Intel, is a compute.)
+	noneComputed := func(name string, reg *mctop.Registry) {
+		if st := reg.Stats(); st.Inferences != 0 || st.Mappings != 0 {
+			t.Fatalf("%s: %d inferences and %d mappings computed, want every answer from the lower tier", name, st.Inferences, st.Mappings)
 		}
 	}
 
-	opt := mctop.NewOptions(mctop.WithReps(51))
-	policies := mctop.PolicyNames()
-	for _, platform := range append(mctop.Platforms(), "gen:ring:s6:c2:t2") {
-		q := "platform=" + url.QueryEscape(platform) + "&seed=42&reps=51"
-		check("GET", "/v1/topology?"+q, "")
-		check("GET", "/v1/topology?"+q+"&format=mctop", "")
-		check("GET", "/v1/topology?"+q+"&format=dot", "")
-		for _, pol := range policies {
-			for _, n := range []int{1, 7, 0} {
-				check("GET", fmt.Sprintf("/v1/place?%s&policy=%s&threads=%d", q, pol, n), "")
-			}
-		}
-
-		// A batch of every policy plus inline errors: an unknown policy
-		// whose name needs HTML escaping, and POWER off-Intel.
-		var items []string
-		for _, pol := range policies {
-			items = append(items, fmt.Sprintf(`{"policy": %q, "threads": 3}`, pol))
-		}
-		items = append(items, `{"policy": "<a&b>", "threads": 2}`, `{"policy": "POWER"}`)
-		pj, _ := json.Marshal(platform)
-		batch := `{"platform": ` + string(pj) + `, "seed": 42, "reps": 51, "requests": [` + strings.Join(items, ", ") + `]}`
-		check("POST", "/v1/place/batch", batch)
-
-		// Single DAGs: an empty name (omitempty), one needing HTML
-		// escaping, a non-ASCII one and invalid UTF-8; refine 0 and 50.
-		for _, name := range []string{`""`, `"<a&b>"`, `"名前 ☃"`, "\"bad\xff\xfe\""} {
-			for _, refine := range []int{0, 50} {
-				body := fmt.Sprintf(`{"platform": %s, "seed": 42, "reps": 51, "refine": %d, "dag": %s}`, pj, refine, dagJSON(name))
-				check("POST", "/v1/map", body)
-			}
-		}
-		// A DAG batch with an inline error (a cycle).
-		cyclic := `{"name": "loop", "nodes": [{"id": 0, "work": 1}, {"id": 1, "work": 1}], "edges": [{"from": 0, "to": 1, "volume": 1}, {"from": 1, "to": 0, "volume": 1}]}`
-		check("POST", "/v1/map", fmt.Sprintf(`{"platform": %s, "seed": 42, "reps": 51, "dags": [%s, %s]}`, pj, dagJSON(`"x"`), cyclic))
-
-		tk := registry.TopoKey(platform, 42, opt)
-		var dag graph.TaskDAG
-		if err := json.Unmarshal([]byte(dagJSON(`""`)), &dag); err != nil {
-			t.Fatal(err)
-		}
-		for _, key := range []string{tk, placeKeyOf(tk, "MCTOP_PLACE_RR_CORE", 7), registry.MapKey(platform, 42, opt, &dag, 50)} {
-			check("GET", exportPath(key), "")
-		}
+	sweep("computed", origin.routes())
+	if err := origin.reg.Flush(); err != nil {
+		t.Fatal(err)
 	}
+
+	restarted := goldenRegistry(1, mctop.WithSpoolDir(dir))
+	defer restarted.Close()
+	sweep("spool", newServerWith(restarted, 51, 0).routes())
+	noneComputed("spool", restarted)
+
+	ts := httptest.NewServer(origin.routes())
+	defer ts.Close()
+	edge := goldenRegistry(1, mctop.WithUpstream(ts.URL))
+	defer edge.Close()
+	sweep("remote", newServerWith(edge, 51, 0).routes())
+	noneComputed("remote", edge)
 	t.Logf("%d responses compared", compared)
 }
 
@@ -194,44 +228,20 @@ func TestUnencodableBodyIs500(t *testing.T) {
 	}
 }
 
-// TestPlaceKeyOfMatchesRegistry pins placeKeyOf to the key the registry
-// caches a placement under, for every builtin policy and a default thread
-// count, so the memo checks entries against the real key.
-func TestPlaceKeyOfMatchesRegistry(t *testing.T) {
-	reg := goldenRegistry(64)
-	opt := mctop.NewOptions(mctop.WithReps(51))
-	tk := registry.TopoKey("Ivy", 42, opt)
-	for _, pol := range mctop.PolicyNames() {
-		for _, n := range []int{0, 5} {
-			pl, err := reg.PlaceContext(context.Background(), "Ivy", 42, opt, pol, n)
-			if err != nil {
-				continue // POWER and friends may refuse; the key of a refusal is never rendered
-			}
-			key := placeKeyOf(tk, pl.PolicyName(), n)
-			if v, ok := reg.Store().Get(registry.KindPlacement, key); !ok || v != any(pl) {
-				t.Errorf("%s/%d: no placement under %q", pol, n, key)
-			}
-			if _, _, _, err := registry.ParsePlaceKey(key); err != nil {
-				t.Errorf("%s/%d: %v", pol, n, err)
-			}
-		}
-	}
-}
-
-// counts reports the memo's entries (all kinds) and /v1/map aliases.
-func (c *renderMemo) counts() (entries, aliases int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.topos.m) + len(c.places.m) + len(c.maps.m), len(c.aliases)
+// aliasCount is the size of the /v1/map digest index.
+func (a *mapAliases) aliasCount() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.keys)
 }
 
 // raceBuild is set by race_test.go in a -race build.
 var raceBuild bool
 
-// warmTarget is one request the memo answers when warm.
+// warmTarget is one request answered from rendered bytes when warm.
 type warmTarget struct{ name, method, target, body string }
 
-// warmTargets is one request per memoized form of Ivy's values.
+// warmTargets is one request per rendered form of Ivy's entries.
 func warmTargets() []warmTarget {
 	tk := registry.TopoKey("Ivy", 42, mctop.NewOptions(mctop.WithReps(51)))
 	return []warmTarget{
@@ -241,29 +251,30 @@ func warmTargets() []warmTarget {
 		{"batch", "POST", "/v1/place/batch", `{"platform": "Ivy", "seed": 42, "reps": 51, "requests": [{"policy": "RR_CORE", "threads": 7}, {"policy": "CON_HWC", "threads": 4}]}`},
 		{"map", "POST", "/v1/map", `{"platform": "Ivy", "seed": 42, "reps": 51, "dag": ` + dagJSON(`"d"`) + `}`},
 		{"export topology", "GET", exportPath(tk), ""},
-		{"export placement", "GET", exportPath(placeKeyOf(tk, "MCTOP_PLACE_RR_CORE", 7)), ""},
+		{"export placement", "GET", exportPath("place|" + tk + "|MCTOP_PLACE_RR_CORE|7"), ""},
 	}
 }
 
 // TestWarmRouteAllocs pins the heap allocations of one warm request per
-// memoized form, through the whole middleware stack (request construction
-// and recorder included), as upper bounds. Before the render memo the same
-// requests allocated: topology 81, topology mctop 106, place 128, batch
-// 96, map 107, export topology 99, export placement 74. The race detector
-// adds a few allocations of its own, so a -race build only logs them.
+// rendered form, through the whole middleware stack (request construction
+// and recorder included), as upper bounds. Before bodies were rendered once
+// the same requests allocated: topology 81, topology mctop 106, place 128,
+// batch 96, map 107, export topology 99, export placement 74. The race
+// detector adds a few allocations of its own, so a -race build only logs
+// them.
 func TestWarmRouteAllocs(t *testing.T) {
 	bounds := map[string]float64{
-		"topology":         73,
-		"topology mctop":   73,
-		"place":            83,
-		"batch":            90,
+		"topology":         72,
+		"topology mctop":   72,
+		"place":            81,
+		"batch":            87,
 		"map":              52,
 		"export topology":  63,
 		"export placement": 68,
 	}
 	h := newServerWith(goldenRegistry(64), 51, 0).routes()
 	for _, tg := range warmTargets() {
-		for i := 0; i < 2; i++ { // compute, then memoize
+		for i := 0; i < 2; i++ { // compute, then render
 			if rec := serve(h, tg.method, tg.target, tg.body); rec.Code != http.StatusOK {
 				t.Fatalf("%s: %d %s", tg.name, rec.Code, rec.Body)
 			}
@@ -276,8 +287,9 @@ func TestWarmRouteAllocs(t *testing.T) {
 	}
 }
 
-// TestRenderMemoBounded: the memo holds nothing the registry does not keep
-// alive, one body variant per mapping at most, and survives concurrent use.
+// TestRenderMemoBounded: rendered bytes live exactly as long as the entries
+// the registry keeps, a mapping keeps one body variant at most, the digest
+// index stays within its cap, and concurrent use serves identical bytes.
 func TestRenderMemoBounded(t *testing.T) {
 	s := newServerWith(goldenRegistry(64), 51, 0)
 	h := s.routes()
@@ -321,24 +333,72 @@ func TestRenderMemoBounded(t *testing.T) {
 			t.Fatalf("variant %d: %d %s", i, rec.Code, rec.Body)
 		}
 	}
-	entries, aliases := s.render.counts()
-	if aliases != 1 || entries == 0 {
-		t.Fatalf("after 1000 variants of one map body: %d entries, %d aliases; want some entries and 1 alias", entries, aliases)
+	if n := s.maps.aliasCount(); n != 1 {
+		t.Fatalf("after 1000 variants of one map body: %d aliases, want 1", n)
 	}
 
-	// Once the registry forgets every value, the memo forgets them too.
+	// Once the registry forgets every entry, nothing rendered stays
+	// reachable: neither the entries nor any of their forms.
+	entries, forms := weakEntries(t, s.reg)
 	s.reg.Purge()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
-		if entries, aliases = s.render.counts(); entries == 0 && aliases == 0 {
+		live := 0
+		for _, wp := range entries {
+			if wp.Value() != nil {
+				live++
+			}
+		}
+		for _, wp := range forms {
+			if wp.Value() != nil {
+				live++
+			}
+		}
+		if live == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after Purge and GC: %d entries, %d aliases, want 0 and 0", entries, aliases)
+			t.Fatalf("after Purge and GC: %d of %d entries and forms still reachable", live, len(entries)+len(forms))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	if n := s.maps.aliasCount(); n > maxMapAliases {
+		t.Fatalf("%d aliases, over the cap of %d", n, maxMapAliases)
+	}
+}
+
+// weakEntries returns weak pointers to the entries of warmTargets' answers
+// and to every form rendered on them, checking each entry has one.
+func weakEntries(t *testing.T, reg *mctop.Registry) ([]weak.Pointer[registry.Entry], []weak.Pointer[byte]) {
+	t.Helper()
+	opt := mctop.NewOptions(mctop.WithReps(51))
+	tk := registry.TopoKey("Ivy", 42, opt)
+	var dag graph.TaskDAG
+	if err := json.Unmarshal([]byte(dagJSON(`"d"`)), &dag); err != nil {
+		t.Fatal(err)
+	}
+	var entries []weak.Pointer[registry.Entry]
+	var forms []weak.Pointer[byte]
+	for _, key := range []string{tk, "place|" + tk + "|MCTOP_PLACE_RR_CORE|7", "place|" + tk + "|MCTOP_PLACE_CON_HWC|4", registry.MapKey("Ivy", 42, opt, &dag, 0)} {
+		kind, _ := registry.KindOfKey(key)
+		v, ok := reg.Store().Get(kind, key)
+		if !ok {
+			t.Fatalf("no entry under %q", key)
+		}
+		e := v.(*registry.Entry)
+		entries = append(entries, weak.Make(e))
+		n := len(forms)
+		for f := registry.Form(0); f < registry.NumForms; f++ {
+			if b := e.Rendered(f); len(b) > 0 {
+				forms = append(forms, weak.Make(&b[0]))
+			}
+		}
+		if len(forms) == n {
+			t.Fatalf("the entry under %q holds no rendered form", key)
+		}
+	}
+	return entries, forms
 }
 
 // TestMapAliasFallsBackAfterEviction: a repeated /v1/map body whose
@@ -371,9 +431,47 @@ func TestMapAliasFallsBackAfterEviction(t *testing.T) {
 	}
 }
 
+// TestMapAliasRendersATierDecodedEntry: a repeated /v1/map body whose
+// mapping the LRU evicted but the spool still holds is answered from the
+// entry the spool decodes — one lookup, attributed to the spool, no
+// recompute, the same bytes — and the entry then carries the body again.
+func TestMapAliasRendersATierDecodedEntry(t *testing.T) {
+	s := newServerWith(goldenRegistry(1, mctop.WithSpoolDir(t.TempDir())), 51, 0)
+	defer s.reg.Close()
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+	body := warmTargets()[4].body
+
+	_, first := postMap(t, ts, body)
+	if err := s.reg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// A placement takes the LRU's one slot.
+	if resp, b := get(t, ts, "/v1/place?platform=Ivy&seed=42&reps=51&policy=RR_CORE&threads=1"); resp.StatusCode != 200 {
+		t.Fatalf("place: %d %s", resp.StatusCode, b)
+	}
+	for _, tier := range []string{"spool", "lru"} {
+		before := scrapeMetrics(t, ts)
+		resp, again := postMap(t, ts, body)
+		after := scrapeMetrics(t, ts)
+		if resp.StatusCode != 200 || !bytes.Equal(withoutServedIn(first), withoutServedIn(again)) {
+			t.Fatalf("%s: %d\n%s\nwant\n%s", tier, resp.StatusCode, again, first)
+		}
+		for name, want := range map[string]float64{
+			`mctopd_requests_served_by_tier_total{tier="` + tier + `"}`: 1,
+			"mctopd_registry_hits_total":                                1,
+			"mctopd_registry_mappings_total":                            0,
+		} {
+			if d := after[name] - before[name]; d != want {
+				t.Errorf("%s: %s rose by %g, want %g", tier, name, d, want)
+			}
+		}
+	}
+}
+
 // TestRenderMemoNeverServesAnotherKeysBytes: a store that answers two keys
-// with one topology value gets each key's own body — bytes memoized under
-// one key are never served under another.
+// with one topology value, in two entries, gets each key's own body and
+// export — bytes rendered under one key are never served under another.
 func TestRenderMemoNeverServesAnotherKeysBytes(t *testing.T) {
 	top, err := topo.LoadFile("../../internal/topo/testdata/ivy.mctop")
 	if err != nil {
@@ -382,7 +480,8 @@ func TestRenderMemoNeverServesAnotherKeysBytes(t *testing.T) {
 	opt := mctop.NewOptions(mctop.WithReps(51))
 	lru := mctop.NewLRUStore(16)
 	for _, seed := range []uint64{1, 2} {
-		lru.Put(registry.KindTopology, registry.TopoKey("Ivy", seed, opt), top)
+		key := registry.TopoKey("Ivy", seed, opt)
+		lru.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top))
 	}
 	s := newServerWith(mctop.NewRegistry(0, mctop.WithStore(lru)), 51, 0)
 	h := s.routes()

@@ -147,7 +147,7 @@ func (r *Registry) MapDAGContext(ctx context.Context, platform string, seed uint
 		return nil, fmt.Errorf("%w: negative refine budget %d", mctoperr.ErrInvalidRequest, refineBudget)
 	}
 	key := MapKey(platform, seed, opt, d, refineBudget)
-	v, _, err := r.get(ctx, KindMapping, key, func(ctx context.Context) (any, error) {
+	e, _, err := r.get(ctx, KindMapping, key, func(ctx context.Context) (any, error) {
 		ctx, msp := trace.Start(ctx, "registry.map")
 		msp.SetInt("nodes", int64(len(d.Nodes)))
 		msp.SetInt("edges", int64(len(d.Edges)))
@@ -166,5 +166,5 @@ func (r *Registry) MapDAGContext(ctx context.Context, platform string, seed uint
 	if err != nil {
 		return nil, err
 	}
-	return v.(*taskmap.Mapping), nil
+	return e.Val.(*taskmap.Mapping), nil
 }

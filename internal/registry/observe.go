@@ -14,18 +14,25 @@ import (
 // the context: the registry fills Tier with the name of the store tier
 // that answered ("lru", "spool", "remote", …), "computed" when the value
 // was computed by this call, or "coalesced" when the call joined another
-// caller's in-flight computation. It is written by the request's own
-// goroutine during the lookup; read it only after the registry call
-// returns.
+// caller's in-flight computation, and Entry with the entry that answered —
+// what a server renders the response from. It is written by the request's
+// own goroutine during the lookup; read it only after the registry call
+// returns. After a failed call Entry may name an entry a nested lookup
+// answered with.
 type Served struct {
-	Tier string
+	Tier  string
+	Entry *Entry
 }
 
 type servedCtxKey struct{}
 
-// ContextWithServed derives a context carrying a fresh Served record for
-// the registry to fill.
+// ContextWithServed returns a context carrying a Served record for the
+// registry to fill: ctx's own if it already carries one, so a handler
+// reaches the record its server's middleware installed, else a fresh one.
 func ContextWithServed(ctx context.Context) (context.Context, *Served) {
+	if sv, _ := ctx.Value(servedCtxKey{}).(*Served); sv != nil {
+		return ctx, sv
+	}
 	sv := &Served{}
 	return context.WithValue(ctx, servedCtxKey{}, sv), sv
 }

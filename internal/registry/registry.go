@@ -109,11 +109,11 @@ type flightShard struct {
 }
 
 // call is one in-flight computation; late arrivals wait on done and share
-// val/err with the caller that executed it.
+// its entry (or err) with the caller that executed it.
 type call struct {
-	done chan struct{}
-	val  any
-	err  error
+	done  chan struct{}
+	entry *Entry
+	err   error
 }
 
 // New creates a registry. It panics if opt.InferCtx is nil: a registry
@@ -172,10 +172,10 @@ func fnv1a(key string) uint32 {
 	return h
 }
 
-// get returns the cached value for key, or computes it via fn exactly once
-// per concurrent wave of callers (singleflight) and writes the result
-// through the store. hit reports whether this call was answered from the
-// store without computing or waiting on a computation.
+// get returns the cached entry for key, or computes its value via fn
+// exactly once per concurrent wave of callers (singleflight) and writes
+// the new entry through the store. hit reports whether this call was
+// answered from the store without computing or waiting on a computation.
 //
 // Cancellation semantics: a waiter whose ctx fires while another caller
 // computes stops waiting and returns ctx.Err() — the computation itself
@@ -185,7 +185,7 @@ func fnv1a(key string) uint32 {
 // wave whose contexts are still healthy do not inherit the owner's
 // cancellation: they retry the lookup, and one of them becomes the next
 // owner — one flaky client must not fail every concurrent miss on the key.
-func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(context.Context) (any, error)) (val any, hit bool, err error) {
+func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(context.Context) (any, error)) (e *Entry, hit bool, err error) {
 	// The lookup span covers the whole resolution — store walk,
 	// singleflight wait or owned compute — and records which tier answered.
 	// With no span in ctx this is one context lookup and every call below
@@ -200,8 +200,8 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 	// Fast path: a store hit never touches the singleflight locks. On a
 	// tiered store this may decode from a persistent tier — still orders
 	// of magnitude cheaper than computing.
-	if v, ok := r.storeHit(ctx, lsp, kind, key); ok {
-		return v, true, nil
+	if e, ok := r.storeHit(ctx, lsp, kind, key); ok {
+		return e, true, nil
 	}
 	r.misses.Add(1) // this call is at most one hit or one miss, even across retries
 
@@ -212,12 +212,12 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 		// Re-check the store under the flight lock: an owner publishes its
 		// result to the store before clearing the in-flight slot, so a miss
 		// observed before the lock may have landed by now.
-		if v, tier, ok := r.store.Lookup(ctx, kind, key); ok {
+		if e, tier, ok := r.lookup(ctx, kind, key); ok {
 			f.mu.Unlock()
-			attribute(ctx, lsp, tier)
+			attribute(ctx, lsp, tier, e)
 			// This caller registered a miss; the entry appearing now does
 			// not make the call a hit.
-			return v, false, nil
+			return e, false, nil
 		}
 		if w, ok := f.inflight[key]; ok {
 			f.mu.Unlock()
@@ -230,9 +230,9 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 					continue
 				}
 				if w.err == nil {
-					attribute(ctx, lsp, "coalesced")
+					attribute(ctx, lsp, "coalesced", w.entry)
 				}
-				return w.val, false, w.err
+				return w.entry, false, w.err
 			case <-ctx.Done():
 				return nil, false, ctx.Err()
 			}
@@ -255,7 +255,7 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 			// Publish before clearing the in-flight slot: anyone who misses
 			// the store after this point either sees the entry on their
 			// locked re-check or finds this call still registered.
-			r.store.Put(kind, key, c.val)
+			r.store.Put(kind, key, c.entry)
 		}
 		f.mu.Lock()
 		delete(f.inflight, key)
@@ -264,26 +264,27 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 	}()
 
 	lsp.AddEvent("singleflight.owner")
-	c.val, c.err = fn(ctx)
+	v, err := fn(ctx)
 	completed = true
-	if c.err == nil {
+	if c.err = err; err == nil {
+		c.entry = NewEntry(kind, key, v)
 		// Overrides any tier a nested lookup attributed (a placement
 		// compute hits the store for its topology): the request's answer
 		// was computed here.
-		attribute(ctx, lsp, "computed")
+		attribute(ctx, lsp, "computed", c.entry)
 	}
-	return c.val, false, c.err
+	return c.entry, false, c.err
 }
 
-// Cached is get's store fast path alone: the warm-only lookup of the value
+// Cached is get's store fast path alone: the warm-only lookup of the entry
 // under key. It walks the tier chain, attributes the answering tier on the
 // request's Served record, counts a hit and records the registry.lookup
 // span exactly as get does, but never computes or joins a computation — a
-// value no tier holds is ok == false, and nothing is counted as a miss
+// key no tier holds is ok == false, and nothing is counted as a miss
 // (Stats.Misses counts lookups that computed). Callers are the serving
 // paths that know a key without the request that would compute it: a
 // mapping export, and a repeated /v1/map body.
-func (r *Registry) Cached(ctx context.Context, kind Kind, key string) (val any, ok bool) {
+func (r *Registry) Cached(ctx context.Context, kind Kind, key string) (e *Entry, ok bool) {
 	ctx, lsp := trace.Start(ctx, "registry.lookup")
 	lsp.SetAttr("kind", kind.String())
 	defer func() {
@@ -293,23 +294,33 @@ func (r *Registry) Cached(ctx context.Context, kind Kind, key string) (val any, 
 	return r.storeHit(ctx, lsp, kind, key)
 }
 
-// storeHit is the store fast path get and Cached share: a value any tier
+// storeHit is the store fast path get and Cached share: an entry any tier
 // holds is attributed to that tier and counted as a hit.
-func (r *Registry) storeHit(ctx context.Context, lsp *trace.Span, kind Kind, key string) (any, bool) {
-	v, tier, ok := r.store.Lookup(ctx, kind, key)
+func (r *Registry) storeHit(ctx context.Context, lsp *trace.Span, kind Kind, key string) (*Entry, bool) {
+	e, tier, ok := r.lookup(ctx, kind, key)
 	if ok {
-		attribute(ctx, lsp, tier)
+		attribute(ctx, lsp, tier, e)
 		r.hits.Add(1)
 	}
-	return v, ok
+	return e, ok
+}
+
+// lookup walks the tier chain for key's entry. A tier answering with
+// anything but an entry is a miss, like any answer a tier cannot serve:
+// the computed entry replaces it.
+func (r *Registry) lookup(ctx context.Context, kind Kind, key string) (*Entry, string, bool) {
+	v, tier, ok := r.store.Lookup(ctx, kind, key)
+	e, _ := v.(*Entry)
+	return e, tier, ok && e != nil
 }
 
 // attribute records who answered a lookup — a store tier's name,
-// "computed" or "coalesced" — on the request's Served record (request
-// logs, the served-by-tier counters) and on the lookup span.
-func attribute(ctx context.Context, lsp *trace.Span, tier string) {
+// "computed" or "coalesced" — and the entry it answered with on the
+// request's Served record (request logs, the served-by-tier counters, the
+// server's rendering), and the tier on the lookup span.
+func attribute(ctx context.Context, lsp *trace.Span, tier string, e *Entry) {
 	if sv, _ := ctx.Value(servedCtxKey{}).(*Served); sv != nil {
-		sv.Tier = tier
+		sv.Tier, sv.Entry = tier, e
 	}
 	lsp.SetAttr("tier", tier)
 }
@@ -360,7 +371,7 @@ func TopoKey(platform string, seed uint64, opt mctopalg.Options) string {
 // and returns ctx.Err() when its context fires, and the caller that owns
 // the inference aborts it (the inference function returns ctx.Err()).
 func (r *Registry) LookupTopologyContext(ctx context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, bool, error) {
-	v, hit, err := r.get(ctx, KindTopology, TopoKey(platform, seed, opt), func(ctx context.Context) (any, error) {
+	e, hit, err := r.get(ctx, KindTopology, TopoKey(platform, seed, opt), func(ctx context.Context) (any, error) {
 		ctx, isp := trace.Start(ctx, "registry.infer")
 		isp.SetAttr("platform", platform)
 		defer isp.End()
@@ -389,7 +400,7 @@ func (r *Registry) LookupTopologyContext(ctx context.Context, platform string, s
 	if err != nil {
 		return nil, hit, err
 	}
-	return v.(*topo.Topology), hit, nil
+	return e.Val.(*topo.Topology), hit, nil
 }
 
 // placeKey extends a topology key with the placement parameters. Built with
@@ -438,7 +449,7 @@ func (r *Registry) PlaceWithContext(ctx context.Context, platform string, seed u
 		return nil, fmt.Errorf("%w: policy has empty name", place.ErrInvalid)
 	}
 	key := placeKey(TopoKey(platform, seed, opt), pol, nThreads)
-	v, _, err := r.get(ctx, KindPlacement, key, func(ctx context.Context) (any, error) {
+	e, _, err := r.get(ctx, KindPlacement, key, func(ctx context.Context) (any, error) {
 		ctx, psp := trace.Start(ctx, "registry.place")
 		psp.SetAttr("policy", pol.Name())
 		defer psp.End()
@@ -456,7 +467,7 @@ func (r *Registry) PlaceWithContext(ctx context.Context, platform string, seed u
 	if err != nil {
 		return nil, err
 	}
-	return v.(*place.Placement), nil
+	return e.Val.(*place.Placement), nil
 }
 
 // PlaceRequest is one (policy, threads) pair of a PlaceBatchContext call.
@@ -465,10 +476,12 @@ type PlaceRequest struct {
 	NThreads int
 }
 
-// BatchResult is one PlaceBatchContext answer: a placement, or the per-request
-// error that produced none (unknown policy, POWER without power data, …).
+// BatchResult is one PlaceBatchContext answer: a placement and the cached
+// entry holding it, or the per-request error that produced none (unknown
+// policy, POWER without power data, …).
 type BatchResult struct {
 	Placement *place.Placement
+	Entry     *Entry
 	Err       error
 }
 
@@ -498,7 +511,7 @@ func (r *Registry) PlaceBatchContext(ctx context.Context, platform string, seed 
 			continue
 		}
 		nThreads := req.NThreads
-		v, _, err := r.get(ctx, KindPlacement, placeKey(tk, pol, nThreads), func(context.Context) (any, error) {
+		e, _, err := r.get(ctx, KindPlacement, placeKey(tk, pol, nThreads), func(context.Context) (any, error) {
 			start := r.begin(KindPlacement)
 			pl, err := place.NewFrom(t, pol, place.Options{NThreads: nThreads})
 			r.observe(KindPlacement, start, err)
@@ -508,7 +521,7 @@ func (r *Registry) PlaceBatchContext(ctx context.Context, platform string, seed 
 			out[i].Err = err
 			continue
 		}
-		out[i].Placement = v.(*place.Placement)
+		out[i].Placement, out[i].Entry = e.Val.(*place.Placement), e
 	}
 	return out, nil
 }

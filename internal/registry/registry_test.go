@@ -408,7 +408,7 @@ func TestLRUHoldsExactlyItsBound(t *testing.T) {
 		return placeKey(TopoKey("Ivy", uint64(i), mctopalg.Options{Reps: 51}), place.ConHWC, 8)
 	}
 	for i := 0; i < n; i++ {
-		l.Put(KindPlacement, key(i), i)
+		l.Put(KindPlacement, key(i), NewEntry(KindPlacement, key(i), i))
 	}
 	if st := l.Stats()[0]; l.Len() != n || st.Evictions != 0 {
 		t.Fatalf("%d keys into NewLRU(%d): %d resident, %d evictions", n, n, l.Len(), st.Evictions)
@@ -417,7 +417,7 @@ func TestLRUHoldsExactlyItsBound(t *testing.T) {
 	if _, _, ok := l.Lookup(bg, KindPlacement, key(0)); !ok {
 		t.Fatal("key 0 missing")
 	}
-	l.Put(KindPlacement, key(n), n)
+	l.Put(KindPlacement, key(n), NewEntry(KindPlacement, key(n), n))
 	if st := l.Stats()[0]; l.Len() != n || st.Evictions != 1 {
 		t.Fatalf("after key %d: %d resident, %d evictions, want %d and 1", n, l.Len(), st.Evictions, n)
 	}
@@ -563,9 +563,9 @@ func TestPlaceBatchConcurrent(t *testing.T) {
 }
 
 // TestCachedIsTheWarmFastPath: Cached answers from the store exactly as a
-// hit through get would — same value, attributed tier, one counted hit —
-// and on a cold key answers nothing, computing nothing and counting no
-// miss.
+// hit through get would — same entry, attributed tier and entry, one
+// counted hit — and on a cold key answers nothing, computing nothing and
+// counting no miss.
 func TestCachedIsTheWarmFastPath(t *testing.T) {
 	var calls atomic.Int64
 	r := New(Options{InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
@@ -576,8 +576,8 @@ func TestCachedIsTheWarmFastPath(t *testing.T) {
 	key := TopoKey("Ivy", 1, opt)
 
 	ctx, sv := ContextWithServed(bg)
-	if v, ok := r.Cached(ctx, KindTopology, key); ok || v != nil {
-		t.Fatalf("cold Cached = %v, %v; want nothing", v, ok)
+	if e, ok := r.Cached(ctx, KindTopology, key); ok || e != nil {
+		t.Fatalf("cold Cached = %v, %v; want nothing", e, ok)
 	}
 	if st := r.Stats(); st.Hits != 0 || st.Misses != 0 || calls.Load() != 0 || sv.Tier != "" {
 		t.Fatalf("cold Cached moved counters: %+v, %d inferences, tier %q", st, calls.Load(), sv.Tier)
@@ -589,16 +589,16 @@ func TestCachedIsTheWarmFastPath(t *testing.T) {
 	}
 	before := r.Stats()
 	ctx, sv = ContextWithServed(bg)
-	v, ok := r.Cached(ctx, KindTopology, key)
-	if !ok || v != any(top) {
-		t.Fatalf("warm Cached = %v, %v; want the cached topology", v, ok)
+	e, ok := r.Cached(ctx, KindTopology, key)
+	if !ok || e.Val != any(top) || e.Kind != KindTopology || e.Key != key {
+		t.Fatalf("warm Cached = %v, %v; want the cached topology's entry", e, ok)
 	}
 	after := r.Stats()
 	if after.Hits != before.Hits+1 || after.Misses != before.Misses || calls.Load() != 1 {
 		t.Fatalf("warm Cached: hits %d -> %d, misses %d -> %d, %d inferences; want one hit, no miss, no inference",
 			before.Hits, after.Hits, before.Misses, after.Misses, calls.Load())
 	}
-	if sv.Tier != "lru" {
-		t.Fatalf("warm Cached attributed tier %q, want lru", sv.Tier)
+	if sv.Tier != "lru" || sv.Entry != e {
+		t.Fatalf("warm Cached attributed tier %q and entry %p, want lru and %p", sv.Tier, sv.Entry, e)
 	}
 }

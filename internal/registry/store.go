@@ -13,6 +13,8 @@ import (
 // paper's "created once, then used to load the topology" artifact turned
 // into a cache level. The registry itself only sees Lookup/Put —
 // singleflight, counters and the compute semaphore stay above the store.
+// What every tier holds and returns is an *Entry (entry.go): one answer,
+// with the byte forms it has been rendered in.
 
 // Kind tags what a cache entry holds, so persistent tiers can pick a
 // serialization per entry kind (topologies become .mctop description
@@ -109,13 +111,14 @@ func KindOfExt(ext string) (Kind, bool) {
 // (logging the reason) so a broken disk degrades to re-inference, never to
 // serving errors.
 type Store interface {
-	// Lookup returns the cached value for key and the name of the tier
+	// Lookup returns the cached *Entry for key and the name of the tier
 	// that held it ("lru", "spool", "remote") — what served-by-tier request
 	// logs and metrics label their samples with. The context carries
 	// tracing (spool decodes and remote fetches become spans of the
 	// request), never cancellation a tier must act on.
 	Lookup(ctx context.Context, kind Kind, key string) (val any, tier string, ok bool)
-	// Put inserts or replaces the value for key.
+	// Put inserts or replaces the entry for key; val is the *Entry of
+	// that kind and key.
 	Put(kind Kind, key string, val any)
 	// Len returns the number of entries resident in this store.
 	Len() int
@@ -255,15 +258,15 @@ func (t *Tiered) Lookup(ctx context.Context, kind Kind, key string) (any, string
 	return nil, "", false
 }
 
-// Get is Lookup without a request: the context-free read for tools that
-// reach into a registry's store (Registry.Store) outside any request —
-// untraced, unattributed.
+// Get is Lookup without a request: the context-free read of key's *Entry
+// for tools that reach into a registry's store (Registry.Store) outside
+// any request — untraced, unattributed.
 func (t *Tiered) Get(kind Kind, key string) (any, bool) {
 	v, _, ok := t.Lookup(context.Background(), kind, key)
 	return v, ok
 }
 
-// Put implements Store: write-through to every tier.
+// Put implements Store: write-through of the entry to every tier.
 func (t *Tiered) Put(kind Kind, key string, val any) {
 	for _, s := range t.tiers {
 		s.Put(kind, key, val)

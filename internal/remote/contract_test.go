@@ -11,6 +11,8 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/registry"
@@ -65,7 +67,7 @@ func TestStoreContract(t *testing.T) {
 				t.Fatalf("miss = (%v, %q, %v), want (nil, \"\", false)", v, tier, ok)
 			}
 
-			s.Put(registry.KindTopology, testKey, testTopo())
+			s.Put(registry.KindTopology, testKey, registry.NewEntry(registry.KindTopology, testKey, testTopo()))
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -73,8 +75,12 @@ func TestStoreContract(t *testing.T) {
 			if !ok || tier != tc.hitTier {
 				t.Fatalf("hit = (ok %v, tier %q), want tier %q", ok, tier, tc.hitTier)
 			}
+			e, _ := v.(*registry.Entry)
+			if e == nil || e.Kind != registry.KindTopology || e.Key != testKey {
+				t.Fatalf("hit = %#v, want the topology's entry under its key", v)
+			}
 			var got, want bytes.Buffer
-			if err := spool.EncodeTopology(&got, testKey, v.(*topo.Topology)); err != nil {
+			if err := spool.EncodeTopology(&got, testKey, e.Val.(*topo.Topology)); err != nil {
 				t.Fatal(err)
 			}
 			if err := spool.EncodeTopology(&want, testKey, testTopo()); err != nil {
@@ -121,7 +127,7 @@ func TestStoreContract(t *testing.T) {
 					t.Fatalf("Close #%d: %v", i+1, err)
 				}
 			}
-			s.Put(registry.KindTopology, testKey, testTopo())
+			s.Put(registry.KindTopology, testKey, registry.NewEntry(registry.KindTopology, testKey, testTopo()))
 			if err := s.Flush(); err != nil {
 				t.Fatalf("Flush after Close: %v", err)
 			}
@@ -134,20 +140,29 @@ func TestStoreContract(t *testing.T) {
 
 // TestTieredPromotesIntoUpperTiers: an entry only the origin holds is
 // attributed to the remote tier once, lands in the LRU and the spool on the
-// way up, and is then served from memory.
+// way up, and is then served from memory — the very entry the remote tier
+// returned, whose interchange file is the one the spool wrote.
 func TestTieredPromotesIntoUpperTiers(t *testing.T) {
 	sp := contractSpool(t)
 	chain := registry.NewTiered(registry.NewLRU(8), sp, newRemote(t, contractOrigin(t).URL))
 	defer chain.Close()
 	ctx := context.Background()
-	if _, tier, ok := chain.Lookup(ctx, registry.KindTopology, testKey); !ok || tier != "remote" {
+	fetched, tier, ok := chain.Lookup(ctx, registry.KindTopology, testKey)
+	if !ok || tier != "remote" {
 		t.Fatalf("first lookup: ok %v, tier %q; want the remote tier", ok, tier)
 	}
-	if _, tier, ok := chain.Lookup(ctx, registry.KindTopology, testKey); !ok || tier != "lru" {
-		t.Fatalf("second lookup: ok %v, tier %q; want the lru tier", ok, tier)
+	if v, tier, ok := chain.Lookup(ctx, registry.KindTopology, testKey); !ok || tier != "lru" || v != fetched {
+		t.Fatalf("second lookup: ok %v, tier %q, same entry %v; want the lru tier's copy of the fetched entry", ok, tier, v == fetched)
 	}
 	if err := chain.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	file, err := os.ReadFile(filepath.Join(sp.Dir(), spoolFileOf(t, sp.Dir())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fetched.(*registry.Entry).Rendered(registry.FormFile); !bytes.Equal(got, file) {
+		t.Fatalf("the spool wrote a file the entry does not hold:\n%s\nentry:\n%s", file, got)
 	}
 	if _, tier, ok := sp.Lookup(ctx, registry.KindTopology, testKey); !ok || tier != "spool" {
 		t.Fatalf("spool after promotion: ok %v, tier %q", ok, tier)
@@ -155,4 +170,23 @@ func TestTieredPromotesIntoUpperTiers(t *testing.T) {
 	if v, ok := chain.Get(registry.KindTopology, testKey); !ok || v == nil {
 		t.Fatal("the context-free Get misses what Lookup serves")
 	}
+}
+
+// spoolFileOf names the one file in a spool directory.
+func spoolFileOf(t *testing.T, dir string) string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		if !de.IsDir() {
+			names = append(names, de.Name())
+		}
+	}
+	if len(names) != 1 {
+		t.Fatalf("spool holds %v, want one file", names)
+	}
+	return names[0]
 }

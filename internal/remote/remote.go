@@ -124,16 +124,15 @@ type Remote struct {
 }
 
 // call is one in-flight upstream fetch; concurrent Lookups for the key wait
-// on done and share the outcome. This is deliberately not the registry's
-// singleflight shared through a common package: here the in-flight check,
-// the negative cache and the origin-down window are one decision under one
-// lock (r.mu in lookup), and waiters are uncancellable, while the registry's
-// waiters leave on ctx.Done and re-promote — a shared type would have to
-// branch on its caller.
+// on done and share its entry (nil on failure). This is deliberately not
+// the registry's singleflight shared through a common package: here the
+// in-flight check, the negative cache and the origin-down window are one
+// decision under one lock (r.mu in lookup), and waiters are uncancellable,
+// while the registry's waiters leave on ctx.Done and re-promote — a shared
+// type would have to branch on its caller.
 type call struct {
-	done chan struct{}
-	val  any
-	ok   bool
+	done  chan struct{}
+	entry *registry.Entry
 }
 
 // Option configures a Remote.
@@ -226,22 +225,23 @@ func New(base string, opts ...Option) *Remote {
 }
 
 // Lookup implements registry.Store: fetch the entry's description file
-// from the origin, degrading every failure to a miss. The context carries
-// tracing only — each upstream attempt becomes a span, and the traceparent
-// header it emits stitches the origin's spans into this trace. It
-// deliberately does NOT carry cancellation: the fetch keeps its own
-// timeout-from-Background context, so a fetch shared by singleflight
-// waiters survives the first caller hanging up (see fetch).
+// from the origin and decode it into a fresh entry, degrading every
+// failure to a miss. The context carries tracing only — each upstream
+// attempt becomes a span, and the traceparent header it emits stitches the
+// origin's spans into this trace. It deliberately does NOT carry
+// cancellation: the fetch keeps its own timeout-from-Background context, so
+// a fetch shared by singleflight waiters survives the first caller hanging
+// up (see fetch).
 func (r *Remote) Lookup(ctx context.Context, kind registry.Kind, key string) (any, string, bool) {
-	if v, ok := r.lookup(ctx, kind, key); ok {
+	if e := r.lookup(ctx, kind, key); e != nil {
 		r.kinds.Hit(kind)
-		return v, "remote", true
+		return e, "remote", true
 	}
 	r.kinds.Miss(kind)
 	return nil, "", false
 }
 
-func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) (any, bool) {
+func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) *registry.Entry {
 	now := r.now()
 	r.mu.Lock()
 	if until, ok := r.neg[key]; ok && !now.Before(until) {
@@ -253,13 +253,13 @@ func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) (an
 		// lookup span instead — the trace of a request served by local
 		// re-inference should say why the origin was not consulted.
 		trace.SpanFromContext(ctx).AddEvent("remote.backoff_skip")
-		return nil, false
+		return nil
 	}
 	if c, ok := r.inflight[key]; ok {
 		r.mu.Unlock()
 		trace.SpanFromContext(ctx).AddEvent("remote.coalesced_wait")
 		<-c.done
-		return c.val, c.ok
+		return c.entry
 	}
 	c := &call{done: make(chan struct{})}
 	r.inflight[key] = c
@@ -282,7 +282,7 @@ func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) (an
 	case err == nil:
 		r.fails = 0
 		delete(r.neg, key)
-		c.val, c.ok = v, true
+		c.entry = registry.NewEntry(kind, key, v)
 	case originFault:
 		// Exponential origin-level backoff: a down origin costs one
 		// failed dial per window, not one per request.
@@ -320,9 +320,8 @@ func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) (an
 	if err != nil {
 		r.logf("fetching %q: %v (degrading to a miss)", key, err)
 		r.errors.Add(1)
-		return nil, false
 	}
-	return v, true
+	return c.entry
 }
 
 // fetchObserved is one fetch attempt plus its observer callback — each
@@ -424,7 +423,7 @@ func (r *Remote) topologyFor(ctx context.Context, topoKey string) (*topo.Topolog
 	if !ok {
 		return nil, fmt.Errorf("not fetchable")
 	}
-	return v.(*topo.Topology), nil
+	return v.(*registry.Entry).Val.(*topo.Topology), nil
 }
 
 // Put implements registry.Store as a no-op: the fleet is pull-only — an

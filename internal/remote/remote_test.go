@@ -75,10 +75,13 @@ func newRemote(t *testing.T, base string, opts ...Option) *Remote {
 	return rm
 }
 
-// get is Lookup outside any request.
+// get is Lookup outside any request: the value of the entry it returns.
 func get(rm *Remote, kind registry.Kind, key string) (any, bool) {
 	v, _, ok := rm.Lookup(context.Background(), kind, key)
-	return v, ok
+	if !ok {
+		return nil, false
+	}
+	return v.(*registry.Entry).Val, true
 }
 
 // edgeRegistry wraps a store chain in a registry whose local inference

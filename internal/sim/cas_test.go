@@ -1,11 +1,11 @@
-// Package mesi_test holds no code under test of its own. The four-state
-// MESI engine that lived here was replaced by the line-holder model in
-// sim.Thread.CAS, the only coherence operation MCTOP-ALG issues; these
-// tests keep the engine's checks that a CAS can reach, now run against the
-// simulator. A CAS costs what it takes to get the line from its holder:
-// nobody (the home node's memory latency, home = line % nodes), the same
-// context (HitCASLat), or another context (PairLatency(requester, holder)).
-package mesi_test
+// The coherence checks a CAS can reach, run against the simulator's
+// line-holder model (sim.Thread.CAS, the only coherence operation
+// MCTOP-ALG issues). They were written for a four-state MESI engine that
+// this model replaced, and every one still holds. A CAS costs what it
+// takes to get the line from its holder: nobody (the home node's memory
+// latency, home = line % nodes), the same context (HitCASLat), or another
+// context (PairLatency(requester, holder)).
+package sim_test
 
 import (
 	"math/rand"

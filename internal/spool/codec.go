@@ -15,6 +15,7 @@ package spool
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"runtime"
@@ -30,10 +31,14 @@ import (
 )
 
 // Encode writes the interchange form of one cache entry: the file the
-// spool persists under key and the body /v1/export serves for it. A value
-// that is not of the kind, or a sidecar key its topology key cannot be read
-// from, is an error and nothing is written.
+// spool persists under key and the body /v1/export serves for it. val is
+// the value or the *registry.Entry holding it. A value that is not of the
+// kind, or a sidecar key its topology key cannot be read from, is an error
+// and nothing is written.
 func Encode(w io.Writer, kind registry.Kind, key string, val any) error {
+	if e, ok := val.(*registry.Entry); ok {
+		val = e.Val
+	}
 	parent, derived := kind.ParentKey(key)
 	switch v := val.(type) {
 	case *topo.Topology:
@@ -50,6 +55,19 @@ func Encode(w io.Writer, kind registry.Kind, key string, val any) error {
 		}
 	}
 	return fmt.Errorf("cannot encode %T as a %v under key %q", val, kind, key)
+}
+
+// Encoded is the entry's interchange file (its registry.FormFile), encoded
+// at most once per entry: the spool's writer and mctopd's /v1/export share
+// it.
+func Encoded(e *registry.Entry) ([]byte, error) {
+	return e.Form(registry.FormFile, func() ([]byte, error) {
+		var buf bytes.Buffer
+		if err := Encode(&buf, e.Kind, e.Key, e.Val); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	})
 }
 
 // Decode reads the interchange form of the entry under key back into its

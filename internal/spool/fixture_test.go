@@ -68,7 +68,7 @@ func TestSpoolReproducesParentFixtures(t *testing.T) {
 	}
 	s := newTestSpool(t)
 	for _, e := range fixtureEntries(t) {
-		s.Put(e.kind, e.key, e.val)
+		s.Put(e.kind, e.key, registry.NewEntry(e.kind, e.key, e.val))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)

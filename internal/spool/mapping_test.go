@@ -123,7 +123,7 @@ func TestMappingRoundTripThroughSpool(t *testing.T) {
 	s := newTestSpool(t)
 	// Put only the mapping: the durable-topology invariant must persist
 	// the referenced topology alongside it.
-	s.Put(registry.KindMapping, key, m)
+	s.Put(registry.KindMapping, key, registry.NewEntry(registry.KindMapping, key, m))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestCorruptMapSidecarQuarantined(t *testing.T) {
 	m, key := testMapping(t)
 
 	s := newTestSpool(t)
-	s.Put(registry.KindMapping, key, m)
+	s.Put(registry.KindMapping, key, registry.NewEntry(registry.KindMapping, key, m))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}

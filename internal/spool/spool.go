@@ -42,7 +42,6 @@ package spool
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -120,11 +119,10 @@ type Spool struct {
 	tracer *trace.Tracer
 }
 
-// writeOp is one queued write, or a flush barrier (flush != nil).
+// writeOp is one queued write of an entry, or a flush barrier (flush !=
+// nil).
 type writeOp struct {
-	kind  registry.Kind
-	key   string
-	val   any
+	entry *registry.Entry
 	flush chan struct{}
 }
 
@@ -327,8 +325,8 @@ func readKeyHeader(path string) (string, error) {
 	return "", fmt.Errorf("no key header")
 }
 
-// Lookup implements registry.Store: decode the entry's file, degrading
-// every failure to a logged miss. A traced request sees the decode as a
+// Lookup implements registry.Store: decode the entry's file into a fresh
+// entry, degrading every failure to a logged miss. A traced request sees the decode as a
 // span — including the decode failures that degrade to misses, which keep
 // the span (and its quarantine event) even when the trace is unsampled.
 func (s *Spool) Lookup(ctx context.Context, kind registry.Kind, key string) (any, string, bool) {
@@ -368,7 +366,7 @@ func (s *Spool) Lookup(ctx context.Context, kind registry.Kind, key string) (any
 		return nil, "", false
 	}
 	s.kinds.Hit(kind)
-	return v, "spool", true
+	return registry.NewEntry(kind, key, v), "spool", true
 }
 
 // load decodes one entry's file through the interchange codec; a sidecar
@@ -401,11 +399,19 @@ func (s *Spool) load(kind registry.Kind, key string) (any, error) {
 	return v, nil
 }
 
-// Put implements registry.Store: enqueue a write-behind, falling back to a
-// synchronous write when the queue is full so no accepted entry is ever
-// dropped. Puts after Close are dropped (and logged): the spool is no
-// longer durable once closed.
+// Put implements registry.Store: enqueue a write-behind of the entry,
+// falling back to a synchronous write when the queue is full so no
+// accepted entry is ever dropped. The file is the entry's own interchange
+// file, under the entry's key. A value that is not an entry, and any Put
+// after Close, is dropped (and logged): the spool is no longer durable
+// once closed.
 func (s *Spool) Put(kind registry.Kind, key string, val any) {
+	e, ok := val.(*registry.Entry)
+	if !ok {
+		s.logf("dropping write of %q: %T is not a cache entry", key, val)
+		s.errors.Add(1)
+		return
+	}
 	s.sendMu.RLock()
 	if s.closed {
 		s.sendMu.RUnlock()
@@ -414,11 +420,11 @@ func (s *Spool) Put(kind registry.Kind, key string, val any) {
 		return
 	}
 	select {
-	case s.pending <- writeOp{kind: kind, key: key, val: val}:
+	case s.pending <- writeOp{entry: e}:
 		s.sendMu.RUnlock()
 	default:
 		s.sendMu.RUnlock()
-		s.writeTraced(writeOp{kind: kind, key: key, val: val})
+		s.writeTraced(e)
 	}
 }
 
@@ -432,7 +438,7 @@ func (s *Spool) writer() {
 			close(op.flush)
 			continue
 		}
-		s.writeTraced(op)
+		s.writeTraced(op.entry)
 	}
 }
 
@@ -440,27 +446,27 @@ func (s *Spool) writer() {
 // goroutine has no request context, so each persist is its own
 // single-span trace — dropped when clean and unsampled, kept when it
 // fails.
-func (s *Spool) writeTraced(op writeOp) {
+func (s *Spool) writeTraced(e *registry.Entry) {
 	if !s.tracer.Enabled() {
-		s.write(op)
+		s.write(e)
 		return
 	}
 	_, sp := s.tracer.Start(context.Background(), "spool.write")
-	sp.SetAttr("kind", op.kind.String())
-	sp.SetError(s.write(op))
+	sp.SetAttr("kind", e.Kind.String())
+	sp.SetError(s.write(e))
 	sp.End()
 }
 
-// write persists one entry: encode through the interchange codec, then
-// land the bytes via a temp file renamed over the final name — the
-// atomicity that guarantees a crash can never leave a torn file where a
-// reader looks. The returned error reports the failure for tracing;
-// counters and logs are already handled here, so callers need not act on
-// it.
-func (s *Spool) write(op writeOp) error {
-	var buf bytes.Buffer
-	if err := Encode(&buf, op.kind, op.key, op.val); err != nil {
-		s.logf("dropping write of %q: %v", op.key, err)
+// write persists one entry: its interchange file (Encoded, shared with
+// every other reader of the entry), landed via a temp file renamed over
+// the final name — the atomicity that guarantees a crash can never leave a
+// torn file where a reader looks. The returned error reports the failure
+// for tracing; counters and logs are already handled here, so callers need
+// not act on it.
+func (s *Spool) write(e *registry.Entry) error {
+	encoded, err := Encoded(e)
+	if err != nil {
+		s.logf("dropping write of %q: %v", e.Key, err)
 		s.errors.Add(1)
 		return err
 	}
@@ -469,26 +475,26 @@ func (s *Spool) write(op writeOp) error {
 	// Puts the topology first, but an entry promoted from a remote tier
 	// arrives alone; persist its topology alongside or the sidecar is dead
 	// weight on restart.
-	if parent, ok := op.kind.ParentKey(op.key); ok {
+	if parent, ok := e.Kind.ParentKey(e.Key); ok {
 		s.mu.Lock()
 		_, haveTopo := s.entries[parent]
 		s.mu.Unlock()
-		if dep, ok := op.val.(interface{ Topology() *topo.Topology }); ok && !haveTopo {
+		if dep, ok := e.Val.(interface{ Topology() *topo.Topology }); ok && !haveTopo {
 			if t := dep.Topology(); t != nil {
-				s.write(writeOp{kind: registry.KindTopology, key: parent, val: t})
+				s.write(registry.NewEntry(registry.KindTopology, parent, t))
 			}
 		}
 	}
-	path := filepath.Join(s.dir, fileName(op.key, op.kind))
+	path := filepath.Join(s.dir, fileName(e.Key, e.Kind))
 	if o, fired := s.faults.Eval(faultinject.SpoolWrite); fired {
-		return s.failWrite(op, path, buf.Bytes(), o)
+		return s.failWrite(e, path, encoded, o)
 	}
-	err := topo.WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(buf.Bytes())
+	err = topo.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(encoded)
 		return err
 	})
 	if err != nil {
-		s.logf("writing %q: %v", op.key, err)
+		s.logf("writing %q: %v", e.Key, err)
 		s.errors.Add(1)
 		s.writeFailed.Store(true)
 		return err
@@ -496,7 +502,7 @@ func (s *Spool) write(op writeOp) error {
 	s.writeFailed.Store(false)
 	s.puts.Add(1)
 	s.mu.Lock()
-	s.entries[op.key] = op.kind
+	s.entries[e.Key] = e.Kind
 	s.mu.Unlock()
 	return nil
 }
@@ -507,28 +513,28 @@ func (s *Spool) write(op writeOp) error {
 // half-written file directly under the final spool name and indexes it:
 // the shape of a crash mid-write on a filesystem without atomic rename,
 // which the quarantine path must absorb on the next Lookup or restart scan.
-func (s *Spool) failWrite(op writeOp, path string, encoded []byte, o faultinject.Outcome) error {
+func (s *Spool) failWrite(e *registry.Entry, path string, encoded []byte, o faultinject.Outcome) error {
 	switch o.Mode {
 	case "torn", "short":
 		torn := encoded[:len(encoded)/2]
 		if err := os.WriteFile(path, torn, 0o644); err != nil {
-			s.logf("writing %q: %v", op.key, err)
+			s.logf("writing %q: %v", e.Key, err)
 			s.errors.Add(1)
 			s.writeFailed.Store(true)
 			return err
 		}
-		s.logf("writing %q: torn write injected (%d of %d bytes)", op.key, len(torn), len(encoded))
+		s.logf("writing %q: torn write injected (%d of %d bytes)", e.Key, len(torn), len(encoded))
 		s.errors.Add(1)
 		// Index the torn file like a completed write would: serving it is
 		// exactly the corruption the read path's quarantine must catch.
 		s.mu.Lock()
-		s.entries[op.key] = op.kind
+		s.entries[e.Key] = e.Kind
 		s.mu.Unlock()
-		s.topos.Forget(op.key)
+		s.topos.Forget(e.Key)
 		return fmt.Errorf("torn write injected")
 	default: // "enospc", "eperm", "fail", ...
 		err := o.Err(faultinject.SpoolWrite)
-		s.logf("writing %q: %v", op.key, err)
+		s.logf("writing %q: %v", e.Key, err)
 		s.errors.Add(1)
 		s.writeFailed.Store(true)
 		return err

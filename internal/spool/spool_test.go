@@ -51,10 +51,13 @@ func encodeTopo(t *testing.T, top *topo.Topology) []byte {
 	return buf.Bytes()
 }
 
-// get is Lookup outside any request.
+// get is Lookup outside any request: the value of the entry it returns.
 func get(s *Spool, kind registry.Kind, key string) (any, bool) {
 	v, _, ok := s.Lookup(context.Background(), kind, key)
-	return v, ok
+	if !ok {
+		return nil, false
+	}
+	return v.(*registry.Entry).Val, true
 }
 
 func newTestSpool(t *testing.T) *Spool {
@@ -73,7 +76,7 @@ func TestTopologyRoundTripThroughSpool(t *testing.T) {
 	key := registry.TopoKey("Ivy", 1, opt)
 
 	s := newTestSpool(t)
-	s.Put(registry.KindTopology, key, top)
+	s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +131,8 @@ func TestPlacementSidecarRoundTrip(t *testing.T) {
 	pk := fmt.Sprintf("place|%s|%s|%d", tk, pl.PolicyName(), 8)
 
 	s := newTestSpool(t)
-	s.Put(registry.KindTopology, tk, top)
-	s.Put(registry.KindPlacement, pk, pl)
+	s.Put(registry.KindTopology, tk, registry.NewEntry(registry.KindTopology, tk, top))
+	s.Put(registry.KindPlacement, pk, registry.NewEntry(registry.KindPlacement, pk, pl))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +173,7 @@ func TestScanSkipsUndecodableFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Put(registry.KindTopology, good, top)
+		s.Put(registry.KindTopology, good, registry.NewEntry(registry.KindTopology, good, top))
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +337,7 @@ func TestSpoolConcurrent(t *testing.T) {
 				key := registry.TopoKey("Ivy", uint64((g+i)%5), opt)
 				switch i % 3 {
 				case 0:
-					s.Put(registry.KindTopology, key, top)
+					s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top))
 				case 1:
 					get(s, registry.KindTopology, key)
 				case 2:
@@ -354,7 +357,7 @@ func TestSpoolConcurrent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s.Put(registry.KindTopology, "late", top)
+	s.Put(registry.KindTopology, "late", registry.NewEntry(registry.KindTopology, "late", top))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +365,8 @@ func TestSpoolConcurrent(t *testing.T) {
 
 func TestPurgeRemovesFiles(t *testing.T) {
 	s := newTestSpool(t)
-	opt := mctopalg.Options{Reps: 51}
-	s.Put(registry.KindTopology, registry.TopoKey("Ivy", 1, opt), testTopo())
+	key := registry.TopoKey("Ivy", 1, mctopalg.Options{Reps: 51})
+	s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, testTopo()))
 	s.Purge()
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d after purge", s.Len())
@@ -376,5 +379,51 @@ func TestPurgeRemovesFiles(t *testing.T) {
 		if strings.HasSuffix(de.Name(), registry.KindTopology.Ext()) || strings.HasSuffix(de.Name(), registry.KindPlacement.Ext()) {
 			t.Fatalf("purge left %s behind", de.Name())
 		}
+	}
+}
+
+// TestEntryFileIsEncodedOnceAndNeverSeeded: the writer persists the entry's
+// own interchange file (Encoded), so the bytes on disk are the bytes the
+// entry holds for every other reader; an entry read back starts with no
+// file form, and encodes canonically even when the file it was decoded
+// from is not canonical.
+func TestEntryFileIsEncodedOnceAndNeverSeeded(t *testing.T) {
+	key := registry.TopoKey("Ivy", 1, mctopalg.Options{Reps: 51})
+	e := registry.NewEntry(registry.KindTopology, key, testTopo())
+	s := newTestSpool(t)
+	s.Put(registry.KindTopology, key, e)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.Dir(), fileName(key, registry.KindTopology))
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(e.Rendered(registry.FormFile), file) {
+		t.Fatal("the spooled file is not the entry's interchange file")
+	}
+
+	// A hand-edited, still decodable file: a second comment line.
+	header, body, _ := bytes.Cut(file, []byte("\n"))
+	edited := append(append(append([]byte(nil), header...), "\n# edited by hand\n"...), body...)
+	if err := os.WriteFile(path, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(s.Dir(), WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	v, _, ok := s2.Lookup(context.Background(), registry.KindTopology, key)
+	if !ok {
+		t.Fatal("the edited file did not decode")
+	}
+	read := v.(*registry.Entry)
+	if read.Rendered(registry.FormFile) != nil {
+		t.Fatal("an entry read from disk came with its file form seeded")
+	}
+	if got, err := Encoded(read); err != nil || !bytes.Equal(got, file) {
+		t.Fatalf("the read entry encodes as\n%s\n(%v), want the canonical file", got, err)
 	}
 }

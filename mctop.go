@@ -176,7 +176,9 @@ type BatchResult = registry.BatchResult
 // in-memory LRU every registry has, the description-file spool
 // (OpenSpool), the fleet tier (WithUpstream) or any custom tier — one
 // contract every tier implements in full. Tiers compose via WithSpoolDir /
-// WithStore into a read-through/write-through chain.
+// WithStore into a read-through/write-through chain. What the registry
+// Puts into a tier is its cached entry for the key; a custom tier returns
+// it from Lookup as it was Put.
 type Store = registry.Store
 
 // StoreStats is one store tier's counter snapshot, exposed per tier in
