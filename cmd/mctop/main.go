@@ -61,6 +61,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/spool"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -114,7 +115,7 @@ func runExport(args []string) {
 	}
 	// The key header makes the file re-importable under the exact triple a
 	// serving registry looks up; topo.Decode skips it as a comment.
-	fail(spool.EncodeTopology(w, registry.TopoKey(*platform, *seed, opt), top))
+	fail(spool.Encode(w, registry.KindTopology, registry.TopoKey(*platform, *seed, opt), top))
 	if *out != "-" {
 		src := "inferred"
 		if hit {
@@ -181,13 +182,10 @@ func runFetch(args []string) {
 	if resp.StatusCode != http.StatusOK {
 		fail(fmt.Errorf("origin returned %s: %s", resp.Status, strings.TrimSpace(string(body))))
 	}
-	// Decode before writing anything: a torn or corrupt transfer must not
-	// land as a description file.
-	gotKey, top, err := spool.DecodeTopology(bytes.NewReader(body))
+	// Decode before writing anything: a torn, corrupt or mislabeled
+	// transfer must not land as a description file.
+	top, err := spool.Decode(bytes.NewReader(body), registry.KindTopology, key, nil)
 	fail(err)
-	if gotKey != key {
-		fail(fmt.Errorf("origin served key %q, requested %q", gotKey, key))
-	}
 	// Status lines go to stderr: with -o - the description file owns
 	// stdout, and a trailing status line would corrupt the piped output.
 	if *out == "-" {
@@ -221,10 +219,16 @@ func runImport(args []string) {
 	}
 	install(*spoolDir, func(sp *spool.Spool) {
 		for _, path := range fs.Args() {
+			// The topology codec's own reader: a file exported with a #key
+			// line installs under that key, a bare one under the flags'.
 			f, err := os.Open(path)
 			fail(err)
-			key, top, err := spool.DecodeTopology(f)
+			key, spec, err := topo.DecodeKeyed(f)
 			f.Close()
+			var top *topo.Topology
+			if err == nil {
+				top, err = topo.FromSpec(*spec)
+			}
 			if err != nil {
 				fail(fmt.Errorf("%s: %w", path, err))
 			}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/registry"
 	"repro/internal/spool"
+	"repro/internal/topo"
 )
 
 func exportPath(key string) string {
@@ -35,16 +36,11 @@ func TestExportTopologyMatchesSpoolFormat(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("export: %d %s", resp.StatusCode, body)
 	}
-	gotKey, top, err := spool.DecodeTopology(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("exported body does not decode: %v", err)
-	}
-	if gotKey != key {
-		t.Fatalf("exported key header %q, want %q", gotKey, key)
-	}
+	// Decoding binds the body to its key: its #key line must name it.
+	top := decodeExport(t, ts, registry.KindTopology, key, body)
 	// The body is byte-for-byte what the spool tier would write.
 	var want bytes.Buffer
-	if err := spool.EncodeTopology(&want, key, top); err != nil {
+	if err := spool.Encode(&want, registry.KindTopology, key, top); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, want.Bytes()) {
@@ -69,16 +65,32 @@ func TestExportPlacementSidecar(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("export placement: %d %s", resp.StatusCode, body)
 	}
-	side, err := spool.DecodeSidecar(bytes.NewReader(body))
+	// Decoding binds the sidecar to key and its topokey to topoKey.
+	p := decodeExport(t, ts, registry.KindPlacement, key, body).(*mctop.Placement)
+	if p.PolicyName() != "MCTOP_PLACE_RR_CORE" || p.Topology() == nil {
+		t.Fatalf("sidecar decodes to policy %q", p.PolicyName())
+	}
+	if len(p.Contexts()) != 8 {
+		t.Fatalf("sidecar has %d contexts, want 8", len(p.Contexts()))
+	}
+}
+
+// decodeExport decodes an exported body bound to key, resolving a
+// sidecar's topology through the same daemon's /v1/export.
+func decodeExport(t *testing.T, ts *httptest.Server, kind registry.Kind, key string, body []byte) any {
+	t.Helper()
+	v, err := spool.Decode(bytes.NewReader(body), kind, key, func(topoKey string) (*topo.Topology, error) {
+		_, b := get(t, ts, exportPath(topoKey))
+		v, err := spool.Decode(bytes.NewReader(b), registry.KindTopology, topoKey, nil)
+		if err != nil {
+			return nil, err
+		}
+		return v.(*topo.Topology), nil
+	})
 	if err != nil {
-		t.Fatalf("exported sidecar does not decode: %v", err)
+		t.Fatalf("exported %v does not decode under its key: %v", kind, err)
 	}
-	if side.Key != key || side.TopoKey != topoKey || side.Policy != "MCTOP_PLACE_RR_CORE" {
-		t.Fatalf("sidecar = %+v", side)
-	}
-	if len(side.Ctxs) != 8 {
-		t.Fatalf("sidecar has %d contexts, want 8", len(side.Ctxs))
-	}
+	return v
 }
 
 func TestExportRejectsBadKeys(t *testing.T) {

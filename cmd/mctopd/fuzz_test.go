@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
@@ -53,25 +54,10 @@ func FuzzTopoParams(f *testing.F) {
 // fixtures, loaded once) and refuse anything else with 413, so the fuzzer
 // cannot wander into minutes-long inferences. The seeds are a body shaped
 // like the benchmark's (48 tasks), trailing garbage, a body one byte over
-// the 1 MiB limit, an unknown field, a DAG batch and an empty DAG name.
+// the 1 MiB limit, an unknown field, a DAG batch, an empty DAG name and a
+// DAG name that smuggles lines into the mapping's .map file.
 func FuzzMapBody(f *testing.F) {
-	goldens := make(map[string]*mctop.Topology)
-	for _, p := range mctop.Platforms() {
-		t, err := topo.LoadFile("../../internal/topo/testdata/" + strings.ToLower(p) + ".mctop")
-		if err != nil {
-			f.Fatal(err)
-		}
-		goldens[strings.ToLower(p)] = t
-	}
-	golden := mctop.WithInferWrapper(func(mctop.InferCtxFunc) mctop.InferCtxFunc {
-		return func(_ context.Context, platform string, seed uint64, opt mctop.Options) (*mctop.Topology, error) {
-			t := goldens[strings.ToLower(platform)]
-			if t == nil || seed != 42 || opt.Normalized().Reps != 51 || opt.Sampling {
-				return nil, fmt.Errorf("%w: this daemon infers only the golden inputs", mctoperr.ErrTooLarge)
-			}
-			return t, nil
-		}
-	})
+	_, golden := goldenOnly(f)
 
 	ok := `{"platform": "Ivy", "seed": 42, "reps": 51, "dag": ` + dagJSON(`"d"`) + "}"
 	f.Add([]byte(benchShapedMapBody()))
@@ -80,6 +66,8 @@ func FuzzMapBody(f *testing.F) {
 	f.Add([]byte(`{"platform": "Ivy", "seed": 42, "reps": 51, "bogus": 1, "dag": ` + dagJSON(`"d"`) + "}"))
 	f.Add([]byte(`{"platform": "Westmere", "seed": 42, "reps": 51, "refine": 20, "dags": [` + dagJSON(`"a"`) + `, ` + dagJSON(`"b"`) + `]}`))
 	f.Add([]byte(`{"platform": "Haswell", "seed": 42, "reps": 51, "dag": ` + dagJSON(`""`) + "}\n"))
+	f.Add([]byte(`{"platform": "Ivy", "seed": 42, "reps": 51, "dag": {"name": "x\ndag e4de9efe3ee067b3 2 1\nalgo evil\ncost 1\nassign 39 39\nend", ` +
+		`"nodes": [{"id": 0, "work": 1000}, {"id": 1, "work": 1000}], "edges": [{"from": 0, "to": 1, "volume": 4096}]}}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		warm := newServerWith(mctop.NewRegistry(16, golden), 51, 0).routes()
@@ -96,6 +84,86 @@ func FuzzMapBody(f *testing.F) {
 		}
 		if g, w := withoutServedIn(got.Body.Bytes()), withoutServedIn(want.Body.Bytes()); !bytes.Equal(g, w) {
 			t.Fatalf("warm body differs from fresh:\n%s\nfresh:\n%s", g, w)
+		}
+	})
+}
+
+// FuzzPlaceParams drives GET /v1/place with arbitrary raw query strings,
+// its policy and threads parameters included, on a default server whose
+// registry infers only the golden inputs (seed 42, 51 reps; other inputs
+// answer 413). A query answers 200, 400, 404 or 413, never a 500, and a 200
+// names only context ids of the platform's golden topology. The seeds are
+// every golden platform with a builtin policy, a policy without its
+// MCTOP_PLACE_ prefix, an unknown policy, POWER off Intel, a missing
+// policy, negative, overflowing, non-numeric and oversubscribed thread
+// counts, and a non-golden seed; testdata/fuzz/FuzzPlaceParams adds a
+// query holding control characters.
+func FuzzPlaceParams(f *testing.F) {
+	goldens, golden := goldenOnly(f)
+	for _, q := range []string{
+		"platform=Ivy&seed=42&reps=51&policy=MCTOP_PLACE_RR_CORE&threads=8",
+		"platform=Westmere&seed=42&policy=CON_HWC&threads=30",
+		"platform=Haswell&seed=42&policy=BALANCE&threads=0",
+		"platform=Opteron&seed=42&policy=POWER&threads=4",
+		"platform=SPARC&seed=42&policy=SEQUENTIAL&threads=256",
+		"platform=Ivy&seed=42&policy=NO_SUCH_POLICY&threads=8",
+		"platform=Ivy&seed=42&threads=8",
+		"platform=Ivy&seed=42&policy=RR_CORE&threads=-1",
+		"platform=Ivy&seed=42&policy=RR_CORE&threads=99999999999999999999",
+		"platform=Ivy&seed=42&policy=RR_CORE&threads=eight",
+		"platform=Ivy&seed=42&policy=RR_CORE&threads=41",
+		"platform=Ivy&seed=7&policy=RR_CORE&threads=8",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, rawQuery string) {
+		// A new server per input, as in FuzzMapBody: the same input always
+		// runs the same code.
+		h := newServerWith(mctop.NewRegistry(16, golden), 51, 0).routes()
+		r := httptest.NewRequest(http.MethodGet, "/v1/place", nil)
+		r.URL.RawQuery = rawQuery // raw: bytes no client library would send
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("query %q: status %d: %s", rawQuery, rec.Code, rec.Body)
+		}
+		var resp placeResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("query %q: 200 body does not decode: %v", rawQuery, err)
+		}
+		n := goldens[strings.ToLower(resp.Platform)].NumHWContexts()
+		for _, c := range resp.Contexts {
+			if c < 0 || c >= n {
+				t.Fatalf("query %q: context %d on a %d-context %s", rawQuery, c, n, resp.Platform)
+			}
+		}
+	})
+}
+
+// goldenOnly loads the five golden topologies (seed 42, 51 reps) by
+// lower-cased platform name, and the registry option that serves them as
+// its inferences and refuses every other input with 413, so a fuzzer
+// cannot wander into minutes-long inferences.
+func goldenOnly(f *testing.F) (map[string]*mctop.Topology, mctop.RegistryOption) {
+	goldens := make(map[string]*mctop.Topology)
+	for _, p := range mctop.Platforms() {
+		t, err := topo.LoadFile("../../internal/topo/testdata/" + strings.ToLower(p) + ".mctop")
+		if err != nil {
+			f.Fatal(err)
+		}
+		goldens[strings.ToLower(p)] = t
+	}
+	return goldens, mctop.WithInferWrapper(func(mctop.InferCtxFunc) mctop.InferCtxFunc {
+		return func(_ context.Context, platform string, seed uint64, opt mctop.Options) (*mctop.Topology, error) {
+			t := goldens[strings.ToLower(platform)]
+			if t == nil || seed != 42 || opt.Normalized().Reps != 51 || opt.Sampling {
+				return nil, fmt.Errorf("%w: this daemon infers only the golden inputs", mctoperr.ErrTooLarge)
+			}
+			return t, nil
 		}
 	})
 }

@@ -17,7 +17,6 @@ import (
 	mctop "repro"
 	"repro/internal/graph"
 	"repro/internal/registry"
-	"repro/internal/spool"
 )
 
 // mapTestDAG is a small diamond: 0 fans out to 1 and 2, which join at 3.
@@ -186,6 +185,11 @@ func TestMapErrorStatuses(t *testing.T) {
 		{"oversized refine", fmt.Sprintf(`{"platform":"Ivy","refine":%d,"dag":%s}`, maxMapRefine+1, okDAG), 400},
 		{"cyclic dag", `{"platform":"Ivy","dag":{"nodes":[{"id":0,"work":1},{"id":1,"work":1}],` +
 			`"edges":[{"from":0,"to":1,"volume":64},{"from":1,"to":0,"volume":64}]}}`, 400},
+		// A name is a value of the mapping's .map file: one holding a
+		// line break could smuggle in that file's directives.
+		{"name with a line break", `{"platform":"Ivy","dag":{"name":"x\ndag e4de9efe3ee067b3 2 1\nalgo evil\nend",` +
+			`"nodes":[{"id":0,"work":1000},{"id":1,"work":1000}],"edges":[{"from":0,"to":1,"volume":4096}]}}`, 400},
+		{"name with trailing white space", `{"platform":"Ivy","dag":{"name":"x ","nodes":[{"id":0,"work":1}]}}`, 400},
 		{"too many nodes", `{"platform":"Ivy","dag":{"nodes":[` + strings.Join(bigNodes, ",") + `]}}`, 413},
 		{"too many dags", `{"platform":"Ivy","dags":[` + strings.Join(bigDAGs, ",") + `]}`, 413},
 	}
@@ -234,15 +238,13 @@ func TestExportMappingSidecar(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("warm mapping export = %d %s", resp.StatusCode, body)
 	}
-	side, err := spool.DecodeMapSidecar(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("exported mapping sidecar does not decode: %v", err)
+	// Decoding binds the sidecar's DAG identity to the key's.
+	m := decodeExport(t, ts, registry.KindMapping, key, body).(*mctop.Mapping)
+	if m.DAGHash() != d.Hash() || m.NumNodes() != 4 {
+		t.Fatalf("sidecar decodes to DAG %016x with %d nodes", m.DAGHash(), m.NumNodes())
 	}
-	if side.Key != key || side.DAGHash != d.Hash() || side.Nodes != 4 {
-		t.Fatalf("sidecar = %+v", side)
-	}
-	if len(side.Assign) != 4 || side.Cost <= 0 {
-		t.Fatalf("sidecar = %+v", side)
+	if len(m.Assignment()) != 4 || m.Cost() <= 0 {
+		t.Fatalf("sidecar decodes to assignment %v, cost %d", m.Assignment(), m.Cost())
 	}
 }
 

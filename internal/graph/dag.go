@@ -15,7 +15,10 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
+	"unicode"
 
+	"repro/internal/mctoperr"
 	"repro/internal/rng"
 )
 
@@ -49,10 +52,21 @@ type TaskDAG struct {
 // weights, edge endpoints in range, no self-edges or duplicate edges, and
 // acyclicity. Mappers call TopoOrder instead, which runs the same checks
 // and keeps the order it computes, so the scheduling inner loops can trust
-// the shape after one Kahn pass.
+// the shape after one Kahn pass. Validate also checks the name is
+// line-safe: it is a value of the mapping's interchange file, so it may
+// hold no line break and may not start or end with white space. Every
+// failure wraps mctoperr.ErrInvalidRequest.
 func (d *TaskDAG) Validate() error {
-	_, err := d.TopoOrder()
-	return err
+	var err error
+	if strings.ContainsAny(d.Name, "\r\n") || strings.TrimFunc(d.Name, unicode.IsSpace) != d.Name {
+		err = fmt.Errorf("taskdag: name %q holds a line break or starts or ends with white space", d.Name)
+	} else {
+		_, err = d.TopoOrder()
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", mctoperr.ErrInvalidRequest, err)
+	}
+	return nil
 }
 
 // checkShape is every Validate check but acyclicity.

@@ -2,9 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/mctoperr"
 )
 
 func TestGenTaskDAGDeterministic(t *testing.T) {
@@ -90,11 +93,21 @@ func TestTaskDAGValidateRejects(t *testing.T) {
 		{"negative volume", TaskDAG{Nodes: []TaskNode{{0, 1}, {1, 1}}, Edges: []TaskEdge{{0, 1, -1}}}},
 		{"duplicate edge", TaskDAG{Nodes: []TaskNode{{0, 1}, {1, 1}}, Edges: []TaskEdge{{0, 1, 1}, {0, 1, 2}}}},
 		{"cycle", TaskDAG{Nodes: []TaskNode{{0, 1}, {1, 1}}, Edges: []TaskEdge{{0, 1, 1}, {1, 0, 1}}}},
+		{"name with a newline", TaskDAG{Name: "x\nend", Nodes: []TaskNode{{0, 1}}}},
+		{"name with a carriage return", TaskDAG{Name: "x\rend", Nodes: []TaskNode{{0, 1}}}},
+		{"name with leading space", TaskDAG{Name: " x", Nodes: []TaskNode{{0, 1}}}},
+		{"name with trailing tab", TaskDAG{Name: "x\t", Nodes: []TaskNode{{0, 1}}}},
+		{"name of white space", TaskDAG{Name: "\u00a0", Nodes: []TaskNode{{0, 1}}}},
 	}
 	for _, tc := range cases {
-		if err := tc.d.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted an invalid DAG", tc.name)
+		if err := tc.d.Validate(); !errors.Is(err, mctoperr.ErrInvalidRequest) {
+			t.Errorf("%s: Validate = %v, want an ErrInvalidRequest", tc.name, err)
 		}
+	}
+	// Inner white space is line-safe.
+	ok := TaskDAG{Name: "word count", Nodes: []TaskNode{{0, 1}}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("Validate refused the name %q: %v", ok.Name, err)
 	}
 }
 

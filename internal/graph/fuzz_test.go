@@ -12,8 +12,8 @@ import (
 // decoding the result gives an equal DAG, and encoding that one again gives
 // the same bytes. The seed corpus (testdata/fuzz/FuzzDecodeTaskDAG) holds a
 // valid DAG, one with comments and blank lines, a cycle, a dangling edge, a
-// line over the scanner's initial 64 KiB buffer and an edge without a
-// volume, so `go test` runs it as plain tests; `go test -fuzz
+// line over the scanner's initial 64 KiB buffer, an edge without a volume
+// and a name that smuggles in a mapping file's lines, so `go test` runs it as plain tests; `go test -fuzz
 // FuzzDecodeTaskDAG ./internal/graph` explores.
 func FuzzDecodeTaskDAG(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {

@@ -141,7 +141,7 @@ func (r *Registry) MapDAGContext(ctx context.Context, platform string, seed uint
 		return nil, fmt.Errorf("%w: nil task DAG", mctoperr.ErrInvalidRequest)
 	}
 	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", mctoperr.ErrInvalidRequest, err)
+		return nil, err
 	}
 	if refineBudget < 0 {
 		return nil, fmt.Errorf("%w: negative refine budget %d", mctoperr.ErrInvalidRequest, refineBudget)

@@ -80,10 +80,10 @@ func TestStoreContract(t *testing.T) {
 				t.Fatalf("hit = %#v, want the topology's entry under its key", v)
 			}
 			var got, want bytes.Buffer
-			if err := spool.EncodeTopology(&got, testKey, e.Val.(*topo.Topology)); err != nil {
+			if err := spool.Encode(&got, registry.KindTopology, testKey, e.Val.(*topo.Topology)); err != nil {
 				t.Fatal(err)
 			}
-			if err := spool.EncodeTopology(&want, testKey, testTopo()); err != nil {
+			if err := spool.Encode(&want, registry.KindTopology, testKey, testTopo()); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {

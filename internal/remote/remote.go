@@ -405,10 +405,13 @@ func (r *Remote) fetch(ctx context.Context, kind registry.Kind, key string, atte
 	val, err = spool.Decode(body, kind, key, func(topoKey string) (*topo.Topology, error) {
 		return r.topologyFor(ctx, topoKey)
 	})
+	if err != nil {
+		return nil, err, false
+	}
 	if t, ok := val.(*topo.Topology); ok {
 		r.topos.Set(key, t)
 	}
-	return val, err, false
+	return val, nil, false
 }
 
 // topologyFor resolves the topology a sidecar references: the memo first,

@@ -54,7 +54,7 @@ const testKey = "topo|Ivy|1|r51"
 func encodeBody(t *testing.T, key string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := spool.EncodeTopology(&buf, key, testTopo()); err != nil {
+	if err := spool.Encode(&buf, registry.KindTopology, key, testTopo()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -379,7 +379,7 @@ func TestPlacementFetchReconstructsViaTopology(t *testing.T) {
 		}
 		if v, ok := sidecars.Load(key); ok {
 			var buf bytes.Buffer
-			if err := spool.EncodeSidecar(&buf, key, testKey, v.(*place.Placement)); err != nil {
+			if err := spool.Encode(&buf, registry.KindPlacement, key, v.(*place.Placement)); err != nil {
 				t.Error(err)
 			}
 			w.Write(buf.Bytes())

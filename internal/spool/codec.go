@@ -1,20 +1,17 @@
 package spool
 
-// The spool's interchange codec, factored out of the file-backed tier so
-// every carrier of the on-disk format — the spool itself, `mctop
-// export/import/fetch`, mctopd's /v1/export endpoint and the remote store
-// tier that consumes it — encodes and decodes the exact same bytes. A
-// topology travels as a `#key`-headed description file; a placement as the
-// compact sidecar documented on EncodeSidecar; a mapping as the one on
-// EncodeMapSidecar. Everything here works on io.Reader/io.Writer: the
-// spool wraps files around it, the fleet tier wraps HTTP bodies.
+// The interchange codec, shared by every carrier of the spool's files: the
+// spool itself, `mctop export/import/fetch`, mctopd's /v1/export and the
+// remote tier that consumes it. internal/topo's Writer and ReadFrame own
+// the framing every file shares; this file holds the sidecars' directive
+// vocabularies and the rules binding a file to the key it is read under.
+// README.md's "Persistence" section documents the formats.
 //
 // Encode and Decode are the one per-kind dispatch every carrier goes
 // through: a new cached kind is a row in registry's kind table plus one
 // arm in each of them.
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -30,11 +27,23 @@ import (
 	"repro/internal/topo"
 )
 
+const (
+	placeMagic = "mctop-place 1"
+	mapMagic   = "mctop-map 1"
+)
+
+// magics is each kind's magic line.
+var magics = [registry.NumKinds]string{
+	registry.KindTopology:  topo.Magic,
+	registry.KindPlacement: placeMagic,
+	registry.KindMapping:   mapMagic,
+}
+
 // Encode writes the interchange form of one cache entry: the file the
 // spool persists under key and the body /v1/export serves for it. val is
 // the value or the *registry.Entry holding it. A value that is not of the
-// kind, or a sidecar key its topology key cannot be read from, is an error
-// and nothing is written.
+// kind, a sidecar key its topology key cannot be read from, or a value
+// holding a line break is an error.
 func Encode(w io.Writer, kind registry.Kind, key string, val any) error {
 	if e, ok := val.(*registry.Entry); ok {
 		val = e.Val
@@ -43,18 +52,41 @@ func Encode(w io.Writer, kind registry.Kind, key string, val any) error {
 	switch v := val.(type) {
 	case *topo.Topology:
 		if kind == registry.KindTopology {
-			return EncodeTopology(w, key, v)
+			spec := v.Spec()
+			return topo.EncodeKeyed(w, key, &spec)
 		}
 	case *place.Placement:
 		if kind == registry.KindPlacement && derived {
-			return EncodeSidecar(w, key, parent, v)
+			fw := topo.NewWriter(w, key, placeMagic)
+			fw.Line("topokey").Str(parent)
+			fw.Line("policy").Str(v.PolicyName())
+			ctxs := v.Contexts()
+			fw.Line("nthreads").Int(int64(len(ctxs)))
+			if len(ctxs) > 0 {
+				fw.Line("ctxs").Ints(ctxs)
+			}
+			return fw.End()
 		}
 	case *taskmap.Mapping:
 		if kind == registry.KindMapping && derived {
-			return EncodeMapSidecar(w, key, parent, v)
+			fw := topo.NewWriter(w, key, mapMagic)
+			fw.Line("topokey").Str(parent)
+			if name := v.DAGName(); name != "" {
+				fw.Line("dagname").Str(name)
+			}
+			fw.Line("dag").Str(dagIdentity(v.DAGHash(), v.NumNodes(), v.NumEdges()))
+			fw.Line("algo").Str(v.Algo())
+			fw.Line("cost").Int(v.Cost())
+			fw.Line("assign").Ints(v.Assignment())
+			return fw.End()
 		}
 	}
 	return fmt.Errorf("cannot encode %T as a %v under key %q", val, kind, key)
+}
+
+// dagIdentity is a .map sidecar's `dag` value: hash, nodes, edges.
+func dagIdentity(hash uint64, nodes, edges int) string {
+	return fmt.Sprintf("%016x %d %d", hash, nodes, edges)
 }
 
 // Encoded is the entry's interchange file (its registry.FormFile), encoded
@@ -71,54 +103,160 @@ func Encoded(e *registry.Entry) ([]byte, error) {
 }
 
 // Decode reads the interchange form of the entry under key back into its
-// value. Sidecars reference their topology by key; topologyFor resolves it
-// (the spool decodes the referenced file, the remote tier fetches it). A
-// body whose `#key` header names a different key is rejected: a mislabeled
-// entry must never land in a cache under this key.
+// value, bound to that key: the file's one #key line must name key, a
+// sidecar's topokey must be key's topology — which topologyFor then
+// resolves (the spool decodes the referenced file, the remote tier fetches
+// it) — and a .map sidecar's DAG identity must be key's. A mislabeled file
+// must never land in a cache under this key. On error the value is nil.
 func Decode(r io.Reader, kind registry.Kind, key string, topologyFor func(topoKey string) (*topo.Topology, error)) (any, error) {
-	// resolve checks a decoded sidecar's header and fetches its topology.
-	resolve := func(gotKey, topoKey string) (*topo.Topology, error) {
-		if err := checkKeyHeader(gotKey, key); err != nil {
+	switch kind {
+	case registry.KindTopology:
+		got, spec, err := topo.DecodeKeyed(r)
+		if err == nil {
+			err = bindKey(got, key)
+		}
+		if err != nil {
 			return nil, err
+		}
+		t, err := topo.FromSpec(*spec)
+		if err != nil {
+			return nil, err // an untyped nil: never a nil *Topology in an any
+		}
+		return t, nil
+	case registry.KindPlacement:
+		var policy string
+		var ctxs []int
+		nThreads := -1
+		topoKey, err := readSidecar(r, kind, key, func(directive, rest string) (err error) {
+			switch directive {
+			case "policy":
+				policy = rest
+			case "nthreads":
+				if nThreads, err = strconv.Atoi(rest); err != nil || nThreads < 0 {
+					return fmt.Errorf("bad value %q", rest)
+				}
+			case "ctxs":
+				ctxs, err = appendInts(ctxs, rest)
+			default:
+				err = fmt.Errorf("unknown directive")
+			}
+			return err
+		})
+		switch {
+		case err != nil:
+			return nil, err
+		case policy == "":
+			return nil, fmt.Errorf("missing policy")
+		case nThreads != len(ctxs):
+			return nil, fmt.Errorf("nthreads %d but %d ctxs", nThreads, len(ctxs))
 		}
 		t, err := topologyFor(topoKey)
 		if err != nil {
 			return nil, fmt.Errorf("topology %q: %w", topoKey, err)
 		}
-		return t, nil
-	}
-	switch kind {
-	case registry.KindTopology:
-		gotKey, t, err := DecodeTopology(r)
-		if err == nil {
-			err = checkKeyHeader(gotKey, key)
-		}
+		p, err := place.Reconstruct(t, policy, ctxs)
 		if err != nil {
 			return nil, err
 		}
-		return t, nil
-	case registry.KindPlacement:
-		side, err := DecodeSidecar(r)
-		if err != nil {
-			return nil, err
-		}
-		t, err := resolve(side.Key, side.TopoKey)
-		if err != nil {
-			return nil, err
-		}
-		return place.Reconstruct(t, side.Policy, side.Ctxs)
+		return p, nil
 	case registry.KindMapping:
-		side, err := DecodeMapSidecar(r)
+		var name, dag, algo string
+		var assign []int
+		cost := int64(-1)
+		topoKey, err := readSidecar(r, kind, key, func(directive, rest string) (err error) {
+			switch directive {
+			case "dagname":
+				name = rest
+			case "dag":
+				dag = rest
+			case "algo":
+				algo = rest
+			case "cost":
+				if cost, err = strconv.ParseInt(rest, 10, 64); err != nil || cost < 0 {
+					return fmt.Errorf("bad value %q", rest)
+				}
+			case "assign":
+				assign, err = appendInts(assign, rest)
+			default:
+				err = fmt.Errorf("unknown directive")
+			}
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		t, err := resolve(side.Key, side.TopoKey)
+		_, hash, nodes, edges, _, err := registry.ParseMapKey(key)
+		switch {
+		case err != nil:
+			return nil, err
+		case dag != dagIdentity(hash, nodes, edges):
+			return nil, fmt.Errorf("dag %q is not the key's %q", dag, dagIdentity(hash, nodes, edges))
+		case algo == "":
+			return nil, fmt.Errorf("missing algo")
+		case cost < 0:
+			return nil, fmt.Errorf("missing cost")
+		case len(assign) != nodes:
+			return nil, fmt.Errorf("%d nodes but %d assignments", nodes, len(assign))
+		}
+		t, err := topologyFor(topoKey)
+		if err != nil {
+			return nil, fmt.Errorf("topology %q: %w", topoKey, err)
+		}
+		m, err := taskmap.Reconstruct(t, name, hash, nodes, edges, algo, cost, assign)
 		if err != nil {
 			return nil, err
 		}
-		return taskmap.Reconstruct(t, side.DAGName, side.DAGHash, side.Nodes, side.Edges, side.Algo, side.Cost, side.Assign)
+		return m, nil
 	}
 	return nil, fmt.Errorf("unknown entry kind %v", kind)
+}
+
+// bindKey accepts a file whose #key line names exactly the key it is read
+// under.
+func bindKey(got, key string) error {
+	switch {
+	case got == "":
+		return fmt.Errorf("no key header")
+	case got != key:
+		return fmt.Errorf("header names key %q", got)
+	}
+	return nil
+}
+
+// readSidecar reads a sidecar of kind bound to key, handing visit every
+// directive but topokey, which must name key's topology. It returns that
+// topology's key.
+func readSidecar(r io.Reader, kind registry.Kind, key string, visit func(directive, rest string) error) (string, error) {
+	var topoKey string
+	got, err := topo.ReadFrame(r, magics[kind], func(directive, rest string) error {
+		if directive == "topokey" {
+			topoKey = rest
+			return nil
+		}
+		return visit(directive, rest)
+	})
+	if err == nil {
+		err = bindKey(got, key)
+	}
+	if err != nil {
+		return "", err
+	}
+	if parent, ok := kind.ParentKey(key); !ok || topoKey != parent {
+		return "", fmt.Errorf("topokey %q is not the key's topology", topoKey)
+	}
+	return topoKey, nil
+}
+
+// appendInts appends a directive's space-separated integers to dst.
+func appendInts(dst []int, rest string) ([]int, error) {
+	for _, fld := range strings.Fields(rest) {
+		v, err := strconv.Atoi(fld)
+		if err != nil {
+			return nil, fmt.Errorf("bad value %q", fld)
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
 }
 
 // TopoMemo remembers every topology its tier decoded that is still alive,
@@ -174,323 +312,4 @@ func (m *TopoMemo) Forget(key string) {
 		delete(m.m, key)
 	}
 	m.mu.Unlock()
-}
-
-// checkKeyHeader accepts a body with no `#key` header (a bare file) or one
-// naming exactly the key it was read under.
-func checkKeyHeader(gotKey, key string) error {
-	if gotKey != "" && gotKey != key {
-		return fmt.Errorf("key header names %q", gotKey)
-	}
-	return nil
-}
-
-// EncodeTopology writes a topology as a `#key`-headed MCTOP description
-// file: the interchange format of the spool, `mctop export` and mctopd's
-// /v1/export. The header is a comment, so any .mctop reader decodes the
-// body; key may be empty for a bare description file.
-func EncodeTopology(w io.Writer, key string, t *topo.Topology) error {
-	if key != "" {
-		if _, err := fmt.Fprintf(w, "%s%s\n", keyHeader, key); err != nil {
-			return err
-		}
-	}
-	spec := t.Spec()
-	return topo.Encode(w, &spec)
-}
-
-// DecodeTopology reads a description file — spooled, fetched or bare — and
-// returns its registry key (empty when the stream has no `#key` header) and
-// the topology.
-func DecodeTopology(r io.Reader) (key string, t *topo.Topology, err error) {
-	br := bufio.NewReader(r)
-	// Peel leading `#key` headers by hand; topo.Decode skips all comments,
-	// but the key must be surfaced, not skipped.
-	for {
-		peek, err := br.Peek(1)
-		if err != nil {
-			return "", nil, err
-		}
-		if peek[0] != '#' {
-			break
-		}
-		line, err := br.ReadString('\n')
-		if err != nil && err != io.EOF {
-			return "", nil, err
-		}
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, keyHeader) {
-			key = strings.TrimSpace(strings.TrimPrefix(line, keyHeader))
-		}
-		if err == io.EOF {
-			return "", nil, fmt.Errorf("only comments")
-		}
-	}
-	spec, err := topo.Decode(br)
-	if err != nil {
-		return "", nil, err
-	}
-	t, err = topo.FromSpec(*spec)
-	if err != nil {
-		return "", nil, err
-	}
-	return key, t, nil
-}
-
-// Sidecar is the decoded form of a .place file: everything needed to
-// rebuild the placement (via place.Reconstruct on the referenced topology)
-// without re-running the policy.
-type Sidecar struct {
-	// Key is the registry placement key (from the #key header; may be
-	// empty on hand-written files).
-	Key string
-	// TopoKey is the registry key of the topology the placement was
-	// computed on.
-	TopoKey string
-	// Policy is the policy name recorded by the placement.
-	Policy string
-	// Ctxs is the assignment order (hardware context per thread slot).
-	Ctxs []int
-}
-
-// EncodeSidecar writes the .place sidecar format:
-//
-//	#key <placement key>
-//	mctop-place 1
-//	topokey <topology key>
-//	policy <name>
-//	nthreads <n>
-//	ctxs <id...>           (omitted when the placement has no slots)
-//	end
-func EncodeSidecar(w io.Writer, key, topoKey string, p *place.Placement) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%s%s\n", keyHeader, key)
-	fmt.Fprintln(bw, placeMagic)
-	fmt.Fprintf(bw, "topokey %s\n", topoKey)
-	fmt.Fprintf(bw, "policy %s\n", p.PolicyName())
-	ctxs := p.Contexts()
-	fmt.Fprintf(bw, "nthreads %d\n", len(ctxs))
-	if len(ctxs) > 0 {
-		bw.WriteString("ctxs")
-		for _, c := range ctxs {
-			fmt.Fprintf(bw, " %d", c)
-		}
-		bw.WriteByte('\n')
-	}
-	fmt.Fprintln(bw, "end")
-	return bw.Flush()
-}
-
-// MapSidecar is the decoded form of a .map file: everything needed to
-// rebuild the mapping (via taskmap.Reconstruct on the referenced topology)
-// without re-running the mapper.
-type MapSidecar struct {
-	// Key is the registry mapping key (from the #key header; may be empty
-	// on hand-written files).
-	Key string
-	// TopoKey is the registry key of the topology the mapping was computed
-	// on.
-	TopoKey string
-	// DAGName is the (display-only) name of the mapped DAG; may be empty.
-	DAGName string
-	// DAGHash / Nodes / Edges identify the DAG structurally, matching the
-	// fields embedded in the mapping key.
-	DAGHash uint64
-	Nodes   int
-	Edges   int
-	// Algo and Cost record how the assignment was produced and its
-	// estimated completion time in cycles.
-	Algo string
-	Cost int64
-	// Assign is the task → hardware-context assignment, one per node.
-	Assign []int
-}
-
-// EncodeMapSidecar writes the .map sidecar format:
-//
-//	#key <mapping key>
-//	mctop-map 1
-//	topokey <topology key>
-//	dagname <name>                 (omitted when the DAG is unnamed)
-//	dag <hash16hex> <nodes> <edges>
-//	algo <name>
-//	cost <cycles>
-//	assign <ctx...>
-//	end
-func EncodeMapSidecar(w io.Writer, key, topoKey string, m *taskmap.Mapping) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%s%s\n", keyHeader, key)
-	fmt.Fprintln(bw, mapMagic)
-	fmt.Fprintf(bw, "topokey %s\n", topoKey)
-	if name := m.DAGName(); name != "" {
-		fmt.Fprintf(bw, "dagname %s\n", name)
-	}
-	fmt.Fprintf(bw, "dag %016x %d %d\n", m.DAGHash(), m.NumNodes(), m.NumEdges())
-	fmt.Fprintf(bw, "algo %s\n", m.Algo())
-	fmt.Fprintf(bw, "cost %d\n", m.Cost())
-	bw.WriteString("assign")
-	for _, c := range m.Assignment() {
-		fmt.Fprintf(bw, " %d", c)
-	}
-	bw.WriteByte('\n')
-	fmt.Fprintln(bw, "end")
-	return bw.Flush()
-}
-
-// scanSidecar walks the line framing .place and .map sidecars share —
-// comments (a `#key` header among them), the magic line, directives, the
-// `end` marker — handing each directive to visit, and returns the header's
-// key. Nothing after `end` is read.
-func scanSidecar(r io.Reader, magic string, visit func(directive, rest string) error) (key string, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	sawMagic, sawEnd := false, false
-	for !sawEnd && sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "":
-		case strings.HasPrefix(line, "#"):
-			if strings.HasPrefix(line, keyHeader) {
-				key = strings.TrimSpace(strings.TrimPrefix(line, keyHeader))
-			}
-		case !sawMagic:
-			if line != magic {
-				return "", fmt.Errorf("bad magic %q", line)
-			}
-			sawMagic = true
-		case line == "end":
-			sawEnd = true
-		default:
-			directive, rest, _ := strings.Cut(line, " ")
-			if err := visit(directive, strings.TrimSpace(rest)); err != nil {
-				return "", err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	switch {
-	case !sawMagic:
-		return "", fmt.Errorf("empty sidecar")
-	case !sawEnd:
-		return "", fmt.Errorf("missing end marker")
-	}
-	return key, nil
-}
-
-// appendInts appends a directive's space-separated integers to dst.
-func appendInts(dst []int, rest, what string) ([]int, error) {
-	for _, fld := range strings.Fields(rest) {
-		v, err := strconv.Atoi(fld)
-		if err != nil {
-			return nil, fmt.Errorf("bad %s %q", what, fld)
-		}
-		dst = append(dst, v)
-	}
-	return dst, nil
-}
-
-// DecodeMapSidecar parses a .map sidecar.
-func DecodeMapSidecar(r io.Reader) (*MapSidecar, error) {
-	side := &MapSidecar{Nodes: -1, Cost: -1}
-	sawAlgo := false
-	key, err := scanSidecar(r, mapMagic, func(directive, rest string) (err error) {
-		switch directive {
-		case "topokey":
-			side.TopoKey = rest
-		case "dagname":
-			side.DAGName = rest
-		case "dag":
-			flds := strings.Fields(rest)
-			if len(flds) != 3 {
-				return fmt.Errorf("bad dag directive %q", rest)
-			}
-			if len(flds[0]) != 16 || strings.ToLower(flds[0]) != flds[0] {
-				return fmt.Errorf("bad DAG hash %q", flds[0])
-			}
-			h, err := strconv.ParseUint(flds[0], 16, 64)
-			if err != nil {
-				return fmt.Errorf("bad DAG hash %q", flds[0])
-			}
-			n, err := strconv.Atoi(flds[1])
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad node count %q", flds[1])
-			}
-			e, err := strconv.Atoi(flds[2])
-			if err != nil || e < 0 {
-				return fmt.Errorf("bad edge count %q", flds[2])
-			}
-			side.DAGHash, side.Nodes, side.Edges = h, n, e
-		case "algo":
-			side.Algo = rest
-			sawAlgo = true
-		case "cost":
-			c, err := strconv.ParseInt(rest, 10, 64)
-			if err != nil || c < 0 {
-				return fmt.Errorf("bad cost %q", rest)
-			}
-			side.Cost = c
-		case "assign":
-			side.Assign, err = appendInts(side.Assign, rest, "assign ctx")
-		default:
-			err = fmt.Errorf("unknown directive %q", directive)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	side.Key = key
-	switch {
-	case side.TopoKey == "":
-		return nil, fmt.Errorf("missing topokey")
-	case side.Nodes < 0:
-		return nil, fmt.Errorf("missing dag directive")
-	case !sawAlgo || side.Algo == "":
-		return nil, fmt.Errorf("missing algo")
-	case side.Cost < 0:
-		return nil, fmt.Errorf("missing cost")
-	case len(side.Assign) != side.Nodes:
-		return nil, fmt.Errorf("%d nodes but %d assignments", side.Nodes, len(side.Assign))
-	}
-	return side, nil
-}
-
-// DecodeSidecar parses a .place sidecar.
-func DecodeSidecar(r io.Reader) (*Sidecar, error) {
-	side := &Sidecar{}
-	nThreads := -1
-	key, err := scanSidecar(r, placeMagic, func(directive, rest string) (err error) {
-		switch directive {
-		case "topokey":
-			side.TopoKey = rest
-		case "policy":
-			side.Policy = rest
-		case "nthreads":
-			n, err := strconv.Atoi(rest)
-			if err != nil || n < 0 {
-				return fmt.Errorf("bad nthreads %q", rest)
-			}
-			nThreads = n
-		case "ctxs":
-			side.Ctxs, err = appendInts(side.Ctxs, rest, "ctx")
-		default:
-			err = fmt.Errorf("unknown directive %q", directive)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	side.Key = key
-	switch {
-	case side.TopoKey == "":
-		return nil, fmt.Errorf("missing topokey")
-	case side.Policy == "":
-		return nil, fmt.Errorf("missing policy")
-	case nThreads != len(side.Ctxs):
-		return nil, fmt.Errorf("nthreads %d but %d ctxs", nThreads, len(side.Ctxs))
-	}
-	return side, nil
 }

@@ -33,20 +33,21 @@ func FuzzDecode(f *testing.F) {
 		if !ok {
 			continue
 		}
-		path := filepath.Join("testdata", de.Name())
-		key, err := readKeyHeader(path)
+		b, err := os.ReadFile(filepath.Join("testdata", de.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		key, err := topo.ReadFrame(bytes.NewReader(b), magics[kind], nil)
 		if err != nil {
 			f.Fatal(err)
 		}
 		keys[kind] = key
 		if kind == registry.KindTopology {
-			b, err := os.ReadFile(path)
+			v, err := Decode(bytes.NewReader(b), kind, key, nil)
 			if err != nil {
 				f.Fatal(err)
 			}
-			if _, fixtureTopo, err = DecodeTopology(bytes.NewReader(b)); err != nil {
-				f.Fatal(err)
-			}
+			fixtureTopo = v.(*topo.Topology)
 		}
 	}
 	for kind, key := range keys {
@@ -61,6 +62,11 @@ func FuzzDecode(f *testing.F) {
 		key := keys[kind]
 		v, err := Decode(bytes.NewReader(data), kind, key, topologyFor)
 		if err != nil {
+			// A refused body yields no value: a typed nil in the any
+			// would pass a caller's type assertion.
+			if v != nil {
+				t.Fatalf("Decode refused the body (%v) yet returned %#v", err, v)
+			}
 			return
 		}
 		// A topology a tier accepts must be servable as JSON too: a

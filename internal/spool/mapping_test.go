@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/mctopalg"
 	"repro/internal/registry"
 	"repro/internal/taskmap"
+	"repro/internal/topo"
 )
 
 // testMapping computes a small mapping on the shared test topology.
@@ -26,45 +28,40 @@ func testMapping(t *testing.T) (*taskmap.Mapping, string) {
 	return m, key
 }
 
-func encodeMapping(t *testing.T, key, topoKey string, m *taskmap.Mapping) []byte {
+func encodeMapping(t *testing.T, key string, m *taskmap.Mapping) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := EncodeMapSidecar(&buf, key, topoKey, m); err != nil {
+	if err := Encode(&buf, registry.KindMapping, key, m); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// onTestTopo resolves every sidecar's topology to the shared test topology.
+func onTestTopo(string) (*topo.Topology, error) { return testTopo(), nil }
+
 func TestMapSidecarCodecRoundTrip(t *testing.T) {
 	m, key := testMapping(t)
-	topoKey, ok := registry.KindMapping.ParentKey(key)
-	if !ok {
-		t.Fatalf("KindMapping.ParentKey(%q) failed", key)
-	}
-	raw := encodeMapping(t, key, topoKey, m)
-	side, err := DecodeMapSidecar(bytes.NewReader(raw))
+	raw := encodeMapping(t, key, m)
+	v, err := Decode(bytes.NewReader(raw), registry.KindMapping, key, onTestTopo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if side.Key != key || side.TopoKey != topoKey || side.DAGName != m.DAGName() ||
-		side.DAGHash != m.DAGHash() || side.Nodes != m.NumNodes() ||
-		side.Edges != m.NumEdges() || side.Algo != m.Algo() || side.Cost != m.Cost() {
-		t.Fatalf("decoded sidecar %+v does not match mapping", side)
+	got := v.(*taskmap.Mapping)
+	if got.DAGName() != m.DAGName() || got.DAGHash() != m.DAGHash() || got.NumNodes() != m.NumNodes() ||
+		got.NumEdges() != m.NumEdges() || got.Algo() != m.Algo() || got.Cost() != m.Cost() ||
+		!slices.Equal(got.Assignment(), m.Assignment()) {
+		t.Fatal("decoded sidecar does not match the mapping")
 	}
-	rebuilt, err := taskmap.Reconstruct(testTopo(), side.DAGName, side.DAGHash,
-		side.Nodes, side.Edges, side.Algo, side.Cost, side.Assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := encodeMapping(t, key, topoKey, rebuilt); !bytes.Equal(got, raw) {
+	if !bytes.Equal(encodeMapping(t, key, got), raw) {
 		t.Fatal("reconstructed mapping does not re-encode byte-identically")
 	}
 }
 
-func TestDecodeMapSidecarRejectsMalformed(t *testing.T) {
+func TestDecodeRejectsMalformedMapping(t *testing.T) {
 	m, key := testMapping(t)
 	topoKey, _ := registry.KindMapping.ParentKey(key)
-	good := string(encodeMapping(t, key, topoKey, m))
+	good := string(encodeMapping(t, key, m))
 	cases := []struct {
 		name string
 		in   string
@@ -83,7 +80,7 @@ func TestDecodeMapSidecarRejectsMalformed(t *testing.T) {
 		{"bad hash", regexSwapLine(good, "dag ", "dag zzzz 3 2")},
 	}
 	for _, c := range cases {
-		if _, err := DecodeMapSidecar(strings.NewReader(c.in)); err == nil {
+		if _, err := Decode(strings.NewReader(c.in), registry.KindMapping, key, onTestTopo); err == nil {
 			t.Errorf("%s: decoded without error", c.name)
 		}
 	}
@@ -138,7 +135,7 @@ func TestMappingRoundTripThroughSpool(t *testing.T) {
 	if !ok {
 		t.Fatal("spooled mapping missed")
 	}
-	if got := encodeMapping(t, key, topoKey, v.(*taskmap.Mapping)); !bytes.Equal(got, encodeMapping(t, key, topoKey, m)) {
+	if got := encodeMapping(t, key, v.(*taskmap.Mapping)); !bytes.Equal(got, encodeMapping(t, key, m)) {
 		t.Fatal("spooled mapping is not byte-identical to the original")
 	}
 
@@ -155,7 +152,7 @@ func TestMappingRoundTripThroughSpool(t *testing.T) {
 	if !ok {
 		t.Fatal("fresh spool missed the scanned mapping")
 	}
-	if got := encodeMapping(t, key, topoKey, v2.(*taskmap.Mapping)); !bytes.Equal(got, encodeMapping(t, key, topoKey, m)) {
+	if got := encodeMapping(t, key, v2.(*taskmap.Mapping)); !bytes.Equal(got, encodeMapping(t, key, m)) {
 		t.Fatal("fresh-spool mapping is not byte-identical to the original")
 	}
 
@@ -177,10 +174,11 @@ func TestCorruptMapSidecarQuarantined(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the sidecar body (keep the key header so scan still indexes
-	// it) and reopen: the Get must degrade to a miss and quarantine.
+	// Corrupt the sidecar body (keep the key header and magic line so scan
+	// still indexes it) and reopen: the Get must degrade to a miss and
+	// quarantine.
 	path := filepath.Join(s.Dir(), fileName(key, registry.KindMapping))
-	if err := os.WriteFile(path, []byte(keyHeader+key+"\ngarbage\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("#key "+key+"\n"+mapMagic+"\ngarbage\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()

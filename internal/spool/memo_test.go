@@ -279,14 +279,13 @@ func TestMemoForgetsExactlyItsKeys(t *testing.T) {
 // A goroutine's own key, Set with a topology it still holds, must read
 // back as that topology; once every goroutine is done the memo empties.
 func TestTopoMemoConcurrent(t *testing.T) {
-	var buf bytes.Buffer
-	spec := testTopo().Spec()
-	if err := topo.Encode(&buf, &spec); err != nil {
-		t.Fatal(err)
-	}
-	desc := buf.Bytes()
+	desc := encodeTopo(t, testTopo())
 	fresh := func() *topo.Topology {
-		_, top, err := DecodeTopology(bytes.NewReader(desc))
+		spec, err := topo.Decode(bytes.NewReader(desc))
+		if err != nil {
+			panic(err)
+		}
+		top, err := topo.FromSpec(*spec)
 		if err != nil {
 			panic(err)
 		}

@@ -5,20 +5,12 @@
 // restarted daemon warm-starts from the files a previous process inferred
 // instead of re-running the O(N²) measurement phase.
 //
-// On-disk layout (one file per entry, flat in the spool directory):
-//
-//   - topologies: <sanitized-key>-<fnv64>.mctop — a `#key <registry key>`
-//     header line followed by a standard description file (topo.Encode).
-//     The header is a comment, so any .mctop reader decodes the file.
-//   - placements: <sanitized-key>-<fnv64>.place — a compact sidecar
-//     (format below) holding the policy name and assignment order plus the
-//     key of the topology it was computed on; loading one decodes that
-//     topology file and rebuilds the placement via place.Reconstruct,
-//     without re-running the policy.
-//   - mappings: <sanitized-key>-<fnv64>.map — the task-graph analogue of a
-//     placement sidecar: DAG identity, algorithm, cost and per-task
-//     assignment plus the topology key, rebuilt via taskmap.Reconstruct
-//     without re-running the mapper.
+// One file per entry, flat in the spool directory, named
+// <sanitized-key>-<fnv64> plus the kind's extension (.mctop, .place,
+// .map); the formats, their shared framing and the rules binding a file to
+// its key are documented once, in README.md's "Persistence" section. A
+// sidecar is rebuilt on the topology it names (place.Reconstruct,
+// taskmap.Reconstruct) without re-running its policy or mapper.
 //
 // A sidecar shares its tier's live decoded topology: while anything (a
 // cache, an in-flight request, the write-behind queue) still holds the
@@ -41,7 +33,6 @@
 package spool
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -61,9 +52,6 @@ import (
 )
 
 const (
-	keyHeader    = "#key "
-	placeMagic   = "mctop-place 1"
-	mapMagic     = "mctop-map 1"
 	writeBacklog = 64
 	// quarantineDir, under the spool directory, receives undecodable
 	// files. It is excluded from the startup scan (scan skips
@@ -221,16 +209,22 @@ func (s *Spool) scan() error {
 			}
 			continue
 		}
-		key, err := readKeyHeader(filepath.Join(s.dir, name))
+		// The header alone: the one framing reader stops before the
+		// first directive.
+		f, err := os.Open(filepath.Join(s.dir, name))
+		var key string
+		if err == nil {
+			key, err = topo.ReadFrame(f, magics[kind], nil)
+			f.Close()
+		}
 		if _, fired := s.faults.Eval(faultinject.SpoolScan); fired && err == nil {
 			err = fmt.Errorf("unreadable header (injected)")
 		}
+		if err == nil && fileName(key, kind) != name {
+			err = fmt.Errorf("header names key %q", key)
+		}
 		if err != nil {
 			s.quarantine(name, err)
-			continue
-		}
-		if fileName(key, kind) != name {
-			s.quarantine(name, fmt.Errorf("key header names %q", key))
 			continue
 		}
 		s.entries[key] = kind
@@ -291,38 +285,6 @@ func fileName(key string, kind registry.Kind) string {
 		}
 	}
 	return fmt.Sprintf("%s-%016x%s", b.String(), h, kind.Ext())
-}
-
-// readKeyHeader returns the `#key ` header of a spool file.
-func readKeyHeader(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, keyHeader) {
-			key := strings.TrimSpace(strings.TrimPrefix(line, keyHeader))
-			if key == "" {
-				return "", fmt.Errorf("empty key header")
-			}
-			return key, nil
-		}
-		// Headers lead the file; the first non-comment line ends them.
-		if !strings.HasPrefix(line, "#") {
-			return "", fmt.Errorf("no key header")
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("no key header")
 }
 
 // Lookup implements registry.Store: decode the entry's file into a fresh

@@ -8,82 +8,232 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
-// Description files: MCTOP topologies are created by libmctop once and then
-// loaded from disk (Section 2). The format is line-oriented text, ordered,
-// and round-trips exactly through Encode and Decode.
+// Interchange files. Every file this repository persists or ships — the
+// description file (MCTOP topologies are created by libmctop once and then
+// loaded from disk, Section 2) and the spool's .place and .map sidecars —
+// shares one line framing:
+//
+//	#key <registry key>      the header: the leading comment block
+//	<magic>                  the format and its version
+//	<directive> <values...>  the format's vocabulary, one per line
+//	end                      the last line that is neither blank nor a comment
+//
+// Writer writes it and ReadFrame reads it; nothing else does. README.md's
+// "Persistence" section documents the three vocabularies.
 
-const fileMagic = "mctop 1"
+// Magic is the description file's magic line.
+const Magic = "mctop 1"
+
+const keyHeader = "#key"
+
+// Writer writes one framed file. A value holding a line break would smuggle
+// lines into the file, so the writer refuses it: the value is not written
+// and End reports the error. Output is buffered, but a large file may reach
+// the underlying writer before End, so on error what was written is
+// incomplete and must be discarded.
+type Writer struct {
+	bw      *bufio.Writer
+	started bool
+	err     error
+}
+
+// NewWriter starts a framed file: its #key header (none when key is empty)
+// and its magic line.
+func NewWriter(w io.Writer, key, magic string) *Writer {
+	fw := &Writer{bw: bufio.NewWriter(w)}
+	if key != "" {
+		fw.Line(keyHeader).Str(key)
+	}
+	return fw.Line(magic)
+}
+
+// Line starts the next line with a directive.
+func (w *Writer) Line(directive string) *Writer {
+	if w.started {
+		w.bw.WriteByte('\n')
+	}
+	w.started = true
+	return w.put(directive)
+}
+
+// Str appends a value to the line.
+func (w *Writer) Str(s string) *Writer {
+	w.bw.WriteByte(' ')
+	return w.put(s)
+}
+
+func (w *Writer) put(s string) *Writer {
+	if strings.ContainsAny(s, "\r\n") {
+		w.err = fmt.Errorf("value %q holds a line break", s)
+	} else {
+		w.bw.WriteString(s)
+	}
+	return w
+}
+
+// Int appends an integer to the line.
+func (w *Writer) Int(v int64) *Writer {
+	w.bw.Write(strconv.AppendInt(append(w.bw.AvailableBuffer(), ' '), v, 10))
+	return w
+}
+
+// Ints appends integers to the line.
+func (w *Writer) Ints(vs []int) *Writer {
+	for _, v := range vs {
+		w.Int(int64(v))
+	}
+	return w
+}
+
+// Float appends a float to the line, formatted like %g.
+func (w *Writer) Float(v float64) *Writer {
+	w.bw.Write(strconv.AppendFloat(append(w.bw.AvailableBuffer(), ' '), v, 'g', -1, 64))
+	return w
+}
+
+// End writes the end marker and flushes.
+func (w *Writer) End() error {
+	w.Line("end").bw.WriteByte('\n')
+	if w.err != nil {
+		return w.err
+	}
+	return w.bw.Flush()
+}
+
+// ReadFrame reads one framed file. The leading comment block is the header:
+// it may hold one non-empty #key line, whose key ReadFrame returns ("" when
+// there is none). The magic line must follow it. visit gets each directive
+// with the rest of its line, and `end` must be the last line that is
+// neither blank nor a comment; every other comment is skipped. A nil visit
+// reads the header and the magic line alone.
+func ReadFrame(r io.Reader, magic string, visit func(directive, rest string) error) (key string, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 4096), 1<<22)
+	n := 0
+	fail := func(format string, args ...any) (string, error) {
+		return "", fmt.Errorf("line %d: %w", n, fmt.Errorf(format, args...))
+	}
+	const (
+		inHeader = iota
+		inBody
+		ended
+	)
+	state, sawKey := inHeader, false
+	for sc.Scan() {
+		n++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		if line[0] == '#' {
+			rest, ok := strings.CutPrefix(line, keyHeader)
+			if state != inHeader || !ok || rest != "" && !unicode.IsSpace(rune(rest[0])) {
+				continue // a plain comment
+			}
+			switch key = strings.TrimSpace(rest); {
+			case sawKey:
+				return fail("second #key line")
+			case key == "":
+				return fail("empty #key line")
+			}
+			sawKey = true
+			continue
+		}
+		switch state {
+		case inHeader:
+			if line != magic {
+				return fail("bad magic %q", line)
+			}
+			if visit == nil {
+				return key, nil
+			}
+			state = inBody
+		case inBody:
+			if line == "end" {
+				state = ended
+				continue
+			}
+			directive, rest := line, ""
+			if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
+				directive, rest = line[:i], strings.TrimSpace(line[i:])
+			}
+			if err := visit(directive, rest); err != nil {
+				return fail("%s: %w", directive, err)
+			}
+		default:
+			return fail("%q after end", line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return "", err
+	}
+	switch state {
+	case inHeader:
+		return fail("no %q line", magic)
+	case inBody:
+		return fail("missing end marker")
+	}
+	return key, nil
+}
 
 // Encode writes a topology spec as a description file.
-func Encode(w io.Writer, s *Spec) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, fileMagic)
-	fmt.Fprintf(bw, "name %s\n", sanitize(s.Name))
-	fmt.Fprintf(bw, "contexts %d\n", s.Contexts)
-	fmt.Fprintf(bw, "nodes %d\n", s.Nodes)
-	fmt.Fprintf(bw, "smt %d\n", s.SMTWays)
-	fmt.Fprintf(bw, "freq_ghz %g\n", s.FreqGHz)
+func Encode(w io.Writer, s *Spec) error { return EncodeKeyed(w, "", s) }
+
+// EncodeKeyed writes a description file under a #key header naming key
+// (none when key is empty): the header is a comment, so any description
+// file reader decodes it.
+func EncodeKeyed(w io.Writer, key string, s *Spec) error {
+	fw := NewWriter(w, key, Magic)
+	fw.Line("name").Str(sanitize(s.Name))
+	fw.Line("contexts").Int(int64(s.Contexts))
+	fw.Line("nodes").Int(int64(s.Nodes))
+	fw.Line("smt").Int(int64(s.SMTWays))
+	fw.Line("freq_ghz").Float(s.FreqGHz)
 	for i, l := range s.Levels {
-		fmt.Fprintf(bw, "level %d %s %s %d %d %d\n", i, l.Kind, sanitize(l.Name), l.Min, l.Median, l.Max)
+		fw.Line("level").Int(int64(i)).Str(l.Kind.String()).Str(sanitize(l.Name)).Int(l.Min).Int(l.Median).Int(l.Max)
 		for _, g := range l.Groups {
-			fmt.Fprintf(bw, "group %d :", i)
-			for _, ctx := range g {
-				fmt.Fprintf(bw, " %d", ctx)
-			}
-			fmt.Fprintln(bw)
+			fw.Line("group").Int(int64(i)).Str(":").Ints(g)
 		}
 	}
-	fmt.Fprint(bw, "node_of_socket")
-	for _, n := range s.NodeOfSocket {
-		fmt.Fprintf(bw, " %d", n)
-	}
-	fmt.Fprintln(bw)
+	fw.Line("node_of_socket").Ints(s.NodeOfSocket)
 	for _, row := range s.SocketLat {
-		fmt.Fprint(bw, "socket_lat")
+		fw.Line("socket_lat")
 		for _, v := range row {
-			fmt.Fprintf(bw, " %d", v)
+			fw.Int(v)
 		}
-		fmt.Fprintln(bw)
 	}
 	for _, row := range s.SocketBW {
-		fmt.Fprint(bw, "socket_bw")
+		fw.Line("socket_bw")
 		for _, v := range row {
-			fmt.Fprintf(bw, " %g", v)
+			fw.Float(v)
 		}
-		fmt.Fprintln(bw)
 	}
 	for _, row := range s.MemLat {
-		fmt.Fprint(bw, "mem_lat")
+		fw.Line("mem_lat")
 		for _, v := range row {
-			fmt.Fprintf(bw, " %d", v)
+			fw.Int(v)
 		}
-		fmt.Fprintln(bw)
 	}
 	for _, row := range s.MemBW {
-		fmt.Fprint(bw, "mem_bw")
+		fw.Line("mem_bw")
 		for _, v := range row {
-			fmt.Fprintf(bw, " %g", v)
+			fw.Float(v)
 		}
-		fmt.Fprintln(bw)
 	}
 	if s.StreamCoreBW > 0 {
-		fmt.Fprintf(bw, "stream_core_bw %g\n", s.StreamCoreBW)
+		fw.Line("stream_core_bw").Float(s.StreamCoreBW)
 	}
-	if s.Cache != nil {
-		c := s.Cache
-		fmt.Fprintf(bw, "cache %d %d %d %d %d %d\n",
-			c.LatL1, c.LatL2, c.LatLLC, c.SizeL1, c.SizeL2, c.SizeLLC)
+	if c := s.Cache; c != nil {
+		fw.Line("cache").Int(c.LatL1).Int(c.LatL2).Int(c.LatLLC).Int(c.SizeL1).Int(c.SizeL2).Int(c.SizeLLC)
 	}
-	if s.Power != nil {
-		p := s.Power
-		fmt.Fprintf(bw, "power %g %g %g %g %g %g %g %g\n",
-			p.Idle, p.Full, p.FirstCtx, p.SecondCtx,
-			p.PerSocketBase, p.PerFirstCtx, p.PerExtraCtx, p.DRAM)
+	if p := s.Power; p != nil {
+		fw.Line("power").Float(p.Idle).Float(p.Full).Float(p.FirstCtx).Float(p.SecondCtx).
+			Float(p.PerSocketBase).Float(p.PerFirstCtx).Float(p.PerExtraCtx).Float(p.DRAM)
 	}
-	fmt.Fprintln(bw, "end")
-	return bw.Flush()
+	return fw.End()
 }
 
 func sanitize(s string) string {
@@ -100,77 +250,41 @@ func unsanitize(s string) string {
 	return s
 }
 
-// Decode parses a description file back into a spec.
+// Decode parses a description file back into a spec; a #key header is
+// skipped.
 func Decode(r io.Reader) (*Spec, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	line := 0
-	next := func() (string, bool) {
-		for sc.Scan() {
-			line++
-			t := strings.TrimSpace(sc.Text())
-			if t == "" || strings.HasPrefix(t, "#") {
-				continue
-			}
-			return t, true
-		}
-		return "", false
-	}
-	fail := func(format string, args ...interface{}) error {
-		return fmt.Errorf("topo: description line %d: %s", line, fmt.Sprintf(format, args...))
-	}
+	_, s, err := DecodeKeyed(r)
+	return s, err
+}
 
-	first, ok := next()
-	if !ok || first != fileMagic {
-		return nil, fail("bad magic %q", first)
-	}
+// DecodeKeyed parses a description file back into a spec and returns its
+// header's key ("" when it has none).
+func DecodeKeyed(r io.Reader) (string, *Spec, error) {
 	s := &Spec{}
-	var curLevel = -1
-	for {
-		t, ok := next()
-		if !ok {
-			return nil, fail("missing end marker")
-		}
-		if t == "end" {
-			break
-		}
-		fields := strings.Fields(t)
-		key := fields[0]
-		args := fields[1:]
-		switch key {
+	curLevel := -1
+	key, err := ReadFrame(r, Magic, func(directive, rest string) error {
+		args := strings.Fields(rest)
+		switch directive {
 		case "name":
 			if len(args) != 1 {
-				return nil, fail("name wants 1 arg")
+				return fmt.Errorf("want 1 arg, got %d", len(args))
 			}
 			s.Name = unsanitize(args[0])
 		case "contexts":
-			if err := parseInt(args, &s.Contexts); err != nil {
-				return nil, fail("contexts: %v", err)
-			}
+			return parseInt(args, &s.Contexts)
 		case "nodes":
-			if err := parseInt(args, &s.Nodes); err != nil {
-				return nil, fail("nodes: %v", err)
-			}
+			return parseInt(args, &s.Nodes)
 		case "smt":
-			if err := parseInt(args, &s.SMTWays); err != nil {
-				return nil, fail("smt: %v", err)
-			}
+			return parseInt(args, &s.SMTWays)
 		case "freq_ghz":
-			if len(args) != 1 {
-				return nil, fail("freq_ghz wants 1 arg")
-			}
-			f, err := strconv.ParseFloat(args[0], 64)
-			if err != nil {
-				return nil, fail("freq_ghz: %v", err)
-			}
-			s.FreqGHz = f
+			return parseFloat(args, &s.FreqGHz)
 		case "level":
 			if len(args) != 6 {
-				return nil, fail("level wants 6 args, got %d", len(args))
+				return fmt.Errorf("want 6 args, got %d", len(args))
 			}
 			idx, err := strconv.Atoi(args[0])
 			if err != nil || idx != len(s.Levels) {
-				return nil, fail("level index %q out of order", args[0])
+				return fmt.Errorf("index %q out of order", args[0])
 			}
 			var kind LevelKind
 			switch args[1] {
@@ -181,108 +295,84 @@ func Decode(r io.Reader) (*Spec, error) {
 			case "cross":
 				kind = LevelCross
 			default:
-				return nil, fail("unknown level kind %q", args[1])
+				return fmt.Errorf("unknown kind %q", args[1])
 			}
-			min, err1 := strconv.ParseInt(args[3], 10, 64)
-			med, err2 := strconv.ParseInt(args[4], 10, 64)
-			max, err3 := strconv.ParseInt(args[5], 10, 64)
-			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, fail("level latencies unparsable")
+			lat, err := parseInt64Row(args[3:])
+			if err != nil {
+				return fmt.Errorf("latencies unparsable")
 			}
 			s.Levels = append(s.Levels, Level{
-				Name: unsanitize(args[2]), Kind: kind, Min: min, Median: med, Max: max,
+				Name: unsanitize(args[2]), Kind: kind, Min: lat[0], Median: lat[1], Max: lat[2],
 			})
 			curLevel = idx
 		case "group":
 			if len(args) < 3 || args[1] != ":" {
-				return nil, fail("group wants 'group <level> : ctx...'")
+				return fmt.Errorf("want 'group <level> : ctx...'")
 			}
 			idx, err := strconv.Atoi(args[0])
 			if err != nil || idx != curLevel {
-				return nil, fail("group level %q does not match current level %d", args[0], curLevel)
+				return fmt.Errorf("level %q does not match current level %d", args[0], curLevel)
 			}
-			var g []int
-			for _, a := range args[2:] {
-				v, err := strconv.Atoi(a)
-				if err != nil {
-					return nil, fail("group member %q: %v", a, err)
-				}
-				g = append(g, v)
+			g, err := parseIntRow(args[2:])
+			if err != nil {
+				return err
 			}
 			s.Levels[idx].Groups = append(s.Levels[idx].Groups, g)
 		case "node_of_socket":
-			for _, a := range args {
-				v, err := strconv.Atoi(a)
-				if err != nil {
-					return nil, fail("node_of_socket: %v", err)
-				}
-				s.NodeOfSocket = append(s.NodeOfSocket, v)
+			row, err := parseIntRow(args)
+			if err != nil {
+				return err
 			}
-		case "socket_lat":
+			s.NodeOfSocket = append(s.NodeOfSocket, row...)
+		case "socket_lat", "mem_lat":
 			row, err := parseInt64Row(args)
 			if err != nil {
-				return nil, fail("socket_lat: %v", err)
+				return err
 			}
-			s.SocketLat = append(s.SocketLat, row)
-		case "socket_bw":
+			if directive == "socket_lat" {
+				s.SocketLat = append(s.SocketLat, row)
+			} else {
+				s.MemLat = append(s.MemLat, row)
+			}
+		case "socket_bw", "mem_bw":
 			row, err := parseFloatRow(args)
 			if err != nil {
-				return nil, fail("socket_bw: %v", err)
+				return err
 			}
-			s.SocketBW = append(s.SocketBW, row)
-		case "mem_lat":
-			row, err := parseInt64Row(args)
-			if err != nil {
-				return nil, fail("mem_lat: %v", err)
+			if directive == "socket_bw" {
+				s.SocketBW = append(s.SocketBW, row)
+			} else {
+				s.MemBW = append(s.MemBW, row)
 			}
-			s.MemLat = append(s.MemLat, row)
-		case "mem_bw":
-			row, err := parseFloatRow(args)
-			if err != nil {
-				return nil, fail("mem_bw: %v", err)
-			}
-			s.MemBW = append(s.MemBW, row)
 		case "stream_core_bw":
-			if len(args) != 1 {
-				return nil, fail("stream_core_bw wants 1 arg")
-			}
-			f, err := strconv.ParseFloat(args[0], 64)
-			if err != nil {
-				return nil, fail("stream_core_bw: %v", err)
-			}
-			s.StreamCoreBW = f
+			return parseFloat(args, &s.StreamCoreBW)
 		case "cache":
-			if len(args) != 6 {
-				return nil, fail("cache wants 6 args")
-			}
 			vals, err := parseInt64Row(args)
-			if err != nil {
-				return nil, fail("cache: %v", err)
+			if err != nil || len(vals) != 6 {
+				return fmt.Errorf("want 6 integers")
 			}
 			s.Cache = &CacheInfo{
 				LatL1: vals[0], LatL2: vals[1], LatLLC: vals[2],
 				SizeL1: vals[3], SizeL2: vals[4], SizeLLC: vals[5],
 			}
 		case "power":
-			if len(args) != 8 {
-				return nil, fail("power wants 8 args")
-			}
 			vals, err := parseFloatRow(args)
-			if err != nil {
-				return nil, fail("power: %v", err)
+			if err != nil || len(vals) != 8 {
+				return fmt.Errorf("want 8 numbers")
 			}
 			s.Power = &PowerInfo{
 				Idle: vals[0], Full: vals[1], FirstCtx: vals[2], SecondCtx: vals[3],
 				PerSocketBase: vals[4], PerFirstCtx: vals[5], PerExtraCtx: vals[6], DRAM: vals[7],
 			}
 		default:
-			return nil, fail("unknown directive %q", key)
+			return fmt.Errorf("unknown directive")
 		}
+		return nil
+	})
+	if err != nil {
+		return "", nil, fmt.Errorf("topo: description %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return key, s, nil
 }
 
 func parseInt(args []string, out *int) error {
@@ -295,6 +385,30 @@ func parseInt(args []string, out *int) error {
 	}
 	*out = v
 	return nil
+}
+
+func parseFloat(args []string, out *float64) error {
+	if len(args) != 1 {
+		return fmt.Errorf("want 1 arg, got %d", len(args))
+	}
+	v, err := strconv.ParseFloat(args[0], 64)
+	if err != nil {
+		return err
+	}
+	*out = v
+	return nil
+}
+
+func parseIntRow(args []string) ([]int, error) {
+	row := make([]int, 0, len(args))
+	for _, a := range args {
+		v, err := strconv.Atoi(a)
+		if err != nil {
+			return nil, err
+		}
+		row = append(row, v)
+	}
+	return row, nil
 }
 
 func parseInt64Row(args []string) ([]int64, error) {

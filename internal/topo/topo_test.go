@@ -383,6 +383,46 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestFrameRules: the one reader's header and end rules, a header-only
+// read, and the writer's refusal of a value holding a line break.
+func TestFrameRules(t *testing.T) {
+	var buf bytes.Buffer
+	spec := ivySpec()
+	if err := EncodeKeyed(&buf, "k", &spec); err != nil {
+		t.Fatal(err)
+	}
+	keyed := buf.String()
+	bare := strings.TrimPrefix(keyed, "#key k\n")
+	cases := []struct {
+		name, in, key string
+		ok            bool
+	}{
+		{"keyed", keyed, "k", true},
+		{"bare", bare, "", true},
+		{"comments and blank lines", "# by hand\n\n#key  k \n\n" +
+			strings.Replace(bare, "\nend\n", "\n# a comment\nend\n\n# after end\n", 1), "k", true},
+		{"two #key lines", "#key k\n" + keyed, "", false},
+		{"an empty #key line", "#key \n" + bare, "", false},
+		{"a directive after end", keyed + "name x\n", "", false},
+		{"no end", strings.TrimSuffix(keyed, "end\n"), "", false},
+		{"no magic line", "#key k\n", "", false},
+	}
+	for _, c := range cases {
+		key, _, err := DecodeKeyed(strings.NewReader(c.in))
+		if (err == nil) != c.ok || key != c.key {
+			t.Errorf("%s: key %q, err %v", c.name, key, err)
+		}
+	}
+	key, err := ReadFrame(strings.NewReader("#key k\nmctop 1\nnot a directive"), Magic, nil)
+	if err != nil || key != "k" {
+		t.Errorf("header-only read: key %q, err %v", key, err)
+	}
+	spec.Name = "x\nend"
+	if err := Encode(&buf, &spec); err == nil {
+		t.Error("Encode wrote a name holding a line break")
+	}
+}
+
 func TestValidateRejectsBadSpecs(t *testing.T) {
 	mutate := func(f func(*Spec)) error {
 		s := ivySpec()

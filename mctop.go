@@ -146,15 +146,6 @@ func Validate(t *Topology, osCoreOfCtx, osSocketOfCtx, osNodeOfSocket []int) []s
 	return t.CompareOS(osCoreOfCtx, osSocketOfCtx, osNodeOfSocket)
 }
 
-// Describe renders the textual summary plus both Graphviz graphs of a
-// topology (the visualization of Figures 1-3).
-func Describe(t *Topology) string {
-	out := t.String()
-	out += "\n--- intra-socket graph (socket 0) ---\n" + t.DotIntraSocket(0)
-	out += "\n--- cross-socket graph ---\n" + t.DotCrossSocket()
-	return out
-}
-
 // Registry is a concurrency-safe, LRU-bounded cache of inferred topologies
 // and derived placements, keyed by (platform, seed, options). Concurrent
 // misses on one key collapse into a single inference (singleflight); hits
