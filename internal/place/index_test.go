@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -33,11 +34,30 @@ func loadGolden(t *testing.T, file string) *topo.Topology {
 }
 
 func TestPowerOrderMatchesScan(t *testing.T) {
+	var tops []*topo.Topology
 	for _, file := range goldenPlatformFiles {
-		top := loadGolden(t, file)
+		tops = append(tops, loadGolden(t, file))
+	}
+	// Generated platforms have no power model; they borrow Haswell's.
+	power := loadGolden(t, "haswell.mctop").Power()
+	for _, name := range []string{"gen:mesh:s4:c8:t2", "gen:ring:s6:c2:t2", "gen:circulant:s16:c4:t2"} {
+		p, err := sim.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := enriched(t, p).Spec()
+		spec.Power = power
+		top, err := topo.FromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tops = append(tops, top)
+	}
+	for _, top := range tops {
 		if !top.Power().Available() {
 			continue // POWER is Intel-only; Opteron and SPARC have no model
 		}
+		file := top.Name()
 		nCtx := top.NumHWContexts()
 		for _, nSockets := range []int{1, 2, top.NumSockets()} {
 			if nSockets > top.NumSockets() {

@@ -383,13 +383,19 @@ func roundRobin(perSocket [][]int, limit int) []int {
 // exhaustive scan finds the same winner (its ID-ascending strict-< scan
 // picks the lowest-id context of the cheapest class).
 //
+// Nor does a step look for the representatives: each class is a min-heap
+// of context ids, and a context joins its class when its core or socket
+// turns active and leaves it when it is chosen — always as its class's
+// minimum. A socket's candidate is its lowest id, an inactive core's its
+// lowest id (the contexts of both ascend), so the build is O(n log n).
+//
 // Nor does a step re-estimate the chosen set: it keeps running per-core
 // context counts and each active socket's power. A candidate changes only
 // its own socket's term, which is recomputed over that socket's cores in
 // core-id order and then summed with the other active sockets in socket-id
 // order — the float operations Occupancy.Power performs, so every delta
 // and every tie is bit-identical to PowerEstimate's. The equivalence is
-// property-tested against the scan on all five golden platforms.
+// property-tested against the scan on the golden and generated platforms.
 func powerOrder(t *topo.Topology, nSockets, nThreads int) []int {
 	allowed := make([]bool, t.NumSockets())
 	for _, s := range socketOrder(t, false, nSockets) {
@@ -413,7 +419,6 @@ func powerOrder(t *topo.Topology, nSockets, nThreads int) []int {
 	for _, s := range t.Sockets() {
 		sockCores[s.ID] = t.SocketGetCores(s)
 	}
-	inUse := make([]bool, len(contexts))
 	perCore := make([]int32, t.NumCores()) // contexts chosen, by core id
 	sockActive := make([]bool, t.NumSockets())
 	sockPower := make([]float64, t.NumSockets()) // per active socket
@@ -442,35 +447,24 @@ func powerOrder(t *topo.Topology, nSockets, nThreads int) []int {
 		}
 		return tot
 	}
+	// The delta classes' candidates: siblings of active cores, inactive
+	// cores of active sockets, and inactive allowed sockets.
+	var sibs, cores, sockets idHeap
+	for s, ok := range allowed {
+		if ok {
+			sockets.push(t.Socket(s).Contexts[0].ID)
+		}
+	}
+	siblingsOf := func(core *topo.HWCGroup) {
+		for _, c := range core.Contexts[1:] {
+			sibs.push(c.ID)
+		}
+	}
 	chosen := make([]int, 0, n)
 	cur := 0.0 // PowerEstimate(chosen)'s total
 	for len(chosen) < n {
-		// Lowest-id representative of each delta class.
-		repSib, repCore, repSock := -1, -1, -1
-		for _, c := range contexts {
-			if inUse[c.ID] || !allowed[c.Socket.ID] {
-				continue
-			}
-			switch {
-			case perCore[c.Core.ID] > 0:
-				if repSib == -1 {
-					repSib = c.ID
-				}
-			case sockActive[c.Socket.ID]:
-				if repCore == -1 {
-					repCore = c.ID
-				}
-			default:
-				if repSock == -1 {
-					repSock = c.ID
-				}
-			}
-			if repSib >= 0 && repCore >= 0 && repSock >= 0 {
-				break
-			}
-		}
 		best, bestDelta, bestPower, bestTotal := -1, 0.0, 0.0, 0.0
-		for _, cand := range [3]int{repSib, repCore, repSock} {
+		for _, cand := range [3]int{sibs.min(), cores.min(), sockets.min()} {
 			if cand == -1 {
 				continue
 			}
@@ -488,14 +482,73 @@ func powerOrder(t *topo.Topology, nSockets, nThreads int) []int {
 			break
 		}
 		c := contexts[best]
+		switch {
+		case perCore[c.Core.ID] > 0:
+			sibs.pop()
+		case sockActive[c.Socket.ID]:
+			cores.pop()
+			siblingsOf(c.Core)
+		default:
+			sockets.pop()
+			siblingsOf(c.Core)
+			for _, core := range sockCores[c.Socket.ID] {
+				if core != c.Core {
+					cores.push(core.Contexts[0].ID)
+				}
+			}
+		}
 		chosen = append(chosen, best)
-		inUse[best] = true
 		perCore[c.Core.ID]++
 		sockActive[c.Socket.ID] = true
 		sockPower[c.Socket.ID] = bestPower
 		cur = bestTotal
 	}
 	return chosen
+}
+
+// idHeap is a min-heap of context ids, powerOrder's candidate classes.
+type idHeap []int
+
+// min returns the lowest id, or -1 when the heap is empty.
+func (h idHeap) min() int {
+	if len(h) == 0 {
+		return -1
+	}
+	return h[0]
+}
+
+func (h *idHeap) push(id int) {
+	*h = append(*h, id)
+	for i := len(*h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if (*h)[parent] <= (*h)[i] {
+			break
+		}
+		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
+		i = parent
+	}
+}
+
+// pop removes the lowest id.
+func (h *idHeap) pop() {
+	old := *h
+	last := len(old) - 1
+	old[0] = old[last]
+	*h = old[:last]
+	for i := 0; ; {
+		small, l, r := i, 2*i+1, 2*i+2
+		if l < last && old[l] < old[small] {
+			small = l
+		}
+		if r < last && old[r] < old[small] {
+			small = r
+		}
+		if small == i {
+			return
+		}
+		old[i], old[small] = old[small], old[i]
+		i = small
+	}
 }
 
 // Policy returns the placement's builtin policy, or Custom when the

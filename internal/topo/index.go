@@ -1,40 +1,77 @@
 package topo
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // queryIndex is the immutable, precomputed query layer of a Topology. The
 // paper's pitch is that MCTOP queries are cheap enough to sit inside runtime
 // policies (lock backoff quanta, placement builds); re-deriving answers
 // from the group tree on every call is not.
 // The index is built once per topology — lazily, on the first query that
-// needs it — and turns the hot paths into array lookups:
+// needs it — and turns the hot paths into array lookups. Like the paper's
+// mctopo_t, which keeps one latency per level and a socket-pair table, it
+// holds O(n + S²) words and never a context×context table:
 //
-//   - lat is the flat ctx×ctx latency matrix (n ≤ 256 on the paper's
-//     machines, so the dense int64 matrix tops out at 512 KB; a level-id
-//     matrix + level table would shrink it 8x if a future platform needs
-//     it), making GetLatency O(1) and MaxLatencyBetween a pure array scan;
-//   - coreIdx/socketIdx flatten the context→core→socket pointer chases into
-//     two int32 lookups. Occupancy (occupancy.go) is the one pass over them:
-//     the summary of the cores and sockets a context set uses, ordered by id
-//     and first use — never by map iteration — that the power estimate, the
-//     placement report and the cost models all read;
-//   - socketCores, byLocalBW and byLatencyFrom memoize the per-socket core
-//     slices and the socket orders every placement build re-derived.
+//   - keys holds one ctxKey per context: its socket, and a path that packs
+//     its place inside the socket into one word — at each level from the
+//     socket down to the core the index of its group among its parent's
+//     children, then its index within its core. Two contexts of different
+//     sockets communicate at their entry of the flat S×S socket matrix; two
+//     of one socket at the latency of their lowest common group, which is
+//     fixed by the highest bit in which their paths differ, which indexes
+//     within. GetLatency is two table reads and a socket compare, and the
+//     maximum latency among a socket's contexts is the OR of their paths'
+//     XORs with any one of them;
+//   - coreIdx and the keys' sockets flatten the context→core→socket pointer
+//     chases into two int32 lookups. Occupancy (occupancy.go) is the one
+//     pass over them: the summary of the cores and sockets a context set
+//     uses, ordered by id and first use — never by map iteration — that the
+//     power estimate, the placement report and the cost models all read;
+//   - coreOff, byLocalBW and byLatencyFrom memoize the per-socket core
+//     ranges and the socket orders every placement build re-derived.
 //
 // Topologies are immutable after construction (package doc), so the index
 // never needs invalidation and is safe to share between goroutines.
 type queryIndex struct {
-	n   int
-	lat []int64 // flattened n×n matrix; lat[x*n+y]
+	n, nS int
+
+	keys []ctxKey // by ctx id
+	// within[k] is the latency of two contexts of one socket whose paths
+	// differ in bit k-1 and no higher one; within[0], a context with
+	// itself, is 0.
+	within [65]int64
+	cross  []int64 // flat S×S socket matrix; cross[a*nS+b]
 
 	maxLat int64 // MaxLatency, memoized
 
-	coreIdx   []int32 // ctx id -> index into Topology.cores
-	socketIdx []int32 // ctx id -> socket id
+	coreIdx []int32 // ctx id -> index into Topology.cores
 
-	socketCores   [][]*HWCGroup // socket id -> its cores, in core-id order
-	byLocalBW     []*Socket     // sockets ordered by local memory BW, best first
-	byLatencyFrom [][]*Socket   // socket id -> other sockets, closest first
+	coreOff       []int32     // socket s's cores are Topology.cores[coreOff[s]:coreOff[s+1]]
+	byLocalBW     []*Socket   // sockets ordered by local memory BW, best first
+	byLatencyFrom [][]*Socket // socket id -> other sockets, closest first
+}
+
+// ctxKey is a context's entry in the index. row is where its socket's row
+// of the socket matrix starts, so a.row+b.socket indexes the entry of a's
+// and b's sockets.
+type ctxKey struct {
+	path        uint64
+	row, socket int32
+}
+
+// latency is the communication latency between two known contexts; 0
+// between a context and itself. It is the per-pair lookup of GetLatency
+// and must stay inlinable (LatenciesFrom inlines its two reads by hand).
+func (idx *queryIndex) latency(a, b ctxKey) int64 {
+	// Both entries are read and one is kept, which compiles to a
+	// conditional move: a branch on the sockets mispredicts on mixed pairs.
+	l, cross := idx.within[bits.Len64(a.path^b.path)], idx.cross[a.row+b.socket]
+	if a.socket != b.socket {
+		l = cross
+	}
+	return l
 }
 
 // index returns the topology's query index, building it on first use. The
@@ -55,45 +92,113 @@ func (t *Topology) buildIndexOnce() *queryIndex {
 	return t.idx.Load()
 }
 
-// buildIndex precomputes every memoized structure from the slow reference
-// implementations, so the indexed hot paths are equal to the pre-index ones
-// by construction (property-tested in index_test.go).
+// buildIndex precomputes every memoized structure. The latency layout is
+// property-tested against getLatencyWalk, and the rest is built from the
+// slow reference implementations, so the indexed hot paths are equal to the
+// pre-index ones (index_test.go).
 func buildIndex(t *Topology) *queryIndex {
-	n := len(t.contexts)
+	n, nS := len(t.contexts), len(t.sockets)
 	idx := &queryIndex{
-		n:         n,
-		lat:       make([]int64, n*n),
-		coreIdx:   make([]int32, n),
-		socketIdx: make([]int32, n),
-	}
-	for x := 0; x < n; x++ {
-		for y := x + 1; y < n; y++ {
-			l := t.getLatencyWalk(x, y)
-			idx.lat[x*n+y] = l
-			idx.lat[y*n+x] = l
-		}
+		n:       n,
+		nS:      nS,
+		cross:   make([]int64, nS*nS),
+		coreIdx: make([]int32, n),
+		coreOff: make([]int32, nS+1),
 	}
 	idx.maxLat = t.maxLatencyScan()
-
-	coreOf := make(map[*HWCGroup]int32, len(t.cores))
-	for i, c := range t.cores {
-		coreOf[c] = int32(i)
+	idx.keys = t.contextPaths(&idx.within)
+	for a, row := range t.socketLat {
+		copy(idx.cross[a*nS:], row)
 	}
 	for i, c := range t.contexts {
-		idx.coreIdx[i] = coreOf[c.Core]
-		idx.socketIdx[i] = int32(c.Socket.ID)
+		idx.coreIdx[i] = int32(c.Core.ID)
+	}
+	// Cores are numbered socket by socket, so each socket's cores are one
+	// range of Topology.cores.
+	for _, c := range t.cores {
+		idx.coreOff[c.Socket.ID+1]++
+	}
+	for s := 0; s < nS; s++ {
+		idx.coreOff[s+1] += idx.coreOff[s]
 	}
 
-	idx.socketCores = make([][]*HWCGroup, len(t.sockets))
-	for _, s := range t.sockets {
-		idx.socketCores[s.ID] = t.socketGetCoresScan(s)
-	}
 	idx.byLocalBW = t.socketsByLocalBWSort()
-	idx.byLatencyFrom = make([][]*Socket, len(t.sockets))
+	idx.byLatencyFrom = make([][]*Socket, nS)
 	for _, s := range t.sockets {
 		idx.byLatencyFrom[s.ID] = t.socketsByLatencyFromSort(s.ID)
 	}
 	return idx
+}
+
+// contextPaths lays out each socket's group tree as the contexts' paths
+// (see queryIndex) and returns the contexts' keys, filling within for the
+// bit lengths of the paths' differences.
+//
+// The levels of the layout are the chain of groups from a core up to its
+// socket, which is the chain getLatencyWalk climbs: the core groups of an
+// SMT machine and the grouped levels above them, or only the synthesized
+// single-context cores of a machine without SMT, whose parent is the
+// socket. A field is as wide as its largest index; the widths add up to
+// at most twice log₂ of the contexts per socket, so a path fits a word.
+func (t *Topology) contextPaths(within *[65]int64) []ctxKey {
+	chain := [][]*HWCGroup{t.cores}
+	for g := t.cores[0]; g.Parent != &g.Socket.HWCGroup; g = g.Parent {
+		chain = append(chain, t.groups[g.Parent.Level])
+	}
+	// local[l][g.ID] is level-l group g's index among its parent's
+	// children, counted in id order. Level l's field starts at bit off[l],
+	// above the index within a core at bit 0.
+	local := make([][]uint32, len(chain))
+	off := make([]uint, len(chain)+1)
+	var inCore int
+	for _, c := range t.cores {
+		inCore = max(inCore, len(c.Contexts)-1)
+	}
+	off[0] = uint(bits.Len(uint(inCore)))
+	for l, groups := range chain {
+		parents := len(t.sockets)
+		if l+1 < len(chain) {
+			parents = len(chain[l+1])
+		}
+		next := make([]uint32, parents)
+		local[l] = make([]uint32, len(groups))
+		var top uint32
+		for _, g := range groups {
+			local[l][g.ID] = next[g.Parent.ID]
+			top = max(top, next[g.Parent.ID])
+			next[g.Parent.ID]++
+		}
+		off[l+1] = off[l] + uint(bits.Len32(top))
+	}
+
+	keys := make([]ctxKey, len(t.contexts))
+	for _, core := range t.cores {
+		var p uint64
+		for l, g := 0, core; l < len(chain); l, g = l+1, g.Parent {
+			p |= uint64(local[l][g.ID]) << off[l]
+		}
+		s := core.Socket.ID
+		for i, c := range core.Contexts {
+			keys[c.ID] = ctxKey{path: p | uint64(i), row: int32(s * len(t.sockets)), socket: int32(s)}
+		}
+	}
+
+	// A difference within a core's field is the core's latency (0 for a
+	// synthesized core, which holds one context); within level l's field,
+	// the latency of the parent the two level-l groups share.
+	for b := uint(0); b < off[0]; b++ {
+		within[b+1] = max(t.cores[0].Latency, 0)
+	}
+	for l := range chain {
+		parent := t.sockets[0].Latency
+		if l+1 < len(chain) {
+			parent = chain[l+1][0].Latency
+		}
+		for b := off[l]; b < off[l+1]; b++ {
+			within[b+1] = parent
+		}
+	}
+	return keys
 }
 
 // getLatencyWalk is the pre-index GetLatency: it walks the group tree to the

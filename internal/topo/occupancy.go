@@ -1,5 +1,7 @@
 package topo
 
+import "math/bits"
+
 // Occupancy is the one summary of which cores and sockets a set of hardware
 // contexts occupies. Everything that needs that fact — the placement report
 // and accessors of Figure 7, the power estimate, a placement's backoff
@@ -55,7 +57,7 @@ func (t *Topology) count(ctxs []int) Occupancy {
 			continue
 		}
 		n++
-		s, core := idx.socketIdx[c], idx.coreIdx[c]
+		s, core := idx.keys[c].socket, idx.coreIdx[c]
 		if perSocket[s]++; perSocket[s] == 1 {
 			sockets = append(sockets, int(s))
 		}
@@ -84,7 +86,7 @@ func (idx *queryIndex) bucket(ctxs []int, perSocket []int32) (off, flat []int) {
 	// window ahead after the pass; shifting them back restores the starts.
 	for _, c := range ctxs {
 		if uint(c) < uint(idx.n) {
-			s := idx.socketIdx[c]
+			s := idx.keys[c].socket
 			flat[off[s]] = c
 			off[s]++
 		}
@@ -107,8 +109,11 @@ func (o *Occupancy) MaxLatency() int64 {
 // maxLatencyBucketed is the maximum latency among contexts bucketed by
 // socket. The cross-socket latency of a pair depends only on its socket
 // pair, so all cross-socket pairs collapse to one socket-matrix lookup per
-// occupied socket pair, and only intra-socket pairs read the context matrix
-// — O(s² + Σ kₛ²) array reads.
+// occupied socket pair. Within a socket, latency grows with the highest
+// group level at which two contexts part, so the socket's maximum is that
+// of the highest level its contexts span two groups of: the highest bit in
+// which any of their paths differs from the first one's (a duplicate
+// differs in none and adds nothing) — O(S² + k) array reads.
 func (t *Topology) maxLatencyBucketed(off, flat []int) int64 {
 	idx := t.index()
 	nS := len(t.sockets)
@@ -123,13 +128,12 @@ func (t *Topology) maxLatencyBucketed(off, flat []int) int64 {
 				max = l
 			}
 		}
-		for i, x := range bucket {
-			row := idx.lat[x*idx.n : (x+1)*idx.n]
-			for _, y := range bucket[i+1:] {
-				if l := row[y]; l > max {
-					max = l
-				}
-			}
+		first, spread := idx.keys[bucket[0]].path, uint64(0)
+		for _, x := range bucket[1:] {
+			spread |= idx.keys[x].path ^ first
+		}
+		if l := idx.within[bits.Len64(spread)]; l > max {
+			max = l
 		}
 	}
 	return max

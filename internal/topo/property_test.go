@@ -144,7 +144,7 @@ func TestRandomSpecRoundTrip(t *testing.T) {
 }
 
 // Property: on every random topology the structural queries agree with the
-// generator's arithmetic.
+// generator's arithmetic and the latency index with the group-tree walk.
 func TestRandomSpecQueries(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -169,6 +169,16 @@ func TestRandomSpecQueries(t *testing.T) {
 			}
 			if (x == y) != (lx == 0) {
 				return false
+			}
+		}
+		// The index answers every pair as the group-tree walk does, on
+		// every shape the generator draws — single-core sockets included.
+		for x := 0; x < spec.Contexts; x++ {
+			for y := 0; y < spec.Contexts; y++ {
+				if top.GetLatency(x, y) != top.getLatencyWalk(x, y) {
+					t.Logf("seed %d: GetLatency(%d, %d) = %d, walk = %d", seed, x, y, top.GetLatency(x, y), top.getLatencyWalk(x, y))
+					return false
+				}
 			}
 		}
 		// Every context's Next chain covers the machine exactly once.

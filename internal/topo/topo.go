@@ -15,6 +15,7 @@ package topo
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -269,25 +270,28 @@ func (t *Topology) SocketGetCores(s *Socket) []*HWCGroup {
 		// which correctly finds nothing.
 		return t.socketGetCoresScan(s)
 	}
-	cached := t.index().socketCores[s.ID]
-	if cached == nil {
+	off := t.index().coreOff
+	lo, hi := off[s.ID], off[s.ID+1]
+	if lo == hi {
 		return nil
 	}
-	return append([]*HWCGroup(nil), cached...)
+	return append([]*HWCGroup(nil), t.cores[lo:hi]...)
 }
 
 // GetLatency returns the communication latency between two hardware
 // contexts — the paper's mctop_get_latency(id0, id1). Zero for a context
-// with itself. An O(1) matrix lookup (index.go); -1 for unknown contexts.
+// with itself. An O(1) lookup of the two contexts' paths (index.go); -1 for
+// unknown contexts.
 func (t *Topology) GetLatency(x, y int) int64 {
 	if x == y {
 		return 0
 	}
 	idx := t.index()
-	if uint(x) >= uint(idx.n) || uint(y) >= uint(idx.n) {
+	keys := idx.keys
+	if uint(x) >= uint(len(keys)) || uint(y) >= uint(len(keys)) {
 		return -1
 	}
-	return idx.lat[x*idx.n+y]
+	return idx.latency(keys[x], keys[y])
 }
 
 // LatenciesFrom is the batch form of GetLatency for the cost models' inner
@@ -309,12 +313,21 @@ func (t *Topology) LatenciesFrom(x int, ctxs []int, dst []int64) []int64 {
 		}
 		return dst
 	}
-	row := idx.lat[x*idx.n : (x+1)*idx.n]
+	// The row is filled socket block by socket block: on the id-ordered
+	// candidate lists of the cost models a socket's contexts come in runs,
+	// so a branch on the socket predicts well and beats the conditional
+	// move GetLatency's random pairs need.
+	keys, kx := idx.keys, idx.keys[x]
+	cross := idx.cross[kx.row : kx.row+int32(idx.nS)]
 	for i, c := range ctxs {
-		if uint(c) < uint(len(row)) {
-			dst[i] = row[c]
-		} else {
+		if uint(c) >= uint(len(keys)) {
 			dst[i] = -1
+			continue
+		}
+		if k := keys[c]; k.socket != kx.socket {
+			dst[i] = cross[k.socket]
+		} else {
+			dst[i] = idx.within[bits.Len64(kx.path^k.path)]
 		}
 	}
 	return dst
@@ -351,20 +364,20 @@ func (t *Topology) MaxLatency() int64 {
 // context ids never contribute (their pairwise latency is -1).
 func (t *Topology) MaxLatencyBetween(ctxs []int) int64 {
 	idx := t.index()
-	// Small sets (the common lock-participant case): the pairwise matrix
-	// loop beats bucketing by socket, and allocates nothing.
+	// Small sets (the common lock-participant case): the pairwise loop
+	// beats bucketing by socket, and allocates nothing.
 	if len(ctxs) <= 8 {
 		var max int64
-		for i := 0; i < len(ctxs); i++ {
-			x := ctxs[i]
-			if x < 0 || x >= idx.n {
+		keys := idx.keys
+		for i, x := range ctxs {
+			if uint(x) >= uint(len(keys)) {
 				continue
 			}
-			row := idx.lat[x*idx.n : (x+1)*idx.n]
-			for j := i + 1; j < len(ctxs); j++ {
-				y := ctxs[j]
-				if y >= 0 && y < idx.n && row[y] > max {
-					max = row[y]
+			for _, y := range ctxs[i+1:] {
+				if uint(y) < uint(len(keys)) {
+					if l := idx.latency(keys[x], keys[y]); l > max {
+						max = l
+					}
 				}
 			}
 		}
@@ -375,7 +388,7 @@ func (t *Topology) MaxLatencyBetween(ctxs []int) int64 {
 	perSocket := make([]int32, len(t.sockets))
 	for _, x := range ctxs {
 		if x >= 0 && x < idx.n {
-			perSocket[idx.socketIdx[x]]++
+			perSocket[idx.keys[x].socket]++
 		}
 	}
 	return t.maxLatencyBucketed(idx.bucket(ctxs, perSocket))
@@ -446,27 +459,29 @@ func (t *Topology) MaxBWPair() (a, b *Socket) {
 
 // ContextsByLatencyFrom returns all other hardware contexts ordered by
 // latency from ctx, closest first — the victim order of topology-aware work
-// stealing (Section 5). Sort keys come straight out of the latency matrix.
+// stealing (Section 5). Sort keys are the index's per-pair lookups; all -1
+// for an unknown ctx.
 func (t *Topology) ContextsByLatencyFrom(ctx int) []int {
 	idx := t.index()
 	type entry struct {
 		id  int
 		lat int64
 	}
-	var row []int64
-	if ctx >= 0 && ctx < idx.n {
-		row = idx.lat[ctx*idx.n : (ctx+1)*idx.n]
+	known := uint(ctx) < uint(idx.n)
+	var kx ctxKey
+	if known {
+		kx = idx.keys[ctx]
 	}
 	es := make([]entry, 0, idx.n)
-	for _, c := range t.contexts {
-		if c.ID == ctx {
+	for id, k := range idx.keys {
+		if id == ctx {
 			continue
 		}
 		l := int64(-1)
-		if row != nil {
-			l = row[c.ID]
+		if known {
+			l = idx.latency(kx, k)
 		}
-		es = append(es, entry{c.ID, l})
+		es = append(es, entry{id, l})
 	}
 	sort.Slice(es, func(i, j int) bool {
 		if es[i].lat != es[j].lat {
