@@ -94,34 +94,49 @@ type OSView struct {
 // A machine measures context pairs for MCTOP-ALG one of two ways, and
 // implements exactly one of the two interfaces below: the simulator is a
 // Forker, the host a PairMeasurer. A machine with neither cannot be
-// inferred.
+// inferred. Either way the machine itself runs Figure 5's lock-step loop —
+// driving it one Barrier, CAS and Rdtsc call at a time through this
+// package's interfaces would cost six dynamic calls per repetition on the
+// simulator and drown the signal on the host — and MCTOP-ALG applies the
+// stability rule of Section 3.5 to the rounds it returns.
 
 // Forker is implemented by machines whose measurements can run
 // concurrently. ForkPair returns an independent machine dedicated to one
 // measurement, named by a pair of integer tags: it shares no mutable state
 // with the parent or with other forks, and its noise stream is a pure
 // function of (parent seed, tag0, tag1). MCTOP-ALG forks one machine per
-// (x, y) context pair and runs the Figure 5 protocol on it through Thread,
-// in parallel, with results byte-identical to one worker — pair values
-// cannot depend on scheduling order because every pair observes its own
-// deterministic stream. (The enrichment plugins run sequentially on the
-// parent machine and never fork.)
+// (x, y) context pair, warms both threads up through the Machine methods
+// and then measures with the fork's Rounds, in parallel, with results
+// byte-identical to one worker — pair values cannot depend on scheduling
+// order because every pair observes its own deterministic stream. (The
+// enrichment plugins run sequentially on the parent machine and never
+// fork.)
 //
 // Real hosts must NOT implement Forker: concurrent measurements perturb
 // each other through shared caches, interconnect and DVFS (Section 3.5:
 // "using more threads increases variability"). The simulator, which models
 // exactly one measurement at a time, can.
 type Forker interface {
-	ForkPair(xCtx, yCtx int) (Machine, error)
+	ForkPair(xCtx, yCtx int) (PairFork, error)
 }
 
-// PairMeasurer is implemented by machines that run the entire Figure 5
-// lock-step loop natively and return per-repetition latencies with the
-// clock-read overhead already deducted. MCTOP-ALG measures such a machine
-// one pair at a time on its own threads. The host backend needs this
-// because driving individual operations through an abstraction layer would
-// drown the signal; the simulator deliberately does not implement it, so
-// the generic protocol stays exercised.
+// PairFork is the machine a Forker dedicates to one pair.
+type PairFork interface {
+	Machine
+	// Rounds runs reps repetitions of Figure 5's loop on two of the fork's
+	// threads — barrier, y's CAS, barrier, x's CAS between two timestamp
+	// reads — and returns them in dst[:0]: per repetition x's timestamp
+	// difference minus overhead, clamped at 0. The simulator's Rounds is
+	// checked against that sequence of Barrier, CAS and Rdtsc calls, which
+	// its tests keep as the oracle.
+	Rounds(x, y Thread, reps int, overhead int64, dst []int64) []int64
+}
+
+// PairMeasurer is implemented by machines that measure a pair on threads
+// of their own: MeasurePair runs reps repetitions of the Figure 5 loop and
+// returns per-repetition latencies with the clock-read overhead already
+// deducted. MCTOP-ALG measures such a machine one pair at a time. The host
+// backend is one: its measurements must not overlap, so it cannot fork.
 type PairMeasurer interface {
 	MeasurePair(xCtx, yCtx, reps int) []int64
 }

@@ -32,8 +32,9 @@ func TestSimMachineBasics(t *testing.T) {
 }
 
 // TestFigure5Protocol drives the paper's lock-step measurement through the
-// generic Machine interface (the path MCTOP-ALG uses) and checks that the
-// medians identify the three latency levels of Ivy.
+// generic Machine interface (the sequence a fork's Rounds runs for
+// MCTOP-ALG) and checks that the medians identify the three latency levels
+// of Ivy.
 func TestFigure5Protocol(t *testing.T) {
 	p := sim.Ivy()
 	p.DVFS = false
@@ -77,6 +78,41 @@ func TestFigure5Protocol(t *testing.T) {
 	}
 	if cross < 290 || cross > 325 {
 		t.Errorf("cross level = %d, want ~308", cross)
+	}
+}
+
+// TestForkPairIsOneAllocation pins what a pair fork costs: the fork, its
+// simulator and the pair's two threads are one allocation, the same on 40
+// contexts as on 2048. (A fork used to allocate a DVFS counter for every
+// core of the platform, three allocations before its threads.)
+func TestForkPairIsOneAllocation(t *testing.T) {
+	for _, name := range []string{"Ivy", "SPARC", "gen:mesh:s64:c16:t2"} {
+		p, err := sim.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewSim(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := p.NumContexts() - 1
+		fork := testing.AllocsPerRun(100, func() {
+			if _, err := m.ForkPair(0, last); err != nil {
+				t.Fatal(err)
+			}
+		})
+		pair := testing.AllocsPerRun(100, func() {
+			f, _ := m.ForkPair(0, last)
+			if _, err := f.NewThread(0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.NewThread(last); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if fork != 1 || pair != 1 {
+			t.Errorf("%s: ForkPair allocates %.1f objects, with its two threads %.1f; want 1 and 1", name, fork, pair)
+		}
 	}
 }
 

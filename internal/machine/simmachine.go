@@ -19,6 +19,7 @@ var (
 	_ PowerProber  = (*SimMachine)(nil)
 	_ FrequencyGHz = (*SimMachine)(nil)
 	_ Forker       = (*SimMachine)(nil)
+	_ PairFork     = (*SimMachine)(nil)
 	_ Thread       = (*sim.Thread)(nil)
 )
 
@@ -49,13 +50,23 @@ func (m *SimMachine) FreqMaxGHz() float64 { return m.S.Platform().FreqMaxGHz }
 // measurement is independent of every other pair and of execution order. The
 // platform description is shared (it is immutable after construction); all
 // mutable simulator state — line holders, DVFS ramps, noise counter — is
-// private to the fork.
-func (m *SimMachine) ForkPair(xCtx, yCtx int) (Machine, error) {
-	s, err := sim.New(m.S.Platform(), sim.PairSeed(m.S.Seed(), xCtx, yCtx))
-	if err != nil {
-		return nil, err
-	}
-	return &SimMachine{S: s}, nil
+// private to the fork. The fork, its simulator and the pair's two threads
+// are one allocation whatever the platform's size.
+func (m *SimMachine) ForkPair(xCtx, yCtx int) (PairFork, error) {
+	f := &simFork{s: m.S.Fork(sim.PairSeed(m.S.Seed(), xCtx, yCtx))}
+	f.S = &f.s
+	return &f.SimMachine, nil
+}
+
+// simFork is a forked SimMachine together with the simulator it wraps.
+type simFork struct {
+	SimMachine
+	s sim.Sim
+}
+
+// Rounds implements PairFork with the simulator's own lock-step loop.
+func (m *SimMachine) Rounds(x, y Thread, reps int, overhead int64, dst []int64) []int64 {
+	return m.S.Rounds(m.unwrap(x), m.unwrap(y), reps, overhead, dst)
 }
 
 // NewThread creates a simulated thread pinned to ctx. A *sim.Thread

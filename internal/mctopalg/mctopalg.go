@@ -379,8 +379,9 @@ func (c *collector) run(pairs []ctxPair) ([]pairOutcome, error) {
 	return outcomes, nil
 }
 
-// measurePairForked runs one pair's full measurement — DVFS wait, overhead
-// estimation, the Figure 5 lock-step loop — on a private fork.
+// measurePairForked runs one pair's full measurement on a private fork:
+// the DVFS wait and the overhead estimate through the Machine and Thread
+// methods, then the Figure 5 loop as the fork's Rounds.
 func measurePairForked(fk machine.Forker, opt *Options, xi, yi int, sc *scratch) pairOutcome {
 	fm, err := fk.ForkPair(xi, yi)
 	if err != nil {
@@ -432,16 +433,7 @@ func (h *hostPairs) measure(_ *scratch, xi, yi int) pairOutcome {
 	}
 	machine.DVFSWait(h.m, h.y)
 	var o pairOutcome
-	threshold := stdevAccept
-	for retry := 0; ; retry++ {
-		med, ok := acceptMedian(h.pm.MeasurePair(xi, yi, h.reps), threshold, retry)
-		if ok {
-			o.med = med
-			break
-		}
-		o.retries++
-		threshold = widen(threshold)
-	}
+	o.med = stableMedian(func() []int64 { return h.pm.MeasurePair(xi, yi, h.reps) }, &o.retries)
 	o.cycles = h.x.Rdtsc() - start
 	return o
 }
@@ -450,13 +442,14 @@ func (h *hostPairs) measure(_ *scratch, xi, yi int) pairOutcome {
 // estimate the rdtsc overhead.
 const overheadReps = 101
 
-// scratch is the per-worker buffer set of the measurement hot loop. The
-// loop runs once per pair — hundreds of thousands of times on large
-// platforms — and with a scratch it allocates nothing per pair: the sample
-// buffers are reused across pairs and the rdtsc-overhead estimate is
-// memoized per thread.
+// scratch is the per-worker buffer set of the measurement phase. A worker
+// measures hundreds of thousands of pairs on large platforms, and with a
+// scratch the measurement itself allocates nothing per pair (the fork it
+// runs on is one allocation): every round's samples are written into vals
+// by the fork's Rounds, the overhead samples into ovh, and the
+// rdtsc-overhead estimate is memoized per thread.
 type scratch struct {
-	vals []int64 // measurement samples, capacity Options.Reps
+	vals []int64 // one round's samples, capacity Options.Reps
 	ovh  []int64 // overhead samples, capacity overheadReps
 
 	// Per-thread overhead memo. Each fork estimates on a fresh thread (a
@@ -496,32 +489,26 @@ func estimateRdtscOverhead(t machine.Thread, sc *scratch) int64 {
 	return stats.MedianInPlace(vals)
 }
 
-// measurePair runs the lock-step loop of Figure 5 through the generic
-// thread interface and returns the accepted median, deducting the given
-// timestamp-read overhead and counting re-measurements into retries. The
-// loop works over the scratch buffer and is allocation-free (asserted by
-// TestMeasurePairSteadyStateAllocs).
-func measurePair(m machine.Machine, opt *Options, x, y machine.Thread, rdtscOverhead int64, retries *int, sc *scratch) int64 {
-	const line = 0x6c0c6 // arbitrary shared-line id
+// measurePair measures one pair on its fork: Figure 5's loop runs as the
+// fork's Rounds, over the scratch sample buffer, and the stability rule
+// re-measures on the same threads until a round is accepted. It returns
+// the accepted median, deducting the given timestamp-read overhead from
+// every sample and counting re-measurements into retries. It allocates
+// nothing (asserted by TestMeasurePairSteadyStateAllocs).
+func measurePair(f machine.PairFork, opt *Options, x, y machine.Thread, rdtscOverhead int64, retries *int, sc *scratch) int64 {
+	return stableMedian(func() []int64 {
+		sc.vals = f.Rounds(x, y, opt.Reps, rdtscOverhead, sc.vals)
+		return sc.vals
+	}, retries)
+}
+
+// stableMedian applies the stability rule to one pair: it measures rounds
+// until acceptMedian takes one, widening the threshold after every rejected
+// round and counting the re-measurements into retries.
+func stableMedian(round func() []int64, retries *int) int64 {
 	threshold := stdevAccept
 	for retry := 0; ; retry++ {
-		vals := sc.vals[:0]
-		for i := 0; i < opt.Reps; i++ {
-			m.Barrier(x, y)
-			y.CAS(line)
-			m.Barrier(x, y)
-			s := x.Rdtsc()
-			x.CAS(line)
-			e := x.Rdtsc()
-			v := e - s - rdtscOverhead
-			if v < 0 {
-				v = 0
-			}
-			vals = append(vals, v)
-		}
-		sc.vals = vals[:0]
-		med, ok := acceptMedian(vals, threshold, retry)
-		if ok {
+		if med, ok := acceptMedian(round(), threshold, retry); ok {
 			return med
 		}
 		*retries++

@@ -10,7 +10,7 @@ import (
 // forkedPairFixture builds a per-pair forked machine with both threads
 // created and a warmed scratch, mirroring the steady state of a
 // measurement worker between pairs.
-func forkedPairFixture(tb testing.TB) (machine.Machine, machine.Thread, machine.Thread, *Options, *scratch) {
+func forkedPairFixture(tb testing.TB) (machine.PairFork, machine.Thread, machine.Thread, *Options, *scratch) {
 	tb.Helper()
 	p, err := sim.ByName("gen:ring:s8:c4:t2")
 	if err != nil {

@@ -48,6 +48,10 @@ func TestInferCountersPinned(t *testing.T) {
 		{"Opteron", false, 3432215413, 1128, 108, 30, 0xaa7867359d8a5019, 0, 0},
 		{"SPARC", false, 100786804730, 32640, 7382, 34, 0x340015f72956fe81, 0, 0},
 		{"gen:mesh:s16:c16:t2", true, 40319499560, 13272, 0, 20, 0x8dbb42fc7bce6325, 117544, 0},
+		// The other two frequency-ramping platforms, recorded at the commit
+		// before the simulator ran Figure 5's rounds itself.
+		{"Westmere", false, 149139933416, 12720, 2812, 28, 0xf45131aa1ae17fe9, 0, 0},
+		{"Haswell", false, 49777182727, 4560, 1003, 24, 0x8ae0fa5db4ab5da5, 0, 0},
 	} {
 		t.Run(c.platform, func(t *testing.T) {
 			p, err := sim.ByName(c.platform)

@@ -8,24 +8,50 @@ import (
 )
 
 // Sim simulates one machine: which context last took each CASed cache line,
-// per-core DVFS state, a seeded noise source and a virtual clock per thread.
-// All methods are deterministic for a fixed (platform, seed, call sequence).
+// the DVFS state of every core a thread has pinned, a seeded noise source
+// and a virtual clock per thread. All methods are deterministic for a fixed
+// (platform, seed, call sequence).
 //
 // Sim is not safe for concurrent use: MCTOP-ALG is single-threaded by
 // design ("using more threads increases variability", Section 3.5), and the
 // lock-step protocol is expressed through explicit barriers rather than
-// real goroutines.
+// real goroutines. A Sim must not be copied once it has made a thread.
+//
+// A pair measurement pins two threads and ping-pongs one line, so the state
+// a fork needs is stored inline: the first line holder, the first two
+// cores' DVFS counters and the first two threads. A fork is then one small
+// allocation whatever the platform's size; the parent simulator, whose
+// threads visit every socket, spills past the inline slots.
 type Sim struct {
-	p *Platform
-
-	// holders records, per cache line ever CASed, the context holding it.
-	// A measurement ping-pongs on one line for its whole life, so a linear
-	// scan finds it at once, without hashing.
-	holders []lineHolder
-
-	cores []coreDVFS
+	p     *Platform
 	seed  uint64
 	opCtr uint64
+
+	// line0 is the first cache line ever CASed and the context holding it.
+	line0 lineHolder
+	// busy is the accumulated work toward the frequency ramp of the first
+	// two cores a thread pinned.
+	busy [2]coreBusy
+	// threads backs the first two NewThread calls.
+	threads [2]Thread
+
+	hasLine0        bool
+	nbusy, nthreads uint8
+
+	// spill is nil until the inline slots run out. Keeping the state only
+	// a roaming simulator needs behind it holds a fork to 160 bytes: with
+	// Go 1.24 on 2 vCPUs, a burst of fresh pointerful objects of 208 bytes
+	// or more allocated about 3× slower than one of 192 bytes or less.
+	spill *spill
+}
+
+// spill is the simulator state past its inline slots.
+type spill struct {
+	// holders keeps every line past the first, found by a linear scan.
+	holders []lineHolder
+	// busy holds every core's busy counter, indexed by core, once a third
+	// core is pinned.
+	busy []int64
 }
 
 type lineHolder struct {
@@ -33,8 +59,9 @@ type lineHolder struct {
 	ctx  int
 }
 
-type coreDVFS struct {
-	busy int64 // accumulated busy work toward the frequency ramp
+type coreBusy struct {
+	core int
+	n    int64
 }
 
 // New creates a simulator for the platform with the given noise seed.
@@ -42,7 +69,14 @@ func New(p *Platform, seed uint64) (*Sim, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Sim{p: p, cores: make([]coreDVFS, p.NumCores()), seed: seed}, nil
+	return &Sim{p: p, seed: seed}, nil
+}
+
+// Fork returns a fresh simulator of the same (already validated) platform
+// with the given noise seed. It is returned by value so that a caller can
+// embed it and pay one allocation for its own wrapper and the simulator.
+func (s *Sim) Fork(seed uint64) Sim {
+	return Sim{p: s.p, seed: seed}
 }
 
 // Platform returns the simulated machine's ground-truth description.
@@ -89,8 +123,11 @@ func (s *Sim) noise() int64 {
 // of its time — the answer takes no division.
 func (s *Sim) freqFactor(core int) float64 {
 	t := &s.p.tab
-	busy := s.cores[core].busy
-	if t.dvfsDwell == 0 || busy >= t.dvfsRampEnd {
+	if t.dvfsDwell == 0 {
+		return 1.0
+	}
+	busy := *s.busyOf(core)
+	if busy >= t.dvfsRampEnd {
 		return 1.0
 	}
 	state := busy / t.dvfsDwell
@@ -108,7 +145,39 @@ func (s *Sim) scale(cost int64, core int) int64 {
 }
 
 func (s *Sim) burn(core int, units int64) {
-	s.cores[core].busy += units
+	*s.busyOf(core) += units
+}
+
+// busyOf returns the core's busy counter, making it (at zero) on first
+// sight. Only the cores of pinned threads are ever asked for.
+func (s *Sim) busyOf(core int) *int64 {
+	if s.spill != nil && s.spill.busy != nil {
+		return &s.spill.busy[core]
+	}
+	for i := range s.busy[:s.nbusy] {
+		if s.busy[i].core == core {
+			return &s.busy[i].n
+		}
+	}
+	if int(s.nbusy) < len(s.busy) {
+		s.busy[s.nbusy] = coreBusy{core: core}
+		s.nbusy++
+		return &s.busy[s.nbusy-1].n
+	}
+	all := make([]int64, s.p.NumCores())
+	for _, b := range s.busy {
+		all[b.core] = b.n
+	}
+	s.spilled().busy = all
+	return &all[core]
+}
+
+// spilled returns the simulator's spill, making it on first use.
+func (s *Sim) spilled() *spill {
+	if s.spill == nil {
+		s.spill = new(spill)
+	}
+	return s.spill
 }
 
 // Thread is a simulated software thread pinned to one hardware context. It
@@ -122,11 +191,19 @@ type Thread struct {
 
 // NewThread creates a thread pinned to hardware context ctx.
 func (s *Sim) NewThread(ctx int) (*Thread, error) {
-	t := &Thread{s: s, ctx: -1}
+	t := Thread{s: s, ctx: -1}
 	if err := t.Pin(ctx); err != nil {
 		return nil, err
 	}
-	return t, nil
+	var th *Thread
+	if int(s.nthreads) < len(s.threads) {
+		th = &s.threads[s.nthreads]
+		s.nthreads++
+	} else {
+		th = new(Thread)
+	}
+	*th = t
+	return th, nil
 }
 
 // Now returns the thread's virtual clock in cycles. Harness-only; the
@@ -148,7 +225,7 @@ func (t *Thread) Pin(ctx int) error {
 	t.ctx = ctx
 	t.core = int(t.s.p.tab.coreOf[ctx])
 	if t.s.p.DVFS {
-		t.s.cores[t.core].busy = 0
+		*t.s.busyOf(t.core) = 0
 	}
 	t.now += 200 // migration cost
 	return nil
@@ -194,13 +271,20 @@ func (t *Thread) CAS(line uint64) {
 // holder returns the slot naming the context that holds line, -1 for a
 // line nobody has taken yet.
 func (s *Sim) holder(line uint64) *int {
-	for i := range s.holders {
-		if s.holders[i].line == line {
-			return &s.holders[i].ctx
+	if !s.hasLine0 {
+		s.line0, s.hasLine0 = lineHolder{line: line, ctx: -1}, true
+	}
+	if s.line0.line == line {
+		return &s.line0.ctx
+	}
+	sp := s.spilled()
+	for i := range sp.holders {
+		if sp.holders[i].line == line {
+			return &sp.holders[i].ctx
 		}
 	}
-	s.holders = append(s.holders, lineHolder{line: line, ctx: -1})
-	return &s.holders[len(s.holders)-1].ctx
+	sp.holders = append(sp.holders, lineHolder{line: line, ctx: -1})
+	return &sp.holders[len(sp.holders)-1].ctx
 }
 
 // MemRandomAccess performs n dependent cache-missing loads (a random
@@ -210,18 +294,20 @@ func (t *Thread) MemRandomAccess(node, n int) int64 {
 	if node < 0 || node >= t.s.p.NumNodes() {
 		panic(fmt.Sprintf("sim: node %d out of range", node))
 	}
-	core := t.core
 	sock := t.s.p.tab.socketOf[t.ctx]
+	// The loads burn only once they are done, so the core's frequency, and
+	// with it every load's scaled latency, holds for the whole loop.
+	lat := t.s.scale(t.s.p.MemLat[sock][node], t.core)
 	var total int64
 	for i := 0; i < n; i++ {
-		c := t.s.scale(t.s.p.MemLat[sock][node], core) + t.s.noise()
+		c := lat + t.s.noise()
 		if c < 1 {
 			c = 1
 		}
 		total += c
 	}
 	t.now += total
-	t.s.burn(core, total)
+	t.s.burn(t.core, total)
 	return total
 }
 
@@ -263,26 +349,28 @@ func (t *Thread) CacheWorkingSetLoads(workingSet int64, n int) int64 {
 		sock := int(t.s.p.tab.socketOf[t.ctx])
 		lat = p.MemLat[sock][p.LocalNode(sock)]
 	}
-	core := t.core
+	lat = t.s.scale(lat, t.core) // holds for the loop, as in MemRandomAccess
 	var total int64
 	for i := 0; i < n; i++ {
-		c := t.s.scale(lat, core) + t.s.noise()/2
+		c := lat + t.s.noise()/2
 		if c < 1 {
 			c = 1
 		}
 		total += c
 	}
 	t.now += total
-	t.s.burn(core, total)
+	t.s.burn(t.core, total)
 	return total
 }
+
+// barrierCost is what one spin rendezvous costs each thread past the wait.
+const barrierCost = 60
 
 // Barrier synchronizes two threads at a spin-based rendezvous: both clocks
 // advance to the later one plus a small constant. The waiting thread keeps
 // its core busy (libmctop uses spin barriers precisely to keep DVFS
 // ramping).
 func (s *Sim) Barrier(t1, t2 *Thread) {
-	const barrierCost = 60
 	end := max(t1.now, t2.now)
 	for _, t := range [...]*Thread{t1, t2} {
 		wait := end - t.now
