@@ -3,24 +3,21 @@
 //
 // The paper stresses that the inference algorithm needs only three things
 // from the underlying OS: the number of hardware contexts, the number of
-// memory nodes, and a way to pin threads to contexts (Section 3). This
-// package captures that contract — plus the raw measurement primitives
-// (timestamp reads, CAS on a shared line, calibrated spin loops) — so the
-// exact same algorithm code runs against the deterministic simulator
-// (internal/sim) and, best-effort, against the real host.
+// memory nodes, and a way to pin threads to contexts (Section 3). Machine is
+// that contract plus the measurements MCTOP-ALG takes: timestamp reads,
+// calibrated spin loops, and Figure 5's lock-step loop, which every machine
+// runs itself (Rounds) and MCTOP-ALG judges with the stability rule of
+// Section 3.5. The same algorithm code runs against the deterministic
+// simulator (internal/sim) and, best-effort, against the real host.
 package machine
 
-// Thread is a software thread pinned to one hardware context. All
-// measurement primitives of Figure 5 are expressed through it.
+// Thread is a software thread pinned to one hardware context.
 type Thread interface {
 	// Pin migrates the thread to another hardware context.
 	Pin(ctx int) error
 	// Rdtsc reads the timestamp counter. Reading has non-negligible cost
 	// which callers must estimate and deduct (Section 3.5).
 	Rdtsc() int64
-	// CAS performs an atomic compare-and-swap on the given shared cache
-	// line, bringing it into the Modified state.
-	CAS(line uint64)
 }
 
 // SpinUnit is the calibrated spin-loop length (cycles) of the DVFS wait and
@@ -64,25 +61,24 @@ type Machine interface {
 	NumNodes() int
 	// NewThread creates a thread pinned to the given context.
 	NewThread(ctx int) (Thread, error)
-	// Barrier synchronizes two threads at a spin rendezvous (the
-	// thread_barrier() of Figure 5).
-	Barrier(x, y Thread)
 	// SpinSolo runs a calibrated spin loop on t alone and returns the
 	// duration observed through the timestamp counter.
 	SpinSolo(t Thread, units int64) int64
 	// SpinTogether runs the calibrated loop on both threads concurrently
 	// and returns both observed durations (the SMT detector's probe).
 	SpinTogether(t1, t2 Thread, units int64) (int64, int64)
-	// OSView returns the topology the operating system believes in, used
-	// only for the optional MCTOP-vs-OS comparison of Section 3.6 — never
-	// by the inference itself.
-	OSView() OSView
+	// Rounds runs reps repetitions of Figure 5's loop on two of the
+	// machine's threads — barrier, y's CAS, barrier, x's CAS between two
+	// timestamp reads — and returns them in dst[:0]: per repetition x's
+	// timestamp difference minus overhead, clamped at 0.
+	Rounds(x, y Thread, reps int, overhead int64, dst []int64) []int64
 }
 
 // OSView is the operating system's description of the machine: the
-// information libnuma/hwloc-style libraries would return. It may be wrong
-// (the paper's Opteron reports an incorrect core-to-node mapping,
-// footnote 1); MCTOP-ALG never consumes it.
+// information libnuma/hwloc-style libraries would return, used only for the
+// MCTOP-vs-OS comparison of Section 3.6. It may be wrong (the paper's
+// Opteron reports an incorrect core-to-node mapping, footnote 1); MCTOP-ALG
+// never consumes it.
 type OSView struct {
 	Contexts     int
 	Nodes        int
@@ -91,54 +87,23 @@ type OSView struct {
 	NodeOfSocket []int // socket -> OS-claimed local memory node
 }
 
-// A machine measures context pairs for MCTOP-ALG one of two ways, and
-// implements exactly one of the two interfaces below: the simulator is a
-// Forker, the host a PairMeasurer. A machine with neither cannot be
-// inferred. Either way the machine itself runs Figure 5's lock-step loop —
-// driving it one Barrier, CAS and Rdtsc call at a time through this
-// package's interfaces would cost six dynamic calls per repetition on the
-// simulator and drown the signal on the host — and MCTOP-ALG applies the
-// stability rule of Section 3.5 to the rounds it returns.
-
 // Forker is implemented by machines whose measurements can run
 // concurrently. ForkPair returns an independent machine dedicated to one
 // measurement, named by a pair of integer tags: it shares no mutable state
 // with the parent or with other forks, and its noise stream is a pure
-// function of (parent seed, tag0, tag1). MCTOP-ALG forks one machine per
-// (x, y) context pair, warms both threads up through the Machine methods
-// and then measures with the fork's Rounds, in parallel, with results
-// byte-identical to one worker — pair values cannot depend on scheduling
-// order because every pair observes its own deterministic stream. (The
-// enrichment plugins run sequentially on the parent machine and never
-// fork.)
+// function of (parent seed, tag0, tag1). MCTOP-ALG measures each (x, y)
+// context pair on its own fork, in parallel, with results byte-identical to
+// one worker — pair values cannot depend on scheduling order because every
+// pair observes its own deterministic stream. A machine that does not fork
+// is measured one pair at a time on two threads it re-pins. (The enrichment
+// plugins run sequentially on the parent machine and never fork.)
 //
 // Real hosts must NOT implement Forker: concurrent measurements perturb
 // each other through shared caches, interconnect and DVFS (Section 3.5:
 // "using more threads increases variability"). The simulator, which models
 // exactly one measurement at a time, can.
 type Forker interface {
-	ForkPair(xCtx, yCtx int) (PairFork, error)
-}
-
-// PairFork is the machine a Forker dedicates to one pair.
-type PairFork interface {
-	Machine
-	// Rounds runs reps repetitions of Figure 5's loop on two of the fork's
-	// threads — barrier, y's CAS, barrier, x's CAS between two timestamp
-	// reads — and returns them in dst[:0]: per repetition x's timestamp
-	// difference minus overhead, clamped at 0. The simulator's Rounds is
-	// checked against that sequence of Barrier, CAS and Rdtsc calls, which
-	// its tests keep as the oracle.
-	Rounds(x, y Thread, reps int, overhead int64, dst []int64) []int64
-}
-
-// PairMeasurer is implemented by machines that measure a pair on threads
-// of their own: MeasurePair runs reps repetitions of the Figure 5 loop and
-// returns per-repetition latencies with the clock-read overhead already
-// deducted. MCTOP-ALG measures such a machine one pair at a time. The host
-// backend is one: its measurements must not overlap, so it cannot fork.
-type PairMeasurer interface {
-	MeasurePair(xCtx, yCtx, reps int) []int64
+	ForkPair(xCtx, yCtx int) (Machine, error)
 }
 
 // MemoryProber is the optional extension used by the memory latency,

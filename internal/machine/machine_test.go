@@ -3,6 +3,7 @@ package machine
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -32,16 +33,16 @@ func TestSimMachineBasics(t *testing.T) {
 }
 
 // TestFigure5Protocol drives the paper's lock-step measurement through the
-// generic Machine interface (the sequence a fork's Rounds runs for
-// MCTOP-ALG) and checks that the medians identify the three latency levels
-// of Ivy.
+// generic Machine interface (the Rounds MCTOP-ALG calls) and checks that the
+// medians identify the three latency levels of Ivy.
 func TestFigure5Protocol(t *testing.T) {
 	p := sim.Ivy()
 	p.DVFS = false
-	m, err := NewSim(p, 7)
+	sm, err := NewSim(p, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var m Machine = sm
 	x, err := m.NewThread(0)
 	if err != nil {
 		t.Fatal(err)
@@ -54,18 +55,7 @@ func TestFigure5Protocol(t *testing.T) {
 		if err := y.Pin(yCtx); err != nil {
 			t.Fatal(err)
 		}
-		const line, reps = 42, 300
-		vals := make([]int64, 0, reps)
-		for i := 0; i < reps; i++ {
-			m.Barrier(x, y)
-			y.CAS(line)
-			m.Barrier(x, y)
-			s := x.Rdtsc()
-			x.CAS(line)
-			e := x.Rdtsc()
-			vals = append(vals, e-s-p.RdtscOverhead)
-		}
-		return stats.Median(vals)
+		return stats.Median(m.Rounds(x, y, 300, p.RdtscOverhead, nil))
 	}
 	smt := measure(20)
 	intra := measure(1)
@@ -156,7 +146,6 @@ func TestHostMachineBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th.CAS(1)
 	if ts := th.Rdtsc(); ts <= 0 {
 		t.Error("host Rdtsc returned non-positive timestamp")
 	}
@@ -184,16 +173,23 @@ func TestHostSpinPrimitives(t *testing.T) {
 		if d1 <= 0 || d2 <= 0 {
 			t.Errorf("together durations = %d/%d", d1, d2)
 		}
-		m.Barrier(a, b)
 	}
 }
 
-func TestHostMeasurePair(t *testing.T) {
+func TestHostRounds(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skip("needs 2 CPUs")
 	}
 	m := NewHost()
-	vals := m.MeasurePair(0, 1, 50)
+	x, err := m.NewThread(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := m.NewThread(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := m.Rounds(x, y, 50, 0, nil)
 	if len(vals) != 50 {
 		t.Fatalf("got %d values", len(vals))
 	}
@@ -208,10 +204,31 @@ func TestHostMeasurePair(t *testing.T) {
 	}
 }
 
-func TestHostOSView(t *testing.T) {
+// TestHostThreadsExit: a host thread's OS-locked goroutine ends once the
+// thread is unreachable and collected, instead of leaking for the life of
+// the process.
+func TestHostThreadsExit(t *testing.T) {
 	m := NewHost()
-	v := m.OSView()
-	if v.Contexts != m.NumHWContexts() || len(v.CoreOfCtx) != v.Contexts {
-		t.Error("host OS view inconsistent")
+	base := runtime.NumGoroutine()
+	const threads = 8
+	func() {
+		for i := 0; i < threads; i++ {
+			th, err := m.NewThread(i % m.NumHWContexts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SpinSolo(th, 1000)
+		}
+	}()
+	if n := runtime.NumGoroutine(); n < base+threads {
+		t.Fatalf("%d goroutines with %d live threads, baseline %d", n, threads, base)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 10 s after the threads became unreachable, baseline %d", runtime.NumGoroutine(), base)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -19,7 +19,6 @@ var (
 	_ PowerProber  = (*SimMachine)(nil)
 	_ FrequencyGHz = (*SimMachine)(nil)
 	_ Forker       = (*SimMachine)(nil)
-	_ PairFork     = (*SimMachine)(nil)
 	_ Thread       = (*sim.Thread)(nil)
 )
 
@@ -52,7 +51,7 @@ func (m *SimMachine) FreqMaxGHz() float64 { return m.S.Platform().FreqMaxGHz }
 // mutable simulator state — line holders, DVFS ramps, noise counter — is
 // private to the fork. The fork, its simulator and the pair's two threads
 // are one allocation whatever the platform's size.
-func (m *SimMachine) ForkPair(xCtx, yCtx int) (PairFork, error) {
+func (m *SimMachine) ForkPair(xCtx, yCtx int) (Machine, error) {
 	f := &simFork{s: m.S.Fork(sim.PairSeed(m.S.Seed(), xCtx, yCtx))}
 	f.S = &f.s
 	return &f.SimMachine, nil
@@ -64,7 +63,8 @@ type simFork struct {
 	s sim.Sim
 }
 
-// Rounds implements PairFork with the simulator's own lock-step loop.
+// Rounds runs Figure 5's loop with the simulator's own lock-step kernel
+// (sim.Sim.Rounds).
 func (m *SimMachine) Rounds(x, y Thread, reps int, overhead int64, dst []int64) []int64 {
 	return m.S.Rounds(m.unwrap(x), m.unwrap(y), reps, overhead, dst)
 }
@@ -87,11 +87,6 @@ func (m *SimMachine) unwrap(t Thread) *sim.Thread {
 	return st
 }
 
-// Barrier synchronizes two simulated threads.
-func (m *SimMachine) Barrier(x, y Thread) {
-	m.S.Barrier(m.unwrap(x), m.unwrap(y))
-}
-
 // SpinSolo runs a calibrated spin loop on one simulated thread.
 func (m *SimMachine) SpinSolo(t Thread, units int64) int64 {
 	return m.S.SpinSolo(m.unwrap(t), units)
@@ -103,7 +98,8 @@ func (m *SimMachine) SpinTogether(t1, t2 Thread, units int64) (int64, int64) {
 }
 
 // OSView reports the simulated operating system's topology view, including
-// the deliberately wrong node mapping on the Opteron.
+// the deliberately wrong node mapping on the Opteron. It is not part of
+// Machine: MCTOP-ALG never reads it, only the Section 3.6 comparison does.
 func (m *SimMachine) OSView() OSView {
 	p := m.S.Platform()
 	v := OSView{

@@ -66,7 +66,8 @@ type Options struct {
 	// worker). The inferred topology is byte-identical for every value:
 	// each pair is measured on its own fork whose noise stream depends
 	// only on (seed, x, y), and results merge in canonical pair order.
-	// A machine.PairMeasurer always measures with one worker.
+	// Any other machine is measured with one worker, because its
+	// measurements would perturb each other.
 	Parallelism int
 	// Sampling turns on the sub-O(N²) sampled measurement mode for Forker
 	// machines with at least 64 contexts (see sampled.go). Unlike
@@ -227,24 +228,19 @@ func InferContext(ctx context.Context, m machine.Machine, opt Options) (*Result,
 type pairFunc func(sc *scratch, x, y int) pairOutcome
 
 // collectTable fills res.RawTable using the lock-step protocol of Figure 5.
-// Every machine goes through one collector whose per-pair function is
-// chosen here, once: a machine.Forker measures each pair on its own fork
-// over Options.Parallelism workers, a machine.PairMeasurer measures pairs
-// one at a time on its own two threads.
+// Every pair is measured the same way (measureOn); what is chosen here, once,
+// is where a pair's machine and threads come from. A machine.Forker gives
+// every pair a fresh fork, measured over Options.Parallelism workers; any
+// other machine measures one pair at a time on two threads it re-pins.
 func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Result) error {
-	fk, forks := m.(machine.Forker)
-	pm, measures := m.(machine.PairMeasurer)
-	if !forks && !measures {
-		return fmt.Errorf("mctopalg: machine %s implements neither machine.Forker nor machine.PairMeasurer", m.Name())
-	}
 	n := m.NumHWContexts()
 	res.RawTable = make([][]int64, n)
 	for i := range res.RawTable {
 		res.RawTable[i] = make([]int64, n)
 	}
 
-	// The reported rdtsc overhead comes from the parent machine; forks
-	// estimate and deduct their own, a PairMeasurer deducts its own.
+	// The reported rdtsc overhead comes from the parent machine; every pair
+	// estimates and deducts its own.
 	t0, err := m.NewThread(0)
 	if err != nil {
 		return err
@@ -253,9 +249,9 @@ func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Res
 	res.RdtscOverhead = estimateRdtscOverhead(t0, newScratch(opt))
 
 	c := collector{ctx: ctx, opt: opt, res: res}
-	if forks {
+	if fk, ok := m.(machine.Forker); ok {
 		c.workers = opt.Parallelism
-		c.pair = func(sc *scratch, x, y int) pairOutcome { return measurePairForked(fk, opt, x, y, sc) }
+		c.pair = func(sc *scratch, x, y int) pairOutcome { return measureForked(fk, opt, x, y, sc) }
 		floor := opt.floor
 		if floor <= 0 {
 			floor = samplingFloor
@@ -269,7 +265,7 @@ func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Res
 			return err
 		}
 		c.workers = 1
-		c.pair = (&hostPairs{m: m, pm: pm, reps: opt.Reps, x: t0, y: y, row: -1}).measure
+		c.pair = (&repinned{m: m, opt: opt, x: t0, y: y, row: -1}).measure
 	}
 	return c.measure(allPairs(n))
 }
@@ -379,10 +375,8 @@ func (c *collector) run(pairs []ctxPair) ([]pairOutcome, error) {
 	return outcomes, nil
 }
 
-// measurePairForked runs one pair's full measurement on a private fork:
-// the DVFS wait and the overhead estimate through the Machine and Thread
-// methods, then the Figure 5 loop as the fork's Rounds.
-func measurePairForked(fk machine.Forker, opt *Options, xi, yi int, sc *scratch) pairOutcome {
+// measureForked measures one pair on a private fork and two fresh threads.
+func measureForked(fk machine.Forker, opt *Options, xi, yi int, sc *scratch) pairOutcome {
 	fm, err := fk.ForkPair(xi, yi)
 	if err != nil {
 		return pairOutcome{err: err}
@@ -395,46 +389,49 @@ func measurePairForked(fk machine.Forker, opt *Options, xi, yi int, sc *scratch)
 	if err != nil {
 		return pairOutcome{err: err}
 	}
-	start := x.Rdtsc()
-	machine.DVFSWait(fm, x)
-	machine.DVFSWait(fm, y)
-	overhead := sc.rdtscOverhead(x)
-	var o pairOutcome
-	o.med = measurePair(fm, opt, x, y, overhead, &o.retries, sc)
-	o.cycles = x.Rdtsc() - start
-	return o
+	return measureOn(fm, opt, x, y, true, sc)
 }
 
-// hostPairs measures pairs on a machine.PairMeasurer — the host, whose
-// measurements must not overlap — one at a time in canonical order on one
-// pair of threads. Context x is warmed up once per row, context y once per
-// pair.
-type hostPairs struct {
+// repinned measures the pairs of a machine that does not fork — the host,
+// whose measurements must not overlap — one at a time in canonical order on
+// one pair of threads, with one worker whatever Options.Parallelism says.
+// Context x is warmed up once per row, context y once per pair.
+type repinned struct {
 	m    machine.Machine
-	pm   machine.PairMeasurer
-	reps int
+	opt  *Options
 	x, y machine.Thread
 	row  int // the context x is pinned to and warm on; -1 before the first pair
 }
 
-// measure is hostPairs' pairFunc; the machine runs the lock-step loop
-// itself, so the scratch buffers go unused.
-func (h *hostPairs) measure(_ *scratch, xi, yi int) pairOutcome {
-	start := h.x.Rdtsc()
-	if xi != h.row {
-		if err := h.x.Pin(xi); err != nil {
+// measure is repinned's pairFunc.
+func (r *repinned) measure(sc *scratch, xi, yi int) pairOutcome {
+	warmX := xi != r.row
+	if warmX {
+		if err := r.x.Pin(xi); err != nil {
 			return pairOutcome{err: err}
 		}
-		machine.DVFSWait(h.m, h.x)
-		h.row = xi
+		r.row = xi
 	}
-	if err := h.y.Pin(yi); err != nil {
+	if err := r.y.Pin(yi); err != nil {
 		return pairOutcome{err: err}
 	}
-	machine.DVFSWait(h.m, h.y)
+	return measureOn(r.m, r.opt, r.x, r.y, warmX, sc)
+}
+
+// measureOn is step 1 for one pair on any machine: the DVFS wait (of x only
+// when warmX), the rdtsc-overhead estimate, and the stability rule over the
+// machine's Rounds. Its cycles run on x's clock from before the wait to
+// after the accepted round.
+func measureOn(m machine.Machine, opt *Options, x, y machine.Thread, warmX bool, sc *scratch) pairOutcome {
+	start := x.Rdtsc()
+	if warmX {
+		machine.DVFSWait(m, x)
+	}
+	machine.DVFSWait(m, y)
+	overhead := sc.rdtscOverhead(x)
 	var o pairOutcome
-	o.med = stableMedian(func() []int64 { return h.pm.MeasurePair(xi, yi, h.reps) }, &o.retries)
-	o.cycles = h.x.Rdtsc() - start
+	o.med = measurePair(m, opt, x, y, overhead, &o.retries, sc)
+	o.cycles = x.Rdtsc() - start
 	return o
 }
 
@@ -489,15 +486,15 @@ func estimateRdtscOverhead(t machine.Thread, sc *scratch) int64 {
 	return stats.MedianInPlace(vals)
 }
 
-// measurePair measures one pair on its fork: Figure 5's loop runs as the
-// fork's Rounds, over the scratch sample buffer, and the stability rule
+// measurePair measures one pair: Figure 5's loop runs as the machine's
+// Rounds, over the scratch sample buffer, and the stability rule
 // re-measures on the same threads until a round is accepted. It returns
 // the accepted median, deducting the given timestamp-read overhead from
 // every sample and counting re-measurements into retries. It allocates
 // nothing (asserted by TestMeasurePairSteadyStateAllocs).
-func measurePair(f machine.PairFork, opt *Options, x, y machine.Thread, rdtscOverhead int64, retries *int, sc *scratch) int64 {
+func measurePair(m machine.Machine, opt *Options, x, y machine.Thread, rdtscOverhead int64, retries *int, sc *scratch) int64 {
 	return stableMedian(func() []int64 {
-		sc.vals = f.Rounds(x, y, opt.Reps, rdtscOverhead, sc.vals)
+		sc.vals = m.Rounds(x, y, opt.Reps, rdtscOverhead, sc.vals)
 		return sc.vals
 	}, retries)
 }

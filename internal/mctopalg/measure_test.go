@@ -10,7 +10,7 @@ import (
 // forkedPairFixture builds a per-pair forked machine with both threads
 // created and a warmed scratch, mirroring the steady state of a
 // measurement worker between pairs.
-func forkedPairFixture(tb testing.TB) (machine.PairFork, machine.Thread, machine.Thread, *Options, *scratch) {
+func forkedPairFixture(tb testing.TB) (machine.Machine, machine.Thread, machine.Thread, *Options, *scratch) {
 	tb.Helper()
 	p, err := sim.ByName("gen:ring:s8:c4:t2")
 	if err != nil {
@@ -62,9 +62,9 @@ func TestMeasurePairSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkMeasurePair is the per-pair cost of step 1's inner loop (the
-// zero-allocation property itself is pinned by the test above).
-func BenchmarkMeasurePair(b *testing.B) {
+// BenchmarkMeasurePairSteadyState is the per-pair cost of step 1's inner
+// loop (the zero-allocation property itself is pinned by the test above).
+func BenchmarkMeasurePairSteadyState(b *testing.B) {
 	fm, x, y, opt, sc := forkedPairFixture(b)
 	overhead := sc.rdtscOverhead(x)
 	retries := 0

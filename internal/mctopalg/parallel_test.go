@@ -95,7 +95,7 @@ type failingForker struct {
 	n      int32
 }
 
-func (f *failingForker) ForkPair(x, y int) (machine.PairFork, error) {
+func (f *failingForker) ForkPair(x, y int) (machine.Machine, error) {
 	if atomic.AddInt32(&f.n, 1) == f.failAt {
 		return nil, errors.New("fork failed")
 	}

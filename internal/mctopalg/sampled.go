@@ -20,7 +20,7 @@
 //     could not catch them.
 //
 // Exhaustive-equality: every measured pair goes through the same
-// measurePairForked path as the exhaustive mode, and a fork's noise stream
+// measureForked path as the exhaustive mode, and a fork's noise stream
 // depends only on (seed, x, y) — measured values are byte-identical by
 // construction, regardless of which other pairs were measured. Filled
 // values are exact on noise-free generated platforms, where a pair's median
