@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // HostMachine is a best-effort implementation of Machine on the real host.
@@ -16,9 +18,9 @@ import (
 // tests run on. A Thread is a goroutine locked to an OS thread and pinned
 // with sched_setaffinity (on Linux); Rounds runs Figure 5's loop on two of
 // them with a spin barrier and CAS ping-pong on one padded cache line, and
-// timestamps come from the monotonic clock. The host does not fork — its
-// measurements must not overlap — so MCTOP-ALG measures it one pair at a
-// time.
+// timestamps come from the monotonic clock, whose read cost RdtscOverhead
+// times. The host does not fork — its measurements must not overlap — so
+// MCTOP-ALG measures it one pair at a time.
 //
 // Its precision is nowhere near the paper's C implementation — the Go
 // runtime, its garbage collector and the lack of a raw rdtsc intrinsic add
@@ -185,6 +187,17 @@ func (m *HostMachine) SpinTogether(t1, t2 Thread, units int64) (int64, int64) {
 	}
 	together(t1.(*hostThread), t2.(*hostThread), body(&d1), body(&d2))
 	return d1, d2
+}
+
+// RdtscOverhead times reps back-to-back clock reads on the calling goroutine
+// (where Rdtsc reads) and returns the median difference in nanoseconds.
+func (m *HostMachine) RdtscOverhead(t Thread, reps int) int64 {
+	vals := make([]int64, reps)
+	for i := range vals {
+		s := t.Rdtsc()
+		vals[i] = t.Rdtsc() - s
+	}
+	return stats.MedianInPlace(vals)
 }
 
 // Rounds runs Figure 5's loop natively on the two threads' goroutines: a

@@ -5,10 +5,12 @@
 // from the underlying OS: the number of hardware contexts, the number of
 // memory nodes, and a way to pin threads to contexts (Section 3). Machine is
 // that contract plus the measurements MCTOP-ALG takes: timestamp reads,
-// calibrated spin loops, and Figure 5's lock-step loop, which every machine
-// runs itself (Rounds) and MCTOP-ALG judges with the stability rule of
-// Section 3.5. The same algorithm code runs against the deterministic
-// simulator (internal/sim) and, best-effort, against the real host.
+// calibrated spin loops, and the two timing kernels of Section 3.5, which
+// every machine runs itself — the timestamp-read overhead estimate
+// (RdtscOverhead) and Figure 5's lock-step loop (Rounds), whose rounds
+// MCTOP-ALG judges with the stability rule. The same algorithm code runs
+// against the deterministic simulator (internal/sim) and, best-effort,
+// against the real host.
 package machine
 
 // Thread is a software thread pinned to one hardware context.
@@ -51,7 +53,10 @@ func DVFSWait(m Machine, t Thread) {
 	}
 }
 
-// Machine is what MCTOP-ALG requires from the platform it runs on.
+// Machine is what MCTOP-ALG requires from the platform it runs on. Both
+// timing kernels of a pair measurement are its methods, so a machine runs
+// them natively — the host on its OS threads, the simulator in closed form
+// — and MCTOP-ALG never loops over a Thread's timestamp reads itself.
 type Machine interface {
 	// Name identifies the machine (platform name or host description).
 	Name() string
@@ -67,6 +72,10 @@ type Machine interface {
 	// SpinTogether runs the calibrated loop on both threads concurrently
 	// and returns both observed durations (the SMT detector's probe).
 	SpinTogether(t1, t2 Thread, units int64) (int64, int64)
+	// RdtscOverhead estimates the cost of one timestamp read on t: the
+	// median of reps back-to-back timestamp-read differences (Section 3.5:
+	// the overhead that "must be deducted").
+	RdtscOverhead(t Thread, reps int) int64
 	// Rounds runs reps repetitions of Figure 5's loop on two of the
 	// machine's threads — barrier, y's CAS, barrier, x's CAS between two
 	// timestamp reads — and returns them in dst[:0]: per repetition x's

@@ -69,6 +69,12 @@ func (m *SimMachine) Rounds(x, y Thread, reps int, overhead int64, dst []int64) 
 	return m.S.Rounds(m.unwrap(x), m.unwrap(y), reps, overhead, dst)
 }
 
+// RdtscOverhead runs the overhead estimate with the simulator's own kernel
+// (sim.Sim.RdtscOverhead), which draws no noise.
+func (m *SimMachine) RdtscOverhead(t Thread, reps int) int64 {
+	return m.S.RdtscOverhead(m.unwrap(t), reps)
+}
+
 // NewThread creates a simulated thread pinned to ctx. A *sim.Thread
 // implements Thread, so it is handed out as is.
 func (m *SimMachine) NewThread(ctx int) (Thread, error) {

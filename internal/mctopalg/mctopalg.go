@@ -246,7 +246,7 @@ func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Res
 		return err
 	}
 	machine.DVFSWait(m, t0)
-	res.RdtscOverhead = estimateRdtscOverhead(t0, newScratch(opt))
+	res.RdtscOverhead = m.RdtscOverhead(t0, overheadReps)
 
 	c := collector{ctx: ctx, opt: opt, res: res}
 	if fk, ok := m.(machine.Forker); ok {
@@ -428,26 +428,25 @@ func measureOn(m machine.Machine, opt *Options, x, y machine.Thread, warmX bool,
 		machine.DVFSWait(m, x)
 	}
 	machine.DVFSWait(m, y)
-	overhead := sc.rdtscOverhead(x)
+	overhead := sc.rdtscOverhead(m, x)
 	var o pairOutcome
 	o.med = measurePair(m, opt, x, y, overhead, &o.retries, sc)
 	o.cycles = x.Rdtsc() - start
 	return o
 }
 
-// overheadReps is the number of back-to-back timestamp reads used to
-// estimate the rdtsc overhead.
+// overheadReps is the number of back-to-back timestamp-read pairs the
+// machine's rdtsc-overhead estimate takes the median of.
 const overheadReps = 101
 
 // scratch is the per-worker buffer set of the measurement phase. A worker
 // measures hundreds of thousands of pairs on large platforms, and with a
 // scratch the measurement itself allocates nothing per pair (the fork it
 // runs on is one allocation): every round's samples are written into vals
-// by the fork's Rounds, the overhead samples into ovh, and the
-// rdtsc-overhead estimate is memoized per thread.
+// by the fork's Rounds, and the rdtsc-overhead estimate is memoized per
+// thread.
 type scratch struct {
 	vals []int64 // one round's samples, capacity Options.Reps
-	ovh  []int64 // overhead samples, capacity overheadReps
 
 	// Per-thread overhead memo. Each fork estimates on a fresh thread (a
 	// miss, preserving its noise stream); repeat estimates on one thread
@@ -457,33 +456,18 @@ type scratch struct {
 }
 
 func newScratch(opt *Options) *scratch {
-	return &scratch{
-		vals: make([]int64, 0, opt.Reps),
-		ovh:  make([]int64, 0, overheadReps),
-	}
+	return &scratch{vals: make([]int64, 0, opt.Reps)}
 }
 
-// rdtscOverhead returns the thread's timestamp-read overhead, estimating it
-// on first sight and serving repeats from the memo.
-func (sc *scratch) rdtscOverhead(t machine.Thread) int64 {
+// rdtscOverhead returns the timestamp-read overhead of thread t of machine
+// m, estimating it on first sight and serving repeats from the memo.
+func (sc *scratch) rdtscOverhead(m machine.Machine, t machine.Thread) int64 {
 	if sc.ovhThread == t {
 		return sc.ovhVal
 	}
-	v := estimateRdtscOverhead(t, sc)
+	v := m.RdtscOverhead(t, overheadReps)
 	sc.ovhThread, sc.ovhVal = t, v
 	return v
-}
-
-// estimateRdtscOverhead measures back-to-back timestamp reads and takes the
-// median.
-func estimateRdtscOverhead(t machine.Thread, sc *scratch) int64 {
-	vals := sc.ovh[:0]
-	for i := 0; i < overheadReps; i++ {
-		s := t.Rdtsc()
-		e := t.Rdtsc()
-		vals = append(vals, e-s)
-	}
-	return stats.MedianInPlace(vals)
 }
 
 // measurePair measures one pair: Figure 5's loop runs as the machine's
@@ -515,14 +499,13 @@ func stableMedian(round func() []int64, retries *int) int64 {
 
 // acceptMedian is the stability rule of Section 3.5: one round's median
 // (at least 1) is accepted when the round's standard deviation is within
-// threshold of it, or when the retry budget is spent. It reorders vals.
+// threshold of it, or when the retry budget is spent — a round whose stdev
+// is then never computed. It may reorder vals.
 func acceptMedian(vals []int64, threshold float64, retry int) (med int64, ok bool) {
-	sd := stats.Stdev(vals) // before the selection: the float sum follows sample order
-	med = stats.MedianInPlace(vals)
-	if med <= 0 {
-		med = 1
-	}
-	return med, sd <= threshold*float64(med) || retry >= maxRetries
+	last := retry >= maxRetries
+	med, sd := stats.MedianStdevInPlace(vals, !last)
+	med = max(med, 1)
+	return med, last || sd <= threshold*float64(med)
 }
 
 // widen is the rule's other half: each re-measurement raises the threshold

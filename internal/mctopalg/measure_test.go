@@ -45,7 +45,7 @@ func forkedPairFixture(tb testing.TB) (machine.Machine, machine.Thread, machine.
 // pressure.
 func TestMeasurePairSteadyStateAllocs(t *testing.T) {
 	fm, x, y, opt, sc := forkedPairFixture(t)
-	overhead := sc.rdtscOverhead(x)
+	overhead := sc.rdtscOverhead(fm, x)
 	retries := 0
 	measurePair(fm, opt, x, y, overhead, &retries, sc) // warm the buffers
 	allocs := testing.AllocsPerRun(100, func() {
@@ -55,10 +55,16 @@ func TestMeasurePairSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("measurePair allocates %.1f objects per pair in steady state, want 0", allocs)
 	}
 	ovAllocs := testing.AllocsPerRun(100, func() {
-		sc.rdtscOverhead(x) // memoized: same thread, no re-estimation
+		sc.rdtscOverhead(fm, x) // memoized: same thread, no re-estimation
 	})
 	if ovAllocs != 0 {
 		t.Fatalf("rdtscOverhead allocates %.1f objects per call in steady state, want 0", ovAllocs)
+	}
+	estAllocs := testing.AllocsPerRun(100, func() {
+		fm.RdtscOverhead(x, overheadReps) // what each fresh fork's memo miss runs
+	})
+	if estAllocs != 0 {
+		t.Fatalf("a fork's RdtscOverhead allocates %.1f objects per estimate, want 0", estAllocs)
 	}
 }
 
@@ -66,7 +72,7 @@ func TestMeasurePairSteadyStateAllocs(t *testing.T) {
 // loop (the zero-allocation property itself is pinned by the test above).
 func BenchmarkMeasurePairSteadyState(b *testing.B) {
 	fm, x, y, opt, sc := forkedPairFixture(b)
-	overhead := sc.rdtscOverhead(x)
+	overhead := sc.rdtscOverhead(fm, x)
 	retries := 0
 	measurePair(fm, opt, x, y, overhead, &retries, sc) // warm the buffers
 	b.ReportAllocs()

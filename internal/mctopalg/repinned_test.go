@@ -101,13 +101,12 @@ func TestInferWithoutForker(t *testing.T) {
 // deducts is the cost of one clock read, not of a round trip to the
 // thread's goroutine.
 func TestHostRdtscOverhead(t *testing.T) {
-	th, err := machine.NewHost().NewThread(0)
+	m := machine.NewHost()
+	th, err := m.NewThread(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := testOptions()
-	opt.fillDefaults()
-	if ns := estimateRdtscOverhead(th, newScratch(&opt)); ns >= 5000 {
+	if ns := m.RdtscOverhead(th, overheadReps); ns >= 5000 {
 		t.Errorf("host rdtsc overhead estimate = %d ns, want under 5 µs", ns)
 	}
 }

@@ -33,6 +33,7 @@
 package mctopalg
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -176,24 +177,26 @@ func (c *collector) measureSampled(n int) error {
 			var bp []ctxPair
 			if ci == cj {
 				members := classes[ci]
+				bp = make([]ctxPair, 0, len(members)*(len(members)-1)/2)
 				for i := 0; i < len(members)-1; i++ {
 					for j := i + 1; j < len(members); j++ {
 						bp = append(bp, ctxPair{members[i], members[j]})
 					}
 				}
 			} else {
+				bp = make([]ctxPair, 0, len(classes[ci])*len(classes[cj]))
 				for _, a := range classes[ci] {
 					for _, b := range classes[cj] {
-						x, y := a, b
-						if x > y {
-							x, y = y, x
-						}
-						bp = append(bp, ctxPair{x, y})
+						bp = append(bp, ctxPair{min(a, b), max(a, b)})
 					}
 				}
 			}
-			sort.Slice(bp, func(i, j int) bool {
-				return bp[i].x < bp[j].x || bp[i].x == bp[j].x && bp[i].y < bp[j].y
+			// The pairs are distinct, so this is the one (x, y) order.
+			slices.SortFunc(bp, func(a, b ctxPair) int {
+				if c := cmp.Compare(a.x, b.x); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.y, b.y)
 			})
 			if noisy || ci == cj || len(bp) <= V+1 {
 				exhaustNow = append(exhaustNow, bp...)

@@ -327,6 +327,9 @@ func (p *Platform) validate() error {
 	if p.FreqMaxGHz <= 0 || p.FreqMinGHz <= 0 || p.FreqMinGHz > p.FreqMaxGHz {
 		return fmt.Errorf("sim: %s: bad frequency range [%g, %g]", p.Name, p.FreqMinGHz, p.FreqMaxGHz)
 	}
+	if p.RdtscOverhead < 0 {
+		return fmt.Errorf("sim: %s: negative RdtscOverhead %d", p.Name, p.RdtscOverhead)
+	}
 	if p.SMT > 1 && p.SameCoreLat <= 0 {
 		return fmt.Errorf("sim: %s: SMT machine without SameCoreLat", p.Name)
 	}

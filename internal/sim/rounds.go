@@ -17,8 +17,16 @@ const roundsLine = 0x6c0c6
 // with x taking the line back, so a steady round stays steady: from then on
 // both CAS costs are the pair's fixed transfer latency plus noise, and a
 // repetition is integer arithmetic on the two clocks and busy counters,
-// written back when the loop ends. The method-by-method loop is kept in
-// rounds_test.go as the oracle this one is checked against.
+// written back when the loop ends.
+//
+// On a platform that draws neither jitter nor spikes (every generated one
+// without :n1) a steady repetition is also the same every time, once x's
+// clock leads y's by its own timed reads and CAS, which the first steady
+// repetition leaves it doing. The rest of the round is then its last sample
+// repeated, clocks and busy counters advanced by a multiple of one
+// repetition's, and the noise counter by the two draws each would make.
+// The method-by-method loop is kept in rounds_test.go as the oracle this
+// one is checked against.
 func (s *Sim) Rounds(x, y *Thread, reps int, overhead int64, dst []int64) []int64 {
 	vals := dst[:0]
 	for len(vals) < reps && !s.steady(x, y) {
@@ -40,6 +48,7 @@ func (s *Sim) Rounds(x, y *Thread, reps int, overhead int64, dst []int64) []int6
 		baseY, baseX = p.HitCASLat, p.HitCASLat
 	}
 	rdtsc := p.RdtscOverhead
+	quiet := p.tab.noise.d == 0 && p.tab.spuriousBelow == 0
 	xNow, yNow := x.now, y.now
 	var xBusy, yBusy int64
 	for len(vals) < reps {
@@ -57,6 +66,22 @@ func (s *Sim) Rounds(x, y *Thread, reps int, overhead int64, dst []int64) []int6
 		xBusy += 2*rdtsc + baseX
 		xNow = yNow + 2*rdtsc + costX
 		vals = append(vals, max(rdtsc+costX-overhead, 0))
+
+		if quiet {
+			// Every repetition left is this one: y waits out x's lead,
+			// 2·rdtsc + costX, at the first barrier.
+			k := int64(reps - len(vals))
+			step := 2*barrierCost + costY + 2*rdtsc + costX
+			xNow += k * step
+			yNow += k * step
+			xBusy += k * (2*barrierCost + costY + 2*rdtsc + baseX)
+			yBusy += k * (2*rdtsc + costX + 2*barrierCost + baseY)
+			s.opCtr += 2 * uint64(k)
+			v := vals[len(vals)-1]
+			for len(vals) < reps {
+				vals = append(vals, v)
+			}
+		}
 	}
 	x.now, y.now = xNow, yNow
 	*s.busyOf(x.core) += xBusy

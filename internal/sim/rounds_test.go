@@ -128,18 +128,29 @@ func roundsPairs(p *Platform) map[string][2]int {
 }
 
 // TestRoundsMatchesReference checks the simulator's Figure 5 loop against
-// the method-by-method one on every pair kind of the goldens and two
+// the method-by-method one on every pair kind of the goldens and four
 // generated shapes: a first call (nobody holds the line yet) and a retry on
 // the same threads, at 1, 2 and 201 repetitions, with cores that are cold,
 // warm, or a few repetitions short of the end of their frequency ramp (a
 // pair that skipped its DVFS wait, so the round turns steady mid-call).
+// Three generated shapes draw no noise, so their rounds end in closed form;
+// gen:ring:s6:c2:t2:n1 is the same ring with the goldens' noise model,
+// whose rounds must not, and neither may those of two small machines that
+// draw only jitter or only spikes.
 func TestRoundsMatchesReference(t *testing.T) {
+	jitterOnly := Custom("jitter-only", 2, 2, 2, 1, NumberingIntelHalves)
+	spikesOnly := Custom("spikes-only", 2, 2, 2, 1, NumberingIntelHalves)
+	spikesOnly.NoiseAmp, spikesOnly.SpuriousRate, spikesOnly.SpuriousAmp = 0, 0.05, 1800
+	platforms := []*Platform{jitterOnly, spikesOnly}
 	for _, name := range []string{"Ivy", "Westmere", "Haswell", "Opteron", "SPARC",
-		"gen:ring:s6:c2:t2", "gen:circulant:s16:c4:t2"} {
+		"gen:ring:s6:c2:t2", "gen:circulant:s16:c4:t2", "gen:mesh:s16:c16:t2", "gen:ring:s6:c2:t2:n1"} {
 		p, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		platforms = append(platforms, p)
+	}
+	for _, p := range platforms {
 		for kind, pair := range roundsPairs(p) {
 			for _, reps := range []int{1, 2, 201} {
 				warmups := []string{"warm"}
@@ -147,7 +158,7 @@ func TestRoundsMatchesReference(t *testing.T) {
 					warmups = append(warmups, "cold", "mid-ramp")
 				}
 				for _, warm := range warmups {
-					what := fmt.Sprintf("%s %s %v reps %d %s", name, kind, pair, reps, warm)
+					what := fmt.Sprintf("%s %s %v reps %d %s", p.Name, kind, pair, reps, warm)
 					rp := newRoundsPair(t, p, 7, pair[0], pair[1], p.RdtscOverhead)
 					switch warm {
 					case "warm":
@@ -156,7 +167,10 @@ func TestRoundsMatchesReference(t *testing.T) {
 						rp.setBusy(p.tab.dvfsRampEnd - 20_000)
 					}
 					rp.call(t, what+" first call", reps)
-					rp.call(t, what+" retry", reps)
+					vals := rp.call(t, what+" retry", reps)
+					if (p.NoiseAmp > 0 || p.SpuriousRate > 0) && reps == 201 && slices.Min(vals) == slices.Max(vals) {
+						t.Fatalf("%s: a noisy round of %d equal samples", what, reps)
+					}
 				}
 			}
 		}

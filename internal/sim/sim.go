@@ -122,12 +122,16 @@ func (s *Sim) noise() int64 {
 // once it is through the last one — where a measurement spends nearly all
 // of its time — the answer takes no division.
 func (s *Sim) freqFactor(core int) float64 {
-	t := &s.p.tab
-	if t.dvfsDwell == 0 {
-		return 1.0
+	if s.p.tab.dvfsDwell == 0 {
+		return 1.0 // no ramp: the core's busy counter need not exist yet
 	}
-	busy := *s.busyOf(core)
-	if busy >= t.dvfsRampEnd {
+	return s.p.tab.freqAt(*s.busyOf(core))
+}
+
+// freqAt is the frequency, as a fraction of maximum, of a core that has
+// accumulated busy cycles of work.
+func (t *tables) freqAt(busy int64) float64 {
+	if t.dvfsDwell == 0 || busy >= t.dvfsRampEnd {
 		return 1.0
 	}
 	state := busy / t.dvfsDwell
@@ -137,7 +141,11 @@ func (s *Sim) freqFactor(core int) float64 {
 // scale converts a cost expressed in max-frequency cycles into observed
 // timestamp-counter cycles at the core's current frequency.
 func (s *Sim) scale(cost int64, core int) int64 {
-	f := s.freqFactor(core)
+	return scaleBy(cost, s.freqFactor(core))
+}
+
+// scaleBy is scale at frequency factor f.
+func scaleBy(cost int64, f float64) int64 {
 	if f >= 1 {
 		return cost
 	}

@@ -32,15 +32,73 @@ func Median(xs []int64) int64 {
 // copying it. It exists for the measurement hot loop, which reuses one
 // buffer across hundreds of thousands of pairs and must not allocate per
 // pair; everywhere else prefer Median, which leaves its input untouched.
-// Nobody reads the order it leaves behind, so it selects instead of sorting.
+// Nobody reads the order it leaves behind, so it does not sort: see
+// MedianStdevInPlace.
 func MedianInPlace(xs []int64) int64 {
-	if len(xs) == 0 {
+	med, _ := MedianStdevInPlace(xs, false)
+	return med
+}
+
+// medianWindow is the width of the value range, from a round's minimum up,
+// whose samples MedianStdevInPlace counts instead of selecting among.
+const medianWindow = 64
+
+// MedianStdevInPlace returns MedianInPlace(xs) and, when withStdev is set,
+// the population standard deviation of xs, in as few passes as the samples
+// allow. The stdev is the two-pass one — the float mean summed in sample
+// order, then the squared deviations summed in sample order — bit for bit.
+// Equal samples cost one pass: the median is their value and the stdev 0
+// (what the two passes compute whenever their float sum is exact, i.e.
+// |value|·len(xs) < 2^53). Otherwise a second pass sums the squared
+// deviations and counts the samples into one bucket per value of
+// [min, min+medianWindow). A latency round is a narrow band of jitter over
+// its minimum plus rare spikes, so more than half of it lands there and the
+// median is read off the counts; a round that does not falls back to
+// quickselect. It reorders xs only on that fallback.
+func MedianStdevInPlace(xs []int64, withStdev bool) (med int64, sd float64) {
+	n := len(xs)
+	if n == 0 {
 		panic("stats: MedianInPlace of empty slice")
 	}
-	n := len(xs)
+	lo, hi := xs[0], xs[0]
+	var sum float64
+	for _, v := range xs {
+		lo, hi = min(lo, v), max(hi, v)
+		if withStdev {
+			sum += float64(v)
+		}
+	}
+	if lo == hi {
+		return lo, 0
+	}
+
+	// counts[medianWindow] gathers every sample past the window; v-lo is
+	// the sample's distance from the minimum, exact as an unsigned word.
+	var counts [medianWindow + 1]int32
+	mean := sum / float64(n)
+	var ss float64
+	for _, v := range xs {
+		counts[min(uint64(v-lo), medianWindow)]++
+		if withStdev {
+			d := float64(v) - mean
+			ss += d * d
+		}
+	}
+	if withStdev {
+		sd = math.Sqrt(ss / float64(n))
+	}
+
+	if int(counts[medianWindow]) < n-n/2 {
+		// The window holds the n/2+1 smallest samples.
+		upper := lo + countedKth(&counts, n/2)
+		if n%2 == 1 {
+			return upper, sd
+		}
+		return (lo + countedKth(&counts, n/2-1) + upper) / 2, sd
+	}
 	upper := selectKth(xs, n/2)
 	if n%2 == 1 {
-		return upper
+		return upper, sd
 	}
 	// xs[:n/2] now holds the n/2 smallest values; the lower middle element
 	// of the sorted order is their maximum.
@@ -50,7 +108,19 @@ func MedianInPlace(xs []int64) int64 {
 			lower = v
 		}
 	}
-	return (lower + upper) / 2
+	return (lower + upper) / 2, sd
+}
+
+// countedKth returns the distance from the minimum of the k-th smallest
+// (0-based) of the counted samples; k must fall inside the window.
+func countedKth(counts *[medianWindow + 1]int32, k int) int64 {
+	seen := 0
+	for b, c := range counts[:medianWindow] {
+		if seen += int(c); seen > k {
+			return int64(b)
+		}
+	}
+	panic("stats: countedKth past the window")
 }
 
 // selectKth returns the k-th smallest value of xs (0-based) and leaves xs
@@ -109,32 +179,6 @@ func selectKth(xs []int64, k int) int64 {
 		}
 	}
 	return xs[k]
-}
-
-// Mean returns the arithmetic mean of xs as a float64.
-func Mean(xs []int64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += float64(x)
-	}
-	return sum / float64(len(xs))
-}
-
-// Stdev returns the population standard deviation of xs.
-func Stdev(xs []int64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := float64(x) - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
 }
 
 // Triplet summarizes a latency cluster with its minimum, median and maximum

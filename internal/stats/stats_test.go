@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -42,6 +44,33 @@ func TestMedianPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	Median(nil)
+}
+
+// Mean and Stdev are the two-pass mean and population standard deviation
+// that MedianStdevInPlace's stdev is checked against bit for bit.
+func Mean(xs []int64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += float64(x)
+	}
+	return sum / float64(len(xs))
+}
+
+// Stdev returns the population standard deviation of xs.
+func Stdev(xs []int64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	var ss float64
+	for _, x := range xs {
+		d := float64(x) - m
+		ss += d * d
+	}
+	return math.Sqrt(ss / float64(len(xs)))
 }
 
 func TestMeanStdev(t *testing.T) {
@@ -274,4 +303,87 @@ func TestMedianInPlacePanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	MedianInPlace(nil)
+}
+
+// TestMedianStdevInPlace checks the counting median against the sort-based
+// Median, and its stdev against Stdev bit for bit, on the rounds the
+// measurement loop produces and on the window's edges: samples exactly at
+// min+63 (the last counted value) and min+64 (the first one past it), and
+// rounds with exactly half or fewer of their samples in the window, which
+// must fall back to selection. A round answered from the counts is left in
+// its sample order, which is how the test knows which path answered it.
+func TestMedianStdevInPlace(t *testing.T) {
+	check := func(name string, xs []int64, counted bool) {
+		t.Helper()
+		for _, withStdev := range []bool{false, true} {
+			buf := append([]int64(nil), xs...)
+			med, sd := MedianStdevInPlace(buf, withStdev)
+			if want := Median(xs); med != want {
+				t.Fatalf("%s (len %d): median = %d, Median = %d", name, len(xs), med, want)
+			}
+			if want := Stdev(xs); withStdev && sd != want {
+				t.Fatalf("%s (len %d): stdev = %v, Stdev = %v", name, len(xs), sd, want)
+			}
+			if !withStdev && sd != 0 {
+				t.Fatalf("%s (len %d): stdev %v computed though not asked for", name, len(xs), sd)
+			}
+			if counted && !reflect.DeepEqual(buf, xs) {
+				t.Fatalf("%s (len %d): reordered, so not answered from the counts", name, len(xs))
+			}
+			if got := MedianInPlace(append([]int64(nil), xs...)); got != med {
+				t.Fatalf("%s (len %d): MedianInPlace = %d, MedianStdevInPlace = %d", name, len(xs), got, med)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 201, 202} {
+		round := make([]int64, n) // NoiseAmp 2 jitter over a latency, plus spikes
+		equal := make([]int64, n)
+		twoValued := make([]int64, n)
+		negative := make([]int64, n)
+		for i := range round {
+			round[i] = 330 + rng.Int63n(5)
+			if rng.Intn(40) == 0 {
+				round[i] += 1800
+			}
+			equal[i] = 112
+			twoValued[i] = 28 + 40*int64(i%2)
+			negative[i] = -1000 - rng.Int63n(30)
+		}
+		check("round", round, true)
+		check("equal", equal, true)
+		check("two-valued", twoValued, true)
+		check("negative", negative, true)
+
+		// Half the round (rounded down) sits at the minimum and the rest,
+		// the upper middle sample included, at the window's last value or
+		// just past it.
+		for _, far := range []int64{63, 64} {
+			edge := make([]int64, n)
+			for i := range edge {
+				edge[i] = -7
+				if i >= n/2 {
+					edge[i] += far
+				}
+			}
+			check(fmt.Sprintf("edge min+%d", far), edge, far == 63 || n == 1)
+		}
+		// Fewer than half the samples in the window: selection answers.
+		sparse := make([]int64, n)
+		for i := range sparse {
+			sparse[i] = 500 + 100*int64(i)
+		}
+		check("sparse", sparse, n == 1)
+		if n >= 3 {
+			half := make([]int64, n) // exactly n/2 samples counted
+			for i := range half {
+				half[i] = 10
+				if i >= n/2 {
+					half[i] = 1000 + int64(i)
+				}
+			}
+			check("half in window", half, false)
+		}
+	}
+	check("extremes", []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 63}, false)
 }
