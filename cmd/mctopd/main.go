@@ -131,11 +131,11 @@ import (
 	"repro/internal/trace"
 )
 
-// defaultMaxContexts is -max-contexts' default. MCTOP-ALG's raw and
-// normalized latency tables are dense n×n (the topology's query index is
-// linear in n): at 2048 contexts they take about 67 MB, and an unbounded
-// request naming a 2²⁰-context gen: platform would ask for terabytes — an
-// out-of-memory failure no handler can turn into a 413.
+// defaultMaxContexts is -max-contexts' default. MCTOP-ALG's raw latency
+// table is the one dense n×n structure an inference holds (the topology's
+// query index is linear in n): at 2048 contexts it takes about 34 MB, and
+// an unbounded request naming a 2²⁰-context gen: platform would ask for
+// terabytes — an out-of-memory failure no handler can turn into a 413.
 const defaultMaxContexts = 2048
 
 // daemonConfig is everything the flags decide, decoupled from the flag

@@ -14,7 +14,9 @@
 //
 //  1. collect a context-to-context latency table with two lock-step
 //     threads (Figure 5);
-//  2. cluster the values (the CDF's plateaus) and normalize the table;
+//  2. cluster the values (the CDF's plateaus); the normalized table is the
+//     raw one read through the clusters, every value as its cluster's
+//     median, and is never built;
 //  3. recursively group contexts into components per latency level;
 //  4. assign roles (cores, sockets, cross-socket levels) to components.
 //
@@ -112,12 +114,13 @@ type Result struct {
 	// instead of probing for zeroed bandwidth fields.
 	Enriched bool
 
-	// RawTable is the N x N median latency table (step 1).
+	// RawTable is the N x N median latency table (step 1), the one dense
+	// table an inference holds.
 	RawTable [][]int64
-	// Clusters are the detected latency clusters, ascending (step 2).
+	// Clusters are the detected latency clusters, ascending (step 2). The
+	// normalized table of Figure 6 is RawTable read through them — every
+	// value counts as its cluster's median — and Heatmap renders it.
 	Clusters []stats.Triplet
-	// NormTable is the normalized latency table (step 2).
-	NormTable [][]int64
 	// LevelGroups[l] is the context partition of grouping level l (step 3).
 	LevelGroups [][][]int
 
@@ -190,21 +193,19 @@ func InferContext(ctx context.Context, m machine.Machine, opt Options) (*Result,
 		return nil, err
 	}
 
-	// Step 2: cluster and normalize.
-	var offDiag []int64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			offDiag = append(offDiag, res.RawTable[i][j])
-		}
+	// Step 2: cluster the off-diagonal values. Steps 3 and 4 read the raw
+	// table through the clusters (medianOf).
+	offDiag := make([]int64, 0, n*(n-1)/2)
+	for i, row := range res.RawTable {
+		offDiag = append(offDiag, row[i+1:]...)
 	}
 	res.Clusters = stats.Cluster(offDiag, clusterGaps)
 	if len(res.Clusters) == 0 {
 		return nil, clusterErr("no latency clusters")
 	}
-	res.NormTable = stats.Normalize(res.RawTable, res.Clusters)
 
 	// Step 3: component creation.
-	levels, sockGroups, sockTable, err := buildComponents(res.NormTable, res.Clusters, n, nodes)
+	levels, sockGroups, sockTable, err := buildComponents(res.RawTable, res.Clusters, n, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -521,9 +522,12 @@ func widen(threshold float64) float64 {
 // buildComponents implements step 3: starting from singleton components,
 // repeatedly merge components connected at the next latency level, checking
 // the symmetry rules of Section 3.6, until components reach socket size
-// (#contexts / #nodes). Returns the per-level partitions, the socket-level
-// partition and the reduced socket-to-socket latency table.
-func buildComponents(norm [][]int64, clusters []stats.Triplet, n, nodes int) (
+// (#contexts / #nodes). It reads table through the clusters (medianOf), so
+// the raw table serves as step 2's normalized one. Returns the per-level
+// partitions, the socket-level partition and the reduced socket-to-socket
+// latency table. Every level's groups are ordered by their smallest context:
+// the singletons start that way, and groupAtLatency keeps it.
+func buildComponents(table [][]int64, clusters []stats.Triplet, n, nodes int) (
 	levels [][][]int, sockGroups [][]int, sockTable [][]int64, err error) {
 
 	if n%nodes != 0 {
@@ -539,7 +543,6 @@ func buildComponents(norm [][]int64, clusters []stats.Triplet, n, nodes int) (
 	for i := range components {
 		components[i] = []int{i}
 	}
-	table := norm
 
 	for li := 0; li < len(clusters); li++ {
 		if len(components[0]) == ctxPerSocket {
@@ -549,19 +552,11 @@ func buildComponents(norm [][]int64, clusters []stats.Triplet, n, nodes int) (
 			return nil, nil, nil, clusterErr(
 				"components grew to %d contexts, past socket size %d", len(components[0]), ctxPerSocket)
 		}
-		lat := clusters[li].Median
-		groups, reduced, gerr := groupAtLatency(components, table, lat)
-		if gerr != nil {
-			return nil, nil, nil, gerr
+		components, table, err = groupAtLatency(components, table, clusters, clusters[li].Median)
+		if err != nil {
+			return nil, nil, nil, err
 		}
-		components = groups
-		table = reduced
-		// Record this level's partition.
-		part := make([][]int, len(components))
-		for i, c := range components {
-			part[i] = append([]int(nil), c...)
-		}
-		levels = append(levels, part)
+		levels = append(levels, components)
 	}
 
 	if len(components[0]) != ctxPerSocket {
@@ -572,12 +567,23 @@ func buildComponents(norm [][]int64, clusters []stats.Triplet, n, nodes int) (
 	return levels, components, table, nil
 }
 
+// medianOf reads a latency through step 2's clusters: a value counts as the
+// median of the cluster stats.Assign gives it. The clusters partition the
+// off-diagonal values they were built from, and a median maps to itself, so
+// the raw table and every reduced one read the same way.
+func medianOf(clusters []stats.Triplet, v int64) int64 {
+	i, _ := stats.Assign(clusters, v)
+	return clusters[i].Median
+}
+
 // groupAtLatency merges components communicating at exactly lat and reduces
 // the table, enforcing: every component joins exactly one group, groups are
 // uniform in size, groups are internally complete at lat, and members of a
-// group have identical latencies to every other group.
-func groupAtLatency(components [][]int, table [][]int64, lat int64) ([][]int, [][]int64, error) {
+// group have identical latencies to every other group. Groups are numbered
+// by their smallest component, and the reduced table holds cluster medians.
+func groupAtLatency(components [][]int, table [][]int64, clusters []stats.Triplet, lat int64) ([][]int, [][]int64, error) {
 	k := len(components)
+	at := func(i, j int) int64 { return medianOf(clusters, table[i][j]) }
 	// Union-find over components connected at lat.
 	parent := make([]int, k)
 	for i := range parent {
@@ -593,21 +599,26 @@ func groupAtLatency(components [][]int, table [][]int64, lat int64) ([][]int, []
 	union := func(a, b int) { parent[find(a)] = find(b) }
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			if table[i][j] == lat {
+			if at(i, j) == lat {
 				union(i, j)
 			}
 		}
 	}
-	groupsByRoot := make(map[int][]int)
-	for i := 0; i < k; i++ {
-		r := find(i)
-		groupsByRoot[r] = append(groupsByRoot[r], i)
+	// Number the groups in one ascending pass: a group's id is fixed when
+	// its smallest component is met.
+	groupOf := make([]int, k)
+	for i := range groupOf {
+		groupOf[i] = -1
 	}
 	var memberSets [][]int
-	for _, members := range groupsByRoot {
-		memberSets = append(memberSets, members)
+	for i := 0; i < k; i++ {
+		r := find(i)
+		if groupOf[r] < 0 {
+			groupOf[r] = len(memberSets)
+			memberSets = append(memberSets, nil)
+		}
+		memberSets[groupOf[r]] = append(memberSets[groupOf[r]], i)
 	}
-	sort.Slice(memberSets, func(a, b int) bool { return memberSets[a][0] < memberSets[b][0] })
 
 	size := len(memberSets[0])
 	if size == 1 {
@@ -621,10 +632,10 @@ func groupAtLatency(components [][]int, table [][]int64, lat int64) ([][]int, []
 		// Internal completeness: every pair inside the group must be lat.
 		for a := 0; a < len(ms); a++ {
 			for b := a + 1; b < len(ms); b++ {
-				if table[ms[a]][ms[b]] != lat {
+				if v := at(ms[a], ms[b]); v != lat {
 					return nil, nil, clusterErr(
 						"components %d and %d grouped at level %d but communicate at %d",
-						ms[a], ms[b], lat, table[ms[a]][ms[b]])
+						ms[a], ms[b], lat, v)
 				}
 			}
 		}
@@ -638,13 +649,13 @@ func groupAtLatency(components [][]int, table [][]int64, lat int64) ([][]int, []
 	}
 	for gi := 0; gi < g; gi++ {
 		for gj := gi + 1; gj < g; gj++ {
-			ref := table[memberSets[gi][0]][memberSets[gj][0]]
+			ref := at(memberSets[gi][0], memberSets[gj][0])
 			for _, a := range memberSets[gi] {
 				for _, b := range memberSets[gj] {
-					if table[a][b] != ref {
+					if v := at(a, b); v != ref {
 						return nil, nil, clusterErr(
 							"group (%d,%d) has non-uniform external latency: %d vs %d",
-							gi, gj, table[a][b], ref)
+							gi, gj, v, ref)
 					}
 				}
 			}
@@ -668,7 +679,7 @@ func groupAtLatency(components [][]int, table [][]int64, lat int64) ([][]int, []
 // level's components are cores), classify the socket level, turn remaining
 // clusters into cross-socket levels, and assign memory nodes to sockets.
 func assignRoles(m machine.Machine, res *Result,
-	levels [][][]int, sockGroups [][]int, sockTable [][]int64, nodes int) (*topo.Spec, error) {
+	levels [][][]int, sockGroups [][]int, socketLat [][]int64, nodes int) (*topo.Spec, error) {
 
 	n := m.NumHWContexts()
 
@@ -700,36 +711,12 @@ func assignRoles(m machine.Machine, res *Result,
 		}
 	}
 
-	// Sort socket groups by smallest member for stable socket ids.
-	ordered := make([][]int, len(sockGroups))
-	copy(ordered, sockGroups)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i][0] < ordered[j][0] })
-
 	// Cluster bookkeeping: which cluster fed which grouping level.
 	nGroupLevels := len(levels)
 	crossClusters := res.Clusters[nGroupLevels:]
-
-	// Permute the reduced socket table to the ordered socket ids.
-	perm := make([]int, len(ordered))
-	for newID, g := range ordered {
-		for oldID, og := range sockGroups {
-			if og[0] == g[0] {
-				perm[newID] = oldID
-				break
-			}
-		}
-	}
-	nS := len(ordered)
-	socketLat := make([][]int64, nS)
-	for i := range socketLat {
-		socketLat[i] = make([]int64, nS)
-		for j := range socketLat[i] {
-			if i == j {
-				continue
-			}
-			socketLat[i][j] = sockTable[perm[i]][perm[j]]
-		}
-	}
+	// Socket ids are step 3's order of the socket groups, by smallest
+	// context, and socketLat is its last reduced table.
+	nS := len(sockGroups)
 
 	// Validate: every cross latency belongs to a cross cluster.
 	for i := 0; i < nS; i++ {
@@ -765,8 +752,6 @@ func assignRoles(m machine.Machine, res *Result,
 			Groups: part,
 		})
 	}
-	// Socket groups must appear in the ordered arrangement.
-	specLevels[nGroupLevels-1].Groups = ordered
 	for ci, c := range crossClusters {
 		specLevels = append(specLevels, topo.Level{
 			Name: fmt.Sprintf("cross-%d", ci+1), Kind: topo.LevelCross,
@@ -790,7 +775,7 @@ func assignRoles(m machine.Machine, res *Result,
 			return nil, err
 		}
 		for s := 0; s < nS; s++ {
-			if err := th.Pin(ordered[s][0]); err != nil {
+			if err := th.Pin(sockGroups[s][0]); err != nil {
 				return nil, err
 			}
 			machine.DVFSWait(m, th)

@@ -90,8 +90,8 @@ func TestInferAllPlatforms(t *testing.T) {
 }
 
 // TestIvyPipelineStages walks the four steps of Figure 6 on Ivy: a 40x40
-// table, exactly 3 latency clusters (~28 / ~112 / ~308), a normalized
-// table using only cluster medians, and SMT detection.
+// table, exactly 3 latency clusters (~28 / ~112 / ~308) that partition its
+// off-diagonal values, and SMT detection.
 func TestIvyPipelineStages(t *testing.T) {
 	m, _ := machine.NewSim(sim.Ivy(), 7)
 	res, err := Infer(m, testOptions())
@@ -130,18 +130,21 @@ func TestIvyPipelineStages(t *testing.T) {
 	if v := res.RawTable[0][10]; !res.Clusters[2].Contains(v) {
 		t.Errorf("raw[0][10] = %d not in cross cluster", v)
 	}
-	// Normalized table symmetric and quantized to medians.
-	medians := map[int64]bool{0: true}
-	for _, c := range res.Clusters {
-		medians[c.Median] = true
-	}
-	for i := range res.NormTable {
-		for j := range res.NormTable[i] {
-			if res.NormTable[i][j] != res.NormTable[j][i] {
-				t.Fatalf("normalized table asymmetric at (%d,%d)", i, j)
+	// The clusters partition the symmetric raw table's off-diagonal values,
+	// so steps 3 and 4 can read each value as its cluster's median.
+	for i := range res.RawTable {
+		for j := range res.RawTable[i] {
+			if res.RawTable[i][j] != res.RawTable[j][i] {
+				t.Fatalf("raw table asymmetric at (%d,%d)", i, j)
 			}
-			if !medians[res.NormTable[i][j]] {
-				t.Fatalf("normalized[%d][%d] = %d is not a cluster median", i, j, res.NormTable[i][j])
+			in := 0
+			for _, c := range res.Clusters {
+				if c.Contains(res.RawTable[i][j]) {
+					in++
+				}
+			}
+			if i != j && in != 1 {
+				t.Fatalf("raw[%d][%d] = %d lies in %d clusters, want 1", i, j, res.RawTable[i][j], in)
 			}
 		}
 	}

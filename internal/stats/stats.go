@@ -8,7 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Median returns the median of xs. It copies xs, so the input is not
@@ -19,8 +19,13 @@ func Median(xs []int64) int64 {
 	if len(xs) == 0 {
 		panic("stats: Median of empty slice")
 	}
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return sortedMedian(s)
+}
+
+// sortedMedian returns the median of a sorted, non-empty slice.
+func sortedMedian(s []int64) int64 {
 	n := len(s)
 	if n%2 == 1 {
 		return s[n/2]
@@ -212,31 +217,28 @@ type ClusterOptions struct {
 // cluster in increasing value order. The clustering is gap based: sorted
 // values are split wherever consecutive values are separated by more than
 // the configured relative and absolute gaps. This implements step 2 of
-// MCTOP-ALG ("Clusters close values into groups").
+// MCTOP-ALG ("Clusters close values into groups"). Cluster sorts xs in
+// place and reads each cluster's median off its sorted run.
 func Cluster(xs []int64, opt ClusterOptions) []Triplet {
 	if len(xs) == 0 {
 		return nil
 	}
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-
-	// Find boundaries.
-	var groups [][]int64
+	slices.Sort(xs)
+	var out []Triplet
 	start := 0
-	for i := 1; i < len(s); i++ {
-		gap := s[i] - s[i-1]
-		if gap > opt.AbsGap && float64(gap) > opt.RelGap*float64(s[i-1]) {
-			groups = append(groups, s[start:i])
+	for i := 1; i < len(xs); i++ {
+		gap := xs[i] - xs[i-1]
+		if gap > opt.AbsGap && float64(gap) > opt.RelGap*float64(xs[i-1]) {
+			out = append(out, sortedTriplet(xs[start:i]))
 			start = i
 		}
 	}
-	groups = append(groups, s[start:])
+	return append(out, sortedTriplet(xs[start:]))
+}
 
-	out := make([]Triplet, len(groups))
-	for i, g := range groups {
-		out[i] = Triplet{Min: g[0], Median: Median(g), Max: g[len(g)-1]}
-	}
-	return out
+// sortedTriplet summarizes one sorted, non-empty cluster run.
+func sortedTriplet(run []int64) Triplet {
+	return Triplet{Min: run[0], Median: sortedMedian(run), Max: run[len(run)-1]}
 }
 
 // Assign maps value v to the index of the cluster whose [Min, Max] interval
@@ -263,28 +265,4 @@ func Assign(clusters []Triplet, v int64) (int, bool) {
 		}
 	}
 	return best, true
-}
-
-// Normalize replaces every value in table with the median of its assigned
-// cluster, producing the normalized latency table of Figure 6 (2b). The
-// diagonal (self-latency zero) is preserved as-is. Normalize returns a new
-// table; the input is not modified.
-func Normalize(table [][]int64, clusters []Triplet) [][]int64 {
-	out := make([][]int64, len(table))
-	for i, row := range table {
-		out[i] = make([]int64, len(row))
-		for j, v := range row {
-			if i == j {
-				out[i][j] = 0
-				continue
-			}
-			idx, ok := Assign(clusters, v)
-			if !ok {
-				out[i][j] = v
-				continue
-			}
-			out[i][j] = clusters[idx].Median
-		}
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -165,53 +166,6 @@ func TestClusterPartitionProperty(t *testing.T) {
 	}
 }
 
-// Property: normalization is idempotent and only emits cluster medians (or
-// zero on the diagonal).
-func TestNormalizeIdempotent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 6
-		table := make([][]int64, n)
-		var all []int64
-		for i := range table {
-			table[i] = make([]int64, n)
-			for j := range table[i] {
-				if i == j {
-					continue
-				}
-				base := int64(100)
-				if (i < n/2) != (j < n/2) {
-					base = 300
-				}
-				v := base + rng.Int63n(11) - 5
-				table[i][j] = v
-				all = append(all, v)
-			}
-		}
-		cl := Cluster(all, coarseGaps)
-		norm := Normalize(table, cl)
-		norm2 := Normalize(norm, cl)
-		if !reflect.DeepEqual(norm, norm2) {
-			return false
-		}
-		medians := map[int64]bool{0: true}
-		for _, c := range cl {
-			medians[c.Median] = true
-		}
-		for i := range norm {
-			for j := range norm[i] {
-				if !medians[norm[i][j]] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAssign(t *testing.T) {
 	cl := []Triplet{{25, 28, 31}, {90, 112, 140}, {290, 308, 330}}
 	if idx, ok := Assign(cl, 28); !ok || idx != 0 {
@@ -232,18 +186,6 @@ func TestAssign(t *testing.T) {
 	}
 }
 
-func TestNormalizePreservesDiagonal(t *testing.T) {
-	table := [][]int64{{0, 100}, {100, 0}}
-	cl := Cluster([]int64{100, 100}, coarseGaps)
-	norm := Normalize(table, cl)
-	if norm[0][0] != 0 || norm[1][1] != 0 {
-		t.Errorf("diagonal not preserved: %v", norm)
-	}
-	if norm[0][1] != 100 || norm[1][0] != 100 {
-		t.Errorf("off-diagonal wrong: %v", norm)
-	}
-}
-
 func TestClusterSortedInput(t *testing.T) {
 	xs := []int64{500, 20, 21, 480, 19, 510}
 	cl := Cluster(xs, coarseGaps)
@@ -252,6 +194,86 @@ func TestClusterSortedInput(t *testing.T) {
 	}
 	if !sort.SliceIsSorted(cl, func(i, j int) bool { return cl[i].Median < cl[j].Median }) {
 		t.Errorf("clusters not sorted: %v", cl)
+	}
+}
+
+// clusterReference is Cluster as it was before it sorted its input in
+// place: it sorts a copy and takes every cluster's median with Median, which
+// copies and sorts the cluster again. TestClusterMatchesReference holds
+// Cluster to it.
+func clusterReference(xs []int64, opt ClusterOptions) []Triplet {
+	if len(xs) == 0 {
+		return nil
+	}
+	s := append([]int64(nil), xs...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+
+	// Find boundaries.
+	var groups [][]int64
+	start := 0
+	for i := 1; i < len(s); i++ {
+		gap := s[i] - s[i-1]
+		if gap > opt.AbsGap && float64(gap) > opt.RelGap*float64(s[i-1]) {
+			groups = append(groups, s[start:i])
+			start = i
+		}
+	}
+	groups = append(groups, s[start:])
+
+	out := make([]Triplet, len(groups))
+	for i, g := range groups {
+		out[i] = Triplet{Min: g[0], Median: Median(g), Max: g[len(g)-1]}
+	}
+	return out
+}
+
+// TestClusterMatchesReference: Cluster returns clusterReference's triplets
+// on MCTOP-ALG's gaps and leaves its input sorted, on the shapes its
+// boundaries and medians can trip over — empty, single and equal inputs,
+// odd, even and two-value runs, values exactly at and one past the absolute
+// (10 cycles) and the relative (4 %) gap, Opteron's close 197/217 levels —
+// and on seeded random latency tables.
+func TestClusterMatchesReference(t *testing.T) {
+	gaps := ClusterOptions{RelGap: 0.04, AbsGap: 10}
+	check := func(name string, xs []int64) {
+		t.Helper()
+		want := clusterReference(xs, gaps)
+		got := Cluster(xs, gaps)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Cluster = %v, reference %v", name, got, want)
+		}
+		if !slices.IsSorted(xs) {
+			t.Fatalf("%s: Cluster left its input unsorted: %v", name, xs)
+		}
+	}
+	check("empty", nil)
+	check("one value", []int64{117})
+	check("all equal", []int64{308, 308, 308, 308})
+	check("odd run", []int64{30, 28, 29})
+	check("even run", []int64{113, 110, 112, 111})
+	check("run of two", []int64{29, 26, 300, 310, 305})
+	check("at the absolute gap", []int64{100, 110, 100, 110})
+	check("past the absolute gap", []int64{100, 111, 100, 111})
+	check("at the relative gap", []int64{1000, 1040, 1000})
+	check("past the relative gap", []int64{1000, 1041, 1000})
+	check("Opteron's 197/217", []int64{217, 197, 199, 219, 195, 216, 198, 300, 117, 118, 215, 302})
+
+	rng := rand.New(rand.NewSource(29))
+	levels := []int64{28, 112, 197, 217, 308, 458}
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(24)
+		nLevels := 1 + rng.Intn(len(levels))
+		var offDiag []int64
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				v := levels[rng.Intn(nLevels)] + rng.Int63n(9) - 4
+				if rng.Intn(60) == 0 {
+					v += rng.Int63n(200) // a stray median between levels
+				}
+				offDiag = append(offDiag, v)
+			}
+		}
+		check(fmt.Sprintf("random table %d (%d contexts)", trial, n), offDiag)
 	}
 }
 

@@ -100,7 +100,9 @@ type Topology = topo.Topology
 type Placement = place.Placement
 
 // InferResult carries an inference's topology and the intermediate
-// artifacts of the algorithm's four steps.
+// artifacts of the algorithm's four steps. Figure 6's normalized table is
+// not one of them: it is RawTable read through Clusters, which Heatmap
+// renders.
 type InferResult = mctopalg.Result
 
 // Platforms lists the names of the five simulated machines of the paper's
