@@ -226,6 +226,12 @@ func TestChaosFleetServesOnlyGoldenBytes(t *testing.T) {
 	if res := driveLoad(edge.URL, 80, ivy, goldens); res.corrupt != 0 || res.hangs != 0 {
 		t.Fatalf("chaos phase violated the contract: %+v", res)
 	}
+	// Drain the chaos phase's write-behind under its own faults: a spool
+	// write it left queued would otherwise spend the one-shot fault armed
+	// below, and the cold key's write would then succeed.
+	if err := reg.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Deterministic degradation: exactly one failed spool write flips the
 	// spool probe, and a refused fetch (or the window phase 2 left open)

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,29 +207,57 @@ func TestHostRounds(t *testing.T) {
 
 // TestHostThreadsExit: a host thread's OS-locked goroutine ends once the
 // thread is unreachable and collected, instead of leaking for the life of
-// the process.
+// the process. It counts the host threads' goroutines alone: the process's
+// other goroutines come and go (the one running cleanups, say), and a
+// baseline taken over all of them could include one that is gone by the
+// time the threads are counted.
 func TestHostThreadsExit(t *testing.T) {
 	m := NewHost()
-	base := runtime.NumGoroutine()
+	waitHostThreadsExit(t, "before the test made any") // earlier tests' threads
 	const threads = 8
-	func() {
-		for i := 0; i < threads; i++ {
-			th, err := m.NewThread(i % m.NumHWContexts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.SpinSolo(th, 1000)
+	// The threads are held until their goroutines are counted: a thread
+	// that became unreachable earlier could be collected, and its
+	// goroutine gone, before the count.
+	held := make([]Thread, 0, threads)
+	for i := 0; i < threads; i++ {
+		th, err := m.NewThread(i % m.NumHWContexts())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	if n := runtime.NumGoroutine(); n < base+threads {
-		t.Fatalf("%d goroutines with %d live threads, baseline %d", n, threads, base)
+		m.SpinSolo(th, 1000)
+		held = append(held, th)
 	}
+	if n := hostThreadGoroutines(); n != threads {
+		t.Fatalf("%d host-thread goroutines with %d live threads", n, threads)
+	}
+	runtime.KeepAlive(held)
+	clear(held) // from here on nothing reaches the threads
+	waitHostThreadsExit(t, "after the threads became unreachable")
+}
+
+// waitHostThreadsExit collects garbage until no host thread's goroutine is
+// left, and fails if one still is after 10 s.
+func waitHostThreadsExit(t *testing.T, when string) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > base {
+	for n := hostThreadGoroutines(); n > 0; n = hostThreadGoroutines() {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines 10 s after the threads became unreachable, baseline %d", runtime.NumGoroutine(), base)
+			t.Fatalf("%d host-thread goroutines 10 s %s", n, when)
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// hostThreadGoroutines counts the goroutines running a host thread's
+// command loop (HostMachine.NewThread's goroutine).
+func hostThreadGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "machine.(*HostMachine).NewThread.func1(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }

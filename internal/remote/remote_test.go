@@ -12,6 +12,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -409,7 +410,9 @@ func TestPlacementFetchReconstructsViaTopology(t *testing.T) {
 		t.Fatalf("placement fetch issued %d requests, want 2 (sidecar + topology)", requests.Load())
 	}
 	// A second placement referencing the same topology rides the
-	// topology memo: one more request, not two.
+	// topology memo: one more request, not two. The memo is weak, so it
+	// holds the topology only while something does: the first placement
+	// is kept reachable until the second fetch is counted.
 	placeKey16 := "place|" + testKey + "|MCTOP_PLACE_RR_CORE|16"
 	pl16, err := place.NewFrom(top, place.RRCore, place.Options{NThreads: 16})
 	if err != nil {
@@ -422,6 +425,7 @@ func TestPlacementFetchReconstructsViaTopology(t *testing.T) {
 	if requests.Load() != 3 {
 		t.Fatalf("second placement issued %d total requests, want 3 (topology memoized)", requests.Load())
 	}
+	runtime.KeepAlive(v)
 }
 
 // TestRetryRidesOutOriginBlip: one origin-level failure followed by a

@@ -1,5 +1,11 @@
 package sim
 
+import (
+	"slices"
+
+	"repro/internal/rng"
+)
+
 // roundsLine is the shared cache line Rounds ping-pongs. Its id picks the
 // home node the pair's very first CAS misses to (line % nodes).
 const roundsLine = 0x6c0c6
@@ -15,18 +21,19 @@ const roundsLine = 0x6c0c6
 // (past the DVFS ramp, or on a machine without one) and x holds the line.
 // Nothing in the loop pins, busy work only grows and every repetition ends
 // with x taking the line back, so a steady round stays steady: from then on
-// both CAS costs are the pair's fixed transfer latency plus noise, and a
-// repetition is integer arithmetic on the two clocks and busy counters,
-// written back when the loop ends.
+// y's CAS costs the pair's fixed transfer latency plus its draw's noise,
+// clamped at 1 cycle, and so does x's.
 //
-// On a platform that draws neither jitter nor spikes (every generated one
-// without :n1) a steady repetition is also the same every time, once x's
-// clock leads y's by its own timed reads and CAS, which the first steady
-// repetition leaves it doing. The rest of the round is then its last sample
-// repeated, clocks and busy counters advanced by a multiple of one
-// repetition's, and the noise counter by the two draws each would make.
-// The method-by-method loop is kept in rounds_test.go as the oracle this
-// one is checked against.
+// A steady repetition therefore depends on its two draws only through
+// their outcomes (noiseOf), and the loop does nothing else: it hashes the
+// two draws, maps them to the two CAS costs and the sample, and sums the
+// costs. The clocks and busy counters are written back once, in closed
+// form (see writeBack), and the noise counter is stepped by the draws'
+// count. On a platform that draws neither jitter nor spikes (every
+// generated one without :n1) every outcome is 0, so the costs are known
+// without drawing and the loop only repeats one sample; the write-back is
+// the same. The method-by-method loop is kept in rounds_test.go as the
+// oracle this one is checked against.
 func (s *Sim) Rounds(x, y *Thread, reps int, overhead int64, dst []int64) []int64 {
 	vals := dst[:0]
 	for len(vals) < reps && !s.steady(x, y) {
@@ -37,56 +44,100 @@ func (s *Sim) Rounds(x, y *Thread, reps int, overhead int64, dst []int64) []int6
 		x.CAS(roundsLine)
 		vals = append(vals, max(x.Rdtsc()-start-overhead, 0))
 	}
-	if len(vals) == reps {
+	k := reps - len(vals)
+	if k <= 0 {
 		return vals
 	}
 
 	// x holds the line: y's CAS takes it from x, x's takes it back.
 	p := s.p
-	baseY, baseX := p.pairLatency(y.ctx, x.ctx), p.pairLatency(x.ctx, y.ctx)
+	st := steadyRound{baseY: p.pairLatency(y.ctx, x.ctx), baseX: p.pairLatency(x.ctx, y.ctx), k: int64(k)}
 	if x.ctx == y.ctx {
-		baseY, baseX = p.HitCASLat, p.HitCASLat
+		st.baseY, st.baseX = p.HitCASLat, p.HitCASLat
 	}
-	rdtsc := p.RdtscOverhead
-	quiet := p.tab.noise.d == 0 && p.tab.spuriousBelow == 0
-	xNow, yNow := x.now, y.now
-	var xBusy, yBusy int64
-	for len(vals) < reps {
-		// First barrier: both clocks meet at the later one.
-		end := max(xNow, yNow)
-		xBusy += end - xNow + barrierCost
-		yBusy += end - yNow + barrierCost
-		// y's CAS, then the second barrier, where x waits out that CAS.
-		costY := max(baseY+s.noise(), 1)
-		yBusy += baseY + barrierCost
-		yNow = end + 2*barrierCost + costY
-		xBusy += costY + barrierCost
-		// x's timed CAS between two timestamp reads.
-		costX := max(baseX+s.noise(), 1)
-		xBusy += 2*rdtsc + baseX
-		xNow = yNow + 2*rdtsc + costX
-		vals = append(vals, max(rdtsc+costX-overhead, 0))
-
-		if quiet {
-			// Every repetition left is this one: y waits out x's lead,
-			// 2·rdtsc + costX, at the first barrier.
-			k := int64(reps - len(vals))
-			step := 2*barrierCost + costY + 2*rdtsc + costX
-			xNow += k * step
-			yNow += k * step
-			xBusy += k * (2*barrierCost + costY + 2*rdtsc + baseX)
-			yBusy += k * (2*rdtsc + costX + 2*barrierCost + baseY)
-			s.opCtr += 2 * uint64(k)
-			v := vals[len(vals)-1]
-			for len(vals) < reps {
-				vals = append(vals, v)
-			}
+	n := len(vals)
+	vals = slices.Grow(vals, k)[:n+k]
+	sample := p.RdtscOverhead - overhead // plus x's CAS cost, clamped at 0
+	if p.tab.noise.quiet() {
+		costY, costX := max(st.baseY, 1), max(st.baseX, 1)
+		st.sumY, st.sumX, st.lastX = st.k*costY, st.k*costX, costX
+		v := max(sample+costX, 0)
+		for i := n; i < len(vals); i++ {
+			vals[i] = v
 		}
+	} else {
+		s.steadyDraws(&st, sample, vals[n:])
 	}
-	x.now, y.now = xNow, yNow
-	*s.busyOf(x.core) += xBusy
-	*s.busyOf(y.core) += yBusy
+	s.opCtr += 2 * uint64(k)
+	s.writeBack(x, y, &st)
 	return vals
+}
+
+// steadyDraws fills out with the samples of len(out) steady repetitions
+// and sums their CAS costs into st. A repetition's two draws are those
+// noise() would make, from the same counter, and each is read through its
+// outcome exactly as noiseOf reads it; the noise counter is left for the
+// caller to step.
+func (s *Sim) steadyDraws(st *steadyRound, sample int64, out []int64) {
+	o, spikeAmp := s.p.tab.noise, s.p.SpuriousAmp
+	// A CAS costs its base latency plus jitter index j minus NoiseAmp.
+	baseY, baseX := st.baseY-o.amp(), st.baseX-o.amp()
+	seed, ctr := s.seed, s.opCtr*rng.Increment // rand()'s word before the next draw
+	var sumY, sumX, costX int64
+	for i := range out {
+		ctr += rng.Increment
+		r := rng.Mix(seed ^ ctr)
+		costY := baseY + o.jitter(r)
+		if o.spike(r) {
+			costY += spikeAmp
+		}
+		ctr += rng.Increment
+		r = rng.Mix(seed ^ ctr)
+		costX = baseX + o.jitter(r)
+		if o.spike(r) {
+			costX += spikeAmp
+		}
+		costY, costX = max(costY, 1), max(costX, 1)
+		sumY += costY
+		sumX += costX
+		out[i] = max(sample+costX, 0)
+	}
+	st.sumY, st.sumX, st.lastX = sumY, sumX, costX
+}
+
+// steadyRound is what the clocks and busy counters after k steady
+// repetitions depend on: the pair's two CAS base latencies, the sums of
+// the k costs of y's and of x's CAS, and the cost of x's last one.
+type steadyRound struct {
+	baseY, baseX int64
+	k            int64
+	sumY, sumX   int64
+	lastX        int64
+}
+
+// writeBack advances x's and y's clocks and their cores' busy counters by
+// k steady repetitions. Repetition i, with CAS costs cy_i and cx_i, B the
+// barrier cost and r the timestamp read overhead, does:
+//
+//	end   = max(x, y)                    (first barrier)
+//	busyX += end - x + B,  busyY += end - y + B
+//	y     = end + 2B + cy_i              (y's CAS, second barrier)
+//	busyY += baseY + B,    busyX += cy_i + B
+//	x     = y + 2r + cx_i                (x's timed CAS)
+//	busyX += 2r + baseX
+//
+// After the first repetition x leads y by 2r + cx_i, so every later
+// barrier ends at x: y waits out that lead and x waits for nothing. The k
+// repetitions sum to the closed form below, which only the first barrier's
+// wait (from the clocks on entry) and x's last lead keep from being k
+// times one repetition.
+func (s *Sim) writeBack(x, y *Thread, st *steadyRound) {
+	r := s.p.RdtscOverhead
+	end := max(x.now, y.now)
+	*s.busyOf(x.core) += end - x.now + st.k*(2*barrierCost+2*r+st.baseX) + st.sumY
+	*s.busyOf(y.core) += end - y.now + st.k*(2*barrierCost+st.baseY) + (st.k-1)*2*r + st.sumX - st.lastX
+	x.now = end + st.k*(2*barrierCost+2*r) + st.sumY + st.sumX
+	y.now = x.now - 2*r - st.lastX
 }
 
 // steady reports whether a repetition on x and y costs only the pair's

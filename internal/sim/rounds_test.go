@@ -222,3 +222,50 @@ func TestRoundsClamps(t *testing.T) {
 		}
 	}
 }
+
+// FuzzRoundsMatchesReference holds Rounds to the method-by-method loop on a
+// small two-socket, two-core, two-way SMT machine whose noise, latencies and
+// deducted overhead are all fuzzed: jitter amplitude 0–64, spike rate 0–0.5
+// and any spike amplitude; every pair latency base, or base+1 across
+// sockets, for a base of 0–3 cycles, so that the jitter (or, without noise,
+// a latency of 0) clamps a CAS's cost at 1; an overhead from 0 to above the
+// largest unspiked sample, so that samples clamp at 0; 1–512 repetitions;
+// and optionally a DVFS ramp, so that the round turns steady mid-call.
+// Before each of its two calls (a first call and a retry) one thread's
+// clock is put ahead of the other's by lead cycles, so the first barrier of
+// the arithmetic path may wait on either thread. The seed corpus
+// (testdata/fuzz/FuzzRoundsMatchesReference) runs as plain tests;
+// `go test -fuzz FuzzRoundsMatchesReference ./internal/sim` explores.
+func FuzzRoundsMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, noiseAmp uint8, spuriousRate, spuriousAmp uint16, pair uint8, reps uint16,
+		seed uint64, base uint8, overhead uint16, lead int16, dvfs bool) {
+		p := Custom("fuzz", 2, 2, 2, 1, NumberingIntelHalves)
+		p.NoiseAmp = int64(noiseAmp % 65)
+		p.SpuriousRate = float64(spuriousRate%5001) / 10_000
+		p.SpuriousAmp = int64(spuriousAmp)
+		lat := int64(base % 4)
+		p.HitCASLat, p.SameCoreLat, p.IntraSocketLat = lat, max(lat, 1), lat // SMT needs SameCoreLat > 0
+		for i := range p.Links {
+			p.Links[i].Lat = lat + 1
+		}
+		if dvfs {
+			p.DVFS, p.FreqMinGHz, p.RampCycles, p.DVFSStates = true, 1.0, 4000, 4
+		}
+		n := p.NumContexts()
+		xCtx, yCtx := int(pair>>4)%n, int(pair&15)%n
+		maxSample := p.RdtscOverhead + lat + 1 + p.NoiseAmp
+		rp := newRoundsPair(t, p, seed, xCtx, yCtx, int64(overhead)%(2*maxSample+1))
+		what := fmt.Sprintf("noise %d spikes %g×%d base %d dvfs %v pair (%d, %d) overhead %d lead %d",
+			p.NoiseAmp, p.SpuriousRate, p.SpuriousAmp, lat, dvfs, xCtx, yCtx, rp.overhead, lead)
+		ahead := []*Thread{rp.fastX, rp.refX}
+		if lead > 0 {
+			ahead = []*Thread{rp.fastY, rp.refY}
+		}
+		for _, call := range []string{"first call", "retry"} {
+			for _, th := range ahead {
+				th.now += max(int64(lead), -int64(lead))
+			}
+			rp.call(t, what+" "+call, 1+int(reps%512))
+		}
+	})
+}

@@ -105,14 +105,16 @@ func (s *Sim) rand() uint64 {
 // jitter plus occasional large positive spikes (the "spurious measurements"
 // of Section 3.5: OS background processes, interrupts).
 func (s *Sim) noise() int64 {
-	r := s.rand()
-	t := &s.p.tab
-	var n int64
-	if t.noise.d != 0 {
-		n = int64(t.noise.mod(r)) - s.p.NoiseAmp
-	}
-	if t.spuriousBelow != 0 && rng.Mix(r)%spuriousDraws < t.spuriousBelow {
-		n += s.p.SpuriousAmp
+	return s.p.noiseOf(s.rand())
+}
+
+// noiseOf is the noise of the draw with random word r: its outcome's
+// jitter, plus SpuriousAmp on a spike.
+func (p *Platform) noiseOf(r uint64) int64 {
+	o := &p.tab.noise
+	n := o.jitter(r) - o.amp()
+	if o.spike(r) {
+		n += p.SpuriousAmp
 	}
 	return n
 }

@@ -1,19 +1,19 @@
 package sim
 
 import (
-	"math"
-	"math/bits"
 	"sort"
+
+	"repro/internal/rng"
 )
 
 // tables holds everything the simulator derives from a Platform's fields
 // and then reads once or more per simulated operation. The lock-step loop of
 // Figure 5 performs a dozen such reads per repetition, hundreds of
 // repetitions per pair and O(N²) pairs per inference, so each one is a slice
-// index or a multiplication here instead of a division, a link-list scan or
-// a float divide. Validate builds the tables once, after the platform
-// checked out clean, and they share its memo: a mutated Platform needs a
-// fresh value to be re-validated *and* re-tabulated.
+// index or integer arithmetic here instead of a link-list scan or a float
+// divide. Validate builds the tables once, after the platform checked out
+// clean, and they share its memo: a mutated Platform needs a fresh value to
+// be re-validated *and* re-tabulated.
 type tables struct {
 	coreOf, socketOf []int32 // hardware context -> global core / socket
 
@@ -30,12 +30,8 @@ type tables struct {
 	// pair of local core indices, indexed by their sum.
 	crossOff []int64
 
-	// noise reduces a random word to the jitter span 2*NoiseAmp+1; its
-	// divisor is 0 when the platform has no jitter.
-	noise fastMod
-	// spuriousBelow is the spurious-sample test as an integer: a draw u in
-	// [0, 1e6) is an outlier iff u < spuriousBelow.
-	spuriousBelow uint64
+	// noise reads a noise draw's random word as its outcome.
+	noise outcomes
 
 	// DVFS: a core sits dvfsDwell busy cycles in each of dvfsStates P-states
 	// and runs at full speed from dvfsRampEnd on. dvfsDwell is 0 on machines
@@ -120,9 +116,9 @@ func (p *Platform) buildTables() {
 	}
 
 	if p.NoiseAmp > 0 {
-		t.noise = newFastMod(uint64(2*p.NoiseAmp + 1))
+		t.noise.span = uint64(2*p.NoiseAmp + 1)
 	}
-	t.spuriousBelow = spuriousThreshold(p.SpuriousRate)
+	t.noise.spikeBelow = spuriousThreshold(p.SpuriousRate)
 
 	if p.DVFS && p.RampCycles > 0 {
 		t.dvfsStates = int64(p.DVFSStates)
@@ -136,6 +132,48 @@ func (p *Platform) buildTables() {
 		t.dvfsRampEnd = t.dvfsDwell * t.dvfsStates
 		t.freqMin = p.FreqMinGHz / p.FreqMaxGHz
 	}
+}
+
+// outcomes reads the random word of one noise draw as the draw's outcome,
+// the only part of the word the simulation sees: a jitter index j, one of
+// the 2·NoiseAmp+1 values in [0, 2·NoiseAmp], and a spike bit. The draw's
+// noise (noiseOf) is j − NoiseAmp, plus SpuriousAmp on a spike. Two words,
+// so a loop keeps it in registers, and its methods inline.
+type outcomes struct {
+	// span is the number of jitter indices, 2·NoiseAmp+1, or 0 when the
+	// platform has no jitter.
+	span uint64
+	// spikeBelow is the spurious-sample test as an integer: a draw u in
+	// [0, 1e6) is an outlier iff u < spikeBelow.
+	spikeBelow uint64
+}
+
+// jitter is the jitter index of the draw with random word r. It is the
+// hardware remainder: on an AMD EPYC (Zen 5) a whole draw — hash, jitter
+// and spike test — took about a fifth less with a 64-bit DIV than with a
+// multiply-only remainder (Lemire et al., 128-bit reciprocal).
+func (o outcomes) jitter(r uint64) int64 {
+	if o.span == 0 {
+		return 0
+	}
+	return int64(r % o.span)
+}
+
+// amp is the jitter index of zero jitter: NoiseAmp, or 0 when the
+// platform has no jitter.
+func (o outcomes) amp() int64 {
+	return int64(o.span / 2)
+}
+
+// spike reports whether the draw with random word r is a spike.
+func (o outcomes) spike(r uint64) bool {
+	return o.spikeBelow != 0 && rng.Mix(r)%spuriousDraws < o.spikeBelow
+}
+
+// quiet reports whether every draw's outcome is jitter index 0 (the only
+// one) and no spike.
+func (o outcomes) quiet() bool {
+	return o.span == 0 && o.spikeBelow == 0
 }
 
 // spuriousDraws is the resolution of the spurious-sample draw.
@@ -152,34 +190,4 @@ func spuriousThreshold(rate float64) uint64 {
 	return uint64(sort.Search(spuriousDraws, func(u int) bool {
 		return float64(u)/spuriousDraws >= rate
 	}))
-}
-
-// fastMod computes r % d for a divisor fixed in advance with multiplications
-// only (Lemire, Kaser and Kurz, "Faster remainder by direct computation",
-// 2019): with m = ceil(2^128 / d), r % d is the top 64 bits of the 192-bit
-// product ((m * r) mod 2^128) * d. With a 128-bit m the identity is exact for
-// every uint64 r and every d >= 1.
-type fastMod struct {
-	d        uint64
-	mHi, mLo uint64 // m mod 2^128 (m is 2^128 itself only for d == 1, where every remainder is 0)
-}
-
-func newFastMod(d uint64) fastMod {
-	// floor((2^128 - 1) / d) by long division, one 64-bit digit at a time;
-	// adding one makes it the ceiling of 2^128 / d.
-	hi, rem := math.MaxUint64/d, math.MaxUint64%d
-	lo, _ := bits.Div64(rem, math.MaxUint64, d)
-	lo, carry := bits.Add64(lo, 1, 0)
-	return fastMod{d: d, mHi: hi + carry, mLo: lo}
-}
-
-func (f fastMod) mod(r uint64) uint64 {
-	// low = (m * r) mod 2^128.
-	h, lowLo := bits.Mul64(f.mLo, r)
-	lowHi := h + f.mHi*r
-	// (low * d) >> 128.
-	h1, _ := bits.Mul64(lowLo, f.d)
-	h2, l2 := bits.Mul64(lowHi, f.d)
-	_, carry := bits.Add64(h1, l2, 0)
-	return h2 + carry
 }

@@ -151,32 +151,49 @@ func TestSocketLatencyFirstLinkWins(t *testing.T) {
 	}
 }
 
-// TestNoiseModulusExact: the multiply-only remainder equals % for every
-// jitter span a platform has, for the smallest spans and for divisors at the
-// top of the uint64 range, on random and extreme operands.
+// TestNoiseModulusExact: a draw's noise, read through its outcome, is the
+// definition written out — jitter (r mod (2·NoiseAmp+1)) − NoiseAmp (0
+// without jitter), plus SpuriousAmp iff float64(Mix(r) mod 10^6)/10^6 <
+// SpuriousRate — for every platform's noise model and for amplitudes at the
+// edges (up to a span past 2^63), on extreme and random words.
 func TestNoiseModulusExact(t *testing.T) {
-	spans := []uint64{1, 2, 3, 1 << 32, 1<<32 + 1, 1<<63 + 5, math.MaxUint64 - 1, math.MaxUint64}
-	for _, p := range tablePlatforms(t) {
-		spans = append(spans, uint64(2*p.NoiseAmp+1))
+	type model struct {
+		amp, spikeAmp int64
+		rate          float64
 	}
-	spans = append(spans, 2*120+1) // TestInferRejectsHeavyNoise's amplitude
+	models := []model{{0, 0, 0}, {1, 7, 0.5}, {2, 1800, 0.004}, {120, 1800, 0.02}, {1 << 31, 5, 1e-6}, {1<<62 + 3, 1, 0.3}, {0, 1800, 0.05}}
+	for _, p := range tablePlatforms(t) {
+		models = append(models, model{p.NoiseAmp, p.SpuriousAmp, p.SpuriousRate})
+	}
 	extremes := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, 1<<63 + 4, 1<<63 + 5, 1<<63 + 6,
 		math.MaxUint64 - 2, math.MaxUint64 - 1, math.MaxUint64}
-	for _, d := range spans {
-		f := newFastMod(d)
+	for _, m := range models {
+		p := Custom("noise", 1, 2, 1, 1, NumberingIntelHalves)
+		p.NoiseAmp, p.SpuriousAmp, p.SpuriousRate = m.amp, m.spikeAmp, m.rate
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		span := uint64(2*m.amp + 1) // wraps like the table's for amplitudes past 2^62
 		check := func(r uint64) {
-			if got, want := f.mod(r), r%d; got != want {
-				t.Fatalf("fastMod(%d).mod(%d) = %d, want %d", d, r, got, want)
+			var want int64
+			if m.amp > 0 {
+				want = int64(r%span) - m.amp
+			}
+			if float64(rng.Mix(r)%1_000_000)/1_000_000 < m.rate {
+				want += m.spikeAmp
+			}
+			if got := p.noiseOf(r); got != want {
+				t.Fatalf("%+v: noiseOf(%d) = %d, want %d", m, r, got, want)
 			}
 		}
 		for _, r := range extremes {
 			check(r)
-			check(r * d) // wraps for large operands, which is as good a probe as any
-			check(d - 1)
-			check(d + 1)
+			check(r * span) // wraps for large operands, which is as good a probe as any
+			check(span - 1)
+			check(span + 1)
 		}
-		for i := uint64(1); i <= 1_000_000; i++ {
-			check(rng.Mix(i ^ d))
+		for i := uint64(1); i <= 200_000; i++ {
+			check(rng.Mix(i ^ span))
 		}
 	}
 }

@@ -154,19 +154,24 @@ func TestSidecarsShareLiveTopology(t *testing.T) {
 }
 
 // loadAndDrop loads every sidecar of sets, checks the memo resolved their
-// topologies, and returns holding nothing.
+// topologies, and returns holding nothing. The sidecars are held until the
+// check: the memo is weak, and a collection in between could empty it.
 func loadAndDrop(t *testing.T, s *Spool, sets [2]memoTopo) {
 	t.Helper()
+	var held []any
 	for _, set := range sets {
 		for _, sc := range set.sidecars {
-			if _, ok := get(s, sc.kind, sc.key); !ok {
+			v, ok := get(s, sc.kind, sc.key)
+			if !ok {
 				t.Fatalf("%s %q missed", sc.kind, sc.key)
 			}
+			held = append(held, v)
 		}
 	}
 	if memoLen(&s.topos) != len(sets) {
 		t.Fatalf("memo holds %d entries after loading, want %d", memoLen(&s.topos), len(sets))
 	}
+	runtime.KeepAlive(held)
 }
 
 // awaitMemoEmpty collects garbage until every topology the memo named has
