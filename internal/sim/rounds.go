@@ -28,12 +28,12 @@ const roundsLine = 0x6c0c6
 // their outcomes (noiseOf), and the loop does nothing else: it hashes the
 // two draws, maps them to the two CAS costs and the sample, and sums the
 // costs. The clocks and busy counters are written back once, in closed
-// form (see writeBack), and the noise counter is stepped by the draws'
-// count. On a platform that draws neither jitter nor spikes (every
-// generated one without :n1) every outcome is 0, so the costs are known
-// without drawing and the loop only repeats one sample; the write-back is
-// the same. The method-by-method loop is kept in rounds_test.go as the
-// oracle this one is checked against.
+// form, and the noise counter is stepped by the draws' count. On a
+// platform that draws neither jitter nor spikes (every generated one
+// without :n1) every outcome is 0, so the costs are known without drawing
+// and the loop only repeats one sample; the write-back is the same. The
+// method-by-method loop is kept in rounds_test.go as the oracle this one
+// is checked against.
 func (s *Sim) Rounds(x, y *Thread, reps int, overhead int64, dst []int64) []int64 {
 	vals := dst[:0]
 	for len(vals) < reps && !s.steady(x, y) {
@@ -51,39 +51,60 @@ func (s *Sim) Rounds(x, y *Thread, reps int, overhead int64, dst []int64) []int6
 
 	// x holds the line: y's CAS takes it from x, x's takes it back.
 	p := s.p
-	st := steadyRound{baseY: p.pairLatency(y.ctx, x.ctx), baseX: p.pairLatency(x.ctx, y.ctx), k: int64(k)}
+	baseY, baseX := p.pairLatency(y.ctx, x.ctx), p.pairLatency(x.ctx, y.ctx)
 	if x.ctx == y.ctx {
-		st.baseY, st.baseX = p.HitCASLat, p.HitCASLat
+		baseY, baseX = p.HitCASLat, p.HitCASLat
 	}
 	n := len(vals)
 	vals = slices.Grow(vals, k)[:n+k]
 	sample := p.RdtscOverhead - overhead // plus x's CAS cost, clamped at 0
+	var sumY, sumX, lastX int64          // y's and x's CAS costs summed, x's last
 	if p.tab.noise.quiet() {
-		costY, costX := max(st.baseY, 1), max(st.baseX, 1)
-		st.sumY, st.sumX, st.lastX = st.k*costY, st.k*costX, costX
+		costY, costX := max(baseY, 1), max(baseX, 1)
+		sumY, sumX, lastX = int64(k)*costY, int64(k)*costX, costX
 		v := max(sample+costX, 0)
 		for i := n; i < len(vals); i++ {
 			vals[i] = v
 		}
 	} else {
-		s.steadyDraws(&st, sample, vals[n:])
+		sumY, sumX, lastX = s.steadyDraws(baseY, baseX, sample, vals[n:])
 	}
 	s.opCtr += 2 * uint64(k)
-	s.writeBack(x, y, &st)
+
+	// The write-back. Repetition i, with CAS costs cy_i and cx_i, B the
+	// barrier cost and r the timestamp read overhead, does:
+	//
+	//	end   = max(x, y)                    (first barrier)
+	//	busyX += end - x + B,  busyY += end - y + B
+	//	y     = end + 2B + cy_i              (y's CAS, second barrier)
+	//	busyY += baseY + B,    busyX += cy_i + B
+	//	x     = y + 2r + cx_i                (x's timed CAS)
+	//	busyX += 2r + baseX
+	//
+	// After the first repetition x leads y by 2r + cx_i, so every later
+	// barrier ends at x: y waits out that lead and x waits for nothing.
+	// Summed over the k repetitions, only the first barrier's wait (from
+	// the clocks on entry) and x's last lead keep the result from being k
+	// times one repetition.
+	r, kk := p.RdtscOverhead, int64(k)
+	end := max(x.now, y.now)
+	*s.busyOf(x.core) += end - x.now + kk*(2*barrierCost+2*r+baseX) + sumY
+	*s.busyOf(y.core) += end - y.now + kk*(2*barrierCost+baseY) + (kk-1)*2*r + sumX - lastX
+	x.now = end + kk*(2*barrierCost+2*r) + sumY + sumX
+	y.now = x.now - 2*r - lastX
 	return vals
 }
 
 // steadyDraws fills out with the samples of len(out) steady repetitions
-// and sums their CAS costs into st. A repetition's two draws are those
-// noise() would make, from the same counter, and each is read through its
-// outcome exactly as noiseOf reads it; the noise counter is left for the
-// caller to step.
-func (s *Sim) steadyDraws(st *steadyRound, sample int64, out []int64) {
+// and returns the sums of y's and of x's CAS costs and x's last cost. A
+// repetition's two draws are those noise() would make, from the same
+// counter, and each is read through its outcome exactly as noiseOf reads
+// it; the noise counter is left for the caller to step.
+func (s *Sim) steadyDraws(baseY, baseX, sample int64, out []int64) (sumY, sumX, lastX int64) {
 	o, spikeAmp := s.p.tab.noise, s.p.SpuriousAmp
 	// A CAS costs its base latency plus jitter index j minus NoiseAmp.
-	baseY, baseX := st.baseY-o.amp(), st.baseX-o.amp()
+	baseY, baseX = baseY-o.amp(), baseX-o.amp()
 	seed, ctr := s.seed, s.opCtr*rng.Increment // rand()'s word before the next draw
-	var sumY, sumX, costX int64
 	for i := range out {
 		ctr += rng.Increment
 		r := rng.Mix(seed ^ ctr)
@@ -93,7 +114,7 @@ func (s *Sim) steadyDraws(st *steadyRound, sample int64, out []int64) {
 		}
 		ctr += rng.Increment
 		r = rng.Mix(seed ^ ctr)
-		costX = baseX + o.jitter(r)
+		costX := baseX + o.jitter(r)
 		if o.spike(r) {
 			costX += spikeAmp
 		}
@@ -101,43 +122,9 @@ func (s *Sim) steadyDraws(st *steadyRound, sample int64, out []int64) {
 		sumY += costY
 		sumX += costX
 		out[i] = max(sample+costX, 0)
+		lastX = costX
 	}
-	st.sumY, st.sumX, st.lastX = sumY, sumX, costX
-}
-
-// steadyRound is what the clocks and busy counters after k steady
-// repetitions depend on: the pair's two CAS base latencies, the sums of
-// the k costs of y's and of x's CAS, and the cost of x's last one.
-type steadyRound struct {
-	baseY, baseX int64
-	k            int64
-	sumY, sumX   int64
-	lastX        int64
-}
-
-// writeBack advances x's and y's clocks and their cores' busy counters by
-// k steady repetitions. Repetition i, with CAS costs cy_i and cx_i, B the
-// barrier cost and r the timestamp read overhead, does:
-//
-//	end   = max(x, y)                    (first barrier)
-//	busyX += end - x + B,  busyY += end - y + B
-//	y     = end + 2B + cy_i              (y's CAS, second barrier)
-//	busyY += baseY + B,    busyX += cy_i + B
-//	x     = y + 2r + cx_i                (x's timed CAS)
-//	busyX += 2r + baseX
-//
-// After the first repetition x leads y by 2r + cx_i, so every later
-// barrier ends at x: y waits out that lead and x waits for nothing. The k
-// repetitions sum to the closed form below, which only the first barrier's
-// wait (from the clocks on entry) and x's last lead keep from being k
-// times one repetition.
-func (s *Sim) writeBack(x, y *Thread, st *steadyRound) {
-	r := s.p.RdtscOverhead
-	end := max(x.now, y.now)
-	*s.busyOf(x.core) += end - x.now + st.k*(2*barrierCost+2*r+st.baseX) + st.sumY
-	*s.busyOf(y.core) += end - y.now + st.k*(2*barrierCost+st.baseY) + (st.k-1)*2*r + st.sumX - st.lastX
-	x.now = end + st.k*(2*barrierCost+2*r) + st.sumY + st.sumX
-	y.now = x.now - 2*r - st.lastX
+	return sumY, sumX, lastX
 }
 
 // steady reports whether a repetition on x and y costs only the pair's
