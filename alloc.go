@@ -2,7 +2,7 @@ package mctop
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/mctoperr"
 	"repro/internal/place"
@@ -25,9 +25,9 @@ type Alloc struct {
 	// order caches the placement's slot order once: Pin is the per-thread
 	// hot path, and Placement.Contexts copies the whole slice per call.
 	order []int
-
-	mu     sync.Mutex
-	pinned []bool
+	// pinned[i] is set while thread i holds its context: Pin and Unpin are
+	// one atomic store, so no pin takes a lock.
+	pinned []atomic.Bool
 }
 
 // NewAlloc builds an allocator from a topology and a policy — a Table 2
@@ -47,7 +47,8 @@ func NewAlloc(t *Topology, p Policy, opts ...PlaceOption) (*Alloc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Alloc{top: t, pl: pl, order: pl.Contexts(), pinned: make([]bool, pl.NThreads())}, nil
+	order := pl.Contexts()
+	return &Alloc{top: t, pl: pl, order: order, pinned: make([]atomic.Bool, len(order))}, nil
 }
 
 // NumHWContexts returns how many hardware contexts the allocator hands out
@@ -64,36 +65,33 @@ func (a *Alloc) NumCores() int { return a.pl.NCores() }
 // thread i always gets slot i of the policy's order. A threadID outside
 // [0, NumHWContexts) wraps ErrInvalidRequest.
 func (a *Alloc) Pin(threadID int) (hwContext int, err error) {
-	if threadID < 0 || threadID >= a.pl.NThreads() {
+	if threadID < 0 || threadID >= len(a.order) {
 		return -1, fmt.Errorf("%w: thread id %d outside [0, %d)",
-			mctoperr.ErrInvalidRequest, threadID, a.pl.NThreads())
+			mctoperr.ErrInvalidRequest, threadID, len(a.order))
 	}
-	a.mu.Lock()
-	a.pinned[threadID] = true
-	a.mu.Unlock()
+	a.pinned[threadID].Store(true)
 	return a.order[threadID], nil
 }
 
 // Unpin releases thread threadID's claim (a no-op when not pinned). A
 // threadID outside [0, NumHWContexts) wraps ErrInvalidRequest.
 func (a *Alloc) Unpin(threadID int) error {
-	if threadID < 0 || threadID >= a.pl.NThreads() {
+	if threadID < 0 || threadID >= len(a.order) {
 		return fmt.Errorf("%w: thread id %d outside [0, %d)",
-			mctoperr.ErrInvalidRequest, threadID, a.pl.NThreads())
+			mctoperr.ErrInvalidRequest, threadID, len(a.order))
 	}
-	a.mu.Lock()
-	a.pinned[threadID] = false
-	a.mu.Unlock()
+	a.pinned[threadID].Store(false)
 	return nil
 }
 
-// NumPinned returns how many threads currently hold their context.
+// NumPinned returns how many threads currently hold their context. Each
+// thread's flag is read atomically, but not all of them at one instant:
+// while other threads pin and unpin, a thread counts as pinned when it was
+// at the moment its flag was read.
 func (a *Alloc) NumPinned() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	n := 0
-	for _, p := range a.pinned {
-		if p {
+	for i := range a.pinned {
+		if a.pinned[i].Load() {
 			n++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	mctop "repro"
@@ -248,5 +249,92 @@ func TestWithSpoolDirWarmStart(t *testing.T) {
 	}
 	if len(st.Tiers) != 2 || st.Tiers[0].Tier != "lru" || st.Tiers[1].Tier != "spool" {
 		t.Fatalf("tiers = %+v, want lru over spool", st.Tiers)
+	}
+}
+
+// TestAllocCycleAllocs pins what a linked application pays per placement:
+// NewAlloc, pinning every thread and unpinning them all is nine
+// allocations on Westmere at 64 threads (RR_CORE, the bench's alloc cycle)
+// — the placement's five, the options the PlaceOptions are applied to, the
+// Alloc's copy of the order, its pin flags and the Alloc — and pinning and
+// unpinning allocate nothing.
+func TestAllocCycleAllocs(t *testing.T) {
+	top, err := mctop.Load("internal/topo/testdata/westmere.mctop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	top.GetLatency(0, 1) // build the topology's index outside the measurement
+	threads := mctop.WithThreads(64)
+	var alloc *mctop.Alloc
+	if got := testing.AllocsPerRun(20, func() {
+		alloc, err = mctop.NewAlloc(top, mctop.RRCore, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < alloc.NumHWContexts(); i++ {
+			alloc.Pin(i)
+		}
+		for i := 0; i < alloc.NumHWContexts(); i++ {
+			alloc.Unpin(i)
+		}
+	}); got != 9 {
+		t.Errorf("NewAlloc + pin all + unpin all allocates %v, want 9", got)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		alloc.Pin(3)
+		alloc.NumPinned()
+		alloc.Unpin(3)
+	}); got != 0 {
+		t.Errorf("Pin + NumPinned + Unpin allocates %v, want 0", got)
+	}
+}
+
+// TestAllocConcurrentPins drives Pin, Unpin and NumPinned from several
+// goroutines at once (run it with -race): each goroutine owns a disjoint
+// set of threads, every Pin answers its slot of the order, NumPinned never
+// leaves [0, NumHWContexts], and once all are done exactly the threads
+// left pinned count.
+func TestAllocConcurrentPins(t *testing.T) {
+	top, err := mctop.Load("internal/topo/testdata/ivy.mctop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := mctop.NewAlloc(top, mctop.ConHWC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := alloc.Contexts()
+	n := alloc.NumHWContexts()
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				for i := w; i < n; i += workers {
+					c, err := alloc.Pin(i)
+					if err != nil || c != order[i] {
+						t.Errorf("Pin(%d) = %d, %v; want %d", i, c, err, order[i])
+						return
+					}
+					if k := alloc.NumPinned(); k < 0 || k > n {
+						t.Errorf("NumPinned = %d outside [0, %d]", k, n)
+						return
+					}
+					// The last round leaves the even threads pinned.
+					if round < 199 || i%2 == 1 {
+						if err := alloc.Unpin(i); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := alloc.NumPinned(); got != (n+1)/2 {
+		t.Errorf("NumPinned = %d after the workers, want %d", got, (n+1)/2)
 	}
 }

@@ -69,7 +69,12 @@ func (d *TaskDAG) Validate() error {
 	return nil
 }
 
-// checkShape is every Validate check but acyclicity.
+// checkShape is every Validate check but acyclicity. Edges in canonical
+// order — strictly ascending (From, To), as Normalize, DecodeTaskDAG and
+// GenTaskDAG leave them — cannot repeat one another, so the index of seen
+// edges is built only from the first edge that is not above its
+// predecessor, out of the edges before it, and the checks report the same
+// first failure either way.
 func (d *TaskDAG) checkShape() error {
 	if len(d.Nodes) == 0 {
 		return fmt.Errorf("taskdag: no nodes")
@@ -82,7 +87,7 @@ func (d *TaskDAG) checkShape() error {
 			return fmt.Errorf("taskdag: node %d has negative work %d", i, n.Work)
 		}
 	}
-	seen := make(map[[2]int]bool, len(d.Edges))
+	var seen map[[2]int]bool
 	for i, e := range d.Edges {
 		if e.From < 0 || e.From >= len(d.Nodes) || e.To < 0 || e.To >= len(d.Nodes) {
 			return fmt.Errorf("taskdag: edge %d (%d->%d) out of range", i, e.From, e.To)
@@ -93,6 +98,15 @@ func (d *TaskDAG) checkShape() error {
 		if e.Volume < 0 {
 			return fmt.Errorf("taskdag: edge %d has negative volume %d", i, e.Volume)
 		}
+		if seen == nil {
+			if i == 0 || edgeLess(d.Edges[i-1], e) {
+				continue
+			}
+			seen = make(map[[2]int]bool, len(d.Edges))
+			for _, p := range d.Edges[:i] {
+				seen[[2]int{p.From, p.To}] = true
+			}
+		}
 		k := [2]int{e.From, e.To}
 		if seen[k] {
 			return fmt.Errorf("taskdag: duplicate edge %d->%d", e.From, e.To)
@@ -102,38 +116,44 @@ func (d *TaskDAG) checkShape() error {
 	return nil
 }
 
+// edgeLess is the canonical edge order: by From, then To.
+func edgeLess(a, b TaskEdge) bool {
+	if a.From != b.From {
+		return a.From < b.From
+	}
+	return a.To < b.To
+}
+
 // Normalize sorts the edges into canonical (From, To) order, so DAGs that
 // differ only in edge listing order hash (and therefore cache) the same.
 func (d *TaskDAG) Normalize() {
-	sort.Slice(d.Edges, func(i, j int) bool {
-		if d.Edges[i].From != d.Edges[j].From {
-			return d.Edges[i].From < d.Edges[j].From
-		}
-		return d.Edges[i].To < d.Edges[j].To
-	})
+	sort.Slice(d.Edges, func(i, j int) bool { return edgeLess(d.Edges[i], d.Edges[j]) })
 }
 
 // Hash is the DAG's canonical FNV-64a fingerprint over its normalized
 // structure (nodes, works, edges, volumes — not the Name), the
 // DAG-identity component of taskmap registry keys. Stable across processes
-// and platforms: pure integer arithmetic over a fixed serialization.
+// and platforms: pure integer arithmetic over a fixed serialization. Edges
+// already strictly ascending are hashed in place: sorting them would
+// return them as they are.
 func (d *TaskDAG) Hash() uint64 {
-	edges := make([]TaskEdge, len(d.Edges))
-	copy(edges, d.Edges)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
+	edges := d.Edges
+	for i := 1; i < len(edges); i++ {
+		if !edgeLess(edges[i-1], edges[i]) {
+			edges = append([]TaskEdge(nil), d.Edges...)
+			sort.Slice(edges, func(i, j int) bool { return edgeLess(edges[i], edges[j]) })
+			break
 		}
-		return edges[i].To < edges[j].To
-	})
+	}
 	h := uint64(14695981039346656037)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
+	mix := func(s []byte) {
+		for _, c := range s {
+			h ^= uint64(c)
 			h *= 1099511628211
 		}
 	}
-	var b []byte
+	var line [64]byte // one node or edge line: at most 64 bytes
+	b := line[:0]
 	for _, n := range d.Nodes {
 		b = b[:0]
 		b = append(b, 'n')
@@ -141,7 +161,7 @@ func (d *TaskDAG) Hash() uint64 {
 		b = append(b, ' ')
 		b = strconv.AppendInt(b, n.Work, 10)
 		b = append(b, '\n')
-		mix(string(b))
+		mix(b)
 	}
 	for _, e := range edges {
 		b = b[:0]
@@ -152,7 +172,7 @@ func (d *TaskDAG) Hash() uint64 {
 		b = append(b, ' ')
 		b = strconv.AppendInt(b, e.Volume, 10)
 		b = append(b, '\n')
-		mix(string(b))
+		mix(b)
 	}
 	return h
 }
@@ -167,15 +187,27 @@ func (d *TaskDAG) TopoOrder() ([]int, error) {
 	}
 	n := len(d.Nodes)
 	indeg := make([]int, n)
-	succ := make([][]int, n)
+	// Node v's successors are succ[off[v]:off[v+1]], counting-sorted by
+	// tail: count into off, turn the counts into bucket ends, then place
+	// the edges back to front, so off[v] ends at its bucket's start.
+	off := make([]int, n+1)
+	succ := make([]int, len(d.Edges))
 	for _, e := range d.Edges {
 		indeg[e.To]++
-		succ[e.From] = append(succ[e.From], e.To)
+		off[e.From]++
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	for i := len(d.Edges) - 1; i >= 0; i-- {
+		e := d.Edges[i]
+		off[e.From]--
+		succ[off[e.From]] = e.To
 	}
 	// Small graphs (the service bounds them): a linear scan for the
 	// smallest ready ID beats a heap for clarity and keeps min-ID-first
 	// exact.
-	var ready []int
+	ready := make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
 			ready = append(ready, v)
@@ -193,7 +225,7 @@ func (d *TaskDAG) TopoOrder() ([]int, error) {
 		ready[m] = ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		order = append(order, v)
-		for _, w := range succ[v] {
+		for _, w := range succ[off[v]:off[v+1]] {
 			if indeg[w]--; indeg[w] == 0 {
 				ready = append(ready, w)
 			}

@@ -12,6 +12,7 @@ package place
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -137,7 +138,10 @@ type Placement struct {
 	name   string
 	ctxs   []int // assignment order; -1 entries mean "unpinned" (None)
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// taken marks the claimed slots; allocated by the first PinNext, so a
+	// placement nobody pins through (an Alloc keeps its own pin state)
+	// never pays for it.
 	taken []bool
 	// free is the lowest slot that may be unclaimed: every slot below it is
 	// taken, so PinNext starts scanning here instead of at 0 — O(1)
@@ -193,48 +197,66 @@ func NewFrom(t *topo.Topology, o Orderer, opt Options) (*Placement, error) {
 		policy: policy,
 		name:   o.Name(),
 		ctxs:   order,
-		taken:  make([]bool, len(order)),
 	}, nil
 }
 
 // socketOrder returns sockets in placement priority: the socket with
 // maximum local memory bandwidth first. Connection-oriented policies
-// (CON_*) then chain to the best-connected unused socket; the others rank
-// by bandwidth throughout.
+// (CON_*) then chain to the best-connected unused socket — the lowest
+// latency from the last one chosen, ties to the lowest id, which is
+// SocketsByLatencyFrom's order — and the others rank by bandwidth
+// throughout. The chain is written over the bandwidth order's own copy.
 func socketOrder(t *topo.Topology, chained bool, nSockets int) []*topo.Socket {
-	byBW := t.SocketsByLocalBW()
+	order := t.SocketsByLocalBW()[:nSockets]
 	if !chained {
-		return byBW[:nSockets]
+		return order
 	}
-	used := map[int]bool{byBW[0].ID: true}
-	order := []*topo.Socket{byBW[0]}
-	for len(order) < nSockets {
-		last := order[len(order)-1]
-		var next *topo.Socket
+	used := make([]bool, t.NumSockets())
+	used[order[0].ID] = true
+	for k := 1; k < nSockets; k++ {
+		last, next := order[k-1].ID, -1
 		var bestLat int64
-		for _, cand := range t.SocketsByLatencyFrom(last.ID) {
-			if used[cand.ID] {
+		for id, u := range used {
+			if u {
 				continue
 			}
-			lat := t.SocketLatency(last.ID, cand.ID)
-			if next == nil || lat < bestLat {
-				next, bestLat = cand, lat
+			if lat := t.SocketLatency(last, id); next == -1 || lat < bestLat {
+				next, bestLat = id, lat
 			}
 		}
-		if next == nil {
-			break
-		}
-		used[next.ID] = true
-		order = append(order, next)
+		used[next] = true
+		order[k] = t.Socket(next)
 	}
 	return order
 }
 
-// hwcOrder lists a socket's contexts compactly: core by core, all SMT
+// socketCores returns socket s's cores in id order, SocketGetCores without
+// its copy: cores are numbered socket by socket, so they are one range of
+// Topology.Cores.
+func socketCores(t *topo.Topology, s *topo.Socket) []*topo.HWCGroup {
+	cores := t.Cores()
+	lo := sort.Search(len(cores), func(i int) bool { return cores[i].Socket.ID >= s.ID })
+	hi := lo
+	for hi < len(cores) && cores[hi].Socket == s {
+		hi++
+	}
+	return cores[lo:hi]
+}
+
+// numContexts is how many contexts the sockets hold: the size of every
+// order built over them.
+func numContexts(sockets []*topo.Socket) int {
+	n := 0
+	for _, s := range sockets {
+		n += len(s.Contexts)
+	}
+	return n
+}
+
+// appendHWC appends a socket's contexts compactly: core by core, all SMT
 // contexts of a core together.
-func hwcOrder(t *topo.Topology, s *topo.Socket) []int {
-	var out []int
-	for _, core := range t.SocketGetCores(s) {
+func appendHWC(out []int, cores []*topo.HWCGroup) []int {
+	for _, core := range cores {
 		for _, c := range core.Contexts {
 			out = append(out, c.ID)
 		}
@@ -242,12 +264,10 @@ func hwcOrder(t *topo.Topology, s *topo.Socket) []int {
 	return out
 }
 
-// coreHWCOrder lists a socket's contexts core-first: the first SMT context
-// of every core, then the second of every core, and so on.
-func coreHWCOrder(t *topo.Topology, s *topo.Socket) []int {
-	var out []int
-	cores := t.SocketGetCores(s)
-	for smt := 0; smt < t.SMTWays(); smt++ {
+// appendCoreHWC appends a socket's contexts core-first: the first SMT
+// context of every core, then the second of every core, and so on.
+func appendCoreHWC(out []int, cores []*topo.HWCGroup, smtWays int) []int {
+	for smt := 0; smt < smtWays; smt++ {
 		for _, core := range cores {
 			if smt < len(core.Contexts) {
 				out = append(out, core.Contexts[smt].ID)
@@ -257,6 +277,9 @@ func coreHWCOrder(t *topo.Topology, s *topo.Socket) []int {
 	return out
 }
 
+// buildOrder builds a builtin policy's order into one slice sized once.
+// The round-robin policies lay their per-socket lists out in one scratch
+// slice first.
 func buildOrder(t *topo.Topology, policy Policy, nSockets, nThreads int) ([]int, error) {
 	switch policy {
 	case None:
@@ -282,22 +305,22 @@ func buildOrder(t *topo.Topology, policy Policy, nSockets, nThreads int) ([]int,
 
 	case ConHWC, ConCoreHWC:
 		sockets := socketOrder(t, true, nSockets)
-		var out []int
+		out := make([]int, 0, numContexts(sockets))
 		for _, s := range sockets {
 			if policy == ConHWC {
-				out = append(out, hwcOrder(t, s)...)
+				out = appendHWC(out, socketCores(t, s))
 			} else {
-				out = append(out, coreHWCOrder(t, s)...)
+				out = appendCoreHWC(out, socketCores(t, s), t.SMTWays())
 			}
 		}
 		return out, nil
 
 	case ConCore:
 		sockets := socketOrder(t, true, nSockets)
-		var out []int
+		out := make([]int, 0, numContexts(sockets))
 		for smt := 0; smt < t.SMTWays(); smt++ {
 			for _, s := range sockets {
-				for _, core := range t.SocketGetCores(s) {
+				for _, core := range socketCores(t, s) {
 					if smt < len(core.Contexts) {
 						out = append(out, core.Contexts[smt].ID)
 					}
@@ -306,36 +329,25 @@ func buildOrder(t *topo.Topology, policy Policy, nSockets, nThreads int) ([]int,
 		}
 		return out, nil
 
-	case BalanceHWC, BalanceCoreHWC, BalanceCore, RRCore, RRHWC:
+	case BalanceHWC, BalanceCoreHWC, BalanceCore, RRCore, RRHWC, RRScale:
 		sockets := socketOrder(t, false, nSockets)
+		flat := make([]int, 0, numContexts(sockets))
 		perSocket := make([][]int, len(sockets))
+		streamBW := t.Spec().StreamCoreBW
 		for i, s := range sockets {
-			switch policy {
-			case BalanceHWC, RRHWC:
-				perSocket[i] = hwcOrder(t, s)
-			default:
-				perSocket[i] = coreHWCOrder(t, s)
+			start := len(flat)
+			if policy == BalanceHWC || policy == RRHWC {
+				flat = appendHWC(flat, socketCores(t, s))
+			} else {
+				flat = appendCoreHWC(flat, socketCores(t, s), t.SMTWays())
 			}
-		}
-		return roundRobin(perSocket, nThreads), nil
-
-	case RRScale:
-		sockets := socketOrder(t, false, nSockets)
-		perSocket := make([][]int, len(sockets))
-		spec := t.Spec()
-		for i, s := range sockets {
-			order := coreHWCOrder(t, s)
-			cap := len(order)
-			if bw := s.LocalBW(); spec.StreamCoreBW > 0 && bw > 0 {
-				need := int(bw/spec.StreamCoreBW + 0.999)
-				if need < 1 {
-					need = 1
-				}
-				if need < cap {
-					cap = need
-				}
+			// RR_SCALE caps a socket at the threads that saturate its
+			// local memory bandwidth.
+			if bw := s.LocalBW(); policy == RRScale && streamBW > 0 && bw > 0 {
+				need := max(int(bw/streamBW+0.999), 1)
+				flat = flat[:min(len(flat), start+need)]
 			}
-			perSocket[i] = order[:cap]
+			perSocket[i] = flat[start:]
 		}
 		return roundRobin(perSocket, nThreads), nil
 
@@ -345,29 +357,30 @@ func buildOrder(t *topo.Topology, policy Policy, nSockets, nThreads int) ([]int,
 	return nil, fmt.Errorf("place: unhandled policy %v", policy)
 }
 
-// roundRobin interleaves the per-socket context lists, stopping after limit
-// slots (0 = no limit): when NThreads is small there is no point building —
-// and allocating — the full-machine order only for New to slice off a
-// prefix. The first limit slots are identical to the unlimited interleave.
+// roundRobin interleaves the per-socket context lists into one slice sized
+// once, stopping after limit slots (0 = no limit): when NThreads is small
+// there is no point building — and allocating — the full-machine order
+// only for New to slice off a prefix. The first limit slots are identical
+// to the unlimited interleave.
 func roundRobin(perSocket [][]int, limit int) []int {
-	var out []int
-	idx := make([]int, len(perSocket))
-	for {
-		progress := false
-		for s := range perSocket {
-			if idx[s] < len(perSocket[s]) {
-				out = append(out, perSocket[s][idx[s]])
-				idx[s]++
-				progress = true
-				if limit > 0 && len(out) == limit {
+	n, rounds := 0, 0
+	for _, l := range perSocket {
+		n, rounds = n+len(l), max(rounds, len(l))
+	}
+	if limit > 0 && limit < n {
+		n = limit
+	}
+	out := make([]int, 0, n)
+	for r := 0; r < rounds; r++ {
+		for _, l := range perSocket {
+			if r < len(l) {
+				if out = append(out, l[r]); len(out) == n {
 					return out
 				}
 			}
 		}
-		if !progress {
-			return out
-		}
 	}
+	return out
 }
 
 // powerOrder greedily adds the context whose activation increases the
@@ -417,7 +430,7 @@ func powerOrder(t *topo.Topology, nSockets, nThreads int) []int {
 	contexts := t.Contexts()
 	sockCores := make([][]*topo.HWCGroup, t.NumSockets())
 	for _, s := range t.Sockets() {
-		sockCores[s.ID] = t.SocketGetCores(s)
+		sockCores[s.ID] = socketCores(t, s)
 	}
 	perCore := make([]int32, t.NumCores()) // contexts chosen, by core id
 	sockActive := make([]bool, t.NumSockets())
@@ -583,6 +596,9 @@ func (p *Placement) NThreads() int { return len(p.ctxs) }
 func (p *Placement) PinNext() (ctx int, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.taken == nil {
+		p.taken = make([]bool, len(p.ctxs))
+	}
 	for p.free < len(p.taken) && p.taken[p.free] {
 		p.free++
 	}
@@ -599,7 +615,7 @@ func (p *Placement) PinNext() (ctx int, ok bool) {
 func (p *Placement) Unpin(ctx int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range p.ctxs {
+	for i := range p.taken {
 		if p.ctxs[i] == ctx && p.taken[i] {
 			p.taken[i] = false
 			if i < p.free {

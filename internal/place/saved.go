@@ -33,6 +33,5 @@ func Reconstruct(t *topo.Topology, policyName string, ctxs []int) (*Placement, e
 		policy: policy,
 		name:   policyName,
 		ctxs:   append([]int(nil), ctxs...),
-		taken:  make([]bool, len(ctxs)),
 	}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -58,6 +59,21 @@ func randomDAG(rng *rand.Rand, n int, p float64, shuffle bool) *graph.TaskDAG {
 	return d
 }
 
+// tinyWeights redraws a DAG's works from 0..3 cycles and leaves one edge
+// in eight carrying data (one cache line): schedules then tie and improve
+// by single cycles, where an off-by-one in a bound changes the answer.
+func tinyWeights(rng *rand.Rand, d *graph.TaskDAG) {
+	for i := range d.Nodes {
+		d.Nodes[i].Work = rng.Int63n(4)
+	}
+	for i := range d.Edges {
+		d.Edges[i].Volume = 0
+		if rng.Intn(8) == 0 {
+			d.Edges[i].Volume = 1 + rng.Int63n(CacheLine)
+		}
+	}
+}
+
 // randomCtxs draws a random candidate subset of 1..min(n, 24) contexts, in
 // random order (Map sorts them).
 func randomCtxs(rng *rand.Rand, n int) []int {
@@ -66,20 +82,42 @@ func randomCtxs(rng *rand.Rand, n int) []int {
 }
 
 // TestMapMatchesReference is the pinned-equivalence oracle of the
-// incremental pricer: on seeded random DAGs of 2–61 nodes, on all five
-// golden platforms, at refine budgets from none to a full climb and over
-// both every context and a random candidate subset, Map returns exactly
-// the assignment and cost of the pre-change mapper (reference_test.go).
+// incremental, tail-bounded pricer: on seeded random DAGs of 2–61 nodes,
+// on all five golden platforms and three inferred generated shapes (a
+// 24-context ring, a 128-context circulant and a 512-context mesh), at
+// refine budgets from none to a full climb (at most 200 on the mesh, to
+// keep the test fast) and over both every context and a random candidate
+// subset, Map returns exactly the assignment and cost of the pre-change
+// mapper (reference_test.go). Half the DAGs carry tiny works and mostly
+// free edges (tinyWeights), so single-cycle improvements occur.
 func TestMapMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(29))
+	var tops []*topo.Topology
 	for _, file := range goldenPlatformFiles {
-		top := loadGolden(t, file)
+		tops = append(tops, loadGolden(t, file))
+	}
+	for _, name := range []string{"gen:ring:s6:c2:t2", "gen:circulant:s16:c4:t2", "gen:mesh:s16:c16:t2"} {
+		p, err := sim.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tops = append(tops, enriched(t, p))
+	}
+	for _, top := range tops {
+		file := top.Name()
+		budgets := []int{0, 1, 50, 200, 2000}
+		if top.NumHWContexts() > 256 {
+			budgets = budgets[:4]
+		}
 		for trial := 0; trial < 20; trial++ {
 			n := 2 + rng.Intn(60)
 			d := randomDAG(rng, n, 0.5*rng.Float64()*rng.Float64(), trial%2 == 1)
+			if trial%4 >= 2 {
+				tinyWeights(rng, d)
+			}
 			for _, ctxs := range [][]int{nil, randomCtxs(rng, top.NumHWContexts())} {
-				for _, budget := range []int{0, 1, 50, 200, 2000} {
+				for _, budget := range budgets {
 					opt := Options{RefineBudget: budget, Ctxs: ctxs}
 					got, err := Map(ctx, top, d, opt)
 					if err != nil {
@@ -127,7 +165,8 @@ func TestBruteForceMatchesReference(t *testing.T) {
 }
 
 // TestPricerAllocationFree: resuming a warmed pricer, and one refine
-// candidate (restore + bounded resume), allocate nothing.
+// candidate (restore + resume bounded by the incumbent and its tails),
+// allocate nothing.
 func TestPricerAllocationFree(t *testing.T) {
 	top := loadGolden(t, "sparc.mctop")
 	d := randomDAG(rand.New(rand.NewSource(31)), 48, 0.1, false)
@@ -143,22 +182,50 @@ func TestPricerAllocationFree(t *testing.T) {
 	full := s.cost(assign, math.MaxInt64)
 	p := len(s.order) / 3
 	mk := s.snapshot(assign, p)
-	if a := testing.AllocsPerRun(100, func() { s.resume(assign, p, mk, math.MaxInt64) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { s.resume(assign, p, len(s.order), mk, math.MaxInt64) }); a != 0 {
 		t.Errorf("resume allocates %.1f times per call", a)
 	}
 	v := s.order[p]
+	s.tails(assign)
 	if a := testing.AllocsPerRun(100, func() {
 		assign[v] = (assign[v] + 1) % top.NumHWContexts()
 		s.restore()
-		s.resume(assign, p, mk, full)
+		s.resume(assign, p, p+1, mk, full)
 	}); a != 0 {
 		t.Errorf("a refine candidate allocates %.1f times", a)
 	}
 }
 
+// TestMapAllocs pins what one Map call allocates on a generated 24-node,
+// 39-edge DAG over Westmere's 80 contexts: 23 allocations for greedy (the
+// DAG's order, the pricer's per-node and per-context arrays, greedy's
+// scratch, the serial fallback and the Mapping) and 25 with a refine
+// budget of 200 (the incumbent's copy and its tails on top).
+func TestMapAllocs(t *testing.T) {
+	top := loadGolden(t, "westmere.mctop")
+	top.GetLatency(0, 1) // build the topology's index outside the measurement
+	d := graph.GenTaskDAG(graph.DAGParams{Layers: 6, Width: 8}, 1)
+	if len(d.Nodes) != 24 || len(d.Edges) != 39 {
+		t.Fatalf("generated DAG has %d nodes and %d edges, want 24 and 39", len(d.Nodes), len(d.Edges))
+	}
+	for _, c := range []struct {
+		budget int
+		allocs float64
+	}{{0, 23}, {200, 25}} {
+		if got := testing.AllocsPerRun(20, func() {
+			if _, err := Map(context.Background(), top, d, Options{RefineBudget: c.budget}); err != nil {
+				t.Fatal(err)
+			}
+		}); got != c.allocs {
+			t.Errorf("Map at refine budget %d allocates %v, want %v", c.budget, got, c.allocs)
+		}
+	}
+}
+
 // TestResumeMatchesCost: for every prefix length, snapshot + restore +
 // resume prices an assignment exactly as cost does, and a bounded price
-// is exact below the bound and at least the bound otherwise.
+// is exact below the bound and at least the bound otherwise — also when
+// the assignment's own tails cut it off from any position on.
 func TestResumeMatchesCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, file := range goldenPlatformFiles {
@@ -173,13 +240,16 @@ func TestResumeMatchesCost(t *testing.T) {
 			assign[v] = rng.Intn(top.NumHWContexts())
 		}
 		want := s.cost(assign, math.MaxInt64)
+		s.tails(assign)
 		for p := 0; p <= len(s.order); p++ {
 			mk := s.snapshot(assign, p)
-			for _, bound := range []int64{math.MaxInt64, want + 1, want, want / 2} {
-				s.restore()
-				got := s.resume(assign, p, mk, bound)
-				if (bound > want && got != want) || (bound <= want && got < bound) {
-					t.Fatalf("%s: resume from %d bound %d = %d, cost = %d", file, p, bound, got, want)
+			for q := p; q <= len(s.order); q++ {
+				for _, bound := range []int64{math.MaxInt64, want + 1, want, want / 2} {
+					s.restore()
+					got := s.resume(assign, p, q, mk, bound)
+					if (bound > want && got != want) || (bound <= want && got < bound) {
+						t.Fatalf("%s: resume from %d, tails from %d, bound %d = %d, cost = %d", file, p, q, bound, got, want)
+					}
 				}
 			}
 		}

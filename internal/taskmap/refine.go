@@ -15,9 +15,17 @@ import "context"
 // not contain v, so accepting a move keeps the snapshot valid. The budget
 // counts every candidate priced, cut off or not, so the climb visits the
 // same sequence as pricing each candidate in full.
+//
+// A candidate is also cut off once a node after every changed task
+// finishes so late that its tail under the incumbent reaches the bound:
+// neither that node's context nor any of its descendants' changed, so its
+// tail is the same under the candidate, which cannot improve. The
+// incumbent's tails are computed once and again after each accepted
+// candidate, which is rare next to the candidates priced.
 func refine(ctx context.Context, s *pricer, ctxs []int, assign []int, cost int64, budget int) ([]int, int64, error) {
 	cur := append([]int(nil), assign...)
 	n := len(cur)
+	s.tails(cur)
 	for budget > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
@@ -40,9 +48,10 @@ func refine(ctx context.Context, s *pricer, ctxs []int, assign []int, cost int64
 				old := cur[v]
 				cur[v] = c
 				s.restore()
-				if nc := s.resume(cur, p, mk, cost); nc < cost {
+				if nc := s.resume(cur, p, p+1, mk, cost); nc < cost {
 					cost = nc
 					improved = true
+					s.tails(cur)
 				} else {
 					cur[v] = old
 				}
@@ -61,9 +70,11 @@ func refine(ctx context.Context, s *pricer, ctxs []int, assign []int, cost int64
 				}
 				budget--
 				cur[a], cur[b] = cur[b], cur[a]
-				if nc := s.cost(cur, cost); nc < cost {
+				clear(s.free) // priced from an empty machine, as cost does
+				if nc := s.resume(cur, 0, max(s.pos[a], s.pos[b])+1, 0, cost); nc < cost {
 					cost = nc
 					improved = true
+					s.tails(cur)
 				} else {
 					cur[a], cur[b] = cur[b], cur[a]
 				}

@@ -98,6 +98,14 @@ func (m *Mapping) Assignment() []int {
 // time — does not depend on how the nodes from p on are assigned, so a
 // candidate that changes only those nodes resumes from the prefix state
 // instead of re-running it (resume, snapshot, restore).
+//
+// Pricing is also bounded from below: a node's tail is its longest path of
+// transfers and work to the end of the schedule, and no schedule ends
+// before a node's finish plus its tail, since every successor starts no
+// earlier than its data arrives. A node's tail depends only on its own
+// context and its descendants', which all come after it in the order, so
+// tails computed for one assignment (tails) hold, from some position on,
+// for every candidate that changes only nodes before that position.
 type pricer struct {
 	t       *topo.Topology
 	order   []int    // canonical topological order
@@ -110,6 +118,7 @@ type pricer struct {
 	finish  []int64 // scratch, indexed by node
 	free    []int64 // scratch, indexed by context: when it next idles
 	snap    []int64 // free as snapshot left it, for restore
+	tail    []int64 // per node: its tail under the assignment tails last saw
 }
 
 // inEdge is one in-edge of a node: its tail and its cost in cache lines,
@@ -177,15 +186,20 @@ func (s *pricer) inEdges(v int) []inEdge { return s.in[s.inOff[v]:s.inOff[v+1]] 
 // (math.MaxInt64 prices in full).
 func (s *pricer) cost(assign []int, bound int64) int64 {
 	clear(s.free)
-	return s.resume(assign, 0, 0, bound)
+	return s.resume(assign, 0, len(s.order), 0, bound)
 }
 
 // resume prices order[p:] on top of the state after order[:p], whose
 // makespan is mk: the caller guarantees that free holds that state for
 // every context order[p:] runs on, and finish for every node before p. The
-// bound cut-off is cost's.
-func (s *pricer) resume(assign []int, p int, mk, bound int64) int64 {
-	return s.run(assign, s.order[p:], mk, bound)
+// bound cut-off is cost's, and from position q on a node's finish plus its
+// tail cuts off too: the caller also guarantees that tail holds, for every
+// node from q on, its tail under assign.
+func (s *pricer) resume(assign []int, p, q int, mk, bound int64) int64 {
+	if mk = s.run(assign, s.order[p:q], nil, mk, bound); mk >= bound {
+		return mk
+	}
+	return s.run(assign, s.order[q:], s.tail, mk, bound)
 }
 
 // snapshot prices order[:p] from an empty machine, saves the resulting
@@ -193,7 +207,7 @@ func (s *pricer) resume(assign []int, p int, mk, bound int64) int64 {
 // stays valid while no node of order[:p] changes context.
 func (s *pricer) snapshot(assign []int, p int) int64 {
 	clear(s.free)
-	mk := s.run(assign, s.order[:p], 0, math.MaxInt64)
+	mk := s.run(assign, s.order[:p], nil, 0, math.MaxInt64)
 	copy(s.snap, s.free)
 	return mk
 }
@@ -202,8 +216,9 @@ func (s *pricer) snapshot(assign []int, p int) int64 {
 func (s *pricer) restore() { copy(s.free, s.snap) }
 
 // run is the list-scheduling loop of cost, resume and snapshot over nodes,
-// a slice of the order.
-func (s *pricer) run(assign, nodes []int, mk, bound int64) int64 {
+// a slice of the order. With tails (indexed by node), a node whose finish
+// plus tail reaches bound ends the run too, returning that lower bound.
+func (s *pricer) run(assign, nodes []int, tails []int64, mk, bound int64) int64 {
 	free, finish := s.free, s.finish
 	for _, v := range nodes {
 		c := assign[v]
@@ -225,8 +240,33 @@ func (s *pricer) run(assign, nodes []int, mk, bound int64) int64 {
 				return mk
 			}
 		}
+		if tails != nil && fin+tails[v] >= bound {
+			return fin + tails[v]
+		}
 	}
 	return mk
+}
+
+// tails fills tail for assign: a node's tail is the most, over its
+// out-edges, of the transfer to the successor (none when co-located), the
+// successor's work and the successor's tail; 0 for a sink. One pass
+// against the order, pushing each node's path back along its in-edges.
+func (s *pricer) tails(assign []int) {
+	if s.tail == nil {
+		s.tail = make([]int64, len(s.work))
+	}
+	clear(s.tail)
+	for i := len(s.order) - 1; i >= 0; i-- {
+		w := s.order[i]
+		cw, down := assign[w], s.work[w]+s.tail[w]
+		for _, e := range s.inEdges(w) {
+			path := down
+			if cu := assign[e.from]; cu != cw {
+				path += e.lines * s.t.GetLatency(cu, cw)
+			}
+			s.tail[e.from] = max(s.tail[e.from], path)
+		}
+	}
 }
 
 // Estimate prices an assignment for the given topology and DAG under the
@@ -300,10 +340,13 @@ func priorities(s *pricer) []int64 {
 // finally priced with the canonical cost so greedy, refined and
 // brute-force costs are always comparable.
 //
-// A task's earliest start is computed for all candidates at once: each
-// in-edge contributes one batch latency query from its tail's context
-// (0 on the diagonal, so a co-located tail adds no transfer), folded into
-// the start times column by column.
+// A task's earliest start is computed for all candidates at once: the
+// start row begins at each candidate's free time, and each in-edge folds
+// its data's arrival from its tail's context into the row in one pass over
+// the candidates (topo.FoldArrivals: 0 on the diagonal, so a co-located
+// tail adds no transfer), which also finds the earliest start. The task's
+// work is the same on every candidate, so the earliest start is the
+// earliest finish.
 func greedy(s *pricer, ctxs []int) []int {
 	n := len(s.work)
 	pri := priorities(s)
@@ -319,43 +362,38 @@ func greedy(s *pricer, ctxs []int) []int {
 	finish, free := s.finish, s.free
 	clear(free)
 	start := make([]int64, len(ctxs))
-	lat := make([]int64, len(ctxs))
 	for len(ready) > 0 {
 		// Highest priority first, ties to the lowest task ID.
-		best := 0
+		next := 0
 		for i := 1; i < len(ready); i++ {
-			v, b := ready[i], ready[best]
+			v, b := ready[i], ready[next]
 			if pri[v] > pri[b] || (pri[v] == pri[b] && v < b) {
-				best = i
+				next = i
 			}
 		}
-		v := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
+		v := ready[next]
+		ready = append(ready[:next], ready[next+1:]...)
 
+		// Earliest finish, ties to the lowest context ID (ctxs ascends).
 		for i, c := range ctxs {
 			start[i] = free[c]
 		}
-		for _, e := range s.inEdges(v) {
-			f := finish[e.from]
-			lat = s.t.LatenciesFrom(assign[e.from], ctxs, lat)
-			for i, l := range lat {
-				if arrive := f + e.lines*l; arrive > start[i] {
-					start[i] = arrive
+		best := 0
+		if in := s.inEdges(v); len(in) == 0 {
+			for i := range start {
+				if start[i] < start[best] {
+					best = i
 				}
 			}
-		}
-		// Earliest finish, ties to the lowest context ID (ctxs ascends).
-		w := s.work[v]
-		bestCtx, bestFin := 0, start[0]+w
-		for i := 1; i < len(start); i++ {
-			if fin := start[i] + w; fin < bestFin {
-				bestCtx, bestFin = i, fin
+		} else {
+			for _, e := range in {
+				best = s.t.FoldArrivals(assign[e.from], finish[e.from], e.lines, ctxs, start)
 			}
 		}
-		c := ctxs[bestCtx]
+		c, fin := ctxs[best], start[best]+s.work[v]
 		assign[v] = c
-		finish[v] = bestFin
-		free[c] = bestFin
+		finish[v] = fin
+		free[c] = fin
 
 		for _, u := range s.succ[s.succOff[v]:s.succOff[v+1]] {
 			if indeg[u]--; indeg[u] == 0 {

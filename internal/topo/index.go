@@ -63,7 +63,7 @@ type ctxKey struct {
 
 // latency is the communication latency between two known contexts; 0
 // between a context and itself. It is the per-pair lookup of GetLatency
-// and must stay inlinable (LatenciesFrom inlines its two reads by hand).
+// and must stay inlinable.
 func (idx *queryIndex) latency(a, b ctxKey) int64 {
 	// Both entries are read and one is kept, which compiles to a
 	// conditional move: a branch on the sockets mispredicts on mixed pairs.
@@ -72,6 +72,19 @@ func (idx *queryIndex) latency(a, b ctxKey) int64 {
 		l = cross
 	}
 	return l
+}
+
+// latencyFrom is latency from one known context, kx, whose row of the
+// socket matrix is row, to the known context k: FoldArrivals' per-key
+// lookup, which must stay inlinable. It branches on the socket instead: on
+// the id-ordered candidate lists of the task mapper a socket's contexts
+// come in runs, so the branch predicts well and beats the conditional move
+// latency needs for random pairs.
+func (idx *queryIndex) latencyFrom(kx ctxKey, row []int64, k ctxKey) int64 {
+	if k.socket != kx.socket {
+		return row[k.socket]
+	}
+	return idx.within[bits.Len64(kx.path^k.path)]
 }
 
 // index returns the topology's query index, building it on first use. The

@@ -1,7 +1,7 @@
 package topo_test
 
 // Oracle tests for the latency queries of the query index: GetLatency,
-// LatenciesFrom, MaxLatencyBetween, ContextsByLatencyFrom, MaxLatency and
+// FoldArrivals, MaxLatencyBetween, ContextsByLatencyFrom, MaxLatency and
 // Occupancy.MaxLatency must equal the pre-index references — the group-tree
 // walk and the scans built on it — on the five golden platforms, on
 // generated platforms inferred at low repetitions, and on hand-built specs
@@ -10,6 +10,7 @@ package topo_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -116,36 +117,50 @@ func TestIndexGetLatencyMatchesWalk(t *testing.T) {
 	})
 }
 
-// TestLatenciesFromMatchesGetLatency: the batch query equals the walk
-// element by element for every source id, unknown ones included, over
-// candidate lists with unknown and repeated ids; dst's capacity is reused
-// and its old contents never leak.
+// TestLatenciesFromMatchesGetLatency: the latencies FoldArrivals charges
+// from one context equal the walk element by element, for every source id,
+// unknown ones included, over candidate lists with unknown and repeated
+// ids. A fold of one cache line sent at time 0 onto starts of MinInt64
+// leaves exactly the latencies; a fold at a random time and volume onto
+// random starts keeps the later of each start and arrival, and answers the
+// lowest index of the earliest start.
 func TestLatenciesFromMatchesGetLatency(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	forEachOracleTopology(t, func(t *testing.T, top *topo.Topology) {
 		n := top.NumHWContexts()
 		lists := idLists(rng, n)
-		dst := make([]int64, 0, n/2)
 		for x := -2; x < n+2; x++ {
 			for _, ctxs := range lists {
-				for i := range dst[:cap(dst)] {
-					dst[:cap(dst)][i] = 12345 // stale contents must be overwritten
+				start := make([]int64, len(ctxs))
+				for i := range start {
+					start[i] = math.MinInt64
 				}
-				dst = top.LatenciesFrom(x, ctxs, dst)
-				if len(dst) != len(ctxs) {
-					t.Fatalf("LatenciesFrom(%d) returned %d entries for %d ids", x, len(dst), len(ctxs))
-				}
+				top.FoldArrivals(x, 0, 1, ctxs, start)
 				for i, c := range ctxs {
-					if got, want := dst[i], top.GetLatencyWalk(x, c); got != want {
-						t.Fatalf("LatenciesFrom(%d)[%d] (ctx %d) = %d, walk = %d", x, i, c, got, want)
+					if got, want := start[i], top.GetLatencyWalk(x, c); got != want {
+						t.Fatalf("FoldArrivals(%d) latency [%d] (ctx %d) = %d, walk = %d", x, i, c, got, want)
 					}
+				}
+				at, lines := rng.Int63n(1000), rng.Int63n(20)
+				want := make([]int64, len(ctxs))
+				best := 0
+				for i, c := range ctxs {
+					start[i] = rng.Int63n(3000)
+					want[i] = max(start[i], at+lines*top.GetLatencyWalk(x, c))
+					if want[i] < want[best] {
+						best = i
+					}
+				}
+				if got := top.FoldArrivals(x, at, lines, ctxs, start); got != best || !reflect.DeepEqual(start, want) {
+					t.Fatalf("FoldArrivals(%d, %d, %d, %v) = %d, %v; want %d, %v", x, at, lines, ctxs, got, start, best, want)
 				}
 			}
 		}
 		// x unknown and equal to an unknown candidate: the diagonal is 0, as
 		// for GetLatency.
-		if got := top.LatenciesFrom(n+3, []int{n + 3, 0}, nil); got[0] != 0 || got[1] != -1 {
-			t.Errorf("LatenciesFrom(n+3, {n+3, 0}) = %v, want [0 -1]", got)
+		start := []int64{math.MinInt64, math.MinInt64}
+		if best := top.FoldArrivals(n+3, 0, 1, []int{n + 3, 0}, start); start[0] != 0 || start[1] != -1 || best != 1 {
+			t.Errorf("FoldArrivals(n+3, {n+3, 0}) = %d, %v; want 1, [0 -1]", best, start)
 		}
 	})
 }

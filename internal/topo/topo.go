@@ -15,7 +15,7 @@ package topo
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -294,43 +294,47 @@ func (t *Topology) GetLatency(x, y int) int64 {
 	return idx.latency(keys[x], keys[y])
 }
 
-// LatenciesFrom is the batch form of GetLatency for the cost models' inner
-// loops: it sets dst[i] = GetLatency(x, ctxs[i]) — 0 on the diagonal, -1
-// for unknown ids — and returns dst resized to len(ctxs), reusing its
-// capacity.
-func (t *Topology) LatenciesFrom(x int, ctxs []int, dst []int64) []int64 {
-	if cap(dst) < len(ctxs) {
-		dst = make([]int64, len(ctxs))
-	}
-	dst = dst[:len(ctxs)]
+// FoldArrivals is the task mapper's earliest-start query, one pass over
+// the candidates' keys: data that leaves context x at time at, lines cache
+// lines of it, reaches ctxs[i] at at + lines·GetLatency(x, ctxs[i]) (0 on
+// the diagonal, -1 for unknown ids, as GetLatency answers), and
+// FoldArrivals raises start[i] to that arrival where it is later. It
+// returns the index of the earliest start after the fold, the lowest index
+// on ties (0 for no candidates). start must hold at least len(ctxs)
+// entries.
+func (t *Topology) FoldArrivals(x int, at, lines int64, ctxs []int, start []int64) int {
+	start = start[:len(ctxs)]
+	best, earliest := 0, int64(math.MaxInt64)
 	idx := t.index()
+	keys := idx.keys
 	if uint(x) >= uint(idx.n) {
 		for i, c := range ctxs {
-			dst[i] = -1
+			l := int64(-1)
 			if c == x {
-				dst[i] = 0
+				l = 0
+			}
+			if s := max(start[i], at+lines*l); s < earliest {
+				start[i], best, earliest = s, i, s
+			} else {
+				start[i] = s
 			}
 		}
-		return dst
+		return best
 	}
-	// The row is filled socket block by socket block: on the id-ordered
-	// candidate lists of the cost models a socket's contexts come in runs,
-	// so a branch on the socket predicts well and beats the conditional
-	// move GetLatency's random pairs need.
-	keys, kx := idx.keys, idx.keys[x]
-	cross := idx.cross[kx.row : kx.row+int32(idx.nS)]
+	kx := keys[x]
+	row := idx.cross[kx.row : kx.row+int32(idx.nS)]
 	for i, c := range ctxs {
-		if uint(c) >= uint(len(keys)) {
-			dst[i] = -1
-			continue
+		l := int64(-1)
+		if uint(c) < uint(len(keys)) {
+			l = idx.latencyFrom(kx, row, keys[c])
 		}
-		if k := keys[c]; k.socket != kx.socket {
-			dst[i] = cross[k.socket]
-		} else {
-			dst[i] = idx.within[bits.Len64(kx.path^k.path)]
+		s := max(start[i], at+lines*l)
+		start[i] = s
+		if s < earliest {
+			best, earliest = i, s
 		}
 	}
-	return dst
+	return best
 }
 
 // SocketLatency returns the communication latency between two sockets
