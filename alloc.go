@@ -22,12 +22,16 @@ import (
 type Alloc struct {
 	top *Topology
 	pl  *Placement
-	// order caches the placement's slot order once: Pin is the per-thread
-	// hot path, and Placement.Contexts copies the whole slice per call.
+	// order is the placement's slot order, read in place (place.Slots):
+	// the placement never changes it, and Placement.Contexts would copy it.
 	order []int
 	// pinned[i] is set while thread i holds its context: Pin and Unpin are
 	// one atomic store, so no pin takes a lock.
 	pinned []atomic.Bool
+	// opts are the PlaceOptions NewAlloc applied. Each option func is
+	// handed a pointer to them, which would move a local Options to the
+	// heap; inside the Alloc they cost no allocation of their own.
+	opts place.Options
 }
 
 // NewAlloc builds an allocator from a topology and a policy — a Table 2
@@ -39,16 +43,17 @@ type Alloc struct {
 // Correctable failures (nil policy, POWER without power data, negative
 // options) wrap ErrInvalidRequest.
 func NewAlloc(t *Topology, p Policy, opts ...PlaceOption) (*Alloc, error) {
-	var po place.Options
+	a := &Alloc{top: t}
 	for _, f := range opts {
-		f(&po)
+		f(&a.opts)
 	}
-	pl, err := place.NewFrom(t, p, po)
+	pl, err := place.NewFrom(t, p, a.opts)
 	if err != nil {
 		return nil, err
 	}
-	order := pl.Contexts()
-	return &Alloc{top: t, pl: pl, order: order, pinned: make([]atomic.Bool, len(order))}, nil
+	a.pl, a.order = pl, place.Slots(pl)
+	a.pinned = make([]atomic.Bool, len(a.order))
+	return a, nil
 }
 
 // NumHWContexts returns how many hardware contexts the allocator hands out

@@ -253,11 +253,11 @@ func TestWithSpoolDirWarmStart(t *testing.T) {
 }
 
 // TestAllocCycleAllocs pins what a linked application pays per placement:
-// NewAlloc, pinning every thread and unpinning them all is nine
+// NewAlloc, pinning every thread and unpinning them all is seven
 // allocations on Westmere at 64 threads (RR_CORE, the bench's alloc cycle)
-// — the placement's five, the options the PlaceOptions are applied to, the
-// Alloc's copy of the order, its pin flags and the Alloc — and pinning and
-// unpinning allocate nothing.
+// — the placement's five, the Alloc (which holds the options the
+// PlaceOptions are applied to, and reads the placement's order in place)
+// and its pin flags — and pinning and unpinning allocate nothing.
 func TestAllocCycleAllocs(t *testing.T) {
 	top, err := mctop.Load("internal/topo/testdata/westmere.mctop")
 	if err != nil {
@@ -277,8 +277,8 @@ func TestAllocCycleAllocs(t *testing.T) {
 		for i := 0; i < alloc.NumHWContexts(); i++ {
 			alloc.Unpin(i)
 		}
-	}); got != 9 {
-		t.Errorf("NewAlloc + pin all + unpin all allocates %v, want 9", got)
+	}); got != 7 {
+		t.Errorf("NewAlloc + pin all + unpin all allocates %v, want 7", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
 		alloc.Pin(3)

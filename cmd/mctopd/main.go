@@ -727,6 +727,8 @@ func (s *server) validatePlatform(platform string) error {
 		if err := s.checkContexts(platform, spec.NumContexts()); err != nil {
 			return err
 		}
+	} else if n, ok := goldenContexts[platform]; ok {
+		return s.checkContexts(platform, n)
 	}
 	p, err := sim.ByName(platform)
 	if err != nil {
@@ -734,6 +736,19 @@ func (s *server) validatePlatform(platform string) error {
 	}
 	return s.checkContexts(platform, p.NumContexts())
 }
+
+// goldenContexts is each golden platform's context count, built once:
+// validatePlatform sizes a golden name from it instead of building the
+// whole platform per request. A gen: name still goes through sim.ByName
+// after its size check, since Generate refuses some specs ParseGenName
+// accepts (a generator list on a mesh, an over-cap size).
+var goldenContexts = func() map[string]int {
+	m := make(map[string]int)
+	for _, p := range sim.Platforms() {
+		m[p.Name] = p.NumContexts()
+	}
+	return m
+}()
 
 // checkContexts refuses a platform of n hardware contexts over the
 // -max-contexts bound with ErrTooLarge.

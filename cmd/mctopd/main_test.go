@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	mctop "repro"
+	"repro/internal/mctoperr"
 	"repro/internal/topo"
 )
 
@@ -17,6 +19,28 @@ import (
 // every later request is a registry hit regardless.
 func testServer() *server {
 	return newServerWith(mctop.NewRegistry(64), 51, 4*runtime.GOMAXPROCS(0))
+}
+
+// TestValidatePlatformAllocs: validating a golden platform name, as every
+// warm /v1/place request does, allocates nothing and builds no platform;
+// the answer is still the context bound's.
+func TestValidatePlatformAllocs(t *testing.T) {
+	s := testServer()
+	for _, name := range mctop.Platforms() {
+		if got := testing.AllocsPerRun(100, func() {
+			if err := s.validatePlatform(name); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("validatePlatform(%q) allocates %v, want 0", name, got)
+		}
+	}
+	s.maxContexts = 100
+	err := s.validatePlatform("SPARC")
+	if !errors.Is(err, mctoperr.ErrTooLarge) ||
+		!strings.HasSuffix(err.Error(), `: platform "SPARC" has 256 hardware contexts, over this daemon's limit of 100`) {
+		t.Errorf("SPARC over a bound of 100: %v, want ErrTooLarge naming 256 and 100", err)
+	}
 }
 
 func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte) {

@@ -182,16 +182,26 @@ func (d *TaskDAG) Hash() uint64 {
 // first. The order is what the taskmap cost model simulates in, so
 // determinism here is part of the byte-stability contract.
 func (d *TaskDAG) TopoOrder() ([]int, error) {
+	order, _, _, err := d.TopoLayout()
+	return order, err
+}
+
+// TopoLayout is TopoOrder plus the successor layout the order was computed
+// from, for callers that walk successors too: node v's successors are
+// succ[off[v]:off[v+1]], in edge order.
+func (d *TaskDAG) TopoLayout() (order, off, succ []int, err error) {
 	if err := d.checkShape(); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	n := len(d.Nodes)
-	indeg := make([]int, n)
-	// Node v's successors are succ[off[v]:off[v+1]], counting-sorted by
-	// tail: count into off, turn the counts into bucket ends, then place
-	// the edges back to front, so off[v] ends at its bucket's start.
-	off := make([]int, n+1)
-	succ := make([]int, len(d.Edges))
+	// Counting sort by tail: count into off, turn the counts into bucket
+	// ends, then place the edges back to front, so off[v] ends at its
+	// bucket's start. off and succ share one array, and so do indeg and
+	// ready, which never holds more than the n nodes.
+	layout := make([]int, n+1+len(d.Edges))
+	off, succ = layout[:n+1], layout[n+1:]
+	scratch := make([]int, 2*n)
+	indeg, ready := scratch[:n], scratch[n:n]
 	for _, e := range d.Edges {
 		indeg[e.To]++
 		off[e.From]++
@@ -207,13 +217,12 @@ func (d *TaskDAG) TopoOrder() ([]int, error) {
 	// Small graphs (the service bounds them): a linear scan for the
 	// smallest ready ID beats a heap for clarity and keeps min-ID-first
 	// exact.
-	ready := make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
 			ready = append(ready, v)
 		}
 	}
-	order := make([]int, 0, n)
+	order = make([]int, 0, n)
 	for len(ready) > 0 {
 		m := 0
 		for i, v := range ready {
@@ -232,9 +241,9 @@ func (d *TaskDAG) TopoOrder() ([]int, error) {
 		}
 	}
 	if len(order) != n {
-		return nil, fmt.Errorf("taskdag: cycle detected (%d of %d nodes ordered)", len(order), n)
+		return nil, nil, nil, fmt.Errorf("taskdag: cycle detected (%d of %d nodes ordered)", len(order), n)
 	}
-	return order, nil
+	return order, off, succ, nil
 }
 
 // TotalWork sums the node weights.

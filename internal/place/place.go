@@ -588,6 +588,11 @@ func (p *Placement) Contexts() []int {
 	return append([]int(nil), p.ctxs...)
 }
 
+// Slots returns p's assignment order itself, not a copy, for callers that
+// read it in place: the order never changes once p is built, and the
+// caller must not modify it.
+func Slots(p *Placement) []int { return p.ctxs }
+
 // NThreads returns the number of threads the placement accommodates.
 func (p *Placement) NThreads() int { return len(p.ctxs) }
 

@@ -17,7 +17,7 @@ var goldenPlatformFiles = []string{
 	"ivy.mctop", "westmere.mctop", "haswell.mctop", "opteron.mctop", "sparc.mctop",
 }
 
-func loadGolden(t *testing.T, file string) *topo.Topology {
+func loadGolden(t testing.TB, file string) *topo.Topology {
 	t.Helper()
 	top, err := topo.LoadFile(filepath.Join("..", "topo", "testdata", file))
 	if err != nil {
@@ -197,10 +197,12 @@ func TestPricerAllocationFree(t *testing.T) {
 }
 
 // TestMapAllocs pins what one Map call allocates on a generated 24-node,
-// 39-edge DAG over Westmere's 80 contexts: 23 allocations for greedy (the
-// DAG's order, the pricer's per-node and per-context arrays, greedy's
-// scratch, the serial fallback and the Mapping) and 25 with a refine
-// budget of 200 (the incumbent's copy and its tails on top).
+// 39-edge DAG over Westmere's 80 contexts: 15 allocations for greedy (the
+// DAG's order and successor layout, three; the pricer and its arrays,
+// four; the candidates and their grouping by socket, two; greedy's
+// priorities, assignment and two scratch arrays; the serial fallback and
+// the Mapping) and 17 with a refine budget of 200 (the incumbent's copy
+// and refine's scratch on top).
 func TestMapAllocs(t *testing.T) {
 	top := loadGolden(t, "westmere.mctop")
 	top.GetLatency(0, 1) // build the topology's index outside the measurement
@@ -211,7 +213,7 @@ func TestMapAllocs(t *testing.T) {
 	for _, c := range []struct {
 		budget int
 		allocs float64
-	}{{0, 23}, {200, 25}} {
+	}{{0, 15}, {200, 17}} {
 		if got := testing.AllocsPerRun(20, func() {
 			if _, err := Map(context.Background(), top, d, Options{RefineBudget: c.budget}); err != nil {
 				t.Fatal(err)

@@ -114,11 +114,15 @@ type pricer struct {
 	inOff   []int    // node v's in-edges are in[inOff[v]:inOff[v+1]]
 	in      []inEdge // in-edges grouped by head, in edge order
 	succOff []int    // node v's successors are succ[succOff[v]:succOff[v+1]]
-	succ    []int
-	finish  []int64 // scratch, indexed by node
-	free    []int64 // scratch, indexed by context: when it next idles
-	snap    []int64 // free as snapshot left it, for restore
-	tail    []int64 // per node: its tail under the assignment tails last saw
+	succ    []int    // in edge order (graph.TaskDAG.TopoLayout's layout)
+	finish  []int64  // scratch, indexed by node
+	free    []int64  // scratch, indexed by context: when it next idles
+	snap    []int64  // free as snapshot left it, for restore
+	tail    []int64  // per node: its tail under the assignment tails last saw
+
+	// Move candidates refine priced, and those it counted without pricing
+	// because a twin on the same socket was priced (see refine).
+	priced, skipped int
 }
 
 // inEdge is one in-edge of a node: its tail and its cost in cache lines,
@@ -129,23 +133,28 @@ type inEdge struct {
 }
 
 func newSim(t *topo.Topology, d *graph.TaskDAG) (*pricer, error) {
-	order, err := d.TopoOrder()
+	order, succOff, succ, err := d.TopoLayout()
 	if err != nil {
 		return nil, err
 	}
 	n, nCtx := len(d.Nodes), t.NumHWContexts()
+	// One array of ints and one of times, cut into the per-node and
+	// per-context slices.
+	ints := make([]int, 2*n+1)
+	times := make([]int64, 3*n+2*nCtx)
 	s := &pricer{
 		t:       t,
 		order:   order,
-		pos:     make([]int, n),
-		work:    make([]int64, n),
-		inOff:   make([]int, n+1),
+		pos:     ints[:n],
+		work:    times[:n],
+		inOff:   ints[n:],
 		in:      make([]inEdge, len(d.Edges)),
-		succOff: make([]int, n+1),
-		succ:    make([]int, len(d.Edges)),
-		finish:  make([]int64, n),
-		free:    make([]int64, nCtx),
-		snap:    make([]int64, nCtx),
+		succOff: succOff,
+		succ:    succ,
+		finish:  times[n : 2*n],
+		tail:    times[2*n : 3*n],
+		free:    times[3*n : 3*n+nCtx],
+		snap:    times[3*n+nCtx:],
 	}
 	for i, v := range order {
 		s.pos[v] = i
@@ -153,29 +162,28 @@ func newSim(t *topo.Topology, d *graph.TaskDAG) (*pricer, error) {
 	for v, node := range d.Nodes {
 		s.work[v] = node.Work
 	}
-	// Counting sort by head (in) and tail (succ): count into off[v], turn
-	// the counts into bucket ends, then place the edges back to front, so
-	// each bucket keeps edge order and off[v] ends at the bucket's start.
+	// Counting sort by head: count into inOff[v], turn the counts into
+	// bucket ends, then place the edges back to front, so each bucket
+	// keeps edge order and inOff[v] ends at the bucket's start.
 	for _, e := range d.Edges {
 		s.inOff[e.To]++
-		s.succOff[e.From]++
 	}
 	for v := 1; v <= n; v++ {
 		s.inOff[v] += s.inOff[v-1]
-		s.succOff[v] += s.succOff[v-1]
 	}
 	for i := len(d.Edges) - 1; i >= 0; i-- {
 		e := d.Edges[i]
 		s.inOff[e.To]--
 		s.in[s.inOff[e.To]] = inEdge{from: e.From, lines: (e.Volume + CacheLine - 1) / CacheLine}
-		s.succOff[e.From]--
-		s.succ[s.succOff[e.From]] = e.To
 	}
 	return s, nil
 }
 
 // inEdges returns node v's in-edges.
 func (s *pricer) inEdges(v int) []inEdge { return s.in[s.inOff[v]:s.inOff[v+1]] }
+
+// succs returns node v's successors.
+func (s *pricer) succs(v int) []int { return s.succ[s.succOff[v]:s.succOff[v+1]] }
 
 // cost prices an assignment: tasks run in canonical topological order,
 // each starting at max(its context's free time, latest predecessor data
@@ -252,9 +260,6 @@ func (s *pricer) run(assign, nodes []int, tails []int64, mk, bound int64) int64 
 // successor's work and the successor's tail; 0 for a sink. One pass
 // against the order, pushing each node's path back along its in-edges.
 func (s *pricer) tails(assign []int) {
-	if s.tail == nil {
-		s.tail = make([]int64, len(s.work))
-	}
 	clear(s.tail)
 	for i := len(s.order) - 1; i >= 0; i-- {
 		w := s.order[i]
@@ -319,6 +324,48 @@ func candidates(t *topo.Topology, opt Options) ([]int, error) {
 	return ctxs, nil
 }
 
+// candSet is a Map's candidate contexts, ascending, and the same contexts
+// grouped by socket. The topology index holds one latency per socket pair:
+// from a context on socket A, every context on a socket B ≠ A is at the
+// socket matrix's entry for (A, B). So to a task none of whose neighbours
+// is on a socket, that socket's candidates differ only in their free times
+// (greedy), and its idle ones not at all (refine).
+type candSet struct {
+	ctxs    []int // ascending
+	grouped []int // ctxs grouped by socket, ascending within each socket
+	off     []int // socket s's candidates are grouped[off[s]:off[s+1]]
+	sock    []int // per context ID: its socket (set for candidates only)
+}
+
+// groupBySocket builds the candSet of the sorted candidates ctxs: a
+// counting sort by socket, back to front so each socket's run stays
+// ascending.
+func groupBySocket(t *topo.Topology, ctxs []int) candSet {
+	nS := t.NumSockets()
+	buf := make([]int, len(ctxs)+nS+1+t.NumHWContexts())
+	cs := candSet{
+		ctxs:    ctxs,
+		grouped: buf[:len(ctxs)],
+		off:     buf[len(ctxs) : len(ctxs)+nS+1],
+		sock:    buf[len(ctxs)+nS+1:],
+	}
+	all := t.Contexts()
+	for _, c := range ctxs {
+		sk := all[c].Socket.ID
+		cs.sock[c] = sk
+		cs.off[sk]++
+	}
+	for sk := 1; sk <= nS; sk++ {
+		cs.off[sk] += cs.off[sk-1]
+	}
+	for i := len(ctxs) - 1; i >= 0; i-- {
+		sk := cs.sock[ctxs[i]]
+		cs.off[sk]--
+		cs.grouped[cs.off[sk]] = ctxs[i]
+	}
+	return cs
+}
+
 // priorities computes the AMTHA-style list-scheduling priority per task:
 // its compute weight plus the communication it still owes its successors
 // (in cache-line·max-latency cycles, so compute and comm are commensurate).
@@ -340,19 +387,30 @@ func priorities(s *pricer) []int64 {
 // finally priced with the canonical cost so greedy, refined and
 // brute-force costs are always comparable.
 //
-// A task's earliest start is computed for all candidates at once: the
-// start row begins at each candidate's free time, and each in-edge folds
-// its data's arrival from its tail's context into the row in one pass over
-// the candidates (topo.FoldArrivals: 0 on the diagonal, so a co-located
-// tail adds no transfer), which also finds the earliest start. The task's
-// work is the same on every candidate, so the earliest start is the
-// earliest finish.
-func greedy(s *pricer, ctxs []int) []int {
-	n := len(s.work)
+// A task goes to the candidate where it starts earliest, ties to the
+// lowest context ID; its work is the same everywhere, so that is where it
+// finishes earliest. Each socket S's best candidate is found on its own.
+// The data of an in-edge whose tail runs on another socket reaches every
+// candidate of S at once: the tail's finish plus the edge's lines times
+// the socket matrix's entry. So all of that data is in at one time A_S,
+// and no candidate of S starts before it; a socket whose A_S is past the
+// best start found so far cannot win and is skipped. Then:
+//
+//   - On a socket that hosts one of the task's in-edge tails, latencies
+//     differ within the socket. A start row begins at the later of each
+//     candidate's free time and A_S, and each in-edge from the socket
+//     folds its data's arrival into it (topo.FoldArrivals: 0 on the
+//     diagonal, so a co-located tail adds no transfer), which also finds
+//     the socket's earliest start.
+//   - On any other socket a candidate starts at max(free, A_S). The
+//     socket's best is the lowest-ID candidate with free ≤ A_S, which
+//     starts at A_S, or else the earliest-free one.
+func greedy(s *pricer, cs *candSet) []int {
+	n, nS := len(s.work), len(cs.off)-1
 	pri := priorities(s)
-	indeg := make([]int, n)
 	assign := make([]int, n)
-	ready := make([]int, 0, n)
+	ints := make([]int, 2*n)
+	indeg, ready := ints[:n], ints[n:n]
 	for v := range assign {
 		assign[v] = -1
 		if indeg[v] = s.inOff[v+1] - s.inOff[v]; indeg[v] == 0 {
@@ -361,7 +419,7 @@ func greedy(s *pricer, ctxs []int) []int {
 	}
 	finish, free := s.finish, s.free
 	clear(free)
-	start := make([]int64, len(ctxs))
+	start := make([]int64, len(cs.grouped))
 	for len(ready) > 0 {
 		// Highest priority first, ties to the lowest task ID.
 		next := 0
@@ -374,28 +432,65 @@ func greedy(s *pricer, ctxs []int) []int {
 		v := ready[next]
 		ready = append(ready[:next], ready[next+1:]...)
 
-		// Earliest finish, ties to the lowest context ID (ctxs ascends).
-		for i, c := range ctxs {
-			start[i] = free[c]
-		}
-		best := 0
-		if in := s.inEdges(v); len(in) == 0 {
-			for i := range start {
-				if start[i] < start[best] {
-					best = i
+		in := s.inEdges(v)
+		best, earliest := -1, int64(math.MaxInt64)
+		for sk := 0; sk < nS; sk++ {
+			lo, hi := cs.off[sk], cs.off[sk+1]
+			if lo == hi {
+				continue
+			}
+			// The data of in-edges from other sockets is on all of sk's
+			// candidates at one time.
+			at, host := int64(math.MinInt64), false
+			for _, e := range in {
+				if su := cs.sock[assign[e.from]]; su != sk {
+					at = max(at, finish[e.from]+e.lines*s.t.SocketLatency(su, sk))
+				} else {
+					host = true
 				}
 			}
-		} else {
-			for _, e := range in {
-				best = s.t.FoldArrivals(assign[e.from], finish[e.from], e.lines, ctxs, start)
+			if best >= 0 && at > earliest {
+				continue
+			}
+			group, c := cs.grouped[lo:hi], -1
+			if host {
+				row := start[lo:hi]
+				for i, x := range group {
+					row[i] = max(free[x], at)
+				}
+				i := 0
+				for _, e := range in {
+					if cs.sock[assign[e.from]] == sk {
+						i = s.t.FoldArrivals(assign[e.from], finish[e.from], e.lines, group, row)
+					}
+				}
+				c, at = group[i], row[i]
+			} else {
+				for _, x := range group {
+					if free[x] <= at {
+						c = x
+						break
+					}
+				}
+				if c < 0 {
+					c, at = group[0], free[group[0]]
+					for _, x := range group[1:] {
+						if free[x] < at {
+							c, at = x, free[x]
+						}
+					}
+				}
+			}
+			if best < 0 || at < earliest || (at == earliest && c < best) {
+				best, earliest = c, at
 			}
 		}
-		c, fin := ctxs[best], start[best]+s.work[v]
-		assign[v] = c
+		fin := earliest + s.work[v]
+		assign[v] = best
 		finish[v] = fin
-		free[c] = fin
+		free[best] = fin
 
-		for _, u := range s.succ[s.succOff[v]:s.succOff[v+1]] {
+		for _, u := range s.succs(v) {
 			if indeg[u]--; indeg[u] == 0 {
 				ready = append(ready, u)
 			}
@@ -420,7 +515,8 @@ func Map(ctx context.Context, t *topo.Topology, d *graph.TaskDAG, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	assign := greedy(s, ctxs)
+	cs := groupBySocket(t, ctxs)
+	assign := greedy(s, &cs)
 	cost := s.cost(assign, math.MaxInt64)
 	// Earliest-finish list scheduling is myopic about downstream
 	// communication: on comm-dominant DAGs it spreads tasks whose children
@@ -437,7 +533,7 @@ func Map(ctx context.Context, t *topo.Topology, d *graph.TaskDAG, opt Options) (
 	}
 	algo := "greedy"
 	if opt.RefineBudget > 0 {
-		assign, cost, err = refine(ctx, s, ctxs, assign, cost, opt.RefineBudget)
+		assign, cost, err = refine(ctx, s, &cs, assign, cost, opt.RefineBudget)
 		if err != nil {
 			return nil, err
 		}
