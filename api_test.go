@@ -87,8 +87,7 @@ func TestAllocPinUnpin(t *testing.T) {
 
 // TestComposedPolicyThroughLibrary is the acceptance scenario: a custom
 // composed policy (RR_CORE restricted to socket 0, capped at 8) placed
-// through the library — NewAlloc directly and the Registry by registered
-// name.
+// through the library — NewAlloc directly and the Registry by value.
 func TestComposedPolicyThroughLibrary(t *testing.T) {
 	ctx := context.Background()
 	top, err := mctop.Infer(ctx, "Ivy", 42, fastOpts()...)
@@ -110,21 +109,15 @@ func TestComposedPolicyThroughLibrary(t *testing.T) {
 		}
 	}
 
-	// Registered under a name, the same composition is placeable through
-	// the registry's string-keyed API (what mctopd serves).
-	named := registeredPolicy{name: "SOCKET0_RR8", impl: pol}
-	if err := mctop.RegisterPolicy(named); err != nil {
-		t.Fatal(err)
-	}
-	defer mctop.UnregisterPolicy("SOCKET0_RR8")
-
+	// The registry places the same composition by value (what a linked
+	// application serving placements calls) and agrees with the Alloc.
 	reg := mctop.NewRegistry(16)
-	pl, err := reg.PlaceContext(ctx, "Ivy", 42, mctop.NewOptions(fastOpts()...), "socket0_rr8", 0)
+	pl, err := reg.PlaceWithContext(ctx, "Ivy", 42, mctop.NewOptions(fastOpts()...), pol, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.PolicyName() != "SOCKET0_RR8" {
-		t.Errorf("PolicyName = %q", pl.PolicyName())
+	if pl.PolicyName() != pol.Name() {
+		t.Errorf("PolicyName = %q, want %q", pl.PolicyName(), pol.Name())
 	}
 	got, want := pl.Contexts(), alloc.Contexts()
 	if len(got) != len(want) {
@@ -135,26 +128,6 @@ func TestComposedPolicyThroughLibrary(t *testing.T) {
 			t.Fatalf("slot %d: registry %d, alloc %d", i, got[i], want[i])
 		}
 	}
-
-	// And typed, unregistered policies place through PlaceWithContext.
-	pl2, err := reg.PlaceWithContext(ctx, "Ivy", 42, mctop.NewOptions(fastOpts()...), pol, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl2.PolicyName() != pol.Name() {
-		t.Errorf("PolicyName = %q, want %q", pl2.PolicyName(), pol.Name())
-	}
-}
-
-// registeredPolicy names an existing Policy for registration.
-type registeredPolicy struct {
-	name string
-	impl mctop.Policy
-}
-
-func (r registeredPolicy) Name() string { return r.name }
-func (r registeredPolicy) Order(t *mctop.Topology, opt mctop.PlaceOptions) ([]int, error) {
-	return r.impl.Order(t, opt)
 }
 
 func TestFunctionalOptionsHashStably(t *testing.T) {

@@ -98,7 +98,7 @@ func BenchmarkSec35_InferenceCost(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := mctopalg.Infer(m, mctopalg.Options{})
+		res, err := mctopalg.InferContext(context.Background(), m, mctopalg.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func BenchmarkAblation_Repetitions(b *testing.B) {
 				b.Fatal(err)
 			}
 			o := mctopalg.Options{Reps: reps}
-			_, _ = mctopalg.Infer(m, o) // low reps may legitimately fail
+			_, _ = mctopalg.InferContext(context.Background(), m, o) // low reps may legitimately fail
 		}
 	}
 }
@@ -205,7 +205,7 @@ func BenchmarkPlacementPolicies(b *testing.B) {
 			if pol == place.PowerPolicy && !top.Power().Available() {
 				continue
 			}
-			if _, err := place.New(top, pol, place.Options{NThreads: 64}); err != nil {
+			if _, err := place.NewFrom(top, pol, place.Options{NThreads: 64}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -48,18 +48,17 @@ func OnSockets(p Policy, ids ...int) PolicyChain { return place.OnSockets(p, ids
 // last come first.
 func Reverse(p Policy) PolicyChain { return place.Reverse(p) }
 
-// RegisterPolicy makes a custom policy resolvable by its Name — through
-// ResolvePolicy, the Registry's string-keyed placements, and mctopd's
-// ?policy= parameter. See place.Register for the naming rules.
-func RegisterPolicy(p Policy) error { return place.Register(p) }
-
-// UnregisterPolicy removes a previously registered custom policy.
-func UnregisterPolicy(name string) { place.Unregister(name) }
-
-// ResolvePolicy returns the policy for a name: a Table 2 builtin (with or
-// without the MCTOP_PLACE_ prefix) or a registered custom policy,
-// case-insensitive. Unknown names wrap ErrUnknownPolicy.
-func ResolvePolicy(name string) (Policy, error) { return place.Resolve(name) }
+// ResolvePolicy returns the builtin policy for a name: one of the 12 of
+// Table 2, with or without the MCTOP_PLACE_ prefix, case-insensitive.
+// Unknown names wrap ErrUnknownPolicy. Composed and user policies place by
+// value (NewAlloc, Registry.PlaceWithContext).
+func ResolvePolicy(name string) (Policy, error) {
+	p, err := place.Resolve(name)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
 
 // Infer simulates one of the paper's machines with the given noise seed,
 // runs MCTOP-ALG on it and enriches the result with all four plugins. The

@@ -114,7 +114,7 @@ func figs1to3(w io.Writer) {
 		fail(err)
 		m, err := machine.NewSim(p, 42)
 		fail(err)
-		res, err := mctopalg.Infer(m, mctopalg.Options{Reps: 201})
+		res, err := mctopalg.InferContext(context.Background(), m, mctopalg.Options{Reps: 201})
 		fail(err)
 		t, err := plugins.Enrich(m, res.Topology, nil)
 		fail(err)
@@ -173,7 +173,7 @@ func sec35(w io.Writer) {
 		fail(err)
 		m, err := machine.NewSim(p, 42)
 		fail(err)
-		res, err := mctopalg.Infer(m, mctopalg.Options{})
+		res, err := mctopalg.InferContext(context.Background(), m, mctopalg.Options{})
 		fail(err)
 		fmt.Fprintf(w, "| %s | %.1f | %s |\n", row.name, m.S.SimulatedSeconds(res.Cycles), row.paper)
 	}
@@ -387,7 +387,7 @@ func ablations(w io.Writer) {
 	wes := enriched("Westmere")
 	fmt.Fprintln(w, "\nplacement policies on Westmere (64 threads): cores used / sockets used / max latency")
 	for _, pol := range place.Policies() {
-		pl, err := place.New(wes, pol, place.Options{NThreads: 64})
+		pl, err := place.NewFrom(wes, pol, place.Options{NThreads: 64})
 		if err != nil {
 			fmt.Fprintf(w, "  %-32v unavailable (%v)\n", pol, err)
 			continue

@@ -309,7 +309,7 @@ func runInfer() {
 		fail(err)
 		m, err := machine.NewSim(p, *seed)
 		fail(err)
-		res, err := mctopalg.Infer(m, mctopalg.Options{Reps: *reps, Sampling: *sampling})
+		res, err := mctopalg.InferContext(context.Background(), m, mctopalg.Options{Reps: *reps, Sampling: *sampling})
 		fail(err)
 		enriched, err := plugins.Enrich(m, res.Topology, nil)
 		fail(err)

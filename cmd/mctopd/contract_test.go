@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	mctop "repro"
 	"repro/internal/mctopalg"
-	"repro/internal/place"
 	"repro/internal/registry"
 	"repro/internal/topo"
 )
@@ -161,87 +159,9 @@ func TestBackpressureSheds(t *testing.T) {
 	}
 }
 
-// TestCustomPolicyEndToEnd is the acceptance scenario's server half: a
-// registered composed policy (RR_CORE on socket 0, capped at 8) is
-// placeable through a mctopd endpoint by name.
-func TestCustomPolicyEndToEnd(t *testing.T) {
-	pol := namedPolicy{"SOCKET0_RR8", place.OnSockets(place.RRCore, 0).Limit(8)}
-	if err := place.Register(pol); err != nil {
-		t.Fatal(err)
-	}
-	defer place.Unregister("SOCKET0_RR8")
-
-	ts := httptest.NewServer(testServer().routes())
-	defer ts.Close()
-
-	resp, body := get(t, ts, "/v1/place?platform=Ivy&reps=51&policy=socket0_rr8")
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var pr placeResponse
-	mustUnmarshal(t, body, &pr)
-	if pr.Policy != "SOCKET0_RR8" {
-		t.Errorf("policy = %q", pr.Policy)
-	}
-	if pr.NThreads != 8 {
-		t.Errorf("n_threads = %d, want 8", pr.NThreads)
-	}
-
-	// The registered name shows up in the policy listing.
-	_, body = get(t, ts, "/v1/policies")
-	var pols struct{ Registered []string }
-	mustUnmarshal(t, body, &pols)
-	found := false
-	for _, n := range pols.Registered {
-		if n == "SOCKET0_RR8" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("registered policies = %v, want SOCKET0_RR8", pols.Registered)
-	}
-
-	// The batch endpoint resolves it too.
-	resp, body = postBatch(t, ts, `{"platform": "Ivy", "reps": 51, "requests": [{"policy": "SOCKET0_RR8"}]}`)
-	if resp.StatusCode != 200 {
-		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
-	}
-	var br batchResponse
-	mustUnmarshal(t, body, &br)
-	if len(br.Results) != 1 || br.Results[0].Error != "" || br.Results[0].NThreads != 8 {
-		t.Errorf("batch results = %+v", br.Results)
-	}
-
-	// Library and endpoint agree on the placement.
-	top := mctop.MustInfer("Ivy", 42)
-	alloc, err := mctop.NewAlloc(top, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := alloc.Contexts()
-	if len(pr.Contexts) != len(want) {
-		t.Fatalf("endpoint %v, library %v", pr.Contexts, want)
-	}
-	for i := range want {
-		if pr.Contexts[i] != want[i] {
-			t.Fatalf("slot %d: endpoint %d, library %d", i, pr.Contexts[i], want[i])
-		}
-	}
-}
-
 func mustUnmarshal(t *testing.T, body []byte, v any) {
 	t.Helper()
 	if err := json.Unmarshal(body, v); err != nil {
 		t.Fatalf("unmarshal %s: %v", body, err)
 	}
-}
-
-type namedPolicy struct {
-	name string
-	impl place.Orderer
-}
-
-func (p namedPolicy) Name() string { return p.name }
-func (p namedPolicy) Order(t *topo.Topology, opt place.Options) ([]int, error) {
-	return p.impl.Order(t, opt)
 }

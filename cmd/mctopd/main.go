@@ -39,7 +39,7 @@
 //	                                       endpoint also accepts generated
 //	                                       gen:<kind>:s<S>:c<C>:t<T> specs,
 //	                                       e.g. gen:circulant:s64:c8:t2)
-//	GET  /v1/policies                      builtin + registered placement policies
+//	GET  /v1/policies                      the 12 builtin placement policies
 //	GET  /v1/topology?platform=Ivy&seed=42[&reps=201][&sampling=1][&format=mctop|dot]
 //	GET  /v1/place?platform=Ivy&seed=42&policy=RR_CORE&threads=8
 //	POST /v1/place/batch                   many placements, one topology lookup
@@ -699,10 +699,7 @@ func (s *server) handlePlatforms(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"policies":   mctop.PolicyNames(),
-		"registered": mctop.RegisteredPolicyNames(),
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"policies": mctop.PolicyNames()})
 }
 
 // validatePlatform sorts platform failures: an absent parameter is a

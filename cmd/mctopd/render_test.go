@@ -338,10 +338,14 @@ func TestRenderMemoBounded(t *testing.T) {
 		t.Fatalf("after 1000 variants of one map body: %d aliases, want 1", n)
 	}
 
-	// Once the registry forgets every entry, nothing rendered stays
+	if n := s.maps.aliasCount(); n > maxMapAliases {
+		t.Fatalf("%d aliases, over the cap of %d", n, maxMapAliases)
+	}
+
+	// Once the server and its registry are dropped, nothing rendered stays
 	// reachable: neither the entries nor any of their forms.
 	entries, forms := weakEntries(t, s.reg)
-	s.reg.Purge()
+	s, h = nil, nil
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
@@ -360,12 +364,9 @@ func TestRenderMemoBounded(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after Purge and GC: %d of %d entries and forms still reachable", live, len(entries)+len(forms))
+			t.Fatalf("after dropping the server and GC: %d of %d entries and forms still reachable", live, len(entries)+len(forms))
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if n := s.maps.aliasCount(); n > maxMapAliases {
-		t.Fatalf("%d aliases, over the cap of %d", n, maxMapAliases)
 	}
 }
 

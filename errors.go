@@ -17,8 +17,9 @@ var (
 	// ErrUnknownPlatform: the platform is not one of the five simulated
 	// machines (returned by Infer, the Registry, and sim.ByName).
 	ErrUnknownPlatform = mctoperr.ErrUnknownPlatform
-	// ErrUnknownPolicy: the policy name is neither a Table 2 builtin nor a
-	// registered custom policy.
+	// ErrUnknownPolicy: the policy name is not one of the 12 Table 2
+	// builtins (returned by ResolvePolicy and the Registry's string-keyed
+	// placements).
 	ErrUnknownPolicy = mctoperr.ErrUnknownPolicy
 	// ErrInvalidRequest: a malformed or unsatisfiable request the caller
 	// can correct (negative threads, POWER without power data, …).

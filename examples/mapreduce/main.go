@@ -21,7 +21,7 @@ func main() {
 	}
 
 	// Word Count with the RR placement the paper selects for it on x86.
-	pl, err := place.New(top, place.RRCore, place.Options{NThreads: 8})
+	pl, err := place.NewFrom(top, place.RRCore, place.Options{NThreads: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 	}
 
 	// K-Means with the compact CON_CORE_HWC placement.
-	plK, err := place.New(top, place.ConCoreHWC, place.Options{NThreads: 8})
+	plK, err := place.NewFrom(top, place.ConCoreHWC, place.Options{NThreads: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestIntegrationAllPlatforms(t *testing.T) {
 				if pol == place.PowerPolicy && !top.Power().Available() {
 					continue
 				}
-				if _, err := place.New(loaded, pol, place.Options{NThreads: 8}); err != nil {
+				if _, err := place.NewFrom(loaded, pol, place.Options{NThreads: 8}); err != nil {
 					t.Errorf("policy %v: %v", pol, err)
 				}
 			}
@@ -116,7 +116,7 @@ func TestIntegrationAllPlatforms(t *testing.T) {
 			}
 
 			// MapReduce with a placement.
-			pl, err := place.New(loaded, place.RRCore, place.Options{NThreads: 4})
+			pl, err := place.NewFrom(loaded, place.RRCore, place.Options{NThreads: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,8 +145,11 @@ func TestIntegrationAllPlatforms(t *testing.T) {
 // TestIntegrationDataRaceSurface runs the concurrent pieces together under
 // one roof so `go test -race ./...` sweeps their interactions.
 func TestIntegrationDataRaceSurface(t *testing.T) {
-	top := MustInfer("Ivy", 3)
-	pl, err := place.New(top, place.BalanceCore, place.Options{NThreads: 8})
+	top, err := Infer(context.Background(), "Ivy", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := place.NewFrom(top, place.BalanceCore, place.Options{NThreads: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

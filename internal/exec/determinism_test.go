@@ -39,7 +39,7 @@ func TestEstimateDeterministic(t *testing.T) {
 				continue
 			}
 			for _, n := range exec.ThreadCandidates(tp) {
-				pl, err := place.New(tp, pol, place.Options{NThreads: n})
+				pl, err := place.NewFrom(tp, pol, place.Options{NThreads: n})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -29,7 +30,7 @@ func enriched(t *testing.T, p *sim.Platform) *topo.Topology {
 		t.Fatal(err)
 	}
 	o := mctopalg.Options{Reps: 51}
-	res, err := mctopalg.Infer(m, o)
+	res, err := mctopalg.InferContext(context.Background(), m, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func enriched(t *testing.T, p *sim.Platform) *topo.Topology {
 
 func placed(t *testing.T, tp *topo.Topology, pol place.Policy, n int) []int {
 	t.Helper()
-	pl, err := place.New(tp, pol, place.Options{NThreads: n})
+	pl, err := place.NewFrom(tp, pol, place.Options{NThreads: n})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func Best(t *topo.Topology, policies []place.Policy, threads []int, wl Workload,
 	var best Candidate
 	for _, pol := range policies {
 		for _, n := range threads {
-			pl, err := place.New(t, pol, place.Options{NThreads: n})
+			pl, err := place.NewFrom(t, pol, place.Options{NThreads: n})
 			if err != nil {
 				return Candidate{}, err
 			}

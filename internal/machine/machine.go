@@ -122,8 +122,6 @@ type MemoryProber interface {
 	// MemRandomAccess performs n dependent cache-missing loads against the
 	// given node from thread t and returns the consumed cycles.
 	MemRandomAccess(t Thread, node, n int) int64
-	// MemSequentialSweep streams bytes from the node and returns cycles.
-	MemSequentialSweep(t Thread, node int, bytes int64) int64
 	// CacheWorkingSetLoads performs n dependent loads within a working set
 	// of the given size and returns the consumed cycles.
 	CacheWorkingSetLoads(t Thread, workingSet int64, n int) int64

@@ -130,11 +130,6 @@ func (m *SimMachine) MemRandomAccess(t Thread, node, n int) int64 {
 	return m.unwrap(t).MemRandomAccess(node, n)
 }
 
-// MemSequentialSweep implements MemoryProber.
-func (m *SimMachine) MemSequentialSweep(t Thread, node int, bytes int64) int64 {
-	return m.unwrap(t).MemSequentialSweep(node, bytes)
-}
-
 // CacheWorkingSetLoads implements MemoryProber.
 func (m *SimMachine) CacheWorkingSetLoads(t Thread, workingSet int64, n int) int64 {
 	return m.unwrap(t).CacheWorkingSetLoads(workingSet, n)

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -32,7 +33,7 @@ func enriched(t *testing.T, p *sim.Platform) *topo.Topology {
 		t.Fatal(err)
 	}
 	o := mctopalg.Options{Reps: 51}
-	res, err := mctopalg.Infer(m, o)
+	res, err := mctopalg.InferContext(context.Background(), m, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestMatrixMult(t *testing.T) {
 
 func TestRunWithPlacement(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
-	pl, err := place.New(tp, place.ConCoreHWC, place.Options{NThreads: 6})
+	pl, err := place.NewFrom(tp, place.ConCoreHWC, place.Options{NThreads: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mctopalg
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestHeatmapAndCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := Options{Reps: 31}
-	res, err := Infer(m, o)
+	res, err := InferContext(context.Background(), m, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,9 +94,9 @@ func (o *Options) fillDefaults() {
 }
 
 // Normalized returns the options with every zero field replaced by its
-// default — the exact configuration Infer will run with. Callers that key
-// caches by options must normalize first, so that e.g. the zero value and
-// an explicit Reps of 2000 share one entry.
+// default — the exact configuration InferContext will run with. Callers
+// that key caches by options must normalize first, so that e.g. the zero
+// value and an explicit Reps of 2000 share one entry.
 func (o Options) Normalized() Options {
 	o.fillDefaults()
 	return o
@@ -108,9 +108,9 @@ type Result struct {
 	Topology *topo.Topology
 
 	// Enriched reports whether Topology carries the plugin measurements
-	// (Section 4). Infer itself never enriches; the facade sets this after
-	// running the plugins, and leaves it false when best-effort host
-	// enrichment fails — the typed "unenriched" marker callers check
+	// (Section 4). InferContext itself never enriches; the facade sets
+	// this after running the plugins, and leaves it false when best-effort
+	// host enrichment fails — the typed "unenriched" marker callers check
 	// instead of probing for zeroed bandwidth fields.
 	Enriched bool
 
@@ -158,12 +158,6 @@ var ErrClustering = errors.New("mctopalg: unable to infer topology from latency 
 
 func clusterErr(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrClustering, fmt.Sprintf(format, args...))
-}
-
-// Infer runs MCTOP-ALG on a machine with no cancellation; it is
-// InferContext with a background context.
-func Infer(m machine.Machine, opt Options) (*Result, error) {
-	return InferContext(context.Background(), m, opt)
 }
 
 // InferContext runs MCTOP-ALG on a machine. The context cancels the

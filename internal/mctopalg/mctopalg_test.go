@@ -1,6 +1,7 @@
 package mctopalg
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestInferAllPlatforms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Infer(m, testOptions())
+			res, err := InferContext(context.Background(), m, testOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +95,7 @@ func TestInferAllPlatforms(t *testing.T) {
 // off-diagonal values, and SMT detection.
 func TestIvyPipelineStages(t *testing.T) {
 	m, _ := machine.NewSim(sim.Ivy(), 7)
-	res, err := Infer(m, testOptions())
+	res, err := InferContext(context.Background(), m, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestIvyPipelineStages(t *testing.T) {
 // (197 / 217 / 300 cycles — Figure 1b) and no SMT.
 func TestOpteronLevels(t *testing.T) {
 	m, _ := machine.NewSim(sim.Opteron(), 11)
-	res, err := Infer(m, testOptions())
+	res, err := InferContext(context.Background(), m, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestOpteronLevels(t *testing.T) {
 func TestOpteronNodeMappingBeatsOS(t *testing.T) {
 	p := sim.Opteron()
 	m, _ := machine.NewSim(p, 13)
-	res, err := Infer(m, testOptions())
+	res, err := InferContext(context.Background(), m, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestOpteronNodeMappingBeatsOS(t *testing.T) {
 	}
 	// On Ivy the OS agrees completely.
 	mi, _ := machine.NewSim(sim.Ivy(), 13)
-	ri, err := Infer(mi, testOptions())
+	ri, err := InferContext(context.Background(), mi, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestOpteronNodeMappingBeatsOS(t *testing.T) {
 func TestWestmereLevel4(t *testing.T) {
 	p := sim.Westmere()
 	m, _ := machine.NewSim(p, 17)
-	res, err := Infer(m, testOptions())
+	res, err := InferContext(context.Background(), m, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestWestmereLevel4(t *testing.T) {
 func TestInferDeterminism(t *testing.T) {
 	run := func() *topo.Topology {
 		m, _ := machine.NewSim(sim.Ivy(), 23)
-		res, err := Infer(m, testOptions())
+		res, err := InferContext(context.Background(), m, testOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +306,7 @@ func TestInferCustomShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Infer(m, testOptions())
+		res, err := InferContext(context.Background(), m, testOptions())
 		if err != nil {
 			t.Fatalf("shape %+v: %v", sh, err)
 		}
@@ -325,7 +326,7 @@ func TestInferRejectsHeavyNoise(t *testing.T) {
 	m, _ := machine.NewSim(p, 3)
 	o := testOptions()
 	o.Reps = 7
-	_, err := Infer(m, o)
+	_, err := InferContext(context.Background(), m, o)
 	if err == nil {
 		t.Fatal("expected inference to fail under heavy noise")
 	}
@@ -344,7 +345,7 @@ func TestRetryOnUnstableMeasurements(t *testing.T) {
 	m, _ := machine.NewSim(p, 31)
 	o := testOptions()
 	o.Reps = 41
-	res, err := Infer(m, o)
+	res, err := InferContext(context.Background(), m, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +361,7 @@ func TestInferTooFewContexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Infer(m, testOptions()); err == nil {
+	if _, err := InferContext(context.Background(), m, testOptions()); err == nil {
 		t.Error("expected error for a single-context machine")
 	}
 }
@@ -369,7 +370,7 @@ func TestInferTooFewContexts(t *testing.T) {
 // description-file round trip.
 func TestSpecRoundTripAfterInference(t *testing.T) {
 	m, _ := machine.NewSim(sim.Haswell(), 5)
-	res, err := Infer(m, testOptions())
+	res, err := InferContext(context.Background(), m, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +391,7 @@ func TestInferenceCostOrdering(t *testing.T) {
 		m, _ := machine.NewSim(p, 1)
 		o := testOptions()
 		o.Reps = 9
-		res, err := Infer(m, o)
+		res, err := InferContext(context.Background(), m, o)
 		if err != nil {
 			t.Fatal(err)
 		}

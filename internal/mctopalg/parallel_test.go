@@ -2,6 +2,7 @@ package mctopalg
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -33,7 +34,7 @@ func inferWithParallelism(t *testing.T, p *sim.Platform, seed uint64, par int) *
 	}
 	opt := testOptions()
 	opt.Parallelism = par
-	res, err := Infer(m, opt)
+	res, err := InferContext(context.Background(), m, opt)
 	if err != nil {
 		t.Fatalf("%s (parallelism %d): %v", p.Name, par, err)
 	}
@@ -113,7 +114,7 @@ func TestForkFailurePropagates(t *testing.T) {
 	}
 	opt := testOptions()
 	opt.Parallelism = 8
-	_, err = Infer(&failingForker{Machine: m, failAt: 3}, opt)
+	_, err = InferContext(context.Background(), &failingForker{Machine: m, failAt: 3}, opt)
 	if err == nil || !strings.Contains(err.Error(), "fork failed") {
 		t.Fatalf("err = %v, want the fork failure", err)
 	}
@@ -137,7 +138,7 @@ func TestInferRace(t *testing.T) {
 			}
 			opt := testOptions()
 			opt.Parallelism = 8
-			_, err = Infer(m, opt)
+			_, err = InferContext(context.Background(), m, opt)
 			done <- err
 		}()
 	}

@@ -1,6 +1,7 @@
 package mctopalg
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,7 +73,7 @@ func TestInferWithoutForker(t *testing.T) {
 		m := newUnforkedSim(t, p)
 		opt := testOptions()
 		opt.Parallelism = 8
-		res, err := Infer(m, opt)
+		res, err := InferContext(context.Background(), m, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

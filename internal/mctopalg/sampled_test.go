@@ -2,6 +2,7 @@ package mctopalg
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -25,7 +26,7 @@ func inferWith(t *testing.T, p *sim.Platform, seed uint64, opt Options) *Result 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Infer(m, opt)
+	res, err := InferContext(context.Background(), m, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", p.Name, err)
 	}
@@ -250,7 +251,7 @@ func benchmarkInfer(b *testing.B, name string, sampled bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := Infer(m, opt)
+		res, err := InferContext(context.Background(), m, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

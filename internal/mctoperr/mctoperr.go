@@ -17,8 +17,7 @@ var (
 	ErrUnknownPlatform = errors.New("unknown platform")
 
 	// ErrUnknownPolicy marks a placement request naming a policy that is
-	// neither one of the 12 paper policies nor a registered custom policy.
-	// Servers map it to 404.
+	// not one of the 12 paper policies. Servers map it to 404.
 	ErrUnknownPolicy = errors.New("unknown policy")
 
 	// ErrInvalidRequest marks a malformed or unsatisfiable request the

@@ -96,7 +96,7 @@ func ModelFig9(t *topo.Topology, v Variant, threads int) (Fig9Row, error) {
 			compPenalty, memPenalty = unpinnedComp, unpinnedMem
 		}
 	}
-	pl, err := place.New(t, policy, place.Options{NThreads: threads})
+	pl, err := place.NewFrom(t, policy, place.Options{NThreads: threads})
 	if err != nil {
 		return Fig9Row{}, err
 	}

@@ -281,7 +281,7 @@ func mctopSort(data []int32, t *topo.Topology, threads, destSocket int, sse bool
 	if t.Socket(destSocket) == nil {
 		destSocket = 0
 	}
-	pl, err := place.New(t, place.RRCore, place.Options{NThreads: threads})
+	pl, err := place.NewFrom(t, place.RRCore, place.Options{NThreads: threads})
 	if err != nil {
 		return err
 	}

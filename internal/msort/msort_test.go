@@ -1,6 +1,7 @@
 package msort
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -28,7 +29,7 @@ func ivy(t *testing.T) *topo.Topology {
 			t.Fatal(err)
 		}
 		o := mctopalg.Options{Reps: 51}
-		res, err := mctopalg.Infer(m, o)
+		res, err := mctopalg.InferContext(context.Background(), m, o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package omp
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,7 +32,7 @@ func enriched(t *testing.T, p *sim.Platform) *topo.Topology {
 		t.Fatal(err)
 	}
 	o := mctopalg.Options{Reps: 51}
-	res, err := mctopalg.Infer(m, o)
+	res, err := mctopalg.InferContext(context.Background(), m, o)
 	if err != nil {
 		t.Fatal(err)
 	}

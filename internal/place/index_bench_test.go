@@ -29,7 +29,7 @@ func BenchmarkQueryIndex_PowerPlacement(b *testing.B) {
 	top.GetLatency(0, 1) // build the index outside the timed loop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(top, PowerPolicy, Options{NThreads: 64}); err != nil {
+		if _, err := NewFrom(top, PowerPolicy, Options{NThreads: 64}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkQueryIndex_PlacementBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pol := range []Policy{ConHWC, BalanceCore, RRCore} {
-			if _, err := New(top, pol, Options{NThreads: 64}); err != nil {
+			if _, err := NewFrom(top, pol, Options{NThreads: 64}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -65,7 +65,7 @@ func BenchmarkQueryIndex_PlacementBuild(b *testing.B) {
 // pin sweep (the serving pattern: every worker thread pins once).
 func BenchmarkQueryIndex_PinNext(b *testing.B) {
 	top := benchGolden(b, "westmere.mctop")
-	pl, err := New(top, Sequential, Options{})
+	pl, err := NewFrom(top, Sequential, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

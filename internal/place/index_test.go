@@ -4,8 +4,8 @@ package place
 // power greedy must produce byte-identical orders to the exhaustive scan it
 // replaced, roundRobin's limit must be a pure prefix, the PinNext free-slot
 // cursor must preserve the lowest-free-slot contract under pin/unpin
-// churn, ParsePolicy's init-time reverse map must accept exactly what
-// the per-call loop accepted, and the accessors over the memoized occupancy
+// churn, Resolve's init-time reverse map must accept exactly what the
+// per-call loop accepted, and the accessors over the memoized occupancy
 // must equal the per-call map passes they replaced.
 
 import (
@@ -94,7 +94,7 @@ func TestRoundRobinLimitIsPrefix(t *testing.T) {
 // first-free-slot model.
 func TestPinNextCursor(t *testing.T) {
 	top := loadGolden(t, "ivy.mctop")
-	pl, err := New(top, Sequential, Options{})
+	pl, err := NewFrom(top, Sequential, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +141,15 @@ func TestParsePolicyReverseMap(t *testing.T) {
 			strings.ToLower(name),
 			"  " + strings.TrimPrefix(name, "MCTOP_PLACE_") + " ",
 		} {
-			got, err := ParsePolicy(variant)
+			got, err := Resolve(variant)
 			if err != nil || got != pol {
-				t.Errorf("ParsePolicy(%q) = (%v, %v), want %v", variant, got, err, pol)
+				t.Errorf("Resolve(%q) = (%v, %v), want %v", variant, got, err, pol)
 			}
 		}
 	}
 	for _, bad := range []string{"", "MCTOP_PLACE_", "bogus", "MCTOP_PLACE_MCTOP_PLACE_NONE"} {
-		if _, err := ParsePolicy(bad); err == nil {
-			t.Errorf("ParsePolicy(%q) unexpectedly succeeded", bad)
+		if _, err := Resolve(bad); err == nil {
+			t.Errorf("Resolve(%q) unexpectedly succeeded", bad)
 		}
 	}
 }
@@ -272,7 +272,7 @@ func TestOccupancyIsLazy(t *testing.T) {
 // concurrency (run with -race).
 func TestOccupancyConcurrentFirstUse(t *testing.T) {
 	top := loadGolden(t, "westmere.mctop")
-	pl, err := New(top, RRCore, Options{NThreads: 64})
+	pl, err := NewFrom(top, RRCore, Options{NThreads: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

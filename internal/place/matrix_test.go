@@ -9,6 +9,7 @@ package place_test
 // evenly, core-first policies use unique cores before SMT siblings).
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -41,7 +42,7 @@ func matrixTopo(t *testing.T, name string) *topo.Topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mctopalg.Infer(m, mctopalg.Options{Reps: 51})
+	res, err := mctopalg.InferContext(context.Background(), m, mctopalg.Options{Reps: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +187,14 @@ func TestPolicyMatrix(t *testing.T) {
 					if pol == place.PowerPolicy && !top.Power().Available() {
 						// Power placement is Intel-only in the paper; the
 						// policy must refuse, not misbehave.
-						if _, err := place.New(top, pol, place.Options{}); err == nil {
+						if _, err := place.NewFrom(top, pol, place.Options{}); err == nil {
 							t.Fatal("PowerPolicy succeeded without power measurements")
 						}
 						return
 					}
 
 					// Full placement: every context the policy allows.
-					full, err := place.New(top, pol, place.Options{})
+					full, err := place.NewFrom(top, pol, place.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -204,7 +205,7 @@ func TestPolicyMatrix(t *testing.T) {
 					}
 
 					// Partial placement: a thread count below one socket.
-					partial, err := place.New(top, pol, place.Options{NThreads: 5})
+					partial, err := place.NewFrom(top, pol, place.Options{NThreads: 5})
 					if err != nil {
 						t.Fatal(err)
 					}

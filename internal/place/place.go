@@ -97,7 +97,7 @@ func Policies() []Policy {
 		BalanceHWC, BalanceCoreHWC, BalanceCore, RRCore, RRHWC, PowerPolicy, RRScale}
 }
 
-// policyByName is ParsePolicy's reverse lookup — both the full
+// policyByName is Resolve's reverse lookup — both the full
 // MCTOP_PLACE_* name and the bare suffix, uppercase — built once at package
 // init: mctopd parses a policy per placement request, so the per-call
 // iteration over policyNames was serving-path overhead.
@@ -109,17 +109,6 @@ var policyByName = func() map[string]Policy {
 	}
 	return m
 }()
-
-// ParsePolicy resolves a builtin policy from its name (with or without the
-// MCTOP_PLACE_ prefix, case-insensitive). Unknown names wrap both
-// ErrInvalid and mctoperr.ErrUnknownPolicy; use Resolve to also find
-// registered custom policies.
-func ParsePolicy(s string) (Policy, error) {
-	if p, ok := policyByName[strings.ToUpper(strings.TrimSpace(s))]; ok {
-		return p, nil
-	}
-	return None, fmt.Errorf("%w: %w %q", ErrInvalid, mctoperr.ErrUnknownPolicy, s)
-}
 
 // Options tunes a placement. Zero values mean "use everything".
 type Options struct {
@@ -158,13 +147,6 @@ type Placement struct {
 // Orderer (a combinator chain or a user policy); PolicyName carries the
 // actual identity.
 const Custom Policy = -1
-
-// New computes a placement for a builtin policy. It fails for PowerPolicy
-// on machines without power measurements, and when the options are not
-// satisfiable.
-func New(t *topo.Topology, policy Policy, opt Options) (*Placement, error) {
-	return NewFrom(t, policy, opt)
-}
 
 // NewFrom computes a placement from any Orderer — a builtin Policy, a
 // combinator chain, or a user implementation. The order is validated
@@ -571,7 +553,7 @@ func (p *Placement) Policy() Policy { return p.policy }
 
 // PolicyName returns the name of the Orderer that produced this placement
 // (the MCTOP_PLACE_* name for builtins, the composed name for chains, the
-// registered name for custom policies).
+// Orderer's own Name for user policies).
 func (p *Placement) PolicyName() string {
 	if p.name != "" {
 		return p.name
@@ -785,7 +767,7 @@ type Pool struct {
 
 // NewPool creates a pool with an initial policy.
 func NewPool(t *topo.Topology, policy Policy, opt Options) (*Pool, error) {
-	p, err := New(t, policy, opt)
+	p, err := NewFrom(t, policy, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -794,7 +776,7 @@ func NewPool(t *topo.Topology, policy Policy, opt Options) (*Pool, error) {
 
 // Set switches to a new policy at runtime.
 func (pl *Pool) Set(policy Policy, opt Options) error {
-	p, err := New(pl.t, policy, opt)
+	p, err := NewFrom(pl.t, policy, opt)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -32,7 +33,7 @@ func enriched(t *testing.T, p *sim.Platform) *topo.Topology {
 		t.Fatal(err)
 	}
 	o := mctopalg.Options{Reps: 51}
-	res, err := mctopalg.Infer(m, o)
+	res, err := mctopalg.InferContext(context.Background(), m, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func enriched(t *testing.T, p *sim.Platform) *topo.Topology {
 // TestFig7ConHWC reproduces Figure 7: CON_HWC with 30 threads on Ivy.
 func TestFig7ConHWC(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
-	pl, err := New(tp, ConHWC, Options{NThreads: 30})
+	pl, err := NewFrom(tp, ConHWC, Options{NThreads: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestFig7ConHWC(t *testing.T) {
 
 func TestConCoreHWC(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
-	pl, err := New(tp, ConCoreHWC, Options{NThreads: 12})
+	pl, err := NewFrom(tp, ConCoreHWC, Options{NThreads: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestConCoreHWC(t *testing.T) {
 
 func TestConCore(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
-	pl, err := New(tp, ConCore, Options{NThreads: 12})
+	pl, err := NewFrom(tp, ConCore, Options{NThreads: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestConCore(t *testing.T) {
 func TestBalanceSpreadsEvenly(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
 	for _, pol := range []Policy{BalanceHWC, BalanceCoreHWC, BalanceCore} {
-		pl, err := New(tp, pol, Options{NThreads: 10})
+		pl, err := NewFrom(tp, pol, Options{NThreads: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,12 +148,12 @@ func TestBalanceSpreadsEvenly(t *testing.T) {
 		}
 	}
 	// BalanceCore must use unique cores.
-	pl, _ := New(tp, BalanceCore, Options{NThreads: 10})
+	pl, _ := NewFrom(tp, BalanceCore, Options{NThreads: 10})
 	if pl.NCores() != 10 {
 		t.Errorf("BalanceCore cores = %d, want 10", pl.NCores())
 	}
 	// BalanceHWC keeps SMT pairs together: 5 threads/socket -> 3 cores.
-	pl, _ = New(tp, BalanceHWC, Options{NThreads: 10})
+	pl, _ = NewFrom(tp, BalanceHWC, Options{NThreads: 10})
 	cps := pl.CoresPerSocket()
 	if cps[0] != 3 || cps[1] != 3 {
 		t.Errorf("BalanceHWC cores/socket = %v, want [3 3]", cps)
@@ -161,7 +162,7 @@ func TestBalanceSpreadsEvenly(t *testing.T) {
 
 func TestRRAlternatesSockets(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
-	pl, err := New(tp, RRCore, Options{NThreads: 6})
+	pl, err := NewFrom(tp, RRCore, Options{NThreads: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestRRAlternatesSockets(t *testing.T) {
 
 func TestRRScaleCapsAtSaturation(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
-	pl, err := New(tp, RRScale, Options{})
+	pl, err := NewFrom(tp, RRScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestRRScaleCapsAtSaturation(t *testing.T) {
 
 func TestPowerPolicyCompactsSMT(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
-	pl, err := New(tp, PowerPolicy, Options{NThreads: 4})
+	pl, err := NewFrom(tp, PowerPolicy, Options{NThreads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,19 +221,19 @@ func TestPowerPolicyCompactsSMT(t *testing.T) {
 		t.Error("POWER with 4 threads should stay on one socket")
 	}
 	// POWER uses fewer cores than a core-first policy (Figure 11's trade).
-	plCore, _ := New(tp, ConCoreHWC, Options{NThreads: 4})
+	plCore, _ := NewFrom(tp, ConCoreHWC, Options{NThreads: 4})
 	if !(pl.NCores() < plCore.NCores()) {
 		t.Errorf("POWER cores = %d, CON_CORE_HWC cores = %d", pl.NCores(), plCore.NCores())
 	}
 	// Unavailable on non-Intel platforms.
-	if _, err := New(enriched(t, sim.Opteron()), PowerPolicy, Options{}); err == nil {
+	if _, err := NewFrom(enriched(t, sim.Opteron()), PowerPolicy, Options{}); err == nil {
 		t.Error("POWER must fail without power measurements")
 	}
 }
 
 func TestNoneAndSequential(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
-	pl, err := New(tp, None, Options{NThreads: 5})
+	pl, err := NewFrom(tp, None, Options{NThreads: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestNoneAndSequential(t *testing.T) {
 	if pl.NCores() != 0 || pl.MaxLatency() != 0 {
 		t.Error("None placement should have empty stats")
 	}
-	seq, _ := New(tp, Sequential, Options{})
+	seq, _ := NewFrom(tp, Sequential, Options{})
 	ctxs := seq.Contexts()
 	for i, c := range ctxs {
 		if c != i {
@@ -264,7 +265,7 @@ func TestAllPoliciesAllPlatforms(t *testing.T) {
 				continue
 			}
 			for _, n := range []int{1, 3, p.NumContexts() / 2, 0} {
-				pl, err := New(tp, pol, Options{NThreads: n})
+				pl, err := NewFrom(tp, pol, Options{NThreads: n})
 				if err != nil {
 					t.Fatalf("%s/%v/%d: %v", p.Name, pol, n, err)
 				}
@@ -294,7 +295,7 @@ func TestAllPoliciesAllPlatforms(t *testing.T) {
 
 func TestNSocketsOption(t *testing.T) {
 	tp := enriched(t, sim.Opteron())
-	pl, err := New(tp, ConCoreHWC, Options{NSockets: 2})
+	pl, err := NewFrom(tp, ConCoreHWC, Options{NSockets: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestNSocketsOption(t *testing.T) {
 
 func TestPinUnpin(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
-	pl, _ := New(tp, ConCoreHWC, Options{NThreads: 3})
+	pl, _ := NewFrom(tp, ConCoreHWC, Options{NThreads: 3})
 	a, ok := pl.PinNext()
 	if !ok || a != 0 {
 		t.Fatalf("first pin = %d/%v", a, ok)
@@ -330,7 +331,7 @@ func TestPinUnpin(t *testing.T) {
 
 func TestPinNextConcurrent(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
-	pl, _ := New(tp, ConHWC, Options{NThreads: 40})
+	pl, _ := NewFrom(tp, ConHWC, Options{NThreads: 40})
 	var wg sync.WaitGroup
 	got := make(chan int, 40)
 	for i := 0; i < 40; i++ {
@@ -389,15 +390,15 @@ func TestPoolSwitching(t *testing.T) {
 
 func TestParsePolicy(t *testing.T) {
 	for _, p := range Policies() {
-		got, err := ParsePolicy(p.String())
+		got, err := Resolve(p.String())
 		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
+			t.Errorf("Resolve(%q) = %v, %v", p.String(), got, err)
 		}
 	}
-	if p, err := ParsePolicy("con_hwc"); err != nil || p != ConHWC {
+	if p, err := Resolve("con_hwc"); err != nil || p != ConHWC {
 		t.Errorf("short lowercase parse failed: %v %v", p, err)
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
+	if _, err := Resolve("bogus"); err == nil {
 		t.Error("bogus policy should fail")
 	}
 }

@@ -1,17 +1,15 @@
 // The composable policy layer of MCTOP-PLACE: the 12 builtin policies of
 // Table 2 implement the Orderer interface, combinators wrap any Orderer
-// into a new one, and a process-wide registry lets applications name custom
-// policies so servers (cmd/mctopd) can place with them — the MCTOP-LIB
-// model where mapping strategies are pluggable, not a fixed menu.
+// into a new one, and applications implement Orderer for their own
+// orderings — the MCTOP-LIB model where mapping strategies are pluggable,
+// not a fixed menu. Only the builtins have names a server resolves.
 
 package place
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/mctoperr"
 	"repro/internal/topo"
@@ -21,8 +19,7 @@ import (
 // hands out — slot i is the hardware context the i-th pinned thread runs
 // on (-1 means "leave unpinned"). The 12 builtin Policy values implement
 // it, as do the combinators below and any user type; NewFrom turns an
-// Orderer into a Placement, and registered Orderers are placeable by name
-// through Resolve (and therefore through the registry and mctopd).
+// Orderer into a Placement.
 //
 // Name must uniquely identify the ordering: caches key placements by it.
 type Orderer interface {
@@ -179,77 +176,13 @@ func (r reversePolicy) Order(t *topo.Topology, opt Options) ([]int, error) {
 	return out, nil
 }
 
-// custom is the process-wide registry of named non-builtin policies,
-// keyed by canonical (upper-cased, trimmed) name.
-var (
-	customMu sync.RWMutex
-	custom   = map[string]Orderer{}
-)
-
-func canonicalName(s string) string { return strings.ToUpper(strings.TrimSpace(s)) }
-
-// Register makes a custom policy resolvable by its Name — including
-// through the registry's string-keyed Place and mctopd's ?policy=
-// parameter. Names are case-insensitive; registering an empty name, a
-// name that shadows a builtin policy, or a name already registered wraps
-// ErrInvalid.
-//
-// A name permanently identifies one ordering: caches (the registry)
-// memoize placements by policy name, so re-registering a *different*
-// ordering under a previously used name would be served stale results.
-// Unregister exists to retire a name, not to swap implementations — give
-// a changed policy a new name (or version the name).
-func Register(o Orderer) error {
-	name := canonicalName(o.Name())
-	if name == "" {
-		return fmt.Errorf("%w: policy has empty name", ErrInvalid)
-	}
-	if _, ok := policyByName[name]; ok {
-		return fmt.Errorf("%w: %q shadows a builtin policy", ErrInvalid, name)
-	}
-	customMu.Lock()
-	defer customMu.Unlock()
-	if _, ok := custom[name]; ok {
-		return fmt.Errorf("%w: policy %q already registered", ErrInvalid, name)
-	}
-	custom[name] = o
-	return nil
-}
-
-// Unregister removes a previously registered custom policy (no-op when
-// absent).
-func Unregister(name string) {
-	customMu.Lock()
-	defer customMu.Unlock()
-	delete(custom, canonicalName(name))
-}
-
-// Resolve returns the policy for a name: one of the 12 builtins (with or
-// without the MCTOP_PLACE_ prefix) or a registered custom policy, case-
-// insensitive. Unknown names wrap both ErrInvalid and
-// mctoperr.ErrUnknownPolicy.
-func Resolve(name string) (Orderer, error) {
-	key := canonicalName(name)
-	if p, ok := policyByName[key]; ok {
+// Resolve returns the builtin policy for a name: one of the 12 of Table 2,
+// with or without the MCTOP_PLACE_ prefix, case-insensitive. Unknown names
+// wrap both ErrInvalid and mctoperr.ErrUnknownPolicy. Composed and user
+// policies have no name to resolve: they place by value (NewFrom).
+func Resolve(name string) (Policy, error) {
+	if p, ok := policyByName[strings.ToUpper(strings.TrimSpace(name))]; ok {
 		return p, nil
 	}
-	customMu.RLock()
-	o, ok := custom[key]
-	customMu.RUnlock()
-	if ok {
-		return o, nil
-	}
-	return nil, fmt.Errorf("%w: %w %q", ErrInvalid, mctoperr.ErrUnknownPolicy, name)
-}
-
-// RegisteredNames lists the registered custom policy names, sorted.
-func RegisteredNames() []string {
-	customMu.RLock()
-	defer customMu.RUnlock()
-	out := make([]string, 0, len(custom))
-	for name := range custom {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return None, fmt.Errorf("%w: %w %q", ErrInvalid, mctoperr.ErrUnknownPolicy, name)
 }

@@ -2,6 +2,7 @@ package place
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,9 +29,9 @@ func TestBuiltinOrderMatchesNew(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v.Order: %v", pol, err)
 		}
-		pl, err := New(top, pol, Options{NThreads: 10})
+		pl, err := NewFrom(top, pol, Options{NThreads: 10})
 		if err != nil {
-			t.Fatalf("New(%v): %v", pol, err)
+			t.Fatalf("NewFrom(%v): %v", pol, err)
 		}
 		ctxs := pl.Contexts()
 		if len(order) != len(ctxs) {
@@ -150,8 +151,8 @@ func TestCombinatorErrors(t *testing.T) {
 	}
 }
 
-// evenCtxs is a from-scratch Orderer implementation for the registration
-// tests: every even-numbered context, ascending.
+// evenCtxs is a from-scratch Orderer implementation: every even-numbered
+// context, ascending.
 type evenCtxs struct{}
 
 func (evenCtxs) Name() string { return "EVEN_CTXS" }
@@ -166,63 +167,24 @@ func (evenCtxs) Order(t *topo.Topology, opt Options) ([]int, error) {
 	return out, nil
 }
 
-func TestRegisterResolveUnregister(t *testing.T) {
-	if err := Register(evenCtxs{}); err != nil {
-		t.Fatal(err)
-	}
-	defer Unregister("EVEN_CTXS")
-
-	// Case-insensitive resolution.
-	o, err := Resolve("even_ctxs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Name() != "EVEN_CTXS" {
-		t.Fatalf("resolved %q", o.Name())
-	}
-	found := false
-	for _, n := range RegisteredNames() {
-		if n == "EVEN_CTXS" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("EVEN_CTXS not in RegisteredNames")
-	}
-
-	// Duplicate registration and builtin shadowing are rejected.
-	if err := Register(evenCtxs{}); !errors.Is(err, ErrInvalid) {
-		t.Errorf("duplicate Register: %v, want ErrInvalid", err)
-	}
-	if err := Register(namedOrderer{"RR_CORE"}); !errors.Is(err, ErrInvalid) {
-		t.Errorf("builtin shadow Register: %v, want ErrInvalid", err)
-	}
-	if err := Register(namedOrderer{"  "}); !errors.Is(err, ErrInvalid) {
-		t.Errorf("empty name Register: %v, want ErrInvalid", err)
-	}
-
-	// The placement built from the custom policy behaves.
+// TestNewFromUserOrderer: an application's own Orderer places by value,
+// answers Policy() with Custom and keeps its Name.
+func TestNewFromUserOrderer(t *testing.T) {
 	top := loadPlatform(t, "Ivy")
-	pl, err := NewFrom(top, o, Options{NThreads: 4})
+	pl, err := NewFrom(top, evenCtxs{}, Options{NThreads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []int{0, 2, 4, 6}; len(pl.Contexts()) != 4 {
-		t.Fatalf("contexts %v, want %v", pl.Contexts(), want)
+	if got, want := pl.Contexts(), []int{0, 2, 4, 6}; !slices.Equal(got, want) {
+		t.Fatalf("contexts %v, want %v", got, want)
 	}
-
-	Unregister("EVEN_CTXS")
+	if pl.Policy() != Custom || pl.PolicyName() != "EVEN_CTXS" {
+		t.Errorf("Policy() = %v, PolicyName() = %q, want Custom and EVEN_CTXS", pl.Policy(), pl.PolicyName())
+	}
 	if _, err := Resolve("EVEN_CTXS"); !errors.Is(err, mctoperr.ErrUnknownPolicy) {
-		t.Errorf("after Unregister: %v, want ErrUnknownPolicy", err)
+		t.Errorf("Resolve(EVEN_CTXS) = %v, want ErrUnknownPolicy: only builtins have names", err)
 	}
 }
-
-// namedOrderer is an Orderer with a fixed name and no order, for
-// registration-validation tests.
-type namedOrderer struct{ name string }
-
-func (n namedOrderer) Name() string                                 { return n.name }
-func (n namedOrderer) Order(*topo.Topology, Options) ([]int, error) { return nil, nil }
 
 func TestResolveUnknownWrapsSentinels(t *testing.T) {
 	_, err := Resolve("NOT_A_POLICY")
@@ -231,9 +193,6 @@ func TestResolveUnknownWrapsSentinels(t *testing.T) {
 	}
 	if !errors.Is(err, mctoperr.ErrUnknownPolicy) {
 		t.Errorf("err = %v, want mctoperr.ErrUnknownPolicy", err)
-	}
-	if _, err := ParsePolicy("NOT_A_POLICY"); !errors.Is(err, mctoperr.ErrUnknownPolicy) {
-		t.Errorf("ParsePolicy err = %v, want mctoperr.ErrUnknownPolicy", err)
 	}
 }
 

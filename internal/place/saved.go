@@ -25,7 +25,7 @@ func Reconstruct(t *topo.Topology, policyName string, ctxs []int) (*Placement, e
 		}
 	}
 	policy := Custom
-	if p, err := ParsePolicy(policyName); err == nil {
+	if p, err := Resolve(policyName); err == nil {
 		policy = p
 	}
 	return &Placement{

@@ -1,6 +1,7 @@
 package plugins
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ func inferred(t *testing.T, p *sim.Platform, seed uint64) (*machine.SimMachine, 
 		t.Fatal(err)
 	}
 	o := mctopalg.Options{Reps: 51}
-	res, err := mctopalg.Infer(m, o)
+	res, err := mctopalg.InferContext(context.Background(), m, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,11 +187,10 @@ func TestCancelRace(t *testing.T) {
 // TestSemaphoreAcquireHonorsCancel: a caller queued behind the compute
 // bound gives up when its context fires instead of waiting for a slot.
 func TestSemaphoreAcquireHonorsCancel(t *testing.T) {
-	started := make(chan struct{}, 2)
+	started := make(chan struct{}, computeSlots+1)
 	release := make(chan struct{})
 	r := New(Options{
-		MaxEntries:            16,
-		MaxConcurrentComputes: 1,
+		MaxEntries: 16,
 		InferCtx: func(ctx context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
 			started <- struct{}{}
 			select {
@@ -202,11 +201,13 @@ func TestSemaphoreAcquireHonorsCancel(t *testing.T) {
 			}
 		},
 	})
-	// Occupy the only compute slot with key A.
-	go r.LookupTopologyContext(context.Background(), "A", 1, mctopalg.Options{})
-	<-started
+	// Occupy every compute slot, one key each.
+	for i := 0; i < computeSlots; i++ {
+		go r.LookupTopologyContext(context.Background(), "A", uint64(i), mctopalg.Options{})
+		<-started
+	}
 
-	// A second key must queue on the semaphore; cancel it there.
+	// One more key must queue on the semaphore; cancel it there.
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
@@ -222,6 +223,9 @@ func TestSemaphoreAcquireHonorsCancel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("queued caller did not honor cancellation")
+	}
+	if len(started) != 0 {
+		t.Error("the queued caller's inference started although every slot was taken")
 	}
 	close(release)
 }

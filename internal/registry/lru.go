@@ -88,14 +88,6 @@ func (l *LRU) Len() int {
 	return l.order.Len()
 }
 
-// Purge implements Store.
-func (l *LRU) Purge() {
-	l.mu.Lock()
-	l.entries = make(map[string]*list.Element)
-	l.order = list.New()
-	l.mu.Unlock()
-}
-
 // Stats implements Store. The per-kind breakdown walks the list — Stats is
 // an observability call, not a hot path.
 func (l *LRU) Stats() []StoreStats {

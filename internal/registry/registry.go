@@ -58,13 +58,6 @@ type Options struct {
 	// LRU store (topologies, placements and mappings each count as one
 	// entry). Default 256.
 	MaxEntries int
-	// MaxConcurrentComputes bounds how many cache misses may compute at
-	// once across the whole registry; further misses queue. One inference
-	// already fans out over GOMAXPROCS workers, so running many
-	// concurrently only oversubscribes the CPU — and without a bound a
-	// client sweeping distinct seeds can saturate a serving daemon
-	// indefinitely. Default 2; < 0 means unlimited.
-	MaxConcurrentComputes int
 	// MapFn computes a task-graph mapping on a cache miss. Nil defaults to
 	// taskmap.Map; the daemon wraps the default for fault injection, tests
 	// substitute counting implementations.
@@ -90,7 +83,7 @@ type Registry struct {
 	mapFn    MapFunc
 	store    *Tiered
 	flights  [flightStripes]flightShard
-	computes chan struct{} // semaphore over concurrent inferences; nil = unlimited
+	computes chan struct{} // semaphore over concurrent inferences, computeSlots wide
 
 	hits     atomic.Int64
 	misses   atomic.Int64
@@ -134,21 +127,23 @@ func New(opt Options) *Registry {
 		opt.MapFn = taskmap.Map
 	}
 	r := &Registry{
-		infer: opt.InferCtx,
-		mapFn: opt.MapFn,
-		store: store,
+		infer:    opt.InferCtx,
+		mapFn:    opt.MapFn,
+		store:    store,
+		computes: make(chan struct{}, computeSlots),
 	}
 	for i := range r.flights {
 		r.flights[i].inflight = make(map[string]*call)
 	}
-	if opt.MaxConcurrentComputes == 0 {
-		opt.MaxConcurrentComputes = 2
-	}
-	if opt.MaxConcurrentComputes > 0 {
-		r.computes = make(chan struct{}, opt.MaxConcurrentComputes)
-	}
 	return r
 }
+
+// computeSlots bounds how many cache misses may infer at once across the
+// whole registry; further misses queue. One inference already fans out
+// over GOMAXPROCS workers, so running many concurrently only
+// oversubscribes the CPU — and without a bound a client sweeping distinct
+// seeds can saturate a serving daemon indefinitely.
+const computeSlots = 2
 
 // flightStripes is the number of lock stripes of the singleflight table. A
 // stripe's lock is held across the chain re-check, which can reach the
@@ -381,15 +376,13 @@ func (r *Registry) LookupTopologyContext(ctx context.Context, platform string, s
 		// placement misses exhaust the slots and deadlock on their
 		// nested inferences. The acquire honors cancellation so a queued
 		// caller can give up before its inference starts.
-		if r.computes != nil {
-			select {
-			case r.computes <- struct{}{}:
-				isp.AddEvent("semaphore.acquired")
-				defer func() { <-r.computes }()
-			case <-ctx.Done():
-				isp.SetError(ctx.Err())
-				return nil, ctx.Err()
-			}
+		select {
+		case r.computes <- struct{}{}:
+			isp.AddEvent("semaphore.acquired")
+			defer func() { <-r.computes }()
+		case <-ctx.Done():
+			isp.SetError(ctx.Err())
+			return nil, ctx.Err()
 		}
 		start := r.begin(KindTopology)
 		t, err := r.infer(ctx, platform, seed, opt)
@@ -407,9 +400,9 @@ func (r *Registry) LookupTopologyContext(ctx context.Context, platform string, s
 // appends for the same reason TopoKey is: one of these is assembled per
 // placement request on the serving hot path. The policy is identified by
 // its Name — builtins keep the MCTOP_PLACE_* names they always had, so
-// existing cache keys are unchanged; composed and registered policies key
-// by their composed/registered name (Orderer's contract: the name uniquely
-// identifies the ordering).
+// existing cache keys are unchanged; composed and user policies key by
+// their own name (Orderer's contract: the name uniquely identifies the
+// ordering).
 func placeKey(tk string, pol place.Orderer, nThreads int) string {
 	b := make([]byte, 0, len(tk)+32)
 	b = append(b, placePrefix...)
@@ -422,8 +415,8 @@ func placeKey(tk string, pol place.Orderer, nThreads int) string {
 }
 
 // PlaceContext returns the memoized placement of nThreads threads under
-// the named policy (builtin or registered, as accepted by place.Resolve) on
-// the memoized topology for (platform, seed, opt), with
+// the named builtin policy (any name place.Resolve accepts) on the
+// memoized topology for (platform, seed, opt), with
 // LookupTopologyContext's cancellation semantics. The placement is shared
 // between callers: treat it as read-only (Contexts, String, the Figure 7
 // accessors) — the PinNext cursor is global to all users of the registry.
@@ -437,8 +430,8 @@ func (r *Registry) PlaceContext(ctx context.Context, platform string, seed uint6
 
 // PlaceWithContext places with a typed policy — a builtin place.Policy, a
 // combinator chain, or any Orderer — against the memoized topology,
-// memoizing the placement under the policy's Name. This is how callers use
-// composed policies that are not registered under a name.
+// memoizing the placement under the policy's Name. This is how callers
+// place composed and user policies, which have no name to resolve.
 func (r *Registry) PlaceWithContext(ctx context.Context, platform string, seed uint64, opt mctopalg.Options, pol place.Orderer, nThreads int) (*place.Placement, error) {
 	if pol == nil {
 		return nil, fmt.Errorf("%w: nil policy", place.ErrInvalid)
@@ -555,21 +548,9 @@ func (r *Registry) Stats() Stats {
 	}
 }
 
-// Len returns the number of entries resident in the store's fastest tier.
-func (r *Registry) Len() int {
-	return r.store.Len()
-}
-
 // Store returns the registry's tier chain, for tools that read or seed
 // entries outside any request (Tiered.Get, Put).
 func (r *Registry) Store() *Tiered { return r.store }
-
-// Purge drops every cached entry from every tier — a persistent tier's
-// files included (in-flight computations are unaffected and will
-// re-populate the cache when they finish).
-func (r *Registry) Purge() {
-	r.store.Purge()
-}
 
 // Flush blocks until every tier with buffered writes has persisted them —
 // what a daemon calls on SIGTERM so a restart warm-starts from a complete

@@ -32,7 +32,7 @@ func realInfer(_ context.Context, platform string, seed uint64, opt mctopalg.Opt
 	if err != nil {
 		return nil, err
 	}
-	res, err := mctopalg.Infer(m, opt)
+	res, err := mctopalg.InferContext(context.Background(), m, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ func TestConcurrentMixedReadersWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				seed := uint64((g + i) % 8)
-				switch i % 4 {
+				switch i % 3 {
 				case 0:
 					if _, _, err := r.LookupTopologyContext(bg, "Ivy", seed, opt); err != nil {
 						t.Error(err)
@@ -117,12 +117,6 @@ func TestConcurrentMixedReadersWriters(t *testing.T) {
 					}
 				case 2:
 					r.Stats()
-				case 3:
-					if i%20 == 3 {
-						r.Purge()
-					} else if _, _, err := r.LookupTopologyContext(bg, "Ivy", seed, opt); err != nil {
-						t.Error(err)
-					}
 				}
 			}
 		}()
@@ -132,7 +126,7 @@ func TestConcurrentMixedReadersWriters(t *testing.T) {
 
 func TestComputeConcurrencyBound(t *testing.T) {
 	var cur, max atomic.Int64
-	r := New(Options{MaxConcurrentComputes: 2,
+	r := New(Options{
 		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 			c := cur.Add(1)
 			for {
@@ -159,8 +153,8 @@ func TestComputeConcurrencyBound(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m := max.Load(); m > 2 {
-		t.Fatalf("observed %d concurrent inferences, bound is 2", m)
+	if m := max.Load(); m > computeSlots {
+		t.Fatalf("observed %d concurrent inferences, bound is %d", m, computeSlots)
 	}
 	// Placement misses must not consume compute slots (their nested
 	// topology computes do) — otherwise two placement misses could
@@ -194,7 +188,7 @@ func TestLRUBoundAndEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := r.Len(); n != 4 {
+	if n := r.Stats().Entries; n != 4 {
 		t.Fatalf("entries = %d, want the MaxEntries bound of 4", n)
 	}
 	if ev := r.Stats().Evictions; ev != 4 {

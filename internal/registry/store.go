@@ -122,8 +122,6 @@ type Store interface {
 	Put(kind Kind, key string, val any)
 	// Len returns the number of entries resident in this store.
 	Len() int
-	// Purge drops every entry (for persistent tiers: from disk too).
-	Purge()
 	// Stats snapshots the store's counters, one element per tier.
 	Stats() []StoreStats
 	// Flush blocks until every accepted Put is durable; tiers without
@@ -276,15 +274,6 @@ func (t *Tiered) Put(kind Kind, key string, val any) {
 // Len implements Store: the entry count of the fastest tier (what is
 // servable without tier promotion); per-tier counts are in Stats.
 func (t *Tiered) Len() int { return t.tiers[0].Len() }
-
-// Purge implements Store: purges every tier — including persistent ones,
-// whose files are removed. Callers that only want to drop the memory tier
-// purge it directly.
-func (t *Tiered) Purge() {
-	for _, s := range t.tiers {
-		s.Purge()
-	}
-}
 
 // Stats implements Store: the concatenated per-tier snapshots, fastest
 // tier first.

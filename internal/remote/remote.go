@@ -437,17 +437,6 @@ func (r *Remote) Put(kind registry.Kind, key string, val any) {}
 // Len implements registry.Store: a remote tier holds nothing locally.
 func (r *Remote) Len() int { return 0 }
 
-// Purge implements registry.Store: drop the negative caches and the
-// origin backoff, so the next Lookup probes the origin again.
-func (r *Remote) Purge() {
-	r.mu.Lock()
-	r.neg = make(map[string]time.Time)
-	r.down = time.Time{}
-	r.fails = 0
-	r.mu.Unlock()
-	r.topos.Forget("")
-}
-
 // Stats implements registry.Store.
 func (r *Remote) Stats() []registry.StoreStats {
 	st := registry.StoreStats{Tier: "remote", Errors: r.errors.Load()}

@@ -38,7 +38,7 @@ var testTopo = sync.OnceValue(func() *topo.Topology {
 	if err != nil {
 		panic(err)
 	}
-	res, err := mctopalg.Infer(m, mctopalg.Options{Reps: 51})
+	res, err := mctopalg.InferContext(context.Background(), m, mctopalg.Options{Reps: 51})
 	if err != nil {
 		panic(err)
 	}

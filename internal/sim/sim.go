@@ -321,26 +321,6 @@ func (t *Thread) MemRandomAccess(node, n int) int64 {
 	return total
 }
 
-// MemSequentialSweep streams the given number of bytes from a node (the
-// memory-bandwidth plugin's access pattern) and returns the consumed
-// cycles.
-func (t *Thread) MemSequentialSweep(node int, bytes int64) int64 {
-	if node < 0 || node >= t.s.p.NumNodes() {
-		panic(fmt.Sprintf("sim: node %d out of range", node))
-	}
-	p := t.s.p
-	sock := t.s.p.tab.socketOf[t.ctx]
-	bw := p.MemBW[sock][node]
-	if p.CoreStreamBW > 0 && p.CoreStreamBW < bw {
-		bw = p.CoreStreamBW // one core cannot saturate the node
-	}
-	cycles := int64(float64(bytes) * p.FreqMaxGHz / bw)
-	cycles = t.s.scale(cycles, t.core)
-	t.now += cycles
-	t.s.burn(t.core, cycles)
-	return cycles
-}
-
 // CacheWorkingSetLoads performs n dependent loads over a working set of the
 // given size, returning the consumed cycles. The per-load latency steps
 // through L1/L2/LLC/memory as the working set outgrows each level — the

@@ -303,13 +303,9 @@ func (m *TopoMemo) drop(key string) {
 	m.mu.Unlock()
 }
 
-// Forget drops key's entry ("" drops every entry).
+// Forget drops key's entry.
 func (m *TopoMemo) Forget(key string) {
 	m.mu.Lock()
-	if key == "" {
-		clear(m.m)
-	} else {
-		delete(m.m, key)
-	}
+	delete(m.m, key)
 	m.mu.Unlock()
 }

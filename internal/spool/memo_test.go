@@ -1,8 +1,8 @@
 package spool
 
 // TopoMemo tests: a sidecar shares its tier's live decoded topology, the
-// memo never keeps one alive, and quarantine, eviction and Purge forget
-// exactly the keys they drop.
+// memo never keeps one alive, and quarantine and eviction forget exactly
+// the keys they drop.
 
 import (
 	"bytes"
@@ -212,7 +212,7 @@ func TestTopoMemoRetainsNothing(t *testing.T) {
 	}
 }
 
-// TestMemoForgetsExactlyItsKeys: quarantine, spool eviction and Purge drop
+// TestMemoForgetsExactlyItsKeys: quarantine and spool eviction drop
 // exactly the memo entries of the keys they remove — even while the
 // topology is still alive elsewhere — and leave every other entry serving.
 func TestMemoForgetsExactlyItsKeys(t *testing.T) {
@@ -265,17 +265,6 @@ func TestMemoForgetsExactlyItsKeys(t *testing.T) {
 			t.Fatal("evicting A dropped B's memo entry")
 		}
 		runtime.KeepAlive(a)
-	})
-	t.Run("purge", func(t *testing.T) {
-		dir, sets := writeMemoSpool(t)
-		s := reopen(t, dir)
-		a := loadTopology(t, s, sets[0].key)
-		b := loadTopology(t, s, sets[1].key)
-		s.Purge()
-		if s.topos.Get(sets[0].key) != nil || s.topos.Get(sets[1].key) != nil || memoLen(&s.topos) != 0 {
-			t.Fatal("Purge left memo entries behind")
-		}
-		runtime.KeepAlive([]*topo.Topology{a, b})
 	})
 }
 

@@ -55,8 +55,8 @@ const (
 	writeBacklog = 64
 	// quarantineDir, under the spool directory, receives undecodable
 	// files. It is excluded from the startup scan (scan skips
-	// directories) and from the size/age bounds; Purge leaves it alone —
-	// quarantined files are corruption evidence, removed by operators.
+	// directories) and from the size/age bounds — quarantined files are
+	// corruption evidence, removed by operators.
 	quarantineDir = "quarantine"
 )
 
@@ -519,23 +519,6 @@ func (s *Spool) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
-}
-
-// Purge implements registry.Store: flush pending writes, then remove every
-// spool file. (Registry.Purge on a tiered store purges the disk tier too —
-// callers that only want to drop memory purge the LRU tier directly.)
-func (s *Spool) Purge() {
-	s.Flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for key, kind := range s.entries {
-		if err := os.Remove(filepath.Join(s.dir, fileName(key, kind))); err != nil {
-			s.logf("purging %q: %v", key, err)
-			s.errors.Add(1)
-		}
-	}
-	s.entries = make(map[string]registry.Kind)
-	s.topos.Forget("")
 }
 
 // Stats implements registry.Store.

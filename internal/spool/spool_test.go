@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,7 +29,7 @@ var testTopo = sync.OnceValue(func() *topo.Topology {
 	if err != nil {
 		panic(err)
 	}
-	res, err := mctopalg.Infer(m, mctopalg.Options{Reps: 51})
+	res, err := mctopalg.InferContext(context.Background(), m, mctopalg.Options{Reps: 51})
 	if err != nil {
 		panic(err)
 	}
@@ -245,7 +244,7 @@ func TestTieredWarmStart(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := mctopalg.Infer(m, o)
+		res, err := mctopalg.InferContext(context.Background(), m, o)
 		if err != nil {
 			return nil, err
 		}
@@ -360,25 +359,6 @@ func TestSpoolConcurrent(t *testing.T) {
 	s.Put(registry.KindTopology, "late", registry.NewEntry(registry.KindTopology, "late", top))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPurgeRemovesFiles(t *testing.T) {
-	s := newTestSpool(t)
-	key := registry.TopoKey("Ivy", 1, mctopalg.Options{Reps: 51})
-	s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, testTopo()))
-	s.Purge()
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after purge", s.Len())
-	}
-	des, err := os.ReadDir(s.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range des {
-		if strings.HasSuffix(de.Name(), registry.KindTopology.Ext()) || strings.HasSuffix(de.Name(), registry.KindPlacement.Ext()) {
-			t.Fatalf("purge left %s behind", de.Name())
-		}
 	}
 }
 

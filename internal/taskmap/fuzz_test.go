@@ -21,8 +21,8 @@ import (
 //     context count; repeats are dropped), so subsets split sockets;
 //   - the refine budget: the next byte times 4 (0–1020).
 //
-// The edges come in (From, To) order.
-func mapInput(data []byte, nCtx int) (*graph.TaskDAG, Options) {
+// The edges come in (From, To) order. The bytes left over are returned.
+func mapInput(data []byte, nCtx int) (*graph.TaskDAG, Options, []byte) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -60,7 +60,7 @@ func mapInput(data []byte, nCtx int) (*graph.TaskDAG, Options) {
 		}
 	}
 	opt.RefineBudget = 4 * next()
-	return d, opt
+	return d, opt, data
 }
 
 // FuzzMapMatchesReference: on Ivy and an inferred 128-context circulant,
@@ -79,7 +79,7 @@ func FuzzMapMatchesReference(f *testing.F) {
 			return
 		}
 		top := tops[int(data[0])%len(tops)]
-		d, opt := mapInput(data[1:], top.NumHWContexts())
+		d, opt, _ := mapInput(data[1:], top.NumHWContexts())
 		ctx := context.Background()
 		got, err := Map(ctx, top, d, opt)
 		if err != nil {
@@ -94,5 +94,49 @@ func FuzzMapMatchesReference(f *testing.F) {
 				top.Name(), len(d.Nodes), len(d.Edges), opt.Ctxs, opt.RefineBudget,
 				got.Cost(), got.Assignment(), want.Cost(), want.Assignment())
 		}
+	})
+}
+
+// FuzzRefineMatchesReference: refine climbs from any incumbent to exactly
+// the pre-change climb's assignment and cost (refRefine). The first byte
+// picks the topology as in FuzzMapMatchesReference, mapInput reads the
+// DAG, candidates and budget, and one byte per task after them picks its
+// incumbent context among the candidates (modulo their count). Map only
+// ever starts refine from greedy's answer; a fuzzed incumbent leaves many
+// moves and swaps to accept over several rounds, which is where a stale
+// memo of rejected twins shows. Its named seeds are in
+// testdata/fuzz/FuzzRefineMatchesReference:
+//
+//   - ivy-stale-twin is TestRefineMatchesReference's instance of that
+//     name; a memo kept across an accepted move ends at cost 5, not 3.
+//   - ivy-stale-after-swap is that test's ivy-stale-after-swap DAG with
+//     its tasks renumbered in a topological order (mapInput only makes
+//     edges i→j with i < j), at budget 40; a memo kept across an accepted
+//     swap ends at a different assignment of the same cost.
+func FuzzRefineMatchesReference(f *testing.F) {
+	p, err := sim.ByName("gen:circulant:s16:c4:t2")
+	if err != nil {
+		f.Fatal(err)
+	}
+	tops := []*topo.Topology{loadGolden(f, "ivy.mctop"), enriched(f, p)}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		top := tops[int(data[0])%len(tops)]
+		d, opt, rest := mapInput(data[1:], top.NumHWContexts())
+		ctxs, err := candidates(top, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make([]int, len(d.Nodes))
+		for v := range start {
+			var b int
+			if v < len(rest) {
+				b = int(rest[v])
+			}
+			start[v] = ctxs[b%len(ctxs)]
+		}
+		checkRefine(t, top.Name(), top, d, ctxs, start, opt.RefineBudget)
 	})
 }

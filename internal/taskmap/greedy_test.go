@@ -202,7 +202,6 @@ func TestRefineMatchesReference(t *testing.T) {
 		ctxs := randomCtxs(rng, top.NumHWContexts())
 		cases = append(cases, instance{name: fmt.Sprintf("small-%d", trial), top: top, d: d, ctxs: ctxs[:min(len(ctxs), 6)], budget: 1 + rng.Intn(400)})
 	}
-	ctx := context.Background()
 	for _, c := range cases {
 		ctxs, err := candidates(c.top, Options{Ctxs: c.ctxs})
 		if err != nil {
@@ -215,26 +214,34 @@ func TestRefineMatchesReference(t *testing.T) {
 				start[v] = ctxs[rng.Intn(len(ctxs))]
 			}
 		}
-		s, err := newSim(c.top, c.d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := refNewSim(c.top, c.d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs := groupBySocket(c.top, ctxs)
-		got, gotCost, err := refine(ctx, s, &cs, start, s.cost(start, math.MaxInt64), c.budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantCost, err := refRefine(ctx, rs, ctxs, start, rs.cost(start), c.budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotCost != wantCost || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s (%d nodes, %d edges, %d candidates, budget %d, from %v):\n got cost %d %v\nwant cost %d %v",
-				c.name, len(c.d.Nodes), len(c.d.Edges), len(ctxs), c.budget, start, gotCost, got, wantCost, want)
-		}
+		checkRefine(t, c.name, c.top, c.d, ctxs, start, c.budget)
+	}
+}
+
+// checkRefine fails t unless refine and the pre-change climb refRefine
+// reach the same assignment and cost from start.
+func checkRefine(t testing.TB, name string, top *topo.Topology, d *graph.TaskDAG, ctxs, start []int, budget int) {
+	t.Helper()
+	s, err := newSim(top, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := refNewSim(top, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := groupBySocket(top, ctxs)
+	ctx := context.Background()
+	got, gotCost, err := refine(ctx, s, &cs, start, s.cost(start, math.MaxInt64), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantCost, err := refRefine(ctx, rs, ctxs, start, rs.cost(start), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotCost != wantCost || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s (%d nodes, %d edges, candidates %v, budget %d, from %v):\n got cost %d %v\nwant cost %d %v",
+			name, len(d.Nodes), len(d.Edges), ctxs, budget, start, gotCost, got, wantCost, want)
 	}
 }

@@ -29,7 +29,7 @@ func TestBeatsPlacePoliciesOnCommBoundDAG(t *testing.T) {
 
 	compared := 0
 	for _, pol := range place.Policies() {
-		pl, err := place.New(tp, pol, place.Options{NThreads: len(d.Nodes)})
+		pl, err := place.NewFrom(tp, pol, place.Options{NThreads: len(d.Nodes)})
 		if err != nil {
 			// Policies that cannot produce this thread count are not
 			// placement competitors.

@@ -34,7 +34,7 @@ func enriched(t testing.TB, p *sim.Platform) *topo.Topology {
 		t.Fatal(err)
 	}
 	o := mctopalg.Options{Reps: 51}
-	res, err := mctopalg.Infer(m, o)
+	res, err := mctopalg.InferContext(context.Background(), m, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func benchTopo(b *testing.B) *topo.Topology {
 		b.Fatal(err)
 	}
 	o := mctopalg.Options{Reps: 51}
-	res, err := mctopalg.Infer(m, o)
+	res, err := mctopalg.InferContext(context.Background(), m, o)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package topo_test
 // never results.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -50,7 +51,7 @@ var oracleTopologies = sync.OnceValues(func() ([]oracleTopology, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := mctopalg.Infer(m, mctopalg.Options{Reps: 21})
+		res, err := mctopalg.InferContext(context.Background(), m, mctopalg.Options{Reps: 21})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", platform, err)
 		}

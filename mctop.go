@@ -17,9 +17,10 @@
 //     the O(N²) measurement phase.
 //   - Policy — the composable placement-policy interface. The 12 builtin
 //     policies of Table 2 (ConHWC, RRCore, …) implement it; combinators
-//     (Limit, OnSockets, Reverse) wrap any Policy into a new one; custom
-//     policies register by name (RegisterPolicy) and are then placeable
-//     through the Registry and mctopd like builtins.
+//     (Limit, OnSockets, Reverse) wrap any Policy into a new one, and an
+//     application's own Policy places by value (NewAlloc,
+//     Registry.PlaceWithContext). Only the builtins resolve by name
+//     (ResolvePolicy, mctopd's ?policy=).
 //   - Alloc — the mctop_alloc mirror: a topology-aware thread allocator
 //     applications hold, offering Pin/Unpin per thread id and the
 //     Figure 7 report.
@@ -137,10 +138,6 @@ func PolicyNames() []string {
 	}
 	return out
 }
-
-// RegisteredPolicyNames lists the names of the registered custom policies,
-// sorted.
-func RegisteredPolicyNames() []string { return place.RegisteredNames() }
 
 // Validate cross-checks a topology against an OS view (Section 3.6) and
 // returns human-readable divergences; empty means agreement.
@@ -290,8 +287,8 @@ func NewTieredStore(tiers ...Store) Store {
 }
 
 // NewRegistry creates a topology registry bounded to maxEntries cached
-// values (topologies and placements each count as one; <= 0 uses the
-// default of 256). Misses run the full simulate → infer → enrich pipeline
+// values (topologies, placements and mappings each count as one; <= 0 uses
+// the default of 256). Misses run the full simulate → infer → enrich pipeline
 // under the caller's context. Options add storage tiers, composing the
 // chain LRU → spool → remote (each optional tier only if requested):
 // WithSpoolDir persists the cache as description files so a restart
@@ -336,14 +333,4 @@ func NewRegistry(maxEntries int, opts ...RegistryOption) *Registry {
 		InferCtx:   infer,
 		MapFn:      mapFn,
 	})
-}
-
-// MustInfer is Infer for examples and tests that cannot proceed without a
-// topology.
-func MustInfer(name string, seed uint64) *Topology {
-	t, err := Infer(context.Background(), name, seed)
-	if err != nil {
-		panic(fmt.Sprintf("mctop: inferring %s: %v", name, err))
-	}
-	return t
 }

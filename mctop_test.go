@@ -84,7 +84,10 @@ func TestInferUnknownPlatform(t *testing.T) {
 }
 
 func TestValidateFacade(t *testing.T) {
-	top := MustInfer("Ivy", 7)
+	top, err := Infer(context.Background(), "Ivy", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	coreOf := make([]int, 40)
 	sockOf := make([]int, 40)
 	for c := 0; c < 40; c++ {

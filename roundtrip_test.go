@@ -131,8 +131,8 @@ func checkAllPlacements(t *testing.T, orig, rt *Topology) {
 	t.Helper()
 	for _, pol := range place.Policies() {
 		for _, threads := range []int{0, 7} {
-			plA, errA := place.New(orig, pol, place.Options{NThreads: threads})
-			plB, errB := place.New(rt, pol, place.Options{NThreads: threads})
+			plA, errA := place.NewFrom(orig, pol, place.Options{NThreads: threads})
+			plB, errB := place.NewFrom(rt, pol, place.Options{NThreads: threads})
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("%v/%d: error mismatch: %v vs %v", pol, threads, errA, errB)
 			}
