@@ -2,6 +2,8 @@ package topo
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -100,6 +102,36 @@ func TestIndexMemoryIsLinear(t *testing.T) {
 		}
 		if got, want := top.Occupancy(all).MaxLatency(), top.maxLatencyScan(); got != want {
 			t.Errorf("%d sockets: full-machine Occupancy.MaxLatency = %d, scan = %d", s, got, want)
+		}
+	}
+}
+
+// TestFromSpecAllocs pins what one FromSpec build allocates on each decoded
+// golden fixture and on a 64-socket synthetic spec, so a structure no query
+// reads cannot creep back into the build.
+func TestFromSpecAllocs(t *testing.T) {
+	specs := map[string]Spec{"tree-s64": treeSpec("tree-s64", 64, 4, 2, nil)}
+	for _, name := range []string{"ivy", "westmere", "haswell", "opteron", "sparc"} {
+		f, err := os.Open(filepath.Join("testdata", name+".mctop"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := Decode(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[name] = *spec
+	}
+	want := map[string]float64{"ivy": 176, "westmere": 712, "haswell": 395, "opteron": 314, "sparc": 554, "tree-s64": 6745}
+	for name, spec := range specs {
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := FromSpec(spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want[name] {
+			t.Errorf("%s: FromSpec allocates %v times, want %v", name, got, want[name])
 		}
 	}
 }
