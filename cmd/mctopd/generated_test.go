@@ -70,11 +70,28 @@ func TestTopologyGeneratedErrors(t *testing.T) {
 		{"/v1/topology?platform=gen:ring:c2:t1", 400},     // missing field
 		{"/v1/topology?platform=NoSuchMachine", 404},      // not a gen: spec
 		{"/v1/topology?platform=Ivy&seed=1&sampling=maybe", 400},
+		{"/v1/topology?platform=gen:ring:s-2:c2:t1", 400},               // negative sockets
+		{"/v1/topology?platform=gen:mesh:s4:c2:t1:g1", 400},             // generators on a mesh
+		{"/v1/topology?platform=gen:ring:s4:c2:t1:g1", 400},             // generators on a ring
+		{"/v1/topology?platform=gen:circulant:s8:c2:t1:g0", 400},        // generator below 1
+		{"/v1/topology?platform=gen:circulant:s8:c2:t1:g5", 400},        // generator above Sockets/2
+		{"/v1/topology?platform=gen:circulant:s8:c2:t1:g2", 400},        // disconnected: gcd 2
+		{"/v1/place?platform=gen:circulant:s9:c2:t1:g3&threads=2", 400}, // disconnected: gcd 3
 	} {
 		resp, body := get(t, ts, tc.path)
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d (%s), want %d", tc.path, resp.StatusCode, body, tc.want)
 		}
+	}
+
+	// Over the generator's cap is a 400 too where no -max-contexts bound
+	// refuses it first (413 under the default, TestDefaultMaxContexts…).
+	s := testServer()
+	s.maxContexts = 0
+	unbounded := httptest.NewServer(s.routes())
+	defer unbounded.Close()
+	if resp, body := get(t, unbounded, "/v1/topology?platform=gen:mesh:s1025:c1024:t1"); resp.StatusCode != 400 {
+		t.Errorf("over the generator cap: status %d (%s), want 400", resp.StatusCode, body)
 	}
 }
 

@@ -713,32 +713,28 @@ func (s *server) validatePlatform(platform string) error {
 	if platform == "" {
 		return fmt.Errorf("%w: missing platform (one of: %s; or a gen: spec)", mctoperr.ErrInvalidRequest, strings.Join(mctop.Platforms(), ", "))
 	}
-	// A gen: spec is sized from its parsed dimensions before Generate
-	// runs: generating (let alone inferring) an over-bound platform is the
-	// very allocation the bound exists to refuse.
+	// A gen: name is sized and validated from its parsed spec alone, the
+	// size first: generating (let alone inferring) an over-bound platform
+	// is the very allocation the bound exists to refuse, and ParseGenName
+	// accepts exactly the specs Generate builds. A malformed name parses
+	// to the zero spec, which no bound refuses.
 	if strings.HasPrefix(platform, sim.GenPrefix) {
-		spec, err := sim.ParseGenName(platform)
-		if err != nil {
-			return err
-		}
+		spec, parseErr := sim.ParseGenName(platform)
 		if err := s.checkContexts(platform, spec.NumContexts()); err != nil {
 			return err
 		}
-	} else if n, ok := goldenContexts[platform]; ok {
+		return parseErr
+	}
+	if n, ok := goldenContexts[platform]; ok {
 		return s.checkContexts(platform, n)
 	}
-	p, err := sim.ByName(platform)
-	if err != nil {
-		return err
-	}
-	return s.checkContexts(platform, p.NumContexts())
+	_, err := sim.ByName(platform) // neither golden nor gen: the unknown-platform error
+	return err
 }
 
 // goldenContexts is each golden platform's context count, built once:
 // validatePlatform sizes a golden name from it instead of building the
-// whole platform per request. A gen: name still goes through sim.ByName
-// after its size check, since Generate refuses some specs ParseGenName
-// accepts (a generator list on a mesh, an over-cap size).
+// whole platform per request, as it sizes a gen: name from its spec.
 var goldenContexts = func() map[string]int {
 	m := make(map[string]int)
 	for _, p := range sim.Platforms() {

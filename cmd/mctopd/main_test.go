@@ -23,16 +23,22 @@ func testServer() *server {
 
 // TestValidatePlatformAllocs: validating a golden platform name, as every
 // warm /v1/place request does, allocates nothing and builds no platform;
-// the answer is still the context bound's.
+// a gen: name only parses, so it allocates a few times whatever its socket
+// count (a build of the 1024-socket ring allocates 6,161 times). The answer
+// is still the context bound's.
 func TestValidatePlatformAllocs(t *testing.T) {
 	s := testServer()
+	bound := map[string]float64{"gen:mesh:s64:c16:t2": 5, "gen:ring:s1024:c1:t2": 5}
 	for _, name := range mctop.Platforms() {
+		bound[name] = 0
+	}
+	for name, most := range bound {
 		if got := testing.AllocsPerRun(100, func() {
 			if err := s.validatePlatform(name); err != nil {
 				t.Fatal(err)
 			}
-		}); got != 0 {
-			t.Errorf("validatePlatform(%q) allocates %v, want 0", name, got)
+		}); got > most {
+			t.Errorf("validatePlatform(%q) allocates %v, want at most %v", name, got, most)
 		}
 	}
 	s.maxContexts = 100

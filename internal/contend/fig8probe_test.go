@@ -2,6 +2,7 @@ package contend
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/locks"
@@ -13,10 +14,8 @@ func TestProbeFig8(t *testing.T) {
 		t.Skip()
 	}
 	for _, p := range []*sim.Platform{sim.Ivy(), sim.Opteron(), sim.SPARC()} {
-		q := p.TwoHopLat
-		if q == 0 {
-			q = p.Links[0].Lat
-		}
+		// The quantum is socket 0's latency to its farthest socket.
+		q := slices.Max(p.SocketLatMatrix[0])
 		for _, alg := range locks.Algorithms() {
 			line := fmt.Sprintf("%-9s %-7s:", p.Name, alg)
 			var sum float64

@@ -104,7 +104,7 @@ func TestLatencySensitivity(t *testing.T) {
 	}
 	fast := sim.Ivy()
 	slow := sim.Ivy()
-	slow.Links[0].Lat = 900
+	slow.SocketLatMatrix[0][1], slow.SocketLatMatrix[1][0] = 900, 900
 	if mk(slow) >= mk(fast) {
 		t.Error("slower interconnect did not reduce contended throughput")
 	}

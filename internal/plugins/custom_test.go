@@ -1,6 +1,7 @@
 package plugins
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/machine"
@@ -10,22 +11,25 @@ import (
 
 // interconnectHopPlugin is a user-written plugin, demonstrating the
 // extension point the paper advertises ("developers can write their own
-// plugins to further enrich MCTOP"): it derives per-hop interconnect
-// latencies from the already-inferred socket matrix and records the
-// slowest direct link in the spec's cross-level names.
+// plugins to further enrich MCTOP"): from the already-inferred socket
+// matrix and latency levels it finds the slowest socket pair of the lowest
+// cross level.
 type interconnectHopPlugin struct {
-	worstDirect int64 // written by Run for the test to inspect
+	worstLowest int64 // written by Run for the test to inspect
 }
 
 func (p *interconnectHopPlugin) Name() string { return "interconnect-hops" }
 
 func (p *interconnectHopPlugin) Run(m machine.Machine, t *topo.Topology, spec *topo.Spec) error {
+	i := slices.IndexFunc(t.Levels(), func(l topo.Level) bool { return l.Kind == topo.LevelCross })
+	if i < 0 {
+		return nil
+	}
+	lowest := t.Levels()[i]
 	for a := 0; a < t.NumSockets(); a++ {
 		for b := a + 1; b < t.NumSockets(); b++ {
-			for _, ic := range t.Socket(a).Interconnects {
-				if ic.To.ID == b && ic.Hops == 1 && ic.Latency > p.worstDirect {
-					p.worstDirect = ic.Latency
-				}
+			if l := t.SocketLatency(a, b); l >= lowest.Min && l <= lowest.Max && l > p.worstLowest {
+				p.worstLowest = l
 			}
 		}
 	}
@@ -39,10 +43,10 @@ func TestCustomPluginRuns(t *testing.T) {
 	if _, err := Enrich(m, base, []Plugin{custom}); err != nil {
 		t.Fatal(err)
 	}
-	// Hops counts cross-level rank: rank-1 links on the Opteron are the
-	// ~197-cycle MCM-sibling links.
-	if custom.worstDirect < 190 || custom.worstDirect > 204 {
-		t.Errorf("worst rank-1 link = %d, want ~197", custom.worstDirect)
+	// The lowest cross level on the Opteron is the ~197-cycle MCM-sibling
+	// links.
+	if custom.worstLowest < 190 || custom.worstLowest > 204 {
+		t.Errorf("worst lowest-cross-level pair = %d, want ~197", custom.worstLowest)
 	}
 }
 

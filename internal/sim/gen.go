@@ -134,9 +134,12 @@ func (g GenSpec) NumContexts() int {
 }
 
 // ParseGenName parses a canonical generated-platform name, e.g.
-// "gen:ring:s16:c8:t2", "gen:circulant:s64:c8:t2:g1-9:v7:n1". Malformed
-// specs wrap mctoperr.ErrInvalidRequest (a client error, not an unknown
-// platform).
+// "gen:ring:s16:c8:t2", "gen:circulant:s64:c8:t2:g1-9:v7:n1", and accepts
+// exactly the names Generate builds. Refusals wrap
+// mctoperr.ErrInvalidRequest (a client error, not an unknown platform). A
+// well-formed name that Generate would refuse (over the generator cap, a
+// disconnected circulant) still returns its parsed spec with the error, so
+// a caller can size the spec before it reports the refusal.
 func ParseGenName(name string) (GenSpec, error) {
 	bad := func(format string, args ...any) (GenSpec, error) {
 		return GenSpec{}, fmt.Errorf("sim: %w: bad gen spec %q: %s",
@@ -201,34 +204,64 @@ func ParseGenName(name string) (GenSpec, error) {
 	if got := spec.Name(); got != name {
 		return bad("not canonical (canonical spelling is %q)", got)
 	}
-	return spec, nil
+	return spec, spec.check()
 }
 
-// Generate builds the platform described by spec. The result is
-// deterministic (same spec, byte-identical platform), passes Validate, and
-// carries explicit SocketLatMatrix/SocketHopMatrix interconnect matrices
-// since mesh/ring/circulant diameters routinely exceed the golden machines'
-// 2.
-func Generate(spec GenSpec) (*Platform, error) {
-	bad := func(format string, args ...any) (*Platform, error) {
-		return nil, fmt.Errorf("sim: %w: gen spec %q: %s",
-			mctoperr.ErrInvalidRequest, spec.Name(), fmt.Sprintf(format, args...))
+// check decides whether a parsed spec names a platform. It is the one such
+// decision: ParseGenName and Generate both run it, so a name parses exactly
+// when it generates. It refuses an unknown kind, non-positive dimensions,
+// more than genMaxContexts contexts, generators on a mesh or a ring, a
+// generator outside [1, Sockets/2], and a disconnected circulant — one whose
+// sockets and generators share a divisor, so that socket 0 reaches only
+// their multiples and never socket 1.
+func (g GenSpec) check() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("sim: %w: gen spec %q: %s",
+			mctoperr.ErrInvalidRequest, g.Name(), fmt.Sprintf(format, args...))
 	}
-	if spec.Sockets < 1 || spec.Cores < 1 || spec.SMT < 1 {
-		return bad("non-positive dimensions %dx%dx%d", spec.Sockets, spec.Cores, spec.SMT)
+	switch g.Kind {
+	case GenMesh, GenRing, GenCirculant:
+	default:
+		return bad("unknown kind")
 	}
-	if n := spec.NumContexts(); n > genMaxContexts {
+	if g.Sockets < 1 || g.Cores < 1 || g.SMT < 1 {
+		return bad("non-positive dimensions %dx%dx%d", g.Sockets, g.Cores, g.SMT)
+	}
+	if n := g.NumContexts(); n > genMaxContexts {
 		return bad("%d contexts exceeds the generator cap %d", n, genMaxContexts)
 	}
+	if g.Kind != GenCirculant {
+		if len(g.Gens) > 0 {
+			return bad("generators are circulant-only")
+		}
+		return nil
+	}
+	div := g.Sockets
+	for _, gen := range g.Gens {
+		if gen < 1 || gen > g.Sockets/2 {
+			return bad("generator %d out of range [1, %d]", gen, g.Sockets/2)
+		}
+		for gen != 0 {
+			div, gen = gen, div%gen
+		}
+	}
+	if len(g.Gens) > 0 && div > 1 {
+		return bad("sockets 0 and 1 are disconnected")
+	}
+	return nil
+}
 
-	adj, err := genAdjacency(spec)
-	if err != nil {
+// Generate builds the platform described by spec, which ParseGenName
+// would accept (the same check refuses the rest). The result is
+// deterministic (same spec, byte-identical platform), passes Validate, and
+// carries the SocketLatMatrix/SocketHopMatrix every platform describes its
+// interconnect with, here from a BFS over the mesh, ring or circulant,
+// whose diameter routinely exceeds the golden machines' 2.
+func Generate(spec GenSpec) (*Platform, error) {
+	if err := spec.check(); err != nil {
 		return nil, err
 	}
-	hops, diameter, err := hopMatrix(spec, adj)
-	if err != nil {
-		return nil, err
-	}
+	hops, diameter := hopMatrix(genAdjacency(spec))
 
 	// Latency per hop count: linear in the distance plus an optional
 	// seeded per-distance jitter small enough to keep the plateaus
@@ -268,13 +301,6 @@ func Generate(spec GenSpec) (*Platform, error) {
 		SocketLatMatrix: latMat,
 		SocketHopMatrix: hops,
 	}
-	for a := 0; a < s; a++ {
-		for _, b := range adj[a] {
-			if b > a {
-				p.Links = append(p.Links, Link{A: a, B: b, Lat: latOf[1], BW: 12.0})
-			}
-		}
-	}
 
 	// Memory: one node per socket, local strictly fastest, remote cost
 	// linear in hop distance.
@@ -308,9 +334,9 @@ func Generate(spec GenSpec) (*Platform, error) {
 	return p, nil
 }
 
-// genAdjacency returns the socket adjacency lists of the spec's
+// genAdjacency returns the socket adjacency lists of a checked spec's
 // interconnect, each list sorted ascending.
-func genAdjacency(spec GenSpec) ([][]int, error) {
+func genAdjacency(spec GenSpec) [][]int {
 	s := spec.Sockets
 	adj := make([][]int, s)
 	link := func(a, b int) {
@@ -319,9 +345,6 @@ func genAdjacency(spec GenSpec) ([][]int, error) {
 	}
 	switch spec.Kind {
 	case GenMesh:
-		if len(spec.Gens) > 0 {
-			return nil, fmt.Errorf("sim: %w: gen spec %q: generators are circulant-only", mctoperr.ErrInvalidRequest, spec.Name())
-		}
 		rows, cols := meshFactor(s)
 		at := func(r, c int) int { return r*cols + c }
 		for r := 0; r < rows; r++ {
@@ -335,9 +358,6 @@ func genAdjacency(spec GenSpec) ([][]int, error) {
 			}
 		}
 	case GenRing:
-		if len(spec.Gens) > 0 {
-			return nil, fmt.Errorf("sim: %w: gen spec %q: generators are circulant-only", mctoperr.ErrInvalidRequest, spec.Name())
-		}
 		if s == 2 {
 			link(0, 1)
 			break
@@ -352,16 +372,9 @@ func genAdjacency(spec GenSpec) ([][]int, error) {
 			for g := 1; g <= s/2; g *= 3 {
 				gens = append(gens, g)
 			}
-			if len(gens) == 0 {
-				gens = []int{1} // s == 2 or 3: plain ring
-			}
 		}
 		seen := map[int]bool{}
 		for _, g := range gens {
-			if g < 1 || g > s/2 {
-				return nil, fmt.Errorf("sim: %w: gen spec %q: generator %d out of range [1, %d]",
-					mctoperr.ErrInvalidRequest, spec.Name(), g, s/2)
-			}
 			if seen[g] {
 				continue
 			}
@@ -376,14 +389,12 @@ func genAdjacency(spec GenSpec) ([][]int, error) {
 				link(a, (a+g)%s)
 			}
 		}
-	default:
-		return nil, fmt.Errorf("sim: %w: gen spec %q: unknown kind", mctoperr.ErrInvalidRequest, spec.Name())
 	}
 	for a := range adj {
 		sort.Ints(adj[a])
 		adj[a] = dedupSorted(adj[a])
 	}
-	return adj, nil
+	return adj
 }
 
 func dedupSorted(xs []int) []int {
@@ -410,38 +421,33 @@ func meshFactor(n int) (rows, cols int) {
 }
 
 // hopMatrix runs a BFS from every socket and returns the all-pairs hop
-// matrix plus the interconnect diameter.
-func hopMatrix(spec GenSpec, adj [][]int) (hops [][]int, diameter int, err error) {
+// matrix plus the interconnect diameter. A checked spec's interconnect is
+// connected; were it not, an unreached pair would stay at -1 and fail
+// Validate. The queue is one slice with a head index: every socket enters
+// it at most once per BFS.
+func hopMatrix(adj [][]int) (hops [][]int, diameter int) {
 	s := len(adj)
 	hops = make([][]int, s)
-	queue := make([]int, 0, s)
+	queue := make([]int, s)
 	for from := 0; from < s; from++ {
 		dist := make([]int, s)
 		for i := range dist {
 			dist[i] = -1
 		}
 		dist[from] = 0
-		queue = append(queue[:0], from)
-		for len(queue) > 0 {
-			a := queue[0]
-			queue = queue[1:]
+		queue[0] = from
+		for head, tail := 0, 1; head < tail; head++ {
+			a := queue[head]
 			for _, b := range adj[a] {
 				if dist[b] < 0 {
 					dist[b] = dist[a] + 1
-					if dist[b] > diameter {
-						diameter = dist[b]
-					}
-					queue = append(queue, b)
+					diameter = max(diameter, dist[b])
+					queue[tail] = b
+					tail++
 				}
-			}
-		}
-		for i, d := range dist {
-			if d < 0 {
-				return nil, 0, fmt.Errorf("sim: %w: gen spec %q: sockets %d and %d are disconnected",
-					mctoperr.ErrInvalidRequest, spec.Name(), from, i)
 			}
 		}
 		hops[from] = dist
 	}
-	return hops, diameter, nil
+	return hops, diameter
 }

@@ -4,11 +4,12 @@
 // The MCTOP paper measures five physical platforms (Intel Ivy Bridge,
 // Westmere and Haswell Xeons, an 8-socket AMD Opteron, and an Oracle SPARC
 // T4-4). This package encodes those machines as parameter sets — socket,
-// core and SMT structure, interconnect graph, per-level communication
-// latencies, per-node memory latencies and bandwidths, DVFS behaviour and a
-// power model — and simulates the primitives MCTOP-ALG needs: pinned
-// threads with virtual cycle clocks, rdtsc, CAS on shared cache lines
-// (charged by which context held the line last), spin loops, and barriers.
+// core and SMT structure, the interconnect as socket-to-socket latency and
+// hop matrices, per-level communication latencies, per-node memory
+// latencies and bandwidths, DVFS behaviour and a power model — and
+// simulates the primitives MCTOP-ALG needs: pinned threads with virtual
+// cycle clocks, rdtsc, CAS on shared cache lines (charged by which context
+// held the line last), spin loops, and barriers.
 //
 // The simulator is the paper-mandated substitution for hardware we do not
 // have: all randomness is seeded, so every experiment in this repository is
@@ -47,16 +48,6 @@ func (n Numbering) String() string {
 	return fmt.Sprintf("Numbering(%d)", int(n))
 }
 
-// Link is a direct interconnect link between two sockets.
-type Link struct {
-	A, B int
-	// Lat is the context-to-context communication latency over this link in
-	// cycles (what a CAS ping-pong between the two sockets observes).
-	Lat int64
-	// BW is the data bandwidth of the link in GB/s.
-	BW float64
-}
-
 // Power holds the platform's power model (Watts). The model matches what
 // libmctop derives from Intel RAPL: a per-socket package base cost, a cost
 // for waking the first context of a core, a smaller cost for each extra SMT
@@ -78,6 +69,8 @@ func (p Power) Available() bool { return p.PkgBase > 0 }
 // plays the role of the physical processor: MCTOP-ALG never reads these
 // fields — it only observes latencies through the simulator — and the test
 // suite then validates the inferred topology against this ground truth.
+// Every platform, golden, Custom or generated, describes its interconnect
+// one way: the socket matrices SocketLatMatrix and SocketHopMatrix.
 type Platform struct {
 	Name    string
 	Sockets int
@@ -111,10 +104,17 @@ type Platform struct {
 	SameCoreLat     int64 // between SMT siblings of one core
 	IntraSocketLat  int64 // between cores of one socket (band midpoint)
 	IntraSocketBand int64 // deterministic on-die distance spread (+/-)
-	CrossSocketBand int64 // deterministic spread around link latencies
-	TwoHopLat       int64 // for socket pairs with no direct link (level 4)
+	CrossSocketBand int64 // deterministic spread around socket latencies
 
-	Links []Link
+	// SocketLatMatrix and SocketHopMatrix are the interconnect, the only
+	// description of it: entry [a][b] is the ground-truth cross-socket
+	// latency (cycles), respectively hop count, between sockets a and b,
+	// with a zero diagonal. Every platform carries both, Sockets x Sockets.
+	// The golden platforms and Custom fill them from a list of direct
+	// links (setLinks: diameter <= 2); Generate from a BFS over a mesh,
+	// ring or circulant of any diameter.
+	SocketLatMatrix [][]int64
+	SocketHopMatrix [][]int
 
 	// LocalNodeOf maps each socket to its directly attached memory node.
 	// nil means identity. (On the paper's Westmere the local node of socket
@@ -143,15 +143,6 @@ type Platform struct {
 	// SMTSlowdown is the factor by which a spin loop slows down when the
 	// core's sibling context is busy (used by SMT detection, Section 3.5).
 	SMTSlowdown float64
-
-	// SocketLatMatrix and SocketHopMatrix, when non-nil, describe an
-	// interconnect of arbitrary diameter: entry [a][b] is the ground-truth
-	// cross-socket latency (respectively hop count) between sockets a and b.
-	// The five golden platforms leave them nil and use Links + TwoHopLat
-	// (diameter <= 2); the synthetic generator (Generate) fills them for
-	// mesh/ring/circulant interconnects whose diameter routinely exceeds 2.
-	SocketLatMatrix [][]int64
-	SocketHopMatrix [][]int
 
 	// validateOnce/validateErr memoize the first Validate so per-fork
 	// simulators do not re-pay the O(Sockets^2) consistency scan. Top-level
@@ -239,32 +230,9 @@ func (p *Platform) NodeOwner(node int) int {
 	return -1
 }
 
-// DirectLink returns the direct link between two sockets, if any.
-func (p *Platform) DirectLink(s1, s2 int) (Link, bool) {
-	for _, l := range p.Links {
-		if (l.A == s1 && l.B == s2) || (l.A == s2 && l.B == s1) {
-			return l, true
-		}
-	}
-	return Link{}, false
-}
-
-// SocketDistance returns the number of interconnect hops between sockets
-// (0 for the same socket, 1 for a direct link, 2 otherwise on the golden
-// platforms, whose diameter is <= 2; generated platforms carry an explicit
-// hop matrix and may be arbitrarily deep).
-func (p *Platform) SocketDistance(s1, s2 int) int {
-	if s1 == s2 {
-		return 0
-	}
-	if p.SocketHopMatrix != nil {
-		return p.SocketHopMatrix[s1][s2]
-	}
-	if _, ok := p.DirectLink(s1, s2); ok {
-		return 1
-	}
-	return 2
-}
+// SocketDistance returns the number of interconnect hops between sockets:
+// 0 for the same socket, 1 for a direct link (SocketHopMatrix).
+func (p *Platform) SocketDistance(s1, s2 int) int { return p.SocketHopMatrix[s1][s2] }
 
 // SocketLatency is the ground-truth context-to-context communication
 // latency between (cores of) two sockets, before per-pair spread.
@@ -333,65 +301,33 @@ func (p *Platform) validate() error {
 	if p.SMT > 1 && p.SameCoreLat <= 0 {
 		return fmt.Errorf("sim: %s: SMT machine without SameCoreLat", p.Name)
 	}
-	if p.Sockets > 1 && len(p.Links) == 0 {
-		return fmt.Errorf("sim: %s: multi-socket machine without links", p.Name)
+	// The interconnect matrices: square, symmetric, zero diagonal, every
+	// pair connected, cross latencies strictly above the intra-socket level.
+	if len(p.SocketLatMatrix) != p.Sockets || len(p.SocketHopMatrix) != p.Sockets {
+		return fmt.Errorf("sim: %s: socket matrices must be %d x %d", p.Name, p.Sockets, p.Sockets)
 	}
-	for _, l := range p.Links {
-		if l.A < 0 || l.A >= p.Sockets || l.B < 0 || l.B >= p.Sockets || l.A == l.B {
-			return fmt.Errorf("sim: %s: bad link %d-%d", p.Name, l.A, l.B)
+	for a := 0; a < p.Sockets; a++ {
+		if len(p.SocketLatMatrix[a]) != p.Sockets || len(p.SocketHopMatrix[a]) != p.Sockets {
+			return fmt.Errorf("sim: %s: socket matrix row %d has wrong width", p.Name, a)
 		}
-		if l.Lat <= p.IntraSocketLat {
-			return fmt.Errorf("sim: %s: link %d-%d latency %d <= intra-socket %d",
-				p.Name, l.A, l.B, l.Lat, p.IntraSocketLat)
+		if p.SocketLatMatrix[a][a] != 0 || p.SocketHopMatrix[a][a] != 0 {
+			return fmt.Errorf("sim: %s: socket matrix diagonal must be zero (socket %d)", p.Name, a)
 		}
-	}
-	if (p.SocketLatMatrix == nil) != (p.SocketHopMatrix == nil) {
-		return fmt.Errorf("sim: %s: SocketLatMatrix and SocketHopMatrix must be set together", p.Name)
-	}
-	if p.SocketLatMatrix != nil {
-		// Explicit interconnect matrices: square, symmetric, zero diagonal,
-		// cross latencies strictly above the intra-socket level, hop counts
-		// consistent with latencies being nonzero.
-		if len(p.SocketLatMatrix) != p.Sockets || len(p.SocketHopMatrix) != p.Sockets {
-			return fmt.Errorf("sim: %s: socket matrices must be %d x %d", p.Name, p.Sockets, p.Sockets)
-		}
-		for a := 0; a < p.Sockets; a++ {
-			if len(p.SocketLatMatrix[a]) != p.Sockets || len(p.SocketHopMatrix[a]) != p.Sockets {
-				return fmt.Errorf("sim: %s: socket matrix row %d has wrong width", p.Name, a)
+		for b := 0; b < p.Sockets; b++ {
+			if a == b {
+				continue
 			}
-			if p.SocketLatMatrix[a][a] != 0 || p.SocketHopMatrix[a][a] != 0 {
-				return fmt.Errorf("sim: %s: socket matrix diagonal must be zero (socket %d)", p.Name, a)
+			lat, hops := p.SocketLatMatrix[a][b], p.SocketHopMatrix[a][b]
+			if lat != p.SocketLatMatrix[b][a] || hops != p.SocketHopMatrix[b][a] {
+				return fmt.Errorf("sim: %s: socket matrices not symmetric at (%d,%d)", p.Name, a, b)
 			}
-			for b := 0; b < p.Sockets; b++ {
-				if a == b {
-					continue
-				}
-				lat, hops := p.SocketLatMatrix[a][b], p.SocketHopMatrix[a][b]
-				if lat != p.SocketLatMatrix[b][a] || hops != p.SocketHopMatrix[b][a] {
-					return fmt.Errorf("sim: %s: socket matrices not symmetric at (%d,%d)", p.Name, a, b)
-				}
-				if hops < 1 {
-					return fmt.Errorf("sim: %s: sockets %d and %d are disconnected", p.Name, a, b)
-				}
-				if lat <= p.IntraSocketLat {
-					return fmt.Errorf("sim: %s: cross latency %d between sockets %d and %d <= intra-socket %d",
-						p.Name, lat, a, b, p.IntraSocketLat)
-				}
+			if hops < 1 {
+				return fmt.Errorf("sim: %s: sockets %d and %d are disconnected", p.Name, a, b)
 			}
-		}
-	} else {
-		// Interconnect diameter must be <= 2 (the golden machines use a flat
-		// "level 4" two-hop latency).
-		needTwoHop := false
-		for a := 0; a < p.Sockets; a++ {
-			for b := a + 1; b < p.Sockets; b++ {
-				if p.SocketDistance(a, b) == 2 {
-					needTwoHop = true
-				}
+			if lat <= p.IntraSocketLat {
+				return fmt.Errorf("sim: %s: cross latency %d between sockets %d and %d <= intra-socket %d",
+					p.Name, lat, a, b, p.IntraSocketLat)
 			}
-		}
-		if needTwoHop && p.TwoHopLat == 0 {
-			return fmt.Errorf("sim: %s: disconnected socket pairs but no TwoHopLat", p.Name)
 		}
 	}
 	if len(p.MemLat) != p.Sockets || len(p.MemBW) != p.Sockets {
@@ -428,6 +364,50 @@ func (p *Platform) validate() error {
 		}
 	}
 	return nil
+}
+
+// link is one direct socket-to-socket link of a hand-described platform,
+// with the latency (cycles) a CAS ping-pong between the two sockets
+// observes over it.
+type link struct {
+	a, b int
+	lat  int64
+}
+
+// setLinks fills the socket matrices from a platform's direct links: a
+// listed pair is one hop apart at the link's latency, every other pair of
+// distinct sockets two hops apart at twoHop (the "lvl 4" relation of the
+// paper's Figures 1 and 2). It runs before memMatrices, which reads the hop
+// distances.
+func setLinks(p *Platform, twoHop int64, links []link) {
+	s := p.Sockets
+	p.SocketLatMatrix = make([][]int64, s)
+	p.SocketHopMatrix = make([][]int, s)
+	for a := 0; a < s; a++ {
+		p.SocketLatMatrix[a] = make([]int64, s)
+		p.SocketHopMatrix[a] = make([]int, s)
+		for b := 0; b < s; b++ {
+			if a != b {
+				p.SocketLatMatrix[a][b], p.SocketHopMatrix[a][b] = twoHop, 2
+			}
+		}
+	}
+	for _, l := range links {
+		p.SocketLatMatrix[l.a][l.b], p.SocketHopMatrix[l.a][l.b] = l.lat, 1
+		p.SocketLatMatrix[l.b][l.a], p.SocketHopMatrix[l.b][l.a] = l.lat, 1
+	}
+}
+
+// fullyConnected lists a direct link of latency lat between every pair of
+// a platform's sockets.
+func fullyConnected(sockets int, lat int64) []link {
+	var links []link
+	for a := 0; a < sockets; a++ {
+		for b := a + 1; b < sockets; b++ {
+			links = append(links, link{a, b, lat})
+		}
+	}
+	return links
 }
 
 // memMatrices builds MemLat/MemBW from hop distances, with small
@@ -476,12 +456,12 @@ func Ivy() *Platform {
 		L1Size:        32 << 10, L2Size: 256 << 10, LLCSize: 25 << 20,
 		L1Lat: 4, L2Lat: 12, LLCLat: 42, HitCASLat: 12,
 		SameCoreLat: 28, IntraSocketLat: 112, IntraSocketBand: 16, CrossSocketBand: 8,
-		Links:        []Link{{A: 0, B: 1, Lat: 308, BW: 16.0}},
 		CoreStreamBW: 4.0,
 		Power: Power{
 			IdleMachine: 40, PkgBase: 20.1, FirstCtxCore: 3.2, ExtraCtx: 1.46, DRAMMax: 45.25,
 		},
 	}
+	setLinks(p, 0, []link{{0, 1, 308}})
 	// Asymmetric DIMM population: socket 0 reaches 15.9 GB/s locally,
 	// socket 1 only 8.37 GB/s. This reproduces the placement report of the
 	// paper's Figure 7 (bandwidth proportions 0.655/0.345, aggregate
@@ -506,15 +486,16 @@ func Westmere() *Platform {
 		L1Size:        32 << 10, L2Size: 256 << 10, LLCSize: 30 << 20,
 		L1Lat: 4, L2Lat: 13, LLCLat: 46, HitCASLat: 14,
 		SameCoreLat: 28, IntraSocketLat: 116, IntraSocketBand: 16, CrossSocketBand: 8,
-		TwoHopLat:    458,
 		CoreStreamBW: 3.5,
 	}
+	var links []link
 	for s := 0; s < 8; s++ {
-		p.Links = append(p.Links, Link{A: s, B: (s + 1) % 8, Lat: 341, BW: 10.9})
+		links = append(links, link{s, (s + 1) % 8, 341})
 	}
 	for s := 0; s < 4; s++ {
-		p.Links = append(p.Links, Link{A: s, B: s + 4, Lat: 341, BW: 10.9})
+		links = append(links, link{s, s + 4, 341})
 	}
+	setLinks(p, 458, links)
 	p.LocalNodeOf = []int{4, 5, 6, 7, 0, 1, 2, 3}
 	memMatrices(p, 369, 497, 600, 13.1, 9.5, 5.5)
 	defaultNoise(p)
@@ -539,11 +520,7 @@ func Haswell() *Platform {
 			IdleMachine: 75, PkgBase: 25.0, FirstCtxCore: 3.0, ExtraCtx: 1.3, DRAMMax: 50.0,
 		},
 	}
-	for a := 0; a < 4; a++ {
-		for b := a + 1; b < 4; b++ {
-			p.Links = append(p.Links, Link{A: a, B: b, Lat: 330, BW: 12.0})
-		}
-	}
+	setLinks(p, 0, fullyConnected(4, 330))
 	memMatrices(p, 310, 460, 0, 19.0, 10.5, 0)
 	defaultNoise(p)
 	return p
@@ -565,20 +542,18 @@ func Opteron() *Platform {
 		L1Size:        64 << 10, L2Size: 512 << 10, LLCSize: 5 << 20,
 		L1Lat: 3, L2Lat: 14, LLCLat: 40, HitCASLat: 14,
 		SameCoreLat: 0, IntraSocketLat: 117, IntraSocketBand: 8, CrossSocketBand: 3,
-		TwoHopLat:    300,
 		CoreStreamBW: 2.8,
 	}
+	var links []link
 	for m := 0; m < 4; m++ {
-		p.Links = append(p.Links, Link{A: 2 * m, B: 2*m + 1, Lat: 197, BW: 5.3})
+		links = append(links, link{2 * m, 2*m + 1, 197})
 	}
-	evens := []int{0, 2, 4, 6}
-	odds := []int{1, 3, 5, 7}
-	for i := 0; i < len(evens); i++ {
-		for j := i + 1; j < len(evens); j++ {
-			p.Links = append(p.Links, Link{A: evens[i], B: evens[j], Lat: 217, BW: 2.9})
-			p.Links = append(p.Links, Link{A: odds[i], B: odds[j], Lat: 217, BW: 2.9})
+	for i := 0; i < 4; i++ {
+		for j := i + 1; j < 4; j++ {
+			links = append(links, link{2 * i, 2 * j, 217}, link{2*i + 1, 2*j + 1, 217})
 		}
 	}
+	setLinks(p, 300, links)
 	memMatrices(p, 143, 262, 343, 10.9, 2.9, 2.0)
 	// The MCM-sibling node is reached over the fast 197-cycle link: closer
 	// and faster than generic one-hop nodes (Figure 1a: node 1 at 247
@@ -611,11 +586,7 @@ func SPARC() *Platform {
 		SameCoreLat: 101, IntraSocketLat: 207, IntraSocketBand: 12, CrossSocketBand: 8,
 		CoreStreamBW: 5.5,
 	}
-	for a := 0; a < 4; a++ {
-		for b := a + 1; b < 4; b++ {
-			p.Links = append(p.Links, Link{A: a, B: b, Lat: 660, BW: 14.0})
-		}
-	}
+	setLinks(p, 0, fullyConnected(4, 660))
 	memMatrices(p, 479, 685, 0, 28.2, 15.2, 0)
 	defaultNoise(p)
 	return p
@@ -676,11 +647,7 @@ func Custom(name string, sockets, cores, smt int, scale int64, numbering Numberi
 		// Unscaled: the band must stay well inside the clustering gap.
 		p.IntraSocketBand = 8
 	}
-	for a := 0; a < sockets; a++ {
-		for b := a + 1; b < sockets; b++ {
-			p.Links = append(p.Links, Link{A: a, B: b, Lat: 320 * scale, BW: 10})
-		}
-	}
+	setLinks(p, 0, fullyConnected(sockets, 320*scale))
 	memMatrices(p, 300*scale, 450*scale, 0, 12, 7, 0)
 	defaultNoise(p)
 	p.SpuriousRate = 0

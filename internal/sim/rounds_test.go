@@ -245,9 +245,7 @@ func FuzzRoundsMatchesReference(f *testing.F) {
 		p.SpuriousAmp = int64(spuriousAmp)
 		lat := int64(base % 4)
 		p.HitCASLat, p.SameCoreLat, p.IntraSocketLat = lat, max(lat, 1), lat // SMT needs SameCoreLat > 0
-		for i := range p.Links {
-			p.Links[i].Lat = lat + 1
-		}
+		p.SocketLatMatrix[0][1], p.SocketLatMatrix[1][0] = lat+1, lat+1
 		if dvfs {
 			p.DVFS, p.FreqMinGHz, p.RampCycles, p.DVFSStates = true, 1.0, 4000, 4
 		}

@@ -240,20 +240,12 @@ func TestPairLatencySeparation(t *testing.T) {
 			levels[p.SameCoreLat] = true
 		}
 		levels[p.IntraSocketLat] = true
-		for _, l := range p.Links {
-			levels[l.Lat] = true
-		}
-		hasTwoHop := false
-		for a := 0; a < p.Sockets && !hasTwoHop; a++ {
-			for b := a + 1; b < p.Sockets; b++ {
-				if p.SocketDistance(a, b) == 2 {
-					hasTwoHop = true
-					break
+		for a, row := range p.SocketLatMatrix {
+			for b, l := range row {
+				if a != b {
+					levels[l] = true
 				}
 			}
-		}
-		if hasTwoHop {
-			levels[p.TwoHopLat] = true
 		}
 		if len(cl) != len(levels) {
 			t.Errorf("%s: clustering found %d levels (%v), ground truth has %d (%v)",
@@ -560,9 +552,9 @@ func TestCustomPlatformValid(t *testing.T) {
 
 func TestValidateCatchesBadPlatforms(t *testing.T) {
 	p := Ivy()
-	p.Links = nil
+	p.SocketLatMatrix, p.SocketHopMatrix = nil, nil
 	if err := p.Validate(); err == nil {
-		t.Error("multi-socket platform without links should fail validation")
+		t.Error("multi-socket platform without socket matrices should fail validation")
 	}
 
 	p = Ivy()
@@ -572,9 +564,15 @@ func TestValidateCatchesBadPlatforms(t *testing.T) {
 	}
 
 	p = Westmere()
-	p.TwoHopLat = 0
+	p.SocketLatMatrix[0][2], p.SocketLatMatrix[2][0] = 0, 0
 	if err := p.Validate(); err == nil {
-		t.Error("missing TwoHopLat on a diameter-2 machine should fail")
+		t.Error("a two-hop pair without a latency should fail")
+	}
+
+	p = Westmere()
+	p.SocketHopMatrix[0][2] = 1
+	if err := p.Validate(); err == nil {
+		t.Error("asymmetric hop matrix should fail")
 	}
 
 	p = Ivy()

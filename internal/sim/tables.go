@@ -10,7 +10,7 @@ import (
 // and then reads once or more per simulated operation. The lock-step loop of
 // Figure 5 performs a dozen such reads per repetition, hundreds of
 // repetitions per pair and O(N²) pairs per inference, so each one is a slice
-// index or integer arithmetic here instead of a link-list scan or a float
+// index or integer arithmetic here instead of a matrix row chase or a float
 // divide. Validate builds the tables once, after the platform checked out
 // clean, and they share its memo: a mutated Platform needs a fresh value to
 // be re-validated *and* re-tabulated.
@@ -59,26 +59,9 @@ func (p *Platform) buildTables() {
 
 	S := p.Sockets
 	t.socketLat = make([]int64, S*S)
-	for a := 0; a < S; a++ {
-		for b := 0; b < S; b++ {
-			switch {
-			case a == b:
-				t.socketLat[a*S+b] = p.IntraSocketLat
-			case p.SocketLatMatrix != nil:
-				t.socketLat[a*S+b] = p.SocketLatMatrix[a][b]
-			default:
-				t.socketLat[a*S+b] = p.TwoHopLat
-			}
-		}
-	}
-	if p.SocketLatMatrix == nil {
-		// Backwards, so that of two links between one socket pair the first
-		// listed wins, as it does for DirectLink.
-		for i := len(p.Links) - 1; i >= 0; i-- {
-			l := p.Links[i]
-			t.socketLat[l.A*S+l.B] = l.Lat
-			t.socketLat[l.B*S+l.A] = l.Lat
-		}
+	for a, row := range p.SocketLatMatrix {
+		copy(t.socketLat[a*S:], row)
+		t.socketLat[a*S+a] = p.IntraSocketLat
 	}
 
 	// Cores far apart on the ring/mesh communicate slightly slower, cores

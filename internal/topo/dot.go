@@ -59,9 +59,15 @@ func (t *Topology) DotIntraSocket(socket int) string {
 	return b.String()
 }
 
-// DotCrossSocket renders the cross-socket graph: sockets as vertices,
-// direct interconnects as labeled edges, and a note for each non-direct
-// latency level ("lvl 4 (2 hops) NNN cy").
+// DotCrossSocket renders the cross-socket graph from the socket matrices:
+// sockets as vertices; an edge, labelled with the pair's latency and
+// bandwidth, for each pair of sockets whose latency lies in the lowest
+// cross level or in no cross level; and for each higher cross level i a
+// note "lvl i (h hops) NNN cy", h being i minus the socket level's index
+// (the paper's "lvl 4"). The lowest cross level stands for the direct
+// links, as it does on the Intel machines. On the Opteron it holds only
+// the MCM siblings: the HT links between dies of different packages sit
+// one level up and are annotated as two hops.
 func (t *Topology) DotCrossSocket() string {
 	var b strings.Builder
 	b.WriteString("graph mctop_cross_socket {\n")
@@ -69,21 +75,22 @@ func (t *Topology) DotCrossSocket() string {
 	for _, s := range t.sockets {
 		fmt.Fprintf(&b, "  s%d [label=\"%d\"];\n", s.ID, s.ID)
 	}
-	for _, s := range t.sockets {
-		for _, ic := range s.Interconnects {
-			if ic.To.ID < s.ID || ic.Hops != 1 {
-				continue // draw each direct link once
+	si := t.spec.socketLevelIdx()
+	cross := t.spec.Levels[si+1:]
+	for s1, row := range t.spec.SocketLat {
+		for s2 := s1 + 1; s2 < len(row); s2++ {
+			if !inLowestCross(cross, row[s2]) {
+				continue
 			}
-			label := fmt.Sprintf("%d cy", ic.Latency)
-			if ic.BW > 0 {
-				label += fmt.Sprintf("\\n%.1f GB/s", ic.BW)
+			label := fmt.Sprintf("%d cy", row[s2])
+			if bw := t.SocketBW(s1, s2); bw > 0 {
+				label += fmt.Sprintf("\\n%.1f GB/s", bw)
 			}
-			fmt.Fprintf(&b, "  s%d -- s%d [label=\"%s\"];\n", s.ID, ic.To.ID, label)
+			fmt.Fprintf(&b, "  s%d -- s%d [label=\"%s\"];\n", s1, s2, label)
 		}
 	}
-	// Non-direct levels as annotations, matching the paper's "lvl 4".
-	si := t.spec.socketLevelIdx()
-	for i, l := range t.levels {
+	// Higher cross levels as annotations, matching the paper's "lvl 4".
+	for i, l := range t.spec.Levels {
 		if l.Kind != LevelCross || i == si+1 {
 			continue
 		}
@@ -94,13 +101,24 @@ func (t *Topology) DotCrossSocket() string {
 	return b.String()
 }
 
+// inLowestCross reports whether a socket-pair latency lies in the lowest of
+// the cross levels, or in none of them: the pairs DotCrossSocket draws.
+func inLowestCross(cross []Level, lat int64) bool {
+	for i, l := range cross {
+		if lat >= l.Min && lat <= l.Max {
+			return i == 0
+		}
+	}
+	return true
+}
+
 // String renders a textual summary of the topology, the "textual output"
 // alternative to the graphs.
 func (t *Topology) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "MCTOP %s: %d contexts, %d cores, %d sockets, %d nodes, SMT=%d\n",
 		t.name, t.NumHWContexts(), t.NumCores(), t.NumSockets(), t.NumNodes(), t.smtWays)
-	for i, l := range t.levels {
+	for i, l := range t.spec.Levels {
 		fmt.Fprintf(&b, "  level %d (%s %q): lat %d [%d..%d]",
 			i+1, l.Kind, l.Name, l.Median, l.Min, l.Max)
 		if l.Groups != nil {
@@ -127,7 +145,7 @@ func (t *Topology) String() string {
 	}
 	if t.NumSockets() > 1 {
 		b.WriteString("  socket latencies:\n")
-		for _, row := range t.socketLat {
+		for _, row := range t.spec.SocketLat {
 			b.WriteString("   ")
 			for _, v := range row {
 				fmt.Fprintf(&b, " %4d", v)

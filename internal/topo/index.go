@@ -120,7 +120,7 @@ func buildIndex(t *Topology) *queryIndex {
 	}
 	idx.maxLat = t.maxLatencyScan()
 	idx.keys = t.contextPaths(&idx.within)
-	for a, row := range t.socketLat {
+	for a, row := range t.spec.SocketLat {
 		copy(idx.cross[a*nS:], row)
 	}
 	for i, c := range t.contexts {
@@ -226,7 +226,7 @@ func (t *Topology) getLatencyWalk(x, y int) int64 {
 		return -1
 	}
 	if cx.Socket != cy.Socket {
-		return t.socketLat[cx.Socket.ID][cy.Socket.ID]
+		return t.spec.SocketLat[cx.Socket.ID][cy.Socket.ID]
 	}
 	// Lowest common group: walk up from the core.
 	gx, gy := cx.Core, cy.Core
@@ -252,14 +252,14 @@ func (t *Topology) getLatencyWalk(x, y int) int64 {
 // and the intra-socket levels.
 func (t *Topology) maxLatencyScan() int64 {
 	var max int64
-	for _, row := range t.socketLat {
+	for _, row := range t.spec.SocketLat {
 		for _, v := range row {
 			if v > max {
 				max = v
 			}
 		}
 	}
-	for _, l := range t.levels {
+	for _, l := range t.spec.Levels {
 		if l.Kind != LevelCross && l.Median > max {
 			max = l.Median
 		}
@@ -300,7 +300,7 @@ func (t *Topology) socketsByLatencyFromSort(s int) []*Socket {
 		if o.ID == s {
 			continue
 		}
-		es = append(es, entry{o, t.socketLat[s][o.ID]})
+		es = append(es, entry{o, t.spec.SocketLat[s][o.ID]})
 	}
 	sort.Slice(es, func(i, j int) bool {
 		if es[i].lat != es[j].lat {

@@ -189,7 +189,7 @@ func (t *Topology) maxLatencyBetweenWalk(ctxs []int) int64 {
 // core pointers. Reference implementation for the property tests.
 func (t *Topology) powerEstimateMap(ctxs []int, withDRAM bool) (perSocket []float64, total float64) {
 	perSocket = make([]float64, len(t.sockets))
-	if !t.power.Available() {
+	if !t.spec.Power.Available() {
 		return perSocket, 0
 	}
 	ctxPerCore := make(map[*HWCGroup]int)
@@ -204,14 +204,14 @@ func (t *Topology) powerEstimateMap(ctxs []int, withDRAM bool) (perSocket []floa
 	}
 	for s := range t.sockets {
 		if active[s] {
-			perSocket[s] = t.power.PerSocketBase
+			perSocket[s] = t.spec.Power.PerSocketBase
 			if withDRAM {
-				perSocket[s] += t.power.DRAM
+				perSocket[s] += t.spec.Power.DRAM
 			}
 		}
 	}
 	for core, n := range ctxPerCore {
-		perSocket[core.Socket.ID] += t.power.PerFirstCtx + float64(n-1)*t.power.PerExtraCtx
+		perSocket[core.Socket.ID] += t.spec.Power.PerFirstCtx + float64(n-1)*t.spec.Power.PerExtraCtx
 	}
 	for _, p := range perSocket {
 		total += p

@@ -124,7 +124,7 @@ func (t *Topology) maxLatencyBucketed(off, flat []int) int64 {
 			continue
 		}
 		for s2 := s1 + 1; s2 < nS; s2++ {
-			if l := t.socketLat[s1][s2]; l > max && off[s2] < off[s2+1] {
+			if l := t.spec.SocketLat[s1][s2]; l > max && off[s2] < off[s2+1] {
 				max = l
 			}
 		}
@@ -145,18 +145,19 @@ func (t *Topology) maxLatencyBucketed(off, flat []int) int64 {
 func (o *Occupancy) Power(withDRAM bool) (perSocket []float64, total float64) {
 	t := o.t
 	perSocket = make([]float64, len(t.sockets))
-	if !t.power.Available() {
+	pw := t.spec.Power
+	if !pw.Available() {
 		return perSocket, 0
 	}
 	for _, s := range o.Sockets {
-		perSocket[s] = t.power.PerSocketBase
+		perSocket[s] = pw.PerSocketBase
 		if withDRAM {
-			perSocket[s] += t.power.DRAM
+			perSocket[s] += pw.DRAM
 		}
 	}
 	for core, n := range o.CtxPerCore {
 		if n > 0 {
-			perSocket[t.cores[core].Socket.ID] += t.power.PerFirstCtx + float64(n-1)*t.power.PerExtraCtx
+			perSocket[t.cores[core].Socket.ID] += pw.PerFirstCtx + float64(n-1)*pw.PerExtraCtx
 		}
 	}
 	for _, p := range perSocket {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -181,17 +182,23 @@ func TestRandomSpecQueries(t *testing.T) {
 				}
 			}
 		}
-		// Every context's Next chain covers the machine exactly once.
-		seen := map[int]bool{}
-		c := top.Context(0)
-		for i := 0; i < spec.Contexts; i++ {
-			if seen[c.ID] {
+		// Walking the cores in order, socket by socket, visits every
+		// context exactly once, each under its own core and socket.
+		seen := make([]bool, spec.Contexts)
+		prevSocket := 0
+		for _, core := range top.Cores() {
+			if core.Socket.ID < prevSocket {
 				return false
 			}
-			seen[c.ID] = true
-			c = c.Next
+			prevSocket = core.Socket.ID
+			for _, c := range core.Contexts {
+				if seen[c.ID] || c.Core != core || c.Socket != core.Socket {
+					return false
+				}
+				seen[c.ID] = true
+			}
 		}
-		return c.ID == 0
+		return !slices.Contains(seen, false)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

@@ -260,7 +260,9 @@ func (s *Spec) validatePartition(idx int, l Level, nLower int) error {
 	return nil
 }
 
-// FromSpec validates a spec and builds the linked Topology.
+// FromSpec validates a spec and builds the linked Topology: its contexts,
+// groups, cores, sockets and nodes. The cross-socket structure stays the
+// spec's socket matrices.
 func FromSpec(spec Spec) (*Topology, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -268,16 +270,11 @@ func FromSpec(spec Spec) (*Topology, error) {
 	si := spec.socketLevelIdx()
 
 	t := &Topology{
-		name:      spec.Name,
-		smtWays:   spec.SMTWays,
-		freqGHz:   spec.FreqGHz,
-		levels:    spec.Levels,
-		groups:    make(map[int][]*HWCGroup),
-		socketLat: spec.SocketLat,
-		socketBW:  spec.SocketBW,
-		cache:     spec.Cache,
-		power:     spec.Power,
-		spec:      spec,
+		name:    spec.Name,
+		smtWays: spec.SMTWays,
+		freqGHz: spec.FreqGHz,
+		groups:  make(map[int][]*HWCGroup),
+		spec:    spec,
 	}
 
 	// Contexts.
@@ -295,7 +292,6 @@ func FromSpec(spec Spec) (*Topology, error) {
 	// Sockets, in the socket level's group order.
 	sockGroups := spec.Levels[si].Groups
 	t.sockets = make([]*Socket, len(sockGroups))
-	ctxSocket := make([]*Socket, spec.Contexts)
 	for id, g := range sockGroups {
 		s := &Socket{
 			HWCGroup: HWCGroup{ID: id, Level: si, Latency: spec.Levels[si].Median},
@@ -305,11 +301,9 @@ func FromSpec(spec Spec) (*Topology, error) {
 		for _, ctx := range sorted {
 			s.Contexts = append(s.Contexts, t.contexts[ctx])
 			t.contexts[ctx].Socket = s
-			ctxSocket[ctx] = s
 		}
 		node := t.nodes[spec.NodeOfSocket[id]]
 		s.Local = node
-		node.Sockets = append(node.Sockets, s)
 		if spec.MemLat != nil {
 			s.MemLat = spec.MemLat[id]
 		}
@@ -323,8 +317,14 @@ func FromSpec(spec Spec) (*Topology, error) {
 		t.sockets[id] = s
 	}
 
-	// Grouped levels below the socket level, bottom-up.
+	// Grouped levels below the socket level, bottom-up. owner[ctx] is the
+	// group of the level being built that holds ctx, which a group of the
+	// level below it takes as its parent.
 	var lower []*HWCGroup
+	var owner []*HWCGroup
+	if si > 1 {
+		owner = make([]*HWCGroup, spec.Contexts)
+	}
 	for li := 0; li < si; li++ {
 		lv := spec.Levels[li]
 		groups := make([]*HWCGroup, len(lv.Groups))
@@ -343,31 +343,24 @@ func FromSpec(spec Spec) (*Topology, error) {
 			sort.Ints(sorted)
 			for _, ctx := range sorted {
 				grp.Contexts = append(grp.Contexts, t.contexts[ctx])
+				if li > 0 {
+					owner[ctx] = grp
+				}
 			}
-			grp.Socket = ctxSocket[sorted[0]]
+			grp.Socket = t.contexts[sorted[0]].Socket
 			groups[rank] = grp
 		}
 		t.groups[li] = groups
-		// Link children.
-		if li == 0 {
-			lower = groups
-		} else {
-			for _, parent := range groups {
-				for _, child := range lower {
-					if containsCtx(parent, child.Contexts[0].ID) {
-						parent.Children = append(parent.Children, child)
-						child.Parent = parent
-					}
-				}
+		if li > 0 {
+			for _, child := range lower {
+				child.Parent = owner[child.Contexts[0].ID]
 			}
-			lower = groups
 		}
+		lower = groups
 	}
-	// Attach the topmost intra-socket groups to their sockets.
+	// The topmost intra-socket groups hang off their sockets.
 	for _, child := range lower {
-		s := child.Socket
-		s.Children = append(s.Children, child)
-		child.Parent = &s.HWCGroup
+		child.Parent = &child.Socket.HWCGroup
 	}
 
 	// Core groups: the first grouped level if SMT, else synthesized
@@ -416,31 +409,6 @@ func FromSpec(spec Spec) (*Topology, error) {
 	for i, core := range t.cores {
 		core.ID = i
 	}
-
-	// Interconnects, classified into hop counts by the cross levels.
-	crossLevels := spec.Levels[si+1:]
-	for a := 0; a < len(t.sockets); a++ {
-		for b := 0; b < len(t.sockets); b++ {
-			if a == b {
-				continue
-			}
-			lat := spec.SocketLat[a][b]
-			hops := 1
-			for i, cl := range crossLevels {
-				if lat >= cl.Min && lat <= cl.Max {
-					hops = i + 1
-					break
-				}
-			}
-			ic := &Interconnect{From: t.sockets[a], To: t.sockets[b], Latency: lat, Hops: hops}
-			if spec.SocketBW != nil {
-				ic.BW = spec.SocketBW[a][b]
-			}
-			t.sockets[a].Interconnects = append(t.sockets[a].Interconnects, ic)
-		}
-	}
-
-	t.linkHorizontal()
 	return t, nil
 }
 
@@ -452,40 +420,6 @@ func minOf(xs []int) int {
 		}
 	}
 	return m
-}
-
-func containsCtx(g *HWCGroup, ctx int) bool {
-	for _, c := range g.Contexts {
-		if c.ID == ctx {
-			return true
-		}
-	}
-	return false
-}
-
-// linkHorizontal builds the proximity successor chains of Table 1: a
-// context's Next is its SMT sibling, then the next core of the socket, then
-// the next socket; cores chain within and across sockets.
-func (t *Topology) linkHorizontal() {
-	// Context order: socket by socket, core by core, SMT sibling by sibling.
-	var order []*HWContext
-	for _, s := range t.sockets {
-		for _, core := range t.cores {
-			if core.Socket != s {
-				continue
-			}
-			order = append(order, core.Contexts...)
-		}
-	}
-	for i, c := range order {
-		c.Next = order[(i+1)%len(order)]
-	}
-	for i, core := range t.cores {
-		core.Next = t.cores[(i+1)%len(t.cores)]
-	}
-	for i := range t.sockets {
-		t.sockets[i].HWCGroup.Next = &t.sockets[(i+1)%len(t.sockets)].HWCGroup
-	}
 }
 
 // Spec returns the originating spec (for serialization).

@@ -1,12 +1,16 @@
 // Package topo implements MCTOP, the multi-core topology abstraction of the
 // EuroSys '17 paper (Section 2, Table 1).
 //
-// A Topology links together the paper's six structures — hw_context,
-// hwc_group, socket, node, interconnect and mctop — both vertically (to
-// represent the hierarchy) and horizontally (to traverse each level), and
-// carries the enriched low-level measurements (communication latencies,
-// memory latencies and bandwidths, cache and power information) that make
-// portable performance policies expressible.
+// A Topology links the paper's structures — hw_context, hwc_group, socket,
+// node and mctop — vertically, from each context up through its core and
+// groups to its socket and that socket's local node. Each level is
+// traversed by its ordered slice (Contexts, Cores, Sockets, Nodes), and the
+// paper's interconnect structure is the socket matrices: SocketLatency and
+// SocketBW answer every cross-socket question from the spec's per-pair
+// latency and bandwidth, as libmctop's mctopo_t does. A Topology also
+// carries the enriched low-level measurements (memory latencies and
+// bandwidths, cache and power information) that make portable performance
+// policies expressible.
 //
 // Topologies are constructed from a Spec — the serializable description
 // produced by MCTOP-ALG (internal/mctopalg) and stored in description
@@ -62,40 +66,35 @@ type Level struct {
 
 // HWContext is the lowest scheduling unit of the processor. If SMT exists
 // it is a hardware context, otherwise it represents an actual core
-// (Table 1).
+// (Table 1). Contexts are traversed in id order by Topology.Contexts.
 type HWContext struct {
 	ID     int
 	Core   *HWCGroup // parent core group
 	Socket *Socket
-	// Next links contexts horizontally in proximity order: SMT siblings
-	// first, then the other cores of the socket, then other sockets.
-	Next *HWContext
 }
 
-// HWCGroup is a group of hw_contexts or of smaller hwc_groups: a core with
-// its SMT contexts, or a cluster of cores sharing a cache level (Table 1).
+// HWCGroup is a group of hw_contexts: a core with its SMT contexts, or a
+// cluster of cores sharing a cache level (Table 1). Groups link upwards
+// only; cores are traversed in id order, socket by socket, by
+// Topology.Cores and Topology.SocketGetCores.
 type HWCGroup struct {
 	ID      int
 	Level   int // index into Topology.Levels; -1 for synthesized cores
 	Latency int64
 	// Contexts are the leaf hardware contexts under this group, ascending.
 	Contexts []*HWContext
-	// Children are the next-lower groups, nil for core-level groups.
-	Children []*HWCGroup
 	Parent   *HWCGroup
 	Socket   *Socket
-	Next     *HWCGroup
 }
 
-// Socket is an hwc_group with additional information about memory nodes and
-// the interconnection with other sockets (Table 1).
+// Socket is an hwc_group with additional information about memory nodes
+// (Table 1). Its interconnection with the other sockets is the topology's
+// socket matrices (Topology.SocketLatency, Topology.SocketBW); sockets are
+// traversed in id order by Topology.Sockets.
 type Socket struct {
 	HWCGroup
 	// Local is the socket's directly attached memory node.
 	Local *Node
-	// Interconnects lists this socket's links to every other socket,
-	// ascending by peer socket id.
-	Interconnects []*Interconnect
 	// MemLat[n] / MemBW[n] are the measured latency (cycles) and bandwidth
 	// (GB/s) from this socket to node n; nil before the memory plugins run.
 	MemLat []int64
@@ -105,21 +104,9 @@ type Socket struct {
 // Node is a memory node (Table 1).
 type Node struct {
 	ID int
-	// Sockets lists the sockets this node is local to (usually one).
-	Sockets []*Socket
 	// Lat and BW are the measurements from the node's own socket.
 	Lat int64
 	BW  float64
-}
-
-// Interconnect is the connection between two sockets (Table 1).
-type Interconnect struct {
-	From, To *Socket
-	Latency  int64
-	// Hops is 1 for a direct link, 2 for the "lvl 4" non-direct relation.
-	Hops int
-	// BW is the link bandwidth in GB/s (0 if not measured).
-	BW float64
 }
 
 // CacheInfo carries the cache plugin's measurements (Section 4): latency in
@@ -145,12 +132,13 @@ type PowerInfo struct {
 func (p *PowerInfo) Available() bool { return p != nil && p.PerSocketBase > 0 }
 
 // Topology is the paper's mctop structure: it represents a processor and
-// links everything together (Table 1).
+// links everything together (Table 1). What a query reads of the spec it
+// was built from — levels, socket matrices, cache and power — it reads
+// there.
 type Topology struct {
 	name     string
 	smtWays  int
 	freqGHz  float64
-	levels   []Level
 	contexts []*HWContext
 	cores    []*HWCGroup
 	// groups[l] holds the components of level l for intra-socket levels.
@@ -158,13 +146,7 @@ type Topology struct {
 	sockets []*Socket
 	nodes   []*Node
 
-	socketLat [][]int64
-	socketBW  [][]float64
-
-	cache *CacheInfo
-	power *PowerInfo
-
-	spec Spec // the originating spec, kept for serialization
+	spec Spec // the originating spec
 
 	// idx is the precomputed query index (see index.go), built lazily on
 	// the first hot-path query; idxOnce makes the build race-free, and the
@@ -207,7 +189,7 @@ func (t *Topology) ModelFreqGHz() float64 {
 }
 
 // Levels returns the latency levels, ascending.
-func (t *Topology) Levels() []Level { return t.levels }
+func (t *Topology) Levels() []Level { return t.spec.Levels }
 
 // Context returns the hardware context with the given id.
 func (t *Topology) Context(id int) *HWContext {
@@ -246,10 +228,10 @@ func (t *Topology) Node(id int) *Node {
 func (t *Topology) Nodes() []*Node { return t.nodes }
 
 // Cache returns the cache plugin's measurements, or nil.
-func (t *Topology) Cache() *CacheInfo { return t.cache }
+func (t *Topology) Cache() *CacheInfo { return t.spec.Cache }
 
 // Power returns the power plugin's measurements, or nil.
-func (t *Topology) Power() *PowerInfo { return t.power }
+func (t *Topology) Power() *PowerInfo { return t.spec.Power }
 
 // GetLocalNode returns the local memory node of a hardware context — the
 // paper's mctop_get_local_node(hw_ctx).
@@ -343,16 +325,16 @@ func (t *Topology) SocketLatency(s1, s2 int) int64 {
 	if s1 < 0 || s2 < 0 || s1 >= len(t.sockets) || s2 >= len(t.sockets) {
 		return -1
 	}
-	return t.socketLat[s1][s2]
+	return t.spec.SocketLat[s1][s2]
 }
 
 // SocketBW returns the measured interconnect bandwidth between two sockets,
 // or 0 when unknown.
 func (t *Topology) SocketBW(s1, s2 int) float64 {
-	if t.socketBW == nil || s1 < 0 || s2 < 0 || s1 >= len(t.sockets) || s2 >= len(t.sockets) {
+	if t.spec.SocketBW == nil || s1 < 0 || s2 < 0 || s1 >= len(t.sockets) || s2 >= len(t.sockets) {
 		return 0
 	}
-	return t.socketBW[s1][s2]
+	return t.spec.SocketBW[s1][s2]
 }
 
 // MaxLatency returns the maximum communication latency on the machine —
@@ -432,7 +414,7 @@ func (t *Topology) MinLatencyPair() (a, b *Socket) {
 	best := int64(-1)
 	for i := 0; i < len(t.sockets); i++ {
 		for j := i + 1; j < len(t.sockets); j++ {
-			l := t.socketLat[i][j]
+			l := t.spec.SocketLat[i][j]
 			if best == -1 || l < best {
 				best = l
 				a, b = t.sockets[i], t.sockets[j]
@@ -503,7 +485,7 @@ func (t *Topology) ContextsByLatencyFrom(ctx int) []int {
 // PowerEstimate estimates package power for a set of active contexts using
 // the power plugin's model (0 when power data is unavailable).
 func (t *Topology) PowerEstimate(ctxs []int, withDRAM bool) (perSocket []float64, total float64) {
-	if !t.power.Available() {
+	if !t.spec.Power.Available() {
 		return make([]float64, len(t.sockets)), 0
 	}
 	o := t.count(ctxs)

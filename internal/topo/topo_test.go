@@ -190,34 +190,39 @@ func TestNoSMTSynthesizedCores(t *testing.T) {
 	}
 }
 
-func TestInterconnectHops(t *testing.T) {
-	top, _ := FromSpec(opteronSpec())
-	s0 := top.Socket(0)
-	if len(s0.Interconnects) != 7 {
-		t.Fatalf("socket 0 has %d interconnects", len(s0.Interconnects))
+// TestCrossSocketEdges: DotCrossSocket draws a socket pair exactly when its
+// latency lies in the lowest cross level or in none. On the Opteron spec
+// that is the MCM siblings; the 217- and 300-cycle pairs sit in the second
+// and third cross levels and are annotated as 2 and 3 hops.
+func TestCrossSocketEdges(t *testing.T) {
+	spec := opteronSpec()
+	top, err := FromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, ic := range s0.Interconnects {
-		wantHops := 1
-		if ic.Latency == 300 {
-			wantHops = 3 // third cross level
-		} else if ic.Latency == 217 {
-			wantHops = 2
+	dot := top.DotCrossSocket()
+	for _, want := range []string{"s0 -- s1 ", "s6 -- s7 ", `(2 hops) 217 cy`, `(3 hops) 300 cy`} {
+		if !strings.Contains(dot, want) {
+			t.Errorf("cross-socket graph lacks %q:\n%s", want, dot)
 		}
-		_ = wantHops
 	}
-	// MCM sibling is level-1 cross (hops 1), two-hop pairs map to the last
-	// cross level.
-	for _, ic := range s0.Interconnects {
-		switch ic.To.ID {
-		case 1:
-			if ic.Hops != 1 {
-				t.Errorf("0-1 hops = %d", ic.Hops)
-			}
-		case 3, 5, 7:
-			if ic.Hops != 3 {
-				t.Errorf("0-%d hops = %d, want 3 (third cross level)", ic.To.ID, ic.Hops)
-			}
+	for _, unwanted := range []string{"s0 -- s2 ", "s0 -- s3 ", "s1 -- s2 "} {
+		if strings.Contains(dot, unwanted) {
+			t.Errorf("cross-socket graph draws %q, which is not in the lowest cross level:\n%s", unwanted, dot)
 		}
+	}
+	if n := strings.Count(dot, " -- "); n != 4 {
+		t.Errorf("%d edges drawn, want the 4 MCM pairs", n)
+	}
+
+	// A pair whose latency lies in no cross level is drawn too.
+	spec.SocketLat[0][3], spec.SocketLat[3][0] = 250, 250
+	top, err = FromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dot := top.DotCrossSocket(); !strings.Contains(dot, `s0 -- s3 [label="250 cy`) {
+		t.Errorf("a pair outside every cross level is not drawn:\n%s", dot)
 	}
 }
 
@@ -283,33 +288,25 @@ func TestContextsByLatencyFrom(t *testing.T) {
 	}
 }
 
-func TestHorizontalLinks(t *testing.T) {
+// TestTraversalOrder: the ordered slices are the traversal. A context's
+// core lists it with its SMT sibling, and the cores, socket by socket,
+// cover the machine once.
+func TestTraversalOrder(t *testing.T) {
 	top, _ := FromSpec(ivySpec())
-	// Next of ctx 0 is its SMT sibling.
-	if top.Context(0).Next.ID != 20 {
-		t.Errorf("ctx 0 Next = %d, want 20", top.Context(0).Next.ID)
+	if got := top.Context(0).Core.Contexts; len(got) != 2 || got[0].ID != 0 || got[1].ID != 20 {
+		t.Errorf("ctx 0's core holds %v, want contexts 0 and 20", got)
 	}
-	// Walking Next from any context covers the whole machine.
 	seen := map[int]bool{}
-	c := top.Context(5)
-	for i := 0; i < top.NumHWContexts(); i++ {
-		seen[c.ID] = true
-		c = c.Next
-	}
-	if len(seen) != 40 {
-		t.Errorf("Next chain covers %d contexts", len(seen))
-	}
-	// Core chain.
-	core := top.Cores()[0]
-	count := 0
-	for n := core; ; n = n.Next {
-		count++
-		if n.Next == core {
-			break
+	for i, core := range top.Cores() {
+		if want := i / 10; core.Socket.ID != want {
+			t.Errorf("core %d is on socket %d, want %d", i, core.Socket.ID, want)
+		}
+		for _, c := range core.Contexts {
+			seen[c.ID] = true
 		}
 	}
-	if count != 20 {
-		t.Errorf("core chain covers %d cores", count)
+	if len(seen) != 40 {
+		t.Errorf("the cores cover %d contexts", len(seen))
 	}
 }
 
