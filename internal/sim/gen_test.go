@@ -212,11 +212,10 @@ func TestParseAcceptsWhatGenerates(t *testing.T) {
 	}
 }
 
-// TestGenerateAllocs pins what generating a 1024-socket ring allocates.
-// The hop matrix's BFS used to re-slice and re-append its queue, growing
-// it on almost every push: 1,053,737 allocations, 99.65 % of them there.
-// Collection stays off for the two builds measured (about 84 MB): a cycle
-// the 42 MB build triggers adds one or two allocations of its own.
+// TestGenerateAllocs pins what generating a 1024-socket ring allocates: a
+// BFS queue that grows on its pushes would add about a million. Collection
+// stays off for the two builds measured (about 84 MB): a cycle the 42 MB
+// build triggers adds one or two allocations of its own.
 func TestGenerateAllocs(t *testing.T) {
 	spec, err := ParseGenName("gen:ring:s1024:c1:t2")
 	if err != nil {

@@ -108,9 +108,7 @@ func TestIndexMemoryIsLinear(t *testing.T) {
 
 // TestFromSpecAllocs pins what one FromSpec build allocates on each decoded
 // golden fixture and on a 64-socket synthetic spec, so a structure no query
-// reads cannot creep back into the build. With one object per ordered
-// socket pair for the interconnect, and proximity chains, the counts were
-// 176, 712, 395, 314, 554 and 6745.
+// reads cannot creep back into the build.
 func TestFromSpecAllocs(t *testing.T) {
 	specs := map[string]Spec{"tree-s64": treeSpec("tree-s64", 64, 4, 2, nil)}
 	for _, name := range []string{"ivy", "westmere", "haswell", "opteron", "sparc"} {
