@@ -93,6 +93,11 @@ func TestTopologyGeneratedErrors(t *testing.T) {
 	if resp, body := get(t, unbounded, "/v1/topology?platform=gen:mesh:s1025:c1024:t1"); resp.StatusCode != 400 {
 		t.Errorf("over the generator cap: status %d (%s), want 400", resp.StatusCode, body)
 	}
+	// So is a spec under the context cap whose Cores² matrix is 8 TB: it
+	// is refused from its name, never generated.
+	if resp, body := get(t, unbounded, "/v1/topology?platform=gen:ring:s1:c1048576:t1"); resp.StatusCode != 400 {
+		t.Errorf("over the generator's matrix cap: status %d (%s), want 400", resp.StatusCode, body)
+	}
 }
 
 // TestMaxContextsRefusal pins the -max-contexts contract: a platform over

@@ -196,12 +196,12 @@ func (d *TaskDAG) TopoLayout() (order, off, succ []int, err error) {
 	n := len(d.Nodes)
 	// Counting sort by tail: count into off, turn the counts into bucket
 	// ends, then place the edges back to front, so off[v] ends at its
-	// bucket's start. off and succ share one array, and so do indeg and
-	// ready, which never holds more than the n nodes.
+	// bucket's start. off and succ share one array, and indeg, ready,
+	// which never holds more than the n nodes, and the order share another.
 	layout := make([]int, n+1+len(d.Edges))
 	off, succ = layout[:n+1], layout[n+1:]
-	scratch := make([]int, 2*n)
-	indeg, ready := scratch[:n], scratch[n:n]
+	scratch := make([]int, 3*n)
+	indeg, ready := scratch[:n], scratch[n:n:2*n]
 	for _, e := range d.Edges {
 		indeg[e.To]++
 		off[e.From]++
@@ -222,7 +222,7 @@ func (d *TaskDAG) TopoLayout() (order, off, succ []int, err error) {
 			ready = append(ready, v)
 		}
 	}
-	order = make([]int, 0, n)
+	order = scratch[2*n : 2*n : 3*n]
 	for len(ready) > 0 {
 		m := 0
 		for i, v := range ready {

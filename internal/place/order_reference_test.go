@@ -3,16 +3,16 @@ package place
 // The policy orders as they were built before each order became one slice
 // sized once: the verbatim pre-change buildOrder, socketOrder, hwcOrder,
 // coreHWCOrder and roundRobin, renamed with a ref prefix, and Policy.Order
-// around them. Kept as the reference TestOrderMatchesReference compares
-// every builtin policy against, like powerOrderScan for POWER (which the
-// reference still delegates to the production powerOrder).
+// around them. Kept as the reference TestOrderMatchesReference and
+// FuzzOrderMatchesReference compare every builtin policy against, like
+// powerOrderScan for POWER (which the reference still delegates to the
+// production powerOrder, stopped at NThreads).
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -205,25 +205,7 @@ func refRoundRobin(perSocket [][]int, limit int) []int {
 // too; a policy either fails on both sides with the same error or returns
 // the same slots.
 func TestOrderMatchesReference(t *testing.T) {
-	var tops []*topo.Topology
-	for _, file := range goldenPlatformFiles {
-		tops = append(tops, loadGolden(t, file))
-	}
-	power := loadGolden(t, "haswell.mctop").Power()
-	for _, name := range []string{"gen:ring:s6:c2:t2", "gen:circulant:s16:c4:t2", "gen:mesh:s16:c16:t2"} {
-		p, err := sim.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := enriched(t, p).Spec()
-		spec.Power = power
-		top, err := topo.FromSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tops = append(tops, top)
-	}
-	for _, top := range tops {
+	for _, top := range orderTopologies(t) {
 		n, cores := top.NumHWContexts(), top.NumCores()
 		for _, pol := range Policies() {
 			for nSockets := 0; nSockets <= top.NumSockets(); nSockets++ {

@@ -8,6 +8,15 @@
 // back, and export the derived information of Figure 7: cores used,
 // bandwidth proportions, estimated maximum power with and without DRAM,
 // maximum latency, and minimum aggregate bandwidth.
+//
+// A builtin policy's order over every socket is built once per topology,
+// on its first placement, and kept with the topology (topo.MemoOrder), as
+// libmctop's mctopo_t stores each socket's context array once: at most 12
+// orders of one int per context, 12·n words — 24 KiB on a 256-context
+// machine. A placement of any thread count is a prefix of that order and
+// reads it in place, so building one is a single allocation. A placement
+// on fewer sockets builds its order afresh, and Policy.Order returns a
+// copy the caller owns.
 package place
 
 import (
@@ -151,10 +160,25 @@ const Custom Policy = -1
 // NewFrom computes a placement from any Orderer — a builtin Policy, a
 // combinator chain, or a user implementation. The order is validated
 // (every slot must be -1 or a context of this topology); correctable
-// failures wrap ErrInvalid.
+// failures wrap ErrInvalid. A builtin policy over every socket places
+// from the topology's memoized order without copying it: the Placement
+// only reads its slots, so the build is one allocation.
 func NewFrom(t *topo.Topology, o Orderer, opt Options) (*Placement, error) {
 	if o == nil {
 		return nil, fmt.Errorf("%w: nil policy", ErrInvalid)
+	}
+	if c, ok := o.(Chain); ok {
+		if p, ok := c.Orderer.(Policy); ok {
+			o = p
+		}
+	}
+	if p, ok := o.(Policy); ok {
+		// Builtin orders are valid by construction.
+		order, _, err := p.slots(t, opt)
+		if err != nil {
+			return nil, err
+		}
+		return &Placement{t: t, policy: p, ctxs: order}, nil
 	}
 	order, err := o.Order(t, opt)
 	if err != nil {
@@ -166,17 +190,9 @@ func NewFrom(t *topo.Topology, o Orderer, opt Options) (*Placement, error) {
 				ErrInvalid, o.Name(), i, c, t.NumHWContexts())
 		}
 	}
-	policy := Custom
-	if p, ok := o.(Policy); ok {
-		policy = p
-	} else if c, ok := o.(Chain); ok {
-		if p, ok := c.Orderer.(Policy); ok {
-			policy = p
-		}
-	}
 	return &Placement{
 		t:      t,
-		policy: policy,
+		policy: Custom,
 		name:   o.Name(),
 		ctxs:   order,
 	}, nil

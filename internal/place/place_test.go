@@ -21,7 +21,7 @@ var (
 
 // enriched infers and enriches a platform's topology (cached per platform:
 // placements never mutate it).
-func enriched(t *testing.T, p *sim.Platform) *topo.Topology {
+func enriched(t testing.TB, p *sim.Platform) *topo.Topology {
 	t.Helper()
 	topoMu.Lock()
 	defer topoMu.Unlock()

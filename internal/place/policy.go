@@ -8,6 +8,7 @@ package place
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -36,28 +37,58 @@ type Orderer interface {
 func (p Policy) Name() string { return p.String() }
 
 // Order implements Orderer for the builtin policies: the full validation
-// and ordering pipeline New has always run (socket clamp, power-data
-// check, Table 2 order construction, NThreads truncation).
+// and ordering pipeline (socket clamp, power-data check, Table 2 order
+// construction, NThreads truncation). The slice is the caller's: a
+// combinator or user code may write it without touching the topology's
+// memoized order it was copied from.
 func (p Policy) Order(t *topo.Topology, opt Options) ([]int, error) {
+	order, shared, err := p.slots(t, opt)
+	if shared {
+		order = slices.Clone(order)
+	}
+	return order, err
+}
+
+// slots is Order without the copy. With every socket allowed — the case
+// every builtin placement of the whole machine is — the order is a prefix
+// of the policy's full-machine order, which the topology memoizes
+// (topo.MemoOrder): shared is true, and the slice must not be written.
+// NThreads only cuts the order (each builder's first k slots are its
+// full order's first k, which FuzzOrderMatchesReference checks against the
+// builders that stop at k). A socket subset builds afresh, as a memo per
+// NSockets could grow to 12·S orders of a machine.
+func (p Policy) slots(t *topo.Topology, opt Options) (order []int, shared bool, err error) {
 	if opt.NSockets < 0 || opt.NThreads < 0 {
-		return nil, fmt.Errorf("%w: negative options %+v", ErrInvalid, opt)
+		return nil, false, fmt.Errorf("%w: negative options %+v", ErrInvalid, opt)
 	}
 	nSockets := opt.NSockets
 	if nSockets == 0 || nSockets > t.NumSockets() {
 		nSockets = t.NumSockets()
 	}
 	if p == PowerPolicy && !t.Power().Available() {
-		return nil, fmt.Errorf("%w: %v requires power measurements (Intel-only)", ErrInvalid, p)
+		return nil, false, fmt.Errorf("%w: %v requires power measurements (Intel-only)", ErrInvalid, p)
 	}
-	order, err := buildOrder(t, p, nSockets, opt.NThreads)
-	if err != nil {
-		return nil, err
+	if nSockets == t.NumSockets() && p >= 0 && int(p) < topo.NumOrders {
+		if order = t.MemoOrder(int(p)); order == nil {
+			order = t.BuildMemoOrder(int(p), fullOrder)
+		}
+		shared = true
+	} else if order, err = buildOrder(t, p, nSockets, opt.NThreads); err != nil {
+		return nil, false, err
 	}
 	n := opt.NThreads
 	if n == 0 || n > len(order) {
 		n = len(order)
 	}
-	return order[:n], nil
+	return order[:n:n], shared, nil
+}
+
+// fullOrder builds builtin policy slot's full-machine order, the order
+// the topology memoizes for it. buildOrder fails only for a policy it does
+// not know, and slots asks only for the builtins.
+func fullOrder(t *topo.Topology, slot int) []int {
+	order, _ := buildOrder(t, Policy(slot), t.NumSockets(), 0)
+	return order
 }
 
 // Chain is an Orderer with fluent combinator methods, so compositions read

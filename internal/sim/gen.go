@@ -67,6 +67,15 @@ const (
 // cap).
 const genMaxContexts = 1 << 20
 
+// genMaxMatrixBytes bounds the matrices a generated platform is built
+// with: Generate and the simulator's tables allocate five Sockets×Sockets
+// matrices of 8-byte words (SocketLatMatrix, SocketHopMatrix, MemLat, MemBW
+// and tables.socketLat) and one Cores×Cores (tables.intraOff). Under the
+// context cap alone, gen:ring:s1:c1048576:t1 would ask for 8.8 TB of
+// intraOff. The bound admits gen:ring:s2048:c1:t1 (168 MB) and
+// gen:mesh:s1024:c1024:t1 (48 MB).
+const genMaxMatrixBytes = 256 << 20
+
 // GenSpec parametrizes one synthetic platform. The zero value is invalid;
 // Kind, Sockets, Cores and SMT are required.
 type GenSpec struct {
@@ -210,7 +219,8 @@ func ParseGenName(name string) (GenSpec, error) {
 // check decides whether a parsed spec names a platform. It is the one such
 // decision: ParseGenName and Generate both run it, so a name parses exactly
 // when it generates. It refuses an unknown kind, non-positive dimensions,
-// more than genMaxContexts contexts, generators on a mesh or a ring, a
+// more than genMaxContexts contexts, matrices of more than
+// genMaxMatrixBytes, generators on a mesh or a ring, a
 // generator outside [1, Sockets/2], and a disconnected circulant — one whose
 // sockets and generators share a divisor, so that socket 0 reaches only
 // their multiples and never socket 1.
@@ -229,6 +239,11 @@ func (g GenSpec) check() error {
 	}
 	if n := g.NumContexts(); n > genMaxContexts {
 		return bad("%d contexts exceeds the generator cap %d", n, genMaxContexts)
+	}
+	// Under the context cap each dimension is at most 2²⁰, so this cannot
+	// overflow.
+	if b := 8 * (5*g.Sockets*g.Sockets + g.Cores*g.Cores); b > genMaxMatrixBytes {
+		return bad("%d bytes of socket and core matrices exceeds the generator cap %d", b, genMaxMatrixBytes)
 	}
 	if g.Kind != GenCirculant {
 		if len(g.Gens) > 0 {

@@ -212,6 +212,41 @@ func TestParseAcceptsWhatGenerates(t *testing.T) {
 	}
 }
 
+// TestGenMatrixCap: a name whose socket or core matrices would exceed the
+// generator's byte cap is refused at parse time — with its parsed spec, so
+// a caller can still size it — and every shape the tests, the benchmark
+// and the roadmap name still parses. Nothing here is generated: an
+// over-cap spec would allocate up to terabytes if it got past the check.
+func TestGenMatrixCap(t *testing.T) {
+	for _, name := range []string{
+		"gen:ring:s1:c1048576:t1",   // 8.8 TB of Cores² intraOff
+		"gen:ring:s1048576:c1:t1",   // 44 TB of Sockets² matrices
+		"gen:ring:s4096:c1:t1",      // 671 MB
+		"gen:mesh:s1:c8192:t1",      // 537 MB
+		"gen:circulant:s3000:c1:t1", // 360 MB
+	} {
+		spec, err := ParseGenName(name)
+		if !errors.Is(err, mctoperr.ErrInvalidRequest) || !strings.Contains(fmt.Sprint(err), "bytes of socket and core matrices") {
+			t.Errorf("ParseGenName(%q): err %v, want the matrix cap's ErrInvalidRequest", name, err)
+		}
+		if spec.Name() != name {
+			t.Errorf("ParseGenName(%q) refused without its spec (%+v)", name, spec)
+		}
+	}
+	for _, name := range []string{
+		"gen:ring:s2048:c1:t1",     // 168 MB, the largest socket count named
+		"gen:mesh:s1024:c1024:t1",  // the context cap
+		"gen:mesh:s512:c16:t2",     // 16384 contexts
+		"gen:ring:s1:c4096:t1",     // 134 MB of intraOff
+		"gen:ring:s1024:c1:t2",     // TestGenerateAllocs
+		"gen:circulant:s160:c8:t2", // the largest circulant named
+	} {
+		if _, err := ParseGenName(name); err != nil {
+			t.Errorf("ParseGenName(%q): %v", name, err)
+		}
+	}
+}
+
 // TestGenerateAllocs pins what generating a 1024-socket ring allocates: a
 // BFS queue that grows on its pushes would add about a million. Collection
 // stays off for the two builds measured (about 84 MB): a cycle the 42 MB

@@ -74,14 +74,5 @@ func BruteForce(ctx context.Context, t *topo.Topology, d *graph.TaskDAG, opt Opt
 			copy(best, assign)
 		}
 	}
-	return &Mapping{
-		t:      t,
-		name:   d.Name,
-		hash:   d.Hash(),
-		nodes:  n,
-		edges:  len(d.Edges),
-		algo:   "brute",
-		cost:   bestCost,
-		assign: best,
-	}, nil
+	return newMapping(t, d, "brute", bestCost, best), nil
 }

@@ -21,7 +21,8 @@ package taskmap
 // earliest finish.
 func foldGreedy(s *pricer, ctxs []int) []int {
 	n := len(s.work)
-	pri := priorities(s)
+	pri := make([]int64, n)
+	priorities(s, pri)
 	indeg := make([]int, n)
 	assign := make([]int, n)
 	ready := make([]int, 0, n)

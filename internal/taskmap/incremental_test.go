@@ -198,11 +198,13 @@ func TestPricerAllocationFree(t *testing.T) {
 
 // TestMapAllocs pins what one Map call allocates on a generated 24-node,
 // 39-edge DAG over Westmere's 80 contexts: 15 allocations for greedy (the
-// DAG's order and successor layout, three; the pricer and its arrays,
-// four; the candidates and their grouping by socket, two; greedy's
-// priorities, assignment and two scratch arrays; the serial fallback and
-// the Mapping) and 17 with a refine budget of 200 (the incumbent's copy
-// and refine's scratch on top).
+// DAG's successor layout, and its order in one array with the Kahn pass's
+// scratch; the pricer and its arrays, four; the candidates and their
+// grouping by socket, two; greedy's priorities and start rows in one
+// array, its assignment and its scratch; the serial fallback, the Mapping,
+// and the Mapping's copy of the DAG's nodes and edges, two, which DAGHash
+// hashes on first use) and 17 with a refine budget of 200 (the incumbent's
+// copy and refine's scratch on top).
 func TestMapAllocs(t *testing.T) {
 	top := loadGolden(t, "westmere.mctop")
 	top.GetLatency(0, 1) // build the topology's index outside the measurement

@@ -25,7 +25,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/topo"
@@ -52,12 +54,35 @@ type Options struct {
 type Mapping struct {
 	t      *topo.Topology
 	name   string
-	hash   uint64 // canonical DAG hash (graph.TaskDAG.Hash)
 	nodes  int
 	edges  int
 	algo   string
 	cost   int64
 	assign []int
+
+	// hash is the canonical hash of the mapped DAG (graph.TaskDAG.Hash).
+	// A mapper leaves it to DAGHash's first call, which hashes dag — the
+	// mapper's own copy of the DAG's nodes and edges, so a caller editing
+	// its DAG after Map changes nothing — and then drops the copy. A
+	// reconstructed mapping carries its hash and no copy.
+	hashOnce sync.Once
+	hash     uint64
+	dag      graph.TaskDAG
+}
+
+// newMapping is a mapper's result for d: the assignment, its cost, and a
+// copy of d's structure for DAGHash.
+func newMapping(t *topo.Topology, d *graph.TaskDAG, algo string, cost int64, assign []int) *Mapping {
+	return &Mapping{
+		t:      t,
+		name:   d.Name,
+		nodes:  len(d.Nodes),
+		edges:  len(d.Edges),
+		algo:   algo,
+		cost:   cost,
+		assign: assign,
+		dag:    graph.TaskDAG{Nodes: slices.Clone(d.Nodes), Edges: slices.Clone(d.Edges)},
+	}
 }
 
 // Topology returns the topology the mapping was computed against.
@@ -66,8 +91,22 @@ func (m *Mapping) Topology() *topo.Topology { return m.t }
 // DAGName returns the (non-canonical) name of the mapped DAG, if any.
 func (m *Mapping) DAGName() string { return m.name }
 
-// DAGHash returns the canonical hash of the mapped DAG.
-func (m *Mapping) DAGHash() uint64 { return m.hash }
+// DAGHash returns the canonical hash of the mapped DAG, as it was when it
+// was mapped. Most callers of Map never read it, so it is computed on
+// first use.
+func (m *Mapping) DAGHash() uint64 {
+	m.hashOnce.Do(m.hashDAG)
+	return m.hash
+}
+
+// hashDAG is DAGHash's first call: it hashes the mapper's copy of the DAG,
+// if there is one, and drops it.
+func (m *Mapping) hashDAG() {
+	if m.dag.Nodes != nil {
+		m.hash = m.dag.Hash()
+		m.dag = graph.TaskDAG{}
+	}
+}
 
 // NumNodes returns the mapped DAG's node count.
 func (m *Mapping) NumNodes() int { return m.nodes }
@@ -366,19 +405,19 @@ func groupBySocket(t *topo.Topology, ctxs []int) candSet {
 	return cs
 }
 
-// priorities computes the AMTHA-style list-scheduling priority per task:
-// its compute weight plus the communication it still owes its successors
-// (in cache-line·max-latency cycles, so compute and comm are commensurate).
-func priorities(s *pricer) []int64 {
+// priorities fills pri with the AMTHA-style list-scheduling priority per
+// task: its compute weight plus the communication it still owes its
+// successors (in cache-line·max-latency cycles, so compute and comm are
+// commensurate).
+func priorities(s *pricer, pri []int64) {
 	maxLat := s.t.MaxLatency()
 	if maxLat <= 0 {
 		maxLat = 1
 	}
-	pri := append([]int64(nil), s.work...)
+	copy(pri, s.work)
 	for _, e := range s.in {
 		pri[e.from] += e.lines * maxLat
 	}
-	return pri
 }
 
 // greedy runs the list scheduler over the candidate contexts and returns
@@ -407,7 +446,10 @@ func priorities(s *pricer) []int64 {
 //     starts at A_S, or else the earliest-free one.
 func greedy(s *pricer, cs *candSet) []int {
 	n, nS := len(s.work), len(cs.off)-1
-	pri := priorities(s)
+	// The priorities and the start rows share one array.
+	times := make([]int64, n+len(cs.grouped))
+	pri, start := times[:n], times[n:]
+	priorities(s, pri)
 	assign := make([]int, n)
 	ints := make([]int, 2*n)
 	indeg, ready := ints[:n], ints[n:n]
@@ -419,7 +461,6 @@ func greedy(s *pricer, cs *candSet) []int {
 	}
 	finish, free := s.finish, s.free
 	clear(free)
-	start := make([]int64, len(cs.grouped))
 	for len(ready) > 0 {
 		// Highest priority first, ties to the lowest task ID.
 		next := 0
@@ -539,16 +580,7 @@ func Map(ctx context.Context, t *topo.Topology, d *graph.TaskDAG, opt Options) (
 		}
 		algo = "greedy+refine"
 	}
-	return &Mapping{
-		t:      t,
-		name:   d.Name,
-		hash:   d.Hash(),
-		nodes:  len(d.Nodes),
-		edges:  len(d.Edges),
-		algo:   algo,
-		cost:   cost,
-		assign: assign,
-	}, nil
+	return newMapping(t, d, algo, cost, assign), nil
 }
 
 // Reconstruct rebuilds a Mapping from persisted fields — the spool

@@ -247,6 +247,52 @@ func TestReconstructRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDAGHashIsTakenAtMap: a mapping's DAGHash is the hash of the DAG as
+// it was mapped. Map and BruteForce leave the hash to DAGHash's first
+// call, so a caller that edits its DAG afterwards — works, volumes, edge
+// order, added edges, dropped nodes — must not change it; goroutines
+// asking at once all get it (run it with -race).
+func TestDAGHashIsTakenAtMap(t *testing.T) {
+	tp := loadGolden(t, "ivy.mctop")
+	ctx := context.Background()
+	mappers := map[string]func(*graph.TaskDAG) (*Mapping, error){
+		"greedy": func(d *graph.TaskDAG) (*Mapping, error) { return Map(ctx, tp, d, Options{}) },
+		"refine": func(d *graph.TaskDAG) (*Mapping, error) { return Map(ctx, tp, d, Options{RefineBudget: 100}) },
+		"brute": func(d *graph.TaskDAG) (*Mapping, error) {
+			return BruteForce(ctx, tp, d, Options{Ctxs: []int{0, 1, 20}})
+		},
+	}
+	for name, mapper := range mappers {
+		for seed := uint64(1); seed <= 3; seed++ {
+			d := graph.GenTaskDAG(graph.DAGParams{Layers: 3, Width: 2}, seed)
+			want := d.Hash()
+			m, err := mapper(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Nodes[0].Work += 7
+			d.Edges[0].Volume += CacheLine
+			d.Edges[0], d.Edges[len(d.Edges)-1] = d.Edges[len(d.Edges)-1], d.Edges[0]
+			d.Edges = append(d.Edges, graph.TaskEdge{From: 0, To: len(d.Nodes) - 1, Volume: 1})
+			d.Nodes = d.Nodes[:1]
+			if d.Hash() == want {
+				t.Fatalf("%s seed %d: the edits left the DAG's hash as it was", name, seed)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if got := m.DAGHash(); got != want {
+						t.Errorf("%s seed %d: DAGHash %016x after the edits, want %016x as mapped", name, seed, got, want)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	}
+}
+
 func TestMapCancellation(t *testing.T) {
 	tp := enriched(t, sim.Ivy())
 	d := graph.GenTaskDAG(graph.DAGParams{Layers: 5, Width: 4}, 2)

@@ -3,6 +3,8 @@ package topo
 import (
 	"math/bits"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // queryIndex is the immutable, precomputed query layer of a Topology. The
@@ -103,6 +105,46 @@ func (t *Topology) index() *queryIndex {
 func (t *Topology) buildIndexOnce() *queryIndex {
 	t.idxOnce.Do(func() { t.idx.Store(buildIndex(t)) })
 	return t.idx.Load()
+}
+
+// NumOrders is how many slot orders a Topology memoizes: one per builtin
+// placement policy of the paper's Table 2 (internal/place), which numbers
+// its policies 0 to NumOrders-1.
+const NumOrders = 12
+
+// orderMemo is one memoized order: the index's pattern of a sync.Once for a
+// race-free first build and an atomic pointer for the steady-state read.
+type orderMemo struct {
+	once sync.Once
+	p    atomic.Pointer[[]int]
+}
+
+// MemoOrder returns the order memoized in slot (0 <= slot < NumOrders),
+// or nil until BuildMemoOrder has built it. Like libmctop's mctopo_t,
+// which stores each socket's context array once, a Topology keeps at most
+// NumOrders orders of at most one entry per context, and they live and die
+// with it. The result is shared by every caller: it must not be modified.
+// This is the steady-state read, a single inlinable atomic load; the build
+// lives out of line in BuildMemoOrder, since no call fits in the inlining
+// budget beside the load.
+func (t *Topology) MemoOrder(slot int) []int {
+	if o := t.orders[slot].p.Load(); o != nil {
+		return *o
+	}
+	return nil
+}
+
+// BuildMemoOrder returns the order memoized in slot, building it with
+// build(t, slot) on first use: one goroutine builds, the rest wait, as in
+// buildIndexOnce. build must be a pure function of (t, slot), and should
+// be a top-level function, which costs no allocation to pass.
+func (t *Topology) BuildMemoOrder(slot int, build func(t *Topology, slot int) []int) []int {
+	m := &t.orders[slot]
+	m.once.Do(func() {
+		o := build(t, slot)
+		m.p.Store(&o)
+	})
+	return *m.p.Load()
 }
 
 // buildIndex precomputes every memoized structure. The latency layout is

@@ -153,6 +153,10 @@ type Topology struct {
 	// atomic pointer keeps the steady-state load inlinable.
 	idxOnce sync.Once
 	idx     atomic.Pointer[queryIndex]
+
+	// orders memoizes one full-machine slot order per builtin placement
+	// policy (MemoOrder), built lazily like idx and read-only once stored.
+	orders [NumOrders]orderMemo
 }
 
 // Name returns the platform name the topology was inferred on.
