@@ -115,7 +115,7 @@ func runExport(args []string) {
 	}
 	// The key header makes the file re-importable under the exact triple a
 	// serving registry looks up; topo.Decode skips it as a comment.
-	fail(spool.Encode(w, registry.KindTopology, registry.TopoKey(*platform, *seed, opt), top))
+	fail(spool.Encode(w, registry.NewEntry(registry.KindTopology, registry.TopoKey(*platform, *seed, opt), top)))
 	if *out != "-" {
 		src := "inferred"
 		if hit {
@@ -133,7 +133,7 @@ func spoolRegistry(dir string) *mctop.Registry {
 	}
 	sp, err := spool.New(dir)
 	fail(err)
-	return mctop.NewRegistry(16, mctop.WithStore(mctop.NewTieredStore(mctop.NewLRUStore(16), sp)))
+	return mctop.NewRegistry(16, mctop.WithTier(sp))
 }
 
 // install opens the spool at dir, lets put write into it, and exits
@@ -184,7 +184,7 @@ func runFetch(args []string) {
 	}
 	// Decode before writing anything: a torn, corrupt or mislabeled
 	// transfer must not land as a description file.
-	top, err := spool.Decode(bytes.NewReader(body), registry.KindTopology, key, nil)
+	e, err := spool.Decode(bytes.NewReader(body), registry.KindTopology, key, nil)
 	fail(err)
 	// Status lines go to stderr: with -o - the description file owns
 	// stdout, and a trailing status line would corrupt the piped output.
@@ -197,7 +197,7 @@ func runFetch(args []string) {
 	}
 	if *spoolDir != "" {
 		install(*spoolDir, func(sp *spool.Spool) {
-			sp.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top))
+			sp.Put(e)
 		})
 		fmt.Fprintf(os.Stderr, "installed into spool %s as %q\n", *spoolDir, key)
 	}
@@ -239,7 +239,7 @@ func runImport(args []string) {
 				}
 				key = registry.TopoKey(name, *seed, mctop.NewOptions(mctop.WithReps(*reps)))
 			}
-			sp.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top))
+			sp.Put(registry.NewEntry(registry.KindTopology, key, top))
 			fmt.Printf("imported %s as %q\n", path, key)
 		}
 	})

@@ -181,8 +181,7 @@ func TestChaosFleetServesOnlyGoldenBytes(t *testing.T) {
 		remote.WithBackoffMax(500*time.Millisecond),
 		remote.WithRetries(1, 2*time.Millisecond),
 		remote.WithLogf(t.Logf))
-	reg := mctop.NewRegistry(0, mctop.WithStore(
-		mctop.NewTieredStore(mctop.NewLRUStore(256), sp, rs)))
+	reg := mctop.NewRegistry(256, mctop.WithTier(sp), mctop.WithTier(rs))
 	defer reg.Close()
 	s := newServerWith(reg, 51, 32)
 	s.readiness = []readyProbe{ // the probes run() wires for -spool-dir + -upstream

@@ -40,7 +40,7 @@ func TestExportTopologyMatchesSpoolFormat(t *testing.T) {
 	top := decodeExport(t, ts, registry.KindTopology, key, body)
 	// The body is byte-for-byte what the spool tier would write.
 	var want bytes.Buffer
-	if err := spool.Encode(&want, registry.KindTopology, key, top); err != nil {
+	if err := spool.Encode(&want, registry.NewEntry(registry.KindTopology, key, top)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, want.Bytes()) {
@@ -79,18 +79,18 @@ func TestExportPlacementSidecar(t *testing.T) {
 // sidecar's topology through the same daemon's /v1/export.
 func decodeExport(t *testing.T, ts *httptest.Server, kind registry.Kind, key string, body []byte) any {
 	t.Helper()
-	v, err := spool.Decode(bytes.NewReader(body), kind, key, func(topoKey string) (*topo.Topology, error) {
+	e, err := spool.Decode(bytes.NewReader(body), kind, key, func(topoKey string) (*topo.Topology, error) {
 		_, b := get(t, ts, exportPath(topoKey))
-		v, err := spool.Decode(bytes.NewReader(b), registry.KindTopology, topoKey, nil)
+		e, err := spool.Decode(bytes.NewReader(b), registry.KindTopology, topoKey, nil)
 		if err != nil {
 			return nil, err
 		}
-		return v.(*topo.Topology), nil
+		return e.Val.(*topo.Topology), nil
 	})
 	if err != nil {
 		t.Fatalf("exported %v does not decode under its key: %v", kind, err)
 	}
-	return v
+	return e.Val
 }
 
 func TestExportRejectsBadKeys(t *testing.T) {

@@ -31,8 +31,7 @@ func edgeServer(t *testing.T, originURL string) (*server, *mctop.Registry) {
 		// does not idle in a backoff window.
 		remote.WithNegTTL(10*time.Millisecond),
 		remote.WithLogf(t.Logf))
-	reg := mctop.NewRegistry(0, mctop.WithStore(
-		mctop.NewTieredStore(mctop.NewLRUStore(256), rm)))
+	reg := mctop.NewRegistry(256, mctop.WithTier(rm))
 	return newServerWith(reg, 51, 4*runtime.GOMAXPROCS(0)), reg
 }
 
@@ -221,9 +220,8 @@ func TestFleetEdgeWithSpoolPersistsFetchedEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := mctop.NewRegistry(0, mctop.WithStore(mctop.NewTieredStore(
-			mctop.NewLRUStore(256), sp,
-			remote.New(originURL, remote.WithLogf(t.Logf)))))
+		reg := mctop.NewRegistry(256, mctop.WithTier(sp),
+			mctop.WithTier(remote.New(originURL, remote.WithLogf(t.Logf))))
 		return newServerWith(reg, 51, 4*runtime.GOMAXPROCS(0)), reg
 	}
 

@@ -238,15 +238,16 @@ func run(ctx context.Context, cfg daemonConfig, onReady func(addr string)) error
 			cfg.traceSample, cfg.traceSlow)
 	}
 
-	// Tier chain, fastest first: LRU → spool (optional) → remote
-	// (optional) — any daemon is an origin to its downstreams and, with
-	// -upstream, an edge to its origin at the same time.
+	// Tier chain, fastest first: the registry's LRU (-cache) → spool
+	// (optional) → remote (optional) — any daemon is an origin to its
+	// downstreams and, with -upstream, an edge to its origin at the same
+	// time.
 	var (
-		s  *server // assigned below; the remote observer closes over it
-		rs *remote.Remote
-		sp *spool.Spool
+		s       *server // assigned below; the remote observer closes over it
+		rs      *remote.Remote
+		sp      *spool.Spool
+		regOpts []mctop.RegistryOption
 	)
-	tiers := []mctop.Store{mctop.NewLRUStore(cfg.cache)}
 	if cfg.spoolDir != "" {
 		// Zero bounds, a nil fault set and a disabled tracer are each the
 		// option's "off". The tracer is for the write-behind goroutine,
@@ -257,7 +258,7 @@ func run(ctx context.Context, cfg daemonConfig, onReady func(addr string)) error
 		if err != nil {
 			return fmt.Errorf("mctopd: %w", err)
 		}
-		tiers = append(tiers, sp)
+		regOpts = append(regOpts, mctop.WithTier(sp))
 		log.Printf("mctopd: spooling to %s (%d entries on disk)", cfg.spoolDir, sp.Len())
 	}
 	if cfg.upstream != "" {
@@ -273,10 +274,9 @@ func run(ctx context.Context, cfg daemonConfig, onReady func(addr string)) error
 			}))
 		}
 		rs = remote.New(cfg.upstream, rOpts...)
-		tiers = append(tiers, rs)
+		regOpts = append(regOpts, mctop.WithTier(rs))
 		log.Printf("mctopd: edge mode, pulling misses from %s", cfg.upstream)
 	}
-	regOpts := []mctop.RegistryOption{mctop.WithStore(mctop.NewTieredStore(tiers...))}
 	var mapperFailed atomic.Bool
 	if faults != nil {
 		// The registry.infer point: a fired rule delays and/or fails the

@@ -248,7 +248,7 @@ func (s *server) refExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var buf bytes.Buffer
-	if err := spool.Encode(&buf, kind, key, val); err != nil {
+	if err := spool.Encode(&buf, registry.NewEntry(kind, key, val)); err != nil {
 		refWriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -286,11 +286,11 @@ func (s *server) refExportValue(ctx context.Context, kind registry.Kind, key str
 		if _, _, _, _, _, err := registry.ParseMapKey(key); err != nil {
 			return nil, err
 		}
-		val, ok := s.reg.Store().Get(kind, key)
+		e, ok := s.reg.Store().Get(kind, key)
 		if !ok {
 			return nil, noEntryError{fmt.Errorf("mapping %q is not cached on this daemon", key)}
 		}
-		return val, nil
+		return e.Val, nil
 	}
 }
 

@@ -384,11 +384,10 @@ func weakEntries(t *testing.T, reg *mctop.Registry) ([]weak.Pointer[registry.Ent
 	var forms []weak.Pointer[byte]
 	for _, key := range []string{tk, "place|" + tk + "|MCTOP_PLACE_RR_CORE|7", "place|" + tk + "|MCTOP_PLACE_CON_HWC|4", registry.MapKey("Ivy", 42, opt, &dag, 0)} {
 		kind, _ := registry.KindOfKey(key)
-		v, ok := reg.Store().Get(kind, key)
+		e, ok := reg.Store().Get(kind, key)
 		if !ok {
 			t.Fatalf("no entry under %q", key)
 		}
-		e := v.(*registry.Entry)
 		entries = append(entries, weak.Make(e))
 		n := len(forms)
 		for f := registry.Form(0); f < registry.NumForms; f++ {
@@ -480,12 +479,14 @@ func TestRenderMemoNeverServesAnotherKeysBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := mctop.NewOptions(mctop.WithReps(51))
-	lru := mctop.NewLRUStore(16)
+	reg := mctop.NewRegistry(16)
 	for _, seed := range []uint64{1, 2} {
 		key := registry.TopoKey("Ivy", seed, opt)
-		lru.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top))
+		if err := reg.Store().Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s := newServerWith(mctop.NewRegistry(0, mctop.WithStore(lru)), 51, 0)
+	s := newServerWith(reg, 51, 0)
 	h := s.routes()
 	for round := 0; round < 2; round++ {
 		for _, seed := range []uint64{1, 2} {

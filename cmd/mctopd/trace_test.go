@@ -138,8 +138,7 @@ func TestFleetTraceStitching(t *testing.T) {
 	defer origin.Close()
 
 	rm := remote.New(origin.URL, remote.WithLogf(t.Logf))
-	reg := mctop.NewRegistry(0, mctop.WithStore(
-		mctop.NewTieredStore(mctop.NewLRUStore(64), rm)))
+	reg := mctop.NewRegistry(64, mctop.WithTier(rm))
 	edgeSrv := tracedServer(reg, 3)
 	edge := httptest.NewServer(edgeSrv.routes())
 	defer edge.Close()
@@ -244,8 +243,7 @@ func TestChaosSpanBalance(t *testing.T) {
 		remote.WithBackoffMax(200*time.Millisecond),
 		remote.WithRetries(1, 2*time.Millisecond),
 		remote.WithLogf(t.Logf))
-	reg := mctop.NewRegistry(0, mctop.WithStore(
-		mctop.NewTieredStore(mctop.NewLRUStore(64), sp, rm)))
+	reg := mctop.NewRegistry(64, mctop.WithTier(sp), mctop.WithTier(rm))
 	defer reg.Close()
 	s := newServerWith(reg, 51, 32)
 	s.tracer = tracer

@@ -25,8 +25,7 @@ func spoolServer(t *testing.T, dir string) (*server, *mctop.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := mctop.NewRegistry(0, mctop.WithStore(
-		mctop.NewTieredStore(mctop.NewLRUStore(256), sp)))
+	reg := mctop.NewRegistry(256, mctop.WithTier(sp))
 	t.Cleanup(func() { reg.Close() })
 	return newServerWith(reg, 51, 4*runtime.GOMAXPROCS(0)), reg
 }

@@ -27,11 +27,11 @@ func TestServedRecordsTheAnsweringEntry(t *testing.T) {
 	key := TopoKey("Ivy", 1, opt)
 	stored := func(kind Kind, key string) *Entry {
 		t.Helper()
-		v, ok := r.Store().Get(kind, key)
+		e, ok := r.Store().Get(kind, key)
 		if !ok {
 			t.Fatalf("no entry under %q", key)
 		}
-		return v.(*Entry)
+		return e
 	}
 	lookup := func() *Served {
 		ctx, sv := ContextWithServed(bg)

@@ -8,23 +8,17 @@ import (
 )
 
 // LRU is the in-memory tier: one mutex, one recency list, an exact entry
-// bound — the cache the registry always had, behind the Store interface so
-// it can head a tiered chain. The lock covers a map lookup and a list
-// splice; at the daemon's request rates its occupancy is well under 1 %.
+// bound — the head of every registry's tier chain. The lock covers a map
+// lookup and a list splice; at the daemon's request rates its occupancy is
+// well under 1 %.
 type LRU struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
+	entries map[string]*list.Element // each element's Value is the *Entry
+	order   *list.List               // front = most recently used
 
 	puts  atomic.Int64
 	kinds KindCounters
-}
-
-type lruEntry struct {
-	key  string
-	kind Kind
-	val  any
 }
 
 // NewLRU creates an LRU store holding exactly maxEntries entries before it
@@ -42,7 +36,7 @@ func NewLRU(maxEntries int) *LRU {
 
 // Lookup implements Store. Kinds share one namespace: keys are already
 // kind-prefixed by the registry.
-func (l *LRU) Lookup(_ context.Context, kind Kind, key string) (any, string, bool) {
+func (l *LRU) Lookup(_ context.Context, kind Kind, key string) (*Entry, string, bool) {
 	l.mu.Lock()
 	el, ok := l.entries[key]
 	if !ok {
@@ -51,31 +45,29 @@ func (l *LRU) Lookup(_ context.Context, kind Kind, key string) (any, string, boo
 		return nil, "", false
 	}
 	l.order.MoveToFront(el)
-	v := el.Value.(*lruEntry).val
+	e := el.Value.(*Entry)
 	l.mu.Unlock()
 	l.kinds.Hit(kind)
-	return v, "lru", true
+	return e, "lru", true
 }
 
 // Put implements Store: insert or replace, evicting beyond the bound.
-func (l *LRU) Put(kind Kind, key string, val any) {
+func (l *LRU) Put(e *Entry) {
 	l.mu.Lock()
-	if el, ok := l.entries[key]; ok {
+	if el, ok := l.entries[e.Key]; ok {
 		// Concurrent fills of one key (e.g. two tier promotions racing)
 		// replace in place instead of growing the list.
-		el.Value.(*lruEntry).val = val
+		el.Value = e
 		l.order.MoveToFront(el)
 		l.mu.Unlock()
 		l.puts.Add(1)
 		return
 	}
-	l.entries[key] = l.order.PushFront(&lruEntry{key: key, kind: kind, val: val})
+	l.entries[e.Key] = l.order.PushFront(e)
 	for l.order.Len() > l.cap {
-		oldest := l.order.Back()
-		l.order.Remove(oldest)
-		e := oldest.Value.(*lruEntry)
-		delete(l.entries, e.key)
-		l.kinds.Evict(e.kind)
+		old := l.order.Remove(l.order.Back()).(*Entry)
+		delete(l.entries, old.Key)
+		l.kinds.Evict(old.Kind)
 	}
 	l.mu.Unlock()
 	l.puts.Add(1)
@@ -95,7 +87,7 @@ func (l *LRU) Stats() []StoreStats {
 	var resident [NumKinds]int
 	l.mu.Lock()
 	for el := l.order.Front(); el != nil; el = el.Next() {
-		resident[kindIndex(el.Value.(*lruEntry).kind)]++
+		resident[kindIndex(el.Value.(*Entry).Kind)]++
 	}
 	l.mu.Unlock()
 	l.kinds.Snapshot(&st, resident)

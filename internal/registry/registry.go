@@ -11,12 +11,14 @@
 //
 //   - singleflight: concurrent misses on the same key collapse into one
 //     inference — the first caller computes, the rest wait for its result;
-//   - tiered: the cache behind the singleflight is a pluggable Store
-//     (store.go). The default is the LRU-bounded in-memory tier
-//     (lru.go), so a long-running daemon's memory stays flat; chaining it
-//     over internal/spool's description-file tier (NewTiered) makes the
-//     cache survive restarts — a cold miss that hits the spool decodes a
-//     description file instead of re-running the O(N²) inference.
+//   - tiered: the cache behind the singleflight is one chain of Store
+//     tiers (store.go), each holding and returning *Entry values. It
+//     always starts with the registry's own exactly bounded in-memory LRU
+//     (lru.go), so a long-running daemon's memory stays flat; the tiers
+//     Options.Tiers names follow it — internal/spool's description-file
+//     tier makes the cache survive restarts (a cold miss that hits the
+//     spool decodes a description file instead of re-running the O(N²)
+//     inference), internal/remote's fetches from an origin daemon.
 //
 // All methods are safe for concurrent use and pass `go test -race`.
 package registry
@@ -49,14 +51,11 @@ type Options struct {
 	// InferCtx computes a topology on a cache miss, honoring the context
 	// of the caller that executes the computation.
 	InferCtx InferCtxFunc
-	// Store is the cache behind the singleflight — a single tier or a
-	// NewTiered chain. Nil builds the default in-memory LRU from
-	// MaxEntries; when Store is set, MaxEntries is ignored (bound the LRU
-	// tier you pass in instead).
-	Store Store
-	// MaxEntries is the exact bound on the cached values of the default
-	// LRU store (topologies, placements and mappings each count as one
-	// entry). Default 256.
+	// Tiers are the cache tiers below the registry's own LRU, fastest
+	// first: the chain behind the singleflight is the LRU, then these.
+	Tiers []Store
+	// MaxEntries is the exact bound of the registry's LRU (topologies,
+	// placements and mappings each count as one entry). Default 256.
 	MaxEntries int
 	// MapFn computes a task-graph mapping on a cache miss. Nil defaults to
 	// taskmap.Map; the daemon wraps the default for fault injection, tests
@@ -115,21 +114,13 @@ func New(opt Options) *Registry {
 	if opt.InferCtx == nil {
 		panic("registry: Options.InferCtx is required")
 	}
-	if opt.Store == nil {
-		opt.Store = NewLRU(opt.MaxEntries)
-	}
-	// The registry always holds a chain: a bare store is a chain of one.
-	store, ok := opt.Store.(*Tiered)
-	if !ok {
-		store = NewTiered(opt.Store)
-	}
 	if opt.MapFn == nil {
 		opt.MapFn = taskmap.Map
 	}
 	r := &Registry{
 		infer:    opt.InferCtx,
 		mapFn:    opt.MapFn,
-		store:    store,
+		store:    &Tiered{tiers: append([]Store{NewLRU(opt.MaxEntries)}, opt.Tiers...)},
 		computes: make(chan struct{}, computeSlots),
 	}
 	for i := range r.flights {
@@ -207,7 +198,7 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 		// Re-check the store under the flight lock: an owner publishes its
 		// result to the store before clearing the in-flight slot, so a miss
 		// observed before the lock may have landed by now.
-		if e, tier, ok := r.lookup(ctx, kind, key); ok {
+		if e, tier, ok := r.store.Lookup(ctx, kind, key); ok {
 			f.mu.Unlock()
 			attribute(ctx, lsp, tier, e)
 			// This caller registered a miss; the entry appearing now does
@@ -250,7 +241,7 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 			// Publish before clearing the in-flight slot: anyone who misses
 			// the store after this point either sees the entry on their
 			// locked re-check or finds this call still registered.
-			r.store.Put(kind, key, c.entry)
+			r.store.put(c.entry)
 		}
 		f.mu.Lock()
 		delete(f.inflight, key)
@@ -292,21 +283,12 @@ func (r *Registry) Cached(ctx context.Context, kind Kind, key string) (e *Entry,
 // storeHit is the store fast path get and Cached share: an entry any tier
 // holds is attributed to that tier and counted as a hit.
 func (r *Registry) storeHit(ctx context.Context, lsp *trace.Span, kind Kind, key string) (*Entry, bool) {
-	e, tier, ok := r.lookup(ctx, kind, key)
+	e, tier, ok := r.store.Lookup(ctx, kind, key)
 	if ok {
 		attribute(ctx, lsp, tier, e)
 		r.hits.Add(1)
 	}
 	return e, ok
-}
-
-// lookup walks the tier chain for key's entry. A tier answering with
-// anything but an entry is a miss, like any answer a tier cannot serve:
-// the computed entry replaces it.
-func (r *Registry) lookup(ctx context.Context, kind Kind, key string) (*Entry, string, bool) {
-	v, tier, ok := r.store.Lookup(ctx, kind, key)
-	e, _ := v.(*Entry)
-	return e, tier, ok && e != nil
 }
 
 // attribute records who answered a lookup — a store tier's name,
@@ -554,7 +536,7 @@ func (r *Registry) Store() *Tiered { return r.store }
 
 // Flush blocks until every tier with buffered writes has persisted them —
 // what a daemon calls on SIGTERM so a restart warm-starts from a complete
-// spool. A registry over the default in-memory store flushes trivially.
+// spool. A registry with no tier below its LRU flushes trivially.
 func (r *Registry) Flush() error { return r.store.Flush() }
 
 // Close flushes and releases tier resources (background writers). The

@@ -402,7 +402,7 @@ func TestLRUHoldsExactlyItsBound(t *testing.T) {
 		return placeKey(TopoKey("Ivy", uint64(i), mctopalg.Options{Reps: 51}), place.ConHWC, 8)
 	}
 	for i := 0; i < n; i++ {
-		l.Put(KindPlacement, key(i), NewEntry(KindPlacement, key(i), i))
+		l.Put(NewEntry(KindPlacement, key(i), i))
 	}
 	if st := l.Stats()[0]; l.Len() != n || st.Evictions != 0 {
 		t.Fatalf("%d keys into NewLRU(%d): %d resident, %d evictions", n, n, l.Len(), st.Evictions)
@@ -411,7 +411,7 @@ func TestLRUHoldsExactlyItsBound(t *testing.T) {
 	if _, _, ok := l.Lookup(bg, KindPlacement, key(0)); !ok {
 		t.Fatal("key 0 missing")
 	}
-	l.Put(KindPlacement, key(n), NewEntry(KindPlacement, key(n), n))
+	l.Put(NewEntry(KindPlacement, key(n), n))
 	if st := l.Stats()[0]; l.Len() != n || st.Evictions != 1 {
 		t.Fatalf("after key %d: %d resident, %d evictions, want %d and 1", n, l.Len(), st.Evictions, n)
 	}
@@ -419,6 +419,89 @@ func TestLRUHoldsExactlyItsBound(t *testing.T) {
 		if _, _, ok := l.Lookup(bg, KindPlacement, key(i)); ok == (i == 1) {
 			t.Fatalf("key %d resident = %v; only key 1 (the least recently used) may be evicted", i, ok)
 		}
+	}
+}
+
+// TestTiersKeepMaxEntries: with tiers below it, the registry's LRU still
+// holds exactly MaxEntries entries, and every computed entry is written
+// through to the lower tier.
+func TestTiersKeepMaxEntries(t *testing.T) {
+	const n = 4
+	lower := NewLRU(64)
+	r := New(Options{
+		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
+			return fakeTopo(), nil
+		},
+		MaxEntries: n,
+		Tiers:      []Store{lower},
+	})
+	for seed := uint64(0); seed <= n; seed++ {
+		if _, _, err := r.LookupTopologyContext(bg, "Ivy", seed, mctopalg.Options{Reps: 51}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := r.Stats()
+	if len(st.Tiers) != 2 || st.Tiers[0].Tier != "lru" || st.Tiers[1].Tier != "lru" {
+		t.Fatalf("tiers %+v, want the registry's LRU over the lower one", st.Tiers)
+	}
+	if st.Entries != n || st.Tiers[0].Entries != n || st.Tiers[0].Evictions != 1 {
+		t.Fatalf("%d keys into MaxEntries %d: head holds %d (%d evicted), want %d (1)",
+			n+1, n, st.Tiers[0].Entries, st.Tiers[0].Evictions, n)
+	}
+	if lower.Len() != n+1 {
+		t.Fatalf("lower tier holds %d entries, want all %d", lower.Len(), n+1)
+	}
+}
+
+// TestTieredPutTakesOnlyItsEntry: the chain's untyped Put writes the
+// entry of its kind and key through every tier, and refuses anything
+// else before any tier sees it.
+func TestTieredPutTakesOnlyItsEntry(t *testing.T) {
+	lower := NewLRU(8)
+	chain := New(Options{
+		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
+			return fakeTopo(), nil
+		},
+		Tiers: []Store{lower},
+	}).Store()
+	key := TopoKey("Ivy", 1, mctopalg.Options{Reps: 51})
+	for _, val := range []any{fakeTopo(), (*Entry)(nil), NewEntry(KindPlacement, key, 1), NewEntry(KindTopology, key+"x", 1)} {
+		if err := chain.Put(KindTopology, key, val); err == nil {
+			t.Errorf("Put(%#v) under (%v, %q) was accepted", val, KindTopology, key)
+		}
+	}
+	if chain.Len() != 0 || lower.Len() != 0 {
+		t.Fatalf("refused Puts reached the tiers: %d, %d entries", chain.Len(), lower.Len())
+	}
+	e := NewEntry(KindTopology, key, fakeTopo())
+	if err := chain.Put(KindTopology, key, e); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := chain.Get(KindTopology, key); !ok || got != e || lower.Len() != 1 {
+		t.Fatalf("Get = %p, %v with %d below; want the entry put, in both tiers", got, ok, lower.Len())
+	}
+}
+
+// TestLRUPutAllocs pins the allocations of one LRU Put of a new key into
+// a full LRU: the list element that holds the entry, nothing else.
+func TestLRUPutAllocs(t *testing.T) {
+	const n, runs = 64, 200
+	l := NewLRU(n)
+	entries := make([]*Entry, n+runs+1)
+	for i := range entries {
+		key := placeKey(TopoKey("Ivy", uint64(i), mctopalg.Options{Reps: 51}), place.ConHWC, 8)
+		entries[i] = NewEntry(KindPlacement, key, i)
+	}
+	next := 0
+	put := func() {
+		l.Put(entries[next])
+		next++
+	}
+	for next < n {
+		put()
+	}
+	if got := testing.AllocsPerRun(runs, put); got != 1 {
+		t.Fatalf("one LRU Put of a new key: %v allocations, want 1", got)
 	}
 }
 

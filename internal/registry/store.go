@@ -2,19 +2,19 @@ package registry
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync/atomic"
 )
 
-// The tiered topology store. The registry's cache sits behind the Store
-// interface so deployments can compose storage tiers: the default is the
-// in-memory LRU (lru.go); a daemon that must survive restarts chains it
-// over internal/spool's description-file tier (NewTiered), the
-// paper's "created once, then used to load the topology" artifact turned
-// into a cache level. The registry itself only sees Lookup/Put —
-// singleflight, counters and the compute semaphore stay above the store.
-// What every tier holds and returns is an *Entry (entry.go): one answer,
-// with the byte forms it has been rendered in.
+// The tiered topology store. Every registry's cache is one chain: its own
+// in-memory LRU (lru.go), then the tiers Options.Tiers names — a daemon
+// that must survive restarts adds internal/spool's description-file tier,
+// the paper's "created once, then used to load the topology" artifact
+// turned into a cache level. The registry itself only sees the chain's
+// Lookup and write-through — singleflight, counters and the compute
+// semaphore stay above it. What every tier holds and returns is an *Entry
+// (entry.go): one answer, with the byte forms it has been rendered in.
 
 // Kind tags what a cache entry holds, so persistent tiers can pick a
 // serialization per entry kind (topologies become .mctop description
@@ -111,15 +111,15 @@ func KindOfExt(ext string) (Kind, bool) {
 // (logging the reason) so a broken disk degrades to re-inference, never to
 // serving errors.
 type Store interface {
-	// Lookup returns the cached *Entry for key and the name of the tier
+	// Lookup returns the entry cached under key and the name of the tier
 	// that held it ("lru", "spool", "remote") — what served-by-tier request
-	// logs and metrics label their samples with. The context carries
-	// tracing (spool decodes and remote fetches become spans of the
-	// request), never cancellation a tier must act on.
-	Lookup(ctx context.Context, kind Kind, key string) (val any, tier string, ok bool)
-	// Put inserts or replaces the entry for key; val is the *Entry of
-	// that kind and key.
-	Put(kind Kind, key string, val any)
+	// logs and metrics label their samples with. A hit is a non-nil entry
+	// of that kind and key. The context carries tracing (spool decodes and
+	// remote fetches become spans of the request), never cancellation a
+	// tier must act on.
+	Lookup(ctx context.Context, kind Kind, key string) (e *Entry, tier string, ok bool)
+	// Put inserts or replaces the entry under e.Key.
+	Put(e *Entry)
 	// Len returns the number of entries resident in this store.
 	Len() int
 	// Stats snapshots the store's counters, one element per tier.
@@ -217,66 +217,62 @@ func (c *KindCounters) Snapshot(st *StoreStats, resident [NumKinds]int) {
 	st.Mappings = resident[KindMapping]
 }
 
-// Tiered chains stores into one read-through/write-through Store: Lookup
-// consults tiers in order and promotes a lower-tier hit into every tier
-// above it (a cold LRU miss that hits the disk spool decodes once and is
-// then served from memory); Put writes through to every tier. The registry
-// always holds one — a bare store is a chain of one.
+// Tiered is a registry's tier chain: the registry's own LRU, then the
+// lower tiers Options.Tiers names, fastest first. Lookup consults tiers in
+// order and promotes a lower-tier hit into every tier above it (a cold LRU
+// miss that hits the disk spool decodes once and is then served from
+// memory); a computed entry is written through to every tier.
 type Tiered struct {
 	tiers []Store
 }
 
-// NewTiered composes tiers, fastest first. Nil tiers are skipped; at least
-// one non-nil tier is required.
-func NewTiered(tiers ...Store) *Tiered {
-	t := &Tiered{}
-	for _, s := range tiers {
-		if s != nil {
-			t.tiers = append(t.tiers, s)
-		}
-	}
-	if len(t.tiers) == 0 {
-		panic("registry: NewTiered needs at least one tier")
-	}
-	return t
-}
-
-// Lookup implements Store: read-through with promotion, reporting the tier
-// that actually held the entry so a traced request attributes its time to
-// the tier that did the work.
-func (t *Tiered) Lookup(ctx context.Context, kind Kind, key string) (any, string, bool) {
+// Lookup is read-through with promotion, reporting the tier that actually
+// held the entry so a traced request attributes its time to the tier that
+// did the work.
+func (t *Tiered) Lookup(ctx context.Context, kind Kind, key string) (*Entry, string, bool) {
 	for i, s := range t.tiers {
-		if v, tier, ok := s.Lookup(ctx, kind, key); ok {
+		if e, tier, ok := s.Lookup(ctx, kind, key); ok {
 			for j := 0; j < i; j++ {
-				t.tiers[j].Put(kind, key, v)
+				t.tiers[j].Put(e)
 			}
-			return v, tier, true
+			return e, tier, true
 		}
 	}
 	return nil, "", false
 }
 
-// Get is Lookup without a request: the context-free read of key's *Entry
-// for tools that reach into a registry's store (Registry.Store) outside
+// Get is Lookup without a request: the context-free read of key's entry
+// for tools that reach into a registry's chain (Registry.Store) outside
 // any request — untraced, unattributed.
-func (t *Tiered) Get(kind Kind, key string) (any, bool) {
-	v, _, ok := t.Lookup(context.Background(), kind, key)
-	return v, ok
+func (t *Tiered) Get(kind Kind, key string) (*Entry, bool) {
+	e, _, ok := t.Lookup(context.Background(), kind, key)
+	return e, ok
 }
 
-// Put implements Store: write-through of the entry to every tier.
-func (t *Tiered) Put(kind Kind, key string, val any) {
+// Put is Get's write: it writes val through every tier. val must be the
+// *Entry of that kind and key (what Get returns, or NewEntry(kind, key,
+// v)); anything else reaches no tier and is the returned error.
+func (t *Tiered) Put(kind Kind, key string, val any) error {
+	e, ok := val.(*Entry)
+	if !ok || e == nil || e.Kind != kind || e.Key != key {
+		return fmt.Errorf("registry: %T is not the %v entry under %q", val, kind, key)
+	}
+	t.put(e)
+	return nil
+}
+
+// put writes e through every tier.
+func (t *Tiered) put(e *Entry) {
 	for _, s := range t.tiers {
-		s.Put(kind, key, val)
+		s.Put(e)
 	}
 }
 
-// Len implements Store: the entry count of the fastest tier (what is
-// servable without tier promotion); per-tier counts are in Stats.
+// Len is the entry count of the LRU (what is servable without tier
+// promotion); per-tier counts are in Stats.
 func (t *Tiered) Len() int { return t.tiers[0].Len() }
 
-// Stats implements Store: the concatenated per-tier snapshots, fastest
-// tier first.
+// Stats concatenates the per-tier snapshots, fastest tier first.
 func (t *Tiered) Stats() []StoreStats {
 	out := make([]StoreStats, 0, len(t.tiers))
 	for _, s := range t.tiers {
@@ -285,10 +281,10 @@ func (t *Tiered) Stats() []StoreStats {
 	return out
 }
 
-// Flush implements Store across the chain.
+// Flush flushes every tier.
 func (t *Tiered) Flush() error { return t.each(Store.Flush) }
 
-// Close implements Store across the chain.
+// Close closes every tier.
 func (t *Tiered) Close() error { return t.each(Store.Close) }
 
 // each runs fn on every tier — a failing tier does not stop the rest — and

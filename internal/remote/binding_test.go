@@ -80,7 +80,7 @@ func TestUnboundBodiesAreNegativeCached(t *testing.T) {
 					fetches.Add(1)
 					w.Write(body)
 				case strings.HasPrefix(k, "topo|"):
-					spool.Encode(w, registry.KindTopology, k, fixture)
+					spool.Encode(w, registry.NewEntry(registry.KindTopology, k, fixture))
 				default:
 					http.NotFound(w, r)
 				}
@@ -89,7 +89,8 @@ func TestUnboundBodiesAreNegativeCached(t *testing.T) {
 			rm := newRemote(t, ts.URL, WithNegTTL(time.Minute))
 			var inferences atomic.Int64
 			reg := registry.New(registry.Options{
-				Store: registry.NewTiered(registry.NewLRU(16), rm),
+				MaxEntries: 16,
+				Tiers:      []registry.Store{rm},
 				InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 					inferences.Add(1)
 					return fixture, nil
@@ -110,7 +111,7 @@ func TestUnboundBodiesAreNegativeCached(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := spool.Encode(&buf, kind, key, got); err != nil {
+			if err := spool.Encode(&buf, registry.NewEntry(kind, key, got)); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), files[kind]) {

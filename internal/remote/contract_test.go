@@ -3,18 +3,20 @@ package remote
 // The registry.Store contract, checked the same way against every tier
 // that implements it — the in-memory LRU, the spool over a temp directory,
 // this package's remote tier over an httptest origin — and against a
-// three-tier chain of them. It lives here because this package already
-// imports the other two.
+// registry's chain of all three. It lives here because this package
+// already imports the other two.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/mctopalg"
 	"repro/internal/registry"
 	"repro/internal/spool"
 	"repro/internal/topo"
@@ -41,6 +43,28 @@ func contractSpool(t *testing.T) *spool.Spool {
 	return sp
 }
 
+// contractChain is the tier chain of a registry that never infers: its
+// LRU of 8 entries, then tiers.
+func contractChain(tiers ...registry.Store) *registry.Tiered {
+	return registry.New(registry.Options{
+		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
+			return nil, errors.New("a store test never infers")
+		},
+		MaxEntries: 8,
+		Tiers:      tiers,
+	}).Store()
+}
+
+// chainStore drives a registry's chain through the Store script: its Put
+// is the chain's context-free write of the entry.
+type chainStore struct{ *registry.Tiered }
+
+func (c chainStore) Put(e *registry.Entry) {
+	if err := c.Tiered.Put(e.Kind, e.Key, e); err != nil {
+		panic(err)
+	}
+}
+
 func TestStoreContract(t *testing.T) {
 	tiers := []struct {
 		name    string
@@ -53,7 +77,7 @@ func TestStoreContract(t *testing.T) {
 		// holds the entry, so the same script applies.
 		{"remote", "remote", func(t *testing.T) registry.Store { return newRemote(t, contractOrigin(t).URL) }},
 		{"tiered", "lru", func(t *testing.T) registry.Store {
-			return registry.NewTiered(registry.NewLRU(8), contractSpool(t), newRemote(t, contractOrigin(t).URL))
+			return chainStore{contractChain(contractSpool(t), newRemote(t, contractOrigin(t).URL))}
 		}},
 	}
 	ctx := context.Background()
@@ -67,23 +91,25 @@ func TestStoreContract(t *testing.T) {
 				t.Fatalf("miss = (%v, %q, %v), want (nil, \"\", false)", v, tier, ok)
 			}
 
-			s.Put(registry.KindTopology, testKey, registry.NewEntry(registry.KindTopology, testKey, testTopo()))
+			s.Put(registry.NewEntry(registry.KindTopology, testKey, testTopo()))
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			v, tier, ok := s.Lookup(ctx, registry.KindTopology, testKey)
+			e, tier, ok := s.Lookup(ctx, registry.KindTopology, testKey)
 			if !ok || tier != tc.hitTier {
 				t.Fatalf("hit = (ok %v, tier %q), want tier %q", ok, tier, tc.hitTier)
 			}
-			e, _ := v.(*registry.Entry)
 			if e == nil || e.Kind != registry.KindTopology || e.Key != testKey {
-				t.Fatalf("hit = %#v, want the topology's entry under its key", v)
+				t.Fatalf("hit = %#v, want the topology's entry under its key", e)
+			}
+			if _, ok := e.Val.(*topo.Topology); !ok {
+				t.Fatalf("hit holds a %T, want the topology", e.Val)
 			}
 			var got, want bytes.Buffer
-			if err := spool.Encode(&got, registry.KindTopology, testKey, e.Val.(*topo.Topology)); err != nil {
+			if err := spool.Encode(&got, e); err != nil {
 				t.Fatal(err)
 			}
-			if err := spool.Encode(&want, registry.KindTopology, testKey, testTopo()); err != nil {
+			if err := spool.Encode(&want, registry.NewEntry(registry.KindTopology, testKey, testTopo())); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -127,7 +153,7 @@ func TestStoreContract(t *testing.T) {
 					t.Fatalf("Close #%d: %v", i+1, err)
 				}
 			}
-			s.Put(registry.KindTopology, testKey, registry.NewEntry(registry.KindTopology, testKey, testTopo()))
+			s.Put(registry.NewEntry(registry.KindTopology, testKey, testTopo()))
 			if err := s.Flush(); err != nil {
 				t.Fatalf("Flush after Close: %v", err)
 			}
@@ -144,7 +170,7 @@ func TestStoreContract(t *testing.T) {
 // returned, whose interchange file is the one the spool wrote.
 func TestTieredPromotesIntoUpperTiers(t *testing.T) {
 	sp := contractSpool(t)
-	chain := registry.NewTiered(registry.NewLRU(8), sp, newRemote(t, contractOrigin(t).URL))
+	chain := contractChain(sp, newRemote(t, contractOrigin(t).URL))
 	defer chain.Close()
 	ctx := context.Background()
 	fetched, tier, ok := chain.Lookup(ctx, registry.KindTopology, testKey)
@@ -161,7 +187,7 @@ func TestTieredPromotesIntoUpperTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fetched.(*registry.Entry).Rendered(registry.FormFile); !bytes.Equal(got, file) {
+	if got := fetched.Rendered(registry.FormFile); !bytes.Equal(got, file) {
 		t.Fatalf("the spool wrote a file the entry does not hold:\n%s\nentry:\n%s", file, got)
 	}
 	if _, tier, ok := sp.Lookup(ctx, registry.KindTopology, testKey); !ok || tier != "spool" {

@@ -41,7 +41,7 @@ func TestSidecarsShareFetchedTopology(t *testing.T) {
 		tk := registry.TopoKey("Ivy", seed, opt)
 		topoKeys[i] = tk
 		var buf bytes.Buffer
-		if err := spool.Encode(&buf, registry.KindTopology, tk, top); err != nil {
+		if err := spool.Encode(&buf, registry.NewEntry(registry.KindTopology, tk, top)); err != nil {
 			t.Fatal(err)
 		}
 		bodies[tk] = buf.Bytes()
@@ -52,7 +52,7 @@ func TestSidecarsShareFetchedTopology(t *testing.T) {
 			}
 			key := fmt.Sprintf("place|%s|%s|%d", tk, pl.PolicyName(), n)
 			var buf bytes.Buffer
-			if err := spool.Encode(&buf, registry.KindPlacement, key, pl); err != nil {
+			if err := spool.Encode(&buf, registry.NewEntry(registry.KindPlacement, key, pl)); err != nil {
 				t.Fatal(err)
 			}
 			bodies[key] = buf.Bytes()
@@ -60,7 +60,7 @@ func TestSidecarsShareFetchedTopology(t *testing.T) {
 		}
 		mk := registry.MapKey("Ivy", seed, opt, d, 100)
 		var mbuf bytes.Buffer
-		if err := spool.Encode(&mbuf, registry.KindMapping, mk, m); err != nil {
+		if err := spool.Encode(&mbuf, registry.NewEntry(registry.KindMapping, mk, m)); err != nil {
 			t.Fatal(err)
 		}
 		bodies[mk] = mbuf.Bytes()

@@ -3,9 +3,10 @@
 //
 // The paper's deployment model — a topology is "created once, then used to
 // load the topology" (Section 2) — distributed: one origin daemon runs the
-// O(N²) inference, and every edge daemon chains this tier under its LRU
-// (and spool) so a local miss fetches the origin's description file
-// instead of re-measuring. The wire format is exactly the spool's
+// O(N²) inference, and every edge daemon's registry reads this tier last,
+// after its own LRU (and spool), so a local miss fetches the origin's
+// description file instead of re-measuring. A fetch decodes into the
+// *registry.Entry the tier returns. The wire format is exactly the spool's
 // interchange format (`#key`-headed .mctop description files, .place
 // sidecars), so a fetched entry is byte-identical to what the origin would
 // spool — and is write-through-promoted into the edge's own spool by the
@@ -232,7 +233,7 @@ func New(base string, opts ...Option) *Remote {
 // cancellation: the fetch keeps its own timeout-from-Background context, so
 // a fetch shared by singleflight waiters survives the first caller hanging
 // up (see fetch).
-func (r *Remote) Lookup(ctx context.Context, kind registry.Kind, key string) (any, string, bool) {
+func (r *Remote) Lookup(ctx context.Context, kind registry.Kind, key string) (*registry.Entry, string, bool) {
 	if e := r.lookup(ctx, kind, key); e != nil {
 		r.kinds.Hit(kind)
 		return e, "remote", true
@@ -265,7 +266,7 @@ func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) *re
 	r.inflight[key] = c
 	r.mu.Unlock()
 
-	v, err, originFault := r.fetchObserved(ctx, kind, key, 0, 0)
+	e, err, originFault := r.fetchObserved(ctx, kind, key, 0, 0)
 	// Bounded retries on origin faults only: a connection blip or one 5xx
 	// is retried after a short jittered delay instead of immediately
 	// opening the origin-down window; key-level faults (4xx, undecodable
@@ -273,7 +274,7 @@ func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) *re
 	for attempt := 0; err != nil && originFault && attempt < r.retries; attempt++ {
 		delay := r.jitteredDelay(attempt)
 		r.sleep(delay)
-		v, err, originFault = r.fetchObserved(ctx, kind, key, attempt+1, delay)
+		e, err, originFault = r.fetchObserved(ctx, kind, key, attempt+1, delay)
 	}
 	now = r.now()
 	r.mu.Lock()
@@ -282,7 +283,7 @@ func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) *re
 	case err == nil:
 		r.fails = 0
 		delete(r.neg, key)
-		c.entry = registry.NewEntry(kind, key, v)
+		c.entry = e
 	case originFault:
 		// Exponential origin-level backoff: a down origin costs one
 		// failed dial per window, not one per request.
@@ -329,9 +330,9 @@ func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) *re
 // and outcome counters see every upstream request, not just the last.
 // attempt and backoff annotate the attempt's span: which retry this is and
 // how long the jittered pause before it was.
-func (r *Remote) fetchObserved(ctx context.Context, kind registry.Kind, key string, attempt int, backoff time.Duration) (val any, err error, originFault bool) {
+func (r *Remote) fetchObserved(ctx context.Context, kind registry.Kind, key string, attempt int, backoff time.Duration) (e *registry.Entry, err error, originFault bool) {
 	start := r.now()
-	val, err, originFault = r.fetch(ctx, kind, key, attempt, backoff)
+	e, err, originFault = r.fetch(ctx, kind, key, attempt, backoff)
 	if r.observe != nil {
 		outcome := "ok"
 		switch {
@@ -342,7 +343,7 @@ func (r *Remote) fetchObserved(ctx context.Context, kind registry.Kind, key stri
 		}
 		r.observe(r.now().Sub(start), outcome)
 	}
-	return val, err, originFault
+	return e, err, originFault
 }
 
 // jitteredDelay is the pause before retry attempt n: retryBase * 2^n,
@@ -360,7 +361,7 @@ func (r *Remote) jitteredDelay(attempt int) time.Duration {
 	return time.Duration(float64(base) * (0.5 + frac))
 }
 
-// fetch performs one upstream GET and decodes the body per entry kind.
+// fetch performs one upstream GET and decodes the body into the entry.
 // originFault distinguishes origin-level failures (dial errors, timeouts,
 // 5xx — back off from the origin) from per-key ones (4xx, undecodable
 // bodies — negative-cache the key).
@@ -370,7 +371,7 @@ func (r *Remote) jitteredDelay(attempt int) time.Duration {
 // never cancelled by the first caller hanging up. The caller's context
 // contributes tracing only: this attempt's span, and the traceparent
 // header that makes the origin's handler a child of it.
-func (r *Remote) fetch(ctx context.Context, kind registry.Kind, key string, attempt int, backoff time.Duration) (val any, err error, originFault bool) {
+func (r *Remote) fetch(ctx context.Context, kind registry.Kind, key string, attempt int, backoff time.Duration) (e *registry.Entry, err error, originFault bool) {
 	ctx, sp := trace.Start(ctx, "remote.fetch")
 	sp.SetInt("attempt", int64(attempt))
 	if backoff > 0 {
@@ -402,16 +403,16 @@ func (r *Remote) fetch(ctx context.Context, kind registry.Kind, key string, atte
 		io.CopyN(io.Discard, body, 4096)
 		return nil, fmt.Errorf("origin returned %s", resp.Status), resp.StatusCode >= 500
 	}
-	val, err = spool.Decode(body, kind, key, func(topoKey string) (*topo.Topology, error) {
+	e, err = spool.Decode(body, kind, key, func(topoKey string) (*topo.Topology, error) {
 		return r.topologyFor(ctx, topoKey)
 	})
 	if err != nil {
 		return nil, err, false
 	}
-	if t, ok := val.(*topo.Topology); ok {
+	if t, ok := e.Val.(*topo.Topology); ok {
 		r.topos.Set(key, t)
 	}
-	return val, nil, false
+	return e, nil, false
 }
 
 // topologyFor resolves the topology a sidecar references: the memo first,
@@ -422,17 +423,17 @@ func (r *Remote) topologyFor(ctx context.Context, topoKey string) (*topo.Topolog
 	if t := r.topos.Get(topoKey); t != nil {
 		return t, nil
 	}
-	v, _, ok := r.Lookup(ctx, registry.KindTopology, topoKey)
+	e, _, ok := r.Lookup(ctx, registry.KindTopology, topoKey)
 	if !ok {
 		return nil, fmt.Errorf("not fetchable")
 	}
-	return v.(*registry.Entry).Val.(*topo.Topology), nil
+	return e.Val.(*topo.Topology), nil
 }
 
 // Put implements registry.Store as a no-op: the fleet is pull-only — an
 // edge never pushes what it inferred to the origin (the origin computes or
 // spools its own entries). Tiered write-through therefore stops here.
-func (r *Remote) Put(kind registry.Kind, key string, val any) {}
+func (r *Remote) Put(*registry.Entry) {}
 
 // Len implements registry.Store: a remote tier holds nothing locally.
 func (r *Remote) Len() int { return 0 }

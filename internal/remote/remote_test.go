@@ -55,7 +55,7 @@ const testKey = "topo|Ivy|1|r51"
 func encodeBody(t *testing.T, key string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := spool.Encode(&buf, registry.KindTopology, key, testTopo()); err != nil {
+	if err := spool.Encode(&buf, registry.NewEntry(registry.KindTopology, key, testTopo())); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -78,20 +78,21 @@ func newRemote(t *testing.T, base string, opts ...Option) *Remote {
 
 // get is Lookup outside any request: the value of the entry it returns.
 func get(rm *Remote, kind registry.Kind, key string) (any, bool) {
-	v, _, ok := rm.Lookup(context.Background(), kind, key)
+	e, _, ok := rm.Lookup(context.Background(), kind, key)
 	if !ok {
 		return nil, false
 	}
-	return v.(*registry.Entry).Val, true
+	return e.Val, true
 }
 
-// edgeRegistry wraps a store chain in a registry whose local inference
-// serves testTopo and counts how often it ran — the "degrade to local
-// re-inference" assertion of every failure-mode test.
-func edgeRegistry(store registry.Store) (*registry.Registry, *atomic.Int64) {
+// edgeRegistry is a registry of 16 entries over tiers whose local
+// inference serves testTopo and counts how often it ran — the "degrade to
+// local re-inference" assertion of every failure-mode test.
+func edgeRegistry(tiers ...registry.Store) (*registry.Registry, *atomic.Int64) {
 	var inferences atomic.Int64
 	reg := registry.New(registry.Options{
-		Store: store,
+		MaxEntries: 16,
+		Tiers:      tiers,
 		InferCtx: func(ctx context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
 			inferences.Add(1)
 			return testTopo(), nil
@@ -140,7 +141,7 @@ func TestOriginDownDegradesToLocalInference(t *testing.T) {
 	ts.Close()
 
 	rm := newRemote(t, ts.URL)
-	reg, inferences := edgeRegistry(registry.NewTiered(registry.NewLRU(16), rm))
+	reg, inferences := edgeRegistry(rm)
 	top, _, err := reg.LookupTopologyContext(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51})
 	if err != nil {
 		t.Fatalf("a down origin must not fail a lookup: %v", err)
@@ -223,7 +224,7 @@ func TestOriginSlowTimesOutAndDegrades(t *testing.T) {
 	defer ts.Close()
 
 	rm := newRemote(t, ts.URL, WithTimeout(50*time.Millisecond))
-	reg, inferences := edgeRegistry(registry.NewTiered(registry.NewLRU(16), rm))
+	reg, inferences := edgeRegistry(rm)
 	start := time.Now()
 	if _, _, err := reg.LookupTopologyContext(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
 		t.Fatalf("a slow origin must not fail a lookup: %v", err)
@@ -251,7 +252,7 @@ func TestCorruptBodyNegativeCachesKeyOnly(t *testing.T) {
 	defer ts.Close()
 
 	rm := newRemote(t, ts.URL, WithNegTTL(time.Minute))
-	reg, inferences := edgeRegistry(registry.NewTiered(registry.NewLRU(16), rm))
+	reg, inferences := edgeRegistry(rm)
 	if _, _, err := reg.LookupTopologyContext(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51}); err != nil {
 		t.Fatalf("a corrupt body must not fail a lookup: %v", err)
 	}
@@ -380,7 +381,7 @@ func TestPlacementFetchReconstructsViaTopology(t *testing.T) {
 		}
 		if v, ok := sidecars.Load(key); ok {
 			var buf bytes.Buffer
-			if err := spool.Encode(&buf, registry.KindPlacement, key, v.(*place.Placement)); err != nil {
+			if err := spool.Encode(&buf, registry.NewEntry(registry.KindPlacement, key, v.(*place.Placement))); err != nil {
 				t.Error(err)
 			}
 			w.Write(buf.Bytes())

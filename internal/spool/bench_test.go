@@ -40,8 +40,9 @@ func benchSpoolRegistry(b *testing.B, dir string) (*registry.Registry, *Spool) {
 	}
 	b.Cleanup(func() { sp.Close() })
 	return registry.New(registry.Options{
-		InferCtx: realInfer,
-		Store:    registry.NewTiered(registry.NewLRU(64), sp),
+		InferCtx:   realInfer,
+		MaxEntries: 64,
+		Tiers:      []registry.Store{sp},
 	}), sp
 }
 
@@ -127,8 +128,9 @@ func TestWarmStartSpeedup(t *testing.T) {
 	}
 	defer sp.Close()
 	r := registry.New(registry.Options{
-		InferCtx: realInfer,
-		Store:    registry.NewTiered(registry.NewLRU(64), sp),
+		InferCtx:   realInfer,
+		MaxEntries: 64,
+		Tiers:      []registry.Store{sp},
 	})
 
 	coldStart := time.Now()

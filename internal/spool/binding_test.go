@@ -98,12 +98,12 @@ func TestFixturesDecodeToTheirExactBytes(t *testing.T) {
 	keys, _, files := fixtureFiles(t)
 	topologyFor := anyTopology(t, files[registry.KindTopology])
 	for kind, key := range keys {
-		v, err := Decode(bytes.NewReader(files[kind]), registry.Kind(kind), key, topologyFor)
+		e, err := Decode(bytes.NewReader(files[kind]), registry.Kind(kind), key, topologyFor)
 		if err != nil {
 			t.Fatalf("%v fixture: %v", registry.Kind(kind), err)
 		}
 		var buf bytes.Buffer
-		if err := Encode(&buf, registry.Kind(kind), key, v); err != nil {
+		if err := Encode(&buf, e); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), files[kind]) {
@@ -114,14 +114,14 @@ func TestFixturesDecodeToTheirExactBytes(t *testing.T) {
 
 // TestDecodeRefusesUnboundFiles: Decode refuses each of refusedSeeds under
 // its kind's fixture key, even though every topology key resolves, and
-// returns no value.
+// returns no entry.
 func TestDecodeRefusesUnboundFiles(t *testing.T) {
 	keys, _, files := fixtureFiles(t)
 	topologyFor := anyTopology(t, files[registry.KindTopology])
 	for _, name := range refusedSeeds {
 		kind, body := readSeed(t, name)
-		if v, err := Decode(bytes.NewReader(body), kind, keys[kind], topologyFor); err == nil || v != nil {
-			t.Errorf("%s: decoded under %q to %#v (err %v)", name, keys[kind], v, err)
+		if e, err := Decode(bytes.NewReader(body), kind, keys[kind], topologyFor); err == nil || e != nil {
+			t.Errorf("%s: decoded under %q to %#v (err %v)", name, keys[kind], e, err)
 		} else {
 			t.Logf("%s: %v", name, err)
 		}
@@ -189,7 +189,8 @@ func TestCraftedDAGNameCannotPoisonAMapping(t *testing.T) {
 		}
 		t.Cleanup(func() { sp.Close() })
 		return registry.New(registry.Options{
-			Store: registry.NewTiered(registry.NewLRU(16), sp),
+			MaxEntries: 16,
+			Tiers:      []registry.Store{sp},
 			InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
 				return testTopo(), nil
 			},

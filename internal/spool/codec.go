@@ -8,8 +8,9 @@ package spool
 // README.md's "Persistence" section documents the formats.
 //
 // Encode and Decode are the one per-kind dispatch every carrier goes
-// through: a new cached kind is a row in registry's kind table plus one
-// arm in each of them.
+// through, and their unit is the cached *registry.Entry: Encode writes an
+// entry, Decode reads one back bound to its kind and key. A new cached
+// kind is a row in registry's kind table plus one arm in each of them.
 
 import (
 	"bytes"
@@ -40,24 +41,20 @@ var magics = [registry.NumKinds]string{
 }
 
 // Encode writes the interchange form of one cache entry: the file the
-// spool persists under key and the body /v1/export serves for it. val is
-// the value or the *registry.Entry holding it. A value that is not of the
-// kind, a sidecar key its topology key cannot be read from, or a value
-// holding a line break is an error.
-func Encode(w io.Writer, kind registry.Kind, key string, val any) error {
-	if e, ok := val.(*registry.Entry); ok {
-		val = e.Val
-	}
-	parent, derived := kind.ParentKey(key)
-	switch v := val.(type) {
+// spool persists under the entry's key and the body /v1/export serves for
+// it. A value that is not of the entry's kind, a sidecar key its topology
+// key cannot be read from, or a value holding a line break is an error.
+func Encode(w io.Writer, e *registry.Entry) error {
+	parent, derived := e.Kind.ParentKey(e.Key)
+	switch v := e.Val.(type) {
 	case *topo.Topology:
-		if kind == registry.KindTopology {
+		if e.Kind == registry.KindTopology {
 			spec := v.Spec()
-			return topo.EncodeKeyed(w, key, &spec)
+			return topo.EncodeKeyed(w, e.Key, &spec)
 		}
 	case *place.Placement:
-		if kind == registry.KindPlacement && derived {
-			fw := topo.NewWriter(w, key, placeMagic)
+		if e.Kind == registry.KindPlacement && derived {
+			fw := topo.NewWriter(w, e.Key, placeMagic)
 			fw.Line("topokey").Str(parent)
 			fw.Line("policy").Str(v.PolicyName())
 			ctxs := v.Contexts()
@@ -68,8 +65,8 @@ func Encode(w io.Writer, kind registry.Kind, key string, val any) error {
 			return fw.End()
 		}
 	case *taskmap.Mapping:
-		if kind == registry.KindMapping && derived {
-			fw := topo.NewWriter(w, key, mapMagic)
+		if e.Kind == registry.KindMapping && derived {
+			fw := topo.NewWriter(w, e.Key, mapMagic)
 			fw.Line("topokey").Str(parent)
 			if name := v.DAGName(); name != "" {
 				fw.Line("dagname").Str(name)
@@ -81,7 +78,7 @@ func Encode(w io.Writer, kind registry.Kind, key string, val any) error {
 			return fw.End()
 		}
 	}
-	return fmt.Errorf("cannot encode %T as a %v under key %q", val, kind, key)
+	return fmt.Errorf("cannot encode %T as a %v under key %q", e.Val, e.Kind, e.Key)
 }
 
 // dagIdentity is a .map sidecar's `dag` value: hash, nodes, edges.
@@ -95,20 +92,20 @@ func dagIdentity(hash uint64, nodes, edges int) string {
 func Encoded(e *registry.Entry) ([]byte, error) {
 	return e.Form(registry.FormFile, func() ([]byte, error) {
 		var buf bytes.Buffer
-		if err := Encode(&buf, e.Kind, e.Key, e.Val); err != nil {
+		if err := Encode(&buf, e); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil
 	})
 }
 
-// Decode reads the interchange form of the entry under key back into its
-// value, bound to that key: the file's one #key line must name key, a
+// Decode reads the interchange form of the entry under key back into that
+// entry, bound to the key: the file's one #key line must name key, a
 // sidecar's topokey must be key's topology — which topologyFor then
 // resolves (the spool decodes the referenced file, the remote tier fetches
 // it) — and a .map sidecar's DAG identity must be key's. A mislabeled file
-// must never land in a cache under this key. On error the value is nil.
-func Decode(r io.Reader, kind registry.Kind, key string, topologyFor func(topoKey string) (*topo.Topology, error)) (any, error) {
+// must never land in a cache under this key. On error the entry is nil.
+func Decode(r io.Reader, kind registry.Kind, key string, topologyFor func(topoKey string) (*topo.Topology, error)) (*registry.Entry, error) {
 	switch kind {
 	case registry.KindTopology:
 		got, spec, err := topo.DecodeKeyed(r)
@@ -120,9 +117,9 @@ func Decode(r io.Reader, kind registry.Kind, key string, topologyFor func(topoKe
 		}
 		t, err := topo.FromSpec(*spec)
 		if err != nil {
-			return nil, err // an untyped nil: never a nil *Topology in an any
+			return nil, err
 		}
-		return t, nil
+		return registry.NewEntry(kind, key, t), nil
 	case registry.KindPlacement:
 		var policy string
 		var ctxs []int
@@ -158,7 +155,7 @@ func Decode(r io.Reader, kind registry.Kind, key string, topologyFor func(topoKe
 		if err != nil {
 			return nil, err
 		}
-		return p, nil
+		return registry.NewEntry(kind, key, p), nil
 	case registry.KindMapping:
 		var name, dag, algo string
 		var assign []int
@@ -206,7 +203,7 @@ func Decode(r io.Reader, kind registry.Kind, key string, topologyFor func(topoKe
 		if err != nil {
 			return nil, err
 		}
-		return m, nil
+		return registry.NewEntry(kind, key, m), nil
 	}
 	return nil, fmt.Errorf("unknown entry kind %v", kind)
 }

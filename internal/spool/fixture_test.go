@@ -68,7 +68,7 @@ func TestSpoolReproducesParentFixtures(t *testing.T) {
 	}
 	s := newTestSpool(t)
 	for _, e := range fixtureEntries(t) {
-		s.Put(e.kind, e.key, registry.NewEntry(e.kind, e.key, e.val))
+		s.Put(registry.NewEntry(e.kind, e.key, e.val))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -148,14 +148,14 @@ func TestKindTableExhaustive(t *testing.T) {
 		}
 
 		var first, second bytes.Buffer
-		if err := Encode(&first, k, e.key, e.val); err != nil {
+		if err := Encode(&first, registry.NewEntry(k, e.key, e.val)); err != nil {
 			t.Fatalf("%v: Encode: %v", k, err)
 		}
-		v, err := Decode(bytes.NewReader(first.Bytes()), k, e.key, topologyFor)
+		decoded, err := Decode(bytes.NewReader(first.Bytes()), k, e.key, topologyFor)
 		if err != nil {
 			t.Fatalf("%v: Decode: %v", k, err)
 		}
-		if err := Encode(&second, k, e.key, v); err != nil {
+		if err := Encode(&second, decoded); err != nil {
 			t.Fatalf("%v: re-Encode: %v", k, err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -164,7 +164,7 @@ func TestKindTableExhaustive(t *testing.T) {
 		// Every other kind's value, and a mislabeled body, are refused.
 		for _, other := range samples {
 			if other.kind != k {
-				if err := Encode(&bytes.Buffer{}, k, e.key, other.val); err == nil {
+				if err := Encode(&bytes.Buffer{}, registry.NewEntry(k, e.key, other.val)); err == nil {
 					t.Errorf("Encode accepted a %v value under kind %v", other.kind, k)
 				}
 			}

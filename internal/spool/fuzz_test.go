@@ -43,11 +43,11 @@ func FuzzDecode(f *testing.F) {
 		}
 		keys[kind] = key
 		if kind == registry.KindTopology {
-			v, err := Decode(bytes.NewReader(b), kind, key, nil)
+			e, err := Decode(bytes.NewReader(b), kind, key, nil)
 			if err != nil {
 				f.Fatal(err)
 			}
-			fixtureTopo = v.(*topo.Topology)
+			fixtureTopo = e.Val.(*topo.Topology)
 		}
 	}
 	for kind, key := range keys {
@@ -60,33 +60,36 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, k uint8, data []byte) {
 		kind := registry.Kind(int(k) % int(registry.NumKinds))
 		key := keys[kind]
-		v, err := Decode(bytes.NewReader(data), kind, key, topologyFor)
+		e, err := Decode(bytes.NewReader(data), kind, key, topologyFor)
 		if err != nil {
-			// A refused body yields no value: a typed nil in the any
-			// would pass a caller's type assertion.
-			if v != nil {
-				t.Fatalf("Decode refused the body (%v) yet returned %#v", err, v)
+			// A refused body yields no entry.
+			if e != nil {
+				t.Fatalf("Decode refused the body (%v) yet returned %#v", err, e)
 			}
 			return
+		}
+		// An accepted body is the entry asked for: its kind, its key.
+		if e.Kind != kind || e.Key != key {
+			t.Fatalf("Decode under (%v, %q) returned the entry (%v, %q)", kind, key, e.Kind, e.Key)
 		}
 		// A topology a tier accepts must be servable as JSON too: a
 		// non-finite float would decode here yet fail /v1/topology's
 		// encoder (the nan-stream-core-bw and inf-mem-bw seeds).
-		if top, ok := v.(*topo.Topology); ok {
+		if top, ok := e.Val.(*topo.Topology); ok {
 			if _, err := json.Marshal(top.Spec()); err != nil {
 				t.Fatalf("decoded topology does not marshal as JSON: %v", err)
 			}
 		}
 		var first bytes.Buffer
-		if err := Encode(&first, kind, key, v); err != nil {
-			t.Fatalf("decoded %T does not re-encode: %v", v, err)
+		if err := Encode(&first, e); err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", e.Val, err)
 		}
-		v2, err := Decode(bytes.NewReader(first.Bytes()), kind, key, topologyFor)
+		e2, err := Decode(bytes.NewReader(first.Bytes()), kind, key, topologyFor)
 		if err != nil {
 			t.Fatalf("re-encoded %v does not decode: %v\n%s", kind, err, first.Bytes())
 		}
 		var second bytes.Buffer
-		if err := Encode(&second, kind, key, v2); err != nil {
+		if err := Encode(&second, e2); err != nil {
 			t.Fatalf("second decode of %v does not re-encode: %v", kind, err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {

@@ -17,7 +17,7 @@ import (
 // putTopo spools testTopo under key and flushes so the file is on disk.
 func putTopo(t *testing.T, s *Spool, key string) string {
 	t.Helper()
-	s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, testTopo()))
+	s.Put(registry.NewEntry(registry.KindTopology, key, testTopo()))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestEvictionCascadesToDependentSidecars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(registry.KindPlacement, placeKey, registry.NewEntry(registry.KindPlacement, placeKey, pl))
+	s.Put(registry.NewEntry(registry.KindPlacement, placeKey, pl))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestPlacementPutPersistsItsTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(registry.KindPlacement, placeKey, registry.NewEntry(registry.KindPlacement, placeKey, pl))
+	s.Put(registry.NewEntry(registry.KindPlacement, placeKey, pl))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func testMapping(t *testing.T) (*taskmap.Mapping, string) {
 func encodeMapping(t *testing.T, key string, m *taskmap.Mapping) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Encode(&buf, registry.KindMapping, key, m); err != nil {
+	if err := Encode(&buf, registry.NewEntry(registry.KindMapping, key, m)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -43,11 +43,11 @@ func onTestTopo(string) (*topo.Topology, error) { return testTopo(), nil }
 func TestMapSidecarCodecRoundTrip(t *testing.T) {
 	m, key := testMapping(t)
 	raw := encodeMapping(t, key, m)
-	v, err := Decode(bytes.NewReader(raw), registry.KindMapping, key, onTestTopo)
+	e, err := Decode(bytes.NewReader(raw), registry.KindMapping, key, onTestTopo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := v.(*taskmap.Mapping)
+	got := e.Val.(*taskmap.Mapping)
 	if got.DAGName() != m.DAGName() || got.DAGHash() != m.DAGHash() || got.NumNodes() != m.NumNodes() ||
 		got.NumEdges() != m.NumEdges() || got.Algo() != m.Algo() || got.Cost() != m.Cost() ||
 		!slices.Equal(got.Assignment(), m.Assignment()) {
@@ -120,7 +120,7 @@ func TestMappingRoundTripThroughSpool(t *testing.T) {
 	s := newTestSpool(t)
 	// Put only the mapping: the durable-topology invariant must persist
 	// the referenced topology alongside it.
-	s.Put(registry.KindMapping, key, registry.NewEntry(registry.KindMapping, key, m))
+	s.Put(registry.NewEntry(registry.KindMapping, key, m))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestCorruptMapSidecarQuarantined(t *testing.T) {
 	m, key := testMapping(t)
 
 	s := newTestSpool(t)
-	s.Put(registry.KindMapping, key, registry.NewEntry(registry.KindMapping, key, m))
+	s.Put(registry.NewEntry(registry.KindMapping, key, m))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}

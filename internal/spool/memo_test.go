@@ -58,18 +58,18 @@ func writeMemoSpool(t *testing.T) (string, [2]memoTopo) {
 		seed := uint64(i + 1)
 		tk := registry.TopoKey("Ivy", seed, opt)
 		sets[i].key = tk
-		s.Put(registry.KindTopology, tk, registry.NewEntry(registry.KindTopology, tk, top))
+		s.Put(registry.NewEntry(registry.KindTopology, tk, top))
 		for _, n := range []int{4, 8, 16} {
 			pl, err := place.NewFrom(top, place.RRCore, place.Options{NThreads: n})
 			if err != nil {
 				t.Fatal(err)
 			}
 			key := fmt.Sprintf("place|%s|%s|%d", tk, pl.PolicyName(), n)
-			s.Put(registry.KindPlacement, key, registry.NewEntry(registry.KindPlacement, key, pl))
+			s.Put(registry.NewEntry(registry.KindPlacement, key, pl))
 			sets[i].sidecars = append(sets[i].sidecars, sidecarKey{registry.KindPlacement, key})
 		}
 		mk := registry.MapKey("Ivy", seed, opt, d, 100)
-		s.Put(registry.KindMapping, mk, registry.NewEntry(registry.KindMapping, mk, m))
+		s.Put(registry.NewEntry(registry.KindMapping, mk, m))
 		sets[i].sidecars = append(sets[i].sidecars, sidecarKey{registry.KindMapping, mk})
 	}
 	if err := s.Close(); err != nil {

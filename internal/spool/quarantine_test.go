@@ -74,7 +74,7 @@ func TestGetQuarantinesCorruptEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top))
+		s.Put(registry.NewEntry(registry.KindTopology, key, top))
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestGetQuarantinesCorruptEntry(t *testing.T) {
 		t.Fatalf("corrupt file not preserved under quarantine/: %v", err)
 	}
 	// The slot is reusable: a fresh Put restores a servable entry.
-	s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top))
+	s.Put(registry.NewEntry(registry.KindTopology, key, top))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestInjectedWriteFaultDegradesAndHeals(t *testing.T) {
 		t.Fatal("fresh spool reports degraded")
 	}
 	key := registry.TopoKey("Ivy", 1, mctopalg.Options{Reps: 51})
-	s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, testTopo()))
+	s.Put(registry.NewEntry(registry.KindTopology, key, testTopo()))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestInjectedWriteFaultDegradesAndHeals(t *testing.T) {
 		t.Fatal("failed write still served")
 	}
 	// The fault's count is spent: the next write lands and heals.
-	s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, testTopo()))
+	s.Put(registry.NewEntry(registry.KindTopology, key, testTopo()))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestInjectedTornWriteIsQuarantinedOnRead(t *testing.T) {
 	}
 	defer s.Close()
 	key := registry.TopoKey("Ivy", 1, mctopalg.Options{Reps: 51})
-	s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, testTopo()))
+	s.Put(registry.NewEntry(registry.KindTopology, key, testTopo()))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestInjectedTornWriteIsQuarantinedOnRead(t *testing.T) {
 		t.Fatalf("Quarantined = %d after reading a torn file, want 1", st.Quarantined)
 	}
 	// Recovery: the next Put (fault spent) restores a good file.
-	s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, testTopo()))
+	s.Put(registry.NewEntry(registry.KindTopology, key, testTopo()))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestInjectedReadFaultQuarantines(t *testing.T) {
 	}
 	defer s.Close()
 	key := registry.TopoKey("Ivy", 1, mctopalg.Options{Reps: 51})
-	s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, testTopo()))
+	s.Put(registry.NewEntry(registry.KindTopology, key, testTopo()))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,8 @@
 // restarted daemon warm-starts from the files a previous process inferred
 // instead of re-running the O(N²) measurement phase.
 //
-// One file per entry, flat in the spool directory, named
+// One file per cached *registry.Entry — what Put is given and Lookup
+// returns — flat in the spool directory, named
 // <sanitized-key>-<fnv64> plus the kind's extension (.mctop, .place,
 // .map); the formats, their shared framing and the rules binding a file to
 // its key are documented once, in README.md's "Persistence" section. A
@@ -291,7 +292,7 @@ func fileName(key string, kind registry.Kind) string {
 // entry, degrading every failure to a logged miss. A traced request sees the decode as a
 // span — including the decode failures that degrade to misses, which keep
 // the span (and its quarantine event) even when the trace is unsampled.
-func (s *Spool) Lookup(ctx context.Context, kind registry.Kind, key string) (any, string, bool) {
+func (s *Spool) Lookup(ctx context.Context, kind registry.Kind, key string) (*registry.Entry, string, bool) {
 	s.mu.Lock()
 	k, ok := s.entries[key]
 	s.mu.Unlock()
@@ -303,13 +304,13 @@ func (s *Spool) Lookup(ctx context.Context, kind registry.Kind, key string) (any
 	sp.SetAttr("kind", kind.String())
 	defer sp.End()
 	var (
-		v   any
+		e   *registry.Entry
 		err error
 	)
 	if o, fired := s.faults.Eval(faultinject.SpoolRead); fired {
 		err = o.Err(faultinject.SpoolRead)
 	} else {
-		v, err = s.load(kind, key)
+		e, err = s.load(kind, key)
 	}
 	if err != nil {
 		// An entry that indexed at scan but fails to decode is corrupt
@@ -328,15 +329,16 @@ func (s *Spool) Lookup(ctx context.Context, kind registry.Kind, key string) (any
 		return nil, "", false
 	}
 	s.kinds.Hit(kind)
-	return registry.NewEntry(kind, key, v), "spool", true
+	return e, "spool", true
 }
 
-// load decodes one entry's file through the interchange codec; a sidecar
-// resolves the topology it references through load again (and the memo).
-func (s *Spool) load(kind registry.Kind, key string) (any, error) {
+// load decodes one entry's file through the interchange codec — a
+// topology the memo holds is not read again; a sidecar resolves the
+// topology it references through load too.
+func (s *Spool) load(kind registry.Kind, key string) (*registry.Entry, error) {
 	if kind == registry.KindTopology {
 		if t := s.topos.Get(key); t != nil {
-			return t, nil
+			return registry.NewEntry(kind, key, t), nil
 		}
 	}
 	path := filepath.Join(s.dir, fileName(key, kind))
@@ -345,39 +347,35 @@ func (s *Spool) load(kind registry.Kind, key string) (any, error) {
 		return nil, err
 	}
 	defer f.Close()
-	v, err := Decode(f, kind, key, func(topoKey string) (*topo.Topology, error) {
-		t, err := s.load(registry.KindTopology, topoKey)
-		if err != nil {
-			return nil, err
-		}
-		return t.(*topo.Topology), nil
-	})
+	e, err := Decode(f, kind, key, s.topology)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if t, ok := v.(*topo.Topology); ok {
+	if t, ok := e.Val.(*topo.Topology); ok {
 		s.topos.Set(key, t)
 	}
-	return v, nil
+	return e, nil
+}
+
+// topology is Decode's topologyFor: the topology under key, loaded.
+func (s *Spool) topology(key string) (*topo.Topology, error) {
+	e, err := s.load(registry.KindTopology, key)
+	if err != nil {
+		return nil, err
+	}
+	return e.Val.(*topo.Topology), nil
 }
 
 // Put implements registry.Store: enqueue a write-behind of the entry,
 // falling back to a synchronous write when the queue is full so no
 // accepted entry is ever dropped. The file is the entry's own interchange
-// file, under the entry's key. A value that is not an entry, and any Put
-// after Close, is dropped (and logged): the spool is no longer durable
-// once closed.
-func (s *Spool) Put(kind registry.Kind, key string, val any) {
-	e, ok := val.(*registry.Entry)
-	if !ok {
-		s.logf("dropping write of %q: %T is not a cache entry", key, val)
-		s.errors.Add(1)
-		return
-	}
+// file, under the entry's key. Any Put after Close is dropped (and
+// logged): the spool is no longer durable once closed.
+func (s *Spool) Put(e *registry.Entry) {
 	s.sendMu.RLock()
 	if s.closed {
 		s.sendMu.RUnlock()
-		s.logf("dropping write of %q: spool is closed", key)
+		s.logf("dropping write of %q: spool is closed", e.Key)
 		s.errors.Add(1)
 		return
 	}

@@ -52,11 +52,11 @@ func encodeTopo(t *testing.T, top *topo.Topology) []byte {
 
 // get is Lookup outside any request: the value of the entry it returns.
 func get(s *Spool, kind registry.Kind, key string) (any, bool) {
-	v, _, ok := s.Lookup(context.Background(), kind, key)
+	e, _, ok := s.Lookup(context.Background(), kind, key)
 	if !ok {
 		return nil, false
 	}
-	return v.(*registry.Entry).Val, true
+	return e.Val, true
 }
 
 func newTestSpool(t *testing.T) *Spool {
@@ -75,7 +75,7 @@ func TestTopologyRoundTripThroughSpool(t *testing.T) {
 	key := registry.TopoKey("Ivy", 1, opt)
 
 	s := newTestSpool(t)
-	s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top))
+	s.Put(registry.NewEntry(registry.KindTopology, key, top))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestPlacementSidecarRoundTrip(t *testing.T) {
 	pk := fmt.Sprintf("place|%s|%s|%d", tk, pl.PolicyName(), 8)
 
 	s := newTestSpool(t)
-	s.Put(registry.KindTopology, tk, registry.NewEntry(registry.KindTopology, tk, top))
-	s.Put(registry.KindPlacement, pk, registry.NewEntry(registry.KindPlacement, pk, pl))
+	s.Put(registry.NewEntry(registry.KindTopology, tk, top))
+	s.Put(registry.NewEntry(registry.KindPlacement, pk, pl))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestScanSkipsUndecodableFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Put(registry.KindTopology, good, registry.NewEntry(registry.KindTopology, good, top))
+		s.Put(registry.NewEntry(registry.KindTopology, good, top))
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -258,8 +258,9 @@ func TestTieredWarmStart(t *testing.T) {
 		}
 		t.Cleanup(func() { sp.Close() })
 		return registry.New(registry.Options{
-			InferCtx: infer,
-			Store:    registry.NewTiered(registry.NewLRU(64), sp),
+			InferCtx:   infer,
+			MaxEntries: 64,
+			Tiers:      []registry.Store{sp},
 		})
 	}
 
@@ -336,7 +337,7 @@ func TestSpoolConcurrent(t *testing.T) {
 				key := registry.TopoKey("Ivy", uint64((g+i)%5), opt)
 				switch i % 3 {
 				case 0:
-					s.Put(registry.KindTopology, key, registry.NewEntry(registry.KindTopology, key, top))
+					s.Put(registry.NewEntry(registry.KindTopology, key, top))
 				case 1:
 					get(s, registry.KindTopology, key)
 				case 2:
@@ -356,7 +357,7 @@ func TestSpoolConcurrent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s.Put(registry.KindTopology, "late", registry.NewEntry(registry.KindTopology, "late", top))
+	s.Put(registry.NewEntry(registry.KindTopology, "late", top))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +372,7 @@ func TestEntryFileIsEncodedOnceAndNeverSeeded(t *testing.T) {
 	key := registry.TopoKey("Ivy", 1, mctopalg.Options{Reps: 51})
 	e := registry.NewEntry(registry.KindTopology, key, testTopo())
 	s := newTestSpool(t)
-	s.Put(registry.KindTopology, key, e)
+	s.Put(e)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -395,11 +396,10 @@ func TestEntryFileIsEncodedOnceAndNeverSeeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	v, _, ok := s2.Lookup(context.Background(), registry.KindTopology, key)
+	read, _, ok := s2.Lookup(context.Background(), registry.KindTopology, key)
 	if !ok {
 		t.Fatal("the edited file did not decode")
 	}
-	read := v.(*registry.Entry)
 	if read.Rendered(registry.FormFile) != nil {
 		t.Fatal("an entry read from disk came with its file form seeded")
 	}

@@ -26,10 +26,10 @@
 //     Figure 7 report.
 //   - Registry — the concurrency-safe, LRU-bounded topology service layer
 //     with context-aware lookups (LookupTopologyContext, PlaceContext,
-//     PlaceBatchContext), the backend of cmd/mctopd. Its cache is a
-//     tiered Store: WithSpoolDir chains the in-memory LRU over a
-//     description-file spool, so a restarted process warm-starts from
-//     disk with zero re-inferences.
+//     PlaceBatchContext), the backend of cmd/mctopd. Its cache is one
+//     chain of Store tiers headed by its in-memory LRU: WithSpoolDir adds
+//     a description-file spool below it, so a restarted process
+//     warm-starts from disk with zero re-inferences.
 //   - Structured errors — ErrUnknownPlatform, ErrUnknownPolicy,
 //     ErrInvalidRequest, ErrTooLarge, ErrSaturated — that errors.Is
 //     matches through every layer; cmd/mctopd maps them to HTTP statuses
@@ -68,7 +68,7 @@
 //   - internal/mctoperr  — the sentinel errors of the client API
 //   - internal/registry  — the topology service layer (the paper's
 //     "created once, then used to load the topology" deployment model,
-//     Section 2) over a pluggable tiered store
+//     Section 2) over one tier chain headed by its LRU
 //   - internal/spool     — the description-file persistence tier behind
 //     WithSpoolDir and mctopd's -spool-dir
 //   - internal/remote    — the fleet tier behind WithUpstream and mctopd's
@@ -163,12 +163,12 @@ type PlaceRequest = registry.PlaceRequest
 type BatchResult = registry.BatchResult
 
 // Store is one cache tier of a Registry (see internal/registry): the
-// in-memory LRU every registry has, the description-file spool
-// (OpenSpool), the fleet tier (WithUpstream) or any custom tier — one
-// contract every tier implements in full. Tiers compose via WithSpoolDir /
-// WithStore into a read-through/write-through chain. What the registry
-// Puts into a tier is its cached entry for the key; a custom tier returns
-// it from Lookup as it was Put.
+// description-file spool (OpenSpool), the fleet tier (WithUpstream) or any
+// custom tier — one contract every tier, the registry's own LRU included,
+// implements in full. Below the LRU, WithSpoolDir, WithTier and
+// WithUpstream compose the tiers into one read-through/write-through
+// chain. A tier stores the *registry.Entry it is Put and returns it from
+// Lookup under the entry's kind and key.
 type Store = registry.Store
 
 // StoreStats is one store tier's counter snapshot, exposed per tier in
@@ -200,40 +200,45 @@ type MapOptions = taskmap.Options
 type RegistryOption func(*registryConfig)
 
 type registryConfig struct {
-	store     Store
-	spoolDir  string
+	tiers     []Store
 	upstream  string
 	inferWrap func(InferCtxFunc) InferCtxFunc
 	mapWrap   func(MapFunc) MapFunc
 }
 
-// WithStore installs a custom cache store — typically a NewTieredStore
-// chain ending in a persistent tier. The maxEntries argument of
-// NewRegistry is ignored when a store is supplied (bound the tiers you
-// pass in instead), and WithStore takes precedence over WithSpoolDir.
-func WithStore(s Store) RegistryOption {
-	return func(c *registryConfig) { c.store = s }
+// WithTier appends s to the registry's tier chain: below its LRU and the
+// tiers named by earlier WithTier and WithSpoolDir options, above
+// WithUpstream's remote tier. A miss in every tier above s reads s, and
+// every computed entry is written through to it.
+func WithTier(s Store) RegistryOption {
+	return func(c *registryConfig) { c.tiers = append(c.tiers, s) }
 }
 
-// WithSpoolDir chains the registry's LRU (bounded by NewRegistry's
-// maxEntries) over a description-file spool in dir (created if needed):
-// every inferred topology and computed placement is persisted as it is
-// cached, and a future registry over the same dir — a restarted daemon —
-// serves them from disk with zero re-inferences. The spool is opened
-// inside NewRegistry, which panics if the directory cannot be created or
-// scanned; use OpenSpool plus WithStore to handle that error instead.
+// WithSpoolDir is WithTier of a description-file spool in dir (created if
+// needed): every inferred topology and computed placement is persisted as
+// it is cached, and a future registry over the same dir — a restarted
+// daemon — serves them from disk with zero re-inferences. The spool is
+// opened inside NewRegistry, which panics if the directory cannot be
+// created or scanned; use OpenSpool plus WithTier to handle that error
+// instead.
 func WithSpoolDir(dir string) RegistryOption {
-	return func(c *registryConfig) { c.spoolDir = dir }
+	return func(c *registryConfig) {
+		sp, err := spool.New(dir)
+		if err != nil {
+			panic(fmt.Sprintf("mctop: opening spool: %v", err))
+		}
+		c.tiers = append(c.tiers, sp)
+	}
 }
 
-// WithUpstream chains a remote tier under the registry's local tiers: a
-// key that misses the LRU (and the spool, if any) is fetched from the
-// mctopd at originURL via its /v1/export endpoint before falling back to
-// local inference — the fleet deployment where one origin infers and every
-// edge serves cached description files. The remote tier never fails: a
-// down, slow or corrupt origin degrades to local re-inference, with
-// negative caching and backoff so an unreachable origin costs one failed
-// dial per window rather than per-request latency.
+// WithUpstream chains a remote tier under all the registry's other tiers,
+// whatever the option order: a key that misses every other tier is
+// fetched from the mctopd at originURL via its /v1/export endpoint before
+// falling back to local inference — the fleet deployment where one origin
+// infers and every edge serves cached description files. The remote tier
+// never fails: a down, slow or corrupt origin degrades to local
+// re-inference, with negative caching and backoff so an unreachable origin
+// costs one failed dial per window rather than per-request latency.
 func WithUpstream(originURL string) RegistryOption {
 	return func(c *registryConfig) { c.upstream = originURL }
 }
@@ -265,56 +270,30 @@ func WithMapWrapper(wrap func(MapFunc) MapFunc) RegistryOption {
 
 // OpenSpool opens (creating if needed) a description-file spool directory
 // as a Store tier — the error-returning path behind WithSpoolDir. Wire it
-// in with WithStore:
+// in with WithTier:
 //
 //	sp, err := mctop.OpenSpool("/var/lib/mctop/spool")
-//	reg := mctop.NewRegistry(0, mctop.WithStore(
-//		mctop.NewTieredStore(mctop.NewLRUStore(256), sp)))
+//	reg := mctop.NewRegistry(256, mctop.WithTier(sp))
 func OpenSpool(dir string) (Store, error) {
 	return spool.New(dir)
 }
 
-// NewLRUStore creates the in-memory LRU tier, holding exactly maxEntries
-// entries (<= 0 picks the default, 256).
-func NewLRUStore(maxEntries int) Store {
-	return registry.NewLRU(maxEntries)
-}
-
-// NewTieredStore chains stores, fastest first, into one read-through/
-// write-through Store (see registry.NewTiered).
-func NewTieredStore(tiers ...Store) Store {
-	return registry.NewTiered(tiers...)
-}
-
-// NewRegistry creates a topology registry bounded to maxEntries cached
-// values (topologies, placements and mappings each count as one; <= 0 uses
-// the default of 256). Misses run the full simulate → infer → enrich pipeline
-// under the caller's context. Options add storage tiers, composing the
-// chain LRU → spool → remote (each optional tier only if requested):
-// WithSpoolDir persists the cache as description files so a restart
-// warm-starts from disk; WithUpstream fetches misses from an origin
-// mctopd before inferring locally;
-// WithStore installs any custom tier chain (and overrides the others).
-// Registries with a persistent tier should be Flush()ed (or Close()d)
-// before process exit.
+// NewRegistry creates a topology registry whose LRU holds exactly
+// maxEntries cached values (topologies, placements and mappings each count
+// as one; <= 0 uses the default of 256). Misses run the full simulate →
+// infer → enrich pipeline under the caller's context. The LRU heads the
+// registry's one tier chain; options add tiers below it: WithSpoolDir
+// persists the cache as description files so a restart warm-starts from
+// disk, WithTier adds any Store, and WithUpstream fetches misses from an
+// origin mctopd before inferring locally. Registries with a persistent
+// tier should be Flush()ed (or Close()d) before process exit.
 func NewRegistry(maxEntries int, opts ...RegistryOption) *Registry {
 	var c registryConfig
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.store == nil && (c.spoolDir != "" || c.upstream != "") {
-		tiers := []Store{registry.NewLRU(maxEntries)}
-		if c.spoolDir != "" {
-			sp, err := spool.New(c.spoolDir)
-			if err != nil {
-				panic(fmt.Sprintf("mctop: opening spool: %v", err))
-			}
-			tiers = append(tiers, sp)
-		}
-		if c.upstream != "" {
-			tiers = append(tiers, remote.New(c.upstream))
-		}
-		c.store = registry.NewTiered(tiers...)
+	if c.upstream != "" {
+		c.tiers = append(c.tiers, remote.New(c.upstream))
 	}
 	infer := InferCtxFunc(func(ctx context.Context, platform string, seed uint64, opt Options) (*Topology, error) {
 		t, _, err := inferPlatform(ctx, platform, seed, opt)
@@ -329,7 +308,7 @@ func NewRegistry(maxEntries int, opts ...RegistryOption) *Registry {
 	}
 	return registry.New(registry.Options{
 		MaxEntries: maxEntries,
-		Store:      c.store,
+		Tiers:      c.tiers,
 		InferCtx:   infer,
 		MapFn:      mapFn,
 	})
