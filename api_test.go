@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	mctop "repro"
-	"repro/internal/registry"
 )
 
 // testOptions keeps inference fast in tests (the facade's full default of
@@ -227,43 +226,20 @@ func TestWithSpoolDirWarmStart(t *testing.T) {
 	}
 }
 
-// namedTier is a custom tier that holds nothing; its Stats name it.
-type namedTier string
-
-func (namedTier) Lookup(context.Context, registry.Kind, string) (*registry.Entry, string, bool) {
-	return nil, "", false
-}
-func (namedTier) Put(*registry.Entry)         {}
-func (namedTier) Len() int                    { return 0 }
-func (n namedTier) Stats() []mctop.StoreStats { return []mctop.StoreStats{{Tier: string(n)}} }
-func (namedTier) Flush() error                { return nil }
-func (namedTier) Close() error                { return nil }
-
-// TestWithTierOrder: the registry's LRU heads its one tier chain, the tier
-// options follow it in the order given, and WithUpstream's remote tier is
-// always last.
-func TestWithTierOrder(t *testing.T) {
-	for _, tc := range []struct {
-		opts []mctop.RegistryOption
-		want []string
-	}{
-		{[]mctop.RegistryOption{mctop.WithSpoolDir(t.TempDir()), mctop.WithTier(namedTier("custom"))},
-			[]string{"lru", "spool", "custom"}},
-		// Never fetched from: the remote tier dials its origin on a miss only.
-		{[]mctop.RegistryOption{mctop.WithUpstream("http://127.0.0.1:1"), mctop.WithTier(namedTier("custom"))},
-			[]string{"lru", "custom", "remote"}},
-	} {
-		reg := mctop.NewRegistry(8, tc.opts...)
-		var got []string
-		for _, st := range reg.Stats().Tiers {
-			got = append(got, st.Tier)
-		}
-		if err := reg.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, tc.want) {
-			t.Errorf("tiers %v, want %v", got, tc.want)
-		}
+// TestRegistryTierOrder: the registry's LRU heads its one tier chain and
+// WithUpstream's remote tier is last, whatever the option order.
+func TestRegistryTierOrder(t *testing.T) {
+	// Never fetched from: the remote tier dials its origin on a miss only.
+	reg := mctop.NewRegistry(8, mctop.WithUpstream("http://127.0.0.1:1"), mctop.WithSpoolDir(t.TempDir()))
+	var got []string
+	for _, st := range reg.Stats().Tiers {
+		got = append(got, st.Tier)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"lru", "spool", "remote"}; !slices.Equal(got, want) {
+		t.Errorf("tiers %v, want %v", got, want)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"repro/internal/mctopalg"
 	"repro/internal/place"
 	"repro/internal/plugins"
-	"repro/internal/sim"
+	"repro/internal/registry"
 )
 
 // Policy is the composable placement-policy interface of the client API
@@ -76,31 +76,11 @@ func InferDetailed(ctx context.Context, platform string, seed uint64, opts ...Op
 	if o.Reps == 0 {
 		o.Reps = 201 // the facade's fast default; WithReps overrides
 	}
-	return inferPlatform(ctx, platform, seed, o)
-}
-
-// inferPlatform is the simulate → infer → enrich pipeline behind Infer and
-// the Registry's compute path; opt is used exactly as given.
-func inferPlatform(ctx context.Context, name string, seed uint64, opt Options) (*Topology, *InferResult, error) {
-	p, err := sim.ByName(name)
+	res, err := registry.Infer(ctx, platform, seed, o)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := machine.NewSim(p, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := mctopalg.InferContext(ctx, m, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	enriched, err := plugins.Enrich(m, res.Topology, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Topology = enriched
-	res.Enriched = true
-	return enriched, res, nil
+	return res.Topology, res, nil
 }
 
 // InferHostContext runs MCTOP-ALG on the real host, best effort: the Go

@@ -129,11 +129,11 @@ func runExport(args []string) {
 // the spool at dir; with no dir it is memory-only.
 func spoolRegistry(dir string) *mctop.Registry {
 	if dir == "" {
-		return mctop.NewRegistry(16)
+		return registry.New(registry.Options{MaxEntries: 16})
 	}
 	sp, err := spool.New(dir)
 	fail(err)
-	return mctop.NewRegistry(16, mctop.WithTier(sp))
+	return registry.New(registry.Options{MaxEntries: 16, Tiers: []registry.Store{sp}})
 }
 
 // install opens the spool at dir, lets put write into it, and exits

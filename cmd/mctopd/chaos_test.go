@@ -21,13 +21,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	mctop "repro"
 	"repro/internal/faultinject"
-	"repro/internal/mctoperr"
+	"repro/internal/registry"
 	"repro/internal/remote"
 	"repro/internal/spool"
 )
@@ -75,38 +73,16 @@ func garbageSpool(t *testing.T) string {
 }
 
 // TestChaosMapperDegradesAndHeals drives the registry.map injection point
-// through the same wiring run() builds for -faults: an injected mapping
-// failure is an honest 503 + Retry-After (never a wrong assignment), warm
-// mappings keep serving from cache throughout, /readyz flips to 503 with
-// the mapper tier listed, and the first clean compute heals it back.
+// through the hooks and probe run() wires for -faults (computeFaults): an
+// injected mapping failure is an honest 503 + Retry-After (never a wrong
+// assignment), warm mappings keep serving from cache throughout, /readyz
+// flips to 503 with the mapper tier listed, and the first clean compute
+// heals it back.
 func TestChaosMapperDegradesAndHeals(t *testing.T) {
 	fs := faultinject.New(11)
-	var mapperFailed atomic.Bool
-	reg := mctop.NewRegistry(64, mctop.WithMapWrapper(func(next mctop.MapFunc) mctop.MapFunc {
-		return func(ctx context.Context, top *mctop.Topology, d *mctop.TaskDAG, opt mctop.MapOptions) (*mctop.Mapping, error) {
-			if o, fired := fs.Eval(faultinject.RegistryMap); fired {
-				if err := o.Delay(ctx); err != nil {
-					return nil, err
-				}
-				if o.Mode != "slow" {
-					mapperFailed.Store(true)
-					return nil, fmt.Errorf("%w: mapper: %v", mctoperr.ErrSaturated, o.Err(faultinject.RegistryMap))
-				}
-			}
-			m, err := next(ctx, top, d, opt)
-			if err == nil {
-				mapperFailed.Store(false)
-			}
-			return m, err
-		}
-	}))
-	s := newServerWith(reg, 51, 32)
-	s.readiness = []readyProbe{{tier: "mapper", check: func() (bool, string) {
-		if mapperFailed.Load() {
-			return true, "last mapping compute failed"
-		}
-		return false, ""
-	}}}
+	infer, mapFn, mapperProbe := computeFaults(fs)
+	s := newServerWith(registry.New(registry.Options{MaxEntries: 64, InferCtx: infer, MapFn: mapFn}), 51, 32)
+	s.readiness = []readyProbe{mapperProbe}
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
@@ -181,7 +157,7 @@ func TestChaosFleetServesOnlyGoldenBytes(t *testing.T) {
 		remote.WithBackoffMax(500*time.Millisecond),
 		remote.WithRetries(1, 2*time.Millisecond),
 		remote.WithLogf(t.Logf))
-	reg := mctop.NewRegistry(256, mctop.WithTier(sp), mctop.WithTier(rs))
+	reg := registry.New(registry.Options{MaxEntries: 256, Tiers: []registry.Store{sp, rs}})
 	defer reg.Close()
 	s := newServerWith(reg, 51, 32)
 	s.readiness = []readyProbe{ // the probes run() wires for -spool-dir + -upstream

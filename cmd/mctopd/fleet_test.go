@@ -18,6 +18,7 @@ import (
 	"time"
 
 	mctop "repro"
+	"repro/internal/registry"
 	"repro/internal/remote"
 )
 
@@ -31,7 +32,7 @@ func edgeServer(t *testing.T, originURL string) (*server, *mctop.Registry) {
 		// does not idle in a backoff window.
 		remote.WithNegTTL(10*time.Millisecond),
 		remote.WithLogf(t.Logf))
-	reg := mctop.NewRegistry(256, mctop.WithTier(rm))
+	reg := registry.New(registry.Options{MaxEntries: 256, Tiers: []registry.Store{rm}})
 	return newServerWith(reg, 51, 4*runtime.GOMAXPROCS(0)), reg
 }
 
@@ -216,12 +217,8 @@ func TestFleetEdgeWithSpoolPersistsFetchedEntries(t *testing.T) {
 
 	edgeDir := t.TempDir()
 	newEdge := func(originURL string) (*server, *mctop.Registry) {
-		sp, err := mctop.OpenSpool(edgeDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := mctop.NewRegistry(256, mctop.WithTier(sp),
-			mctop.WithTier(remote.New(originURL, remote.WithLogf(t.Logf))))
+		reg := registry.New(registry.Options{MaxEntries: 256,
+			Tiers: []registry.Store{openSpool(t, edgeDir), remote.New(originURL, remote.WithLogf(t.Logf))}})
 		return newServerWith(reg, 51, 4*runtime.GOMAXPROCS(0)), reg
 	}
 

@@ -13,6 +13,7 @@ import (
 
 	mctop "repro"
 	"repro/internal/mctoperr"
+	"repro/internal/registry"
 	"repro/internal/topo"
 )
 
@@ -70,12 +71,12 @@ func FuzzMapBody(f *testing.F) {
 		`"nodes": [{"id": 0, "work": 1000}, {"id": 1, "work": 1000}], "edges": [{"from": 0, "to": 1, "volume": 4096}]}}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		warm := newServerWith(mctop.NewRegistry(16, golden), 51, 0).routes()
+		warm := newServerWith(registry.New(golden), 51, 0).routes()
 		for i := 0; i < 2; i++ {
 			serve(warm, http.MethodPost, "/v1/map", string(body))
 		}
 		got := serve(warm, http.MethodPost, "/v1/map", string(body))
-		want := serve(newServerWith(mctop.NewRegistry(16, golden), 51, 0).routes(), http.MethodPost, "/v1/map", string(body))
+		want := serve(newServerWith(registry.New(golden), 51, 0).routes(), http.MethodPost, "/v1/map", string(body))
 		if got.Code == http.StatusInternalServerError || want.Code == http.StatusInternalServerError {
 			t.Fatalf("500: warm %s, fresh %s", got.Body, want.Body)
 		}
@@ -119,7 +120,7 @@ func FuzzPlaceParams(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rawQuery string) {
 		// A new server per input, as in FuzzMapBody: the same input always
 		// runs the same code.
-		h := newServerWith(mctop.NewRegistry(16, golden), 51, 0).routes()
+		h := newServerWith(registry.New(golden), 51, 0).routes()
 		r := httptest.NewRequest(http.MethodGet, "/v1/place", nil)
 		r.URL.RawQuery = rawQuery // raw: bytes no client library would send
 		rec := httptest.NewRecorder()
@@ -145,10 +146,10 @@ func FuzzPlaceParams(f *testing.F) {
 }
 
 // goldenOnly loads the five golden topologies (seed 42, 51 reps) by
-// lower-cased platform name, and the registry option that serves them as
-// its inferences and refuses every other input with 413, so a fuzzer
-// cannot wander into minutes-long inferences.
-func goldenOnly(f *testing.F) (map[string]*mctop.Topology, mctop.RegistryOption) {
+// lower-cased platform name, and the registry options whose inference
+// serves them and refuses every other input with 413, so a fuzzer cannot
+// wander into minutes-long inferences.
+func goldenOnly(f *testing.F) (map[string]*mctop.Topology, registry.Options) {
 	goldens := make(map[string]*mctop.Topology)
 	for _, p := range mctop.Platforms() {
 		t, err := topo.LoadFile("../../internal/topo/testdata/" + strings.ToLower(p) + ".mctop")
@@ -157,15 +158,14 @@ func goldenOnly(f *testing.F) (map[string]*mctop.Topology, mctop.RegistryOption)
 		}
 		goldens[strings.ToLower(p)] = t
 	}
-	return goldens, mctop.WithInferWrapper(func(mctop.InferCtxFunc) mctop.InferCtxFunc {
-		return func(_ context.Context, platform string, seed uint64, opt mctop.Options) (*mctop.Topology, error) {
+	return goldens, registry.Options{MaxEntries: 16,
+		InferCtx: func(_ context.Context, platform string, seed uint64, opt mctop.Options) (*mctop.Topology, error) {
 			t := goldens[strings.ToLower(platform)]
 			if t == nil || seed != 42 || opt.Normalized().Reps != 51 || opt.Sampling {
 				return nil, fmt.Errorf("%w: this daemon infers only the golden inputs", mctoperr.ErrTooLarge)
 			}
 			return t, nil
-		}
-	})
+		}}
 }
 
 // benchShapedMapBody is a /v1/map body like the benchmark's: a 48-task DAG

@@ -127,6 +127,7 @@ import (
 	"repro/internal/remote"
 	"repro/internal/sim"
 	"repro/internal/spool"
+	"repro/internal/taskmap"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -243,10 +244,10 @@ func run(ctx context.Context, cfg daemonConfig, onReady func(addr string)) error
 	// downstreams and, with -upstream, an edge to its origin at the same
 	// time.
 	var (
-		s       *server // assigned below; the remote observer closes over it
-		rs      *remote.Remote
-		sp      *spool.Spool
-		regOpts []mctop.RegistryOption
+		s      *server // assigned below; the remote observer closes over it
+		rs     *remote.Remote
+		sp     *spool.Spool
+		regOpt = registry.Options{MaxEntries: cfg.cache}
 	)
 	if cfg.spoolDir != "" {
 		// Zero bounds, a nil fault set and a disabled tracer are each the
@@ -258,13 +259,13 @@ func run(ctx context.Context, cfg daemonConfig, onReady func(addr string)) error
 		if err != nil {
 			return fmt.Errorf("mctopd: %w", err)
 		}
-		regOpts = append(regOpts, mctop.WithTier(sp))
+		regOpt.Tiers = append(regOpt.Tiers, sp)
 		log.Printf("mctopd: spooling to %s (%d entries on disk)", cfg.spoolDir, sp.Len())
 	}
 	if cfg.upstream != "" {
-		// Built directly (not through the facade) so the daemon keeps a
-		// handle for the backoff gauges; the observer reads s.metrics,
-		// which is assigned before the first request can fetch.
+		// The daemon keeps a handle for the backoff gauges; the observer
+		// reads s.metrics, which is assigned before the first request can
+		// fetch.
 		rOpts := []remote.Option{remote.WithObserver(func(d time.Duration, outcome string) {
 			s.metrics.observeFetch(cfg.upstream, d, outcome)
 		})}
@@ -274,50 +275,14 @@ func run(ctx context.Context, cfg daemonConfig, onReady func(addr string)) error
 			}))
 		}
 		rs = remote.New(cfg.upstream, rOpts...)
-		regOpts = append(regOpts, mctop.WithTier(rs))
+		regOpt.Tiers = append(regOpt.Tiers, rs)
 		log.Printf("mctopd: edge mode, pulling misses from %s", cfg.upstream)
 	}
-	var mapperFailed atomic.Bool
+	var mapperProbe readyProbe
 	if faults != nil {
-		// The registry.infer point: a fired rule delays and/or fails the
-		// compute path itself, the slowest thing a request can wait on.
-		regOpts = append(regOpts, mctop.WithInferWrapper(func(next mctop.InferCtxFunc) mctop.InferCtxFunc {
-			return func(ctx context.Context, platform string, seed uint64, opt mctop.Options) (*mctop.Topology, error) {
-				if o, fired := faults.Eval(faultinject.RegistryInfer); fired {
-					if err := o.Delay(ctx); err != nil {
-						return nil, err
-					}
-					if o.Mode != "slow" {
-						return nil, o.Err(faultinject.RegistryInfer)
-					}
-				}
-				return next(ctx, platform, seed, opt)
-			}
-		}))
-		// The registry.map point: same shape on the mapping compute path.
-		// An injected failure wraps ErrSaturated (an honest 503 +
-		// Retry-After, never a wrong assignment) and flips the mapper
-		// readiness probe until a mapping computes cleanly again.
-		regOpts = append(regOpts, mctop.WithMapWrapper(func(next mctop.MapFunc) mctop.MapFunc {
-			return func(ctx context.Context, t *mctop.Topology, d *mctop.TaskDAG, opt mctop.MapOptions) (*mctop.Mapping, error) {
-				if o, fired := faults.Eval(faultinject.RegistryMap); fired {
-					if err := o.Delay(ctx); err != nil {
-						return nil, err
-					}
-					if o.Mode != "slow" {
-						mapperFailed.Store(true)
-						return nil, fmt.Errorf("%w: mapper: %v", mctoperr.ErrSaturated, o.Err(faultinject.RegistryMap))
-					}
-				}
-				m, err := next(ctx, t, d, opt)
-				if err == nil {
-					mapperFailed.Store(false)
-				}
-				return m, err
-			}
-		}))
+		regOpt.InferCtx, regOpt.MapFn, mapperProbe = computeFaults(faults)
 	}
-	reg := mctop.NewRegistry(cfg.cache, regOpts...)
+	reg := registry.New(regOpt)
 	s = newServerWith(reg, cfg.reps, cfg.maxInflight)
 	s.tracer = tracer
 	s.maxContexts = cfg.maxContexts
@@ -329,12 +294,7 @@ func run(ctx context.Context, cfg daemonConfig, onReady func(addr string)) error
 		s.readiness = append(s.readiness, readyProbe{tier: "spool", check: sp.Degraded})
 	}
 	if faults != nil {
-		s.readiness = append(s.readiness, readyProbe{tier: "mapper", check: func() (bool, string) {
-			if mapperFailed.Load() {
-				return true, "last mapping compute failed; mappings are degraded until one succeeds"
-			}
-			return false, ""
-		}})
+		s.readiness = append(s.readiness, mapperProbe)
 	}
 	if rs != nil {
 		s.metrics.observeRemote(cfg.upstream, rs)
@@ -437,6 +397,54 @@ type server struct {
 	tracer *trace.Tracer
 	// maps is the /v1/map body digest index (render.go).
 	maps mapAliases
+}
+
+// computeFaults puts the registry.infer and registry.map injection points
+// of faults in front of the registry's two compute paths, Infer and
+// taskmap.Map. A fired rule delays and/or fails the compute itself. An
+// injected mapping failure wraps ErrSaturated (an honest 503 +
+// Retry-After, never a wrong assignment) and turns the returned mapper
+// readiness probe degraded until a mapping computes cleanly again.
+func computeFaults(faults *faultinject.Set) (registry.InferCtxFunc, registry.MapFunc, readyProbe) {
+	infer := func(ctx context.Context, platform string, seed uint64, opt mctop.Options) (*mctop.Topology, error) {
+		if o, fired := faults.Eval(faultinject.RegistryInfer); fired {
+			if err := o.Delay(ctx); err != nil {
+				return nil, err
+			}
+			if o.Mode != "slow" {
+				return nil, o.Err(faultinject.RegistryInfer)
+			}
+		}
+		res, err := registry.Infer(ctx, platform, seed, opt)
+		if err != nil {
+			return nil, err
+		}
+		return res.Topology, nil
+	}
+	var mapperFailed atomic.Bool
+	mapFn := func(ctx context.Context, t *mctop.Topology, d *mctop.TaskDAG, opt taskmap.Options) (*mctop.Mapping, error) {
+		if o, fired := faults.Eval(faultinject.RegistryMap); fired {
+			if err := o.Delay(ctx); err != nil {
+				return nil, err
+			}
+			if o.Mode != "slow" {
+				mapperFailed.Store(true)
+				return nil, fmt.Errorf("%w: mapper: %v", mctoperr.ErrSaturated, o.Err(faultinject.RegistryMap))
+			}
+		}
+		m, err := taskmap.Map(ctx, t, d, opt)
+		if err == nil {
+			mapperFailed.Store(false)
+		}
+		return m, err
+	}
+	probe := readyProbe{tier: "mapper", check: func() (bool, string) {
+		if mapperFailed.Load() {
+			return true, "last mapping compute failed; mappings are degraded until one succeeds"
+		}
+		return false, ""
+	}}
+	return infer, mapFn, probe
 }
 
 // readyProbe is one tier's degradation check: degraded=true with a

@@ -30,22 +30,26 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/registry"
+	"repro/internal/remote"
 	"repro/internal/topo"
 )
 
-// goldenRegistry is a registry whose inference of a golden platform at
-// seed 42 and 51 reps — the inputs internal/topo/testdata's fixtures were
-// inferred from — loads that fixture instead; anything else infers.
-func goldenRegistry(maxEntries int, opts ...mctop.RegistryOption) *mctop.Registry {
-	golden := mctop.WithInferWrapper(func(next mctop.InferCtxFunc) mctop.InferCtxFunc {
-		return func(ctx context.Context, platform string, seed uint64, opt mctop.Options) (*mctop.Topology, error) {
+// goldenRegistry is a registry over tiers whose inference of a golden
+// platform at seed 42 and 51 reps — the inputs internal/topo/testdata's
+// fixtures were inferred from — loads that fixture instead; anything else
+// runs the inference pipeline.
+func goldenRegistry(maxEntries int, tiers ...registry.Store) *mctop.Registry {
+	return registry.New(registry.Options{MaxEntries: maxEntries, Tiers: tiers,
+		InferCtx: func(ctx context.Context, platform string, seed uint64, opt mctop.Options) (*mctop.Topology, error) {
 			if seed == 42 && opt.Normalized().Reps == 51 && !opt.Sampling && !strings.HasPrefix(platform, "gen:") {
 				return topo.LoadFile("../../internal/topo/testdata/" + strings.ToLower(platform) + ".mctop")
 			}
-			return next(ctx, platform, seed, opt)
-		}
-	})
-	return mctop.NewRegistry(maxEntries, append([]mctop.RegistryOption{golden}, opts...)...)
+			res, err := registry.Infer(ctx, platform, seed, opt)
+			if err != nil {
+				return nil, err
+			}
+			return res.Topology, nil
+		}})
 }
 
 // serve runs one request through h and returns the recorded response.
@@ -87,7 +91,7 @@ func dagJSON(name string) string {
 // fetches every entry from it.
 func TestBodiesMatchReference(t *testing.T) {
 	dir := t.TempDir()
-	origin := newServerWith(goldenRegistry(512, mctop.WithSpoolDir(dir)), 51, 0)
+	origin := newServerWith(goldenRegistry(512, openSpool(t, dir)), 51, 0)
 	defer origin.reg.Close()
 	ref := newServerWith(goldenRegistry(512), 51, 0)
 	refH := http.NewServeMux()
@@ -175,14 +179,14 @@ func TestBodiesMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restarted := goldenRegistry(1, mctop.WithSpoolDir(dir))
+	restarted := goldenRegistry(1, openSpool(t, dir))
 	defer restarted.Close()
 	sweep("spool", newServerWith(restarted, 51, 0).routes())
 	noneComputed("spool", restarted)
 
 	ts := httptest.NewServer(origin.routes())
 	defer ts.Close()
-	edge := goldenRegistry(1, mctop.WithUpstream(ts.URL))
+	edge := goldenRegistry(1, remote.New(ts.URL))
 	defer edge.Close()
 	sweep("remote", newServerWith(edge, 51, 0).routes())
 	noneComputed("remote", edge)
@@ -437,7 +441,7 @@ func TestMapAliasFallsBackAfterEviction(t *testing.T) {
 // entry the spool decodes — one lookup, attributed to the spool, no
 // recompute, the same bytes — and the entry then carries the body again.
 func TestMapAliasRendersATierDecodedEntry(t *testing.T) {
-	s := newServerWith(goldenRegistry(1, mctop.WithSpoolDir(t.TempDir())), 51, 0)
+	s := newServerWith(goldenRegistry(1, openSpool(t, t.TempDir())), 51, 0)
 	defer s.reg.Close()
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()

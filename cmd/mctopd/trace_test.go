@@ -20,6 +20,7 @@ import (
 
 	mctop "repro"
 	"repro/internal/faultinject"
+	"repro/internal/registry"
 	"repro/internal/remote"
 	"repro/internal/spool"
 	"repro/internal/trace"
@@ -138,7 +139,7 @@ func TestFleetTraceStitching(t *testing.T) {
 	defer origin.Close()
 
 	rm := remote.New(origin.URL, remote.WithLogf(t.Logf))
-	reg := mctop.NewRegistry(64, mctop.WithTier(rm))
+	reg := registry.New(registry.Options{MaxEntries: 64, Tiers: []registry.Store{rm}})
 	edgeSrv := tracedServer(reg, 3)
 	edge := httptest.NewServer(edgeSrv.routes())
 	defer edge.Close()
@@ -243,7 +244,7 @@ func TestChaosSpanBalance(t *testing.T) {
 		remote.WithBackoffMax(200*time.Millisecond),
 		remote.WithRetries(1, 2*time.Millisecond),
 		remote.WithLogf(t.Logf))
-	reg := mctop.NewRegistry(64, mctop.WithTier(sp), mctop.WithTier(rm))
+	reg := registry.New(registry.Options{MaxEntries: 64, Tiers: []registry.Store{sp, rm}})
 	defer reg.Close()
 	s := newServerWith(reg, 51, 32)
 	s.tracer = tracer

@@ -15,17 +15,25 @@ import (
 	"testing"
 
 	mctop "repro"
+	"repro/internal/registry"
+	"repro/internal/spool"
 )
 
-// spoolServer builds a server whose registry chains the LRU over a spool
-// in dir — the -spool-dir wiring of main().
-func spoolServer(t *testing.T, dir string) (*server, *mctop.Registry) {
+// openSpool opens the spool in dir, failing t if it cannot.
+func openSpool(t testing.TB, dir string) *spool.Spool {
 	t.Helper()
-	sp, err := mctop.OpenSpool(dir)
+	sp, err := spool.New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := mctop.NewRegistry(256, mctop.WithTier(sp))
+	return sp
+}
+
+// spoolServer builds a server whose registry chains the LRU over a spool
+// in dir — the -spool-dir wiring of run().
+func spoolServer(t *testing.T, dir string) (*server, *mctop.Registry) {
+	t.Helper()
+	reg := registry.New(registry.Options{MaxEntries: 256, Tiers: []registry.Store{openSpool(t, dir)}})
 	t.Cleanup(func() { reg.Close() })
 	return newServerWith(reg, 51, 4*runtime.GOMAXPROCS(0)), reg
 }

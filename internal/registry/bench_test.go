@@ -11,7 +11,7 @@ import (
 func BenchmarkColdInfer(b *testing.B) {
 	opt := mctopalg.Options{Reps: 51}
 	for i := 0; i < b.N; i++ {
-		if _, err := realInfer(bg, "Ivy", 42, opt); err != nil {
+		if _, err := Infer(bg, "Ivy", 42, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -21,7 +21,7 @@ func BenchmarkColdInfer(b *testing.B) {
 // BenchmarkColdInfer for the memoization win (>= 100x by acceptance, ~10^5x
 // in practice).
 func BenchmarkTopologyHit(b *testing.B) {
-	r := New(Options{InferCtx: realInfer})
+	r := New(Options{})
 	opt := mctopalg.Options{Reps: 51}
 	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 42, opt); err != nil {
 		b.Fatal(err)
@@ -37,7 +37,7 @@ func BenchmarkTopologyHit(b *testing.B) {
 // BenchmarkTopologyHitParallel hammers one cached key from all procs — the
 // hot path of a serving daemon.
 func BenchmarkTopologyHitParallel(b *testing.B) {
-	r := New(Options{InferCtx: realInfer})
+	r := New(Options{})
 	opt := mctopalg.Options{Reps: 51}
 	if _, _, err := r.LookupTopologyContext(bg, "Ivy", 42, opt); err != nil {
 		b.Fatal(err)
@@ -54,7 +54,7 @@ func BenchmarkTopologyHitParallel(b *testing.B) {
 
 // BenchmarkPlaceHit is a warm placement lookup.
 func BenchmarkPlaceHit(b *testing.B) {
-	r := New(Options{InferCtx: realInfer})
+	r := New(Options{})
 	opt := mctopalg.Options{Reps: 51}
 	if _, err := r.PlaceContext(bg, "Ivy", 42, opt, "CON_HWC", 30); err != nil {
 		b.Fatal(err)

@@ -18,7 +18,9 @@
 //     Options.Tiers names follow it — internal/spool's description-file
 //     tier makes the cache survive restarts (a cold miss that hits the
 //     spool decodes a description file instead of re-running the O(N²)
-//     inference), internal/remote's fetches from an origin daemon.
+//     inference), internal/remote's fetches from an origin daemon;
+//   - computing: a miss that no tier answers runs Infer, the simulate →
+//     infer → enrich pipeline, unless Options.InferCtx replaces it.
 //
 // All methods are safe for concurrent use and pass `go test -race`.
 package registry
@@ -31,25 +33,64 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/machine"
 	"repro/internal/mctopalg"
 	"repro/internal/place"
+	"repro/internal/plugins"
+	"repro/internal/sim"
 	"repro/internal/taskmap"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
 // InferCtxFunc produces a topology for a platform/seed/options triple. The
-// facade wires its simulate + infer + enrich pipeline here; tests
-// substitute cheap or counting implementations. The context is the one the
-// winning caller of a singleflight wave passed in, and a conforming
-// implementation returns ctx.Err() promptly once it fires.
+// default runs Infer; the daemon puts its fault hooks in front of Infer,
+// tests substitute cheap or counting implementations. The context is the
+// one the winning caller of a singleflight wave passed in, and a
+// conforming implementation returns ctx.Err() promptly once it fires.
 type InferCtxFunc func(ctx context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error)
 
+// Infer is the simulate → infer → enrich pipeline: it simulates the named
+// platform (a builtin or a gen: name) with the given noise seed, runs
+// MCTOP-ALG on it under ctx with opt exactly as given, and enriches the
+// result with all four plugins. The enriched topology is Result.Topology,
+// with Enriched set. Unknown platforms wrap mctoperr.ErrUnknownPlatform; a
+// cancelled inference returns ctx.Err().
+func Infer(ctx context.Context, platform string, seed uint64, opt mctopalg.Options) (*mctopalg.Result, error) {
+	p, err := sim.ByName(platform)
+	if err != nil {
+		return nil, err
+	}
+	m, err := machine.NewSim(p, seed)
+	if err != nil {
+		return nil, err
+	}
+	res, err := mctopalg.InferContext(ctx, m, opt)
+	if err != nil {
+		return nil, err
+	}
+	if res.Topology, err = plugins.Enrich(m, res.Topology, nil); err != nil {
+		return nil, err
+	}
+	res.Enriched = true
+	return res, nil
+}
+
+// inferTopology is Infer as an InferCtxFunc: the registry's default
+// compute path.
+func inferTopology(ctx context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
+	res, err := Infer(ctx, platform, seed, opt)
+	if err != nil {
+		return nil, err
+	}
+	return res.Topology, nil
+}
+
 // Options configures a Registry. The zero value of every field has a sane
-// default except the inference function, which is required.
+// default.
 type Options struct {
 	// InferCtx computes a topology on a cache miss, honoring the context
-	// of the caller that executes the computation.
+	// of the caller that executes the computation. Nil defaults to Infer.
 	InferCtx InferCtxFunc
 	// Tiers are the cache tiers below the registry's own LRU, fastest
 	// first: the chain behind the singleflight is the LRU, then these.
@@ -108,11 +149,10 @@ type call struct {
 	err   error
 }
 
-// New creates a registry. It panics if opt.InferCtx is nil: a registry
-// without an inference function cannot answer anything.
+// New creates a registry.
 func New(opt Options) *Registry {
 	if opt.InferCtx == nil {
-		panic("registry: Options.InferCtx is required")
+		opt.InferCtx = inferTopology
 	}
 	if opt.MapFn == nil {
 		opt.MapFn = taskmap.Map

@@ -1,52 +1,32 @@
 package registry
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/machine"
 	"repro/internal/mctopalg"
 	"repro/internal/place"
-	"repro/internal/plugins"
-	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
 // bg is the context of every lookup that exercises no cancellation.
 var bg = context.Background()
 
-// realInfer is the full pipeline (simulate + infer + enrich) the facade
-// installs; registry tests that need genuine topologies use it directly to
-// avoid an import cycle with the root package.
-func realInfer(_ context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
-	p, err := sim.ByName(platform)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.NewSim(p, seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := mctopalg.InferContext(context.Background(), m, opt)
-	if err != nil {
-		return nil, err
-	}
-	return plugins.Enrich(m, res.Topology, nil)
-}
-
 // fakeTopo builds a tiny real topology once; tests that only exercise cache
 // mechanics share it through a stub InferCtxFunc.
 var fakeTopo = sync.OnceValue(func() *topo.Topology {
-	t, err := realInfer(bg, "Ivy", 1, mctopalg.Options{Reps: 51})
+	res, err := Infer(bg, "Ivy", 1, mctopalg.Options{Reps: 51})
 	if err != nil {
 		panic(err)
 	}
-	return t
+	return res.Topology
 })
 
 func TestSingleflightCollapsesConcurrentInferences(t *testing.T) {
@@ -331,7 +311,7 @@ func TestPlaceCachedAndDerivedFromCachedTopology(t *testing.T) {
 	var calls atomic.Int64
 	r := New(Options{InferCtx: func(_ context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
 		calls.Add(1)
-		return realInfer(bg, platform, seed, opt)
+		return inferTopology(bg, platform, seed, opt)
 	}})
 	opt := mctopalg.Options{Reps: 51}
 
@@ -366,7 +346,7 @@ func TestPlaceCachedAndDerivedFromCachedTopology(t *testing.T) {
 // inference. The margin in practice is ~10^4-10^5, so the assertion is
 // far from flaky.
 func TestCachedLookupSpeedup(t *testing.T) {
-	r := New(Options{InferCtx: realInfer})
+	r := New(Options{})
 	opt := mctopalg.Options{Reps: 51}
 
 	coldStart := time.Now()
@@ -453,6 +433,68 @@ func TestTiersKeepMaxEntries(t *testing.T) {
 	}
 }
 
+// namedTier is a tier that holds nothing; its Stats name it.
+type namedTier string
+
+func (namedTier) Lookup(context.Context, Kind, string) (*Entry, string, bool) { return nil, "", false }
+func (namedTier) Put(*Entry)                                                  {}
+func (namedTier) Len() int                                                    { return 0 }
+func (n namedTier) Stats() []StoreStats                                       { return []StoreStats{{Tier: string(n)}} }
+func (namedTier) Flush() error                                                { return nil }
+func (namedTier) Close() error                                                { return nil }
+
+// TestTierOrder: the registry's LRU heads its one tier chain, and
+// Options.Tiers follow it in the order given.
+func TestTierOrder(t *testing.T) {
+	r := New(Options{Tiers: []Store{namedTier("a"), namedTier("b")}})
+	var got []string
+	for _, st := range r.Stats().Tiers {
+		got = append(got, st.Tier)
+	}
+	if want := []string{"lru", "a", "b"}; !slices.Equal(got, want) {
+		t.Fatalf("tiers %v, want %v", got, want)
+	}
+}
+
+// TestDefaultComputeIsInfer: a registry without an InferCtx computes with
+// Infer — the pipeline's own description bytes, in one inference — and a
+// second lookup of the key is an LRU hit.
+func TestDefaultComputeIsInfer(t *testing.T) {
+	r := New(Options{MaxEntries: 4})
+	opt := mctopalg.Options{Reps: 51}
+	got, _, err := r.LookupTopologyContext(bg, "Ivy", 42, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Infer(bg, "Ivy", 42, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Enriched {
+		t.Fatal("Infer returned an unenriched topology")
+	}
+	var gotDesc, wantDesc bytes.Buffer
+	gotSpec, wantSpec := got.Spec(), want.Topology.Spec()
+	if err := topo.Encode(&gotDesc, &gotSpec); err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.Encode(&wantDesc, &wantSpec); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotDesc.Bytes(), wantDesc.Bytes()) {
+		t.Fatal("the registry's default compute describes a different topology than Infer")
+	}
+	if n := r.Stats().Inferences; n != 1 {
+		t.Fatalf("inferences = %d, want 1", n)
+	}
+	if _, hit, err := r.LookupTopologyContext(bg, "Ivy", 42, opt); err != nil || !hit {
+		t.Fatalf("second lookup: hit %v, err %v; want an LRU hit", hit, err)
+	}
+	if st := r.Stats(); st.Inferences != 1 || st.Tiers[0].Hits != 1 {
+		t.Fatalf("after the second lookup: %d inferences, %d LRU hits; want 1 and 1", st.Inferences, st.Tiers[0].Hits)
+	}
+}
+
 // TestTieredPutTakesOnlyItsEntry: the chain's untyped Put writes the
 // entry of its kind and key through every tier, and refuses anything
 // else before any tier sees it.
@@ -526,7 +568,7 @@ func TestPlaceBatchSharesTopologyAndCache(t *testing.T) {
 	var calls atomic.Int64
 	r := New(Options{InferCtx: func(_ context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
 		calls.Add(1)
-		return realInfer(bg, platform, seed, opt)
+		return inferTopology(bg, platform, seed, opt)
 	}})
 	opt := mctopalg.Options{Reps: 51}
 
@@ -599,7 +641,7 @@ func TestPlaceBatchConcurrent(t *testing.T) {
 	var calls atomic.Int64
 	r := New(Options{InferCtx: func(_ context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
 		calls.Add(1)
-		return realInfer(bg, platform, seed, opt)
+		return inferTopology(bg, platform, seed, opt)
 	}})
 	opt := mctopalg.Options{Reps: 51}
 	reqs := []PlaceRequest{

@@ -18,35 +18,20 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/machine"
 	"repro/internal/mctopalg"
 	"repro/internal/place"
-	"repro/internal/plugins"
 	"repro/internal/registry"
-	"repro/internal/sim"
 	"repro/internal/spool"
 	"repro/internal/topo"
 )
 
 // testTopo infers a small enriched Ivy topology once and shares it.
 var testTopo = sync.OnceValue(func() *topo.Topology {
-	p, err := sim.ByName("Ivy")
+	res, err := registry.Infer(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51})
 	if err != nil {
 		panic(err)
 	}
-	m, err := machine.NewSim(p, 1)
-	if err != nil {
-		panic(err)
-	}
-	res, err := mctopalg.InferContext(context.Background(), m, mctopalg.Options{Reps: 51})
-	if err != nil {
-		panic(err)
-	}
-	t, err := plugins.Enrich(m, res.Topology, nil)
-	if err != nil {
-		panic(err)
-	}
-	return t
+	return res.Topology
 })
 
 const testKey = "topo|Ivy|1|r51"

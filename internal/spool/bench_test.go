@@ -5,29 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/machine"
 	"repro/internal/mctopalg"
-	"repro/internal/plugins"
 	"repro/internal/registry"
-	"repro/internal/sim"
-	"repro/internal/topo"
 )
-
-func realInfer(_ context.Context, platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error) {
-	p, err := sim.ByName(platform)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.NewSim(p, seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := mctopalg.InferContext(context.Background(), m, opt)
-	if err != nil {
-		return nil, err
-	}
-	return plugins.Enrich(m, res.Topology, nil)
-}
 
 // benchSpoolRegistry builds a spool-backed registry over dir and returns
 // it with its spool tier, which benchmarks read directly to take the disk
@@ -40,7 +20,6 @@ func benchSpoolRegistry(b *testing.B, dir string) (*registry.Registry, *Spool) {
 	}
 	b.Cleanup(func() { sp.Close() })
 	return registry.New(registry.Options{
-		InferCtx:   realInfer,
 		MaxEntries: 64,
 		Tiers:      []registry.Store{sp},
 	}), sp
@@ -128,7 +107,6 @@ func TestWarmStartSpeedup(t *testing.T) {
 	}
 	defer sp.Close()
 	r := registry.New(registry.Options{
-		InferCtx:   realInfer,
 		MaxEntries: 64,
 		Tiers:      []registry.Store{sp},
 	})

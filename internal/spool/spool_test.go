@@ -10,34 +10,19 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/machine"
 	"repro/internal/mctopalg"
 	"repro/internal/place"
-	"repro/internal/plugins"
 	"repro/internal/registry"
-	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
 // testTopo infers a small enriched Ivy topology once and shares it.
 var testTopo = sync.OnceValue(func() *topo.Topology {
-	p, err := sim.ByName("Ivy")
+	res, err := registry.Infer(context.Background(), "Ivy", 1, mctopalg.Options{Reps: 51})
 	if err != nil {
 		panic(err)
 	}
-	m, err := machine.NewSim(p, 1)
-	if err != nil {
-		panic(err)
-	}
-	res, err := mctopalg.InferContext(context.Background(), m, mctopalg.Options{Reps: 51})
-	if err != nil {
-		panic(err)
-	}
-	t, err := plugins.Enrich(m, res.Topology, nil)
-	if err != nil {
-		panic(err)
-	}
-	return t
+	return res.Topology
 })
 
 func encodeTopo(t *testing.T, top *topo.Topology) []byte {
@@ -236,19 +221,11 @@ func TestTieredWarmStart(t *testing.T) {
 	var inferences atomic.Int64
 	infer := func(_ context.Context, platform string, seed uint64, o mctopalg.Options) (*topo.Topology, error) {
 		inferences.Add(1)
-		p, err := sim.ByName(platform)
+		res, err := registry.Infer(context.Background(), platform, seed, o)
 		if err != nil {
 			return nil, err
 		}
-		m, err := machine.NewSim(p, seed)
-		if err != nil {
-			return nil, err
-		}
-		res, err := mctopalg.InferContext(context.Background(), m, o)
-		if err != nil {
-			return nil, err
-		}
-		return plugins.Enrich(m, res.Topology, nil)
+		return res.Topology, nil
 	}
 
 	newReg := func() *registry.Registry {

@@ -68,7 +68,8 @@
 //   - internal/mctoperr  — the sentinel errors of the client API
 //   - internal/registry  — the topology service layer (the paper's
 //     "created once, then used to load the topology" deployment model,
-//     Section 2) over one tier chain headed by its LRU
+//     Section 2) over one tier chain headed by its LRU, and the
+//     simulate → infer → enrich pipeline its misses and Infer run
 //   - internal/spool     — the description-file persistence tier behind
 //     WithSpoolDir and mctopd's -spool-dir
 //   - internal/remote    — the fleet tier behind WithUpstream and mctopd's
@@ -80,7 +81,6 @@
 package mctop
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -162,24 +162,6 @@ type PlaceRequest = registry.PlaceRequest
 // per-request error that produced none.
 type BatchResult = registry.BatchResult
 
-// Store is one cache tier of a Registry (see internal/registry): the
-// description-file spool (OpenSpool), the fleet tier (WithUpstream) or any
-// custom tier — one contract every tier, the registry's own LRU included,
-// implements in full. Below the LRU, WithSpoolDir, WithTier and
-// WithUpstream compose the tiers into one read-through/write-through
-// chain. A tier stores the *registry.Entry it is Put and returns it from
-// Lookup under the entry's kind and key.
-type Store = registry.Store
-
-// StoreStats is one store tier's counter snapshot, exposed per tier in
-// Registry.Stats().Tiers.
-type StoreStats = registry.StoreStats
-
-// InferCtxFunc is the registry's compute path: the context-aware
-// simulate → infer → enrich pipeline a Registry falls back to when every
-// cache tier misses.
-type InferCtxFunc = registry.InferCtxFunc
-
 // TaskDAG is a task graph for the mapping service (see internal/graph):
 // nodes carry compute weights in cycles, edges carry communication volumes
 // in bytes.
@@ -189,38 +171,20 @@ type TaskDAG = graph.TaskDAG
 // estimated completion time (see internal/taskmap).
 type Mapping = taskmap.Mapping
 
-// MapFunc is the registry's mapping compute path, called on a mapping
-// cache miss (default taskmap.Map).
-type MapFunc = registry.MapFunc
-
-// MapOptions tunes a mapping compute (see taskmap.Options).
-type MapOptions = taskmap.Options
-
 // RegistryOption configures NewRegistry beyond the entry bound.
 type RegistryOption func(*registryConfig)
 
 type registryConfig struct {
-	tiers     []Store
-	upstream  string
-	inferWrap func(InferCtxFunc) InferCtxFunc
-	mapWrap   func(MapFunc) MapFunc
+	tiers    []registry.Store
+	upstream string
 }
 
-// WithTier appends s to the registry's tier chain: below its LRU and the
-// tiers named by earlier WithTier and WithSpoolDir options, above
-// WithUpstream's remote tier. A miss in every tier above s reads s, and
-// every computed entry is written through to it.
-func WithTier(s Store) RegistryOption {
-	return func(c *registryConfig) { c.tiers = append(c.tiers, s) }
-}
-
-// WithSpoolDir is WithTier of a description-file spool in dir (created if
-// needed): every inferred topology and computed placement is persisted as
-// it is cached, and a future registry over the same dir — a restarted
-// daemon — serves them from disk with zero re-inferences. The spool is
-// opened inside NewRegistry, which panics if the directory cannot be
-// created or scanned; use OpenSpool plus WithTier to handle that error
-// instead.
+// WithSpoolDir adds a description-file spool in dir (created if needed)
+// below the registry's LRU: every inferred topology and computed placement
+// is persisted as it is cached, and a future registry over the same dir —
+// a restarted daemon — serves them from disk with zero re-inferences. The
+// spool is opened inside NewRegistry, which panics if the directory cannot
+// be created or scanned.
 func WithSpoolDir(dir string) RegistryOption {
 	return func(c *registryConfig) {
 		sp, err := spool.New(dir)
@@ -243,50 +207,15 @@ func WithUpstream(originURL string) RegistryOption {
 	return func(c *registryConfig) { c.upstream = originURL }
 }
 
-// WithInferWrapper interposes on the registry's compute path: wrap
-// receives the default inference pipeline and returns the InferCtxFunc
-// the registry will actually call on a full-chain miss. Use it to add
-// cross-cutting behavior — latency injection for chaos testing, tracing,
-// admission control — without reimplementing inference:
-//
-//	reg := mctop.NewRegistry(256, mctop.WithInferWrapper(
-//		func(next mctop.InferCtxFunc) mctop.InferCtxFunc {
-//			return func(ctx context.Context, p string, s uint64, o mctop.Options) (*mctop.Topology, error) {
-//				log.Printf("inferring %s/%d", p, s)
-//				return next(ctx, p, s, o)
-//			}
-//		}))
-func WithInferWrapper(wrap func(InferCtxFunc) InferCtxFunc) RegistryOption {
-	return func(c *registryConfig) { c.inferWrap = wrap }
-}
-
-// WithMapWrapper is WithInferWrapper for the task-graph mapping compute
-// path: wrap receives the default mapper (taskmap.Map) and returns the
-// MapFunc the registry calls on a mapping cache miss — the seam mctopd's
-// registry.map fault-injection point uses.
-func WithMapWrapper(wrap func(MapFunc) MapFunc) RegistryOption {
-	return func(c *registryConfig) { c.mapWrap = wrap }
-}
-
-// OpenSpool opens (creating if needed) a description-file spool directory
-// as a Store tier — the error-returning path behind WithSpoolDir. Wire it
-// in with WithTier:
-//
-//	sp, err := mctop.OpenSpool("/var/lib/mctop/spool")
-//	reg := mctop.NewRegistry(256, mctop.WithTier(sp))
-func OpenSpool(dir string) (Store, error) {
-	return spool.New(dir)
-}
-
 // NewRegistry creates a topology registry whose LRU holds exactly
 // maxEntries cached values (topologies, placements and mappings each count
 // as one; <= 0 uses the default of 256). Misses run the full simulate →
 // infer → enrich pipeline under the caller's context. The LRU heads the
 // registry's one tier chain; options add tiers below it: WithSpoolDir
 // persists the cache as description files so a restart warm-starts from
-// disk, WithTier adds any Store, and WithUpstream fetches misses from an
-// origin mctopd before inferring locally. Registries with a persistent
-// tier should be Flush()ed (or Close()d) before process exit.
+// disk, and WithUpstream fetches misses from an origin mctopd before
+// inferring locally. Registries with a persistent tier should be Flush()ed
+// (or Close()d) before process exit.
 func NewRegistry(maxEntries int, opts ...RegistryOption) *Registry {
 	var c registryConfig
 	for _, o := range opts {
@@ -295,21 +224,5 @@ func NewRegistry(maxEntries int, opts ...RegistryOption) *Registry {
 	if c.upstream != "" {
 		c.tiers = append(c.tiers, remote.New(c.upstream))
 	}
-	infer := InferCtxFunc(func(ctx context.Context, platform string, seed uint64, opt Options) (*Topology, error) {
-		t, _, err := inferPlatform(ctx, platform, seed, opt)
-		return t, err
-	})
-	if c.inferWrap != nil {
-		infer = c.inferWrap(infer)
-	}
-	var mapFn MapFunc
-	if c.mapWrap != nil {
-		mapFn = c.mapWrap(taskmap.Map)
-	}
-	return registry.New(registry.Options{
-		MaxEntries: maxEntries,
-		Tiers:      c.tiers,
-		InferCtx:   infer,
-		MapFn:      mapFn,
-	})
+	return registry.New(registry.Options{MaxEntries: maxEntries, Tiers: c.tiers})
 }
