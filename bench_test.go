@@ -161,18 +161,18 @@ func BenchmarkAblation_Clustering(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var offDiag []int64
+	var values []int64
 	for i := range res.RawTable {
 		for j := i + 1; j < len(res.RawTable); j++ {
-			offDiag = append(offDiag, res.RawTable[i][j])
+			values = append(values, res.RawTable[i][j])
 		}
 	}
 	var gap, fixed int
 	for i := 0; i < b.N; i++ {
-		gap = len(stats.Cluster(offDiag, stats.ClusterOptions{RelGap: 0.04, AbsGap: 10}))
+		gap = len(stats.Cluster(values, stats.ClusterOptions{RelGap: 0.04, AbsGap: 10}))
 		// Fixed-width buckets of 64 cycles (a naive alternative): merges
 		// the 197/217 levels.
-		fixed = len(stats.Cluster(offDiag, stats.ClusterOptions{RelGap: 1e-9, AbsGap: 64}))
+		fixed = len(stats.Cluster(values, stats.ClusterOptions{RelGap: 1e-9, AbsGap: 64}))
 	}
 	b.ReportMetric(float64(gap), "gap_levels")
 	b.ReportMetric(float64(fixed), "fixedwidth_levels")

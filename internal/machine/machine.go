@@ -97,22 +97,38 @@ type OSView struct {
 }
 
 // Forker is implemented by machines whose measurements can run
-// concurrently. ForkPair returns an independent machine dedicated to one
-// measurement, named by a pair of integer tags: it shares no mutable state
-// with the parent or with other forks, and its noise stream is a pure
-// function of (parent seed, tag0, tag1). MCTOP-ALG measures each (x, y)
-// context pair on its own fork, in parallel, with results byte-identical to
-// one worker — pair values cannot depend on scheduling order because every
-// pair observes its own deterministic stream. A machine that does not fork
-// is measured one pair at a time on two threads it re-pins. (The enrichment
-// plugins run sequentially on the parent machine and never fork.)
+// concurrently. NewFork returns a Fork, an independent machine that one
+// measurement worker owns and re-forks for every pair it measures.
+// MCTOP-ALG measures the (x, y) context pairs over a pool of workers, each
+// on its own fork, with results byte-identical to one worker — pair values
+// cannot depend on scheduling order because every pair observes its own
+// deterministic stream. A machine that does not fork is measured one pair
+// at a time on two threads it re-pins. (The enrichment plugins run
+// sequentially on the parent machine and never fork.)
 //
 // Real hosts must NOT implement Forker: concurrent measurements perturb
 // each other through shared caches, interconnect and DVFS (Section 3.5:
 // "using more threads increases variability"). The simulator, which models
 // exactly one measurement at a time, can.
 type Forker interface {
-	ForkPair(xCtx, yCtx int) (Machine, error)
+	NewFork() Fork
+}
+
+// Fork is a forked machine, dedicated to one measurement at a time: it
+// shares no mutable state with the parent or with other forks. Refork
+// readies it for the pair (xCtx, yCtx): afterwards it is the machine a
+// fresh fork for that pair would be, every thread, clock and cache line
+// forgotten, and its noise stream is a pure function of (parent seed,
+// xCtx, yCtx). Re-forking is what makes a fork cheap to reuse, and it
+// allocates nothing.
+//
+// The threads a re-forked machine hands out are the same Thread values as
+// the threads of its previous pair, so anything a caller keys by thread
+// (MCTOP-ALG's rdtsc-overhead memo) must not outlive the pair it was made
+// for.
+type Fork interface {
+	Machine
+	Refork(xCtx, yCtx int) error
 }
 
 // MemoryProber is the optional extension used by the memory latency,

@@ -1,10 +1,12 @@
 package machine
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -75,8 +77,13 @@ func TestFigure5Protocol(t *testing.T) {
 // TestForkPairIsOneAllocation pins what a pair fork costs: the fork, its
 // simulator and the pair's two threads are one allocation, the same on 40
 // contexts as on 2048. (A fork used to allocate a DVFS counter for every
-// core of the platform, three allocations before its threads.)
+// core of the platform, three allocations before its threads.) The fork
+// stays at most 192 bytes: with Go 1.24 on 2 vCPUs a burst of pointerful
+// objects of 208 bytes or more allocated about 3× slower.
 func TestForkPairIsOneAllocation(t *testing.T) {
+	if size := unsafe.Sizeof(simFork{}); size > 192 {
+		t.Errorf("a fork is %d bytes, past 192", size)
+	}
 	for _, name := range []string{"Ivy", "SPARC", "gen:mesh:s64:c16:t2"} {
 		p, err := sim.ByName(name)
 		if err != nil {
@@ -104,6 +111,62 @@ func TestForkPairIsOneAllocation(t *testing.T) {
 		if fork != 1 || pair != 1 {
 			t.Errorf("%s: ForkPair allocates %.1f objects, with its two threads %.1f; want 1 and 1", name, fork, pair)
 		}
+	}
+}
+
+// TestReforkIsFree: a worker's fork re-forked for a new pair, with the
+// pair's two threads, allocates nothing, and is then the machine ForkPair
+// builds for that pair: the same rdtsc-overhead estimate and the same
+// rounds. The threads it hands out are those of its previous pair.
+func TestReforkIsFree(t *testing.T) {
+	p, err := sim.ByName("SPARC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewSim(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := m.NewFork()
+	if err := f.Refork(3, 200); err != nil {
+		t.Fatal(err)
+	}
+	x0, _ := f.NewThread(3)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := f.Refork(0, 255); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.NewThread(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.NewThread(255); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("re-forking a fork for a pair allocates %.1f objects, want 0", allocs)
+	}
+
+	measure := func(fm Machine) ([]int64, int64, Thread) {
+		x, _ := fm.NewThread(17)
+		y, _ := fm.NewThread(130)
+		ovh := fm.RdtscOverhead(x, 101)
+		return fm.Rounds(x, y, 51, ovh, nil), ovh, x
+	}
+	if err := f.Refork(17, 130); err != nil {
+		t.Fatal(err)
+	}
+	got, gotOvh, x := measure(f)
+	once, err := m.ForkPair(17, 130)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantOvh, _ := measure(once)
+	if gotOvh != wantOvh || !reflect.DeepEqual(got, want) {
+		t.Errorf("re-forked fork measured overhead %d and %v, a one-shot fork %d and %v", gotOvh, got, wantOvh, want)
+	}
+	if x != x0 {
+		t.Error("a re-forked fork's first thread is a new value")
 	}
 }
 

@@ -19,6 +19,7 @@ var (
 	_ PowerProber  = (*SimMachine)(nil)
 	_ FrequencyGHz = (*SimMachine)(nil)
 	_ Forker       = (*SimMachine)(nil)
+	_ Fork         = (*simFork)(nil)
 	_ Thread       = (*sim.Thread)(nil)
 )
 
@@ -44,23 +45,38 @@ func (m *SimMachine) NumNodes() int { return m.S.Platform().NumNodes() }
 // FreqMaxGHz returns the platform's maximum frequency.
 func (m *SimMachine) FreqMaxGHz() float64 { return m.S.Platform().FreqMaxGHz }
 
-// ForkPair implements Forker: it builds a fresh simulator for the same
-// platform whose noise seed is derived from (base seed, x, y), so the pair's
-// measurement is independent of every other pair and of execution order. The
-// platform description is shared (it is immutable after construction); all
-// mutable simulator state — line holders, DVFS ramps, noise counter — is
-// private to the fork. The fork, its simulator and the pair's two threads
-// are one allocation whatever the platform's size.
-func (m *SimMachine) ForkPair(xCtx, yCtx int) (Machine, error) {
-	f := &simFork{s: m.S.Fork(sim.PairSeed(m.S.Seed(), xCtx, yCtx))}
+// NewFork implements Forker: the fork is a simulator of the same platform,
+// sharing only the platform description (immutable after construction);
+// all mutable simulator state — line holders, DVFS ramps, noise counter —
+// is its own. Its Refork re-seeds it in place (sim.Sim.Refork) with the
+// seed derived from (base seed, x, y), so a pair's measurement is
+// independent of every other pair and of execution order. The fork, its
+// simulator and a pair's two threads are one allocation whatever the
+// platform's size.
+func (m *SimMachine) NewFork() Fork {
+	f := &simFork{s: m.S.Fork(m.S.Seed()), base: m.S.Seed()}
 	f.S = &f.s
-	return &f.SimMachine, nil
+	return f
 }
 
-// simFork is a forked SimMachine together with the simulator it wraps.
+// ForkPair is a one-shot fork for one pair: NewFork, then Refork.
+func (m *SimMachine) ForkPair(xCtx, yCtx int) (Machine, error) {
+	f := m.NewFork()
+	return f, f.Refork(xCtx, yCtx)
+}
+
+// simFork is a forked SimMachine together with the simulator it wraps and
+// the parent's seed its pairs derive theirs from.
 type simFork struct {
 	SimMachine
-	s sim.Sim
+	s    sim.Sim
+	base uint64
+}
+
+// Refork implements Fork.
+func (f *simFork) Refork(xCtx, yCtx int) error {
+	f.s.Refork(sim.PairSeed(f.base, xCtx, yCtx))
+	return nil
 }
 
 // Rounds runs Figure 5's loop with the simulator's own lock-step kernel

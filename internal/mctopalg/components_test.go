@@ -99,12 +99,12 @@ func TestComponentsReadThroughClusters(t *testing.T) {
 				t.Fatalf("Sampled = %v, want %v", res.Sampled, tc.sampled)
 			}
 			n, nodes := len(res.RawTable), p.NumNodes()
-			levels, sockGroups, sockTable, err := buildComponents(res.RawTable, res.Clusters, n, nodes)
+			levels, sockGroups, sockTable, err := buildComponents(res.RawTable, clusterTable(res.RawTable), n, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
 			norm := normalizeReference(res.RawTable, res.Clusters)
-			wantLevels, wantGroups, wantTable, err := buildComponents(norm, res.Clusters, n, nodes)
+			wantLevels, wantGroups, wantTable, err := buildComponents(norm, &lookup{clusters: res.Clusters}, n, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,9 +166,9 @@ func TestComponentsReadThroughClusters(t *testing.T) {
 		tc := tc
 		t.Run("rejects "+tc.name, func(t *testing.T) {
 			table := handTable(tc.n, tc.lat)
-			clusters := stats.Cluster(offDiagonal(table), clusterGaps)
-			_, _, _, err := buildComponents(table, clusters, tc.n, tc.nodes)
-			_, _, _, want := buildComponents(normalizeReference(table, clusters), clusters, tc.n, tc.nodes)
+			lk := clusterTable(table)
+			_, _, _, err := buildComponents(table, lk, tc.n, tc.nodes)
+			_, _, _, want := buildComponents(normalizeReference(table, lk.clusters), &lookup{clusters: lk.clusters}, tc.n, tc.nodes)
 			if err == nil || want == nil {
 				t.Fatalf("errors %v (raw) and %v (normalized), want both to fail", err, want)
 			}
@@ -196,10 +196,10 @@ func TestMedianOfIdempotent(t *testing.T) {
 			}
 			return base + rng.Int63n(11) - 5
 		})
-		cl := stats.Cluster(offDiagonal(table), clusterGaps)
-		norm := normalizeReference(table, cl)
+		lk := clusterTable(table)
+		norm := normalizeReference(table, lk.clusters)
 		medians := map[int64]bool{}
-		for _, c := range cl {
+		for _, c := range lk.clusters {
 			medians[c.Median] = true
 		}
 		for i := range table {
@@ -207,8 +207,8 @@ func TestMedianOfIdempotent(t *testing.T) {
 				if i == j {
 					continue
 				}
-				m := medianOf(cl, table[i][j])
-				if m != norm[i][j] || !medians[m] || medianOf(cl, m) != m {
+				m := lk.medianOf(table[i][j])
+				if m != norm[i][j] || !medians[m] || lk.medianOf(m) != m {
 					return false
 				}
 			}
@@ -220,17 +220,13 @@ func TestMedianOfIdempotent(t *testing.T) {
 	}
 }
 
-// TestInferAllocatesOneDenseTable bounds what an inference allocates at
-// 2048 contexts by five dense n×n tables of int64: the raw table is the
-// one it keeps, and steps 2-4 add no second one. The run allocates about
-// 3.8 tables' worth; a normalized copy of the raw table beside it, with
-// step 2 copying its input, came to 8.4. Not parallel, so that no other
-// test's allocations land in the process-wide counter.
-func TestInferAllocatesOneDenseTable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("2048-context inference in -short mode")
-	}
-	p, err := sim.ByName("gen:mesh:s64:c16:t2")
+// denseTables runs an inference of the named platform and returns what it
+// allocated, in dense n×n tables of int64. Tests calling it must not be
+// parallel, so that no other test's allocations land in the process-wide
+// counter.
+func denseTables(t *testing.T, name string, opt Options) (float64, *Result) {
+	t.Helper()
+	p, err := sim.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,20 +238,67 @@ func TestInferAllocatesOneDenseTable(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res, err := InferContext(context.Background(), m, Options{Reps: 51, Parallelism: 1, Sampling: true})
+	res, err := InferContext(context.Background(), m, opt)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
+	table := float64(8 * n * n)
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%s: %.2f MB allocated, %.2f dense tables of %.2f MB, %d objects",
+		name, got/1e6, got/table, table/1e6, after.Mallocs-before.Mallocs)
+	return got / table, res
+}
+
+// TestInferAllocatesOneDenseTable bounds what an inference allocates at
+// 2048 contexts by two dense n×n tables of int64: the raw table is the one
+// it keeps, and nothing else is of its order — the pairs are measured on
+// one fork per worker and written into the table in place, step 2 counts
+// the values instead of copying them, and the sampled mode walks its
+// class-pair blocks instead of listing them. The run allocates about 1.4
+// tables' worth; with a fork, an outcome and a list slot per pair, a copy
+// of the values for step 2 and every block listed it came to 3.8.
+func TestInferAllocatesOneDenseTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2048-context inference in -short mode")
+	}
+	tables, res := denseTables(t, "gen:mesh:s64:c16:t2", Options{Reps: 51, Parallelism: 1, Sampling: true})
 	if !res.Sampled {
 		t.Fatal("the 2048-context inference did not take the sampled path")
 	}
-	table := uint64(8 * n * n)
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d contexts: %.1f MB allocated, %.2f dense tables of %.1f MB",
-		n, float64(got)/1e6, float64(got)/float64(table), float64(table)/1e6)
-	if got >= 5*table {
-		t.Fatalf("inference allocated %d bytes, %.2f dense %d×%d tables; the bound is 5",
-			got, float64(got)/float64(table), n, n)
+	if tables >= 2 {
+		t.Fatalf("inference allocated %.2f dense tables; the bound is 2", tables)
+	}
+}
+
+// TestExhaustiveInferAllocatesOneDenseTable is the same bound on the
+// exhaustive path, where every pair is measured: SPARC, 32640 pairs on one
+// worker. It allocated 15 tables' worth with a fork per pair.
+func TestExhaustiveInferAllocatesOneDenseTable(t *testing.T) {
+	if tables, _ := denseTables(t, "SPARC", Options{Reps: 51, Parallelism: 1}); tables >= 2 {
+		t.Fatalf("inference allocated %.2f dense tables; the bound is 2", tables)
+	}
+}
+
+// TestPairAt: pairAt enumerates the pairs of the canonical (x, y) order.
+func TestPairAt(t *testing.T) {
+	for _, n := range []int{2, 3, 4, 7, 40, 256, 1000} {
+		i := 0
+		for x := 0; x < n-1; x++ {
+			for y := x + 1; y < n; y++ {
+				if gx, gy := pairAt(n, i); gx != x || gy != y {
+					t.Fatalf("pairAt(%d, %d) = (%d, %d), want (%d, %d)", n, i, gx, gy, x, y)
+				}
+				i++
+			}
+		}
+	}
+	const n = 1 << 20 // the generator's context cap
+	last := n*(n-1)/2 - 1
+	for _, i := range []int{0, 1, n - 2, n - 1, last / 2, last - 1, last} {
+		x, y := pairAt(n, i)
+		if x < 0 || y <= x || y >= n || x*n-x*(x+1)/2+(y-x-1) != i {
+			t.Fatalf("pairAt(%d, %d) = (%d, %d)", n, i, x, y)
+		}
 	}
 }

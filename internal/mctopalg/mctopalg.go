@@ -27,10 +27,13 @@
 package mctopalg
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -66,8 +69,9 @@ type Options struct {
 	// Parallelism bounds the worker pool of the measurement phase on
 	// machines implementing machine.Forker (0 = GOMAXPROCS, 1 = one
 	// worker). The inferred topology is byte-identical for every value:
-	// each pair is measured on its own fork whose noise stream depends
-	// only on (seed, x, y), and results merge in canonical pair order.
+	// each pair is measured on a worker's fork re-forked for it, whose
+	// noise stream depends only on (seed, x, y), and its median lands in
+	// its own cells of the table.
 	// Any other machine is measured with one worker, because its
 	// measurements would perturb each other.
 	Parallelism int
@@ -187,19 +191,16 @@ func InferContext(ctx context.Context, m machine.Machine, opt Options) (*Result,
 		return nil, err
 	}
 
-	// Step 2: cluster the off-diagonal values. Steps 3 and 4 read the raw
-	// table through the clusters (medianOf).
-	offDiag := make([]int64, 0, n*(n-1)/2)
-	for i, row := range res.RawTable {
-		offDiag = append(offDiag, row[i+1:]...)
-	}
-	res.Clusters = stats.Cluster(offDiag, clusterGaps)
+	// Step 2: cluster the off-diagonal values' histogram. Steps 3 and 4
+	// read the raw table through the clusters (lookup.medianOf).
+	lk := clusterTable(res.RawTable)
+	res.Clusters = lk.clusters
 	if len(res.Clusters) == 0 {
 		return nil, clusterErr("no latency clusters")
 	}
 
 	// Step 3: component creation.
-	levels, sockGroups, sockTable, err := buildComponents(res.RawTable, res.Clusters, n, nodes)
+	levels, sockGroups, sockTable, err := buildComponents(res.RawTable, lk, n, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -218,15 +219,17 @@ func InferContext(ctx context.Context, m machine.Machine, opt Options) (*Result,
 	return res, nil
 }
 
-// pairFunc measures one context pair with the Figure 5 protocol, using the
-// calling worker's scratch buffers.
-type pairFunc func(sc *scratch, x, y int) pairOutcome
+// pairFunc measures one context pair with the Figure 5 protocol on the
+// calling worker's scratch, adding its retries and cycles to the scratch's
+// sums, and returns the pair's median.
+type pairFunc func(sc *scratch, x, y int) (int64, error)
 
 // collectTable fills res.RawTable using the lock-step protocol of Figure 5.
 // Every pair is measured the same way (measureOn); what is chosen here, once,
-// is where a pair's machine and threads come from. A machine.Forker gives
-// every pair a fresh fork, measured over Options.Parallelism workers; any
-// other machine measures one pair at a time on two threads it re-pins.
+// is where a pair's machine and threads come from. On a machine.Forker each
+// of Options.Parallelism workers owns one fork and re-forks it for every
+// pair it measures; any other machine measures one pair at a time on two
+// threads it re-pins.
 func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Result) error {
 	n := m.NumHWContexts()
 	res.RawTable = make([][]int64, n)
@@ -246,7 +249,8 @@ func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Res
 	c := collector{ctx: ctx, opt: opt, res: res}
 	if fk, ok := m.(machine.Forker); ok {
 		c.workers = opt.Parallelism
-		c.pair = func(sc *scratch, x, y int) pairOutcome { return measureForked(fk, opt, x, y, sc) }
+		c.forker = fk
+		c.pair = func(sc *scratch, x, y int) (int64, error) { return measureForked(opt, sc, x, y) }
 		floor := opt.floor
 		if floor <= 0 {
 			floor = samplingFloor
@@ -262,94 +266,86 @@ func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Res
 		c.workers = 1
 		c.pair = (&repinned{m: m, opt: opt, x: t0, y: y, row: -1}).measure
 	}
-	return c.measure(allPairs(n))
+	return c.measure(n*(n-1)/2, func(i int) (int, int) { return pairAt(n, i) })
 }
 
-// pairOutcome is one pair's contribution to the latency table, produced by a
-// worker and merged in canonical pair order.
-type pairOutcome struct {
-	med     int64
-	cycles  int64
-	retries int
-	err     error
-}
-
-// ctxPair is one (x, y) context pair, x < y.
-type ctxPair struct{ x, y int }
-
-// allPairs enumerates every context pair in canonical (x, y) order.
-func allPairs(n int) []ctxPair {
-	pairs := make([]ctxPair, 0, n*(n-1)/2)
-	for x := 0; x < n-1; x++ {
-		for y := x + 1; y < n; y++ {
-			pairs = append(pairs, ctxPair{x, y})
-		}
+// pairAt returns the i-th of the n(n-1)/2 context pairs of n contexts in
+// canonical (x, y) order, row x holding the pairs (x, y > x). Counted from
+// the end, the rows hold 1, 2, 3, ... pairs: the r-th pair from the end
+// lies in the j-th row from the end for j(j+1)/2 <= r < (j+1)(j+2)/2.
+func pairAt(n, i int) (x, y int) {
+	r := n*(n-1)/2 - 1 - i
+	j := int((math.Sqrt(float64(8*r+1)) - 1) / 2)
+	for j*(j+1)/2 > r {
+		j--
 	}
-	return pairs
+	for (j+1)*(j+2)/2 <= r {
+		j++
+	}
+	return n - 2 - j, n - 1 - (r - j*(j+1)/2)
 }
 
 // collector is the state one table collection shares across its waves of
-// pairs: exhaustive inference is the single wave allPairs(n), sampled
-// inference is the pilots → verify → fill plan of sampled.go over the same
-// measure. The workers only decide *when* a pair is measured, never *what*
-// it observes: on a Forker each fork's noise stream is a pure function of
-// (seed, x, y), and every wave is recorded in its own (x, y) order, so the
-// resulting table — and hence the inferred topology — is byte-identical
-// for every Parallelism, including 1.
+// pairs: exhaustive inference is the single wave of every pair in (x, y)
+// order, sampled inference the pilots → verify → fill plan of sampled.go
+// over the same measure. The workers only decide *when* a pair is
+// measured, never *what* it observes: on a Forker each pair's noise stream
+// is a pure function of (seed, x, y), every median lands in the pair's own
+// cells of the table and the counters are integer sums, so the resulting
+// table — and hence the inferred topology — is byte-identical for every
+// Parallelism, including 1.
 type collector struct {
 	ctx     context.Context
 	opt     *Options
 	res     *Result
 	pair    pairFunc
+	forker  machine.Forker // nil on a machine that does not fork
 	workers int
 }
 
-// measure runs one wave of pairs over the worker pool and records the
-// outcomes into the table and counters in the wave's own order.
-func (c *collector) measure(pairs []ctxPair) error {
-	outcomes, err := c.run(pairs)
-	if err != nil {
-		return err
+// measure runs one wave of count pairs, the i-th being pairAt(i), over the
+// worker pool. Each worker owns one scratch — one fork on a Forker, one
+// sample buffer — for the whole wave, writes the medians it measures
+// straight into the table and sums its own counters, which are added to
+// the result once the wave is done. A failed wave returns the error of its
+// first failing pair in wave order.
+func (c *collector) measure(count int, pairAt func(i int) (x, y int)) error {
+	if count == 0 {
+		return nil
 	}
-	res := c.res
-	for i, p := range pairs {
-		o := outcomes[i]
-		res.RawTable[p.x][p.y] = o.med
-		res.RawTable[p.y][p.x] = o.med
-		res.Pairs++
-		res.Retries += o.retries
-		res.Cycles += o.cycles
-	}
-	return nil
-}
-
-// run measures a list of pairs over the collector's worker pool and returns
-// the outcomes indexed like the input. Each worker owns one scratch buffer
-// set for its whole run — the hot-loop allocations happen once per worker,
-// not once per pair.
-func (c *collector) run(pairs []ctxPair) ([]pairOutcome, error) {
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	workers := min(c.workers, len(pairs))
-	outcomes := make([]pairOutcome, len(pairs))
-	var next int64
+	tab := c.res.RawTable
+	scs := make([]*scratch, min(c.workers, count))
+	var next atomic.Int64
 	var failed atomic.Bool // fail fast: don't measure O(N²) pairs past a doomed run
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range scs {
+		sc := newScratch(c.opt)
+		if c.forker != nil {
+			sc.fork = c.forker.NewFork()
+		}
+		scs[w] = sc
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newScratch(c.opt)
 			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(pairs) || failed.Load() || c.ctx.Err() != nil {
+				// Checked before the claim, so that every claimed pair is
+				// measured: the first failing pair in wave order always is.
+				if failed.Load() || c.ctx.Err() != nil {
 					return
 				}
-				outcomes[i] = c.pair(sc, pairs[i].x, pairs[i].y)
-				if outcomes[i].err != nil {
-					failed.Store(true)
+				i := int(next.Add(1)) - 1
+				if i >= count {
+					return
 				}
+				x, y := pairAt(i)
+				med, err := c.pair(sc, x, y)
+				if err != nil {
+					sc.err, sc.errAt = err, i
+					failed.Store(true)
+					return
+				}
+				tab[x][y], tab[y][x] = med, med
+				sc.pairs++
 			}
 		}()
 	}
@@ -358,33 +354,42 @@ func (c *collector) run(pairs []ctxPair) ([]pairOutcome, error) {
 	// A cancelled run reports ctx.Err() even if a pair also failed: the
 	// caller asked to stop, and the partial table is unusable either way.
 	if err := c.ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if failed.Load() {
-		for i := range pairs {
-			if outcomes[i].err != nil {
-				return nil, outcomes[i].err
-			}
+	var first *scratch
+	for _, sc := range scs {
+		if sc.err != nil && (first == nil || sc.errAt < first.errAt) {
+			first = sc
 		}
 	}
-	return outcomes, nil
+	if first != nil {
+		return first.err
+	}
+	for _, sc := range scs {
+		c.res.Pairs += sc.pairs
+		c.res.Retries += sc.retries
+		c.res.Cycles += sc.cycles
+	}
+	return nil
 }
 
-// measureForked measures one pair on a private fork and two fresh threads.
-func measureForked(fk machine.Forker, opt *Options, xi, yi int, sc *scratch) pairOutcome {
-	fm, err := fk.ForkPair(xi, yi)
-	if err != nil {
-		return pairOutcome{err: err}
+// measureForked measures one pair on the worker's fork, re-forked for it,
+// and the fork's two threads. Those are the previous pair's thread values,
+// so the overhead memo is forgotten first: every pair estimates its own.
+func measureForked(opt *Options, sc *scratch, xi, yi int) (int64, error) {
+	if err := sc.fork.Refork(xi, yi); err != nil {
+		return 0, err
 	}
-	x, err := fm.NewThread(xi)
+	sc.ovhThread = nil
+	x, err := sc.fork.NewThread(xi)
 	if err != nil {
-		return pairOutcome{err: err}
+		return 0, err
 	}
-	y, err := fm.NewThread(yi)
+	y, err := sc.fork.NewThread(yi)
 	if err != nil {
-		return pairOutcome{err: err}
+		return 0, err
 	}
-	return measureOn(fm, opt, x, y, true, sc)
+	return measureOn(sc.fork, opt, x, y, true, sc), nil
 }
 
 // repinned measures the pairs of a machine that does not fork — the host,
@@ -399,55 +404,65 @@ type repinned struct {
 }
 
 // measure is repinned's pairFunc.
-func (r *repinned) measure(sc *scratch, xi, yi int) pairOutcome {
+func (r *repinned) measure(sc *scratch, xi, yi int) (int64, error) {
 	warmX := xi != r.row
 	if warmX {
 		if err := r.x.Pin(xi); err != nil {
-			return pairOutcome{err: err}
+			return 0, err
 		}
 		r.row = xi
 	}
 	if err := r.y.Pin(yi); err != nil {
-		return pairOutcome{err: err}
+		return 0, err
 	}
-	return measureOn(r.m, r.opt, r.x, r.y, warmX, sc)
+	return measureOn(r.m, r.opt, r.x, r.y, warmX, sc), nil
 }
 
 // measureOn is step 1 for one pair on any machine: the DVFS wait (of x only
 // when warmX), the rdtsc-overhead estimate, and the stability rule over the
-// machine's Rounds. Its cycles run on x's clock from before the wait to
-// after the accepted round.
-func measureOn(m machine.Machine, opt *Options, x, y machine.Thread, warmX bool, sc *scratch) pairOutcome {
+// machine's Rounds. It returns the accepted median and adds the pair's
+// retries and its cycles — on x's clock, from before the wait to after the
+// accepted round — to the scratch's sums.
+func measureOn(m machine.Machine, opt *Options, x, y machine.Thread, warmX bool, sc *scratch) int64 {
 	start := x.Rdtsc()
 	if warmX {
 		machine.DVFSWait(m, x)
 	}
 	machine.DVFSWait(m, y)
 	overhead := sc.rdtscOverhead(m, x)
-	var o pairOutcome
-	o.med = measurePair(m, opt, x, y, overhead, &o.retries, sc)
-	o.cycles = x.Rdtsc() - start
-	return o
+	med := measurePair(m, opt, x, y, overhead, sc)
+	sc.cycles += x.Rdtsc() - start
+	return med
 }
 
 // overheadReps is the number of back-to-back timestamp-read pairs the
 // machine's rdtsc-overhead estimate takes the median of.
 const overheadReps = 101
 
-// scratch is the per-worker buffer set of the measurement phase. A worker
+// scratch is what one measurement worker owns for a wave. A worker
 // measures hundreds of thousands of pairs on large platforms, and with a
-// scratch the measurement itself allocates nothing per pair (the fork it
-// runs on is one allocation): every round's samples are written into vals
-// by the fork's Rounds, and the rdtsc-overhead estimate is memoized per
-// thread.
+// scratch a pair allocates nothing (asserted by
+// TestMeasurePairSteadyStateAllocs): on a Forker the worker re-forks its
+// one fork for every pair, every round's samples are written into vals by
+// the machine's Rounds, and the rdtsc-overhead estimate is memoized per
+// thread. The worker sums its own counters here, and records its failure.
 type scratch struct {
-	vals []int64 // one round's samples, capacity Options.Reps
+	vals []int64      // one round's samples, capacity Options.Reps
+	fork machine.Fork // the worker's fork; nil on a machine that does not fork
 
-	// Per-thread overhead memo. Each fork estimates on a fresh thread (a
-	// miss, preserving its noise stream); repeat estimates on one thread
-	// return the cached value. Thread implementations must be comparable.
+	// Per-thread overhead memo. A re-forked fork hands out the previous
+	// pair's thread values, so measureForked forgets the memo per pair;
+	// the repinned threads of a machine that does not fork keep theirs.
+	// Thread implementations must be comparable.
 	ovhThread machine.Thread
 	ovhVal    int64
+
+	// The worker's sums over the pairs it measured, and its failure: the
+	// error and the wave index of the pair that failed.
+	pairs, retries int
+	cycles         int64
+	err            error
+	errAt          int
 }
 
 func newScratch(opt *Options) *scratch {
@@ -469,13 +484,12 @@ func (sc *scratch) rdtscOverhead(m machine.Machine, t machine.Thread) int64 {
 // Rounds, over the scratch sample buffer, and the stability rule
 // re-measures on the same threads until a round is accepted. It returns
 // the accepted median, deducting the given timestamp-read overhead from
-// every sample and counting re-measurements into retries. It allocates
-// nothing (asserted by TestMeasurePairSteadyStateAllocs).
-func measurePair(m machine.Machine, opt *Options, x, y machine.Thread, rdtscOverhead int64, retries *int, sc *scratch) int64 {
+// every sample and counting re-measurements into the scratch's retries.
+func measurePair(m machine.Machine, opt *Options, x, y machine.Thread, rdtscOverhead int64, sc *scratch) int64 {
 	return stableMedian(func() []int64 {
 		sc.vals = m.Rounds(x, y, opt.Reps, rdtscOverhead, sc.vals)
 		return sc.vals
-	}, retries)
+	}, &sc.retries)
 }
 
 // stableMedian applies the stability rule to one pair: it measures rounds
@@ -516,12 +530,12 @@ func widen(threshold float64) float64 {
 // buildComponents implements step 3: starting from singleton components,
 // repeatedly merge components connected at the next latency level, checking
 // the symmetry rules of Section 3.6, until components reach socket size
-// (#contexts / #nodes). It reads table through the clusters (medianOf), so
+// (#contexts / #nodes). It reads table through the clusters (lk), so
 // the raw table serves as step 2's normalized one. Returns the per-level
 // partitions, the socket-level partition and the reduced socket-to-socket
 // latency table. Every level's groups are ordered by their smallest context:
 // the singletons start that way, and groupAtLatency keeps it.
-func buildComponents(table [][]int64, clusters []stats.Triplet, n, nodes int) (
+func buildComponents(table [][]int64, lk *lookup, n, nodes int) (
 	levels [][][]int, sockGroups [][]int, sockTable [][]int64, err error) {
 
 	if n%nodes != 0 {
@@ -538,6 +552,7 @@ func buildComponents(table [][]int64, clusters []stats.Triplet, n, nodes int) (
 		components[i] = []int{i}
 	}
 
+	clusters := lk.clusters
 	for li := 0; li < len(clusters); li++ {
 		if len(components[0]) == ctxPerSocket {
 			break // socket level reached; remaining clusters are cross levels
@@ -546,7 +561,7 @@ func buildComponents(table [][]int64, clusters []stats.Triplet, n, nodes int) (
 			return nil, nil, nil, clusterErr(
 				"components grew to %d contexts, past socket size %d", len(components[0]), ctxPerSocket)
 		}
-		components, table, err = groupAtLatency(components, table, clusters, clusters[li].Median)
+		components, table, err = groupAtLatency(components, table, lk, clusters[li].Median)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -561,13 +576,82 @@ func buildComponents(table [][]int64, clusters []stats.Triplet, n, nodes int) (
 	return levels, components, table, nil
 }
 
-// medianOf reads a latency through step 2's clusters: a value counts as the
-// median of the cluster stats.Assign gives it. The clusters partition the
-// off-diagonal values they were built from, and a median maps to itself, so
-// the raw table and every reduced one read the same way.
-func medianOf(clusters []stats.Triplet, v int64) int64 {
-	i, _ := stats.Assign(clusters, v)
-	return clusters[i].Median
+// denseMin is the value range under which step 2 counts a table's values
+// in a dense array whatever the table's size (32 KB of counts).
+const denseMin = 1 << 12
+
+// lookup reads latencies through step 2's clusters: medianOf(v) is the
+// median of the cluster stats.Assign gives v. The clusters partition the
+// off-diagonal values they were built from, and a median maps to itself,
+// so the raw table and every reduced one read the same way.
+type lookup struct {
+	clusters []stats.Triplet
+	// median[v-lo] is medianOf(v) for v in [lo, lo+len(median)): the whole
+	// range of the table's values when step 2 counted them densely, and
+	// empty otherwise.
+	lo     int64
+	median []int64
+}
+
+// medianOf is one array read for a value in the dense range and
+// stats.Assign for any other.
+func (lk *lookup) medianOf(v int64) int64 {
+	if d := uint64(v - lk.lo); d < uint64(len(lk.median)) {
+		return lk.median[d]
+	}
+	i, _ := stats.Assign(lk.clusters, v)
+	return lk.clusters[i].Median
+}
+
+// clusterTable is step 2: it counts the table's off-diagonal values by
+// value and clusters that histogram (stats.ClusterBins), without a copy of
+// the values. A latency table's values are cycles a few thousand apart at
+// most, so they are counted in a dense array over their range, which then
+// becomes the lookup's median array; only a range wider than both the
+// value count and denseMin — a few values spread far apart — is counted in
+// a map, and read through stats.Assign.
+func clusterTable(table [][]int64) *lookup {
+	n := len(table)
+	lo, hi := table[0][1], table[0][1]
+	for i, row := range table {
+		for _, v := range row[i+1:] {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+	}
+	lk := &lookup{lo: lo}
+	var bins []stats.Bin
+	if span := uint64(hi - lo); span < uint64(max(n*(n-1)/2, denseMin)) {
+		counts := make([]int64, span+1)
+		for i, row := range table {
+			for _, v := range row[i+1:] {
+				counts[v-lo]++
+			}
+		}
+		for d, c := range counts {
+			if c > 0 {
+				bins = append(bins, stats.Bin{Value: lo + int64(d), Count: int(c)})
+			}
+		}
+		lk.clusters = stats.ClusterBins(bins, clusterGaps)
+		for d := range counts {
+			i, _ := stats.Assign(lk.clusters, lo+int64(d))
+			counts[d] = lk.clusters[i].Median
+		}
+		lk.median = counts
+		return lk
+	}
+	counts := map[int64]int{}
+	for i, row := range table {
+		for _, v := range row[i+1:] {
+			counts[v]++
+		}
+	}
+	for v, c := range counts {
+		bins = append(bins, stats.Bin{Value: v, Count: c})
+	}
+	slices.SortFunc(bins, func(a, b stats.Bin) int { return cmp.Compare(a.Value, b.Value) })
+	lk.clusters = stats.ClusterBins(bins, clusterGaps)
+	return lk
 }
 
 // groupAtLatency merges components communicating at exactly lat and reduces
@@ -575,9 +659,9 @@ func medianOf(clusters []stats.Triplet, v int64) int64 {
 // uniform in size, groups are internally complete at lat, and members of a
 // group have identical latencies to every other group. Groups are numbered
 // by their smallest component, and the reduced table holds cluster medians.
-func groupAtLatency(components [][]int, table [][]int64, clusters []stats.Triplet, lat int64) ([][]int, [][]int64, error) {
+func groupAtLatency(components [][]int, table [][]int64, lk *lookup, lat int64) ([][]int, [][]int64, error) {
 	k := len(components)
-	at := func(i, j int) int64 { return medianOf(clusters, table[i][j]) }
+	at := func(i, j int) int64 { return lk.medianOf(table[i][j]) }
 	// Union-find over components connected at lat.
 	parent := make([]int, k)
 	for i := range parent {

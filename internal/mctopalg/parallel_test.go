@@ -3,10 +3,8 @@ package mctopalg
 import (
 	"bytes"
 	"context"
-	"errors"
+	"fmt"
 	"reflect"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/machine"
@@ -88,21 +86,34 @@ func TestParallelismInvariantAcrossWidths(t *testing.T) {
 	}
 }
 
-// failingForker makes the nth fork fail, to exercise error propagation and
-// fail-fast in the forked measurement phase.
+// failingForker re-forks its forks as the machine does, except for the
+// pairs in fail, whose re-forks fail naming the pair: the error
+// propagation and fail-fast of the forked measurement phase.
 type failingForker struct {
 	machine.Machine
-	failAt int32
-	n      int32
+	fail map[[2]int]bool
 }
 
-func (f *failingForker) ForkPair(x, y int) (machine.Machine, error) {
-	if atomic.AddInt32(&f.n, 1) == f.failAt {
-		return nil, errors.New("fork failed")
+func (f *failingForker) NewFork() machine.Fork {
+	return &failingFork{Fork: f.Machine.(machine.Forker).NewFork(), fail: f.fail}
+}
+
+type failingFork struct {
+	machine.Fork
+	fail map[[2]int]bool
+}
+
+func (f *failingFork) Refork(x, y int) error {
+	if f.fail[[2]int{x, y}] {
+		return fmt.Errorf("fork of (%d,%d) failed", x, y)
 	}
-	return f.Machine.(machine.Forker).ForkPair(x, y)
+	return f.Fork.Refork(x, y)
 }
 
+// TestForkFailurePropagates: a failing fork fails the inference with its
+// error, and with two failing pairs the error is the one of the first in
+// wave order at every worker count — every pair a worker claims is
+// measured, and pairs are claimed in wave order.
 func TestForkFailurePropagates(t *testing.T) {
 	p, err := sim.ByName("Ivy")
 	if err != nil {
@@ -112,11 +123,14 @@ func TestForkFailurePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := testOptions()
-	opt.Parallelism = 8
-	_, err = InferContext(context.Background(), &failingForker{Machine: m, failAt: 3}, opt)
-	if err == nil || !strings.Contains(err.Error(), "fork failed") {
-		t.Fatalf("err = %v, want the fork failure", err)
+	fail := map[[2]int]bool{{1, 39}: true, {2, 3}: true}
+	for _, par := range []int{1, 2, 8} {
+		opt := testOptions()
+		opt.Parallelism = par
+		_, err = InferContext(context.Background(), &failingForker{Machine: m, fail: fail}, opt)
+		if err == nil || err.Error() != "fork of (1,39) failed" {
+			t.Fatalf("parallelism %d: err = %v, want the failure of (1,39)", par, err)
+		}
 	}
 }
 

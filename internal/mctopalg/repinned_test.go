@@ -11,7 +11,7 @@ import (
 )
 
 // unforkedSim is a simulated machine seen the way MCTOP-ALG sees the host:
-// ForkPair hidden (only the Machine and MemoryProber methods are promoted),
+// NewFork hidden (only the Machine and MemoryProber methods are promoted),
 // so every pair is measured by the machine's own Rounds on two re-pinned
 // threads. It records the threads it hands out, the DVFS-wait spins each of
 // them runs, and the Rounds calls it sees, including overlapping ones.

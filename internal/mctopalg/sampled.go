@@ -19,6 +19,12 @@
 //     signatures, so same-core pairs hide inside classes where probes
 //     could not catch them.
 //
+// A block's pairs are never listed: a block is its two classes, whose
+// members are ascending, and its pairs are walked in (x, y) order straight
+// off them (classBlock.rows). The probes are chosen from the block's size
+// and its first pair, and phase 3 walks the blocks again to fill or fall
+// back. What is allocated is the table and the lists of pairs measured.
+//
 // Exhaustive-equality: every measured pair goes through the same
 // measureForked path as the exhaustive mode, and a fork's noise stream
 // depends only on (seed, x, y) — measured values are byte-identical by
@@ -33,10 +39,8 @@
 package mctopalg
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -70,12 +74,85 @@ func pilotCount(n int) int {
 // falls back to exhaustive measurement.
 const noiseGapMin = 8
 
+// ctxPair is one (x, y) context pair, x < y, of a sampled wave.
+type ctxPair struct{ x, y int32 }
+
+// measureList measures one wave listed pair by pair.
+func (c *collector) measureList(wave []ctxPair) error {
+	return c.measure(len(wave), func(i int) (int, int) { return int(wave[i].x), int(wave[i].y) })
+}
+
+// classBlock is the block of classes a and b (ascending context lists):
+// the pairs of a member of a and one of b, or, when same, the pairs of two
+// members of a.
+type classBlock struct {
+	a, b []int
+	same bool
+}
+
+// size is the number of pairs in the block.
+func (bl classBlock) size() int {
+	if bl.same {
+		return len(bl.a) * (len(bl.a) - 1) / 2
+	}
+	return len(bl.a) * len(bl.b)
+}
+
+// first is the block's first pair in (x, y) order: its two smallest
+// members.
+func (bl classBlock) first() ctxPair {
+	if bl.same {
+		return ctxPair{int32(bl.a[0]), int32(bl.a[1])}
+	}
+	return ctxPair{int32(min(bl.a[0], bl.b[0])), int32(max(bl.a[0], bl.b[0]))}
+}
+
+// rows calls fn(x, ys) for every row of the block in (x, y) order — the
+// order a sort of the block's pairs gives — where ys are the ascending
+// partners y > x of x. The rows of a class-pair block are a merge of the
+// two classes: a member of either pairs with the members of the other
+// above it.
+func (bl classBlock) rows(fn func(x int, ys []int)) {
+	a, b := bl.a, bl.b
+	if bl.same {
+		for i, x := range a {
+			fn(x, a[i+1:])
+		}
+		return
+	}
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		if j == len(b) || (i < len(a) && a[i] < b[j]) {
+			fn(a[i], b[j:])
+			i++
+		} else {
+			fn(b[j], a[i:])
+			j++
+		}
+	}
+}
+
+// appendPairs appends the block's pairs whose sorted index is listed in
+// idx (ascending) to dst, in that order.
+func (bl classBlock) appendPairs(dst []ctxPair, idx []int) []ctxPair {
+	k, row := 0, 0 // row is the sorted index of the current row's first pair
+	bl.rows(func(x int, ys []int) {
+		for k < len(idx) && idx[k] < row+len(ys) {
+			dst = append(dst, ctxPair{int32(x), int32(ys[idx[k]-row])})
+			k++
+		}
+		row += len(ys)
+	})
+	return dst
+}
+
 // measureSampled is collectTable's sampled plan: it fills
 // res.RawTable measuring only a subset of pairs (see the package comment
 // above), every measured wave through c.measure. An unmeasured entry is 0
 // until filled; measured medians are always >= 1.
 func (c *collector) measureSampled(n int) error {
 	ctx, res := c.ctx, c.res
+	tab := res.RawTable
 	res.Sampled = true
 
 	// Phase 1: pilots. Evenly spaced pilot contexts, every pair touching
@@ -95,19 +172,19 @@ func (c *collector) measureSampled(n int) error {
 	for x := 0; x < n-1; x++ {
 		if isPilot[x] {
 			for y := x + 1; y < n; y++ {
-				wave1 = append(wave1, ctxPair{x, y})
+				wave1 = append(wave1, ctxPair{int32(x), int32(y)})
 			}
 		} else {
 			for _, p := range pilots {
 				if p > x {
-					wave1 = append(wave1, ctxPair{x, p})
+					wave1 = append(wave1, ctxPair{int32(x), int32(p)})
 				}
 			}
 		}
 	}
 	pilotSpan.SetInt("pilots", int64(k))
 	pilotSpan.SetInt("pairs", int64(len(wave1)))
-	if err := c.measure(wave1); err != nil {
+	if err := c.measureList(wave1); err != nil {
 		pilotSpan.SetError(err)
 		pilotSpan.End()
 		return err
@@ -126,7 +203,7 @@ func (c *collector) measureSampled(n int) error {
 		}
 		sigb.Reset()
 		for _, p := range pilots {
-			sigb.WriteString(strconv.FormatInt(res.RawTable[x][p], 10))
+			sigb.WriteString(strconv.FormatInt(tab[x][p], 10))
 			sigb.WriteByte(',')
 		}
 		sig := sigb.String()
@@ -145,7 +222,7 @@ func (c *collector) measureSampled(n int) error {
 	distinct := make([]int64, 0, 64)
 	seen := map[int64]bool{}
 	for _, p := range wave1 {
-		if v := res.RawTable[p.x][p.y]; !seen[v] {
+		if v := tab[p.x][p.y]; !seen[v] {
 			seen[v] = true
 			distinct = append(distinct, v)
 		}
@@ -162,100 +239,84 @@ func (c *collector) measureSampled(n int) error {
 	classSpan.SetBool("noisy", noisy)
 	classSpan.End()
 
-	// Phase 2: per class-pair block, decide representative + probes, or
-	// exhaustive fallback.
+	// Phase 2: every class-pair block, in class order, is measured
+	// exhaustively now — a diagonal block, a block too small to verify,
+	// every block of a noisy run — or verified: its probes are measured
+	// after every exhaustive block, in block order.
 	_, verifySpan := trace.Start(ctx, "infer.verify")
 	const V = verifyPerBlock
-	type block struct {
-		pairs    []ctxPair // unmeasured pairs, canonical order
-		probeIdx []int     // indices into pairs measured for verification
+	block := func(ci, cj int) classBlock {
+		return classBlock{a: classes[ci], b: classes[cj], same: ci == cj}
 	}
-	var blocks []block
-	var exhaustNow []ctxPair // diagonal, small, or noisy-run blocks
-	for ci := 0; ci < len(classes); ci++ {
+	var verified [][2]int // the (ci, cj) of each verified block
+	var wave2 []ctxPair
+	for ci := range classes {
 		for cj := ci; cj < len(classes); cj++ {
-			var bp []ctxPair
-			if ci == cj {
-				members := classes[ci]
-				bp = make([]ctxPair, 0, len(members)*(len(members)-1)/2)
-				for i := 0; i < len(members)-1; i++ {
-					for j := i + 1; j < len(members); j++ {
-						bp = append(bp, ctxPair{members[i], members[j]})
+			bl := block(ci, cj)
+			if noisy || bl.same || bl.size() <= V+1 {
+				bl.rows(func(x int, ys []int) {
+					for _, y := range ys {
+						wave2 = append(wave2, ctxPair{int32(x), int32(y)})
 					}
-				}
-			} else {
-				bp = make([]ctxPair, 0, len(classes[ci])*len(classes[cj]))
-				for _, a := range classes[ci] {
-					for _, b := range classes[cj] {
-						bp = append(bp, ctxPair{min(a, b), max(a, b)})
-					}
-				}
-			}
-			// The pairs are distinct, so this is the one (x, y) order.
-			slices.SortFunc(bp, func(a, b ctxPair) int {
-				if c := cmp.Compare(a.x, b.x); c != 0 {
-					return c
-				}
-				return cmp.Compare(a.y, b.y)
-			})
-			if noisy || ci == cj || len(bp) <= V+1 {
-				exhaustNow = append(exhaustNow, bp...)
+				})
 				continue
 			}
-			blocks = append(blocks, block{pairs: bp, probeIdx: probeIndices(bp, V)})
+			verified = append(verified, [2]int{ci, cj})
 		}
 	}
 	if noisy {
 		res.FallbackBlocks = len(classes) * (len(classes) + 1) / 2
 	}
-
-	wave2 := append([]ctxPair(nil), exhaustNow...)
-	for _, b := range blocks {
-		for _, pi := range b.probeIdx {
-			wave2 = append(wave2, b.pairs[pi])
-		}
+	probesAt := len(wave2)
+	var idx [V + 1]int
+	for _, b := range verified {
+		bl := block(b[0], b[1])
+		wave2 = bl.appendPairs(wave2, probeIndices(idx[:0], bl.size(), bl.first()))
 	}
 	verifySpan.SetInt("pairs", int64(len(wave2)))
-	verifySpan.SetInt("blocks", int64(len(blocks)))
-	if err := c.measure(wave2); err != nil {
+	verifySpan.SetInt("blocks", int64(len(verified)))
+	if err := c.measureList(wave2); err != nil {
 		verifySpan.SetError(err)
 		verifySpan.End()
 		return err
 	}
 	verifySpan.End()
 
-	// Phase 3: fill verified blocks, exhaustively measure the rest.
+	// Phase 3: fill verified blocks, exhaustively measure the rest. A
+	// verified block has more than V+1 pairs, so exactly V+1 probes, and
+	// its unmeasured pairs are those its probes left at 0.
 	_, fillSpan := trace.Start(ctx, "infer.fill")
 	var wave3 []ctxPair
-	for _, b := range blocks {
-		rep := res.RawTable[b.pairs[b.probeIdx[0]].x][b.pairs[b.probeIdx[0]].y]
+	for bi, b := range verified {
+		probes := wave2[probesAt+bi*(V+1) : probesAt+(bi+1)*(V+1)]
+		rep := tab[probes[0].x][probes[0].y]
 		agree := true
-		for _, pi := range b.probeIdx[1:] {
-			if res.RawTable[b.pairs[pi].x][b.pairs[pi].y] != rep {
+		for _, p := range probes[1:] {
+			if tab[p.x][p.y] != rep {
 				agree = false
 				break
 			}
 		}
 		if !agree {
 			res.FallbackBlocks++
-			for _, p := range b.pairs {
-				if res.RawTable[p.x][p.y] == 0 {
-					wave3 = append(wave3, p)
+		}
+		block(b[0], b[1]).rows(func(x int, ys []int) {
+			row := tab[x]
+			for _, y := range ys {
+				switch {
+				case row[y] != 0:
+				case agree:
+					row[y], tab[y][x] = rep, rep
+					res.FilledPairs++
+				default:
+					wave3 = append(wave3, ctxPair{int32(x), int32(y)})
 				}
 			}
-			continue
-		}
-		for _, p := range b.pairs {
-			if res.RawTable[p.x][p.y] == 0 {
-				res.RawTable[p.x][p.y] = rep
-				res.RawTable[p.y][p.x] = rep
-				res.FilledPairs++
-			}
-		}
+		})
 	}
 	fillSpan.SetInt("filled", int64(res.FilledPairs))
 	fillSpan.SetInt("fallback_blocks", int64(res.FallbackBlocks))
-	if err := c.measure(wave3); err != nil {
+	if err := c.measureList(wave3); err != nil {
 		fillSpan.SetError(err)
 		fillSpan.End()
 		return err
@@ -265,7 +326,7 @@ func (c *collector) measureSampled(n int) error {
 	// Every off-diagonal entry must now be measured or filled.
 	for x := 0; x < n-1; x++ {
 		for y := x + 1; y < n; y++ {
-			if res.RawTable[x][y] == 0 {
+			if tab[x][y] == 0 {
 				return fmt.Errorf("mctopalg: internal error: sampled measurement left pair (%d,%d) unset", x, y)
 			}
 		}
@@ -273,22 +334,23 @@ func (c *collector) measureSampled(n int) error {
 	return nil
 }
 
-// probeIndices returns the verification probes of a block: its first and
-// last pair (the corners of the sorted order) plus deterministic seeded
-// interior picks, v+1 indices in total, ascending. The selection is a pure
-// function of the block's pairs, so it is independent of measurement order
-// and parallelism.
-func probeIndices(bp []ctxPair, v int) []int {
-	idx := []int{0, len(bp) - 1}
-	h := uint64(bp[0].x)<<32 | uint64(bp[0].y)
-	for len(idx) < v+1 && len(idx) < len(bp) {
+// probeIndices appends to dst the verification probes of a block of size
+// pairs whose first pair in (x, y) order is first: its first and last pair
+// (the corners of the sorted order) plus deterministic seeded interior
+// picks, v+1 indices in total (v = verifyPerBlock), ascending. The
+// selection is a pure function of the block, so it is independent of
+// measurement order and parallelism.
+func probeIndices(dst []int, size int, first ctxPair) []int {
+	idx := append(dst, 0, size-1)
+	h := uint64(first.x)<<32 | uint64(first.y)
+	for len(idx) < verifyPerBlock+1 && len(idx) < size {
 		h = probeMix(h)
-		cand := int(h % uint64(len(bp)))
+		cand := int(h % uint64(size))
 		if !slices.Contains(idx, cand) {
 			idx = append(idx, cand)
 		}
 	}
-	sort.Ints(idx)
+	slices.Sort(idx)
 	return idx
 }
 

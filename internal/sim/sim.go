@@ -20,8 +20,9 @@ import (
 // A pair measurement pins two threads and ping-pongs one line, so the state
 // a fork needs is stored inline: the first line holder, the first two
 // cores' DVFS counters and the first two threads. A fork is then one small
-// allocation whatever the platform's size; the parent simulator, whose
-// threads visit every socket, spills past the inline slots.
+// allocation whatever the platform's size, and Refork readies it for the
+// next pair in place; the parent simulator, whose threads visit every
+// socket, spills past the inline slots.
 type Sim struct {
 	p     *Platform
 	seed  uint64
@@ -39,9 +40,10 @@ type Sim struct {
 	nbusy, nthreads uint8
 
 	// spill is nil until the inline slots run out. Keeping the state only
-	// a roaming simulator needs behind it holds a fork to 160 bytes: with
-	// Go 1.24 on 2 vCPUs, a burst of fresh pointerful objects of 208 bytes
-	// or more allocated about 3× slower than one of 192 bytes or less.
+	// a roaming simulator needs behind it holds a Sim to 152 bytes, and
+	// machine's fork that wraps one to 168: with Go 1.24 on 2 vCPUs, a
+	// burst of fresh pointerful objects of 208 bytes or more allocated
+	// about 3× slower than one of 192 bytes or less.
 	spill *spill
 }
 
@@ -77,6 +79,15 @@ func New(p *Platform, seed uint64) (*Sim, error) {
 // embed it and pay one allocation for its own wrapper and the simulator.
 func (s *Sim) Fork(seed uint64) Sim {
 	return Sim{p: s.p, seed: seed}
+}
+
+// Refork makes s, in place, the simulator Fork(seed) returns: every line
+// holder, busy counter, thread and the spill are dropped, so a fork that
+// roamed is as fresh as a new one. It allocates nothing. The threads it
+// hands out next are the same *Thread values as before, so nothing keyed
+// by a thread pointer may outlive a Refork.
+func (s *Sim) Refork(seed uint64) {
+	*s = s.Fork(seed)
 }
 
 // Platform returns the simulated machine's ground-truth description.

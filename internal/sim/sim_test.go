@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -520,6 +521,52 @@ func TestDeterministicReplay(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverged at %d: %d vs %d", i, a[i], b[i])
 		}
+	}
+}
+
+// TestReforkEqualsFork: a fork that roamed — three threads on three cores
+// and two lines, so both inline slots spilled — and is then re-forked is
+// the simulator a fresh Fork of the new seed is, field for field, and
+// measures what the fresh one measures. Its threads are the same pointers
+// as before the re-fork, and re-forking allocates nothing.
+func TestReforkEqualsFork(t *testing.T) {
+	parent, err := New(Westmere(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := parent.Fork(PairSeed(5, 0, 1))
+	a, _ := f.NewThread(0)
+	b, _ := f.NewThread(10)
+	c, _ := f.NewThread(20)
+	a.CAS(3)
+	b.CAS(3)
+	c.CAS(9)
+	f.Barrier(a, c)
+	if f.spill == nil || f.spill.busy == nil || len(f.spill.holders) == 0 {
+		t.Fatal("the roaming fork did not spill; the test no longer covers the spill")
+	}
+
+	seed := PairSeed(5, 2, 77)
+	f.Refork(seed)
+	fresh := parent.Fork(seed)
+	if !reflect.DeepEqual(f, fresh) {
+		t.Fatalf("re-forked simulator %+v, fresh fork %+v", f, fresh)
+	}
+	measure := func(s *Sim) ([]int64, *Thread) {
+		x, _ := s.NewThread(2)
+		y, _ := s.NewThread(77)
+		return s.Rounds(x, y, 51, 20, nil), x
+	}
+	got, x := measure(&f)
+	want, _ := measure(&fresh)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-forked rounds %v, fresh %v", got, want)
+	}
+	if x != a {
+		t.Fatal("a re-forked simulator's first thread is a new value")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.Refork(seed) }); allocs != 0 {
+		t.Fatalf("Refork allocates %.1f objects, want 0", allocs)
 	}
 }
 

@@ -218,27 +218,71 @@ type ClusterOptions struct {
 // values are split wherever consecutive values are separated by more than
 // the configured relative and absolute gaps. This implements step 2 of
 // MCTOP-ALG ("Clusters close values into groups"). Cluster sorts xs in
-// place and reads each cluster's median off its sorted run.
+// place and clusters its histogram (ClusterBins).
 func Cluster(xs []int64, opt ClusterOptions) []Triplet {
-	if len(xs) == 0 {
+	slices.Sort(xs)
+	var bins []Bin
+	for i, v := range xs {
+		if i == 0 || v != xs[i-1] {
+			bins = append(bins, Bin{Value: v})
+		}
+		bins[len(bins)-1].Count++
+	}
+	return ClusterBins(bins, opt)
+}
+
+// Bin is one distinct value of a histogram and how often it occurs.
+type Bin struct {
+	Value int64
+	Count int
+}
+
+// ClusterBins is Cluster over a histogram: bins are the distinct values in
+// increasing order, each with a positive count, and the result is what
+// Cluster returns on the values they count. Equal values never straddle a
+// boundary, so the gaps are taken between consecutive bins, and a
+// cluster's median is read off its bins' counts. MCTOP-ALG's step 2 passes
+// the histogram of its table's N(N-1)/2 off-diagonal values, which take a
+// few hundred distinct values at most.
+func ClusterBins(bins []Bin, opt ClusterOptions) []Triplet {
+	if len(bins) == 0 {
 		return nil
 	}
-	slices.Sort(xs)
 	var out []Triplet
 	start := 0
-	for i := 1; i < len(xs); i++ {
-		gap := xs[i] - xs[i-1]
-		if gap > opt.AbsGap && float64(gap) > opt.RelGap*float64(xs[i-1]) {
-			out = append(out, sortedTriplet(xs[start:i]))
+	for i := 1; i < len(bins); i++ {
+		gap := bins[i].Value - bins[i-1].Value
+		if gap > opt.AbsGap && float64(gap) > opt.RelGap*float64(bins[i-1].Value) {
+			out = append(out, binsTriplet(bins[start:i]))
 			start = i
 		}
 	}
-	return append(out, sortedTriplet(xs[start:]))
+	return append(out, binsTriplet(bins[start:]))
 }
 
-// sortedTriplet summarizes one sorted, non-empty cluster run.
-func sortedTriplet(run []int64) Triplet {
-	return Triplet{Min: run[0], Median: sortedMedian(run), Max: run[len(run)-1]}
+// binsTriplet summarizes one cluster's non-empty run of bins: the minimum,
+// median and maximum of the values they count.
+func binsTriplet(run []Bin) Triplet {
+	n := 0
+	for _, b := range run {
+		n += b.Count
+	}
+	med := binsKth(run, n/2)
+	if n%2 == 0 {
+		med = (binsKth(run, n/2-1) + med) / 2
+	}
+	return Triplet{Min: run[0].Value, Median: med, Max: run[len(run)-1].Value}
+}
+
+// binsKth returns the k-th smallest (0-based) of the values the bins count.
+func binsKth(bins []Bin, k int) int64 {
+	for _, b := range bins {
+		if k < b.Count {
+			return b.Value
+		}
+		k -= b.Count
+	}
+	panic("stats: binsKth past the last bin")
 }
 
 // Assign maps value v to the index of the cluster whose [Min, Max] interval

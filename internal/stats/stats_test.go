@@ -227,8 +227,23 @@ func clusterReference(xs []int64, opt ClusterOptions) []Triplet {
 	return out
 }
 
-// TestClusterMatchesReference: Cluster returns clusterReference's triplets
-// on MCTOP-ALG's gaps and leaves its input sorted, on the shapes its
+// histogram counts xs by value into ascending bins, leaving xs as it is.
+func histogram(xs []int64) []Bin {
+	counts := map[int64]int{}
+	for _, v := range xs {
+		counts[v]++
+	}
+	var bins []Bin
+	for v, c := range counts {
+		bins = append(bins, Bin{Value: v, Count: c})
+	}
+	sort.Slice(bins, func(i, j int) bool { return bins[i].Value < bins[j].Value })
+	return bins
+}
+
+// TestClusterMatchesReference: ClusterBins on the histogram of the values,
+// and Cluster on the values themselves, return clusterReference's triplets
+// on MCTOP-ALG's gaps, and Cluster leaves its input sorted, on the shapes its
 // boundaries and medians can trip over — empty, single and equal inputs,
 // odd, even and two-value runs, values exactly at and one past the absolute
 // (10 cycles) and the relative (4 %) gap, Opteron's close 197/217 levels —
@@ -238,6 +253,9 @@ func TestClusterMatchesReference(t *testing.T) {
 	check := func(name string, xs []int64) {
 		t.Helper()
 		want := clusterReference(xs, gaps)
+		if got := ClusterBins(histogram(xs), gaps); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ClusterBins = %v, reference %v", name, got, want)
+		}
 		got := Cluster(xs, gaps)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Cluster = %v, reference %v", name, got, want)
@@ -263,17 +281,17 @@ func TestClusterMatchesReference(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(24)
 		nLevels := 1 + rng.Intn(len(levels))
-		var offDiag []int64
+		var values []int64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				v := levels[rng.Intn(nLevels)] + rng.Int63n(9) - 4
 				if rng.Intn(60) == 0 {
 					v += rng.Int63n(200) // a stray median between levels
 				}
-				offDiag = append(offDiag, v)
+				values = append(values, v)
 			}
 		}
-		check(fmt.Sprintf("random table %d (%d contexts)", trial, n), offDiag)
+		check(fmt.Sprintf("random table %d (%d contexts)", trial, n), values)
 	}
 }
 
