@@ -162,9 +162,9 @@ func BenchmarkAblation_Clustering(b *testing.B) {
 		b.Fatal(err)
 	}
 	var values []int64
-	for i := range res.RawTable {
-		for j := i + 1; j < len(res.RawTable); j++ {
-			values = append(values, res.RawTable[i][j])
+	for i := 0; i < res.RawTable.N(); i++ {
+		for j := i + 1; j < res.RawTable.N(); j++ {
+			values = append(values, res.RawTable.At(i, j))
 		}
 	}
 	var gap, fixed int

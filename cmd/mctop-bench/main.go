@@ -141,9 +141,9 @@ func fig6(w io.Writer) {
 	_, res, err := mctop.InferDetailed(context.Background(), "Ivy", 42, mctop.WithReps(201))
 	fail(err)
 	fmt.Fprintf(w, "raw table: %dx%d, %d pairs measured, %d retries, rdtsc overhead %d cycles\n",
-		len(res.RawTable), len(res.RawTable), res.Pairs, res.Retries, res.RdtscOverhead)
+		res.RawTable.N(), res.RawTable.N(), res.Pairs, res.Retries, res.RdtscOverhead)
 	fmt.Fprintf(w, "sample raw latencies: [0][20]=%d (SMT), [0][1]=%d (intra), [0][10]=%d (cross)\n",
-		res.RawTable[0][20], res.RawTable[0][1], res.RawTable[0][10])
+		res.RawTable.At(0, 20), res.RawTable.At(0, 1), res.RawTable.At(0, 10))
 	fmt.Fprintln(w, "\n| cluster | min | median | max | paper |")
 	fmt.Fprintln(w, "|---|---|---|---|---|")
 	paper := []string{"28 (SMT)", "~112 (intra-socket)", "~308 (cross-socket)"}

@@ -133,10 +133,11 @@ import (
 )
 
 // defaultMaxContexts is -max-contexts' default. MCTOP-ALG's raw latency
-// table is the one dense n×n structure an inference holds (the topology's
-// query index is linear in n): at 2048 contexts it takes about 34 MB, and
-// an unbounded request naming a 2²⁰-context gen: platform would ask for
-// terabytes — an out-of-memory failure no handler can turn into a 413.
+// table is the one quadratic structure an inference holds (the topology's
+// query index is linear in n): n(n-1)/2 values of 8 bytes, about 17 MB at
+// 2048 contexts, and an unbounded request naming a 2²⁰-context gen:
+// platform would ask for terabytes — an out-of-memory failure no handler
+// can turn into a 413.
 const defaultMaxContexts = 2048
 
 // daemonConfig is everything the flags decide, decoupled from the flag

@@ -3,9 +3,12 @@ package mctopalg
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -40,40 +43,87 @@ func normalizeReference(table [][]int64, clusters []stats.Triplet) [][]int64 {
 	return out
 }
 
-// offDiagonal returns a table's values above the diagonal, step 2's input.
-func offDiagonal(table [][]int64) []int64 {
+// offDiagonal returns a table's values above the diagonal in row-major
+// order, step 2's input.
+func offDiagonal(table Table) []int64 {
 	var vals []int64
-	for i, row := range table {
-		vals = append(vals, row[i+1:]...)
+	for i := 0; i < table.N(); i++ {
+		for j := i + 1; j < table.N(); j++ {
+			vals = append(vals, table.At(i, j))
+		}
 	}
 	return vals
 }
 
-// handTable builds a symmetric table over n contexts whose off-diagonal
-// entries are lat(i, j) plus a jitter of -1..+1, so that the raw values
-// differ from their cluster medians.
-func handTable(n int, lat func(i, j int) int64) [][]int64 {
-	table := make([][]int64, n)
-	for i := range table {
-		table[i] = make([]int64, n)
+// dense returns a table as the n×n matrix the reference steps read.
+func dense(table Table) [][]int64 {
+	out := make([][]int64, table.N())
+	for i := range out {
+		out[i] = make([]int64, table.N())
+		for j := range out[i] {
+			out[i][j] = table.At(i, j)
+		}
 	}
+	return out
+}
+
+// handTable builds a table over n contexts whose entries are lat(i, j)
+// plus a jitter of -1..+1, so that the raw values differ from their
+// cluster medians.
+func handTable(n int, lat func(i, j int) int64) Table {
+	table := Table{n: n, v: make([]int64, n*(n-1)/2)}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			v := lat(i, j) + int64((i+j)%3) - 1
-			table[i][j], table[j][i] = v, v
+			table.v[table.slot(i, j)] = lat(i, j) + int64((i+j)%3) - 1
 		}
 	}
 	return table
 }
 
+// checkStep3 holds step 3 on a raw table, and step 4's socket matrix, to
+// the reference step 3 on the same table: the same levels and socket
+// groups, and a socket matrix that is the reference's last reduced table
+// with the socket level's median on its diagonal — or the same
+// ErrClustering text.
+func checkStep3(t *testing.T, name string, raw Table, nodes int) (levels [][][]int, socketLat [][]int64, err error) {
+	t.Helper()
+	n, lk := raw.N(), clusterTable(raw)
+	levels, err = buildComponents(raw, lk, n, nodes)
+	wantLevels, wantGroups, wantTable, wantErr := buildComponentsReference(dense(raw), lk, n, nodes)
+	if err != nil || wantErr != nil {
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() || !errors.Is(err, ErrClustering) {
+			t.Fatalf("%s: step 3 fails with %v, the reference with %v", name, err, wantErr)
+		}
+		return nil, nil, err
+	}
+	if !reflect.DeepEqual(levels, wantLevels) {
+		t.Fatalf("%s: levels %v, reference %v", name, levels, wantLevels)
+	}
+	sockGroups := levels[len(levels)-1]
+	if !reflect.DeepEqual(sockGroups, wantGroups) {
+		t.Fatalf("%s: socket groups %v, reference %v", name, sockGroups, wantGroups)
+	}
+	intra := lk.clusters[len(levels)-1].Median
+	socketLat = socketLatencies(raw, lk, sockGroups, intra)
+	for i := range wantTable {
+		wantTable[i][i] = intra
+	}
+	if !reflect.DeepEqual(socketLat, wantTable) {
+		t.Fatalf("%s: socket matrix %v, reference %v", name, socketLat, wantTable)
+	}
+	return levels, socketLat, nil
+}
+
 // TestComponentsReadThroughClusters: step 3 fed the raw table finds the
-// same levels, socket groups and socket table as fed the normalized one,
-// on the golden platforms and on generated ones (noise-free, sampled, and
-// with the goldens' noise model). Its socket groups come back ordered by
-// their first context, the order step 4 takes as the socket ids. The
-// tables step 3 rejected reading the normalized table, it rejects with the
-// same error reading the raw one: unequal group sizes, an incomplete group,
-// and non-uniform external latency (Section 3.6).
+// same levels and socket groups as the reference step 3 fed the raw table
+// and fed the normalized one, and step 4's socket matrix is their last
+// reduced table; on the golden platforms and on generated ones
+// (noise-free, sampled, and with the goldens' noise model). Its socket
+// groups come back ordered by their first context, the order step 4 takes
+// as the socket ids. The tables the reference rejected reading the
+// normalized table, step 3 rejects with the same error reading the raw
+// one: unequal group sizes, an incomplete group, and non-uniform external
+// latency (Section 3.6).
 func TestComponentsReadThroughClusters(t *testing.T) {
 	for _, tc := range []struct {
 		platform string
@@ -98,24 +148,30 @@ func TestComponentsReadThroughClusters(t *testing.T) {
 			if res.Sampled != tc.sampled {
 				t.Fatalf("Sampled = %v, want %v", res.Sampled, tc.sampled)
 			}
-			n, nodes := len(res.RawTable), p.NumNodes()
-			levels, sockGroups, sockTable, err := buildComponents(res.RawTable, clusterTable(res.RawTable), n, nodes)
+			n, nodes := res.RawTable.N(), p.NumNodes()
+			levels, socketLat, err := checkStep3(t, tc.platform, res.RawTable, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			norm := normalizeReference(res.RawTable, res.Clusters)
-			wantLevels, wantGroups, wantTable, err := buildComponents(norm, &lookup{clusters: res.Clusters}, n, nodes)
+			norm := normalizeReference(dense(res.RawTable), res.Clusters)
+			wantLevels, wantGroups, wantTable, err := buildComponentsReference(norm, &lookup{clusters: res.Clusters}, n, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(levels, wantLevels) || !reflect.DeepEqual(levels, res.LevelGroups) {
 				t.Fatal("levels differ between the raw and the normalized table")
 			}
-			if !reflect.DeepEqual(sockGroups, wantGroups) {
+			if sockGroups := levels[len(levels)-1]; !reflect.DeepEqual(sockGroups, wantGroups) {
 				t.Fatalf("socket groups differ: raw %v, normalized %v", sockGroups, wantGroups)
 			}
-			if !reflect.DeepEqual(sockTable, wantTable) {
-				t.Fatalf("socket tables differ: raw %v, normalized %v", sockTable, wantTable)
+			for i := range wantTable {
+				wantTable[i][i] = socketLat[i][i]
+			}
+			if !reflect.DeepEqual(socketLat, wantTable) {
+				t.Fatalf("socket tables differ: raw %v, normalized %v", socketLat, wantTable)
+			}
+			if spec := res.Topology.Spec(); !reflect.DeepEqual(spec.SocketLat, socketLat) {
+				t.Fatalf("step 4's socket matrix %v, step 3's %v", spec.SocketLat, socketLat)
 			}
 			for li, groups := range levels {
 				for g := 1; g < len(groups); g++ {
@@ -167,12 +223,12 @@ func TestComponentsReadThroughClusters(t *testing.T) {
 		t.Run("rejects "+tc.name, func(t *testing.T) {
 			table := handTable(tc.n, tc.lat)
 			lk := clusterTable(table)
-			_, _, _, err := buildComponents(table, lk, tc.n, tc.nodes)
-			_, _, _, want := buildComponents(normalizeReference(table, lk.clusters), &lookup{clusters: lk.clusters}, tc.n, tc.nodes)
+			_, _, err := checkStep3(t, tc.name, table, tc.nodes)
+			_, _, _, want := buildComponentsReference(normalizeReference(dense(table), lk.clusters), &lookup{clusters: lk.clusters}, tc.n, tc.nodes)
 			if err == nil || want == nil {
 				t.Fatalf("errors %v (raw) and %v (normalized), want both to fail", err, want)
 			}
-			if !errors.Is(err, ErrClustering) || err.Error() != want.Error() {
+			if err.Error() != want.Error() {
 				t.Fatalf("raw table fails with %q, normalized with %q", err, want)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
@@ -182,9 +238,99 @@ func TestComponentsReadThroughClusters(t *testing.T) {
 	}
 }
 
+// randomMachineTable draws the raw table of a random machine: S sockets
+// on a ring of C cores of T contexts each, its contexts numbered in a
+// random order, every pair at the latency of the level the two share plus
+// a jitter of -1..+1. In half the draws a few pairs are then set to
+// another level's latency, which step 3 mostly rejects.
+func randomMachineTable(rng *rand.Rand) (raw Table, nodes int) {
+	S, C, T := 1+rng.Intn(5), 1+rng.Intn(4), 1+rng.Intn(3)
+	n := max(S*C*T, 2)
+	perm := rng.Perm(n)
+	raw = Table{n: n, v: make([]int64, n*(n-1)/2)}
+	lat := func(a, b int) int64 {
+		switch sa, sb := a/(C*T), b/(C*T); {
+		case a/T == b/T:
+			return 28
+		case sa == sb:
+			return 112
+		default:
+			d := max(sa, sb) - min(sa, sb)
+			return 300 + 120*int64(min(d, S-d)-1)
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			x, y := perm[a], perm[b]
+			raw.v[raw.slot(min(x, y), max(x, y))] = lat(a, b) + rng.Int63n(3) - 1
+		}
+	}
+	if rng.Intn(2) == 0 {
+		levels := []int64{28, 112, 300, 420}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			raw.v[rng.Intn(len(raw.v))] = levels[rng.Intn(len(levels))]
+		}
+	}
+	return raw, max(S, 1)
+}
+
+// TestStep3MatchesReference: on seeded random machine tables, step 3 and
+// step 4's socket matrix agree with the reference step 3 (checkStep3), and
+// one grouping level fed a random partition whose parts need not be
+// uniform agrees with the reference level fed the reduced table of that
+// partition's smallest contexts — the table a reference level is handed.
+func TestStep3MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	accepted, rejected := 0, 0
+	for draw := 0; draw < 2000; draw++ {
+		raw, nodes := randomMachineTable(rng)
+		name := fmt.Sprintf("draw %d", draw)
+		if _, _, err := checkStep3(t, name, raw, nodes); err != nil {
+			rejected++
+		} else {
+			accepted++
+		}
+
+		// A random partition into parts numbered by smallest context.
+		n, lk := raw.N(), clusterTable(raw)
+		var parts [][]int
+		for _, x := range rng.Perm(n) {
+			if k := rng.Intn(len(parts) + 1); k < len(parts) {
+				parts[k] = append(parts[k], x)
+			} else {
+				parts = append(parts, []int{x})
+			}
+		}
+		for _, part := range parts {
+			sort.Ints(part)
+		}
+		slices.SortFunc(parts, func(a, b []int) int { return a[0] - b[0] })
+		reduced := make([][]int64, len(parts))
+		for i := range parts {
+			reduced[i] = make([]int64, len(parts))
+			for j := range parts {
+				if i != j {
+					reduced[i][j] = lk.medianOf(raw.At(parts[i][0], parts[j][0]))
+				}
+			}
+		}
+		lat := lk.clusters[rng.Intn(len(lk.clusters))].Median
+		got, err := groupAtLatency(parts, raw, lk, lat)
+		want, _, wantErr := groupAtLatencyReference(parts, reduced, lk, lat)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, parts %v at %d: %v, %v; reference %v, %v", name, parts, lat, got, err, want, wantErr)
+		}
+	}
+	t.Logf("%d tables accepted, %d rejected", accepted, rejected)
+	if accepted < 100 || rejected < 100 {
+		t.Fatalf("%d tables accepted, %d rejected: the draws do not reach both outcomes", accepted, rejected)
+	}
+}
+
 // TestMedianOfIdempotent: reading a value through the clusters gives the
 // normalized table's entry, a cluster median, and reading that median gives
-// it back — which is why every reduced table reads like the raw one.
+// it back — which is why a reference step 3's reduced tables of medians
+// read like the raw table.
 func TestMedianOfIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -197,17 +343,17 @@ func TestMedianOfIdempotent(t *testing.T) {
 			return base + rng.Int63n(11) - 5
 		})
 		lk := clusterTable(table)
-		norm := normalizeReference(table, lk.clusters)
+		norm := normalizeReference(dense(table), lk.clusters)
 		medians := map[int64]bool{}
 		for _, c := range lk.clusters {
 			medians[c.Median] = true
 		}
-		for i := range table {
-			for j := range table[i] {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
 				if i == j {
 					continue
 				}
-				m := lk.medianOf(table[i][j])
+				m := lk.medianOf(table.At(i, j))
 				if m != norm[i][j] || !medians[m] || lk.medianOf(m) != m {
 					return false
 				}
@@ -251,13 +397,16 @@ func denseTables(t *testing.T, name string, opt Options) (float64, *Result) {
 }
 
 // TestInferAllocatesOneDenseTable bounds what an inference allocates at
-// 2048 contexts by two dense n×n tables of int64: the raw table is the one
-// it keeps, and nothing else is of its order — the pairs are measured on
-// one fork per worker and written into the table in place, step 2 counts
-// the values instead of copying them, and the sampled mode walks its
-// class-pair blocks instead of listing them. The run allocates about 1.4
-// tables' worth; with a fork, an outcome and a list slot per pair, a copy
-// of the values for step 2 and every block listed it came to 3.8.
+// 2048 contexts by one dense n×n table of int64: the raw table, which
+// stores each pair once (half a dense table), is the one it keeps, and
+// nothing else is of its order — the pairs are measured on one fork per
+// worker and written into the table in place, step 2 counts the values
+// instead of copying them, step 3 builds no reduced tables, and the
+// sampled mode walks its class-pair blocks instead of listing them. The
+// run allocates about 0.65 tables' worth; with every pair stored twice and
+// a reduced table per grouping level it came to 1.4, and with a fork, an
+// outcome and a list slot per pair, a copy of the values for step 2 and
+// every block listed to 3.8.
 func TestInferAllocatesOneDenseTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2048-context inference in -short mode")
@@ -266,21 +415,24 @@ func TestInferAllocatesOneDenseTable(t *testing.T) {
 	if !res.Sampled {
 		t.Fatal("the 2048-context inference did not take the sampled path")
 	}
-	if tables >= 2 {
-		t.Fatalf("inference allocated %.2f dense tables; the bound is 2", tables)
+	if tables >= 1 {
+		t.Fatalf("inference allocated %.2f dense tables; the bound is 1", tables)
 	}
 }
 
 // TestExhaustiveInferAllocatesOneDenseTable is the same bound on the
 // exhaustive path, where every pair is measured: SPARC, 32640 pairs on one
-// worker. It allocated 15 tables' worth with a fork per pair.
+// worker. It allocates about 0.63 tables' worth; it allocated 1.16 with
+// every pair stored twice and 15 with a fork per pair.
 func TestExhaustiveInferAllocatesOneDenseTable(t *testing.T) {
-	if tables, _ := denseTables(t, "SPARC", Options{Reps: 51, Parallelism: 1}); tables >= 2 {
-		t.Fatalf("inference allocated %.2f dense tables; the bound is 2", tables)
+	if tables, _ := denseTables(t, "SPARC", Options{Reps: 51, Parallelism: 1}); tables >= 1 {
+		t.Fatalf("inference allocated %.2f dense tables; the bound is 1", tables)
 	}
 }
 
-// TestPairAt: pairAt enumerates the pairs of the canonical (x, y) order.
+// TestPairAt: pairAt enumerates the pairs of the canonical (x, y) order,
+// which is a Table's storage order: slot i holds pair pairAt(n, i), every
+// pair reads the same both ways round and the diagonal reads 0.
 func TestPairAt(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 7, 40, 256, 1000} {
 		i := 0
@@ -293,12 +445,39 @@ func TestPairAt(t *testing.T) {
 			}
 		}
 	}
-	const n = 1 << 20 // the generator's context cap
-	last := n*(n-1)/2 - 1
-	for _, i := range []int{0, 1, n - 2, n - 1, last / 2, last - 1, last} {
-		x, y := pairAt(n, i)
-		if x < 0 || y <= x || y >= n || x*n-x*(x+1)/2+(y-x-1) != i {
-			t.Fatalf("pairAt(%d, %d) = (%d, %d)", n, i, x, y)
+	checkTable := func(n int) {
+		table := Table{n: n, v: make([]int64, n*(n-1)/2)}
+		for i := range table.v {
+			table.v[i] = int64(i) + 1
+		}
+		for i := range table.v {
+			if x, y := pairAt(n, i); table.slot(x, y) != i || table.At(x, y) != int64(i)+1 {
+				t.Fatalf("n=%d: pair %d = (%d, %d) is stored in slot %d", n, i, x, y, table.slot(x, y))
+			}
+		}
+		for x := 0; x < n; x++ {
+			if v := table.At(x, x); v != 0 {
+				t.Fatalf("n=%d: At(%d, %d) = %d", n, x, x, v)
+			}
+			for y := x + 1; y < n; y++ {
+				if table.At(x, y) != table.At(y, x) {
+					t.Fatalf("n=%d: At(%d, %d) = %d, At(%d, %d) = %d", n, x, y, table.At(x, y), y, x, table.At(y, x))
+				}
+			}
+		}
+	}
+	for n := 2; n <= 300; n++ {
+		checkTable(n)
+	}
+	checkTable(2048)
+	for _, n := range []int{1 << 14, 1 << 20} { // 1<<20 is the generator's context cap
+		table := Table{n: n}
+		last := n*(n-1)/2 - 1
+		for _, i := range []int{0, 1, n - 2, n - 1, last / 2, last - 1, last} {
+			x, y := pairAt(n, i)
+			if x < 0 || y <= x || y >= n || table.slot(x, y) != i {
+				t.Fatalf("pairAt(%d, %d) = (%d, %d), stored in slot %d", n, i, x, y, table.slot(x, y))
+			}
 		}
 	}
 }

@@ -15,12 +15,12 @@ import (
 // Shades are assigned per cluster, light to dark: '.' (self), then
 // ' ', '░', '▒', '▓', '█' in cluster order.
 func (r *Result) Heatmap() string {
-	if r.RawTable == nil {
+	n := r.RawTable.N()
+	if n == 0 {
 		return ""
 	}
 	shades := []rune{' ', '░', '▒', '▓', '█', '@', '#', '%'}
 	var b strings.Builder
-	n := len(r.RawTable)
 	fmt.Fprintf(&b, "%d x %d latency table, %d clusters:", n, n, len(r.Clusters))
 	for i, c := range r.Clusters {
 		fmt.Fprintf(&b, "  %c=%d", shades[min(i, len(shades)-1)], c.Median)
@@ -32,7 +32,7 @@ func (r *Result) Heatmap() string {
 				b.WriteByte('.')
 				continue
 			}
-			idx, ok := stats.Assign(r.Clusters, r.RawTable[i][j])
+			idx, ok := stats.Assign(r.Clusters, r.RawTable.At(i, j))
 			if !ok {
 				b.WriteByte('?')
 				continue
@@ -49,14 +49,15 @@ func (r *Result) Heatmap() string {
 // tool.
 func (r *Result) CSV() string {
 	var b strings.Builder
-	for i, row := range r.RawTable {
-		for j, v := range row {
+	n := r.RawTable.N()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			if j > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(&b, "%d", v)
+			fmt.Fprintf(&b, "%d", r.RawTable.At(i, j))
 		}
-		if i < len(r.RawTable)-1 {
+		if i < n-1 {
 			b.WriteByte('\n')
 		}
 	}

@@ -71,7 +71,7 @@ type Options struct {
 	// worker). The inferred topology is byte-identical for every value:
 	// each pair is measured on a worker's fork re-forked for it, whose
 	// noise stream depends only on (seed, x, y), and its median lands in
-	// its own cells of the table.
+	// its own slot of the table.
 	// Any other machine is measured with one worker, because its
 	// measurements would perturb each other.
 	Parallelism int
@@ -118,9 +118,9 @@ type Result struct {
 	// instead of probing for zeroed bandwidth fields.
 	Enriched bool
 
-	// RawTable is the N x N median latency table (step 1), the one dense
-	// table an inference holds.
-	RawTable [][]int64
+	// RawTable is the median latency table (step 1), the one table an
+	// inference holds: each context pair's median, stored once.
+	RawTable Table
 	// Clusters are the detected latency clusters, ascending (step 2). The
 	// normalized table of Figure 6 is RawTable read through them — every
 	// value counts as its cluster's median — and Heatmap renders it.
@@ -200,14 +200,14 @@ func InferContext(ctx context.Context, m machine.Machine, opt Options) (*Result,
 	}
 
 	// Step 3: component creation.
-	levels, sockGroups, sockTable, err := buildComponents(res.RawTable, lk, n, nodes)
+	levels, err := buildComponents(res.RawTable, lk, n, nodes)
 	if err != nil {
 		return nil, err
 	}
 	res.LevelGroups = levels
 
 	// Step 4: role assignment.
-	spec, err := assignRoles(m, res, levels, sockGroups, sockTable, nodes)
+	spec, err := assignRoles(m, res, lk, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -232,10 +232,7 @@ type pairFunc func(sc *scratch, x, y int) (int64, error)
 // threads it re-pins.
 func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Result) error {
 	n := m.NumHWContexts()
-	res.RawTable = make([][]int64, n)
-	for i := range res.RawTable {
-		res.RawTable[i] = make([]int64, n)
-	}
+	res.RawTable = Table{n: n, v: make([]int64, n*(n-1)/2)}
 
 	// The reported rdtsc overhead comes from the parent machine; every pair
 	// estimates and deducts its own.
@@ -269,10 +266,36 @@ func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Res
 	return c.measure(n*(n-1)/2, func(i int) (int, int) { return pairAt(n, i) })
 }
 
+// Table is a latency table over n contexts. Every table MCTOP-ALG handles
+// is symmetric with a zero diagonal, so a Table stores each pair once: slot
+// i of its n(n-1)/2 values holds pair pairAt(n, i).
+type Table struct {
+	n int
+	v []int64
+}
+
+// N returns the number of contexts.
+func (t Table) N() int { return t.n }
+
+// At returns the latency between contexts x and y, which is 0 for x == y.
+func (t Table) At(x, y int) int64 {
+	if x == y {
+		return 0
+	}
+	return t.v[t.slot(min(x, y), max(x, y))]
+}
+
+// slot is the index of pair (x, y), x < y: row x starts after the
+// (n-1) + (n-2) + ... + (n-x) pairs of the rows above it.
+func (t Table) slot(x, y int) int {
+	return x*t.n - x*(x+1)/2 + y - x - 1
+}
+
 // pairAt returns the i-th of the n(n-1)/2 context pairs of n contexts in
-// canonical (x, y) order, row x holding the pairs (x, y > x). Counted from
-// the end, the rows hold 1, 2, 3, ... pairs: the r-th pair from the end
-// lies in the j-th row from the end for j(j+1)/2 <= r < (j+1)(j+2)/2.
+// canonical (x, y) order, row x holding the pairs (x, y > x): the storage
+// order of a Table, and the exhaustive wave's. Counted from the end, the
+// rows hold 1, 2, 3, ... pairs: the r-th pair from the end lies in the
+// j-th row from the end for j(j+1)/2 <= r < (j+1)(j+2)/2.
 func pairAt(n, i int) (x, y int) {
 	r := n*(n-1)/2 - 1 - i
 	j := int((math.Sqrt(float64(8*r+1)) - 1) / 2)
@@ -291,7 +314,7 @@ func pairAt(n, i int) (x, y int) {
 // over the same measure. The workers only decide *when* a pair is
 // measured, never *what* it observes: on a Forker each pair's noise stream
 // is a pure function of (seed, x, y), every median lands in the pair's own
-// cells of the table and the counters are integer sums, so the resulting
+// slot of the table and the counters are integer sums, so the resulting
 // table — and hence the inferred topology — is byte-identical for every
 // Parallelism, including 1.
 type collector struct {
@@ -303,8 +326,8 @@ type collector struct {
 	workers int
 }
 
-// measure runs one wave of count pairs, the i-th being pairAt(i), over the
-// worker pool. Each worker owns one scratch — one fork on a Forker, one
+// measure runs one wave of count pairs, the i-th being pairAt(i) with
+// x < y, over the worker pool. Each worker owns one scratch — one fork on a Forker, one
 // sample buffer — for the whole wave, writes the medians it measures
 // straight into the table and sums its own counters, which are added to
 // the result once the wave is done. A failed wave returns the error of its
@@ -344,7 +367,7 @@ func (c *collector) measure(count int, pairAt func(i int) (x, y int)) error {
 					failed.Store(true)
 					return
 				}
-				tab[x][y], tab[y][x] = med, med
+				tab.v[tab.slot(x, y)] = med
 				sc.pairs++
 			}
 		}()
@@ -530,23 +553,21 @@ func widen(threshold float64) float64 {
 // buildComponents implements step 3: starting from singleton components,
 // repeatedly merge components connected at the next latency level, checking
 // the symmetry rules of Section 3.6, until components reach socket size
-// (#contexts / #nodes). It reads table through the clusters (lk), so
-// the raw table serves as step 2's normalized one. Returns the per-level
-// partitions, the socket-level partition and the reduced socket-to-socket
-// latency table. Every level's groups are ordered by their smallest context:
-// the singletons start that way, and groupAtLatency keeps it.
-func buildComponents(table [][]int64, lk *lookup, n, nodes int) (
-	levels [][][]int, sockGroups [][]int, sockTable [][]int64, err error) {
-
+// (#contexts / #nodes). It reads the raw table through the clusters (lk),
+// so the raw table serves as step 2's normalized one. Returns the per-level
+// partitions; the last is the socket level. Every level's groups are
+// ordered by their smallest context: the singletons start that way, and
+// groupAtLatency keeps it.
+func buildComponents(raw Table, lk *lookup, n, nodes int) (levels [][][]int, err error) {
 	if n%nodes != 0 {
-		return nil, nil, nil, clusterErr("%d contexts not divisible by %d nodes", n, nodes)
+		return nil, clusterErr("%d contexts not divisible by %d nodes", n, nodes)
 	}
 	ctxPerSocket := n / nodes
 	if ctxPerSocket < 2 {
-		return nil, nil, nil, clusterErr("sockets of %d context are not inferable", ctxPerSocket)
+		return nil, clusterErr("sockets of %d context are not inferable", ctxPerSocket)
 	}
 
-	// components[i] = sorted ctx ids; table = reduced latency table.
+	// components[i] = sorted ctx ids.
 	components := make([][]int, n)
 	for i := range components {
 		components[i] = []int{i}
@@ -558,22 +579,22 @@ func buildComponents(table [][]int64, lk *lookup, n, nodes int) (
 			break // socket level reached; remaining clusters are cross levels
 		}
 		if len(components[0]) > ctxPerSocket {
-			return nil, nil, nil, clusterErr(
+			return nil, clusterErr(
 				"components grew to %d contexts, past socket size %d", len(components[0]), ctxPerSocket)
 		}
-		components, table, err = groupAtLatency(components, table, lk, clusters[li].Median)
+		components, err = groupAtLatency(components, raw, lk, clusters[li].Median)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		levels = append(levels, components)
 	}
 
 	if len(components[0]) != ctxPerSocket {
-		return nil, nil, nil, clusterErr(
+		return nil, clusterErr(
 			"no level yields socket-sized components (%d contexts per node); got %d",
 			ctxPerSocket, len(components[0]))
 	}
-	return levels, components, table, nil
+	return levels, nil
 }
 
 // denseMin is the value range under which step 2 counts a table's values
@@ -582,8 +603,7 @@ const denseMin = 1 << 12
 
 // lookup reads latencies through step 2's clusters: medianOf(v) is the
 // median of the cluster stats.Assign gives v. The clusters partition the
-// off-diagonal values they were built from, and a median maps to itself,
-// so the raw table and every reduced one read the same way.
+// off-diagonal values they were built from, and a median maps to itself.
 type lookup struct {
 	clusters []stats.Triplet
 	// median[v-lo] is medianOf(v) for v in [lo, lo+len(median)): the whole
@@ -603,29 +623,21 @@ func (lk *lookup) medianOf(v int64) int64 {
 	return lk.clusters[i].Median
 }
 
-// clusterTable is step 2: it counts the table's off-diagonal values by
-// value and clusters that histogram (stats.ClusterBins), without a copy of
-// the values. A latency table's values are cycles a few thousand apart at
-// most, so they are counted in a dense array over their range, which then
+// clusterTable is step 2: it counts the table's values by value and
+// clusters that histogram (stats.ClusterBins), without a copy of the
+// values. A latency table's values are cycles a few thousand apart at most,
+// so they are counted in a dense array over their range, which then
 // becomes the lookup's median array; only a range wider than both the
 // value count and denseMin — a few values spread far apart — is counted in
 // a map, and read through stats.Assign.
-func clusterTable(table [][]int64) *lookup {
-	n := len(table)
-	lo, hi := table[0][1], table[0][1]
-	for i, row := range table {
-		for _, v := range row[i+1:] {
-			lo, hi = min(lo, v), max(hi, v)
-		}
-	}
+func clusterTable(table Table) *lookup {
+	lo, hi := slices.Min(table.v), slices.Max(table.v)
 	lk := &lookup{lo: lo}
 	var bins []stats.Bin
-	if span := uint64(hi - lo); span < uint64(max(n*(n-1)/2, denseMin)) {
+	if span := uint64(hi - lo); span < uint64(max(len(table.v), denseMin)) {
 		counts := make([]int64, span+1)
-		for i, row := range table {
-			for _, v := range row[i+1:] {
-				counts[v-lo]++
-			}
+		for _, v := range table.v {
+			counts[v-lo]++
 		}
 		for d, c := range counts {
 			if c > 0 {
@@ -641,10 +653,8 @@ func clusterTable(table [][]int64) *lookup {
 		return lk
 	}
 	counts := map[int64]int{}
-	for i, row := range table {
-		for _, v := range row[i+1:] {
-			counts[v]++
-		}
+	for _, v := range table.v {
+		counts[v]++
 	}
 	for v, c := range counts {
 		bins = append(bins, stats.Bin{Value: v, Count: c})
@@ -654,14 +664,16 @@ func clusterTable(table [][]int64) *lookup {
 	return lk
 }
 
-// groupAtLatency merges components communicating at exactly lat and reduces
-// the table, enforcing: every component joins exactly one group, groups are
-// uniform in size, groups are internally complete at lat, and members of a
-// group have identical latencies to every other group. Groups are numbered
-// by their smallest component, and the reduced table holds cluster medians.
-func groupAtLatency(components [][]int, table [][]int64, lk *lookup, lat int64) ([][]int, [][]int64, error) {
+// groupAtLatency merges components communicating at exactly lat, enforcing:
+// every component joins exactly one group, groups are uniform in size,
+// groups are internally complete at lat, and members of a group have
+// identical latencies to every other group. Two components communicate at
+// the cluster median of their smallest contexts' raw latency: by induction,
+// components are numbered by their smallest context and uniform to each
+// other, so that one read is what every pair of their contexts reads.
+func groupAtLatency(components [][]int, raw Table, lk *lookup, lat int64) ([][]int, error) {
 	k := len(components)
-	at := func(i, j int) int64 { return lk.medianOf(table[i][j]) }
+	at := func(i, j int) int64 { return lk.medianOf(raw.At(components[i][0], components[j][0])) }
 	// Union-find over components connected at lat.
 	parent := make([]int, k)
 	for i := range parent {
@@ -700,18 +712,18 @@ func groupAtLatency(components [][]int, table [][]int64, lk *lookup, lat int64) 
 
 	size := len(memberSets[0])
 	if size == 1 {
-		return nil, nil, clusterErr("latency level %d groups nothing", lat)
+		return nil, clusterErr("latency level %d groups nothing", lat)
 	}
 	for _, ms := range memberSets {
 		if len(ms) != size {
-			return nil, nil, clusterErr(
+			return nil, clusterErr(
 				"latency level %d produces groups of size %d and %d", lat, size, len(ms))
 		}
 		// Internal completeness: every pair inside the group must be lat.
 		for a := 0; a < len(ms); a++ {
 			for b := a + 1; b < len(ms); b++ {
 				if v := at(ms[a], ms[b]); v != lat {
-					return nil, nil, clusterErr(
+					return nil, clusterErr(
 						"components %d and %d grouped at level %d but communicate at %d",
 						ms[a], ms[b], lat, v)
 				}
@@ -719,26 +731,20 @@ func groupAtLatency(components [][]int, table [][]int64, lk *lookup, lat int64) 
 		}
 	}
 
-	// Reduce the table, verifying external uniformity.
+	// Verify external uniformity.
 	g := len(memberSets)
-	reduced := make([][]int64, g)
-	for i := range reduced {
-		reduced[i] = make([]int64, g)
-	}
 	for gi := 0; gi < g; gi++ {
 		for gj := gi + 1; gj < g; gj++ {
 			ref := at(memberSets[gi][0], memberSets[gj][0])
 			for _, a := range memberSets[gi] {
 				for _, b := range memberSets[gj] {
 					if v := at(a, b); v != ref {
-						return nil, nil, clusterErr(
+						return nil, clusterErr(
 							"group (%d,%d) has non-uniform external latency: %d vs %d",
 							gi, gj, v, ref)
 					}
 				}
 			}
-			reduced[gi][gj] = ref
-			reduced[gj][gi] = ref
 		}
 	}
 
@@ -750,50 +756,47 @@ func groupAtLatency(components [][]int, table [][]int64, lk *lookup, lat int64) 
 		}
 		sort.Ints(merged[gi])
 	}
-	return merged, reduced, nil
+	return merged, nil
 }
 
-// assignRoles implements step 4: detect SMT (deciding whether the first
-// level's components are cores), classify the socket level, turn remaining
-// clusters into cross-socket levels, and assign memory nodes to sockets.
-func assignRoles(m machine.Machine, res *Result,
-	levels [][][]int, sockGroups [][]int, socketLat [][]int64, nodes int) (*topo.Spec, error) {
-
+// assignRoles implements step 4 on step 3's res.LevelGroups: detect SMT
+// (deciding whether the first level's components are cores), classify the
+// socket level, turn remaining clusters into cross-socket levels, and
+// assign memory nodes to sockets.
+func assignRoles(m machine.Machine, res *Result, lk *lookup, nodes int) (*topo.Spec, error) {
 	n := m.NumHWContexts()
+	levels := res.LevelGroups
 
 	// SMT detection (Section 3.5): run the calibrated loop solo and then on
-	// the two contexts with minimum latency; SMT sharing dilates it.
-	res.SMT = false
+	// the two contexts with minimum latency — the first minimum in (x, y)
+	// order; SMT sharing dilates it. Step 3 found at least one level.
+	raw := res.RawTable.v
+	a, b := pairAt(n, slices.Index(raw, slices.Min(raw)))
+	ta, err := m.NewThread(a)
+	if err != nil {
+		return nil, err
+	}
+	tb, err := m.NewThread(b)
+	if err != nil {
+		return nil, err
+	}
+	machine.DVFSWait(m, ta)
+	machine.DVFSWait(m, tb)
+	solo := m.SpinSolo(ta, machine.SpinUnit)
+	d1, d2 := m.SpinTogether(ta, tb, machine.SpinUnit)
+	res.SMT = float64(max(d1, d2)) > 1.4*float64(solo)
 	res.SMTWays = 1
-	if len(levels) > 0 {
-		a, b := minLatencyPair(res.RawTable, n)
-		ta, err := m.NewThread(a)
-		if err != nil {
-			return nil, err
-		}
-		tb, err := m.NewThread(b)
-		if err != nil {
-			return nil, err
-		}
-		machine.DVFSWait(m, ta)
-		machine.DVFSWait(m, tb)
-		solo := m.SpinSolo(ta, machine.SpinUnit)
-		d1, d2 := m.SpinTogether(ta, tb, machine.SpinUnit)
-		together := d1
-		if d2 > together {
-			together = d2
-		}
-		if float64(together) > 1.4*float64(solo) {
-			res.SMT = true
-			res.SMTWays = len(levels[0][0])
-		}
+	if res.SMT {
+		res.SMTWays = len(levels[0][0])
 	}
 
 	// Cluster bookkeeping: which cluster fed which grouping level.
 	nGroupLevels := len(levels)
 	crossClusters := res.Clusters[nGroupLevels:]
 	// Socket ids are step 3's order of the socket groups, by smallest
-	// context, and socketLat is its last reduced table.
+	// context; the intra-socket latency is the diagonal.
+	sockGroups := levels[nGroupLevels-1]
+	socketLat := socketLatencies(res.RawTable, lk, sockGroups, res.Clusters[nGroupLevels-1].Median)
 	nS := len(sockGroups)
 
 	// Validate: every cross latency belongs to a cross cluster.
@@ -836,12 +839,6 @@ func assignRoles(m machine.Machine, res *Result,
 			Min: c.Min, Median: c.Median, Max: c.Max,
 		})
 	}
-	// Intra-socket latency on the diagonal.
-	intra := specLevels[nGroupLevels-1].Median
-	for i := 0; i < nS; i++ {
-		socketLat[i][i] = intra
-	}
-
 	// Node assignment: measure which node each socket reaches fastest —
 	// this is how MCTOP gets the mapping right when the OS has it wrong
 	// (footnote 1). Fall back to identity without a memory prober.
@@ -900,18 +897,17 @@ func assignRoles(m machine.Machine, res *Result,
 	return spec, nil
 }
 
-// minLatencyPair returns the context pair with the smallest non-zero raw
-// latency.
-func minLatencyPair(table [][]int64, n int) (int, int) {
-	ba, bb := 0, 1
-	best := table[0][1]
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if table[i][j] < best {
-				best = table[i][j]
-				ba, bb = i, j
-			}
+// socketLatencies is the socket-to-socket latency matrix of step 4: the
+// cluster median of two socket groups' smallest contexts' raw latency, the
+// value step 3 grouped them by, and intra on the diagonal.
+func socketLatencies(raw Table, lk *lookup, sockGroups [][]int, intra int64) [][]int64 {
+	lat := make([][]int64, len(sockGroups))
+	for i, gi := range sockGroups {
+		lat[i] = make([]int64, len(sockGroups))
+		for j, gj := range sockGroups {
+			lat[i][j] = lk.medianOf(raw.At(gi[0], gj[0]))
 		}
+		lat[i][i] = intra
 	}
-	return ba, bb
+	return lat
 }

@@ -99,8 +99,8 @@ func TestIvyPipelineStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.RawTable) != 40 {
-		t.Fatalf("raw table is %dx?", len(res.RawTable))
+	if res.RawTable.N() != 40 {
+		t.Fatalf("raw table is %dx?", res.RawTable.N())
 	}
 	if res.Pairs != 40*39/2 {
 		t.Errorf("measured %d pairs, want %d", res.Pairs, 40*39/2)
@@ -122,30 +122,31 @@ func TestIvyPipelineStages(t *testing.T) {
 	}
 	// The raw table must show the heat-map structure: ctx 0 vs 20 in the
 	// SMT cluster, 0 vs 1 intra, 0 vs 10 cross.
-	if v := res.RawTable[0][20]; !res.Clusters[0].Contains(v) {
+	if v := res.RawTable.At(0, 20); !res.Clusters[0].Contains(v) {
 		t.Errorf("raw[0][20] = %d not in SMT cluster", v)
 	}
-	if v := res.RawTable[0][1]; !res.Clusters[1].Contains(v) {
+	if v := res.RawTable.At(0, 1); !res.Clusters[1].Contains(v) {
 		t.Errorf("raw[0][1] = %d not in intra cluster", v)
 	}
-	if v := res.RawTable[0][10]; !res.Clusters[2].Contains(v) {
+	if v := res.RawTable.At(0, 10); !res.Clusters[2].Contains(v) {
 		t.Errorf("raw[0][10] = %d not in cross cluster", v)
 	}
 	// The clusters partition the symmetric raw table's off-diagonal values,
 	// so steps 3 and 4 can read each value as its cluster's median.
-	for i := range res.RawTable {
-		for j := range res.RawTable[i] {
-			if res.RawTable[i][j] != res.RawTable[j][i] {
+	for i := 0; i < res.RawTable.N(); i++ {
+		for j := 0; j < res.RawTable.N(); j++ {
+			v := res.RawTable.At(i, j)
+			if v != res.RawTable.At(j, i) {
 				t.Fatalf("raw table asymmetric at (%d,%d)", i, j)
 			}
 			in := 0
 			for _, c := range res.Clusters {
-				if c.Contains(res.RawTable[i][j]) {
+				if c.Contains(v) {
 					in++
 				}
 			}
 			if i != j && in != 1 {
-				t.Fatalf("raw[%d][%d] = %d lies in %d clusters, want 1", i, j, res.RawTable[i][j], in)
+				t.Fatalf("raw[%d][%d] = %d lies in %d clusters, want 1", i, j, v, in)
 			}
 		}
 	}

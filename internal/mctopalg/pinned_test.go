@@ -8,14 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-// rawTableHash is the FNV-1a of a latency table's entries, row-major, each
-// as eight little-endian bytes.
-func rawTableHash(tab [][]int64) uint64 {
+// rawTableHash is the FNV-1a of a latency table's n×n entries, row-major
+// and the diagonal included, each as eight little-endian bytes.
+func rawTableHash(tab Table) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	for _, row := range tab {
-		for _, v := range row {
-			binary.LittleEndian.PutUint64(b[:], uint64(v))
+	for x := 0; x < tab.N(); x++ {
+		for y := 0; y < tab.N(); y++ {
+			binary.LittleEndian.PutUint64(b[:], uint64(tab.At(x, y)))
 			h.Write(b[:])
 		}
 	}

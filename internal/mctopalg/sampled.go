@@ -148,7 +148,7 @@ func (bl classBlock) appendPairs(dst []ctxPair, idx []int) []ctxPair {
 
 // measureSampled is collectTable's sampled plan: it fills
 // res.RawTable measuring only a subset of pairs (see the package comment
-// above), every measured wave through c.measure. An unmeasured entry is 0
+// above), every measured wave through c.measure. An unmeasured pair is 0
 // until filled; measured medians are always >= 1.
 func (c *collector) measureSampled(n int) error {
 	ctx, res := c.ctx, c.res
@@ -203,7 +203,7 @@ func (c *collector) measureSampled(n int) error {
 		}
 		sigb.Reset()
 		for _, p := range pilots {
-			sigb.WriteString(strconv.FormatInt(tab[x][p], 10))
+			sigb.WriteString(strconv.FormatInt(tab.At(x, p), 10))
 			sigb.WriteByte(',')
 		}
 		sig := sigb.String()
@@ -222,7 +222,7 @@ func (c *collector) measureSampled(n int) error {
 	distinct := make([]int64, 0, 64)
 	seen := map[int64]bool{}
 	for _, p := range wave1 {
-		if v := tab[p.x][p.y]; !seen[v] {
+		if v := tab.At(int(p.x), int(p.y)); !seen[v] {
 			seen[v] = true
 			distinct = append(distinct, v)
 		}
@@ -289,10 +289,10 @@ func (c *collector) measureSampled(n int) error {
 	var wave3 []ctxPair
 	for bi, b := range verified {
 		probes := wave2[probesAt+bi*(V+1) : probesAt+(bi+1)*(V+1)]
-		rep := tab[probes[0].x][probes[0].y]
+		rep := tab.At(int(probes[0].x), int(probes[0].y))
 		agree := true
 		for _, p := range probes[1:] {
-			if tab[p.x][p.y] != rep {
+			if tab.At(int(p.x), int(p.y)) != rep {
 				agree = false
 				break
 			}
@@ -301,12 +301,11 @@ func (c *collector) measureSampled(n int) error {
 			res.FallbackBlocks++
 		}
 		block(b[0], b[1]).rows(func(x int, ys []int) {
-			row := tab[x]
 			for _, y := range ys {
-				switch {
-				case row[y] != 0:
+				switch s := tab.slot(x, y); {
+				case tab.v[s] != 0:
 				case agree:
-					row[y], tab[y][x] = rep, rep
+					tab.v[s] = rep
 					res.FilledPairs++
 				default:
 					wave3 = append(wave3, ctxPair{int32(x), int32(y)})
@@ -323,13 +322,10 @@ func (c *collector) measureSampled(n int) error {
 	}
 	fillSpan.End()
 
-	// Every off-diagonal entry must now be measured or filled.
-	for x := 0; x < n-1; x++ {
-		for y := x + 1; y < n; y++ {
-			if tab[x][y] == 0 {
-				return fmt.Errorf("mctopalg: internal error: sampled measurement left pair (%d,%d) unset", x, y)
-			}
-		}
+	// Every pair must now be measured or filled.
+	if i := slices.Index(tab.v, 0); i >= 0 {
+		x, y := pairAt(n, i)
+		return fmt.Errorf("mctopalg: internal error: sampled measurement left pair (%d,%d) unset", x, y)
 	}
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 // clusterTableReference is step 2 as it was before it clustered a
 // histogram: the table's off-diagonal values copied out and clustered by
 // stats.Cluster.
-func clusterTableReference(table [][]int64) []stats.Triplet {
+func clusterTableReference(table Table) []stats.Triplet {
 	return stats.Cluster(offDiagonal(table), clusterGaps)
 }
 
@@ -26,7 +26,7 @@ func medianOfReference(clusters []stats.Triplet, v int64) int64 {
 // the same clusters, and the same median for every off-diagonal value,
 // for every cluster's median and for every value from one gap below the
 // smallest to one gap past the largest.
-func checkClusterTable(t *testing.T, name string, table [][]int64) *lookup {
+func checkClusterTable(t *testing.T, name string, table Table) *lookup {
 	t.Helper()
 	lk := clusterTable(table)
 	want := clusterTableReference(table)
@@ -38,12 +38,8 @@ func checkClusterTable(t *testing.T, name string, table [][]int64) *lookup {
 			t.Fatalf("%s: medianOf(%d) = %d, reference %d", name, v, got, ref)
 		}
 	}
-	for i, row := range table {
-		for j, v := range row {
-			if i != j {
-				read(v)
-			}
-		}
+	for _, v := range offDiagonal(table) {
+		read(v)
 	}
 	for _, c := range want {
 		read(c.Median)

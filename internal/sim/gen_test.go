@@ -247,21 +247,30 @@ func TestGenMatrixCap(t *testing.T) {
 	}
 }
 
+// raceBuild is set by race_test.go in a -race build.
+var raceBuild bool
+
 // TestGenerateAllocs pins what generating a 1024-socket ring allocates: a
 // BFS queue that grows on its pushes would add about a million. Collection
 // stays off for the two builds measured (about 84 MB): a cycle the 42 MB
-// build triggers adds one or two allocations of its own.
+// build triggers adds one or two allocations of its own. A -race build
+// only logs the count: there sync.Pool drops a random quarter of what is
+// put back, so the printer GenSpec.Name takes from fmt's pool is now and
+// then a new one, and the count reads 6164 (the printer and its buffer's
+// two growths).
 func TestGenerateAllocs(t *testing.T) {
 	spec, err := ParseGenName("gen:ring:s1024:c1:t2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if got, want := testing.AllocsPerRun(1, func() {
+	got := testing.AllocsPerRun(1, func() {
 		if _, err := Generate(spec); err != nil {
 			t.Fatal(err)
 		}
-	}), 6161.0; got != want {
+	})
+	t.Logf("Generate(%s): %v allocations", spec.Name(), got)
+	if want := 6161.0; !raceBuild && got != want {
 		t.Errorf("Generate(%s) allocates %v times, want %v", spec.Name(), got, want)
 	}
 }

@@ -101,9 +101,11 @@ type Topology = topo.Topology
 type Placement = place.Placement
 
 // InferResult carries an inference's topology and the intermediate
-// artifacts of the algorithm's four steps. Figure 6's normalized table is
-// not one of them: it is RawTable read through Clusters, which Heatmap
-// renders.
+// artifacts of the algorithm's four steps. Its RawTable stores each context
+// pair's median once: RawTable.N() is the context count and
+// RawTable.At(x, y) a pair's latency, 0 on the diagonal; CSV prints it as
+// Figure 6's n×n table. Figure 6's normalized table is not an artifact: it
+// is RawTable read through Clusters, which Heatmap renders.
 type InferResult = mctopalg.Result
 
 // Platforms lists the names of the five simulated machines of the paper's
