@@ -117,3 +117,25 @@ func TestInapplicableFlagsAreUsageErrors(t *testing.T) {
 		t.Errorf("plain -load: exit %d, stderr %q, stdout %q", exit, stderr, out)
 	}
 }
+
+// TestPlaceRefusesSMTTheCoresContradict: a description whose smt line
+// disagrees with its cores (SPARC's cores of 8 contexts, declared smt 2)
+// used to load, and RR_CORE then placed 64 of the 256 contexts and exited 0.
+func TestPlaceRefusesSMTTheCoresContradict(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "topo", "testdata", "sparc.mctop"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(data), "\nsmt 8\n", "\nsmt 2\n", 1)
+	if edited == string(data) {
+		t.Fatal("sparc.mctop has no smt 8 line")
+	}
+	file := filepath.Join(t.TempDir(), "sparc-smt2.mctop")
+	if err := os.WriteFile(file, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, stderr, exit := run(t, "place", "-load", file, "-policy", "RR_CORE")
+	if exit == 0 || !strings.Contains(stderr, "smt 2") || !strings.Contains(stderr, "8 contexts") {
+		t.Errorf("exit %d, stderr %q, stdout:\n%s\nwant a failure naming smt 2 and cores of 8 contexts", exit, stderr, out)
+	}
+}

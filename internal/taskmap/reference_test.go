@@ -4,9 +4,8 @@ package taskmap
 // pre-change pricer, greedy, refine, Map and BruteForce, renamed with a ref
 // prefix.
 // Kept as the reference the incremental mapper is property-tested against
-// (TestMapMatchesReference), like topo's getLatencyWalk and place's
-// powerOrderScan. Only graph.TaskDAG.Preds, deleted with the change, is
-// inlined as refPreds.
+// (TestMapMatchesReference), like place's powerOrderScan. Only
+// graph.TaskDAG.Preds, deleted with the change, is inlined as refPreds.
 
 import (
 	"context"

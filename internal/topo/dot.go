@@ -117,7 +117,7 @@ func inLowestCross(cross []Level, lat int64) bool {
 func (t *Topology) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "MCTOP %s: %d contexts, %d cores, %d sockets, %d nodes, SMT=%d\n",
-		t.name, t.NumHWContexts(), t.NumCores(), t.NumSockets(), t.NumNodes(), t.smtWays)
+		t.spec.Name, t.NumHWContexts(), t.NumCores(), t.NumSockets(), t.NumNodes(), t.spec.SMTWays)
 	for i, l := range t.spec.Levels {
 		fmt.Fprintf(&b, "  level %d (%s %q): lat %d [%d..%d]",
 			i+1, l.Kind, l.Name, l.Median, l.Min, l.Max)

@@ -10,7 +10,7 @@ import (
 // queryIndex is the immutable, precomputed query layer of a Topology. The
 // paper's pitch is that MCTOP queries are cheap enough to sit inside runtime
 // policies (lock backoff quanta, placement builds); re-deriving answers
-// from the group tree on every call is not.
+// from the level partitions on every call is not.
 // The index is built once per topology — lazily, on the first query that
 // needs it — and turns the hot paths into array lookups. Like the paper's
 // mctopo_t, which keeps one latency per level and a socket-pair table, it
@@ -148,9 +148,9 @@ func (t *Topology) BuildMemoOrder(slot int, build func(t *Topology, slot int) []
 }
 
 // buildIndex precomputes every memoized structure. The latency layout is
-// property-tested against getLatencyWalk, and the rest is built from the
-// slow reference implementations, so the indexed hot paths are equal to the
-// pre-index ones (index_test.go).
+// property-tested against the latencies the spec gives (oracle_test.go),
+// and the rest is built from the slow reference implementations, so the
+// indexed hot paths are equal to the pre-index ones (index_test.go).
 func buildIndex(t *Topology) *queryIndex {
 	n, nS := len(t.contexts), len(t.sockets)
 	idx := &queryIndex{
@@ -185,109 +185,79 @@ func buildIndex(t *Topology) *queryIndex {
 	return idx
 }
 
-// contextPaths lays out each socket's group tree as the contexts' paths
-// (see queryIndex) and returns the contexts' keys, filling within for the
-// bit lengths of the paths' differences.
+// contextPaths lays out the contexts' paths (see queryIndex) straight from
+// the spec's level partitions and returns the contexts' keys, filling within
+// for the bit lengths of the paths' differences.
 //
-// The levels of the layout are the chain of groups from a core up to its
-// socket, which is the chain getLatencyWalk climbs: the core groups of an
-// SMT machine and the grouped levels above them, or only the synthesized
-// single-context cores of a machine without SMT, whose parent is the
-// socket. A field is as wide as its largest index; the widths add up to
-// at most twice log₂ of the contexts per socket, so a path fits a word.
+// A path's lowest field is the context's index within its core. Above it
+// come the cores, then every grouped level above them up to the socket —
+// level 0 too on a machine without SMT, whose cores are synthesized — each
+// field holding the index of the context's group among its parent's
+// children, counted by smallest context. A field is as wide as its largest
+// index; the widths add up to at most twice log₂ of the contexts per
+// socket, so a path fits a word.
 func (t *Topology) contextPaths(within *[65]int64) []ctxKey {
-	chain := [][]*HWCGroup{t.cores}
-	for g := t.cores[0]; g.Parent != &g.Socket.HWCGroup; g = g.Parent {
-		chain = append(chain, t.groups[g.Parent.Level])
-	}
-	// local[l][g.ID] is level-l group g's index among its parent's
-	// children, counted in id order. Level l's field starts at bit off[l],
-	// above the index within a core at bit 0.
-	local := make([][]uint32, len(chain))
-	off := make([]uint, len(chain)+1)
+	n, nS := len(t.contexts), len(t.sockets)
+	keys := make([]ctxKey, n)
 	var inCore int
-	for _, c := range t.cores {
-		inCore = max(inCore, len(c.Contexts)-1)
-	}
-	off[0] = uint(bits.Len(uint(inCore)))
-	for l, groups := range chain {
-		parents := len(t.sockets)
-		if l+1 < len(chain) {
-			parents = len(chain[l+1])
-		}
-		next := make([]uint32, parents)
-		local[l] = make([]uint32, len(groups))
-		var top uint32
-		for _, g := range groups {
-			local[l][g.ID] = next[g.Parent.ID]
-			top = max(top, next[g.Parent.ID])
-			next[g.Parent.ID]++
-		}
-		off[l+1] = off[l] + uint(bits.Len32(top))
-	}
-
-	keys := make([]ctxKey, len(t.contexts))
 	for _, core := range t.cores {
-		var p uint64
-		for l, g := 0, core; l < len(chain); l, g = l+1, g.Parent {
-			p |= uint64(local[l][g.ID]) << off[l]
-		}
 		s := core.Socket.ID
 		for i, c := range core.Contexts {
-			keys[c.ID] = ctxKey{path: p | uint64(i), row: int32(s * len(t.sockets)), socket: int32(s)}
+			keys[c.ID] = ctxKey{path: uint64(i), row: int32(s * nS), socket: int32(s)}
 		}
+		inCore = max(inCore, len(core.Contexts)-1)
+	}
+	// Two contexts of one core communicate at the core's latency.
+	off := uint(bits.Len(uint(inCore)))
+	for b := uint(0); b < off; b++ {
+		within[b+1] = t.cores[0].Latency
 	}
 
-	// A difference within a core's field is the core's latency (0 for a
-	// synthesized core, which holds one context); within level l's field,
-	// the latency of the parent the two level-l groups share.
-	for b := uint(0); b < off[0]; b++ {
-		within[b+1] = max(t.cores[0].Latency, 0)
+	// The levels above the cores: from level 1 when level 0's groups are
+	// the cores, else from level 0, up to the socket level.
+	levels := t.spec.Levels
+	first, si := 0, t.spec.socketLevelIdx()
+	if t.spec.SMTWays > 1 && si > 0 {
+		first = 1
 	}
-	for l := range chain {
-		parent := t.sockets[0].Latency
-		if l+1 < len(chain) {
-			parent = chain[l+1][0].Latency
+	// group[ctx] is ctx's group in the partition whose field is being laid
+	// out, parent[ctx] its group in the level above, whose latency two
+	// contexts that differ in the field communicate at.
+	group, parent := make([]int32, n), make([]int32, n)
+	for i, c := range t.contexts {
+		group[i] = int32(c.Core.ID)
+	}
+	nGroups := len(t.cores)
+	for l := first; l <= si; l++ {
+		for gi, g := range levels[l].Groups {
+			for _, ctx := range g {
+				parent[ctx] = int32(gi)
+			}
 		}
-		for b := off[l]; b < off[l+1]; b++ {
-			within[b+1] = parent
+		// local[g] is group g's index among its parent's children, set
+		// at its smallest context.
+		local := make([]int32, nGroups)
+		children := make([]int32, len(levels[l].Groups))
+		for g := range local {
+			local[g] = -1
 		}
+		var top int32
+		for ctx, g := range group {
+			if local[g] < 0 {
+				local[g] = children[parent[ctx]]
+				children[parent[ctx]]++
+				top = max(top, local[g])
+			}
+			keys[ctx].path |= uint64(local[g]) << off
+		}
+		width := uint(bits.Len32(uint32(top)))
+		for b := off; b < off+width; b++ {
+			within[b+1] = levels[l].Median
+		}
+		off += width
+		group, parent, nGroups = parent, group, len(levels[l].Groups)
 	}
 	return keys
-}
-
-// getLatencyWalk is the pre-index GetLatency: it walks the group tree to the
-// lowest common group of the two contexts. Kept as the reference the index
-// is built from and property-tested against.
-func (t *Topology) getLatencyWalk(x, y int) int64 {
-	if x == y {
-		return 0
-	}
-	cx, cy := t.Context(x), t.Context(y)
-	if cx == nil || cy == nil {
-		return -1
-	}
-	if cx.Socket != cy.Socket {
-		return t.spec.SocketLat[cx.Socket.ID][cy.Socket.ID]
-	}
-	// Lowest common group: walk up from the core.
-	gx, gy := cx.Core, cy.Core
-	if gx == gy {
-		if gx.Latency > 0 {
-			return gx.Latency
-		}
-		return 0 // synthesized single-context core
-	}
-	for gx != nil && gy != nil {
-		if gx.Parent == gy.Parent {
-			if gx.Parent != nil {
-				return gx.Parent.Latency
-			}
-			break
-		}
-		gx, gy = gx.Parent, gy.Parent
-	}
-	return cx.Socket.Latency
 }
 
 // maxLatencyScan is the pre-index MaxLatency: a scan over the socket matrix

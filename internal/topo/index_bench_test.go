@@ -1,10 +1,10 @@
 package topo
 
-// BenchmarkQueryIndex_* measure the precomputed query index against the
-// pre-index tree-walk/sort implementations it replaced (kept in index.go as
-// the reference). The *Preindex variants are the old cost; the headline
-// acceptance numbers are GetLatency and MaxLatencyBetween at 64 contexts on
-// the 8-socket Westmere (the paper's largest x86 machine).
+// BenchmarkQueryIndex_* measure the precomputed query index, and the
+// *Preindex variants the pre-index map and sort implementations it replaced
+// (kept as the references). The headline numbers are GetLatency and
+// MaxLatencyBetween at 64 contexts on the 8-socket Westmere (the paper's
+// largest x86 machine).
 
 import (
 	"path/filepath"
@@ -20,10 +20,8 @@ func benchGolden(b *testing.B, file string) *Topology {
 	return top
 }
 
-// benchPairs pre-generates a 50/50 mix of intra-socket pairs (where the
-// pre-index implementation walks the group tree) and cross-socket pairs
-// (where it exits early), so the timed loop is lookups, not index
-// arithmetic.
+// benchPairs pre-generates a 50/50 mix of intra-socket and cross-socket
+// pairs, so the timed loop is lookups, not index arithmetic.
 func benchPairs(top *Topology) [][2]int {
 	n := top.NumHWContexts()
 	perSocket := n / top.NumSockets()
@@ -52,18 +50,6 @@ func BenchmarkQueryIndex_GetLatency(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkQueryIndex_GetLatencyPreindex(b *testing.B) {
-	top := benchGolden(b, "sparc.mctop")
-	pairs := benchPairs(top)
-	b.ResetTimer()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		p := pairs[i&1023]
-		sink += top.getLatencyWalk(p[0], p[1])
-	}
-	_ = sink
-}
-
 // benchCtxs64 is the 64-participant set of the MaxLatencyBetween headline:
 // every 2nd context of the 160-context Westmere, spanning all 8 sockets.
 func benchCtxs64(top *Topology) []int {
@@ -82,17 +68,6 @@ func BenchmarkQueryIndex_MaxLatencyBetween64(b *testing.B) {
 	var sink int64
 	for i := 0; i < b.N; i++ {
 		sink += top.MaxLatencyBetween(ctxs)
-	}
-	_ = sink
-}
-
-func BenchmarkQueryIndex_MaxLatencyBetween64Preindex(b *testing.B) {
-	top := benchGolden(b, "westmere.mctop")
-	ctxs := benchCtxs64(top)
-	b.ResetTimer()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += top.maxLatencyBetweenWalk(ctxs)
 	}
 	_ = sink
 }

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -146,7 +147,7 @@ func TestIndexConcurrentFirstUse(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 100; i++ {
 				x, y := rng.Intn(n), rng.Intn(n)
-				if got, want := top.GetLatency(x, y), top.getLatencyWalk(x, y); got != want {
+				if got, want := top.GetLatency(x, y), specLatency(&top.spec, x, y); got != want {
 					t.Errorf("GetLatency(%d, %d) = %d, want %d", x, y, got, want)
 					return
 				}
@@ -171,13 +172,38 @@ func TestSocketGetCoresForeignSocket(t *testing.T) {
 	}
 }
 
-// maxLatencyBetweenWalk is the pre-index MaxLatencyBetween: O(k²) group-tree
-// walks. Reference implementation for the property tests.
-func (t *Topology) maxLatencyBetweenWalk(ctxs []int) int64 {
+// specLatency is the latency the spec gives two contexts, read from its
+// partitions alone: 0 for a context with itself, -1 for an unknown one, the
+// socket matrix across sockets, and otherwise the median of the lowest
+// grouped level with a group that holds both. It is the reference every
+// latency query of the index is checked against.
+func specLatency(spec *Spec, x, y int) int64 {
+	if x == y {
+		return 0
+	}
+	if uint(x) >= uint(spec.Contexts) || uint(y) >= uint(spec.Contexts) {
+		return -1
+	}
+	for _, l := range spec.Levels {
+		for _, g := range l.Groups {
+			if slices.Contains(g, x) && slices.Contains(g, y) {
+				return l.Median
+			}
+		}
+	}
+	socketOf := func(ctx int) int {
+		return slices.IndexFunc(spec.Levels[spec.socketLevelIdx()].Groups, func(g []int) bool { return slices.Contains(g, ctx) })
+	}
+	return spec.SocketLat[socketOf(x)][socketOf(y)]
+}
+
+// maxLatencyBetweenPairs is the pre-index MaxLatencyBetween: the maximum of
+// lat, a reference latency, over every pair of ctxs.
+func maxLatencyBetweenPairs(lat func(x, y int) int64, ctxs []int) int64 {
 	var max int64
 	for i := 0; i < len(ctxs); i++ {
 		for j := i + 1; j < len(ctxs); j++ {
-			if l := t.getLatencyWalk(ctxs[i], ctxs[j]); l > max {
+			if l := lat(ctxs[i], ctxs[j]); l > max {
 				max = l
 			}
 		}

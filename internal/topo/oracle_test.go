@@ -2,11 +2,12 @@ package topo_test
 
 // Oracle tests for the latency queries of the query index: GetLatency,
 // FoldArrivals, MaxLatencyBetween, ContextsByLatencyFrom, MaxLatency and
-// Occupancy.MaxLatency must equal the pre-index references — the group-tree
-// walk and the scans built on it — on the five golden platforms, on
-// generated platforms inferred at low repetitions, and on hand-built specs
-// with grouped levels between core and socket. The index changes cost,
-// never results.
+// Occupancy.MaxLatency must equal the references — the latency the spec
+// gives each pair (SpecLatency) and the scans built on it — on the five
+// golden platforms, on generated platforms inferred at low repetitions, and
+// on hand-built specs with grouped levels between core and socket, with and
+// without SMT. The index changes cost, never results. The tests' names say
+// "Walk" after the group-tree walk, the reference before the spec.
 
 import (
 	"context"
@@ -29,6 +30,27 @@ import (
 type oracleTopology struct {
 	name string
 	top  *topo.Topology
+	lat  func(x, y int) int64
+}
+
+// specLatencies tabulates SpecLatency over a topology's known contexts once,
+// so the oracle's many queries cost a lookup each; unknown ids read
+// SpecLatency itself.
+func specLatencies(top *topo.Topology) func(x, y int) int64 {
+	spec := top.Spec()
+	n := spec.Contexts
+	table := make([]int64, n*n)
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			table[x*n+y] = topo.SpecLatency(&spec, x, y)
+		}
+	}
+	return func(x, y int) int64 {
+		if uint(x) < uint(n) && uint(y) < uint(n) {
+			return table[x*n+y]
+		}
+		return topo.SpecLatency(&spec, x, y)
+	}
 }
 
 // oracleTopologies are built once per test binary: inferring the generated
@@ -40,7 +62,7 @@ var oracleTopologies = sync.OnceValues(func() ([]oracleTopology, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, oracleTopology{file, top})
+		out = append(out, oracleTopology{file, top, specLatencies(top)})
 	}
 	for _, platform := range []string{"gen:mesh:s4:c8:t2", "gen:ring:s6:c2:t2", "gen:circulant:s16:c4:t2"} {
 		p, err := sim.ByName(platform)
@@ -55,7 +77,7 @@ var oracleTopologies = sync.OnceValues(func() ([]oracleTopology, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", platform, err)
 		}
-		out = append(out, oracleTopology{strings.ReplaceAll(platform, ":", "-"), res.Topology})
+		out = append(out, oracleTopology{strings.ReplaceAll(platform, ":", "-"), res.Topology, specLatencies(res.Topology)})
 	}
 	for _, s := range []struct {
 		name                         string
@@ -65,25 +87,28 @@ var oracleTopologies = sync.OnceValues(func() ([]oracleTopology, error) {
 		{"groups-3-6", 3, 18, 2, []int{3, 6}}, // core, two group levels, socket
 		{"groups-smt4", 2, 8, 4, []int{2}},
 		{"groups-no-smt", 2, 12, 1, []int{4}}, // synthesized cores under a group level
+		{"groups-no-smt-2-6", 3, 12, 1, []int{2, 6}},
 		{"one-socket", 1, 6, 2, []int{3}},
 	} {
 		top, err := topo.FromSpec(topo.TreeSpec(s.name, s.sockets, s.coresPerSocket, s.smt, s.groupCores))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.name, err)
 		}
-		out = append(out, oracleTopology{s.name, top})
+		out = append(out, oracleTopology{s.name, top, specLatencies(top)})
 	}
 	return out, nil
 })
 
-func forEachOracleTopology(t *testing.T, f func(t *testing.T, top *topo.Topology)) {
+// forEachOracleTopology runs f on every oracle topology with its reference
+// latency.
+func forEachOracleTopology(t *testing.T, f func(t *testing.T, top *topo.Topology, lat func(x, y int) int64)) {
 	t.Helper()
 	tops, err := oracleTopologies()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range tops {
-		t.Run(o.name, func(t *testing.T) { f(t, o.top) })
+		t.Run(o.name, func(t *testing.T) { f(t, o.top, o.lat) })
 	}
 }
 
@@ -106,12 +131,12 @@ func idLists(rng *rand.Rand, n int) [][]int {
 }
 
 func TestIndexGetLatencyMatchesWalk(t *testing.T) {
-	forEachOracleTopology(t, func(t *testing.T, top *topo.Topology) {
+	forEachOracleTopology(t, func(t *testing.T, top *topo.Topology, lat func(x, y int) int64) {
 		n := top.NumHWContexts()
 		for x := -2; x < n+2; x++ {
 			for y := -2; y < n+2; y++ {
-				if got, want := top.GetLatency(x, y), top.GetLatencyWalk(x, y); got != want {
-					t.Fatalf("GetLatency(%d, %d) = %d, walk = %d", x, y, got, want)
+				if got, want := top.GetLatency(x, y), lat(x, y); got != want {
+					t.Fatalf("GetLatency(%d, %d) = %d, spec = %d", x, y, got, want)
 				}
 			}
 		}
@@ -119,7 +144,7 @@ func TestIndexGetLatencyMatchesWalk(t *testing.T) {
 }
 
 // TestLatenciesFromMatchesGetLatency: the latencies FoldArrivals charges
-// from one context equal the walk element by element, for every source id,
+// from one context equal the spec's element by element, for every source id,
 // unknown ones included, over candidate lists with unknown and repeated
 // ids. A fold of one cache line sent at time 0 onto starts of MinInt64
 // leaves exactly the latencies; a fold at a random time and volume onto
@@ -127,7 +152,7 @@ func TestIndexGetLatencyMatchesWalk(t *testing.T) {
 // lowest index of the earliest start.
 func TestLatenciesFromMatchesGetLatency(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	forEachOracleTopology(t, func(t *testing.T, top *topo.Topology) {
+	forEachOracleTopology(t, func(t *testing.T, top *topo.Topology, lat func(x, y int) int64) {
 		n := top.NumHWContexts()
 		lists := idLists(rng, n)
 		for x := -2; x < n+2; x++ {
@@ -138,8 +163,8 @@ func TestLatenciesFromMatchesGetLatency(t *testing.T) {
 				}
 				top.FoldArrivals(x, 0, 1, ctxs, start)
 				for i, c := range ctxs {
-					if got, want := start[i], top.GetLatencyWalk(x, c); got != want {
-						t.Fatalf("FoldArrivals(%d) latency [%d] (ctx %d) = %d, walk = %d", x, i, c, got, want)
+					if got, want := start[i], lat(x, c); got != want {
+						t.Fatalf("FoldArrivals(%d) latency [%d] (ctx %d) = %d, spec = %d", x, i, c, got, want)
 					}
 				}
 				at, lines := rng.Int63n(1000), rng.Int63n(20)
@@ -147,7 +172,7 @@ func TestLatenciesFromMatchesGetLatency(t *testing.T) {
 				best := 0
 				for i, c := range ctxs {
 					start[i] = rng.Int63n(3000)
-					want[i] = max(start[i], at+lines*top.GetLatencyWalk(x, c))
+					want[i] = max(start[i], at+lines*lat(x, c))
 					if want[i] < want[best] {
 						best = i
 					}
@@ -171,7 +196,7 @@ func TestLatenciesFromMatchesGetLatency(t *testing.T) {
 // sets with duplicates and unknown ids, and MaxLatency against its scan.
 func TestIndexMaxLatencyBetweenMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	forEachOracleTopology(t, func(t *testing.T, top *topo.Topology) {
+	forEachOracleTopology(t, func(t *testing.T, top *topo.Topology, lat func(x, y int) int64) {
 		n := top.NumHWContexts()
 		sets := idLists(rng, n)
 		for trial := 0; trial < 60; trial++ {
@@ -189,12 +214,12 @@ func TestIndexMaxLatencyBetweenMatchesWalk(t *testing.T) {
 			sets = append(sets, ctxs)
 		}
 		for _, ctxs := range sets {
-			want := top.MaxLatencyBetweenWalk(ctxs)
+			want := topo.MaxLatencyBetweenPairs(lat, ctxs)
 			if got := top.MaxLatencyBetween(ctxs); got != want {
-				t.Fatalf("MaxLatencyBetween(%v) = %d, walk = %d", ctxs, got, want)
+				t.Fatalf("MaxLatencyBetween(%v) = %d, spec = %d", ctxs, got, want)
 			}
 			if got := top.Occupancy(ctxs).MaxLatency(); got != want {
-				t.Fatalf("Occupancy(%v).MaxLatency() = %d, walk = %d", ctxs, got, want)
+				t.Fatalf("Occupancy(%v).MaxLatency() = %d, spec = %d", ctxs, got, want)
 			}
 		}
 		if got, want := top.MaxLatency(), top.MaxLatencyScan(); got != want {
@@ -204,19 +229,19 @@ func TestIndexMaxLatencyBetweenMatchesWalk(t *testing.T) {
 }
 
 func TestContextsByLatencyFromMatchesWalk(t *testing.T) {
-	forEachOracleTopology(t, func(t *testing.T, top *topo.Topology) {
+	forEachOracleTopology(t, func(t *testing.T, top *topo.Topology, lat func(x, y int) int64) {
 		n := top.NumHWContexts()
 		for _, ctx := range []int{-1, 0, 1, n / 3, n / 2, n - 1, n, n + 5} {
-			if got, want := top.ContextsByLatencyFrom(ctx), contextsByLatencyWalk(top, ctx); !reflect.DeepEqual(got, want) {
-				t.Fatalf("ContextsByLatencyFrom(%d) = %v\nwalk order %v", ctx, got, want)
+			if got, want := top.ContextsByLatencyFrom(ctx), contextsByLatencyRef(top, lat, ctx); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ContextsByLatencyFrom(%d) = %v\nspec order %v", ctx, got, want)
 			}
 		}
 	})
 }
 
-// contextsByLatencyWalk is the reference order: every other context by
-// walked latency from ctx, ties by id.
-func contextsByLatencyWalk(top *topo.Topology, ctx int) []int {
+// contextsByLatencyRef is the reference order: every other context by
+// reference latency from ctx, ties by id.
+func contextsByLatencyRef(top *topo.Topology, lat func(x, y int) int64, ctx int) []int {
 	var ids []int
 	for id := 0; id < top.NumHWContexts(); id++ {
 		if id != ctx {
@@ -224,7 +249,7 @@ func contextsByLatencyWalk(top *topo.Topology, ctx int) []int {
 		}
 	}
 	sort.SliceStable(ids, func(i, j int) bool {
-		return top.GetLatencyWalk(ctx, ids[i]) < top.GetLatencyWalk(ctx, ids[j])
+		return lat(ctx, ids[i]) < lat(ctx, ids[j])
 	})
 	return ids
 }

@@ -10,57 +10,66 @@ import (
 )
 
 // randomSpec builds a random but structurally valid spec: S sockets x C
-// cores x T SMT contexts, with plausible ascending latency levels and
-// optional enrichment payloads — the generator behind the round-trip and
-// construction property tests.
+// cores x T SMT contexts, with 0–2 group levels between the core and the
+// socket, plausible ascending latency levels and optional enrichment
+// payloads — the generator behind the round-trip and construction property
+// tests.
 func randomSpec(rng *rand.Rand) Spec {
 	sockets := rng.Intn(4) + 1
-	cores := rng.Intn(6) + 1
+	cores := rng.Intn(8) + 1
 	smt := 1
 	if rng.Intn(2) == 1 {
 		smt = rng.Intn(3) + 2 // 2..4
 	}
 	nCtx := sockets * cores * smt
 
-	// Context numbering: consecutive per core.
-	var coreGroups, sockGroups [][]int
-	for s := 0; s < sockets; s++ {
-		var sg []int
-		for c := 0; c < cores; c++ {
-			var cg []int
-			for t := 0; t < smt; t++ {
-				ctx := (s*cores+c)*smt + t
-				cg = append(cg, ctx)
-				sg = append(sg, ctx)
+	// groupsOf partitions the contexts into runs of size consecutive cores
+	// of one socket; contexts are numbered consecutively per core.
+	groupsOf := func(size int) [][]int {
+		var groups [][]int
+		for c0 := 0; c0 < sockets*cores; c0 += size {
+			var g []int
+			for ctx := c0 * smt; ctx < (c0+size)*smt; ctx++ {
+				g = append(g, ctx)
 			}
-			if smt > 1 {
-				coreGroups = append(coreGroups, cg)
-			}
+			groups = append(groups, g)
 		}
-		sockGroups = append(sockGroups, sg)
+		return groups
 	}
 
 	var levels []Level
 	lat := int64(rng.Intn(30) + 20)
-	if smt > 1 {
+	level := func(name string, kind LevelKind, size int) {
 		levels = append(levels, Level{
-			Name: "core", Kind: LevelGroup, Min: lat - 1, Median: lat, Max: lat + 1,
-			Groups: coreGroups,
+			Name: name, Kind: kind, Min: lat - 1, Median: lat, Max: lat + 1,
+			Groups: groupsOf(size),
 		})
-		lat = lat*3 + int64(rng.Intn(40))
+		lat = lat*3/2 + int64(rng.Intn(40)) + 1
 	}
-	// Degenerate machines where the socket is a single core: the socket
-	// level must then be the first grouped level.
-	if smt > 1 && cores == 1 {
-		levels[len(levels)-1].Kind = LevelSocket
-		levels[len(levels)-1].Name = "socket"
-	} else {
-		levels = append(levels, Level{
-			Name: "socket", Kind: LevelSocket, Min: lat - 8, Median: lat, Max: lat + 8,
-			Groups: sockGroups,
-		})
+	switch {
+	case smt > 1 && cores == 1:
+		// Degenerate machines where the socket is a single core: the
+		// socket level must then be the first grouped level.
+		level("socket", LevelSocket, 1)
+	default:
+		if smt > 1 {
+			level("core", LevelGroup, 1)
+		}
+		// Each group level's size in cores divides the socket's cores and
+		// is a multiple of the level below's.
+		for size, k := 1, rng.Intn(3); k > 0; k-- {
+			var sizes []int
+			for d := size; d <= cores; d += size {
+				if cores%d == 0 {
+					sizes = append(sizes, d)
+				}
+			}
+			size = sizes[rng.Intn(len(sizes))]
+			level("group", LevelGroup, size)
+		}
+		level("socket", LevelSocket, cores)
 	}
-	cross := lat*3 + int64(rng.Intn(50))
+	cross := levelMedian(levels, LevelSocket)*3 + int64(rng.Intn(50))
 	if sockets > 1 {
 		levels = append(levels, Level{
 			Name: "cross", Kind: LevelCross, Min: cross - 4, Median: cross, Max: cross + 4,
@@ -145,7 +154,7 @@ func TestRandomSpecRoundTrip(t *testing.T) {
 }
 
 // Property: on every random topology the structural queries agree with the
-// generator's arithmetic and the latency index with the group-tree walk.
+// generator's arithmetic and the latency index with the spec's latencies.
 func TestRandomSpecQueries(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -172,12 +181,13 @@ func TestRandomSpecQueries(t *testing.T) {
 				return false
 			}
 		}
-		// The index answers every pair as the group-tree walk does, on
-		// every shape the generator draws — single-core sockets included.
+		// The index answers every pair as the spec does, on every shape
+		// the generator draws — single-core sockets and group levels with
+		// and without SMT included.
 		for x := 0; x < spec.Contexts; x++ {
 			for y := 0; y < spec.Contexts; y++ {
-				if top.GetLatency(x, y) != top.getLatencyWalk(x, y) {
-					t.Logf("seed %d: GetLatency(%d, %d) = %d, walk = %d", seed, x, y, top.GetLatency(x, y), top.getLatencyWalk(x, y))
+				if got, want := top.GetLatency(x, y), specLatency(&spec, x, y); got != want {
+					t.Logf("seed %d: GetLatency(%d, %d) = %d, spec = %d", seed, x, y, got, want)
 					return false
 				}
 			}

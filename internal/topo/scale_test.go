@@ -92,8 +92,8 @@ func TestIndexMemoryIsLinear(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(n + s)))
 		for i := 0; i < 10000; i++ {
 			x, y := rng.Intn(n), rng.Intn(n)
-			if got, want := top.GetLatency(x, y), top.getLatencyWalk(x, y); got != want {
-				t.Fatalf("%d sockets: GetLatency(%d, %d) = %d, walk = %d", s, x, y, got, want)
+			if got, want := top.GetLatency(x, y), specLatency(&top.spec, x, y); got != want {
+				t.Fatalf("%d sockets: GetLatency(%d, %d) = %d, spec = %d", s, x, y, got, want)
 			}
 		}
 		all := make([]int, n)
@@ -107,10 +107,14 @@ func TestIndexMemoryIsLinear(t *testing.T) {
 }
 
 // TestFromSpecAllocs pins what one FromSpec build allocates on each decoded
-// golden fixture and on a 64-socket synthetic spec, so a structure no query
-// reads cannot creep back into the build.
+// golden fixture, on a 64-socket synthetic spec and on one with two group
+// levels and no SMT, so a structure no query reads cannot creep back into
+// the build.
 func TestFromSpecAllocs(t *testing.T) {
-	specs := map[string]Spec{"tree-s64": treeSpec("tree-s64", 64, 4, 2, nil)}
+	specs := map[string]Spec{
+		"tree-s64":    treeSpec("tree-s64", 64, 4, 2, nil),
+		"tree-groups": treeSpec("tree-groups", 8, 12, 1, []int{3, 6}),
+	}
 	for _, name := range []string{"ivy", "westmere", "haswell", "opteron", "sparc"} {
 		f, err := os.Open(filepath.Join("testdata", name+".mctop"))
 		if err != nil {
@@ -123,7 +127,10 @@ func TestFromSpecAllocs(t *testing.T) {
 		}
 		specs[name] = *spec
 	}
-	want := map[string]float64{"ivy": 153, "westmere": 567, "haswell": 339, "opteron": 210, "sparc": 503, "tree-s64": 1999}
+	want := map[string]float64{
+		"ivy": 94, "westmere": 352, "haswell": 212, "opteron": 127, "sparc": 340,
+		"tree-s64": 1224, "tree-groups": 225,
+	}
 	for name, spec := range specs {
 		got := testing.AllocsPerRun(20, func() {
 			if _, err := FromSpec(spec); err != nil {

@@ -3,7 +3,7 @@ package topo
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Spec is the complete, serializable description of an MCTOP topology: what
@@ -100,6 +100,12 @@ func (s *Spec) Validate() error {
 			return err
 		}
 		prevGroups = i + 1 // levels 0..i validated as grouped
+	}
+	// With SMT the first grouped level's groups are the cores, and the
+	// placement policies walk SMTWays contexts of each.
+	if n := len(s.Levels[0].Groups[0]); s.SMTWays > 1 && n != s.SMTWays {
+		return fmt.Errorf("topo: %s: smt %d, but level 0's groups, the cores, hold %d contexts each",
+			s.Name, s.SMTWays, n)
 	}
 	nSockets := len(s.Levels[si].Groups)
 	if len(s.NodeOfSocket) != nSockets {
@@ -261,165 +267,85 @@ func (s *Spec) validatePartition(idx int, l Level, nLower int) error {
 }
 
 // FromSpec validates a spec and builds the linked Topology: its contexts,
-// groups, cores, sockets and nodes. The cross-socket structure stays the
-// spec's socket matrices.
+// cores, sockets and nodes. The levels between a core and its socket stay
+// the spec's partitions, and the cross-socket structure the spec's socket
+// matrices; the query index reads both (index.go).
 func FromSpec(spec Spec) (*Topology, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	si := spec.socketLevelIdx()
+	t := &Topology{spec: spec}
 
-	t := &Topology{
-		name:    spec.Name,
-		smtWays: spec.SMTWays,
-		freqGHz: spec.FreqGHz,
-		groups:  make(map[int][]*HWCGroup),
-		spec:    spec,
-	}
-
-	// Contexts.
 	t.contexts = make([]*HWContext, spec.Contexts)
 	for i := range t.contexts {
 		t.contexts[i] = &HWContext{ID: i}
 	}
-
-	// Nodes.
 	t.nodes = make([]*Node, spec.Nodes)
 	for i := range t.nodes {
 		t.nodes[i] = &Node{ID: i}
 	}
 
 	// Sockets, in the socket level's group order.
-	sockGroups := spec.Levels[si].Groups
-	t.sockets = make([]*Socket, len(sockGroups))
-	for id, g := range sockGroups {
-		s := &Socket{
-			HWCGroup: HWCGroup{ID: id, Level: si, Latency: spec.Levels[si].Median},
-		}
-		sorted := append([]int(nil), g...)
-		sort.Ints(sorted)
-		for _, ctx := range sorted {
-			s.Contexts = append(s.Contexts, t.contexts[ctx])
-			t.contexts[ctx].Socket = s
+	t.sockets = make([]*Socket, len(spec.Levels[si].Groups))
+	for id, g := range spec.Levels[si].Groups {
+		s := &Socket{HWCGroup: HWCGroup{ID: id, Latency: spec.Levels[si].Median, Contexts: t.members(g)}}
+		for _, c := range s.Contexts {
+			c.Socket = s
 		}
 		node := t.nodes[spec.NodeOfSocket[id]]
 		s.Local = node
 		if spec.MemLat != nil {
 			s.MemLat = spec.MemLat[id]
+			node.Lat = spec.MemLat[id][node.ID]
 		}
 		if spec.MemBW != nil {
 			s.MemBW = spec.MemBW[id]
 			node.BW = spec.MemBW[id][node.ID]
 		}
-		if spec.MemLat != nil {
-			node.Lat = spec.MemLat[id][node.ID]
-		}
 		t.sockets[id] = s
 	}
 
-	// Grouped levels below the socket level, bottom-up. owner[ctx] is the
-	// group of the level being built that holds ctx, which a group of the
-	// level below it takes as its parent.
-	var lower []*HWCGroup
-	var owner []*HWCGroup
-	if si > 1 {
-		owner = make([]*HWCGroup, spec.Contexts)
-	}
-	for li := 0; li < si; li++ {
-		lv := spec.Levels[li]
-		groups := make([]*HWCGroup, len(lv.Groups))
-		// Deterministic ids: order groups by their smallest context.
-		order := make([]int, len(lv.Groups))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return minOf(lv.Groups[order[a]]) < minOf(lv.Groups[order[b]])
-		})
-		for rank, gi := range order {
-			g := lv.Groups[gi]
-			grp := &HWCGroup{ID: rank, Level: li, Latency: lv.Median}
-			sorted := append([]int(nil), g...)
-			sort.Ints(sorted)
-			for _, ctx := range sorted {
-				grp.Contexts = append(grp.Contexts, t.contexts[ctx])
-				if li > 0 {
-					owner[ctx] = grp
-				}
-			}
-			grp.Socket = t.contexts[sorted[0]].Socket
-			groups[rank] = grp
-		}
-		t.groups[li] = groups
-		if li > 0 {
-			for _, child := range lower {
-				child.Parent = owner[child.Contexts[0].ID]
-			}
-		}
-		lower = groups
-	}
-	// The topmost intra-socket groups hang off their sockets.
-	for _, child := range lower {
-		child.Parent = &child.Socket.HWCGroup
-	}
-
-	// Core groups: the first grouped level if SMT, else synthesized
-	// singletons so placement policies can treat every machine uniformly.
-	if spec.SMTWays > 1 && si == 0 {
-		// Degenerate single-core sockets: each socket is one core.
-		t.cores = make([]*HWCGroup, len(t.sockets))
-		for i, s := range t.sockets {
-			core := &HWCGroup{
-				ID: i, Level: 0, Latency: spec.Levels[0].Median,
-				Contexts: s.Contexts, Socket: s, Parent: &s.HWCGroup,
-			}
-			for _, c := range s.Contexts {
-				c.Core = core
-			}
-			t.cores[i] = core
-		}
-	} else if spec.SMTWays > 1 {
-		t.cores = t.groups[0]
-		for _, core := range t.cores {
-			for _, c := range core.Contexts {
-				c.Core = core
-			}
+	// Cores: with SMT, the groups of the first grouped level (the sockets
+	// themselves when the socket level comes first); without, one
+	// synthesized core per context, so placement policies treat every
+	// machine alike.
+	if spec.SMTWays > 1 {
+		t.cores = make([]*HWCGroup, len(spec.Levels[0].Groups))
+		for i, g := range spec.Levels[0].Groups {
+			cs := t.members(g)
+			t.cores[i] = &HWCGroup{Latency: spec.Levels[0].Median, Contexts: cs, Socket: cs[0].Socket}
 		}
 	} else {
 		t.cores = make([]*HWCGroup, spec.Contexts)
 		for i, c := range t.contexts {
-			core := &HWCGroup{
-				ID: i, Level: -1, Latency: 0,
-				Contexts: []*HWContext{c},
-				Socket:   c.Socket,
-				Parent:   &c.Socket.HWCGroup,
-			}
-			c.Core = core
-			t.cores[i] = core
+			t.cores[i] = &HWCGroup{Contexts: t.contexts[i : i+1 : i+1], Socket: c.Socket}
 		}
 	}
-	// Re-number cores globally by (socket, first context).
-	sort.SliceStable(t.cores, func(i, j int) bool {
-		si, sj := t.cores[i].Socket.ID, t.cores[j].Socket.ID
-		if si != sj {
-			return si < sj
+	// Number cores globally by (socket, first context).
+	slices.SortFunc(t.cores, func(a, b *HWCGroup) int {
+		if a.Socket.ID != b.Socket.ID {
+			return a.Socket.ID - b.Socket.ID
 		}
-		return t.cores[i].Contexts[0].ID < t.cores[j].Contexts[0].ID
+		return a.Contexts[0].ID - b.Contexts[0].ID
 	})
 	for i, core := range t.cores {
 		core.ID = i
+		for _, c := range core.Contexts {
+			c.Core = core
+		}
 	}
 	return t, nil
 }
 
-func minOf(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
+// members returns the contexts of a spec group, in id order.
+func (t *Topology) members(g []int) []*HWContext {
+	cs := make([]*HWContext, len(g))
+	for i, ctx := range g {
+		cs[i] = t.contexts[ctx]
 	}
-	return m
+	slices.SortFunc(cs, func(a, b *HWContext) int { return a.ID - b.ID })
+	return cs
 }
 
 // Spec returns the originating spec (for serialization).

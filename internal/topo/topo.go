@@ -2,10 +2,12 @@
 // EuroSys '17 paper (Section 2, Table 1).
 //
 // A Topology links the paper's structures — hw_context, hwc_group, socket,
-// node and mctop — vertically, from each context up through its core and
-// groups to its socket and that socket's local node. Each level is
-// traversed by its ordered slice (Contexts, Cores, Sockets, Nodes), and the
-// paper's interconnect structure is the socket matrices: SocketLatency and
+// node and mctop — vertically, from each context up to its core, its socket
+// and that socket's local node. The levels between a core and its socket
+// are described once, by the spec's level partitions (Levels), which the
+// latency queries read. Each structure is traversed by its ordered slice
+// (Contexts, Cores, Sockets, Nodes), and the paper's interconnect structure
+// is the socket matrices: SocketLatency and
 // SocketBW answer every cross-socket question from the spec's per-pair
 // latency and bandwidth, as libmctop's mctopo_t does. A Topology also
 // carries the enriched low-level measurements (memory latencies and
@@ -73,17 +75,18 @@ type HWContext struct {
 	Socket *Socket
 }
 
-// HWCGroup is a group of hw_contexts: a core with its SMT contexts, or a
-// cluster of cores sharing a cache level (Table 1). Groups link upwards
-// only; cores are traversed in id order, socket by socket, by
-// Topology.Cores and Topology.SocketGetCores.
+// HWCGroup is a group of hw_contexts (Table 1): a core with its SMT
+// contexts, or a socket's contexts. The groups of the levels between a core
+// and its socket are the spec's partitions (Topology.Levels), not HWCGroups.
+// Cores are traversed in id order, socket by socket, by Topology.Cores and
+// Topology.SocketGetCores.
 type HWCGroup struct {
-	ID      int
-	Level   int // index into Topology.Levels; -1 for synthesized cores
+	ID int
+	// Latency is the median latency of the group's level: 0 for a
+	// synthesized core, which holds one context.
 	Latency int64
 	// Contexts are the leaf hardware contexts under this group, ascending.
 	Contexts []*HWContext
-	Parent   *HWCGroup
 	Socket   *Socket
 }
 
@@ -136,15 +139,10 @@ func (p *PowerInfo) Available() bool { return p != nil && p.PerSocketBase > 0 }
 // was built from — levels, socket matrices, cache and power — it reads
 // there.
 type Topology struct {
-	name     string
-	smtWays  int
-	freqGHz  float64
 	contexts []*HWContext
 	cores    []*HWCGroup
-	// groups[l] holds the components of level l for intra-socket levels.
-	groups  map[int][]*HWCGroup
-	sockets []*Socket
-	nodes   []*Node
+	sockets  []*Socket
+	nodes    []*Node
 
 	spec Spec // the originating spec
 
@@ -160,7 +158,7 @@ type Topology struct {
 }
 
 // Name returns the platform name the topology was inferred on.
-func (t *Topology) Name() string { return t.name }
+func (t *Topology) Name() string { return t.spec.Name }
 
 // NumHWContexts returns the number of hardware contexts.
 func (t *Topology) NumHWContexts() int { return len(t.contexts) }
@@ -175,21 +173,21 @@ func (t *Topology) NumSockets() int { return len(t.sockets) }
 func (t *Topology) NumNodes() int { return len(t.nodes) }
 
 // SMTWays returns the number of hardware contexts per core (1 = no SMT).
-func (t *Topology) SMTWays() int { return t.smtWays }
+func (t *Topology) SMTWays() int { return t.spec.SMTWays }
 
 // HasSMT reports whether the processor has simultaneous multi-threading.
-func (t *Topology) HasSMT() bool { return t.smtWays > 1 }
+func (t *Topology) HasSMT() bool { return t.spec.SMTWays > 1 }
 
 // FreqGHz returns the maximum core frequency, when known.
-func (t *Topology) FreqGHz() float64 { return t.freqGHz }
+func (t *Topology) FreqGHz() float64 { return t.spec.FreqGHz }
 
 // ModelFreqGHz is FreqGHz, or 2.0 when the description records none: the
 // clock the cost models (exec, msort, reduce) convert cycles to seconds at.
 func (t *Topology) ModelFreqGHz() float64 {
-	if t.freqGHz <= 0 {
+	if t.spec.FreqGHz <= 0 {
 		return 2.0
 	}
-	return t.freqGHz
+	return t.spec.FreqGHz
 }
 
 // Levels returns the latency levels, ascending.

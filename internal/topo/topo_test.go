@@ -190,6 +190,36 @@ func TestNoSMTSynthesizedCores(t *testing.T) {
 	}
 }
 
+// TestNoSMTGroupLevels: without SMT the synthesized cores sit under the
+// spec's group levels, and two contexts of one group communicate at that
+// level's latency, not the socket's. In treeSpec's numbering context
+// 2c+s is core c of socket s, and the level-0 groups are 4 cores each.
+func TestNoSMTGroupLevels(t *testing.T) {
+	top, err := FromSpec(treeSpec("groups-no-smt", 2, 12, 1, []int{4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		x, y int
+		want int64
+	}{
+		{0, 2, 20},  // cores 0 and 1: one level-0 group
+		{0, 6, 20},  // cores 0 and 3
+		{0, 8, 50},  // cores 0 and 4: only the socket
+		{0, 1, 157}, // socket 0 and socket 1: the socket matrix
+	} {
+		if got := top.GetLatency(tc.x, tc.y); got != tc.want {
+			t.Errorf("GetLatency(%d, %d) = %d, want %d", tc.x, tc.y, got, tc.want)
+		}
+	}
+	if got := top.MaxLatencyBetween([]int{0, 2, 4, 6}); got != 20 {
+		t.Errorf("MaxLatencyBetween(one group) = %d, want 20", got)
+	}
+	if got := top.ContextsByLatencyFrom(0)[:3]; !reflect.DeepEqual(got, []int{2, 4, 6}) {
+		t.Errorf("ContextsByLatencyFrom(0) starts %v, want its group [2 4 6]", got)
+	}
+}
+
 // TestCrossSocketEdges: DotCrossSocket draws a socket pair exactly when its
 // latency lies in the lowest cross level or in none. On the Opteron spec
 // that is the MCM siblings; the 217- and 300-cycle pairs sit in the second
@@ -456,6 +486,10 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		s.Levels[0].Groups = s.Levels[0].Groups[:19]
 	}); err == nil {
 		t.Error("missing context should fail")
+	}
+	// The cores are level 0's groups of 2; placement would walk 4 ways.
+	if err := mutate(func(s *Spec) { s.SMTWays = 4 }); err == nil || !strings.Contains(err.Error(), "smt 4") || !strings.Contains(err.Error(), "hold 2 contexts") {
+		t.Errorf("smt the cores contradict: err = %v, want one naming smt 4 and cores of 2", err)
 	}
 }
 
