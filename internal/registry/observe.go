@@ -13,8 +13,9 @@ import (
 // Served is the per-request attribution record a server threads through
 // the context: the registry fills Tier with the name of the store tier
 // that answered ("lru", "spool", "remote", …), "computed" when the value
-// was computed by this call, or "coalesced" when the call joined another
-// caller's in-flight computation, and Entry with the entry that answered —
+// was computed by this call, or "coalesced" when the call waited on
+// another caller's in-flight resolution (its walk of the tiers below the
+// LRU or its computation), and Entry with the entry that answered —
 // what a server renders the response from. It is written by the request's
 // own goroutine during the lookup; read it only after the registry call
 // returns. After a failed call Entry may name an entry a nested lookup

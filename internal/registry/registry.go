@@ -9,16 +9,19 @@
 // inputs. The Registry memoizes inference results and derived placements
 // under a key of (platform, seed, options-hash):
 //
-//   - singleflight: concurrent misses on the same key collapse into one
-//     inference — the first caller computes, the rest wait for its result;
-//   - tiered: the cache behind the singleflight is one chain of Store
-//     tiers (store.go), each holding and returning *Entry values. It
-//     always starts with the registry's own exactly bounded in-memory LRU
-//     (lru.go), so a long-running daemon's memory stays flat; the tiers
-//     Options.Tiers names follow it — internal/spool's description-file
-//     tier makes the cache survive restarts (a cold miss that hits the
-//     spool decodes a description file instead of re-running the O(N²)
-//     inference), internal/remote's fetches from an origin daemon;
+//   - tiered: the cache is one chain of Store tiers (store.go), each
+//     holding and returning *Entry values. It always starts with the
+//     registry's own exactly bounded in-memory LRU (lru.go), so a
+//     long-running daemon's memory stays flat; the tiers Options.Tiers
+//     names follow it — internal/spool's description-file tier makes the
+//     cache survive restarts (a cold miss that hits the spool decodes a
+//     description file instead of re-running the O(N²) inference),
+//     internal/remote's fetches from an origin daemon;
+//   - singleflight: concurrent LRU misses on the same key collapse into
+//     one resolution — the first caller walks the tiers below the LRU and,
+//     if none holds the key, computes; the rest wait for its result. This
+//     is the only place concurrent misses coalesce: no tier does it again,
+//     and no lock is held across a tier's Lookup or a computation;
 //   - computing: a miss that no tier answers runs Infer, the simulate →
 //     infer → enrich pipeline, unless Options.InferCtx replaces it.
 //
@@ -93,7 +96,9 @@ type Options struct {
 	// of the caller that executes the computation. Nil defaults to Infer.
 	InferCtx InferCtxFunc
 	// Tiers are the cache tiers below the registry's own LRU, fastest
-	// first: the chain behind the singleflight is the LRU, then these.
+	// first: the chain is the LRU, then these. A lookup's fast path reads
+	// the LRU alone; the owner of a miss walks the whole chain, so these
+	// tiers sit behind the singleflight.
 	Tiers []Store
 	// MaxEntries is the exact bound of the registry's LRU (topologies,
 	// placements and mappings each count as one entry). Default 256.
@@ -106,8 +111,8 @@ type Options struct {
 
 // Stats is a snapshot of the registry's counters.
 type Stats struct {
-	Hits       int64 // lookups answered from the store (any tier)
-	Misses     int64 // lookups that computed (or joined a computation)
+	Hits       int64 // lookups a tier answered (the LRU, or one below it on the owner's walk)
+	Misses     int64 // lookups no tier answered: it computed, or waited on another caller's resolution
 	Inferences int64 // actual topology inferences executed
 	Placements int64 // actual placements computed
 	Mappings   int64 // actual task-graph mappings computed
@@ -122,8 +127,13 @@ type Registry struct {
 	infer    InferCtxFunc
 	mapFn    MapFunc
 	store    *Tiered
-	flights  [flightStripes]flightShard
 	computes chan struct{} // semaphore over concurrent inferences, computeSlots wide
+
+	// mu guards inflight, the singleflight table: the one place concurrent
+	// misses on a key coalesce. It is held for map operations only, never
+	// across a tier Lookup or a computation.
+	mu       sync.Mutex
+	inflight map[string]*call
 
 	hits     atomic.Int64
 	misses   atomic.Int64
@@ -134,15 +144,9 @@ type Registry struct {
 	observer atomic.Pointer[Observer]
 }
 
-// flightShard is one lock stripe of the singleflight table, independent of
-// the store so pluggable tiers never hold cache locks while computing.
-type flightShard struct {
-	mu       sync.Mutex
-	inflight map[string]*call
-}
-
-// call is one in-flight computation; late arrivals wait on done and share
-// its entry (or err) with the caller that executed it.
+// call is one in-flight resolution of a key: its owner's walk of the tiers
+// below the LRU and, if none holds the key, its computation. Late arrivals
+// wait on done and share its entry (or err) with the owner.
 type call struct {
 	done  chan struct{}
 	entry *Entry
@@ -162,9 +166,7 @@ func New(opt Options) *Registry {
 		mapFn:    opt.MapFn,
 		store:    &Tiered{tiers: append([]Store{NewLRU(opt.MaxEntries)}, opt.Tiers...)},
 		computes: make(chan struct{}, computeSlots),
-	}
-	for i := range r.flights {
-		r.flights[i].inflight = make(map[string]*call)
+		inflight: make(map[string]*call),
 	}
 	return r
 }
@@ -176,44 +178,23 @@ func New(opt Options) *Registry {
 // seeds can saturate a serving daemon indefinitely.
 const computeSlots = 2
 
-// flightStripes is the number of lock stripes of the singleflight table. A
-// stripe's lock is held across the chain re-check, which can reach the
-// remote tier, so unrelated keys must not share one lock.
-const flightStripes = 8
-
-// flightOf picks a singleflight stripe by key hash.
-func (r *Registry) flightOf(key string) *flightShard {
-	return &r.flights[fnv1a(key)%flightStripes]
-}
-
-// fnv1a is FNV-1a over the key, written out: stripe selection runs on
-// every miss, and the hash/fnv Hasher would cost two heap allocations per
-// call.
-func fnv1a(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// get returns the cached entry for key, or computes its value via fn
-// exactly once per concurrent wave of callers (singleflight) and writes
-// the new entry through the store. hit reports whether this call was
-// answered from the store without computing or waiting on a computation.
+// get returns the cached entry for key, or resolves it exactly once per
+// concurrent wave of callers (singleflight): the wave's owner walks the
+// tier chain and, if no tier holds the key, computes its value via fn and
+// writes the new entry through the chain. hit reports whether this call
+// was answered by a tier without computing or waiting on another caller.
 //
 // Cancellation semantics: a waiter whose ctx fires while another caller
-// computes stops waiting and returns ctx.Err() — the computation itself
-// keeps running under its owner's context and still populates the cache.
-// When the owner's own ctx fires, fn is expected to return ctx.Err();
-// nothing is cached and the in-flight slot is removed. Waiters of that
-// wave whose contexts are still healthy do not inherit the owner's
+// resolves the key stops waiting and returns ctx.Err() — the resolution
+// itself keeps running under its owner's context and still populates the
+// cache. When the owner's own ctx fires, fn is expected to return
+// ctx.Err(); nothing is cached and the in-flight slot is removed. Waiters
+// of that wave whose contexts are still healthy do not inherit the owner's
 // cancellation: they retry the lookup, and one of them becomes the next
 // owner — one flaky client must not fail every concurrent miss on the key.
 func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(context.Context) (any, error)) (e *Entry, hit bool, err error) {
-	// The lookup span covers the whole resolution — store walk,
-	// singleflight wait or owned compute — and records which tier answered.
+	// The lookup span covers the whole resolution — LRU read, singleflight
+	// wait or owned walk and compute — and records which tier answered.
 	// With no span in ctx this is one context lookup and every call below
 	// is a nil-receiver no-op.
 	ctx, lsp := trace.Start(ctx, "registry.lookup")
@@ -223,30 +204,23 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 		lsp.SetError(err)
 		lsp.End()
 	}()
-	// Fast path: a store hit never touches the singleflight locks. On a
-	// tiered store this may decode from a persistent tier — still orders
-	// of magnitude cheaper than computing.
-	if e, ok := r.storeHit(ctx, lsp, kind, key); ok {
+	// Fast path: an LRU hit never touches the singleflight table.
+	if e, tier, ok := r.store.tiers[0].Lookup(ctx, kind, key); ok {
+		attribute(ctx, lsp, tier, e)
+		r.hits.Add(1)
 		return e, true, nil
 	}
-	r.misses.Add(1) // this call is at most one hit or one miss, even across retries
 
-	f := r.flightOf(key)
+	waited := false // this call is at most one hit or one miss, even across retries
 	var c *call
 	for c == nil {
-		f.mu.Lock()
-		// Re-check the store under the flight lock: an owner publishes its
-		// result to the store before clearing the in-flight slot, so a miss
-		// observed before the lock may have landed by now.
-		if e, tier, ok := r.store.Lookup(ctx, kind, key); ok {
-			f.mu.Unlock()
-			attribute(ctx, lsp, tier, e)
-			// This caller registered a miss; the entry appearing now does
-			// not make the call a hit.
-			return e, false, nil
-		}
-		if w, ok := f.inflight[key]; ok {
-			f.mu.Unlock()
+		r.mu.Lock()
+		if w, ok := r.inflight[key]; ok {
+			r.mu.Unlock()
+			if !waited {
+				waited = true
+				r.misses.Add(1)
+			}
 			lsp.AddEvent("singleflight.wait")
 			select {
 			case <-w.done:
@@ -264,52 +238,66 @@ func (r *Registry) get(ctx context.Context, kind Kind, key string, fn func(conte
 			}
 		}
 		c = &call{done: make(chan struct{})}
-		f.inflight[key] = c
-		f.mu.Unlock()
+		r.inflight[key] = c
+		r.mu.Unlock()
 	}
 
-	// The cleanup must run even if fn panics: leaving the inflight entry
-	// behind would hang every future lookup of this key on c.done. A panic
-	// still propagates to the computing caller, but waiters get an error
-	// and later lookups retry.
+	// The cleanup must run even if the walk or fn panics: leaving the
+	// inflight entry behind would hang every future lookup of this key on
+	// c.done. A panic still propagates to the owner, but waiters get an
+	// error and later lookups retry.
 	completed := false
 	defer func() {
 		if !completed {
-			c.err = fmt.Errorf("registry: computation for %q panicked", key)
+			c.err = fmt.Errorf("registry: resolving %q panicked", key)
 		}
-		if c.err == nil {
-			// Publish before clearing the in-flight slot: anyone who misses
-			// the store after this point either sees the entry on their
-			// locked re-check or finds this call still registered.
-			r.store.put(c.entry)
-		}
-		f.mu.Lock()
-		delete(f.inflight, key)
-		f.mu.Unlock()
+		r.mu.Lock()
+		delete(r.inflight, key)
+		r.mu.Unlock()
 		close(c.done)
 	}()
 
 	lsp.AddEvent("singleflight.owner")
+	// The owner walks the whole chain once, outside any lock. Its LRU read
+	// is the re-check: an owner that published after the fast path missed
+	// has cleared its slot by then, so its entry is in the LRU. A lower
+	// tier's hit is promoted into the tiers above it, never written back.
+	if e, tier, ok := r.store.Lookup(ctx, kind, key); ok {
+		c.entry, completed = e, true
+		attribute(ctx, lsp, tier, e)
+		if !waited {
+			r.hits.Add(1)
+		}
+		return e, !waited, nil
+	}
+	if !waited {
+		r.misses.Add(1)
+	}
 	v, err := fn(ctx)
-	completed = true
 	if c.err = err; err == nil {
 		c.entry = NewEntry(kind, key, v)
+		// Publish before the cleanup clears the in-flight slot: a caller
+		// that misses the LRU after this point either finds the entry on
+		// its own walk or this call still registered.
+		r.store.put(c.entry)
 		// Overrides any tier a nested lookup attributed (a placement
-		// compute hits the store for its topology): the request's answer
-		// was computed here.
+		// compute looks up its topology): the request's answer was
+		// computed here.
 		attribute(ctx, lsp, "computed", c.entry)
 	}
+	completed = true
 	return c.entry, false, c.err
 }
 
-// Cached is get's store fast path alone: the warm-only lookup of the entry
-// under key. It walks the tier chain, attributes the answering tier on the
-// request's Served record, counts a hit and records the registry.lookup
-// span exactly as get does, but never computes or joins a computation — a
-// key no tier holds is ok == false, and nothing is counted as a miss
-// (Stats.Misses counts lookups that computed). Callers are the serving
-// paths that know a key without the request that would compute it: a
-// mapping export, and a repeated /v1/map body.
+// Cached is the warm-only lookup of the entry under key: it walks the tier
+// chain as get's owner does — promoting a lower tier's hit — attributes the
+// answering tier on the request's Served record, counts a hit and records
+// the registry.lookup span exactly as get does, but never computes or
+// joins a resolution — a key no tier holds is ok == false, and nothing is
+// counted as a miss. It does not coalesce either: concurrent Cached calls
+// each walk the chain. Callers are the serving paths that know a key
+// without the request that would compute it: a mapping export, and a
+// repeated /v1/map body.
 func (r *Registry) Cached(ctx context.Context, kind Kind, key string) (e *Entry, ok bool) {
 	ctx, lsp := trace.Start(ctx, "registry.lookup")
 	lsp.SetAttr("kind", kind.String())
@@ -317,12 +305,6 @@ func (r *Registry) Cached(ctx context.Context, kind Kind, key string) (e *Entry,
 		lsp.SetBool("hit", ok)
 		lsp.End()
 	}()
-	return r.storeHit(ctx, lsp, kind, key)
-}
-
-// storeHit is the store fast path get and Cached share: an entry any tier
-// holds is attributed to that tier and counted as a hit.
-func (r *Registry) storeHit(ctx context.Context, lsp *trace.Span, kind Kind, key string) (*Entry, bool) {
 	e, tier, ok := r.store.Lookup(ctx, kind, key)
 	if ok {
 		attribute(ctx, lsp, tier, e)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -456,6 +455,133 @@ func TestTierOrder(t *testing.T) {
 	}
 }
 
+// fakeInfer is an InferCtxFunc that serves fakeTopo.
+func fakeInfer(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
+	return fakeTopo(), nil
+}
+
+// slowTier is a lower tier that holds nothing. Its second Lookup of key —
+// a slow disk read or origin fetch — closes blocked and waits for release.
+type slowTier struct {
+	namedTier
+	key              string
+	lookups          atomic.Int64
+	blocked, release chan struct{}
+}
+
+func (s *slowTier) Lookup(_ context.Context, _ Kind, key string) (*Entry, string, bool) {
+	if key == s.key && s.lookups.Add(1) == 2 {
+		close(s.blocked)
+		<-s.release
+	}
+	return nil, "", false
+}
+
+// TestNoLockAcrossATier: while one key's walk is blocked in a slow lower
+// tier, cold lookups of 16 other keys all finish — the singleflight's lock
+// covers its map operations only, never a tier Lookup.
+func TestNoLockAcrossATier(t *testing.T) {
+	opt := mctopalg.Options{Reps: 51}
+	slow := &slowTier{namedTier: "slow", key: TopoKey("Ivy", 0, opt),
+		blocked: make(chan struct{}), release: make(chan struct{})}
+	free := sync.OnceFunc(func() { close(slow.release) })
+	r := New(Options{MaxEntries: 1, Tiers: []Store{slow}, InferCtx: fakeInfer})
+	lookup := func(seed uint64) {
+		if _, _, err := r.LookupTopologyContext(bg, "Ivy", seed, opt); err != nil {
+			t.Error(err)
+		}
+	}
+	done := make(chan struct{})
+	defer func() { free(); <-done }()
+	go func() {
+		defer close(done)
+		// A, then B, which evicts A from the one-entry LRU, then A again:
+		// the second resolution of A is its walk's second slow Lookup.
+		for _, seed := range []uint64{0, 1, 0} {
+			lookup(seed)
+		}
+	}()
+	select {
+	case <-slow.blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no walk of A reached the slow tier")
+	}
+
+	var wg sync.WaitGroup
+	for seed := uint64(100); seed < 116; seed++ {
+		wg.Add(1)
+		go func(seed uint64) { defer wg.Done(); lookup(seed) }(seed)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(time.Second):
+		t.Error("cold lookups of other keys waited on the blocked walk of A")
+		free()
+		<-finished
+	}
+}
+
+// renamedTier is a Store answering under another tier name, so a test can
+// tell two tiers of one implementation apart in the attribution.
+type renamedTier struct {
+	Store
+	name string
+}
+
+func (r renamedTier) Lookup(ctx context.Context, kind Kind, key string) (*Entry, string, bool) {
+	e, _, ok := r.Store.Lookup(ctx, kind, key)
+	if !ok {
+		return nil, "", false
+	}
+	return e, r.name, true
+}
+
+// TestLowerTierSeesOneLookupPerResolution: a cold lookup walks a tier
+// below the LRU once — the LRU counts two misses, its fast path and the
+// owner's re-check — and the registry's counters, hit results and
+// attributions are those of one resolution per lookup: computed on a cold
+// chain, the lower tier's (promoted, not written back) on a cold LRU over
+// a warm tier, then the LRU's.
+func TestLowerTierSeesOneLookupPerResolution(t *testing.T) {
+	const n = 4
+	opt := mctopalg.Options{Reps: 51}
+	lower := NewLRU(64)
+	pass := func(r *Registry, want string) {
+		t.Helper()
+		for seed := uint64(0); seed < n; seed++ {
+			ctx, sv := ContextWithServed(bg)
+			_, hit, err := r.LookupTopologyContext(ctx, "Ivy", seed, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit != (want != "computed") || sv.Tier != want {
+				t.Fatalf("seed %d: hit %v, tier %q; want tier %q", seed, hit, sv.Tier, want)
+			}
+		}
+	}
+	type counts struct{ hits, misses, inferences, lruMisses, lowerHits, lowerMisses, lowerPuts int64 }
+	check := func(r *Registry, want counts) {
+		t.Helper()
+		st := r.Stats()
+		got := counts{st.Hits, st.Misses, st.Inferences, st.Tiers[0].Misses, st.Tiers[1].Hits, st.Tiers[1].Misses, st.Tiers[1].Puts}
+		if got != want {
+			t.Fatalf("counters %+v, want %+v", got, want)
+		}
+	}
+
+	cold := New(Options{MaxEntries: n, Tiers: []Store{renamedTier{lower, "lower"}}, InferCtx: fakeInfer})
+	pass(cold, "computed")
+	check(cold, counts{misses: n, inferences: n, lruMisses: 2 * n, lowerMisses: n, lowerPuts: n})
+
+	warm := New(Options{MaxEntries: n, Tiers: []Store{renamedTier{lower, "lower"}}, InferCtx: fakeInfer})
+	pass(warm, "lower")
+	pass(warm, "lru")
+	// The lower tier's counters still carry the cold pass's misses and puts.
+	check(warm, counts{hits: 2 * n, lruMisses: 2 * n, lowerHits: n, lowerMisses: n, lowerPuts: n})
+}
+
 // TestDefaultComputeIsInfer: a registry without an InferCtx computes with
 // Infer — the pipeline's own description bytes, in one inference — and a
 // second lookup of the key is an LRU hit.
@@ -544,20 +670,6 @@ func TestLRUPutAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(runs, put); got != 1 {
 		t.Fatalf("one LRU Put of a new key: %v allocations, want 1", got)
-	}
-}
-
-func TestFlightStripesSpreadKeys(t *testing.T) {
-	r := New(Options{
-		InferCtx: func(context.Context, string, uint64, mctopalg.Options) (*topo.Topology, error) {
-			return fakeTopo(), nil
-		}})
-	flights := map[*flightShard]bool{}
-	for i := 0; i < 64; i++ {
-		flights[r.flightOf(fmt.Sprintf("topo|Ivy|%d|", i))] = true
-	}
-	if len(flights) < 2 {
-		t.Fatalf("64 keys landed on %d flight stripe(s); hashing is broken", len(flights))
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 // the paper's "created once, then used to load the topology" artifact
 // turned into a cache level. The registry itself only sees the chain's
 // Lookup and write-through — singleflight, counters and the compute
-// semaphore stay above it. What every tier holds and returns is an *Entry
-// (entry.go): one answer, with the byte forms it has been rendered in.
+// semaphore stay above it: a lookup reads the LRU alone, and the owner of
+// an LRU miss walks the whole chain. What every tier holds and returns is
+// an *Entry (entry.go): one answer, with the byte forms it has been
+// rendered in.
 
 // Kind tags what a cache entry holds, so persistent tiers can pick a
 // serialization per entry kind (topologies become .mctop description
@@ -109,7 +111,11 @@ func KindOfExt(ext string) (Kind, bool) {
 // never computes — a miss is just ok == false — and never fails: a
 // persistent tier that cannot read or write an entry treats it as a miss
 // (logging the reason) so a broken disk degrades to re-inference, never to
-// serving errors.
+// serving errors. A tier needs no singleflight of its own: below the LRU,
+// a tier sees at most one Lookup per key per concurrent wave of misses —
+// the wave owner's. The exceptions are Registry.Cached, which walks the
+// chain without joining a wave, and the remote tier's nested fetch of the
+// topology a sidecar names.
 type Store interface {
 	// Lookup returns the entry cached under key and the name of the tier
 	// that held it ("lru", "spool", "remote") — what served-by-tier request
@@ -137,7 +143,10 @@ type Store interface {
 type StoreStats struct {
 	// Tier names the store implementation ("lru", "spool").
 	Tier string `json:"tier"`
-	// Hits / Misses count Lookup outcomes on this tier.
+	// Hits / Misses count Lookup outcomes on this tier. The LRU counts two
+	// misses per lookup that owns the resolution of a key it lacks: the
+	// registry's fast path, then the owner's re-check as it walks the
+	// chain. A caller that waits on another's resolution counts one.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Puts counts write-throughs (including tier promotions).

@@ -23,10 +23,11 @@
 //     of one per request;
 //   - 4xx responses and undecodable bodies degrade to a miss and a
 //     per-key negative-cache entry, so a key the origin cannot serve is
-//     not re-requested on every lookup;
-//   - concurrent Lookups for one key collapse into one upstream fetch
-//     (singleflight) — a thundering herd on a cold edge costs the origin
-//     one request.
+//     not re-requested on every lookup.
+//
+// The tier does not coalesce concurrent Lookups itself: the registry's
+// singleflight runs one walk of the chain per key at a time, so a
+// thundering herd on a cold edge costs the origin one request.
 //
 // Put is a no-op: edges never push to the origin; the origin populates
 // itself through its own registry.
@@ -101,11 +102,10 @@ type Remote struct {
 	sleep       func(d time.Duration)
 	jitterState uint64
 
-	mu       sync.Mutex
-	inflight map[string]*call
-	neg      map[string]time.Time // per-key: no refetch before this instant
-	down     time.Time            // origin-level: no fetch at all before this
-	fails    int                  // consecutive origin-level failures
+	mu    sync.Mutex
+	neg   map[string]time.Time // per-key: no refetch before this instant
+	down  time.Time            // origin-level: no fetch at all before this
+	fails int                  // consecutive origin-level failures
 
 	// topos memoizes every fetched topology still alive: a sidecar
 	// references its topology by key, and resolves it here instead of
@@ -122,18 +122,6 @@ type Remote struct {
 	// "key_fault") — the feed behind mctopd's per-origin fetch-latency
 	// histogram. Runs on the fetching goroutine; must be cheap.
 	observe func(d time.Duration, outcome string)
-}
-
-// call is one in-flight upstream fetch; concurrent Lookups for the key wait
-// on done and share its entry (nil on failure). This is deliberately not
-// the registry's singleflight shared through a common package: here the
-// in-flight check, the negative cache and the origin-down window are one
-// decision under one lock (r.mu in lookup), and waiters are uncancellable,
-// while the registry's waiters leave on ctx.Done and re-promote — a shared
-// type would have to branch on its caller.
-type call struct {
-	done  chan struct{}
-	entry *registry.Entry
 }
 
 // Option configures a Remote.
@@ -216,7 +204,6 @@ func New(base string, opts ...Option) *Remote {
 		retryBase:   defaultRetryBase,
 		sleep:       time.Sleep,
 		jitterState: rng.Increment,
-		inflight:    make(map[string]*call),
 		neg:         make(map[string]time.Time),
 	}
 	for _, o := range opts {
@@ -231,8 +218,8 @@ func New(base string, opts ...Option) *Remote {
 // attempt becomes a span, and the traceparent header it emits stitches the
 // origin's spans into this trace. It deliberately does NOT carry
 // cancellation: the fetch keeps its own timeout-from-Background context, so
-// a fetch shared by singleflight waiters survives the first caller hanging
-// up (see fetch).
+// a fetch whose entry the registry's singleflight waiters share survives
+// its owner hanging up (see fetch).
 func (r *Remote) Lookup(ctx context.Context, kind registry.Kind, key string) (*registry.Entry, string, bool) {
 	if e := r.lookup(ctx, kind, key); e != nil {
 		r.kinds.Hit(kind)
@@ -256,14 +243,6 @@ func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) *re
 		trace.SpanFromContext(ctx).AddEvent("remote.backoff_skip")
 		return nil
 	}
-	if c, ok := r.inflight[key]; ok {
-		r.mu.Unlock()
-		trace.SpanFromContext(ctx).AddEvent("remote.coalesced_wait")
-		<-c.done
-		return c.entry
-	}
-	c := &call{done: make(chan struct{})}
-	r.inflight[key] = c
 	r.mu.Unlock()
 
 	e, err, originFault := r.fetchObserved(ctx, kind, key, 0, 0)
@@ -278,12 +257,10 @@ func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) *re
 	}
 	now = r.now()
 	r.mu.Lock()
-	delete(r.inflight, key)
 	switch {
 	case err == nil:
 		r.fails = 0
 		delete(r.neg, key)
-		c.entry = e
 	case originFault:
 		// Exponential origin-level backoff: a down origin costs one
 		// failed dial per window, not one per request.
@@ -316,13 +293,12 @@ func (r *Remote) lookup(ctx context.Context, kind registry.Kind, key string) *re
 		r.neg[key] = now.Add(r.negTTL)
 	}
 	r.mu.Unlock()
-	close(c.done)
 
 	if err != nil {
 		r.logf("fetching %q: %v (degrading to a miss)", key, err)
 		r.errors.Add(1)
 	}
-	return c.entry
+	return e // nil on every failure
 }
 
 // fetchObserved is one fetch attempt plus its observer callback — each
@@ -367,8 +343,8 @@ func (r *Remote) jitteredDelay(attempt int) time.Duration {
 // bodies — negative-cache the key).
 //
 // The HTTP request runs under its own timeout-from-Background context —
-// NOT the caller's — so a fetch whose result singleflight waiters share is
-// never cancelled by the first caller hanging up. The caller's context
+// NOT the caller's — so a fetch whose entry the registry's singleflight
+// waiters share is never cancelled by its owner hanging up. The caller's context
 // contributes tracing only: this attempt's span, and the traceparent
 // header that makes the origin's handler a child of it.
 func (r *Remote) fetch(ctx context.Context, kind registry.Kind, key string, attempt int, backoff time.Duration) (e *registry.Entry, err error, originFault bool) {
@@ -416,9 +392,12 @@ func (r *Remote) fetch(ctx context.Context, kind registry.Kind, key string, atte
 }
 
 // topologyFor resolves the topology a sidecar references: the memo first,
-// then a recursive lookup — which rides the tier's own singleflight and
-// negative cache, so many sidecars of one topology fetch it once. The
-// context parents the nested fetch's span under the sidecar attempt.
+// then a recursive lookup of this tier alone, under its negative cache and
+// origin-down window — so sidecars of one topology looked up one after
+// another fetch it once. This nested lookup is the one the registry's
+// singleflight does not cover: concurrent sidecar fetches of different keys
+// over one cold topology may each fetch it. The context parents the nested
+// fetch's span under the sidecar attempt.
 func (r *Remote) topologyFor(ctx context.Context, topoKey string) (*topo.Topology, error) {
 	if t := r.topos.Get(topoKey); t != nil {
 		return t, nil
@@ -476,5 +455,6 @@ func (r *Remote) Backoff() BackoffState {
 }
 
 // Fetches reports how many upstream requests were actually issued —
-// what the singleflight and the negative caches exist to minimize.
+// what the registry's singleflight, the topology memo and the negative
+// caches exist to minimize.
 func (r *Remote) Fetches() int64 { return r.fetches.Load() }

@@ -4,8 +4,8 @@ package remote
 // tier never fails — every broken-origin scenario (down, slow, corrupt
 // bodies, unknown keys) must degrade to a miss, which at the registry
 // level degrades to a local re-inference. The singleflight test runs under
-// -race in CI and asserts a concurrent wave of Gets for one key reaches
-// the origin exactly once.
+// -race in CI and asserts a concurrent wave of registry lookups for one key
+// fetches each entry it needs from the origin exactly once.
 
 import (
 	"bytes"
@@ -300,50 +300,110 @@ func Test404NegativeCachesKey(t *testing.T) {
 	}
 }
 
-// TestConcurrentFetchesCollapse is the -race singleflight test: a wave of
-// concurrent Gets for one key must reach the origin exactly once, and
-// every caller shares the fetched value.
+// TestConcurrentFetchesCollapse is the -race singleflight test of an edge:
+// the registry is the one place concurrent misses coalesce, so a wave of
+// concurrent lookups of one key through a registry over the remote tier
+// must fetch each entry it needs from the origin exactly once — one
+// topology, or one sidecar and its topology — and every caller shares the
+// fetched value.
 func TestConcurrentFetchesCollapse(t *testing.T) {
-	var requests atomic.Int64
-	gate := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		<-gate // hold the fetch open until the whole wave is waiting
-		w.Write(encodeBody(t, testKey))
-	}))
-	defer ts.Close()
+	opt := mctopalg.Options{Reps: 51}
+	tk := registry.TopoKey("Ivy", 1, opt)
+	pl, err := place.NewFrom(testTopo(), place.RRCore, place.Options{NThreads: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := "place|" + tk + "|" + pl.PolicyName() + "|8"
+	var pbuf bytes.Buffer
+	if err := spool.Encode(&pbuf, registry.NewEntry(registry.KindPlacement, pk, pl)); err != nil {
+		t.Fatal(err)
+	}
+	bodies := map[string][]byte{tk: encodeBody(t, tk), pk: pbuf.Bytes()}
 
-	rm := newRemote(t, ts.URL)
-	const waiters = 32
-	var wg sync.WaitGroup
-	results := make([]*topo.Topology, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, ok := get(rm, registry.KindTopology, testKey)
-			if !ok {
-				t.Errorf("waiter %d missed", i)
-				return
+	for _, tc := range []struct {
+		name    string
+		lookup  func(*registry.Registry) (any, error)
+		fetched []string // every key the wave must fetch, once each
+	}{
+		{"topology", func(reg *registry.Registry) (any, error) {
+			top, _, err := reg.LookupTopologyContext(context.Background(), "Ivy", 1, opt)
+			return top, err
+		}, []string{tk}},
+		{"placement", func(reg *registry.Registry) (any, error) {
+			return reg.PlaceContext(context.Background(), "Ivy", 1, opt, "RR_CORE", 8)
+		}, []string{pk, tk}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			requests := map[string]int{}
+			gate := make(chan struct{})
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				key := r.URL.Query().Get("key")
+				mu.Lock()
+				requests[key]++
+				mu.Unlock()
+				<-gate // hold the fetch open until the whole wave is waiting
+				if b, ok := bodies[key]; ok {
+					w.Write(b)
+					return
+				}
+				http.NotFound(w, r)
+			}))
+			defer ts.Close()
+
+			rm := newRemote(t, ts.URL)
+			reg, inferences := edgeRegistry(rm)
+			const waiters = 32
+			var wg sync.WaitGroup
+			results := make([]any, waiters)
+			for i := 0; i < waiters; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					v, err := tc.lookup(reg)
+					if err != nil {
+						t.Errorf("waiter %d: %v", i, err)
+						return
+					}
+					results[i] = v
+				}(i)
 			}
-			results[i] = v.(*topo.Topology)
-		}(i)
-	}
-	// Let the wave pile up behind the in-flight fetch, then release it.
-	time.Sleep(50 * time.Millisecond)
-	close(gate)
-	wg.Wait()
+			// Release the fetch once the rest of the wave waits on its owner:
+			// each waiter counts a miss as it starts waiting, the owner only
+			// once its walk returns.
+			for deadline := time.Now().Add(5 * time.Second); reg.Stats().Misses < waiters-1; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					close(gate)
+					wg.Wait()
+					t.Fatalf("only %d of %d lookups wait on the owner's fetch", reg.Stats().Misses, waiters-1)
+				}
+			}
+			close(gate)
+			wg.Wait()
 
-	if got := requests.Load(); got != 1 {
-		t.Fatalf("%d concurrent Gets issued %d upstream requests, want 1", waiters, got)
-	}
-	for i, r := range results {
-		if r != results[0] {
-			t.Fatalf("waiter %d got a different topology instance", i)
-		}
-	}
-	if st := rm.Stats()[0]; st.Hits != waiters {
-		t.Fatalf("hits = %d, want %d", st.Hits, waiters)
+			for _, key := range tc.fetched {
+				if requests[key] != 1 {
+					t.Errorf("%d concurrent lookups fetched %q %d times, want 1", waiters, key, requests[key])
+				}
+			}
+			if len(requests) != len(tc.fetched) {
+				t.Errorf("origin saw keys %v, want exactly %v", requests, tc.fetched)
+			}
+			for i, v := range results {
+				if v == nil || v != results[0] {
+					t.Fatalf("waiter %d got %p, waiter 0 %p: want one shared value", i, v, results[0])
+				}
+			}
+			if st := rm.Stats()[0]; st.Hits != int64(len(tc.fetched)) || st.Misses != 0 {
+				t.Fatalf("remote tier: %d hits, %d misses; want %d, 0", st.Hits, st.Misses, len(tc.fetched))
+			}
+			// The owner's walk answered (a hit); every other caller waited on it.
+			st := reg.Stats()
+			if n := inferences.Load(); n != 0 || st.Placements != 0 || st.Hits != 1 || st.Misses != waiters-1 {
+				t.Fatalf("edge: %d inferences, %d placements, %d hits, %d misses; want 0, 0, 1, %d",
+					n, st.Placements, st.Hits, st.Misses, waiters-1)
+			}
+		})
 	}
 }
 

@@ -149,7 +149,8 @@ func Validate(t *Topology, osCoreOfCtx, osSocketOfCtx, osNodeOfSocket []int) []s
 
 // Registry is a concurrency-safe, LRU-bounded cache of inferred topologies
 // and derived placements, keyed by (platform, seed, options). Concurrent
-// misses on one key collapse into a single inference (singleflight); hits
+// misses on one key collapse into a single resolution (singleflight): one
+// walk of the tiers below the LRU, then at most one inference; hits
 // are lock-cheap map lookups, orders of magnitude faster than re-running
 // MCTOP-ALG. The *Context methods honor cancellation and deadlines. See
 // internal/registry for the full API and semantics.
